@@ -87,8 +87,8 @@ def cmd_sweep(args) -> int:
     entries = _entries(args)
     policy = args.d_policy
     if args.d is not None:
-        lo, hi = args.d, args.d_max if args.d_max is not None else args.d
-        policy = lambda d_min: list(range(lo, hi + 1))
+        hi = args.d_max if args.d_max is not None else args.d
+        policy = ("range", args.d, hi)
     skip = set()
     if args.resume and args.out:
         skip = {rec.group_id for rec in load_records(args.out)}

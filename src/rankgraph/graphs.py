@@ -12,6 +12,14 @@ z_1..z_r has each z_{i+1} outside <x, y, z_1..z_i>, so its elements are
 pairwise distinct and distinct from x and y, and when |G| > d the set
 pads up to cardinality d with fresh elements.  Groups with |G| <= d are
 handled exhaustively.
+
+The test runs on maximal-subgroup incidence (P. Hall's view of
+generation): with row[x] the bitmask of the maximal subgroups containing
+x, the maximal subgroups containing <x, y, z_1..z_r> are the AND of the
+rows.  So x ~ y in Delta_2 iff row[x] & row[y] == 0, and in Delta_d iff
+the mask row[x] & row[y] can be cleared by at most d - 2 further rows
+(``SubgroupRegistry.mask_dist``).  Elements with equal rows are
+interchangeable, so edges are decided per pair of row classes.
 """
 
 from __future__ import annotations
@@ -133,35 +141,51 @@ def diameter(graph: ElementGraph, comps: Optional[Components] = None) -> dict:
 
 
 class EdgeOracle:
-    """Memoized edge tests for all Gamma_d graphs of one dense group."""
+    """Gamma_d edge tests of one dense group, by maximal-subgroup incidence.
+
+    An edge test only sees the AND of the two incidence rows, so elements
+    with equal rows are interchangeable: edges are decided once per pair
+    of row classes and expanded to elements by the builders.
+    """
 
     def __init__(self, G: PermutationGroup, limits: Limits = DEFAULT_LIMITS):
         self.group = G
         self.reg = registry_for(G, limits)
         self.ct = self.reg.ct
+        self.rows = self.reg.incidence_rows()
+        by_row: dict = {}
+        for x, row in enumerate(self.rows):
+            by_row.setdefault(row, []).append(x)
+        # ascending element indices per distinct row, classes by first element
+        self.classes = list(by_row.values())
 
-    def pair_subgroup(self, x: int, y: int) -> int:
-        return self.reg.pair_join(x, y)
-
-    def edge(self, x: int, y: int, d: int) -> bool:
-        """Edge test on element indices, x != y assumed."""
+    def joined(self, mask: int, d: int) -> bool:
+        """Edge test for distinct x, y with rows[x] & rows[y] == mask."""
         n = self.ct.n
         if n < d:
             return False
         if n == d:
             return True
-        sid = self.reg.pair_join(x, y)
-        if sid == self.reg.full_id:
-            return True
-        return self.reg.dist_to_full(sid) <= d - 2
+        return not mask or (d > 2 and self.reg.mask_dist(mask) <= d - 2)
 
-    def edge_pairs(self, d: int):
-        """Yield all edges (x < y) of Gamma_d on element indices."""
-        n = self.ct.n
-        for x in range(n):
-            for y in range(x + 1, n):
-                if self.edge(x, y, d):
-                    yield (x, y)
+    def edge(self, x: int, y: int, d: int) -> bool:
+        """Edge test on element indices, x != y assumed."""
+        return self.joined(self.rows[x] & self.rows[y], d)
+
+    def class_edges(self, d: int):
+        """Yield (i, j), i <= j, for the joined pairs of row classes.
+
+        (i, i) means the elements of class i are pairwise joined; it is
+        yielded only for classes of two or more elements.
+        """
+        classes, rows, joined = self.classes, self.rows, self.joined
+        heads = [rows[c[0]] for c in classes]
+        for i, ri in enumerate(heads):
+            if len(classes[i]) > 1 and joined(ri, d):
+                yield (i, i)
+            for j in range(i + 1, len(heads)):
+                if joined(ri & heads[j], d):
+                    yield (i, j)
 
 
 def is_edge_d(G: PermutationGroup, x: Permutation, y: Permutation, d: int,
@@ -215,11 +239,17 @@ def build_gamma_d(G: PermutationGroup, d: int,
     """Gamma_d on all elements of G (isolated vertices included)."""
     _check_graph_args(G, d)
     oracle = _oracle_for(G, limits)
-    n = oracle.ct.n
-    adjacency = [[] for _ in range(n)]
-    for x, y in oracle.edge_pairs(d):
-        adjacency[x].append(y)
-        adjacency[y].append(x)
+    classes = oracle.classes
+    joined_to = [[] for _ in classes]
+    for i, j in oracle.class_edges(d):
+        joined_to[i].append(j)
+        if i != j:
+            joined_to[j].append(i)
+    adjacency = [None] * oracle.ct.n
+    for members, others in zip(classes, joined_to):
+        nbrs = sorted(w for j in others for w in classes[j])
+        for x in members:
+            adjacency[x] = [w for w in nbrs if w != x]
     kind = "generating" if d == 2 else "rank-d"
     return ElementGraph(kind, list(oracle.ct.elements), adjacency, G,
                         {"d": d})
@@ -266,12 +296,16 @@ class DeltaSummary:
 
 def delta_summary(G: PermutationGroup, d: int,
                   limits: Limits = DEFAULT_LIMITS) -> DeltaSummary:
-    """Connectivity of Delta_d via streaming union-find over edge pairs."""
+    """Connectivity of Delta_d via union-find over joined row classes.
+
+    Every element of a class that has an edge is adjacent to all of that
+    edge's other class, so a non-isolated class lies in one component.
+    """
     _check_graph_args(G, d)
     oracle = _oracle_for(G, limits)
-    n = oracle.ct.n
-    parent = list(range(n))
-    non_isolated = bytearray(n)
+    classes = oracle.classes
+    parent = list(range(len(classes)))
+    non_isolated = bytearray(len(classes))
 
     def find(x):
         while parent[x] != x:
@@ -280,14 +314,16 @@ def delta_summary(G: PermutationGroup, d: int,
         return x
 
     n_edges = 0
-    for x, y in oracle.edge_pairs(d):
-        n_edges += 1
-        non_isolated[x] = non_isolated[y] = 1
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-    roots = set(find(v) for v in range(n) if non_isolated[v])
-    return DeltaSummary(d, sum(non_isolated), n_edges, len(roots))
+    for i, j in oracle.class_edges(d):
+        ci, cj = len(classes[i]), len(classes[j])
+        n_edges += ci * (ci - 1) // 2 if i == j else ci * cj
+        non_isolated[i] = non_isolated[j] = 1
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+    active = [i for i in range(len(classes)) if non_isolated[i]]
+    return DeltaSummary(d, sum(len(classes[i]) for i in active), n_edges,
+                        len({find(i) for i in active}))
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +348,14 @@ def build_lambda(S: PermutationGroup, x: Permutation, y: Permutation,
     if x == y:
         raise GroupArgumentError(
             "rejected: x = y gives identical parts for the coset graph")
-    oracle = _oracle_for(G, limits)
-    ct = oracle.ct
+    reg = registry_for(G, limits)
+    ct = reg.ct
     s_elems = S.elements(limits)
     part_x = sorted(ct.index[(x * s).images] for s in s_elems)
     part_y = sorted(ct.index[(y * s).images] for s in s_elems)
     labels = [("x", ct.perm(i)) for i in part_x]
     labels += [("y", ct.perm(i)) for i in part_y]
     adjacency = [[] for _ in labels]
-    reg = oracle.reg
     offset = len(part_x)
     for i, xi in enumerate(part_x):
         for j, yj in enumerate(part_y):

@@ -5,8 +5,9 @@ correction lifting.
 The workhorse is SubgroupRegistry, a per-group cache of interned
 subgroups (by element index set) with memoized joins.  Distances in the
 join graph give d_X(G) = shortest chain of single-element extensions from
-<X> to G; this is shared by the rank-graph edge predicates, so one sweep
-over a group reuses everything.
+<X> to G.  The rank-graph edge predicates use the registry's
+maximal-subgroup incidence instead: a subgroup is determined, for
+generation purposes, by the set of maximal subgroups containing it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ class SubgroupRegistry:
         self._pair_join: dict = {}
         self._dist: dict = {}
         self._coset_reps: dict = {}
+        self._rows: Optional[list] = None
+        self._row_set: frozenset = frozenset()
+        self._mask_dist: dict = {}
 
     def intern(self, members: frozenset, gens: tuple) -> int:
         sid = self._ids.get(members)
@@ -285,6 +289,57 @@ class SubgroupRegistry:
         for sid in maximal:
             out.extend(self.conjugates(self.members[sid]))
         return out
+
+    # -- maximal-subgroup incidence --------------------------------------------
+
+    def incidence_rows(self) -> list:
+        """Per element, the bitmask of the maximal subgroups containing it.
+
+        Bit k stands for the k-th entry of ``maximal_subgroups()``.  The
+        maximal subgroups containing <z_1, ..., z_r> are the AND of the
+        rows of the z_i, so the z_i generate G iff that AND is 0.  Elements
+        generating the same cyclic subgroup share a row.
+        """
+        if self._rows is None:
+            ct = self.ct
+            rows = [0] * ct.n
+            maximals = self.maximal_subgroups()
+            for k, members in enumerate(maximals):
+                if len(members) == ct.n or ct.n % len(members):
+                    raise RuntimeError(
+                        f"maximal subgroup of order {len(members)} in a "
+                        f"group of order {ct.n}")
+                bit = 1 << k
+                for x in members:
+                    rows[x] |= bit
+            common = (1 << len(maximals)) - 1
+            for g in ct.gen_indices:
+                common &= rows[g]
+            if common:
+                raise RuntimeError(
+                    "a maximal subgroup contains every generator of G")
+            self._rows = rows
+            self._row_set = frozenset(rows)
+        return self._rows
+
+    def mask_dist(self, mask: int) -> int:
+        """dist_to_full of any subgroup whose incidence mask is ``mask``.
+
+        mdist(0) = 0 and mdist(m) = 1 + min mdist(m & r) over the distinct
+        rows r with m & r != m (the maximal subgroups containing <H, z> are
+        mask(H) & row[z]); memoized per mask.
+        """
+        if not mask:
+            return 0
+        got = self._mask_dist.get(mask)
+        if got is None:
+            self.incidence_rows()
+            smaller = {mask & r for r in self._row_set}
+            smaller.discard(mask)
+            got = 1 if 0 in smaller else \
+                1 + min(self.mask_dist(m) for m in smaller)
+            self._mask_dist[mask] = got
+        return got
 
 
 def registry_for(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> SubgroupRegistry:

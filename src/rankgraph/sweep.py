@@ -94,8 +94,17 @@ D_POLICIES = {
 
 
 def resolve_policy(policy) -> Callable:
+    """A d policy from a callable, a name in D_POLICIES or ("range", lo, hi).
+
+    Names and range specs pickle, so they reach sweep worker processes
+    unchanged.
+    """
     if callable(policy):
         return policy
+    if isinstance(policy, tuple) and len(policy) == 3 and \
+            policy[0] == "range":
+        _, lo, hi = policy
+        return lambda d_min: list(range(lo, hi + 1))
     try:
         return D_POLICIES[policy]
     except KeyError:
@@ -151,10 +160,10 @@ def sweep_entry(entry: CatalogEntry, policy="default",
 
 
 def _sweep_worker(args) -> str:
-    raw, policy_name, with_diameter, seed, limits_dict = args
+    raw, policy, with_diameter, seed, limits_dict = args
     entry = CatalogEntry(id=raw["id"], degree=raw["degree"],
                          generators=raw["generators"])
-    return sweep_entry(entry, policy_name, with_diameter, seed,
+    return sweep_entry(entry, policy, with_diameter, seed,
                        Limits(**limits_dict)).to_json()
 
 
@@ -166,7 +175,8 @@ def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
 
     Entries above ``max_order`` and ids in ``skip_ids`` (resume support)
     are skipped with an explicit record.  With jobs > 1 the entries are
-    distributed over worker processes; record order follows the catalog.
+    distributed over worker processes, so a callable ``policy`` must
+    pickle (a module-level function); record order follows the catalog.
     """
     skip = set(skip_ids)
     todo = []
@@ -188,9 +198,8 @@ def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
                                      limits)
     else:
         import dataclasses
-        policy_name = policy if isinstance(policy, str) else "default"
         limits_dict = dataclasses.asdict(limits)
-        args = [(e.to_dict(), policy_name, with_diameter, seed, limits_dict)
+        args = [(e.to_dict(), policy, with_diameter, seed, limits_dict)
                 for _, e in todo]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for (i, _), line in zip(todo, pool.map(_sweep_worker, args)):

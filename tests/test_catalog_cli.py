@@ -270,6 +270,26 @@ class TestCLI:
         assert rc == 0
         assert len(load_records(out)) == 2  # nothing re-recorded
 
+    def test_sweep_fixed_d_same_with_jobs(self, tmp_path, capsys):
+        # --d/--d-max reach the worker processes: same records either way
+        def run(jobs):
+            out = tmp_path / f"jobs{jobs}.jsonl"
+            rc = cli_main(["sweep", "--max-order", "12", "--d", "4",
+                           "--jobs", str(jobs), "--out", str(out)])
+            assert rc == 0
+            records = []
+            for rec in load_records(out):
+                rec.timestamp = rec.elapsed_ms = 0
+                for g in rec.graphs:
+                    g.elapsed_ms = 0
+                records.append(rec.to_json())
+            return records
+
+        serial = run(1)
+        assert {g["d"] for line in serial
+                for g in json.loads(line)["graphs"]} == {4}
+        assert run(2) == serial
+
     def test_export_dot(self, tmp_path):
         out = tmp_path / "g.dot"
         rc = cli_main(["export-dot", "--group", "E2^2", "--d", "2",

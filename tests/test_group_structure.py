@@ -10,7 +10,7 @@ from rankgraph import (
     is_normal,
     quotient,
 )
-from rankgraph.catalog import default_catalog
+from rankgraph.catalog import default_catalog, find_entry
 from rankgraph.config import Limits
 from rankgraph.group_structure import (
     d_X,
@@ -21,6 +21,7 @@ from rankgraph.group_structure import (
     maximal_subgroups,
     min_rank,
     normal_subgroups,
+    registry_for,
     socle,
 )
 
@@ -114,6 +115,18 @@ class TestFrattini:
         oracle = brute_maximal_subgroups(S4)
         ours = maximal_subgroups(S4)
         assert sorted(len(M) for M in oracle) == sorted(M.order for M in ours)
+
+    @pytest.mark.parametrize("group_id, max_gens", [
+        ("A5", 2), ("S5", 2), ("E2^3", 3), ("Dih4xC2", 3)])
+    def test_registry_maximals_complete(self, group_id, max_gens):
+        # the incidence edge engine is only as correct as this list; every
+        # maximal subgroup of these groups is max_gens-generated
+        G = find_entry(default_catalog(), group_id).group()
+        reg = registry_for(G)
+        ours = [frozenset(reg.ct.elements[i].images for i in M)
+                for M in reg.maximal_subgroups()]
+        assert len(set(ours)) == len(ours)
+        assert set(ours) == set(brute_maximal_subgroups(G, max_gens))
 
     def test_non_generator_characterization(self, Q8):
         ct = Q8.cayley_table()

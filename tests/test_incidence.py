@@ -1,0 +1,134 @@
+"""Differential checks of the maximal-subgroup incidence edge engine.
+
+The engine decides Delta_d edges from the rows of
+``SubgroupRegistry.incidence_rows``; these tests compare it with the
+brute generation oracle, with the closure path (``pair_join`` plus
+``dist_to_full`` on a fresh registry) and with values frozen from the
+closure-based implementation.
+"""
+
+import itertools
+
+import pytest
+
+from rankgraph.catalog import default_catalog, find_entry
+from rankgraph.graphs import build_gamma_d, delta_summary
+from rankgraph.group_structure import SubgroupRegistry, min_rank
+
+from oracles import brute_generates
+
+
+def _group(group_id):
+    return find_entry(default_catalog(), group_id).group()
+
+
+def closure_summary(G, d):
+    """(n_vertices, n_edges, n_components) of Delta_d by per-pair closures."""
+    reg = SubgroupRegistry(G.cayley_table())
+    n = reg.ct.n
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    touched = set()
+    n_edges = 0
+    for x, y in itertools.combinations(range(n) if n >= d else (), 2):
+        sid = reg.pair_join(x, y)
+        if n == d or sid == reg.full_id or reg.dist_to_full(sid) <= d - 2:
+            n_edges += 1
+            touched.update((x, y))
+            parent[find(y)] = find(x)
+    return len(touched), n_edges, len({find(v) for v in touched})
+
+
+@pytest.mark.parametrize("group_id", ["S4", "A4xC2", "Dih4xC2", "A5"])
+def test_generating_edges_match_brute_oracle(group_id):
+    G = _group(group_id)
+    gamma = build_gamma_d(G, 2)
+    labels = gamma.labels
+    ours = {(v, w) for v, nbrs in enumerate(gamma.adjacency)
+            for w in nbrs if v < w}
+    brute = {(v, w) for v in range(len(labels))
+             for w in range(v + 1, len(labels))
+             if brute_generates(G, [labels[v], labels[w]])}
+    assert ours == brute
+
+
+def test_summaries_match_closure_path():
+    checked = 0
+    for entry in default_catalog():
+        G = entry.group()
+        if G.order > 120 or min_rank(G).d == 1:
+            continue
+        for d in (2, 3, 4):
+            s = delta_summary(G, d)
+            assert (s.n_vertices, s.n_edges, s.n_components) == \
+                closure_summary(G, d), (entry.id, d)
+        checked += 1
+    assert checked >= 30
+
+
+# (n_vertices, n_edges, n_components) of Delta_2 and Delta_3, frozen from
+# the closure-based edge test.
+FROZEN = {
+    "PSL(2,8)": {2: (503, 107352, 1), 3: (504, 126756, 1)},
+    "PSL(2,11)": {2: (659, 167640, 1), 3: (660, 217470, 1)},
+    "S6": {2: (719, 114480, 1), 3: (720, 258840, 1)},
+    "PGL(2,9)": {2: (719, 168480, 1), 3: (720, 258840, 1)},
+    "PSL(2,13)": {2: (1091, 540540, 1), 3: (1092, 595686, 1)},
+}
+
+
+@pytest.mark.parametrize("group_id", sorted(FROZEN))
+def test_frozen_large_summaries(group_id):
+    G = _group(group_id)
+    for d, expected in FROZEN[group_id].items():
+        s = delta_summary(G, d)
+        assert (s.n_vertices, s.n_edges, s.n_components) == expected
+
+
+class TestIncidenceRows:
+    def test_rows_of_generators_meet_trivially(self, S4):
+        reg = SubgroupRegistry(S4.cayley_table())
+        rows = reg.incidence_rows()
+        common = -1
+        for g in reg.ct.gen_indices:
+            common &= rows[g]
+        assert common == 0
+        assert rows[reg.ct.identity] == \
+            (1 << len(reg.maximal_subgroups())) - 1
+
+    def test_mask_dist_matches_dist_to_full(self, S4):
+        reg = SubgroupRegistry(S4.cayley_table())
+        rows = reg.incidence_rows()
+        for x in range(reg.ct.n):
+            for y in range(reg.ct.n):
+                assert reg.mask_dist(rows[x] & rows[y]) == \
+                    reg.dist_to_full(reg.pair_join(x, y))
+
+    def test_whole_group_listed_as_maximal_raises(self, S4):
+        reg = SubgroupRegistry(S4.cayley_table())
+        reg.maximal_subgroups = lambda: [frozenset(range(reg.ct.n))]
+        with pytest.raises(RuntimeError, match="maximal subgroup of order"):
+            reg.incidence_rows()
+
+    def test_order_not_dividing_raises(self, S4):
+        reg = SubgroupRegistry(S4.cayley_table())
+        reg.maximal_subgroups = lambda: [frozenset(range(5))]
+        with pytest.raises(RuntimeError, match="maximal subgroup of order"):
+            reg.incidence_rows()
+
+    def test_generators_in_a_listed_maximal_raises(self, S4):
+        # a wrong maximal-subgroup list that has one member holding every
+        # generator of G
+        reg = SubgroupRegistry(S4.cayley_table())
+        ct = reg.ct
+        held = sorted({ct.identity, *ct.gen_indices})
+        others = [x for x in range(ct.n) if x not in held]
+        fake = frozenset(held + others[:12 - len(held)])
+        reg.maximal_subgroups = lambda: [fake]
+        with pytest.raises(RuntimeError, match="every generator"):
+            reg.incidence_rows()
