@@ -2,8 +2,9 @@
 
 Subcommands: analyze, sweep, crown, verify, export-dot, catalog.
 Exit codes: 0 on success, 1 when a run finds a theorem violation
-(CRITICAL sweep flag or failed verification), 2 on usage or resource
-errors.
+(CRITICAL sweep flag or failed verification) or a sweep record holds an
+unexpected error, 2 on usage or resource errors.  A sweep entry skipped
+at a resource cap is recorded and does not change the exit code.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .sweep import (
     load_records,
     save_records,
     sweep,
+    unexpected_errors,
 )
 from .verify import run_verifier
 
@@ -108,7 +110,7 @@ def cmd_sweep(args) -> int:
         print(f"  CRITICAL {gid}: {flag}")
     for gid, err in errors:
         print(f"  error {gid}: {err}")
-    return 1 if flags else 0
+    return 1 if flags or unexpected_errors(records) else 0
 
 
 def cmd_crown(args) -> int:

@@ -132,8 +132,12 @@ class SubgroupRegistry:
         key = (sid, zs)
         got = self._join_sub_cyc.get(key)
         if got is None:
-            if self.members[zs] <= self.members[sid]:
+            H, Z = self.members[sid], self.members[zs]
+            if Z <= H:
                 got = sid
+            elif 2 * len(H) * len(Z) > self.ct.n * len(H & Z):
+                # |HZ| = |H||Z|/|H & Z| > |G|/2 and HZ lies in <H, z>
+                got = self.full_id
             else:
                 got = self.close(self.gens[sid] + (z,))
             self._join_sub_cyc[key] = got

@@ -462,6 +462,12 @@ class PermutationGroup:
             self._cayley = CayleyTable(self, limits)
         return self._cayley
 
+    def release_dense_caches(self) -> None:
+        """Drop the element list and the Cayley table, with everything
+        cached on the table; both are rebuilt on demand."""
+        self._elements = None
+        self._cayley = None
+
 
 def group_from_generators(degree: int, gens: Iterable[Permutation],
                           known_order: Optional[int] = None) -> PermutationGroup:
@@ -716,9 +722,18 @@ class CayleyTable:
     tests, conjugacy, centralizers, subgroup joins) runs on integer
     indices into the deterministic element order instead of permutation
     objects.
+
+    ``table[x][q]`` is the index of ``x * q``.  Only the generator rows
+    are composed from permutation images.  Every other row comes from the
+    right-regular representation, ``row(p * g) = row(p)[row(g)]``, one
+    numpy gather per element in a breadth-first search from the identity
+    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
+    2005).  The rows are then copied to lists whose cells share one int
+    object per index.
     """
 
     def __init__(self, G: PermutationGroup, limits: Limits = DEFAULT_LIMITS):
+        import numpy as np
         if G.order > limits.max_dense_order:
             raise CapExceededError(
                 f"order {G.order} exceeds dense-table cap "
@@ -730,14 +745,36 @@ class CayleyTable:
         self.index = {p.images: i for i, p in enumerate(self.elements)}
         images = [p.images for p in self.elements]
         idx = self.index
-        self.table = [
-            [idx[tuple(q[i] for i in pimg)] for q in images] for pimg in images
-        ]
+        self.identity = idx[tuple(range(G.degree))]  # == 0 by lex order
+        self.gen_indices = tuple(idx[g.images] for g in G.generators)
+
+        rows = np.empty((n, n), dtype=np.int32)
+        rows[self.identity] = np.arange(n, dtype=np.int32)
+        gens = self.gen_indices  # distinct, without the identity
+        for g in gens:
+            gimg = images[g]
+            rows[g] = [idx[_mult(gimg, q)] for q in images]
+        gen_rows = [rows[g] for g in gens]
+        seen = bytearray(n)
+        seen[self.identity] = 1
+        queue = [self.identity]
+        for p in queue:  # idx(p * g) = row(p)[g]
+            row_p = rows[p]
+            for g, row_g in zip(gens, gen_rows):
+                pg = int(row_p[g])
+                if not seen[pg]:
+                    seen[pg] = 1
+                    rows[pg] = row_p[row_g]
+                    queue.append(pg)
+        if len(queue) != n:
+            raise RuntimeError(
+                f"Cayley table search reached {len(queue)} of {n} rows")
+        cell = list(range(n)).__getitem__
+        self.table = [list(map(cell, row.tolist())) for row in rows]
+
         self.inv = [0] * n
         for i, pimg in enumerate(images):
             self.inv[idx[_inv(pimg)]] = i
-        self.identity = idx[tuple(range(G.degree))]  # == 0 by lex order
-        self.gen_indices = tuple(idx[g.images] for g in G.generators)
 
         # element orders
         self.order_of = [0] * n

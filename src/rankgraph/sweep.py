@@ -114,6 +114,10 @@ def resolve_policy(policy) -> Callable:
 
 # -- the sweep ---------------------------------------------------------------
 
+# Prefix of the error of a record skipped at a resource cap; any other
+# error is an unexpected failure.
+CAP_ERROR = "cap exceeded: "
+
 
 def sweep_entry(entry: CatalogEntry, policy="default",
                 with_diameter: bool = False, seed: int = 0,
@@ -152,9 +156,10 @@ def sweep_entry(entry: CatalogEntry, policy="default",
                         f"disconnected Delta_{d} ({verdict.n_components} "
                         "components)")
     except CapExceededError as e:
-        record.error = f"cap exceeded: {e}"
+        record.error = f"{CAP_ERROR}{e}"
     except Exception as e:  # per-entry isolation: one failure never aborts
         record.error = f"{type(e).__name__}: {e}"
+    G.release_dense_caches()
     record.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return record
 
@@ -233,3 +238,9 @@ def critical_flags(records: Iterable[SweepRecord]) -> list:
         for flag in rec.critical:
             out.append((rec.group_id, flag))
     return out
+
+
+def unexpected_errors(records: Iterable[SweepRecord]) -> list:
+    """(group id, error) of every record that failed other than at a cap."""
+    return [(rec.group_id, rec.error) for rec in records
+            if rec.error and not rec.error.startswith(CAP_ERROR)]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rankgraph import Permutation
+from rankgraph import CapExceededError, Permutation
 from rankgraph.catalog import (
     CatalogError,
     CatalogEntry,
@@ -199,6 +199,17 @@ class TestSweep:
         parallel = [strip(r) for r in sweep(entries, max_order=100, jobs=2)]
         assert serial == parallel
 
+    def test_entry_releases_dense_caches(self):
+        def verdicts(rec):
+            return [(g.d, g.n_edges, g.n_components) for g in rec.graphs]
+
+        entry = symmetric(4)
+        ct = entry.group().cayley_table()
+        first = sweep_entry(entry)
+        assert entry.group().cayley_table() is not ct  # rebuilt on demand
+        second = sweep_entry(entry)
+        assert verdicts(first) == verdicts(second) and first.graphs
+
     def test_connected_verdict_means_one_component(self):
         recs = sweep([symmetric(4)], max_order=100)
         for g in recs[0].graphs:
@@ -258,6 +269,34 @@ class TestCLI:
                        "--max-order", "100", "--out", str(out)])
         assert rc == 0
         assert len(load_records(out)) == 2
+
+    def test_sweep_unexpected_error_exit_1(self, tmp_path, monkeypatch,
+                                           capsys):
+        from rankgraph import sweep as sweep_mod
+
+        cat_path = tmp_path / "cat.json"
+        save_catalog([symmetric(4), dihedral(5)], cat_path)
+        argv = ["sweep", "--catalog", str(cat_path), "--max-order", "100"]
+        real = sweep_mod.min_rank
+
+        def failing_on_s4(exc):
+            def min_rank(G, limits):
+                if G.order == 24:
+                    raise exc
+                return real(G, limits)
+            return min_rank
+
+        # a cap error is a recorded skip
+        monkeypatch.setattr(sweep_mod, "min_rank",
+                            failing_on_s4(CapExceededError("stub cap")))
+        assert cli_main(argv) == 0
+        # anything else is a failure of the run
+        monkeypatch.setattr(sweep_mod, "min_rank",
+                            failing_on_s4(KeyError("boom")))
+        out = tmp_path / "records.jsonl"
+        assert cli_main(argv + ["--out", str(out)]) == 1
+        errors = [r.error for r in load_records(out)]
+        assert errors == ["KeyError: 'boom'", None]
 
     def test_sweep_resume(self, tmp_path, capsys):
         cat_path = tmp_path / "cat.json"

@@ -13,6 +13,7 @@ from rankgraph import (
 from rankgraph.catalog import default_catalog, find_entry
 from rankgraph.config import Limits
 from rankgraph.group_structure import (
+    SubgroupRegistry,
     d_X,
     frattini,
     gaschutz_lift,
@@ -127,6 +128,18 @@ class TestFrattini:
                 for M in reg.maximal_subgroups()]
         assert len(set(ours)) == len(ours)
         assert set(ours) == set(brute_maximal_subgroups(G, max_gens))
+
+    @pytest.mark.parametrize("group_id", ["S4", "A5", "PSL(2,7)"])
+    def test_join_with_element_matches_fresh_closure(self, group_id):
+        # the product-formula shortcut and the memo give what closing the
+        # generators of H together with z gives on an empty registry
+        G = find_entry(default_catalog(), group_id).group()
+        reg = registry_for(G)
+        fresh = SubgroupRegistry(reg.ct)
+        for sid in reg.subgroup_class_reps():
+            for z in range(reg.ct.n):
+                want = fresh.members[fresh.close(reg.gens[sid] + (z,))]
+                assert reg.members[reg.join_with_element(sid, z)] == want
 
     def test_non_generator_characterization(self, Q8):
         ct = Q8.cayley_table()

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 from rankgraph import (
     CapExceededError,
+    CayleyTable,
     DegreeMismatchError,
     GroupArgumentError,
     Permutation,
@@ -23,7 +24,12 @@ from rankgraph import (
 )
 from rankgraph.config import Limits
 
-from oracles import brute_closure, brute_centralizer, brute_conjugacy_classes
+from oracles import (
+    brute_closure,
+    brute_centralizer,
+    brute_conjugacy_classes,
+    mult,
+)
 
 
 perms = st.integers(3, 8).flatmap(
@@ -288,3 +294,36 @@ class TestCayleyTable:
         ct = S4.cayley_table()
         for i in range(ct.n):
             assert ct.table[i][ct.inv[i]] == ct.identity
+
+    @staticmethod
+    def assert_table_is_products(ct, label=""):
+        images = [p.images for p in ct.elements]
+        for i, a in enumerate(images):
+            row = ct.table[i]
+            assert len(row) == ct.n, label
+            for j, b in enumerate(images):
+                assert row[j] == ct.index[mult(a, b)], (label, i, j)
+
+    def test_every_cell_on_catalog(self, catalog_entries):
+        # every catalog group up to order 360, Dih100 (degree 100) among them
+        checked = set()
+        for entry in catalog_entries:
+            G = entry.group()
+            if G.order <= 360:
+                self.assert_table_is_products(CayleyTable(G), entry.id)
+                checked.add(entry.id)
+        assert {"Dih100", "A6", "PGL(2,7)"} <= checked
+
+    def test_trivial_group_degree_one(self):
+        ct = CayleyTable(group_from_generators(1, []))
+        assert ct.table == [[0]]
+        assert (ct.inv, ct.order_of, ct.gen_indices) == ([0], [1], ())
+
+    def test_identity_and_repeated_generators(self):
+        c4 = Permutation.from_cycles(4, [0, 1, 2, 3])
+        t = Permutation.from_cycles(4, [0, 2])
+        plain = CayleyTable(group_from_generators(4, [c4, t]))
+        for gens in ([Permutation.identity(4), c4, t], [c4, c4, t, c4]):
+            ct = CayleyTable(group_from_generators(4, gens))
+            self.assert_table_is_products(ct)
+            assert ct.table == plain.table
