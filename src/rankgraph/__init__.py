@@ -20,11 +20,8 @@ from .perm_core import (
     PreconditionError,
     StabilizerChain,
     WitnessSearchFailure,
-    compose,
     conjugacy_classes,
     centralizer,
-    contains,
-    elements,
     generates,
     group_from_generators,
     is_normal,

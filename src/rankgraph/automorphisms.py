@@ -26,6 +26,7 @@ from .perm_core import (
     GroupArgumentError,
     Permutation,
     PermutationGroup,
+    UnionFind,
 )
 from .group_structure import min_rank, registry_for
 
@@ -311,14 +312,7 @@ def orbits_on_tuples(X: AutGroup, tuples: Sequence[tuple]) -> tuple:
     action leaves the given tuple set (caller passed a non-closed set).
     """
     index = {t: i for i, t in enumerate(tuples)}
-    parent = list(range(len(tuples)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    uf = UnionFind(len(tuples))
     gens = [p.images for p in X.perm_group.generators]
     for i, t in enumerate(tuples):
         for g in gens:
@@ -327,18 +321,16 @@ def orbits_on_tuples(X: AutGroup, tuples: Sequence[tuple]) -> tuple:
             if j is None:
                 raise GroupArgumentError(
                     "tuple set is not closed under the X-action")
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
+            uf.union(i, j)
     # canonical labels: orbits ordered by smallest tuple
     rep_best: dict[int, tuple] = {}
     for i, t in enumerate(tuples):
-        r = find(i)
+        r = uf.find(i)
         if r not in rep_best or t < rep_best[r]:
             rep_best[r] = t
     ordered = sorted(rep_best, key=lambda r: rep_best[r])
     relabel = {r: k for k, r in enumerate(ordered)}
-    labels = [relabel[find(i)] for i in range(len(tuples))]
+    labels = [relabel[uf.find(i)] for i in range(len(tuples))]
     return labels, len(ordered)
 
 

@@ -37,7 +37,7 @@ from .sweep import (
     sweep,
     unexpected_errors,
 )
-from .verify import run_verifier
+from . import verify
 
 
 def _limits_from_args(args) -> Limits:
@@ -53,7 +53,7 @@ def _entries(args):
     return cat.default_catalog()
 
 
-def _write_out(args, payload: dict) -> None:
+def _write_out(args, payload) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
@@ -91,26 +91,30 @@ def cmd_sweep(args) -> int:
     if args.d is not None:
         hi = args.d_max if args.d_max is not None else args.d
         policy = ("range", args.d, hi)
-    skip = set()
+    earlier = []
     if args.resume and args.out:
-        skip = {rec.group_id for rec in load_records(args.out)}
-        if skip:
-            print(f"resuming: {len(skip)} group(s) already recorded")
+        earlier = load_records(args.out)
+        if earlier:
+            print(f"resuming: {len(earlier)} group(s) already recorded")
     records = sweep(entries, max_order=args.max_order, policy=policy,
                     with_diameter=args.diameter, jobs=args.jobs,
-                    seed=args.seed, limits=limits, skip_ids=skip)
+                    seed=args.seed, limits=limits,
+                    skip_ids={rec.group_id for rec in earlier})
     if args.out:
         save_records(records, args.out, append=bool(args.resume))
-    flags = critical_flags(records)
+    # a resumed run answers for every record in --out, not only its own
+    checked = earlier + records
+    flags = critical_flags(checked)
     analyzed = sum(1 for r in records if r.graphs)
-    errors = [(r.group_id, r.error) for r in records if r.error]
+    errors = [(r.group_id, r.error) for r in checked if r.error]
     print(f"swept {len(records)} entries ({analyzed} analyzed); "
-          f"{len(flags)} CRITICAL flag(s), {len(errors)} error(s)")
+          f"{len(flags)} CRITICAL flag(s), {len(errors)} error(s)"
+          + (f" in {len(checked)} records" if earlier else ""))
     for gid, flag in flags:
         print(f"  CRITICAL {gid}: {flag}")
     for gid, err in errors:
         print(f"  error {gid}: {err}")
-    return 1 if flags or unexpected_errors(records) else 0
+    return 1 if flags or unexpected_errors(checked) else 0
 
 
 def cmd_crown(args) -> int:
@@ -159,13 +163,23 @@ def cmd_crown(args) -> int:
 
 def cmd_verify(args) -> int:
     limits = _limits_from_args(args)
+    if args.lemma == "all":
+        if args.params:
+            raise ValueError("--params needs one suite, not --lemma all")
+        lemmas = list(verify.VERIFIERS)
+    else:
+        lemmas = [args.lemma]
     params = json.loads(args.params) if args.params else {}
-    rep = run_verifier(args.lemma, seed=args.seed, limits=limits, **params)
-    print(rep.summary())
-    for fail in rep.failures[:10]:
-        print(f"  failure: {fail}")
-    _write_out(args, rep.to_dict())
-    return 0 if rep.passed else 1
+    reports = []
+    for lemma in lemmas:
+        rep = verify.run_verifier(lemma, seed=args.seed, limits=limits,
+                                  **params)
+        print(rep.summary())
+        for fail in rep.failures[:10]:
+            print(f"  failure: {fail}")
+        reports.append(rep.to_dict())
+    _write_out(args, reports if args.lemma == "all" else reports[0])
+    return 0 if all(rep["passed"] for rep in reports) else 1
 
 
 def cmd_export_dot(args) -> int:
@@ -248,9 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-witness", action="store_true")
     p.set_defaults(fn=cmd_crown)
 
-    p = sub.add_parser("verify", help="run one named verification suite")
+    p = sub.add_parser("verify", help="run a named verification suite")
     common(p)
-    p.add_argument("--lemma", required=True)
+    p.add_argument("--lemma", required=True,
+                   help="suite id, or 'all' for every suite in turn")
     p.add_argument("--params", help="JSON dict of verifier parameters")
     p.set_defaults(fn=cmd_verify)
 

@@ -16,7 +16,6 @@ from .config import DEFAULT_LIMITS, Limits
 from .perm_core import (
     CapExceededError,
     GroupArgumentError,
-    Homomorphism,
     Permutation,
     PermutationGroup,
     PreconditionError,
@@ -45,6 +44,7 @@ class GSection:
     lower: PermutationGroup   # K
     section: PermutationGroup  # faithful realization of H/K
     action: tuple  # per G-generator, a Permutation of section element indices
+    _centralizer: Optional[PermutationGroup] = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
@@ -53,14 +53,19 @@ class GSection:
     def is_abelian(self) -> bool:
         return self.section.is_abelian()
 
+    def centralizer(self, limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
+        """C_G(H/K), computed on first use; H and K must lie in G."""
+        if self._centralizer is None:
+            self._centralizer = _centralizer_of_section(
+                self.ambient, self.upper, self.lower, limits)
+        return self._centralizer
+
 
 def _build_section(G: PermutationGroup, H: PermutationGroup,
                    K: PermutationGroup,
                    limits: Limits = DEFAULT_LIMITS) -> GSection:
     if K.order == 1:
-        S, reps = H, tuple(H.elements(limits))
-        def to_index(p, ct):
-            return ct.index[p.images]
+        S = H
         ct = S.cayley_table(limits)
         action = []
         for g in G.generators:
@@ -131,6 +136,7 @@ class ChiefFactor:
         if self._section is None:
             self._section = _build_section(self.ambient, self.upper,
                                            self.lower, limits)
+            self._section._centralizer = self.centralizer
         return self._section
 
 
@@ -203,38 +209,49 @@ def _section_abelian(H: PermutationGroup, K: PermutationGroup) -> bool:
 
 def g_equivalent(G: PermutationGroup, F1: ChiefFactor, F2: ChiefFactor,
                  limits: Limits = DEFAULT_LIMITS) -> bool:
-    """G-equivalence of chief factors.
+    """G-equivalence of chief factors (see ``g_equivalent_section``).
 
-    Abelian factors: equivalent iff G-isomorphic.  Non-abelian factors:
-    G-isomorphic, or equal centralizers, or the quotient by
-    C_G(F1) ∩ C_G(F2) has two distinct minimal normal subgroups
-    G-isomorphic to F1 and F2 (the two-minimal-normals criterion; the
-    intersection is exactly the core of the shared maximal subgroup).
-    Mixed abelian/non-abelian pairs are never equivalent.
+    Mixed abelian/non-abelian pairs are never equivalent, and two factors
+    with the same upper and lower subgroups always are.
     """
-    if F1.abelian != F2.abelian:
-        return False
-    if F1.order != F2.order:
+    if F1.abelian != F2.abelian or F1.order != F2.order:
         return False
     if F1.upper.same_group(F2.upper) and F1.lower.same_group(F2.lower):
         return True
-    if g_isomorphic(F1.section(limits), F2.section(limits), limits):
-        return True
-    if F1.abelian:
+    return g_equivalent_section(G, F1.section(limits), F2.section(limits),
+                                limits)
+
+
+def g_equivalent_section(G: PermutationGroup, secA: GSection, secB: GSection,
+                         limits: Limits = DEFAULT_LIMITS) -> bool:
+    """G-equivalence of two sections of G that are chief factors.
+
+    Abelian sections: equivalent iff G-isomorphic.  Non-abelian sections:
+    G-isomorphic, or equal centralizers, or the quotient by
+    C_G(A) ∩ C_G(B) has two distinct minimal normal subgroups
+    G-isomorphic to A and B (the two-minimal-normals criterion; the
+    intersection is exactly the core of the shared maximal subgroup).
+    """
+    if secA.order != secB.order:
         return False
-    c1 = frozenset(p.images for p in F1.centralizer.elements(limits))
-    c2 = frozenset(p.images for p in F2.centralizer.elements(limits))
+    if g_isomorphic(secA, secB, limits):
+        return True
+    if secA.is_abelian() or secB.is_abelian():
+        return False
+    c1 = frozenset(p.images for p in secA.centralizer(limits).elements(limits))
+    c2 = frozenset(p.images for p in secB.centralizer(limits).elements(limits))
     if c1 == c2:
         return True
     from .perm_core import subgroup_from_members
     meet = subgroup_from_members(
         G.degree, [Permutation._raw(img) for img in sorted(c1 & c2)])
-    return _two_minimal_normals_witness(G, meet, F1, F2, limits)
+    return _two_minimal_normals_witness(G, meet, secA, secB, limits)
 
 
 def _two_minimal_normals_witness(G: PermutationGroup, R: PermutationGroup,
-                                 F1: ChiefFactor, F2: ChiefFactor,
+                                 secA: GSection, secB: GSection,
                                  limits: Limits) -> bool:
+    """G/R has distinct minimal normal subgroups G-isomorphic to A and B."""
     if R.order == 1:
         Q, hom = G, None
     else:
@@ -245,24 +262,17 @@ def _two_minimal_normals_witness(G: PermutationGroup, R: PermutationGroup,
         return False
     if len(minimals) < 2:
         return False
-    sec1 = F1.section(limits)
-    sec2 = F2.section(limits)
-    matched1 = []
-    matched2 = []
+    hits_a, hits_b = [], []
     for X in minimals:
         if hom is None:
             secX = _build_section(G, X, PermutationGroup(G.degree, ()), limits)
         else:
             secX = _quotient_minimal_section(G, Q, hom, X, limits)
-        if secX.order == sec1.order and g_isomorphic(sec1, secX, limits):
-            matched1.append(X)
-        if secX.order == sec2.order and g_isomorphic(sec2, secX, limits):
-            matched2.append(X)
-    for X in matched1:
-        for Y in matched2:
-            if not X.same_group(Y):
-                return True
-    return False
+        if secX.order == secA.order and g_isomorphic(secA, secX, limits):
+            hits_a.append(X)
+        if secX.order == secB.order and g_isomorphic(secB, secX, limits):
+            hits_b.append(X)
+    return any(not X.same_group(Y) for X in hits_a for Y in hits_b)
 
 
 def _quotient_minimal_section(G, Q, hom, X, limits) -> GSection:
@@ -303,7 +313,8 @@ def g_equivalent_via_maximals(G: PermutationGroup, F1: ChiefFactor,
         if core_key in seen_cores:
             continue
         seen_cores.add(core_key)
-        if _two_minimal_normals_witness(G, core, F1, F2, limits):
+        if _two_minimal_normals_witness(G, core, F1.section(limits),
+                                        F2.section(limits), limits):
             return True
     return False
 
@@ -451,54 +462,6 @@ def _preimage(G: PermutationGroup, N: PermutationGroup, hom,
     if P.order != expected:
         raise GroupArgumentError("preimage order mismatch")
     return P
-
-
-def g_equivalent_section(G: PermutationGroup, secA: GSection, secB: GSection,
-                         limits: Limits = DEFAULT_LIMITS) -> bool:
-    """G-equivalence test on raw sections (used for socle conditions)."""
-    if secA.order != secB.order:
-        return False
-    if g_isomorphic(secA, secB, limits):
-        return True
-    if secA.section.is_abelian() or secB.section.is_abelian():
-        return False
-    c1 = _section_centralizer_key(G, secA, limits)
-    c2 = _section_centralizer_key(G, secB, limits)
-    if c1 == c2:
-        return True
-    from .perm_core import subgroup_from_members
-    meet = subgroup_from_members(
-        G.degree, [Permutation._raw(img) for img in sorted(c1 & c2)])
-    if meet.order == 1:
-        Q, hom = G, None
-    else:
-        Q, hom = quotient(G, meet, limits)
-    try:
-        minimals = normal_subgroups(Q, limits).minimal_normals
-    except CapExceededError:
-        return False
-    hits_a, hits_b = [], []
-    for X in minimals:
-        if hom is None:
-            secX = _build_section(G, X, PermutationGroup(G.degree, ()), limits)
-        else:
-            secX = _quotient_minimal_section(G, Q, hom, X, limits)
-        if secX.order != secA.order:
-            continue
-        if g_isomorphic(secA, secX, limits):
-            hits_a.append(X)
-        if g_isomorphic(secB, secX, limits):
-            hits_b.append(X)
-    return any(not X.same_group(Y) for X in hits_a for Y in hits_b)
-
-
-def _section_centralizer_key(G, sec: GSection, limits) -> frozenset:
-    members = []
-    for g in G.elements(limits):
-        if all(sec.lower.contains(g.commutator(h))
-               for h in sec.upper.generators):
-            members.append(g.images)
-    return frozenset(members)
 
 
 def _verify_crown_power_iso(G, R, L_A: MonolithicGroup, delta: int,

@@ -29,6 +29,7 @@ from .perm_core import (
     PermutationGroup,
     PreconditionError,
     StabilizerChain,
+    UnionFind,
     WitnessSearchFailure,
 )
 from .group_structure import minimal_normal_subgroups, min_rank, registry_for
@@ -89,9 +90,6 @@ class MonolithicGroup:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
         ct = self.ct(limits)
         return tuple(sorted(ct.table[x][n] for n in self.socle_indices(limits)))
-
-    def coset_set(self, x: int, limits: Limits = DEFAULT_LIMITS) -> frozenset:
-        return frozenset(self.coset_indices(x, limits))
 
     def aut(self, limits: Limits = DEFAULT_LIMITS) -> AutGroup:
         if self._aut is None:
@@ -427,15 +425,42 @@ class CrownGraphBuilder:
                 "orbit table required for eta > 1 edge tests")
         self._complete_memo: dict = {}
 
-    # vertex indexing: row-major over (row, correction rank)
-    def n_vertices(self) -> int:
-        return self.t * len(self.socle) ** self.eta
-
     def corrections(self) -> list:
         return list(itertools.product(self.socle, repeat=self.eta))
 
-    def vertex(self, row: int, correction: tuple) -> CrownVertex:
-        return CrownVertex(row, tuple(correction))
+    def vertices(self) -> list:
+        """Every vertex, row-major over (row, correction rank).
+
+        The t * |N|^eta vertices are capped at max_elements.
+        """
+        if self.t * len(self.socle) ** self.eta > self.limits.max_elements:
+            raise CapExceededError("crown graph vertex count over cap")
+        corrections = self.corrections()
+        return [CrownVertex(i, c) for i in range(self.t) for c in corrections]
+
+    def edges(self):
+        """Yield every edge once as a pair (v, w), v < w, of indices into
+        ``vertices()``: row pairs i < j in turn, then v in row i, then w in
+        row j."""
+        verts = self.vertices()
+        per_row = len(verts) // self.t
+        edge = self.edge
+        for i in range(self.t):
+            for j in range(i + 1, self.t):
+                for v in range(i * per_row, (i + 1) * per_row):
+                    for w in range(j * per_row, (j + 1) * per_row):
+                        if edge(verts[v], verts[w]):
+                            yield v, w
+
+    def conjugate(self, v: CrownVertex, m: tuple) -> CrownVertex:
+        """The vertex of (a_i . c)^m for v = (i, c) and m in N^eta."""
+        tbl, inv = self.ct.table, self.ct.inv
+        ai = self.a[v.row]
+        new = []
+        for c, u in zip(v.correction, m):
+            val = tbl[tbl[inv[u]][tbl[ai][c]]][u]   # u^-1 (a_i c) u
+            new.append(tbl[inv[ai]][val])
+        return CrownVertex(v.row, tuple(new))
 
     def edge(self, v: CrownVertex, w: CrownVertex) -> bool:
         if v.row == w.row:
@@ -497,19 +522,11 @@ def crown_graph(L: MonolithicGroup, t: int, eta: int,
     capped at t * |N|^eta <= max_elements.
     """
     builder = CrownGraphBuilder(L, t, eta, a, table, limits)
-    if builder.n_vertices() > limits.max_elements:
-        raise CapExceededError("crown graph vertex count over cap")
-    corrections = builder.corrections()
-    verts = [CrownVertex(i, c) for i in range(t) for c in corrections]
+    verts = builder.vertices()
     adjacency = [[] for _ in verts]
-    per_row = len(corrections)
-    for i in range(t):
-        for j in range(i + 1, t):
-            for vi, v in enumerate(verts[i * per_row:(i + 1) * per_row]):
-                for wi, w in enumerate(verts[j * per_row:(j + 1) * per_row]):
-                    if builder.edge(v, w):
-                        adjacency[i * per_row + vi].append(j * per_row + wi)
-                        adjacency[j * per_row + wi].append(i * per_row + vi)
+    for v, w in builder.edges():
+        adjacency[v].append(w)
+        adjacency[w].append(v)
     for nbrs in adjacency:
         nbrs.sort()
     labels = list(verts)
@@ -584,53 +601,23 @@ def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
     same component.  Conjugators are tried in BFS order (identity first).
     """
     builder = CrownGraphBuilder(L, t, eta, a, table, limits)
-    ct = builder.ct
-    corrections = builder.corrections()
-    per_row = len(corrections)
-    n = t * per_row
-    if n > limits.max_elements:
-        raise CapExceededError("crown graph vertex count over cap")
-    rank = {c: k for k, c in enumerate(corrections)}
+    verts = builder.vertices()
+    n = len(verts)
+    per_row = n // t
+    rank = {v.correction: k for k, v in enumerate(verts[:per_row])}
 
     # stream edges into union-find; remember non-isolation
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(n)
     non_isolated = bytearray(n)
-    verts = [CrownVertex(i, c) for i in range(t) for c in corrections]
-    for i in range(t):
-        for j in range(i + 1, t):
-            for vi in range(per_row):
-                v = verts[i * per_row + vi]
-                for wi in range(per_row):
-                    w = verts[j * per_row + wi]
-                    if builder.edge(v, w):
-                        a_idx, b_idx = i * per_row + vi, j * per_row + wi
-                        non_isolated[a_idx] = non_isolated[b_idx] = 1
-                        ra, rb = find(a_idx), find(b_idx)
-                        if ra != rb:
-                            parent[rb] = ra
+    for v, w in builder.edges():
+        non_isolated[v] = non_isolated[w] = 1
+        uf.union(v, w)
 
-    comp_of = {v: find(v) for v in range(n) if non_isolated[v]}
+    comp_of = {v: uf.find(v) for v in range(n) if non_isolated[v]}
     n_components = len(set(comp_of.values()))
 
     socle_order = _socle_bfs_order(L, limits)
     m_order = list(itertools.product(socle_order, repeat=eta))
-    inv = ct.inv
-    tbl = ct.table
-
-    def conj_vertex(v: CrownVertex, m: tuple) -> CrownVertex:
-        ai = builder.a[v.row]
-        new = []
-        for c, u in zip(v.correction, m):
-            val = tbl[tbl[inv[u]][tbl[ai][c]]][u]   # u^-1 (a_i c) u
-            new.append(tbl[inv[ai]][val])
-        return CrownVertex(v.row, tuple(new))
 
     rows = []
     all_pass = True
@@ -644,7 +631,7 @@ def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
             reach = set()
             depth_used = 0
             for depth, m in enumerate(m_order):
-                w = conj_vertex(v, m)
+                w = builder.conjugate(v, m)
                 w_idx = w.row * per_row + rank[w.correction]
                 if non_isolated[w_idx]:
                     reach.add(comp_of[w_idx])
@@ -734,20 +721,10 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
     import random
 
     builder = CrownGraphBuilder(L, t, eta, a, table, limits)
-    ct = builder.ct
     rng = random.Random(seed)
     corrections = builder.corrections()
     socle_order = _socle_bfs_order(L, limits)
     m_order = list(itertools.product(socle_order, repeat=eta))
-    inv, tbl = ct.inv, ct.table
-
-    def conj_vertex(v: CrownVertex, m: tuple) -> CrownVertex:
-        ai = builder.a[v.row]
-        new = []
-        for c, u in zip(v.correction, m):
-            val = tbl[tbl[inv[u]][tbl[ai][c]]][u]
-            new.append(tbl[inv[ai]][val])
-        return CrownVertex(v.row, tuple(new))
 
     def neighbours(v: CrownVertex) -> set:
         out = set()
@@ -794,7 +771,7 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
         checked += 1
         ok = False
         for depth, m in enumerate(m_order[:len(socle_order)]):
-            if joined(v1, conj_vertex(v2, m)):
+            if joined(v1, builder.conjugate(v2, m)):
                 depths[depth] = depths.get(depth, 0) + 1
                 ok = True
                 break
@@ -852,22 +829,12 @@ def partition_meet(partitions: Sequence[IndexPartition]) -> IndexPartition:
     if not partitions:
         raise GroupArgumentError("need at least one partition")
     n = partitions[0].n
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(n)
     for pi in partitions:
         for part in pi.parts:
             for x in part[1:]:
-                ra, rb = find(part[0]), find(x)
-                if ra != rb:
-                    parent[rb] = ra
-    keys = [find(x) for x in range(n)]
-    return IndexPartition.from_keys(keys)
+                uf.union(part[0], x)
+    return IndexPartition.from_keys([uf.find(x) for x in range(n)])
 
 
 def element_orbit_labels(L: MonolithicGroup,
@@ -875,20 +842,11 @@ def element_orbit_labels(L: MonolithicGroup,
     """X-orbit label per element index of L."""
     X = L.x_group(limits)
     ct = L.ct(limits)
-    parent = list(range(ct.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(ct.n)
     for g in X.perm_group.generators:
         for x in range(ct.n):
-            ra, rb = find(x), find(g(x))
-            if ra != rb:
-                parent[rb] = ra
-    return [find(x) for x in range(ct.n)]
+            uf.union(x, g(x))
+    return [uf.find(x) for x in range(ct.n)]
 
 
 def partitions_pi(table: OrbitTable, columns: Optional[Sequence[tuple]] = None,

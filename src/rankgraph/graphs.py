@@ -36,6 +36,7 @@ from .perm_core import (
     GroupArgumentError,
     Permutation,
     PermutationGroup,
+    UnionFind,
 )
 from .group_structure import SubgroupRegistry, min_rank, registry_for
 
@@ -79,30 +80,18 @@ class Components:
         # the empty graph is trivially connected
         return self.count <= 1
 
-    def vertices_of(self, cid: int) -> list:
-        return [v for v, c in enumerate(self.ids) if c == cid]
-
 
 def components(graph: ElementGraph) -> Components:
     """Union-find over the adjacency lists."""
     n = graph.n_vertices
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(n)
     for v, nbrs in enumerate(graph.adjacency):
         for w in nbrs:
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[rw] = rv
+            uf.union(v, w)
     roots = {}
     ids = [0] * n
     for v in range(n):
-        r = find(v)
+        r = uf.find(v)
         if r not in roots:
             roots[r] = len(roots)
         ids[v] = roots[r]
@@ -304,26 +293,17 @@ def delta_summary(G: PermutationGroup, d: int,
     _check_graph_args(G, d)
     oracle = _oracle_for(G, limits)
     classes = oracle.classes
-    parent = list(range(len(classes)))
+    uf = UnionFind(len(classes))
     non_isolated = bytearray(len(classes))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     n_edges = 0
     for i, j in oracle.class_edges(d):
         ci, cj = len(classes[i]), len(classes[j])
         n_edges += ci * (ci - 1) // 2 if i == j else ci * cj
         non_isolated[i] = non_isolated[j] = 1
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
+        uf.union(i, j)
     active = [i for i in range(len(classes)) if non_isolated[i]]
     return DeltaSummary(d, sum(len(classes[i]) for i in active), n_edges,
-                        len({find(i) for i in active}))
+                        len({uf.find(i) for i in active}))
 
 
 # ---------------------------------------------------------------------------

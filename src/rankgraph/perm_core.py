@@ -143,9 +143,6 @@ class Permutation:
             n = _lcm(n, len(cycle))
         return n
 
-    def moved_points(self) -> list:
-        return [i for i, j in enumerate(self.images) if i != j]
-
     def cycles(self) -> list:
         """Nontrivial cycles, each starting at its smallest point."""
         seen = set()
@@ -182,14 +179,38 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Left-to-right product: compose(p, q)(i) == q(p(i))."""
-    return p * q
-
-
 def _lcm(a: int, b: int) -> int:
     from math import gcd
     return a // gcd(a, b) * b
+
+
+# ---------------------------------------------------------------------------
+# disjoint sets
+
+
+class UnionFind:
+    """Disjoint sets on {0, ..., n-1} with path halving.
+
+    ``union(a, b)`` attaches the root of b under the root of a; callers
+    that expose roots as labels depend on that rule.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +269,6 @@ class StabilizerChain:
 
     def base(self) -> list:
         return [lv.point for lv in self.levels]
-
-    def strong_generators(self) -> list:
-        out = []
-        for lv in self.levels:
-            out.extend(Permutation._raw(g) for g, _ in lv.gens)
-        return out
 
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
@@ -405,9 +420,6 @@ class PermutationGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
-    def is_trivial(self) -> bool:
-        return self._order == 1
-
     def __contains__(self, p: Permutation) -> bool:
         return self._chain.contains(p)
 
@@ -475,15 +487,6 @@ def group_from_generators(degree: int, gens: Iterable[Permutation],
     return PermutationGroup(degree, gens, known_order=known_order)
 
 
-def trivial_group(degree: int) -> PermutationGroup:
-    return PermutationGroup(degree, ())
-
-
-def contains(G: PermutationGroup, p: Permutation) -> bool:
-    """Membership via sifting through the stabilizer chain."""
-    return G.contains(p)
-
-
 def generates(G: PermutationGroup, elems: Iterable[Permutation]) -> bool:
     """True iff the given elements of G generate all of G."""
     elems = list(elems)
@@ -493,10 +496,6 @@ def generates(G: PermutationGroup, elems: Iterable[Permutation]) -> bool:
                 f"element {p.cycle_string()} lies outside the group")
     chain = StabilizerChain(G.degree, elems, known_order=G.order)
     return chain.order() == G.order
-
-
-def elements(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> tuple:
-    return G.elements(limits)
 
 
 def conjugacy_classes(G: PermutationGroup,
@@ -652,9 +651,6 @@ class Homomorphism:
 
     def __call__(self, p: Permutation) -> Permutation:
         return self.apply(p)
-
-    def image_group(self) -> PermutationGroup:
-        return PermutationGroup(self.target.degree, self.gen_images)
 
 
 def quotient(G: PermutationGroup, N: PermutationGroup,

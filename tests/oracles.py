@@ -129,3 +129,26 @@ def brute_non_generators(G, subset_cap: int = 3) -> frozenset:
         if good:
             out.append(g)
     return frozenset(out)
+
+
+def bfs_components(n: int, edges) -> list:
+    """Component id per vertex of an undirected graph on {0, ..., n-1},
+    components numbered in the order of their smallest vertex."""
+    adjacency = [[] for _ in range(n)]
+    for v, w in edges:
+        adjacency[v].append(w)
+        adjacency[w].append(v)
+    ids = [None] * n
+    count = 0
+    for source in range(n):
+        if ids[source] is not None:
+            continue
+        ids[source] = count
+        queue = [source]
+        for v in queue:
+            for w in adjacency[v]:
+                if ids[w] is None:
+                    ids[w] = count
+                    queue.append(w)
+        count += 1
+    return ids

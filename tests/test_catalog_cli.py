@@ -247,6 +247,30 @@ class TestCLI:
         monkeypatch.setitem(verify_mod.VERIFIERS, "stub", failing)
         assert cli_main(["verify", "--lemma", "stub"]) == 1
 
+    def test_verify_all(self, tmp_path, monkeypatch, capsys):
+        from rankgraph.verify import VerifyReport
+
+        def passing(seed=42, limits=None):
+            return VerifyReport("ok", True, 2, seed=seed)
+
+        def failing(seed=42, limits=None):
+            return VerifyReport("bad", False, 1, [{"err": "boom"}], seed=seed)
+
+        # suites run in VERIFIERS order, not sorted by id
+        monkeypatch.setattr(verify_mod, "VERIFIERS",
+                            {"ok": passing, "bad": failing})
+        out = tmp_path / "all.json"
+        assert cli_main(["verify", "--lemma", "all", "--seed", "7",
+                         "--out", str(out)]) == 1
+        reports = json.loads(out.read_text())
+        assert [(r["lemma"], r["passed"], r["seed"]) for r in reports] == \
+            [("ok", True, 7), ("bad", False, 7)]
+        printed = capsys.readouterr().out
+        assert "[PASS] ok" in printed and "[FAIL] bad" in printed
+        monkeypatch.setattr(verify_mod, "VERIFIERS", {"ok": passing})
+        assert cli_main(["verify", "--lemma", "all"]) == 0
+        assert cli_main(["verify", "--lemma", "all", "--params", "{}"]) == 2
+
     def test_crown_weak_conn(self, capsys):
         rc = cli_main(["crown", "--L", "A5", "--t", "3", "--eta", "1",
                        "--check", "weak-conn"])
@@ -307,6 +331,23 @@ class TestCLI:
         rc = cli_main(["sweep", "--catalog", str(cat_path),
                        "--max-order", "100", "--out", str(out), "--resume"])
         assert rc == 0
+        assert len(load_records(out)) == 2  # nothing re-recorded
+
+    def test_sweep_resume_counts_recorded_critical(self, tmp_path, capsys):
+        # a CRITICAL flag written by the earlier run decides the exit code
+        cat_path = tmp_path / "cat.json"
+        save_catalog([symmetric(4), dihedral(5)], cat_path)
+        out = tmp_path / "records.jsonl"
+        argv = ["sweep", "--catalog", str(cat_path), "--max-order", "100",
+                "--out", str(out)]
+        assert cli_main(argv) == 0
+        records = load_records(out)
+        records[0].critical.append("Delta_2 disconnected (stub)")
+        save_records(records, out, append=False)
+        capsys.readouterr()
+        assert cli_main(argv + ["--resume"]) == 1
+        assert "CRITICAL S4: Delta_2 disconnected (stub)" in \
+            capsys.readouterr().out
         assert len(load_records(out)) == 2  # nothing re-recorded
 
     def test_sweep_fixed_d_same_with_jobs(self, tmp_path, capsys):

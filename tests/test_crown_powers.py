@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,6 +13,7 @@ from rankgraph import (
 )
 from rankgraph.catalog import alternating, psl2, symmetric
 from rankgraph.crown_powers import (
+    CrownGraphBuilder,
     MonolithicGroup,
     build_crown_power,
     circ,
@@ -312,6 +314,46 @@ class TestWeakConnectivity:
                 continue
             done += 1
             assert weak_connectivity(A5m, 3, 1, a=a).passed
+
+
+class TestCrownEdgeStream:
+    """The edge stream shared by crown_graph and weak_connectivity.
+
+    The direct-completion path (no orbit table) and the SDR path (with the
+    table) decide edges independently; both must give the counts of the
+    Delta graph built from the stream, and the stream must list each edge
+    of the predicate exactly once.
+    """
+
+    @staticmethod
+    def check_stream(builder):
+        verts = builder.vertices()
+        expected = [(v, w) for v, w in combinations(range(len(verts)), 2)
+                    if builder.edge(verts[v], verts[w])]
+        streamed = list(builder.edges())
+        assert len(set(streamed)) == len(streamed)
+        assert sorted(streamed) == expected
+
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
+    def test_direct_and_sdr_paths_agree_at_t2(self, name):
+        base = alternating(5) if name == "A5" else psl2(7)
+        L = MonolithicGroup.from_group(base.group(), name)
+        _, table = delta_Lt(L, 2)
+        direct = weak_connectivity(L, 2, 1)
+        sdr = weak_connectivity(L, 2, 1, table=table)
+        graph = crown_graph(L, 2, 1, drop_isolated=True)
+        counts = (graph.n_vertices, components(graph).count)
+        assert (direct.n_non_isolated, direct.n_components) == counts
+        assert (sdr.n_non_isolated, sdr.n_components) == counts
+        assert graph.n_edges > 0
+        self.check_stream(CrownGraphBuilder(L, 2, 1, table=table))
+
+    def test_direct_path_at_t3(self, A5m):
+        rep = weak_connectivity(A5m, 3, 1)
+        graph = crown_graph(A5m, 3, 1, drop_isolated=True)
+        assert (rep.n_non_isolated, rep.n_components) == \
+            (graph.n_vertices, components(graph).count)
+        self.check_stream(CrownGraphBuilder(A5m, 3, 1))
 
 
 class TestPartitions:

@@ -20,9 +20,10 @@ from rankgraph.graphs import (
     generating_graph,
     is_edge_d,
 )
+from rankgraph.crown_powers import IndexPartition, partition_meet
 from rankgraph.group_structure import min_rank, registry_for
 
-from oracles import brute_generates
+from oracles import bfs_components, brute_generates
 
 
 def cyc(n, *cycles):
@@ -131,6 +132,50 @@ class TestComponentsAndDiameter:
         comps = components(delta)
         assert comps.connected
         assert max(diameter(delta, comps).values()) <= 3
+
+
+@st.composite
+def _random_graphs(draw):
+    n = draw(st.integers(0, 30))
+    if n < 2:
+        return n, []
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs.filter(lambda e: e[0] != e[1]),
+                          max_size=2 * n))
+    return n, edges
+
+
+class TestUnionFindAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_random_graphs())
+    def test_components_match_bfs(self, graph):
+        n, edges = graph
+        adjacency = [set() for _ in range(n)]
+        for v, w in edges:
+            adjacency[v].add(w)
+            adjacency[w].add(v)
+        comps = components(ElementGraph(
+            "rank-d", list(range(n)), [sorted(a) for a in adjacency]))
+        ids = bfs_components(n, edges)
+        count = len(set(ids))
+        assert comps.ids == ids
+        assert comps.count == count
+        assert comps.sizes == [ids.count(c) for c in range(count)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 30).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 5), min_size=n, max_size=n),
+        min_size=1, max_size=4)))
+    def test_partition_meet_matches_bfs(self, key_lists):
+        n = len(key_lists[0])
+        partitions = [IndexPartition.from_keys(keys) for keys in key_lists]
+        # positions with equal keys in any partition are linked
+        edges = [(i, j) for keys in key_lists for i in range(n)
+                 for j in range(i + 1, n) if keys[i] == keys[j]]
+        ids = bfs_components(n, edges)
+        expected = tuple(tuple(x for x in range(n) if ids[x] == c)
+                         for c in range(len(set(ids))))
+        assert partition_meet(partitions).parts == expected
 
 
 class TestConjugationInvariance:

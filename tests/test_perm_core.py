@@ -12,10 +12,8 @@ from rankgraph import (
     Permutation,
     PermutationGroup,
     StabilizerChain,
-    compose,
     conjugacy_classes,
     centralizer,
-    contains,
     generates,
     group_from_generators,
     is_normal,
@@ -45,15 +43,15 @@ def perm_pairs(max_degree=8):
 class TestPermutation:
     def test_identity_compose(self):
         q = Permutation.from_cycles(4, [0, 2, 1])
-        assert compose(Permutation.identity(4), q) == q
+        assert Permutation.identity(4) * q == q
 
     def test_involution_squares_to_identity(self):
         p = Permutation.from_cycles(2, [0, 1])
-        assert compose(p, p).is_identity()
+        assert (p * p).is_identity()
 
     def test_three_cycle_squared(self):
         p = Permutation.from_cycles(3, [0, 1, 2])
-        assert compose(p, p) == Permutation.from_cycles(3, [0, 2, 1])
+        assert p * p == Permutation.from_cycles(3, [0, 2, 1])
 
     def test_left_to_right_action(self):
         p = Permutation.from_cycles(3, [0, 1])
@@ -141,17 +139,17 @@ class TestGroupConstruction:
 
 class TestMembershipAndGeneration:
     def test_identity_in_any_group(self, A5):
-        assert contains(A5, A5.identity)
+        assert A5.contains(A5.identity)
 
     def test_odd_permutation_not_in_a5(self, A5):
-        assert not contains(A5, Permutation.from_cycles(5, [0, 1]))
+        assert not A5.contains(Permutation.from_cycles(5, [0, 1]))
 
     def test_random_product_stays_inside(self, A5):
         rng = random.Random(7)
         p = A5.identity
         for _ in range(30):
             p = p * rng.choice(A5.generators)
-        assert contains(A5, p)
+        assert A5.contains(p)
 
     def test_generators_generate(self, A5):
         assert generates(A5, list(A5.generators))
