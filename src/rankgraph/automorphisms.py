@@ -27,6 +27,7 @@ from .perm_core import (
     Permutation,
     PermutationGroup,
     UnionFind,
+    _mult,
 )
 from .group_structure import min_rank, registry_for
 
@@ -262,8 +263,11 @@ def automorphism_group(L: PermutationGroup,
                                 limits=limits)
     if not exhausted:
         raise CapExceededError("automorphism search exceeded leaf budget")
-    perms = sorted(Permutation(tuple(int(i) for i in sigma)) for sigma in maps)
-    group = PermutationGroup(ct.n, perms, known_order=len(perms))
+    perms = tuple(sorted(Permutation(tuple(int(i) for i in sigma))
+                         for sigma in maps))
+    # the maps are all of Aut(L), so they are its sorted element list
+    group = PermutationGroup(ct.n, perms, known_order=len(perms),
+                             _elements=perms)
     if group.order != len(perms):
         raise GroupArgumentError("automorphism set failed to close")
     inner = inner_automorphisms(L, limits)
@@ -316,7 +320,7 @@ def orbits_on_tuples(X: AutGroup, tuples: Sequence[tuple]) -> tuple:
     gens = [p.images for p in X.perm_group.generators]
     for i, t in enumerate(tuples):
         for g in gens:
-            img = tuple(g[x] for x in t)
+            img = _mult(t, g)
             j = index.get(img)
             if j is None:
                 raise GroupArgumentError(

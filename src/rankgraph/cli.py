@@ -2,9 +2,10 @@
 
 Subcommands: analyze, sweep, crown, verify, export-dot, catalog.
 Exit codes: 0 on success, 1 when a run finds a theorem violation
-(CRITICAL sweep flag or failed verification) or a sweep record holds an
-unexpected error, 2 on usage or resource errors.  A sweep entry skipped
-at a resource cap is recorded and does not change the exit code.
+(CRITICAL sweep flag, failed verification or a WitnessSearchFailure) or
+a sweep record holds an unexpected error, 2 on usage or resource errors.
+A sweep entry skipped at a resource cap is recorded and does not change
+the exit code.
 """
 
 from __future__ import annotations
@@ -17,7 +18,11 @@ import time
 
 from . import __version__
 from .config import DEFAULT_LIMITS, Limits
-from .perm_core import CapExceededError, GroupArgumentError
+from .perm_core import (
+    CapExceededError,
+    GroupArgumentError,
+    WitnessSearchFailure,
+)
 from . import catalog as cat
 from .catalog import CatalogError
 from .graphs import (
@@ -299,6 +304,9 @@ def cli_main(argv=None) -> int:
     except CapExceededError as e:
         print(f"resource cap: {e}", file=sys.stderr)
         return 2
+    except WitnessSearchFailure as e:
+        print(f"theorem violation: {e}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -290,6 +290,11 @@ def omega_table(L: MonolithicGroup, a: Sequence[int],
         recurse([], reg.trivial_id, 0)
     X = L.x_group(limits)
     labels, count = orbits_on_tuples(X, tuples)
+    # an automorphism fixing a generating tuple is trivial, so X acts
+    # freely and every orbit has |X| members
+    if len(tuples) != count * X.order:
+        raise RuntimeError(
+            f"|Omega| = {len(tuples)} != {count} orbits * |X| = {X.order}")
     reps = [None] * count
     for pos, tup in enumerate(tuples):
         lab = labels[pos]

@@ -21,7 +21,9 @@ and safe to share across parallel workers.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -57,6 +59,25 @@ class WitnessSearchFailure(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # permutations
+
+
+def _mult(p: tuple, q: tuple) -> tuple:
+    """Image tuple of p then q: ``_mult(p, q)[i] == q[p[i]]``.
+
+    Every composition of image tuples goes through here.  ``itemgetter``
+    with one argument returns a scalar, so degrees 0 and 1 take the
+    plain path.
+    """
+    if len(p) > 1:
+        return itemgetter(*p)(q)
+    return tuple(q[i] for i in p)
+
+
+def _inv(p: tuple) -> tuple:
+    inv = [0] * len(p)
+    for i, j in enumerate(p):
+        inv[j] = i
+    return tuple(inv)
 
 
 class Permutation:
@@ -106,13 +127,10 @@ class Permutation:
         if len(p) != len(q):
             raise DegreeMismatchError(
                 f"degree mismatch: {len(p)} != {len(q)}")
-        return Permutation._raw(tuple(q[i] for i in p))
+        return Permutation._raw(_mult(p, q))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation._raw(tuple(inv))
+        return Permutation._raw(_inv(self.images))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -218,25 +236,14 @@ class UnionFind:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "orbit", "done_pairs")
+    __slots__ = ("point", "gens", "transversal", "orbit", "done")
 
     def __init__(self, point: int, id_images: tuple):
         self.point = point
         self.gens = []  # [(images, inverse images)] added at this level
         self.transversal = {point: (id_images, id_images)}
         self.orbit = [point]  # discovery order; reps are never replaced
-        self.done_pairs = set()  # processed (generator images, orbit point)
-
-
-def _mult(p: tuple, q: tuple) -> tuple:
-    return tuple(q[i] for i in p)
-
-
-def _inv(p: tuple) -> tuple:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
+        self.done = {}  # generator images -> orbit prefix already processed
 
 
 class StabilizerChain:
@@ -256,16 +263,14 @@ class StabilizerChain:
         self._id = tuple(range(degree))
         self.levels: list[_Level] = []
         self._known_order = known_order
+        self._order = 1  # product of the transversal sizes
         for g in generators:
             self.add_generator(g)
 
     # -- queries ------------------------------------------------------------
 
     def order(self) -> int:
-        o = 1
-        for lv in self.levels:
-            o *= len(lv.transversal)
-        return o
+        return self._order
 
     def base(self) -> list:
         return [lv.point for lv in self.levels]
@@ -288,7 +293,7 @@ class StabilizerChain:
     # -- construction ---------------------------------------------------------
 
     def _done(self) -> bool:
-        return self._known_order is not None and self.order() == self._known_order
+        return self._known_order is not None and self._order == self._known_order
 
     def add_generator(self, g: Permutation) -> None:
         if g.degree != self.degree:
@@ -343,6 +348,7 @@ class StabilizerChain:
         """Grow the fundamental orbit at level i; existing reps are kept."""
         lv = self.levels[i]
         gens = self._visible_gens(i)
+        size = len(lv.orbit)
         queue = list(lv.orbit)
         qi = 0
         while qi < len(queue):
@@ -355,29 +361,36 @@ class StabilizerChain:
                     lv.transversal[q] = (_mult(u, g), _mult(g_inv, u_inv))
                     lv.orbit.append(q)
                     queue.append(q)
+        if len(lv.orbit) != size:
+            self._order = math.prod(len(level.transversal)
+                                    for level in self.levels)
 
     def _close_level(self, i: int) -> None:
-        """Sift every unprocessed Schreier generator of level i downwards."""
+        """Sift every unprocessed Schreier generator of level i downwards.
+
+        Sifting below level i never changes this level's orbit, which only
+        grows at its end, so the points done for a generator are always a
+        prefix of the orbit.  A generator's range is marked done before it
+        is sifted: the loop leaves early only once the chain is complete.
+        """
         lv = self.levels[i]
         while True:
-            pending = []
-            for g, g_inv in self._visible_gens(i):
-                for p in lv.orbit:
-                    if (g, p) not in lv.done_pairs:
-                        pending.append((g, p))
+            n = len(lv.orbit)
+            pending = [g for g, _ in self._visible_gens(i)
+                       if lv.done.get(g, 0) < n]
             if not pending:
                 return
-            for g, p in pending:
-                if (g, p) in lv.done_pairs:
-                    continue
-                lv.done_pairs.add((g, p))
-                u = lv.transversal[p][0]
-                x = _mult(u, g)  # maps base point to g(p)
-                schreier = _mult(x, lv.transversal[x[lv.point]][1])
-                if schreier != self._id:
-                    self._add_images(i + 1, schreier)
-                    if self._done():
-                        return
+            for g in pending:
+                start = lv.done.get(g, 0)
+                lv.done[g] = n
+                for p in lv.orbit[start:n]:
+                    u = lv.transversal[p][0]
+                    x = _mult(u, g)  # maps base point to g(p)
+                    schreier = _mult(x, lv.transversal[x[lv.point]][1])
+                    if schreier != self._id:
+                        self._add_images(i + 1, schreier)
+                        if self._done():
+                            return
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +398,17 @@ class StabilizerChain:
 
 
 class PermutationGroup:
-    """A finite permutation group given by generators with a chain certificate."""
+    """A finite permutation group given by generators with a chain certificate.
+
+    A caller that already holds every element, sorted by image tuple, may
+    pass them as ``_elements`` so that ``elements()`` need not rebuild
+    them.  Like ``_chain``, the list is trusted; the caller checks it.
+    """
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = (),
                  known_order: Optional[int] = None,
-                 _chain: Optional[StabilizerChain] = None):
+                 _chain: Optional[StabilizerChain] = None,
+                 _elements: Optional[tuple] = None):
         gens = []
         seen = set()
         for g in generators:
@@ -407,7 +426,7 @@ class PermutationGroup:
         self._chain = _chain if _chain is not None else StabilizerChain(
             degree, gens, known_order)
         self._order = self._chain.order()
-        self._elements: Optional[tuple] = None
+        self._elements: Optional[tuple] = _elements
         self._cayley = None  # lazy CayleyTable
 
     # -- basics ---------------------------------------------------------------
@@ -455,7 +474,7 @@ class PermutationGroup:
                 new = []
                 for img in frontier:
                     for g in gen_images:
-                        prod = tuple(g[i] for i in img)
+                        prod = _mult(img, g)
                         if prod not in seen:
                             seen.add(prod)
                             new.append(prod)
@@ -626,8 +645,8 @@ class Homomorphism:
                 for img in frontier:
                     out = table[img]
                     for g, h in pairs:
-                        prod = tuple(g[i] for i in img)
-                        mapped = tuple(h[i] for i in out)
+                        prod = _mult(img, g)
+                        mapped = _mult(out, h)
                         known = table.get(prod)
                         if known is None:
                             table[prod] = mapped

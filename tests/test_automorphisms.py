@@ -11,9 +11,11 @@ from rankgraph.automorphisms import (
     orbits_on_tuples,
     x_subgroup,
 )
-from rankgraph.catalog import psl2, symmetric
+from rankgraph.catalog import alternating, psl2, symmetric
 from rankgraph.crown_powers import MonolithicGroup
 from rankgraph.group_structure import registry_for
+
+from oracles import brute_closure
 
 
 def cyc(n, *cycles):
@@ -59,6 +61,20 @@ class TestAutomorphismGroup:
         x = cyc(5, [0, 1, 2])
         y = cyc(5, [0, 1, 2, 3, 4])
         assert f(x * y) == f(x) * f(y)
+
+    @pytest.mark.parametrize("entry, aut_order, x_order", [
+        (symmetric(4), 24, 4), (alternating(5), 120, 120),
+        (psl2(7), 336, 336)], ids=["S4", "A5", "PSL(2,7)"])
+    def test_element_cache_is_the_closure(self, entry, aut_order, x_order):
+        # the search hands its sorted maps over as the element list
+        L = entry.group()
+        aut = automorphism_group(L)
+        gens = aut.perm_group.generators
+        closure = brute_closure(aut.perm_group.degree, gens)
+        assert aut.perm_group.elements() == tuple(
+            Permutation(img) for img in sorted(closure))
+        assert aut.order == aut_order
+        assert MonolithicGroup.from_group(L).x_group().order == x_order
 
 
 class TestXSubgroup:

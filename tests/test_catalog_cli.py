@@ -285,6 +285,15 @@ class TestCLI:
         payload = json.loads(out.read_text())
         assert payload["delta"] == 19
 
+    def test_crown_witness_failure_exit_1(self, monkeypatch, capsys):
+        from rankgraph import crown_powers
+        monkeypatch.setattr(crown_powers, "crown_generates",
+                            lambda cp, elems: False)
+        rc = cli_main(["crown", "--L", "A5", "--t", "2", "--check", "delta",
+                       "--verify-witness"])
+        assert rc == 1
+        assert "theorem violation: " in capsys.readouterr().err
+
     def test_sweep_cli(self, tmp_path, capsys):
         cat_path = tmp_path / "cat.json"
         save_catalog([symmetric(4), dihedral(5)], cat_path)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -170,6 +171,24 @@ class TestOmegaTable:
                     break
             counts.add(omega_table(S5m, found).orbit_count)
         assert len(counts) == 1
+
+    @pytest.mark.parametrize("entry, omega, delta, x_order", [
+        (alternating(5), 2280, 19, 120), (psl2(7), 19152, 57, 336),
+        (symmetric(5), 2280, 19, 120)], ids=["A5", "PSL(2,7)", "S5"])
+    def test_counting_identity(self, entry, omega, delta, x_order):
+        # X acts freely on generating tuples: |Omega| = delta(L, 2) * |X|
+        mono = MonolithicGroup.from_group(entry.group(), entry.id)
+        got, table = delta_Lt(mono, 2)
+        assert (len(table.tuples), got, mono.x_group().order) == \
+            (omega, delta, x_order)
+
+    def test_counting_identity_violation_raises(self, A5, monkeypatch):
+        mono = MonolithicGroup.from_group(A5, "A5")
+        X = mono.x_group()
+        wrong = SimpleNamespace(perm_group=X.perm_group, order=X.order // 2)
+        monkeypatch.setattr(mono, "x_group", lambda limits=None: wrong)
+        with pytest.raises(RuntimeError, match="orbits"):
+            delta_Lt(mono, 2)
 
 
 class TestDeltaLt:

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from rankgraph import (
     quotient,
 )
 from rankgraph.config import Limits
+from rankgraph.perm_core import _mult
 
 from oracles import (
     brute_closure,
@@ -92,6 +95,26 @@ class TestPermutation:
         assert Permutation.from_cycles(5, [0, 1, 2]).cycle_string() == "(0 1 2)"
 
 
+class TestCompositionKernel:
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_small_degrees_give_tuples(self, degree):
+        # itemgetter with one argument returns a scalar, not a tuple
+        for p in itertools.permutations(range(degree)):
+            for q in itertools.permutations(range(degree)):
+                got = _mult(p, q)
+                assert type(got) is tuple and got == mult(p, q)
+                assert (Permutation(p) * Permutation(q)).images == got
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 100).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.permutations(range(n)))))
+    def test_matches_oracle(self, pair):
+        p, q = (tuple(x) for x in pair)
+        got = _mult(p, q)
+        assert type(got) is tuple and got == mult(p, q)
+        assert (Permutation(p) * Permutation(q)).images == got
+
+
 class TestGroupConstruction:
     def test_empty_generators(self):
         G = group_from_generators(3, [])
@@ -129,6 +152,21 @@ class TestGroupConstruction:
                   for _ in range(10)]
         for p in sample + [Permutation(img) for img in list(closure)[:10]]:
             assert G.contains(p) == (p.images in closure)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(4, 7).flatmap(lambda n: st.lists(
+        st.permutations(range(n)).map(Permutation), min_size=1, max_size=4)),
+        st.booleans())
+    def test_chain_order_is_product_of_transversals(self, gens, known):
+        degree = gens[0].degree
+        true_order = len(brute_closure(degree, gens))
+        chain = StabilizerChain(degree,
+                                known_order=true_order if known else None)
+        for g in gens:
+            chain.add_generator(g)
+            assert chain.order() == math.prod(
+                len(lv.transversal) for lv in chain.levels)
+        assert chain.order() == true_order
 
     def test_known_order_early_exit_is_sound(self, A5):
         chain = StabilizerChain(5, A5.generators, known_order=60)
