@@ -29,7 +29,7 @@ from .perm_core import (
     UnionFind,
     _mult,
 )
-from .group_structure import min_rank, registry_for
+from .group_structure import min_rank
 
 
 # ---------------------------------------------------------------------------

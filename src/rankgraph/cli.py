@@ -11,6 +11,7 @@ the exit code.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -36,9 +37,9 @@ from .graphs import (
 )
 from .group_structure import min_rank
 from .sweep import (
+    cap_skipped,
     critical_flags,
     load_records,
-    save_records,
     sweep,
     unexpected_errors,
 )
@@ -101,25 +102,32 @@ def cmd_sweep(args) -> int:
         earlier = load_records(args.out)
         if earlier:
             print(f"resuming: {len(earlier)} group(s) already recorded")
-    records = sweep(entries, max_order=args.max_order, policy=policy,
-                    with_diameter=args.diameter, jobs=args.jobs,
-                    seed=args.seed, limits=limits,
-                    skip_ids={rec.group_id for rec in earlier})
-    if args.out:
-        save_records(records, args.out, append=bool(args.resume))
+    # each record reaches --out as soon as it is done (the file is line
+    # buffered), so an interrupted run can be resumed
+    with open(args.out, "a" if args.resume else "w", buffering=1) \
+            if args.out else contextlib.nullcontext() as out:
+        records = sweep(entries, max_order=args.max_order, policy=policy,
+                        with_diameter=args.diameter, jobs=args.jobs,
+                        seed=args.seed, limits=limits,
+                        skip_ids={rec.group_id for rec in earlier},
+                        on_record=(lambda rec: out.write(rec.to_json() + "\n"))
+                        if out else None)
     # a resumed run answers for every record in --out, not only its own
     checked = earlier + records
     flags = critical_flags(checked)
     analyzed = sum(1 for r in records if r.graphs)
-    errors = [(r.group_id, r.error) for r in checked if r.error]
+    errors = unexpected_errors(checked)
+    capped = cap_skipped(checked)
     print(f"swept {len(records)} entries ({analyzed} analyzed); "
-          f"{len(flags)} CRITICAL flag(s), {len(errors)} error(s)"
+          f"{len(flags)} CRITICAL flag(s), {len(errors)} error(s), "
+          f"{len(capped)} cap-skipped"
           + (f" in {len(checked)} records" if earlier else ""))
     for gid, flag in flags:
         print(f"  CRITICAL {gid}: {flag}")
-    for gid, err in errors:
-        print(f"  error {gid}: {err}")
-    return 1 if flags or unexpected_errors(checked) else 0
+    for rec in checked:
+        if rec.error:
+            print(f"  error {rec.group_id}: {rec.error}")
+    return 1 if flags or errors else 0
 
 
 def cmd_crown(args) -> int:

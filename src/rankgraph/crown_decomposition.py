@@ -25,7 +25,6 @@ from .group_structure import (
     frattini,
     maximal_subgroups,
     normal_subgroups,
-    registry_for,
 )
 from .automorphisms import _iso_maps, isomorphism
 from .crown_powers import MonolithicGroup, build_crown_power

@@ -261,10 +261,7 @@ def omega_table(L: MonolithicGroup, a: Sequence[int],
     """Enumerate and label the generating coset tuples over (a_1, ..., a_t)."""
     L.require_nonabelian()
     ct = L.ct(limits)
-    reg = registry_for(L.group, limits)
     a = tuple(a)
-    if reg.subgroup_of(a) != reg.full_id:
-        raise PreconditionError("the fixed tuple must generate L")
     cosets = [L.coset_indices(x, limits) for x in a]
     total = 1
     for c in cosets:
@@ -272,22 +269,11 @@ def omega_table(L: MonolithicGroup, a: Sequence[int],
     if total > limits.max_search_space:
         raise CapExceededError(
             f"|N|^t = {total} exceeds search cap {limits.max_search_space}")
-    full = reg.full_id
-    tuples = []
-    if len(a) == 2:
-        for x in cosets[0]:
-            for y in cosets[1]:
-                if reg.pair_join(x, y) == full:
-                    tuples.append((x, y))
-    else:
-        def recurse(prefix, sid, depth):
-            if depth == len(cosets):
-                if sid == full:
-                    tuples.append(tuple(prefix))
-                return
-            for x in cosets[depth]:
-                recurse(prefix + [x], reg.join_with_element(sid, x), depth + 1)
-        recurse([], reg.trivial_id, 0)
+    # the cap comes first: it spares an over-cap call the maximal subgroups
+    reg = registry_for(L.group, limits)
+    if reg.mask_of(a):
+        raise PreconditionError("the fixed tuple must generate L")
+    tuples = list(_generating_tuples(reg, cosets))
     X = L.x_group(limits)
     labels, count = orbits_on_tuples(X, tuples)
     # an automorphism fixing a generating tuple is trivial, so X acts
@@ -302,6 +288,23 @@ def omega_table(L: MonolithicGroup, a: Sequence[int],
             reps[lab] = tup
     return OrbitTable(L, a, tuples, {t: i for i, t in enumerate(tuples)},
                       labels, count, reps)
+
+
+def _generating_tuples(reg, cosets):
+    """The tuples with one entry per coset that generate L, in
+    lexicographic order: a prefix-AND of incidence rows, with one row-AND
+    per cell at the last coordinate."""
+    rows = reg.incidence_rows()
+    last = len(cosets) - 1
+
+    def extend(prefix, mask, depth):
+        if depth == last:
+            yield from (prefix + (y,) for y in cosets[last]
+                        if not mask & rows[y])
+            return
+        for x in cosets[depth]:
+            yield from extend(prefix + (x,), mask & rows[x], depth + 1)
+    return extend((), reg.mask_of(()), 0) if cosets else iter(())
 
 
 def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False,
@@ -414,14 +417,15 @@ class CrownGraphBuilder:
         L.require_nonabelian()
         self.L = L
         self.limits = limits
-        self.reg = registry_for(L.group, limits)
+        reg = registry_for(L.group, limits)
+        self.rows = reg.incidence_rows()
         self.ct = L.ct(limits)
         if a is None:
             a = default_generating_tuple(L, t, limits)
         self.a = tuple(a)
         self.t = t
         self.eta = eta
-        if self.reg.subgroup_of(self.a) != self.reg.full_id:
+        if reg.mask_of(self.a):
             raise PreconditionError("the row tuple must generate L")
         self.socle = L.socle_indices(limits)
         self.table = table
@@ -492,26 +496,22 @@ class CrownGraphBuilder:
 
     def _edge_direct(self, v, w) -> bool:
         # eta == 1: search completions over the free rows, memoized on the
-        # subgroup generated by the two pinned elements.
+        # incidence mask of the two pinned elements.
         i, j = v.row, w.row
         x = self.ct.table[self.a[i]][v.correction[0]]
         y = self.ct.table[self.a[j]][w.correction[0]]
-        sid = self.reg.pair_join(x, y)
         free = tuple(u for u in range(self.t) if u not in (i, j))
-        return self._completes(sid, free)
+        return self._completes(self.rows[x] & self.rows[y], free)
 
-    def _completes(self, sid, free: tuple) -> bool:
-        if not free:
-            return sid == self.reg.full_id
-        key = (sid, free)
+    def _completes(self, mask: int, free: tuple) -> bool:
+        if not free or not mask:
+            return not mask
+        key = (mask, free)
         got = self._complete_memo.get(key)
         if got is None:
-            got = False
-            rest = free[1:]
-            for z in self.L.coset_indices(self.a[free[0]], self.limits):
-                if self._completes(self.reg.join_with_element(sid, z), rest):
-                    got = True
-                    break
+            rows, rest = self.rows, free[1:]
+            got = any(self._completes(mask & rows[z], rest) for z in
+                      self.L.coset_indices(self.a[free[0]], self.limits))
             self._complete_memo[key] = got
         return got
 
@@ -670,31 +670,15 @@ def generating_coset_patterns(L: MonolithicGroup, t: int,
     n_gens = [ct.index[p.images] for p in L.socle.generators]
     out = []
     for pattern in itertools.product(reps, repeat=t):
-        if reg.subgroup_of(list(pattern) + n_gens) != reg.full_id:
+        if reg.mask_of(pattern + tuple(n_gens)):
             continue
-        lift = _first_generating_lift(L, pattern, reg, ct, limits)
+        lift = next(_generating_tuples(
+            reg, [L.coset_indices(x, limits) for x in pattern]), None)
+        if lift is None:
+            raise WitnessSearchFailure(
+                "no generating lift found; contradicts the correction lemma")
         out.append((pattern, lift))
     return out
-
-
-def _first_generating_lift(L, pattern, reg, ct, limits) -> tuple:
-    cosets = [L.coset_indices(x, limits) for x in pattern]
-
-    def recurse(prefix, sid, depth):
-        if depth == len(cosets):
-            return tuple(prefix) if sid == reg.full_id else None
-        for x in cosets[depth]:
-            got = recurse(prefix + [x], reg.join_with_element(sid, x),
-                          depth + 1)
-            if got is not None:
-                return got
-        return None
-
-    lift = recurse([], reg.trivial_id, 0)
-    if lift is None:
-        raise WitnessSearchFailure(
-            "no generating lift found; contradicts the correction lemma")
-    return lift
 
 
 def t_locally_connected(L: MonolithicGroup, t: int, eta: int,
@@ -895,22 +879,21 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
     d = len(b_idx)
     if d < 2:
         raise PreconditionError("need d >= 2")
-    l_sub = reg.subgroup_of([l_idx])
-    if reg.dist_to_full(l_sub) > d:
+    rows = reg.incidence_rows()
+    if reg.mask_dist(rows[l_idx]) > d:
         raise PreconditionError("d < d_l(L)")
-    if reg.subgroup_of([l_idx] + b_idx) != reg.full_id:
+    if reg.mask_of([l_idx] + b_idx):
         raise PreconditionError("<l, b_1, ..., b_d> != L")
     socle = L.socle_indices(limits)
     if len(socle) ** d > limits.max_search_space:
         raise CapExceededError("|N|^d over search cap")
-    full = reg.full_id
     tbl = ct.table
     count = 0
     for combo in itertools.product(socle, repeat=d):
-        sid = l_sub
+        mask = rows[l_idx]
         for bi, ni in zip(b_idx, combo):
-            sid = reg.join_with_element(sid, tbl[bi][ni])
-        if sid == full:
+            mask &= rows[tbl[bi][ni]]
+        if not mask:
             count += 1
     return Fraction(count, len(socle) ** d)
 
@@ -968,6 +951,6 @@ def unico_rank_check(L: MonolithicGroup, t: int,
         n_gens = [ct.index[p.images] for p in L.socle.generators]
     except KeyError:
         raise PreconditionError("b must lie in L")
-    if reg.subgroup_of(b_idx + n_gens) != reg.full_id:
+    if reg.mask_of(b_idx + n_gens):
         raise PreconditionError("<b_1, ..., b_t> N != L")
-    return reg.dist_to_full(reg.subgroup_of([b_idx[-1]])) <= t - 1
+    return reg.mask_dist(reg.mask_of(b_idx[-1:])) <= t - 1

@@ -204,9 +204,7 @@ def edge_witness(G: PermutationGroup, x: Permutation, y: Permutation, d: int,
     if n == d:
         return frozenset(ct.elements)
     xi, yi = ct.index[x.images], ct.index[y.images]
-    sid = reg.pair_join(xi, yi)
-    climb = [] if sid == reg.full_id else reg.climb_witness(sid)
-    chosen = {xi, yi, *climb}
+    chosen = {xi, yi, *reg.climb(oracle.rows[xi] & oracle.rows[yi])}
     for z in range(n):
         if len(chosen) == d:
             break
@@ -329,7 +327,7 @@ def build_lambda(S: PermutationGroup, x: Permutation, y: Permutation,
         raise GroupArgumentError(
             "rejected: x = y gives identical parts for the coset graph")
     reg = registry_for(G, limits)
-    ct = reg.ct
+    ct, rows = reg.ct, reg.incidence_rows()
     s_elems = S.elements(limits)
     part_x = sorted(ct.index[(x * s).images] for s in s_elems)
     part_y = sorted(ct.index[(y * s).images] for s in s_elems)
@@ -339,7 +337,7 @@ def build_lambda(S: PermutationGroup, x: Permutation, y: Permutation,
     offset = len(part_x)
     for i, xi in enumerate(part_x):
         for j, yj in enumerate(part_y):
-            if xi != yj and reg.pair_join(xi, yj) == reg.full_id:
+            if xi != yj and not rows[xi] & rows[yj]:
                 adjacency[i].append(offset + j)
                 adjacency[offset + j].append(i)
     for a in adjacency:

@@ -3,11 +3,13 @@ solubility, minimal generator numbers d(G) and d_X(G), and normal-subgroup
 correction lifting.
 
 The workhorse is SubgroupRegistry, a per-group cache of interned
-subgroups (by element index set) with memoized joins.  Distances in the
-join graph give d_X(G) = shortest chain of single-element extensions from
-<X> to G.  The rank-graph edge predicates use the registry's
-maximal-subgroup incidence instead: a subgroup is determined, for
-generation purposes, by the set of maximal subgroups containing it.
+subgroups (by element index set) with memoized joins; those closures
+serve the search for the maximal subgroups and the pair test of
+``min_rank``'s d = 2 search.  Every other generation question is
+answered from maximal-subgroup incidence (P. Hall's view of generation):
+the maximal subgroups containing <X> are the AND of the incidence rows
+of the elements of X, <X> = G iff that mask is 0, and d_X(G) is the
+distance of the mask to 0 (``SubgroupRegistry.mask_dist``).
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ from .perm_core import (
 
 
 class SubgroupRegistry:
-    """Interned subgroups of one dense group, with memoized joins.
+    """Subgroups of one dense group and its maximal-subgroup incidence.
 
-    Subgroups are identified by the frozenset of their element indices.
-    ``FULL`` joins are detected early: any closure exceeding |G|/2 must be
-    the whole group by Lagrange.
+    Closures and joins (interned by the frozenset of their element
+    indices) find the maximal subgroups and test generating pairs for
+    ``min_rank``; a closure exceeding |G|/2 is the whole group by
+    Lagrange.  Other generation questions go through the incidence rows:
+    ``mask_of`` gives the mask of <X>, ``mask_dist`` its distance d_X(G)
+    and ``climb`` a shortest completion.
     """
 
     def __init__(self, ct: CayleyTable):
@@ -54,8 +59,6 @@ class SubgroupRegistry:
                                    tuple(ct.gen_indices))
         self._cyc_sub_id: Optional[list] = None
         self._join_sub_cyc: dict = {}
-        self._pair_join: dict = {}
-        self._dist: dict = {}
         self._coset_reps: dict = {}
         self._rows: Optional[list] = None
         self._row_set: frozenset = frozenset()
@@ -143,28 +146,6 @@ class SubgroupRegistry:
             self._join_sub_cyc[key] = got
         return got
 
-    def pair_join(self, x: int, y: int) -> int:
-        """<x, y> memoized on the unordered pair of cyclic subgroups."""
-        cyc = self.cyclic_sub_ids
-        a, b = cyc[x], cyc[y]
-        if a == b:
-            return a
-        if a > b:
-            a, b = b, a
-            x, y = y, x
-        key = (a, b)
-        got = self._pair_join.get(key)
-        if got is None:
-            got = self.join_with_element(a, y)
-            self._pair_join[key] = got
-        return got
-
-    def subgroup_of(self, elems: Sequence[int]) -> int:
-        sid = self.trivial_id
-        for z in elems:
-            sid = self.join_with_element(sid, z)
-        return sid
-
     def coset_reps(self, sid: int) -> tuple:
         """Canonical (minimal) right-coset representatives of H in G."""
         got = self._coset_reps.get(sid)
@@ -182,47 +163,6 @@ class SubgroupRegistry:
             got = tuple(reps)
             self._coset_reps[sid] = got
         return got
-
-    # -- distance to the full group --------------------------------------------
-
-    def dist_to_full(self, sid: int) -> int:
-        """Least r with <H, z_1..z_r> = G; drives d_X and rank-graph edges."""
-        got = self._dist.get(sid)
-        if got is not None:
-            return got
-        if sid == self.full_id:
-            self._dist[sid] = 0
-            return 0
-        members = self.members[sid]
-        neighbours = []
-        for z in self.coset_reps(sid):
-            if z in members:
-                continue
-            j = self.join_with_element(sid, z)
-            if j == self.full_id:
-                self._dist[sid] = 1
-                return 1
-            neighbours.append(j)
-        best = min(self.dist_to_full(j) for j in set(neighbours))
-        self._dist[sid] = best + 1
-        return best + 1
-
-    def climb_witness(self, sid: int) -> list:
-        """Element indices z_1..z_r realizing dist_to_full(sid)."""
-        out = []
-        cur = sid
-        while cur != self.full_id:
-            d = self.dist_to_full(cur)
-            members = self.members[cur]
-            for z in self.coset_reps(cur):
-                if z in members:
-                    continue
-                j = self.join_with_element(cur, z)
-                if self.dist_to_full(j) == d - 1:
-                    out.append(z)
-                    cur = j
-                    break
-        return out
 
     # -- conjugacy classes of subgroups -----------------------------------------
 
@@ -326,8 +266,18 @@ class SubgroupRegistry:
             self._row_set = frozenset(rows)
         return self._rows
 
+    def mask_of(self, elems: Iterable[int]) -> int:
+        """AND of the rows of ``elems``: the maximal subgroups containing
+        <elems>, all ones for no elements."""
+        rows = self.incidence_rows()
+        mask = rows[self.ct.identity]
+        for z in elems:
+            mask &= rows[z]
+        return mask
+
     def mask_dist(self, mask: int) -> int:
-        """dist_to_full of any subgroup whose incidence mask is ``mask``.
+        """Least r with mask & row[z_1] & ... & row[z_r] = 0, i.e. d_H(G)
+        for any subgroup H whose incidence mask is ``mask``.
 
         mdist(0) = 0 and mdist(m) = 1 + min mdist(m & r) over the distinct
         rows r with m & r != m (the maximal subgroups containing <H, z> are
@@ -344,6 +294,24 @@ class SubgroupRegistry:
                 1 + min(self.mask_dist(m) for m in smaller)
             self._mask_dist[mask] = got
         return got
+
+    def climb(self, mask: int) -> list:
+        """Elements z_1..z_r, r = mask_dist(mask), that clear ``mask``.
+
+        Each z_i is the least element lowering the distance by one.  As
+        <H, hz> = <H, z>, it is the least element of its coset Hz, so the
+        climb passes through coset representatives only.
+        """
+        rows = self.incidence_rows()
+        out = []
+        d = self.mask_dist(mask)
+        while mask:
+            z = next(z for z, row in enumerate(rows)
+                     if self.mask_dist(mask & row) == d - 1)
+            out.append(z)
+            mask &= rows[z]
+            d -= 1
+        return out
 
 
 def registry_for(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> SubgroupRegistry:
@@ -521,8 +489,9 @@ def min_rank(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> RankCertif
 
     Searches ascending d; conjugacy-class representatives seed the first
     coordinate (generation is invariant under simultaneous conjugation),
-    the remaining coordinates use the full deterministic element order via
-    the subgroup join engine.
+    the remaining coordinates use the full deterministic element order.
+    d = 2 is decided by joins <x, y>, so 2-generated groups never build
+    the maximal-subgroup incidence; d >= 3 climbs incidence masks.
     """
     if G.order == 1:
         return RankCertificate(G, 0, ())
@@ -569,22 +538,24 @@ def _min_rank_dense(G: PermutationGroup, limits: Limits) -> RankCertificate:
         rep = cls[0]
         if ct.order_of[rep] == ct.n:
             return RankCertificate(G, 1, (ct.perm(rep),))
-    # d = 2: class representative x, arbitrary y
+    # d = 2: class representative x, arbitrary y.  Memoized joins decide
+    # it without the maximal subgroups, and the lattice search reuses them.
     class_reps = sorted((cls[0] for cls in ct.classes),
                         key=lambda r: (-ct.order_of[r], r))
+    cyc = reg.cyclic_sub_ids
     for x in class_reps:
         for y in range(ct.n):
-            if reg.pair_join(x, y) == reg.full_id:
+            if reg.join_with_element(cyc[x], y) == reg.full_id:
                 return RankCertificate(G, 2, (ct.perm(x), ct.perm(y)))
     # d >= 3: shortest climb from a class-representative start
-    best = None
-    for x in class_reps:
-        sid = reg.cyclic_sub_ids[x]
-        d = 1 + reg.dist_to_full(sid)
-        if best is None or d < best[0]:
-            best = (d, x, sid)
-    d, x, sid = best
-    witness = (ct.perm(x),) + tuple(ct.perm(z) for z in reg.climb_witness(sid))
+    rows = reg.incidence_rows()
+    x = min(class_reps, key=lambda r: reg.mask_dist(rows[r]))
+    d = 1 + reg.mask_dist(rows[x])
+    if d != reg.mask_dist(reg.mask_of(())):
+        raise RuntimeError(
+            f"certified d = {d} differs from the trivial subgroup's "
+            f"distance {reg.mask_dist(reg.mask_of(()))}")
+    witness = (ct.perm(x),) + tuple(ct.perm(z) for z in reg.climb(rows[x]))
     return RankCertificate(G, d, witness)
 
 
@@ -599,7 +570,7 @@ def d_X(G: PermutationGroup, X: Iterable[Permutation],
         if i is None:
             raise GroupArgumentError("X contains an element outside G")
         idxs.append(i)
-    return reg.dist_to_full(reg.subgroup_of(idxs))
+    return reg.mask_dist(reg.mask_of(idxs))
 
 
 def gaschutz_lift(G: PermutationGroup, M: PermutationGroup,
@@ -621,20 +592,20 @@ def gaschutz_lift(G: PermutationGroup, M: PermutationGroup,
         m_idx = sorted(ct.subset_indices(M))
     except (KeyError, GroupArgumentError):
         raise PreconditionError("inputs must lie inside G")
-    base = reg.subgroup_of(x_idx + g_idx + [z for z in m_idx])
-    if base != reg.full_id:
+    if reg.mask_of(x_idx + g_idx + m_idx):
         raise PreconditionError("<g, X, M> is not all of G")
     r = len(g_idx)
-    if r < reg.dist_to_full(reg.subgroup_of(x_idx)):
+    x_mask = reg.mask_of(x_idx)
+    if r < reg.mask_dist(x_mask):
         raise PreconditionError("r < d_X(G)")
     if len(m_idx) ** r > limits.max_search_space:
         raise CapExceededError("correction search space over cap")
-    x_sub = reg.subgroup_of(x_idx)
+    rows, table = reg.incidence_rows(), ct.table
     for combo in itertools.product(m_idx, repeat=r):
-        sid = x_sub
+        mask = x_mask
         for gi, ni in zip(g_idx, combo):
-            sid = reg.join_with_element(sid, ct.table[gi][ni])
-        if sid == reg.full_id:
+            mask &= rows[table[gi][ni]]
+        if not mask:
             return tuple(ct.perm(ni) for ni in combo)
     raise WitnessSearchFailure(
         "no correction tuple found; contradicts the lifting lemma")

@@ -175,41 +175,54 @@ def _sweep_worker(args) -> str:
 def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
           policy="default", with_diameter: bool = False, jobs: int = 1,
           seed: int = 0, limits: Limits = DEFAULT_LIMITS,
-          skip_ids: Iterable[str] = ()) -> list:
+          skip_ids: Iterable[str] = (),
+          on_record: Optional[Callable[[SweepRecord], None]] = None) -> list:
     """Sweep the catalog; singleton errors are recorded, never fatal.
 
     Entries above ``max_order`` and ids in ``skip_ids`` (resume support)
     are skipped with an explicit record.  With jobs > 1 the entries are
     distributed over worker processes, so a callable ``policy`` must
     pickle (a module-level function); record order follows the catalog.
+    ``on_record`` receives each record in that order as soon as it and
+    every record before it are done.
     """
     skip = set(skip_ids)
+    plan = []  # per swept entry: its over-max-order record, or None
     todo = []
-    records: dict[int, SweepRecord] = {}
-    for i, entry in enumerate(entries):
+    for entry in entries:
         if entry.id in skip:
             continue
         order = entry.group().order
         if max_order is not None and order > max_order:
-            rec = SweepRecord(entry.id, order, entry.degree, None,
-                              "over max-order", [], [], None, 0,
-                              __version__, seed, time.time())
-            records[i] = rec
-            continue
-        todo.append((i, entry))
+            plan.append(SweepRecord(entry.id, order, entry.degree, None,
+                                    "over max-order", [], [], None, 0,
+                                    __version__, seed, time.time()))
+        else:
+            plan.append(None)
+            todo.append(entry)
+    pool = None
     if jobs <= 1 or len(todo) <= 1:
-        for i, entry in todo:
-            records[i] = sweep_entry(entry, policy, with_diameter, seed,
-                                     limits)
+        results = (sweep_entry(e, policy, with_diameter, seed, limits)
+                   for e in todo)
     else:
         import dataclasses
         limits_dict = dataclasses.asdict(limits)
         args = [(e.to_dict(), policy, with_diameter, seed, limits_dict)
-                for _, e in todo]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for (i, _), line in zip(todo, pool.map(_sweep_worker, args)):
-                records[i] = SweepRecord.from_json(line)
-    return [records[i] for i in sorted(records)]
+                for e in todo]
+        pool = ProcessPoolExecutor(max_workers=jobs)
+        results = map(SweepRecord.from_json, pool.map(_sweep_worker, args))
+    records = []
+    try:
+        for rec in plan:
+            if rec is None:
+                rec = next(results)
+            records.append(rec)
+            if on_record is not None:
+                on_record(rec)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return records
 
 
 def save_records(records: Iterable[SweepRecord], path,
@@ -218,6 +231,12 @@ def save_records(records: Iterable[SweepRecord], path,
     with open(path, mode) as fh:
         for rec in records:
             fh.write(rec.to_json() + "\n")
+
+
+def cap_skipped(records: Iterable[SweepRecord]) -> list:
+    """Group ids of the records skipped at a resource cap."""
+    return [rec.group_id for rec in records
+            if rec.error and rec.error.startswith(CAP_ERROR)]
 
 
 def load_records(path) -> list:

@@ -162,23 +162,15 @@ def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     rng = random.Random(seed)
     L = _mono("A5")
     reg = registry_for(L.group, limits)
+    rows = reg.incidence_rows()
     ct = L.ct(limits)
-    full = reg.full_id
     failures = []
     fractions = {}
     instances = 0
     for l_idx in range(ct.n):
         # canonical valid completion: first (b1, b2) with <l, b1, b2> = L
-        found = None
-        l_sub = reg.subgroup_of([l_idx])
-        for b1 in range(ct.n):
-            s1 = reg.join_with_element(l_sub, b1)
-            for b2 in range(ct.n):
-                if reg.join_with_element(s1, b2) == full:
-                    found = (b1, b2)
-                    break
-            if found:
-                break
+        found = next(((b1, b2) for b1 in range(ct.n) for b2 in range(ct.n)
+                      if not rows[l_idx] & rows[b1] & rows[b2]), None)
         if found is None:
             continue
         instances += 1
@@ -193,7 +185,7 @@ def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     while checked < cross_checks:
         l_idx = rng.randrange(ct.n)
         b1, b2 = rng.randrange(ct.n), rng.randrange(ct.n)
-        if reg.subgroup_of([l_idx, b1, b2]) != full:
+        if reg.mask_of([l_idx, b1, b2]):
             continue
         checked += 1
         frac = delu_fraction(L, ct.perm(l_idx),
@@ -261,7 +253,7 @@ def verify_unico_rank(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
         done = 0
         while done < samples:
             b = [rng.randrange(ct.n) for _ in range(3)]
-            if reg.subgroup_of(b + n_gens) != reg.full_id:
+            if reg.mask_of(b + n_gens):
                 continue
             done += 1
             instances += 1
@@ -503,7 +495,7 @@ def verify_weak_conn(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
         while len(tuples) < 1 + tuples_per_pattern and tried < 500:
             tried += 1
             a = tuple(rng.randrange(ct.n) for _ in range(3))
-            if reg.subgroup_of(a) == reg.full_id:
+            if not reg.mask_of(a):
                 tuples.append(a)
         for a in tuples:
             instances += 1

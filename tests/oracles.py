@@ -1,13 +1,17 @@
-"""Independent brute-force oracles used to freeze expected test values.
+"""Independent oracles used to freeze expected test values.
 
-Everything here works by exhaustive enumeration on raw image tuples and
-never touches stabilizer chains, Cayley tables or the join machinery, so
-oracle results are independent of the code paths they check.
+The brute-force functions work by exhaustive enumeration on raw image
+tuples and never touch stabilizer chains, Cayley tables or subgroup
+registries.  ``ClosureOracle`` answers generation questions by subgroup
+closures alone (``SubgroupRegistry.close`` on a registry of its own),
+the path rankgraph took before maximal-subgroup incidence rows answered
+them; it never reads incidence rows, so it checks the row-mask engine.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from rankgraph import Permutation
+from rankgraph.group_structure import SubgroupRegistry
 
 
 def mult(p: tuple, q: tuple) -> tuple:
@@ -152,3 +156,136 @@ def bfs_components(n: int, edges) -> list:
                     queue.append(w)
         count += 1
     return ids
+
+
+class ClosureOracle:
+    """Generation answers for one dense group from closures only.
+
+    This keeps the path of the registry's former ``pair_join``,
+    ``subgroup_of``, ``dist_to_full`` and ``climb_witness`` methods.
+    Subgroups are ids of a fresh ``SubgroupRegistry``; <H, z> is memoized
+    on (H, <z>).  ``dist`` is the least r with <H, z_1..z_r> = G, found by
+    recursing over the one-element extensions <H, z> of H for the least z
+    of each coset Hz.
+    """
+
+    def __init__(self, G):
+        self.reg = SubgroupRegistry(G.cayley_table())
+        self.ct = self.reg.ct
+        self.full = self.reg.full_id
+        self._joins = {}
+        self._dist = {}
+        self._completes = {}
+
+    def join(self, sid: int, z: int) -> int:
+        key = (sid, self.ct.cyclic_id[z])
+        got = self._joins.get(key)
+        if got is None:
+            got = self._joins[key] = self.reg.close(self.reg.gens[sid] + (z,))
+        return got
+
+    def closure(self, elems) -> int:
+        sid = self.reg.trivial_id
+        for z in elems:
+            sid = self.join(sid, z)
+        return sid
+
+    def generates(self, elems) -> bool:
+        return self.closure(elems) == self.full
+
+    def _extensions(self, sid: int):
+        """(z, <H, z>) for the least z of each coset Hz outside H."""
+        members = self.reg.members[sid]
+        table = self.ct.table
+        seen = bytearray(self.ct.n)
+        for z in range(self.ct.n):
+            if seen[z]:
+                continue
+            for h in members:
+                seen[table[h][z]] = 1
+            if z not in members:
+                yield z, self.join(sid, z)
+
+    def dist(self, sid: int) -> int:
+        got = self._dist.get(sid)
+        if got is None:
+            got = 0
+            if sid != self.full:
+                joins = set()
+                for _, j in self._extensions(sid):
+                    if j == self.full:
+                        got = 1
+                        break
+                    joins.add(j)
+                else:
+                    got = 1 + min(self.dist(j) for j in joins)
+            self._dist[sid] = got
+        return got
+
+    def climb(self, sid: int) -> list:
+        """Elements z_1..z_r, r = dist(sid), each the least coset
+        representative lowering the distance by one."""
+        out = []
+        while sid != self.full:
+            d = self.dist(sid)
+            z, sid = next((z, j) for z, j in self._extensions(sid)
+                          if self.dist(j) == d - 1)
+            out.append(z)
+        return out
+
+    def d_X(self, elems) -> int:
+        return self.dist(self.closure(elems))
+
+    def min_rank(self) -> tuple:
+        """(d, witness indices) by the search ``min_rank`` performs."""
+        ct = self.ct
+        if ct.n == 1:
+            return 0, ()
+        for cls in ct.classes:
+            if ct.order_of[cls[0]] == ct.n:
+                return 1, (cls[0],)
+        reps = sorted((cls[0] for cls in ct.classes),
+                      key=lambda r: (-ct.order_of[r], r))
+        for x in reps:
+            for y in range(ct.n):
+                if self.generates((x, y)):
+                    return 2, (x, y)
+        x = min(reps, key=lambda r: self.d_X((r,)))
+        sid = self.closure((x,))
+        return 1 + self.dist(sid), (x, *self.climb(sid))
+
+    def edge_witness(self, x: int, y: int, d: int) -> frozenset:
+        """The set ``edge_witness`` builds for a joined pair x != y, when
+        |G| > d: x, y and a climb from <x, y>, padded by least elements."""
+        chosen = {x, y, *self.climb(self.closure((x, y)))}
+        for z in range(self.ct.n):
+            if len(chosen) == d:
+                break
+            chosen.add(z)
+        return frozenset(chosen)
+
+    def gaschutz_corrections(self, x_idx, g_idx, m_idx):
+        """First n in M^r (lexicographic) with <X, g_1 n_1, ..> = G."""
+        table = self.ct.table
+        for combo in product(m_idx, repeat=len(g_idx)):
+            if self.generates(tuple(x_idx) + tuple(
+                    table[g][n] for g, n in zip(g_idx, combo))):
+                return combo
+        return None
+
+    def generating_tuples(self, cosets) -> list:
+        """Every generating tuple in the product of ``cosets``, in
+        lexicographic order."""
+        return [tup for tup in product(*cosets) if self.generates(tup)]
+
+    def completes(self, sid: int, cosets) -> bool:
+        """Whether one element from each coset generates G with H."""
+        if not cosets:
+            return sid == self.full
+        key = (sid, tuple(tuple(c) for c in cosets))
+        got = self._completes.get(key)
+        if got is None:
+            got = self._completes[key] = any(
+                self.completes(self.join(sid, z), cosets[1:])
+                for z in cosets[0])
+        return got

@@ -13,9 +13,8 @@ from rankgraph.automorphisms import (
 )
 from rankgraph.catalog import alternating, psl2, symmetric
 from rankgraph.crown_powers import MonolithicGroup
-from rankgraph.group_structure import registry_for
 
-from oracles import brute_closure
+from oracles import ClosureOracle, brute_closure
 
 
 def cyc(n, *cycles):
@@ -133,9 +132,9 @@ class TestOrbitsOnTuples:
     def test_a5_generating_pairs_19_orbits(self, A5):
         # 2280 generating pairs frozen from the join oracle; the orbit
         # count is forced by the free action: 2280 / |Aut(A5)| = 19
-        reg = registry_for(A5)
+        oracle = ClosureOracle(A5)
         pairs = [(x, y) for x in range(60) for y in range(60)
-                 if reg.pair_join(x, y) == reg.full_id]
+                 if oracle.generates((x, y))]
         assert len(pairs) == 2280
         aut = automorphism_group(A5)
         labels, count = orbits_on_tuples(aut, pairs)
@@ -146,9 +145,9 @@ class TestOrbitsOnTuples:
         assert all(size == 120 for size in sizes.values())
 
     def test_orbit_partition_invariant_under_generator_shuffle(self, A5):
-        reg = registry_for(A5)
+        oracle = ClosureOracle(A5)
         pairs = [(x, y) for x in range(60) for y in range(60)
-                 if reg.pair_join(x, y) == reg.full_id]
+                 if oracle.generates((x, y))]
         aut = automorphism_group(A5)
         labels1, n1 = orbits_on_tuples(aut, pairs)
         shuffled = list(aut.perm_group.generators)
@@ -161,9 +160,9 @@ class TestOrbitsOnTuples:
 
     def test_non_closed_input_rejected(self, A5):
         aut = automorphism_group(A5)
-        reg = registry_for(A5)
+        oracle = ClosureOracle(A5)
         pairs = [(x, y) for x in range(60) for y in range(60)
-                 if reg.pair_join(x, y) == reg.full_id]
+                 if oracle.generates((x, y))]
         with pytest.raises(GroupArgumentError):
             orbits_on_tuples(aut, pairs[:100])
 

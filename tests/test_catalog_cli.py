@@ -322,14 +322,56 @@ class TestCLI:
         # a cap error is a recorded skip
         monkeypatch.setattr(sweep_mod, "min_rank",
                             failing_on_s4(CapExceededError("stub cap")))
+        capsys.readouterr()
         assert cli_main(argv) == 0
+        assert "0 error(s), 1 cap-skipped" in capsys.readouterr().out
         # anything else is a failure of the run
         monkeypatch.setattr(sweep_mod, "min_rank",
                             failing_on_s4(KeyError("boom")))
         out = tmp_path / "records.jsonl"
         assert cli_main(argv + ["--out", str(out)]) == 1
+        assert "1 error(s), 0 cap-skipped" in capsys.readouterr().out
         errors = [r.error for r in load_records(out)]
         assert errors == ["KeyError: 'boom'", None]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_interrupted_run_resumes(self, tmp_path, monkeypatch,
+                                           capsys, jobs):
+        # records reach --out as they finish, so --resume completes the
+        # file an interrupted run left
+        from rankgraph import sweep as sweep_mod
+
+        cat_path = tmp_path / "cat.json"
+        save_catalog([symmetric(4), dihedral(5), alternating(4),
+                      dihedral(4)], cat_path)
+        argv = ["sweep", "--catalog", str(cat_path), "--max-order", "100",
+                "--jobs", jobs, "--out"]
+        whole, part = tmp_path / "whole.jsonl", tmp_path / "part.jsonl"
+        assert cli_main(argv + [str(whole)]) == 0
+        real = sweep_mod.sweep_entry
+
+        def interrupted_at_third(entry, *args):
+            if entry.id == "A4":
+                raise KeyboardInterrupt
+            return real(entry, *args)
+
+        monkeypatch.setattr(sweep_mod, "sweep_entry", interrupted_at_third)
+        with pytest.raises(KeyboardInterrupt):
+            cli_main(argv + [str(part)])
+        assert [r.group_id for r in load_records(part)] == ["S4", "Dih5"]
+        monkeypatch.setattr(sweep_mod, "sweep_entry", real)
+        assert cli_main(argv + [str(part), "--resume"]) == 0
+
+        def untimed(path):
+            out = []
+            for rec in load_records(path):
+                rec.timestamp = rec.elapsed_ms = 0
+                for g in rec.graphs:
+                    g.elapsed_ms = 0
+                out.append(rec.to_json())
+            return out
+
+        assert untimed(part) == untimed(whole)
 
     def test_sweep_resume(self, tmp_path, capsys):
         cat_path = tmp_path / "cat.json"

@@ -1,0 +1,61 @@
+"""Differential checks against independent libraries.
+
+sympy's ``combinatorics`` package checks group orders, membership and
+conjugacy classes on random permutation groups; networkx checks the
+component counts and diameters of rank graphs.  Each half is skipped when
+its library is not installed.
+"""
+
+import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from rankgraph import Permutation, conjugacy_classes, group_from_generators
+from rankgraph.catalog import default_catalog
+from rankgraph.graphs import build_delta_d, components, diameter
+from rankgraph.group_structure import min_rank
+
+
+def _generator_sets(max_degree=6, max_gens=3):
+    return st.integers(1, max_degree).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.permutations(range(n)).map(tuple), min_size=1,
+                 max_size=max_gens),
+        st.lists(st.permutations(range(n)).map(tuple), min_size=1,
+                 max_size=4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets())
+def test_order_membership_classes_match_sympy(case):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    n, gens, probes = case
+    ours = group_from_generators(n, [Permutation(g) for g in gens])
+    theirs = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g)) for g in gens])
+    assert ours.order == theirs.order()
+    for p in probes:
+        assert ours.contains(Permutation(p)) == \
+            theirs.contains(combinatorics.Permutation(list(p)))
+    assert len(conjugacy_classes(ours)) == len(theirs.conjugacy_classes())
+
+
+# rank graphs are defined for the non-cyclic groups
+NON_CYCLIC = [e for e in default_catalog()
+              if e.group().order <= 120 and min_rank(e.group()).d > 1]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("entry", NON_CYCLIC, ids=lambda e: e.id)
+def test_delta_components_and_diameter_match_networkx(entry, d):
+    nx = pytest.importorskip("networkx")
+    graph = build_delta_d(entry.group(), d)
+    comps = components(graph)
+    theirs = nx.Graph()
+    theirs.add_nodes_from(range(graph.n_vertices))
+    theirs.add_edges_from((v, w) for v, nbrs in enumerate(graph.adjacency)
+                          for w in nbrs)
+    assert comps.count == nx.number_connected_components(theirs)
+    ours = sorted(diameter(graph, comps).values())
+    assert ours == sorted(nx.diameter(theirs.subgraph(c))
+                          for c in nx.connected_components(theirs))

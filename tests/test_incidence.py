@@ -2,9 +2,9 @@
 
 The engine decides Delta_d edges from the rows of
 ``SubgroupRegistry.incidence_rows``; these tests compare it with the
-brute generation oracle, with the closure path (``pair_join`` plus
-``dist_to_full`` on a fresh registry) and with values frozen from the
-closure-based implementation.
+brute generation oracle, with ``oracles.ClosureOracle`` (pair closures
+and distances by subgroup closures on a registry of its own) and with
+values frozen from the closure-based implementation.
 """
 
 import itertools
@@ -15,7 +15,7 @@ from rankgraph.catalog import default_catalog, find_entry
 from rankgraph.graphs import build_gamma_d, delta_summary
 from rankgraph.group_structure import SubgroupRegistry, min_rank
 
-from oracles import brute_generates
+from oracles import ClosureOracle, brute_generates
 
 
 def _group(group_id):
@@ -24,8 +24,8 @@ def _group(group_id):
 
 def closure_summary(G, d):
     """(n_vertices, n_edges, n_components) of Delta_d by per-pair closures."""
-    reg = SubgroupRegistry(G.cayley_table())
-    n = reg.ct.n
+    oracle = ClosureOracle(G)
+    n = oracle.ct.n
     parent = list(range(n))
 
     def find(x):
@@ -36,8 +36,8 @@ def closure_summary(G, d):
     touched = set()
     n_edges = 0
     for x, y in itertools.combinations(range(n) if n >= d else (), 2):
-        sid = reg.pair_join(x, y)
-        if n == d or sid == reg.full_id or reg.dist_to_full(sid) <= d - 2:
+        sid = oracle.closure((x, y))
+        if n == d or sid == oracle.full or oracle.dist(sid) <= d - 2:
             n_edges += 1
             touched.update((x, y))
             parent[find(y)] = find(x)
@@ -101,13 +101,14 @@ class TestIncidenceRows:
         assert rows[reg.ct.identity] == \
             (1 << len(reg.maximal_subgroups())) - 1
 
-    def test_mask_dist_matches_dist_to_full(self, S4):
+    def test_mask_dist_matches_closure_distance(self, S4):
         reg = SubgroupRegistry(S4.cayley_table())
         rows = reg.incidence_rows()
+        oracle = ClosureOracle(S4)
         for x in range(reg.ct.n):
             for y in range(reg.ct.n):
                 assert reg.mask_dist(rows[x] & rows[y]) == \
-                    reg.dist_to_full(reg.pair_join(x, y))
+                    oracle.dist(oracle.closure((x, y)))
 
     def test_whole_group_listed_as_maximal_raises(self, S4):
         reg = SubgroupRegistry(S4.cayley_table())
