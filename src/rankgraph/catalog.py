@@ -361,7 +361,6 @@ def validate_entry(entry: CatalogEntry, limits: Limits = DEFAULT_LIMITS) -> None
 
 def _check_almost_simple(entry, G, limits) -> None:
     from .group_structure import is_simple, socle
-    from .perm_core import centralizer, is_normal
     S = socle(G, limits)
     if S.is_abelian() or not is_simple(S, limits):
         raise CatalogError(

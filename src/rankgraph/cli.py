@@ -30,9 +30,6 @@ from .graphs import (
     analyze_graph,
     build_delta_d,
     build_gamma_d,
-    build_lambda,
-    components,
-    diameter,
     export_dot,
 )
 from .group_structure import min_rank

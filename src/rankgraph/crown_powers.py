@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .perm_core import (
@@ -665,7 +665,6 @@ def generating_coset_patterns(L: MonolithicGroup, t: int,
     """
     reg = registry_for(L.group, limits)
     ct = L.ct(limits)
-    socle = L.socle_indices(limits)
     reps = sorted({min(L.coset_indices(x, limits)) for x in range(ct.n)})
     n_gens = [ct.index[p.images] for p in L.socle.generators]
     out = []
@@ -715,15 +714,19 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
     socle_order = _socle_bfs_order(L, limits)
     m_order = list(itertools.product(socle_order, repeat=eta))
 
+    neighbour_sets: dict = {}
+
     def neighbours(v: CrownVertex) -> set:
-        out = set()
-        for j in range(t):
-            if j == v.row:
-                continue
-            for c in corrections:
-                w = CrownVertex(j, c)
-                if builder.edge(v, w):
-                    out.add(w)
+        out = neighbour_sets.get(v)
+        if out is None:
+            out = neighbour_sets[v] = set()
+            for j in range(t):
+                if j == v.row:
+                    continue
+                for c in corrections:
+                    w = CrownVertex(j, c)
+                    if builder.edge(v, w):
+                        out.add(w)
         return out
 
     def non_isolated(v: CrownVertex) -> bool:

@@ -24,21 +24,19 @@ interchangeable, so edges are decided per pair of row classes.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .perm_core import (
-    CapExceededError,
     GroupArgumentError,
     Permutation,
     PermutationGroup,
     UnionFind,
 )
-from .group_structure import SubgroupRegistry, min_rank, registry_for
+from .group_structure import min_rank, registry_for
 
 
 # ---------------------------------------------------------------------------

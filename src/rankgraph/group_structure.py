@@ -3,13 +3,16 @@ solubility, minimal generator numbers d(G) and d_X(G), and normal-subgroup
 correction lifting.
 
 The workhorse is SubgroupRegistry, a per-group cache of interned
-subgroups (by element index set) with memoized joins; those closures
-serve the search for the maximal subgroups and the pair test of
-``min_rank``'s d = 2 search.  Every other generation question is
-answered from maximal-subgroup incidence (P. Hall's view of generation):
-the maximal subgroups containing <X> are the AND of the incidence rows
-of the elements of X, <X> = G iff that mask is 0, and d_X(G) is the
-distance of the mask to 0 (``SubgroupRegistry.mask_dist``).
+subgroups (by element index set) with memoized joins.  Those joins serve
+two searches: the pair test of ``min_rank``'s d = 2 search, and the
+conjugacy classes of subgroups by cyclic extension, which joins each
+class representative H with one element of prime-power order per
+N_G(H)-orbit of cyclic subgroups outside H; H is maximal iff every such
+join is G.  Every other generation question is answered from
+maximal-subgroup incidence (P. Hall's view of generation): the maximal
+subgroups containing <X> are the AND of the incidence rows of the
+elements of X, <X> = G iff that mask is 0, and d_X(G) is the distance of
+the mask to 0 (``SubgroupRegistry.mask_dist``).
 """
 
 from __future__ import annotations
@@ -42,8 +45,9 @@ class SubgroupRegistry:
     """Subgroups of one dense group and its maximal-subgroup incidence.
 
     Closures and joins (interned by the frozenset of their element
-    indices) find the maximal subgroups and test generating pairs for
-    ``min_rank``; a closure exceeding |G|/2 is the whole group by
+    indices) find the classes of subgroups and the maximal subgroups by
+    cyclic extension (``subgroup_class_reps``) and test generating pairs
+    for ``min_rank``; a closure exceeding |G|/2 is the whole group by
     Lagrange.  Other generation questions go through the incidence rows:
     ``mask_of`` gives the mask of <X>, ``mask_dist`` its distance d_X(G)
     and ``climb`` a shortest completion.
@@ -59,7 +63,7 @@ class SubgroupRegistry:
                                    tuple(ct.gen_indices))
         self._cyc_sub_id: Optional[list] = None
         self._join_sub_cyc: dict = {}
-        self._coset_reps: dict = {}
+        self._lattice: Optional[tuple] = None
         self._rows: Optional[list] = None
         self._row_set: frozenset = frozenset()
         self._mask_dist: dict = {}
@@ -146,24 +150,6 @@ class SubgroupRegistry:
             self._join_sub_cyc[key] = got
         return got
 
-    def coset_reps(self, sid: int) -> tuple:
-        """Canonical (minimal) right-coset representatives of H in G."""
-        got = self._coset_reps.get(sid)
-        if got is None:
-            ct = self.ct
-            seen = bytearray(ct.n)
-            reps = []
-            members = self.members[sid]
-            table = ct.table
-            for z in range(ct.n):
-                if not seen[z]:
-                    reps.append(z)
-                    for h in members:
-                        seen[table[h][z]] = 1
-            got = tuple(reps)
-            self._coset_reps[sid] = got
-        return got
-
     # -- conjugacy classes of subgroups -----------------------------------------
 
     def conjugates(self, members: frozenset) -> list:
@@ -180,57 +166,95 @@ class SubgroupRegistry:
                     queue.append(img)
         return sorted(orbit, key=sorted)
 
+    def normaliser(self, sid: int) -> list:
+        """N_G(H): the g with h^g in H for every generator h of H."""
+        ct = self.ct
+        table, inv = ct.table, ct.inv
+        members = self.members[sid]
+        gens = self.gens[sid]
+        return [g for g in range(ct.n)
+                if all(table[table[inv[g]][h]][g] in members for h in gens)]
+
     def subgroup_class_reps(self) -> list:
         """One interned id per conjugacy class of subgroups of G.
 
-        Join-closure of cyclic subgroups, deduplicated up to conjugacy:
-        every subgroup is a join of cyclic ones, and joining class
-        representatives against all cyclic subgroups reaches every class.
+        Cyclic extension (Neubüser; Holt, Eick and O'Brien, *Handbook of
+        Computational Group Theory*, 2005): each class representative H
+        is joined with one element z of prime-power order per
+        N_G(H)-orbit of cyclic subgroups <z> outside H, and each join of
+        a new class becomes a representative in turn.  Every class is
+        reached: a subgroup K > 1 is a minimal overgroup of one of its
+        maximal subgroups M, K = <M, z> for a prime-power part z of any
+        element of K outside M, and for n in N_G(H), <H, z^n> = <H, z>^n
+        is conjugate to <H, z>.  The same joins give maximality (see
+        ``maximal_subgroups``).
         """
-        ct = self.ct
-        class_of: dict[frozenset, int] = {}
-        reps: list[int] = []
+        return self._cyclic_extension()[0]
 
-        def register(sid: int) -> bool:
+    def _cyclic_extension(self) -> tuple:
+        """(class representatives, the maximal ones among them), once."""
+        if self._lattice is not None:
+            return self._lattice
+        ct = self.ct
+        table, inv, cyc_id = ct.table, ct.inv, ct.cyclic_id
+        # least generator of each cyclic subgroup of prime-power order > 1
+        extenders = {}
+        for z in range(ct.n):
+            if _is_prime_power(ct.order_of[z]):
+                extenders.setdefault(cyc_id[z], z)
+        extenders = list(extenders.values())
+        seen: set = set()
+        normalisers: dict = {}
+        reps: list = []
+        maximal: list = []
+
+        def register(sid: int) -> None:
             members = self.members[sid]
-            if members in class_of:
-                return False
-            rep_idx = len(reps)
+            if members in seen:
+                return
+            N = self.normaliser(sid)
+            orbit = self.conjugates(members)
+            if len(orbit) * len(N) != ct.n:
+                raise RuntimeError(
+                    f"subgroup of order {len(members)} has {len(orbit)} "
+                    f"conjugates but a normaliser of order {len(N)} in a "
+                    f"group of order {ct.n}")
+            seen.update(orbit)
+            normalisers[sid] = N
             reps.append(sid)
-            for conj in self.conjugates(members):
-                class_of[conj] = rep_idx
-            return True
 
         register(self.trivial_id)
-        cyclic_ids = sorted(set(self.cyclic_sub_ids))
-        queue = [sid for sid in cyclic_ids if register(sid)]
-        while queue:
-            sid = queue.pop(0)
+        for sid in reps:  # grows while it is read: breadth first
+            N = normalisers.pop(sid)
             if sid == self.full_id:
                 continue
             members = self.members[sid]
-            for z in range(ct.n):
-                if z in members:
+            done = bytearray(len(ct.cyclic_subgroups))
+            all_full = True
+            for z in extenders:
+                if done[cyc_id[z]] or z in members:
                     continue
+                for g in N:
+                    done[cyc_id[table[table[inv[g]][z]][g]]] = 1
                 j = self.join_with_element(sid, z)
-                if self.members[j] not in class_of:
-                    register(j)
-                    queue.append(j)
-        return reps
+                all_full = all_full and j == self.full_id
+                register(j)
+            if all_full:
+                maximal.append(sid)
+        self._lattice = (reps, maximal)
+        return self._lattice
 
     def maximal_subgroups(self) -> list:
-        """All maximal subgroups, as frozensets of element indices."""
-        reps = self.subgroup_class_reps()
-        proper = [sid for sid in reps if sid != self.full_id]
-        # a class rep is maximal iff every one-element extension is everything
-        maximal = []
-        for sid in proper:
-            members = self.members[sid]
-            if all(self.join_with_element(sid, z) == self.full_id
-                   for z in self.coset_reps(sid) if z not in members):
-                maximal.append(sid)
+        """All maximal subgroups, as frozensets of element indices.
+
+        A proper class representative H is maximal iff every extension
+        ``subgroup_class_reps`` computed for it is G: otherwise H has a
+        minimal overgroup K < G, K = <H, z> for some z of prime-power
+        order, and the extension by the orbit representative of <z> is
+        conjugate to K.
+        """
         out = []
-        for sid in maximal:
+        for sid in self._cyclic_extension()[1]:
             out.extend(self.conjugates(self.members[sid]))
         return out
 
@@ -312,6 +336,18 @@ class SubgroupRegistry:
             mask &= rows[z]
             d -= 1
         return out
+
+
+def _is_prime_power(k: int) -> bool:
+    """Whether k = p^e for a prime p and e >= 1."""
+    if k < 2:
+        return False
+    p = 2
+    while k % p:
+        p += 1
+    while k % p == 0:
+        k //= p
+    return k == 1
 
 
 def registry_for(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> SubgroupRegistry:

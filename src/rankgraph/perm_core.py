@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 

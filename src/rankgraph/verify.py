@@ -13,17 +13,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
-from .perm_core import (
-    Permutation,
-    PermutationGroup,
-    WitnessSearchFailure,
-    group_from_generators,
-    is_normal,
-    quotient,
-)
+from .perm_core import PermutationGroup, WitnessSearchFailure, quotient
 from .group_structure import (
     d_X,
     frattini,
@@ -49,7 +42,6 @@ from .crown_powers import (
     delta_Lt,
     delu_fraction,
     generation_via_orbits,
-    omega_table,
     partitions_pi,
     unico_rank_check,
     weak_connectivity,

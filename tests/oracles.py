@@ -6,6 +6,9 @@ registries.  ``ClosureOracle`` answers generation questions by subgroup
 closures alone (``SubgroupRegistry.close`` on a registry of its own),
 the path rankgraph took before maximal-subgroup incidence rows answered
 them; it never reads incidence rows, so it checks the row-mask engine.
+It also finds the conjugacy classes of subgroups and the maximal
+subgroups by joining every class representative with every element,
+which checks the cyclic-extension search.
 """
 
 from itertools import combinations, product
@@ -192,6 +195,45 @@ class ClosureOracle:
 
     def generates(self, elems) -> bool:
         return self.closure(elems) == self.full
+
+    def conjugates(self, sid: int) -> frozenset:
+        """The conjugacy class of subgroup ``sid``, by every conjugator."""
+        ct = self.ct
+        members = self.reg.members[sid]
+        return frozenset(frozenset(ct.conj(x, g) for x in members)
+                         for g in range(ct.n))
+
+    def subgroup_classes(self) -> tuple:
+        """(conjugacy classes of subgroups, maximal subgroups), each a set.
+
+        The search ``SubgroupRegistry`` ran before cyclic extension: the
+        cyclic subgroups closed under joins with every element, one
+        representative per class; H is maximal iff every extension of H
+        by the least element of a coset Hz is G.
+        """
+        reg, n = self.reg, self.ct.n
+        classes = {}  # member set of each conjugate -> its class
+        reps = []
+
+        def register(sid):
+            if reg.members[sid] not in classes:
+                cls = self.conjugates(sid)
+                classes.update(dict.fromkeys(cls, cls))
+                reps.append(sid)
+
+        register(reg.trivial_id)
+        for z in range(n):
+            register(self.closure((z,)))
+        for sid in reps:
+            if sid != self.full:
+                members = reg.members[sid]
+                for z in range(n):
+                    if z not in members:
+                        register(self.join(sid, z))
+        maximal = {H for sid in reps if sid != self.full
+                   and all(j == self.full for _, j in self._extensions(sid))
+                   for H in classes[reg.members[sid]]}
+        return set(classes.values()), maximal
 
     def _extensions(self, sid: int):
         """(z, <H, z>) for the least z of each coset Hz outside H."""

@@ -1,22 +1,28 @@
 """Differential checks against independent libraries.
 
-sympy's ``combinatorics`` package checks group orders, membership and
-conjugacy classes on random permutation groups; networkx checks the
-component counts and diameters of rank graphs.  Each half is skipped when
-its library is not installed.
+sympy's ``combinatorics`` package checks group orders, membership,
+conjugacy classes, derived series and normal closures on random
+permutation groups; networkx checks the component counts and diameters
+of rank graphs.  Each half is skipped when its library is not installed.
 """
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from rankgraph import Permutation, conjugacy_classes, group_from_generators
+from rankgraph import (
+    Permutation,
+    conjugacy_classes,
+    group_from_generators,
+    normal_closure,
+)
 from rankgraph.catalog import default_catalog
 from rankgraph.graphs import build_delta_d, components, diameter
 from rankgraph.group_structure import min_rank
+from rankgraph.perm_core import derived_subgroup
 
 
-def _generator_sets(max_degree=6, max_gens=3):
+def _generator_sets(max_degree=7, max_gens=3):
     return st.integers(1, max_degree).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.permutations(range(n)).map(tuple), min_size=1,
@@ -38,6 +44,30 @@ def test_order_membership_classes_match_sympy(case):
         assert ours.contains(Permutation(p)) == \
             theirs.contains(combinatorics.Permutation(list(p)))
     assert len(conjugacy_classes(ours)) == len(theirs.conjugacy_classes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_sets(), st.lists(st.integers(0, 2), min_size=1, max_size=4))
+def test_derived_series_and_normal_closure_match_sympy(case, word):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    n, gens, _ = case
+    ours = group_from_generators(n, [Permutation(g) for g in gens])
+    theirs = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g)) for g in gens])
+    # sympy's series stops before the first term equal to its predecessor
+    orders = [ours.order]
+    current = derived_subgroup(ours)
+    while current.order < orders[-1]:
+        orders.append(current.order)
+        current = derived_subgroup(current)
+    assert orders == [H.order() for H in theirs.derived_series()]
+    # the normal closure of a word in the generators, multiplied left to
+    # right under both libraries' convention
+    seed = Permutation(tuple(range(n)))
+    for i in word:
+        seed = seed * Permutation(gens[i % len(gens)])
+    assert normal_closure(ours, [seed]).order == theirs.normal_closure(
+        combinatorics.Permutation(list(seed.images))).order()
 
 
 # rank graphs are defined for the non-cyclic groups

@@ -27,11 +27,15 @@ from rankgraph.group_structure import (
 )
 
 from oracles import (
+    ClosureOracle,
     brute_frattini,
     brute_maximal_subgroups,
     brute_non_generators,
     brute_normal_subgroups,
 )
+
+
+UP_TO_720 = [e.id for e in default_catalog() if e.group().order <= 720]
 
 
 def cyc(n, *cycles):
@@ -140,6 +144,31 @@ class TestFrattini:
             for z in range(reg.ct.n):
                 want = fresh.members[fresh.close(reg.gens[sid] + (z,))]
                 assert reg.members[reg.join_with_element(sid, z)] == want
+
+    @pytest.mark.parametrize("group_id", UP_TO_720)
+    def test_cyclic_extension_matches_join_closure(self, group_id):
+        # the same conjugacy classes of subgroups and the same maximal
+        # subgroups as joining every class representative with every element
+        G = find_entry(default_catalog(), group_id).group()
+        classes, maximal = ClosureOracle(G).subgroup_classes()
+        reg = registry_for(G)
+        ours = {frozenset(reg.conjugates(reg.members[sid]))
+                for sid in reg.subgroup_class_reps()}
+        assert ours == classes
+        assert len(reg.subgroup_class_reps()) == len(classes)
+        got = reg.maximal_subgroups()
+        assert len(set(got)) == len(got)
+        assert set(got) == maximal
+
+    def test_class_size_invariant(self, S4, monkeypatch):
+        # a conjugacy orbit that disagrees with |G : N_G(H)| is reported
+        conjugates = SubgroupRegistry.conjugates
+        monkeypatch.setattr(SubgroupRegistry, "conjugates",
+                            lambda self, members:
+                            conjugates(self, members)[:2])
+        reg = SubgroupRegistry(S4.cayley_table())
+        with pytest.raises(RuntimeError, match="conjugates"):
+            reg.subgroup_class_reps()
 
     def test_non_generator_characterization(self, Q8):
         ct = Q8.cayley_table()
