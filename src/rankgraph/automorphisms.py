@@ -7,8 +7,10 @@ elements reuse the ordinary permutation machinery.
 The search engine maps a fixed generating sequence onto candidate image
 tuples, pruning by conjugacy-invariant fingerprints (element order,
 class size, power profile) and cheap word-order checks, and validates
-survivors against the full multiplication table.  The same engine,
-pointed at two different groups, decides isomorphism.
+survivors by the homomorphism condition on generators.  The same engine,
+pointed at two different groups, decides isomorphism; the map extension
+and its check also decide whether two generating tuples are related by
+an automorphism.
 """
 
 from __future__ import annotations
@@ -78,59 +80,88 @@ def _word_order(ct: CayleyTable, gens: Sequence[int], word) -> int:
     return ct.order_of[x]
 
 
+def _bfs_schedule(ct: CayleyTable, gens: Sequence[int]) -> list:
+    """Breadth-first layers covering the group from the identity and gens.
+
+    Each layer is a triple (new, parent, k) of index arrays with
+    new = parent * gens[k], and every parent lies in an earlier layer (or
+    is the identity or a generator), so a map can be filled in one numpy
+    gather per layer.
+    """
+    seen = bytearray(ct.n)
+    frontier = list(dict.fromkeys([ct.identity, *gens]))
+    for x in frontier:
+        seen[x] = 1
+    reached = len(frontier)
+    table = ct.table
+    layers = []
+    while frontier:
+        new, parent, gen = [], [], []
+        for x in frontier:
+            row = table[x]
+            for k, g in enumerate(gens):
+                y = row[g]
+                if not seen[y]:
+                    seen[y] = 1
+                    new.append(y)
+                    parent.append(x)
+                    gen.append(k)
+        if new:
+            layers.append((np.array(new), np.array(parent), np.array(gen)))
+        reached += len(new)
+        frontier = new
+    if reached != ct.n:
+        raise GroupArgumentError("sequence does not generate the group")
+    return layers
+
+
 def _extend_map(ct_src: CayleyTable, ct_dst: CayleyTable,
                 schedule: list, src_gens: Sequence[int],
-                dst_gens: Sequence[int]) -> Optional[np.ndarray]:
-    """Replay the BFS word schedule to build the full candidate map."""
-    sigma = np.full(ct_src.n, -1, dtype=np.int64)
-    sigma[ct_src.identity] = ct_dst.identity
-    for gi, hi in zip(src_gens, dst_gens):
-        if sigma[gi] >= 0 and sigma[gi] != hi:
-            return None
-        sigma[gi] = hi
-    dst_table = ct_dst.table
+                dst_gens) -> np.ndarray:
+    """Replay the BFS layers: sigma(1) = 1, sigma(src_gens[k]) =
+    dst_gens[k] and sigma(x * src_gens[k]) = sigma(x) * dst_gens[k] along
+    the schedule.
+
+    ``dst_gens`` may carry leading batch axes, one candidate image tuple
+    per row; sigma then carries the same axes.  Whether sigma is a
+    homomorphism (repeated generators with clashing images included) is
+    left to ``_respects_generators``.
+    """
+    dst_gens = np.asarray(dst_gens, dtype=np.int64)
+    sigma = np.empty(dst_gens.shape[:-1] + (ct_src.n,), dtype=np.int64)
+    sigma[..., ct_src.identity] = ct_dst.identity
+    sigma[..., list(src_gens)] = dst_gens
+    table = ct_dst.numpy_table()
     for new, parent, k in schedule:
-        img = dst_table[sigma[parent]][dst_gens[k]]
-        if sigma[new] >= 0:
-            if sigma[new] != img:
-                return None
-        else:
-            sigma[new] = img
+        sigma[..., new] = table[sigma[..., parent], dst_gens[..., k]]
     return sigma
 
 
-def _bfs_schedule(ct: CayleyTable, gens: Sequence[int]) -> list:
-    """(new element, parent, generator position) triples covering the group."""
-    seen = bytearray(ct.n)
-    seen[ct.identity] = 1
-    for g in gens:
-        seen[g] = 1
-    schedule = []
-    queue = [ct.identity] + [g for g in dict.fromkeys(gens)]
-    qi = 0
-    table = ct.table
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        row = table[x]
-        for k, g in enumerate(gens):
-            y = row[g]
-            if not seen[y]:
-                seen[y] = 1
-                schedule.append((y, x, k))
-                queue.append(y)
-    if qi != ct.n:
-        raise GroupArgumentError("sequence does not generate the group")
-    return schedule
+def _respects_generators(ct_src: CayleyTable, ct_dst: CayleyTable,
+                         src_gens: Sequence[int], dst_gens,
+                         sigma: np.ndarray) -> np.ndarray:
+    """Which maps sigma are isomorphisms with src_gens[k] -> dst_gens[k].
 
-
-def _is_homomorphism(ct_src, ct_dst, sigma: np.ndarray) -> bool:
-    if len(np.unique(sigma)) != ct_src.n:
-        return False
-    src = ct_src.numpy_table()
-    dst = ct_dst.numpy_table()
-    # sigma(x * y) == sigma(x) * sigma(y) over the whole table at once
-    return bool((sigma[src] == dst[sigma][:, sigma]).all())
+    With src_gens generating the source and the groups of equal order,
+    sigma passes iff sigma(1) = 1, sigma(x * g_k) = sigma(x) * h_k for
+    every element x and every k (n * |gens| cells, not the n^2 of the
+    whole table), and only the identity maps to the identity.  By
+    induction on word length the first two make sigma a homomorphism
+    with sigma(g_k) = h_k; the third makes it injective.  Leading batch
+    axes of sigma and dst_gens are kept; rows are dropped as soon as one
+    generator fails.
+    """
+    src, dst = ct_src.numpy_table(), ct_dst.numpy_table()
+    dst_gens = np.asarray(dst_gens, dtype=np.int64)
+    sig = sigma.reshape(-1, ct_src.n)
+    hs = dst_gens.reshape(len(sig), -1)
+    alive = np.flatnonzero(sig[:, ct_src.identity] == ct_dst.identity)
+    for k, g in enumerate(src_gens):
+        s = sig[alive]
+        alive = alive[(s[:, src[:, g]] == dst[s, hs[alive, k, None]]).all(1)]
+    ok = np.zeros(len(sig), dtype=bool)
+    ok[alive] = (sig[alive] == ct_dst.identity).sum(1) == 1
+    return ok.reshape(sigma.shape[:-1])
 
 
 def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
@@ -164,7 +195,8 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
                for w, wp in zip(_WORDS, word_profile)):
             continue
         sigma = _extend_map(ct_src, ct_dst, schedule, src_gens, dst_gens)
-        if sigma is None or not _is_homomorphism(ct_src, ct_dst, sigma):
+        if not _respects_generators(ct_src, ct_dst, src_gens, dst_gens,
+                                    sigma):
             continue
         maps.append(sigma)
         if first_only:
@@ -250,8 +282,8 @@ def automorphism_group(L: PermutationGroup,
     """Complete Aut(L) by backtracking over images of a generating sequence.
 
     Pruning is by fingerprint buckets and word orders; every surviving
-    candidate is validated against the full multiplication table, so the
-    result is sound regardless of pruning strength.
+    candidate is validated by ``_respects_generators``, so the result is
+    sound regardless of pruning strength.
     """
     if L.order > limits.max_aut_order:
         raise CapExceededError(

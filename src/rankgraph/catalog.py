@@ -292,8 +292,8 @@ def crown_power_entry(base: CatalogEntry, k: int,
     from .crown_powers import MonolithicGroup, build_crown_power
     mono = MonolithicGroup.from_group(base.group(), base.id, limits)
     cp = build_crown_power(mono, k, limits)
-    gens = [list(g.images) for g in cp.group.generators]
-    return CatalogEntry(f"Crown({base.id},{k})", cp.group.degree, gens,
+    gens = [list(g.images) for g in cp.generators]
+    return CatalogEntry(f"Crown({base.id},{k})", cp.degree, gens,
                         notes=f"crown-based power of {base.id}, k={k}")
 
 

@@ -6,7 +6,9 @@ of L_k by t-tuples of corrected elements reduces to an orbit condition:
 columns of the correction matrix must be generating t-tuples lying in
 pairwise distinct orbits of X = C_Aut(L)(L/N).  delta(L, t), the largest
 k with L_k still t-generated, is therefore the number of X-orbits on the
-set of generating coset tuples.
+set of generating coset tuples.  A witness for L_delta is certified by
+the subdirect-product lemma (``columns_generate``): its columns generate
+L and no automorphism maps one column to another.
 
 Crown-graph edges are decided by a system-of-distinct-representatives
 test over the orbit table (one admissible-orbit set per column, matched
@@ -19,7 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .config import DEFAULT_LIMITS, Limits
 from .perm_core import (
@@ -33,7 +38,15 @@ from .perm_core import (
     WitnessSearchFailure,
 )
 from .group_structure import minimal_normal_subgroups, min_rank, registry_for
-from .automorphisms import AutGroup, automorphism_group, orbits_on_tuples, x_subgroup
+from .automorphisms import (
+    AutGroup,
+    _bfs_schedule,
+    _extend_map,
+    _respects_generators,
+    automorphism_group,
+    orbits_on_tuples,
+    x_subgroup,
+)
 from .graphs import ElementGraph
 
 
@@ -109,15 +122,52 @@ class MonolithicGroup:
 
 @dataclass
 class CrownPower:
-    """L_k realized on k disjoint copies of the domain of L."""
+    """L_k realized on k disjoint copies of the domain of L.
+
+    The degree k * deg(L) and the order |L/N| |N|^k are known from the
+    construction.  The generators and the stabilizer chain of ``group``
+    grow with k, so they are built on first access only.
+    """
 
     base: MonolithicGroup
     k: int
-    group: PermutationGroup
 
     @property
     def block_degree(self) -> int:
         return self.base.group.degree
+
+    @property
+    def degree(self) -> int:
+        return self.k * self.block_degree
+
+    @property
+    def order(self) -> int:
+        return self.base.quotient_order * self.base.socle.order ** self.k
+
+    @cached_property
+    def generators(self) -> list:
+        """Diagonal embeddings of L's generators plus the socle's
+        generators in each of the coordinates 1..k-1.
+
+        Any (l_1, ..., l_k) in L_k factors as (l_1 l_k^-1, ...,
+        l_{k-1} l_k^-1, 1) * diag(l_k) with the first factor in N^(k-1),
+        so this set generates all of L_k.
+        """
+        L, k = self.base, self.k
+        gens = [_embed_diag(g, k) for g in L.group.generators]
+        for j in range(k - 1):
+            gens.extend(_embed_block(n, k, j) for n in L.socle.generators)
+        return gens
+
+    @cached_property
+    def group(self) -> PermutationGroup:
+        """L_k as a permutation group, its order certified by a chain."""
+        G = PermutationGroup(self.degree, self.generators,
+                             known_order=self.order)
+        if G.order != self.order:
+            raise GroupArgumentError(
+                f"crown power order {G.order} != expected {self.order}")
+        return G
 
     def component(self, p: Permutation, j: int) -> Permutation:
         """The j-th coordinate of an element of L_k."""
@@ -157,24 +207,15 @@ def _embed_diag(g: Permutation, k: int) -> Permutation:
 
 def build_crown_power(L: MonolithicGroup, k: int,
                       limits: Limits = DEFAULT_LIMITS) -> CrownPower:
-    """L_k as a permutation group of degree k * deg(L), order certified.
+    """L_k of degree k * deg(L).
 
-    Generators: diagonal embeddings of L's generators plus the socle's
-    generators in each of the coordinates 1..k-1.  Any (l_1, ..., l_k) in
-    L_k factors as (l_1 l_k^-1, ..., l_{k-1} l_k^-1, 1) * diag(l_k) with
-    the first factor in N^(k-1), so this set generates all of L_k.
+    No chain is built here: ``CrownPower.group`` builds and certifies one
+    on first access, and a witness is certified without it by
+    ``columns_generate``.
     """
     if k < 1:
         raise GroupArgumentError("k must be positive")
-    gens = [_embed_diag(g, k) for g in L.group.generators]
-    for j in range(k - 1):
-        gens.extend(_embed_block(n, k, j) for n in L.socle.generators)
-    expected = L.quotient_order * L.socle.order ** k
-    G = PermutationGroup(k * L.group.degree, gens, known_order=expected)
-    if G.order != expected:
-        raise GroupArgumentError(
-            f"crown power order {G.order} != expected {expected}")
-    return CrownPower(L, k, G)
+    return CrownPower(L, k)
 
 
 def circ(L: MonolithicGroup, a: Permutation, m: Sequence[Permutation]) -> Permutation:
@@ -195,10 +236,78 @@ def circ(L: MonolithicGroup, a: Permutation, m: Sequence[Permutation]) -> Permut
 
 
 def crown_generates(cp: CrownPower, elems: Sequence[Permutation]) -> bool:
-    """Direct stabilizer-chain generation test inside L_k."""
-    chain = StabilizerChain(cp.group.degree, elems,
-                            known_order=cp.group.order)
-    return chain.order() == cp.group.order
+    """Direct stabilizer-chain generation test inside L_k: the oracle
+    that ``columns_generate`` and the orbit criterion are checked
+    against."""
+    chain = StabilizerChain(cp.degree, elems, known_order=cp.order)
+    return chain.order() == cp.order
+
+
+def column_elements(L: MonolithicGroup, columns: Sequence[tuple],
+                    limits: Limits = DEFAULT_LIMITS) -> list:
+    """The t elements of L^k whose coordinates are given by columns.
+
+    ``columns[j]`` holds the element indices (c_j[1], ..., c_j[t]); the
+    s-th element is (c_1[s], ..., c_k[s]) on k copies of L's domain.
+    """
+    ct = L.ct(limits)
+    d = L.group.degree
+    out = []
+    for s in range(len(columns[0])):
+        images = []
+        for j, col in enumerate(columns):
+            off = j * d
+            images.extend(off + q for q in ct.perm(col[s]).images)
+        out.append(Permutation._raw(tuple(images)))
+    return out
+
+
+def columns_generate(L: MonolithicGroup, columns: Sequence[tuple],
+                     limits: Limits = DEFAULT_LIMITS) -> bool:
+    """Do the elements with these coordinate columns generate L_k?
+
+    The subdirect-product lemma decides it without a stabilizer chain.
+    Let H be generated by the t elements whose j-th coordinates form
+    column c_j, k = len(columns).  Then H = L_k iff
+      (i) every c_j generates L, and
+      (ii) for every i < j, the pairs (c_i[s], c_j[s]) generate a
+           subgroup of L x L larger than |L|.
+    By Goursat's lemma and monolithicity, a subdirect product H_ij of
+    L x L is the graph of an automorphism or contains N x N.  In L_k the
+    coordinates agree modulo N, so H meets N^k in a subgroup mapping onto
+    every N x N; N is perfect, so that subgroup is N^k, and (i) gives
+    H / N^k = L / N.  (ii) fails exactly when c_i[s] -> c_j[s] extends to
+    an automorphism, which the map-extension kernel of ``automorphisms``
+    decides for all j > i at once.
+
+    Raises ``PreconditionError`` unless every row of the matrix lies in
+    one coset of N (the elements lie in L_k).
+    """
+    L.require_nonabelian()
+    ct = L.ct(limits)
+    tbl, inv = ct.table, ct.inv
+    socle = frozenset(L.socle_indices(limits))
+    first = columns[0]
+    for col in columns[1:]:
+        if len(col) != len(first) or any(
+                tbl[inv[a]][b] not in socle for a, b in zip(first, col)):
+            raise PreconditionError(
+                "columns must agree modulo the socle, row by row")
+    reg = registry_for(L.group, limits)
+    if any(reg.mask_of(col) for col in columns):
+        return False
+    cols = np.array(columns, dtype=np.int64)
+    order = np.array(ct.order_of)[cols]
+    for i in range(len(cols) - 1):
+        # an automorphism keeps element orders: compare those first
+        rest = cols[i + 1:][(order[i + 1:] == order[i]).all(1)]
+        if not len(rest):
+            continue
+        gens = columns[i]
+        sigma = _extend_map(ct, ct, _bfs_schedule(ct, gens), gens, rest)
+        if _respects_generators(ct, ct, gens, rest, sigma).any():
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +421,12 @@ def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False,
              limits: Limits = DEFAULT_LIMITS):
     """delta(L, t): the X-orbit count on the generating coset tuples.
 
-    With ``verify`` the witness tuple assembled from the complete orbit
-    representative system is checked to generate L_delta by a stabilizer
-    chain of the full crown power.  Returns (delta, table) or
-    (delta, table, crown, witness) in verify mode.
+    With ``verify`` the witness tuple whose columns are the complete
+    orbit-representative system is certified to generate L_delta by the
+    subdirect-product lemma (``columns_generate``), with no stabilizer
+    chain; a failure raises ``WitnessSearchFailure``.  Returns
+    (delta, table) or (delta, table, crown, witness) in verify mode, the
+    crown power's group still unbuilt.
     """
     if a is None:
         a = default_generating_tuple(L, t, limits)
@@ -326,22 +437,11 @@ def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False,
     if not verify:
         return delta, table
     crown = build_crown_power(L, delta, limits)
-    ct = L.ct(limits)
-    witness = []
-    for i in range(len(a)):
-        m = [ct.perm(rep[i]) for rep in table.reps]
-        # rep entries already carry the a_i factor: rep[i] = a_i n_{i,rep}
-        images = []
-        d = L.group.degree
-        for j, p in enumerate(m):
-            off = j * d
-            images.extend(off + p.images[q] for q in range(d))
-        witness.append(Permutation._raw(tuple(images)))
-    ok = crown_generates(crown, witness)
-    if not ok:
+    # rep entries already carry the a_i factor: rep[i] = a_i n_{i,rep}
+    if not columns_generate(L, table.reps, limits):
         raise WitnessSearchFailure(
             "orbit-representative witness failed to generate the crown power")
-    return delta, table, crown, witness
+    return delta, table, crown, column_elements(L, table.reps, limits)
 
 
 def generation_via_orbits(table: OrbitTable, rows: Sequence[Sequence[int]],
@@ -386,7 +486,14 @@ class CrownVertex:
 
 
 def _sdr_exists(option_sets: Sequence[set]) -> bool:
-    """Hall-style matching: one distinct representative per option set."""
+    """Hall-style matching: one distinct representative per option set.
+
+    Two non-empty sets have distinct representatives iff their union has
+    at least two labels; three or more sets go through the matching.
+    """
+    if len(option_sets) == 2:
+        a, b = option_sets
+        return bool(a and b) and (len(a) > 1 or len(b) > 1 or a != b)
     match: dict = {}
 
     def augment(k, banned):

@@ -8,10 +8,14 @@ the path rankgraph took before maximal-subgroup incidence rows answered
 them; it never reads incidence rows, so it checks the row-mask engine.
 It also finds the conjugacy classes of subgroups and the maximal
 subgroups by joining every class representative with every element,
-which checks the cyclic-extension search.
+which checks the cyclic-extension search.  ``is_homomorphism`` checks a
+candidate automorphism on the whole multiplication table, where the
+search checks it on generators only.
 """
 
 from itertools import combinations, product
+
+import numpy as np
 
 from rankgraph import Permutation
 from rankgraph.group_structure import SubgroupRegistry
@@ -42,6 +46,16 @@ def brute_closure(degree: int, gens) -> set:
 
 def brute_generates(G, elems) -> bool:
     return len(brute_closure(G.degree, elems)) == G.order
+
+
+def is_homomorphism(ct_src, ct_dst, sigma) -> bool:
+    """sigma is a bijection with sigma(x * y) = sigma(x) * sigma(y) for
+    every cell of the source's Cayley table (n^2 cells)."""
+    if len(np.unique(sigma)) != ct_src.n:
+        return False
+    src = ct_src.numpy_table()
+    dst = ct_dst.numpy_table()
+    return bool((sigma[src] == dst[sigma][:, sigma]).all())
 
 
 def brute_conjugacy_classes(G) -> list:

@@ -1,20 +1,34 @@
 import random
 
+import numpy as np
 import pytest
 
 from rankgraph import GroupArgumentError, Permutation, group_from_generators
+from rankgraph import automorphisms as aut_mod
 from rankgraph.automorphisms import (
     AutGroup,
+    _bfs_schedule,
+    _extend_map,
+    _respects_generators,
     automorphism_group,
     inner_automorphisms,
     isomorphism,
     orbits_on_tuples,
     x_subgroup,
 )
-from rankgraph.catalog import alternating, psl2, symmetric
+from rankgraph.catalog import alternating, default_catalog, psl2, symmetric
 from rankgraph.crown_powers import MonolithicGroup
+from rankgraph.group_structure import min_rank
 
-from oracles import ClosureOracle, brute_closure
+from oracles import ClosureOracle, brute_closure, is_homomorphism
+
+# |Aut| of S4 and of every catalog group tagged monolithic
+KNOWN_AUT = {"S4": 24, "S5": 120, "S6": 1440, "A5": 120, "A6": 1440,
+             "PSL(2,4)": 120, "PSL(2,5)": 120, "PSL(2,7)": 336,
+             "PSL(2,8)": 1512, "PSL(2,9)": 1440, "PSL(2,11)": 1320,
+             "PSL(2,13)": 2184, "PGL(2,7)": 336, "PGL(2,9)": 1440}
+MONOLITHIC = [symmetric(4)] + [e for e in default_catalog()
+                               if "monolithic" in e.tags]
 
 
 def cyc(n, *cycles):
@@ -74,6 +88,88 @@ class TestAutomorphismGroup:
             Permutation(img) for img in sorted(closure))
         assert aut.order == aut_order
         assert MonolithicGroup.from_group(L).x_group().order == x_order
+
+
+    @pytest.mark.parametrize("entry", MONOLITHIC, ids=lambda e: e.id)
+    def test_matches_full_table_search(self, entry, monkeypatch):
+        # the search with the whole-table check as its validator is the
+        # oracle; it takes 66 s over these groups (34 s for PSL(2,13)), so
+        # above order 360 a seeded sample of the maps is checked instead
+        G = entry.group()
+        aut = automorphism_group(G)
+        assert aut.order == KNOWN_AUT[entry.id]
+        maps = aut.perm_group.elements()
+        ct = G.cayley_table()
+        if G.order > 360:
+            for p in random.Random(3).sample(maps, 12):
+                assert is_homomorphism(ct, ct, np.array(p.images))
+            return
+        monkeypatch.setattr(
+            aut_mod, "_respects_generators",
+            lambda ct_src, ct_dst, src_gens, dst_gens, sigma:
+                is_homomorphism(ct_src, ct_dst, sigma)
+                and (sigma[list(src_gens)] == dst_gens).all())
+        assert automorphism_group(G).perm_group.elements() == maps
+
+    @pytest.mark.parametrize("entry", [symmetric(4), alternating(5),
+                                       psl2(7)], ids=["S4", "A5", "PSL(2,7)"])
+    def test_generator_check_matches_full_table(self, entry):
+        # candidate images: automorphic images (pass), order-preserving
+        # and arbitrary tuples (mostly fail), a repeated generator with a
+        # clashing image and the identity among the generators
+        G = entry.group()
+        ct = G.cayley_table()
+        rng = random.Random(17)
+        base = [ct.index[p.images] for p in min_rank(G).witness]
+        autos = automorphism_group(G).perm_group.elements()
+        for src in (base, base + [base[0]], base + [ct.identity]):
+            cands = [tuple(a(x) for x in src) for a in rng.sample(autos, 8)]
+            for _ in range(40):
+                cands.append(tuple(
+                    rng.choice([y for y in range(ct.n)
+                                if ct.order_of[y] == ct.order_of[x]])
+                    for x in src))
+                cands.append(tuple(rng.randrange(ct.n) for _ in src))
+            schedule = _bfs_schedule(ct, src)
+            batch = _extend_map(ct, ct, schedule, src, cands)
+            verdicts = _respects_generators(ct, ct, src, cands, batch)
+            expected = []
+            for cand, row in zip(cands, batch):
+                sigma = _extend_map(ct, ct, schedule, src, cand)
+                assert (sigma == row).all()
+                want = (is_homomorphism(ct, ct, sigma)
+                        and tuple(sigma[src]) == cand)
+                assert bool(_respects_generators(ct, ct, src, cand,
+                                                 sigma)) == want
+                expected.append(want)
+            assert verdicts.tolist() == expected
+            assert 8 <= sum(expected) < len(expected)
+
+
+    def test_one_generator_is_not_enough(self, A5):
+        # with C = <g> and T a double coset CxC other than C and its whole
+        # complement, sigma = alpha on T after conjugation by g and alpha
+        # elsewhere is a bijection with sigma(y g) = sigma(y) alpha(g) for
+        # every y, yet no homomorphism: the second generator rejects it
+        ct = A5.cayley_table()
+        tbl = ct.table
+        src = [ct.index[p.images] for p in min_rank(A5).witness]
+        g = src[0]
+        C = {ct.identity}
+        y = g
+        while y != ct.identity:
+            C.add(y)
+            y = tbl[y][g]
+        T = next(T for T in ({tbl[tbl[c][x]][d] for c in C for d in C}
+                             for x in range(ct.n))
+                 if not T & C and len(T) < ct.n - len(C))
+        alpha = automorphism_group(A5).perm_group.elements()[5]
+        sigma = np.array([alpha(ct.conj(y, g)) if y in T else alpha(y)
+                          for y in range(ct.n)])
+        dst = [alpha(y) for y in src]
+        assert not is_homomorphism(ct, ct, sigma)
+        assert _respects_generators(ct, ct, src[:1], dst[:1], sigma)
+        assert not _respects_generators(ct, ct, src, dst, sigma)
 
 
 class TestXSubgroup:

@@ -285,10 +285,25 @@ class TestCLI:
         payload = json.loads(out.read_text())
         assert payload["delta"] == 19
 
+    def test_crown_verify_witness_psl27(self, tmp_path, capsys):
+        # certified by two stabilizer chains of degree 456 this run took
+        # 133.7 s on a 2-vCPU machine; the subdirect-product lemma needs none
+        payloads = []
+        for extra in ([], ["--verify-witness"]):
+            out = tmp_path / f"delta{len(extra)}.json"
+            rc = cli_main(["crown", "--L", "PSL(2,7)", "--t", "2", "--check",
+                           "delta", "--out", str(out)] + extra)
+            assert rc == 0
+            payload = json.loads(out.read_text())
+            del payload["elapsed_ms"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
+        assert payloads[1]["delta"] == 57
+
     def test_crown_witness_failure_exit_1(self, monkeypatch, capsys):
         from rankgraph import crown_powers
-        monkeypatch.setattr(crown_powers, "crown_generates",
-                            lambda cp, elems: False)
+        monkeypatch.setattr(crown_powers, "columns_generate",
+                            lambda L, columns, limits: False)
         rc = cli_main(["crown", "--L", "A5", "--t", "2", "--check", "delta",
                        "--verify-witness"])
         assert rc == 1

@@ -19,6 +19,8 @@ from rankgraph.crown_powers import (
     build_crown_power,
     circ,
     cln_witness,
+    column_elements,
+    columns_generate,
     crown_generates,
     crown_graph,
     delta_Lt,
@@ -124,6 +126,107 @@ class TestCrownPower:
     def test_circ_rejects_outside_socle(self, S5m):
         with pytest.raises(GroupArgumentError):
             circ(S5m, cyc(5, [0, 1]), [cyc(5, [0, 1]), Permutation.identity(5)])
+
+    def test_chain_built_on_first_access(self, S5m):
+        cp = build_crown_power(S5m, 4)
+        assert (cp.degree, cp.order) == (20, 2 * 60 ** 4)
+        assert "group" not in vars(cp) and "generators" not in vars(cp)
+        assert cp.group.order == cp.order and cp.group.degree == cp.degree
+        assert list(cp.group.generators) == cp.generators
+
+
+@pytest.fixture(scope="module")
+def witnesses(A5m, S5m):
+    """(L, orbit table at t = 2) for A5 (L = N) and S5 (L != N)."""
+    return {"A5": (A5m, delta_Lt(A5m, 2)[1]),
+            "S5": (S5m, delta_Lt(S5m, 2)[1])}
+
+
+def lemma_and_chain(L, columns):
+    """The lemma's verdict and the stabilizer-chain oracle's."""
+    cp = build_crown_power(L, len(columns))
+    return (columns_generate(L, columns),
+            crown_generates(cp, column_elements(L, columns)))
+
+
+class TestSubdirectLemma:
+    """``columns_generate`` against the stabilizer-chain oracle."""
+
+    @pytest.mark.parametrize("name", ["A5", "S5"])
+    def test_orbit_witness_generates(self, witnesses, name):
+        L, table = witnesses[name]
+        assert len(table.reps) == 19
+        assert lemma_and_chain(L, table.reps) == (True, True)
+
+    @pytest.mark.parametrize("name", ["A5", "S5"])
+    def test_duplicated_column_fails(self, witnesses, name):
+        L, table = witnesses[name]
+        columns = table.reps + [table.reps[4]]
+        assert lemma_and_chain(L, columns) == (False, False)
+
+    @pytest.mark.parametrize("name", ["A5", "S5"])
+    def test_x_image_column_fails(self, witnesses, name):
+        L, table = witnesses[name]
+        alpha = L.x_group().perm_group.generators[0]
+        columns = list(table.reps)
+        columns[7] = tuple(alpha(x) for x in columns[2])
+        assert columns[7] != columns[2]
+        assert lemma_and_chain(L, columns) == (False, False)
+
+    @pytest.mark.parametrize("name", ["A5", "S5"])
+    def test_non_generating_column_fails_at_i(self, witnesses, name):
+        # (ii) alone would raise: a Schreier tree needs generators
+        L, table = witnesses[name]
+        reg = registry_for(L.group)
+        cosets = [L.coset_indices(x) for x in table.a]
+        bad = next((x, y) for x in cosets[0] for y in cosets[1]
+                   if reg.mask_of((x, y)))
+        columns = list(table.reps)
+        columns[5] = bad
+        assert lemma_and_chain(L, columns) == (False, False)
+
+    @pytest.mark.parametrize("name", ["A5", "S5"])
+    def test_dropped_column_still_generates(self, witnesses, name):
+        L, table = witnesses[name]
+        columns = table.reps[:11] + table.reps[12:]
+        assert lemma_and_chain(L, columns) == (True, True)
+
+    def test_rejects_columns_outside_crown_power(self, witnesses):
+        L, table = witnesses["S5"]
+        odd = next(x for x in range(L.ct().n)
+                   if x not in L.socle_indices())
+        even = L.ct().identity
+        columns = [(odd, odd), (odd, even)]
+        with pytest.raises(PreconditionError):
+            columns_generate(L, columns)
+
+    @pytest.mark.parametrize("name", ["A5", "S5"])
+    def test_random_columns_agree(self, witnesses, name):
+        # columns drawn from Omega, as X-images of an earlier column, or
+        # as arbitrary coset tuples (often not generating)
+        L, table = witnesses[name]
+        X = L.x_group().perm_group.elements()
+        cosets = [L.coset_indices(x) for x in table.a]
+        rng = random.Random(29)
+        verdicts = set()
+        for _ in range(90):
+            columns = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.randrange(3)
+                if kind == 0 or not columns:
+                    columns.append(rng.choice(table.tuples))
+                elif kind == 1:
+                    alpha = rng.choice(X)
+                    columns.append(tuple(alpha(x)
+                                         for x in rng.choice(columns)))
+                else:
+                    columns.append(tuple(rng.choice(c) for c in cosets))
+            lemma, chain = lemma_and_chain(L, columns)
+            assert lemma == chain, columns
+            generating = all(c in table.index for c in columns)
+            verdicts.add((len(columns) > 1 and generating, lemma))
+        # both verdicts, and a (ii) failure among generating columns
+        assert verdicts >= {(True, True), (True, False), (False, False)}
 
 
 class TestOmegaTable:
