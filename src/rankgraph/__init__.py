@@ -7,7 +7,7 @@ orbit machinery behind crown-based powers.
 
 __version__ = "0.1.0"
 
-from .config import DEFAULT_LIMITS, Limits, RunConfig
+from .config import DEFAULT_LIMITS, Limits
 from .perm_core import (
     CapExceededError,
     CayleyTable,

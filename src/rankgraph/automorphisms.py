@@ -1,8 +1,10 @@
 """Automorphism groups of small groups and orbits on element tuples.
 
-Automorphisms are stored as permutations of element *indices* (relative
-to the deterministic element order), so orbit computations on tuples of
-elements reuse the ordinary permutation machinery.
+Aut(L) and its subgroups (the inner automorphisms, X = C_Aut(L)(L/N))
+are plain ``PermutationGroup``s on element *indices* of L (relative to
+the deterministic element order), so orbit computations on tuples of
+elements reuse the ordinary permutation machinery.  Aut(L) always comes
+from the search below; ``orbits_on_tuples`` is the one orbit routine.
 
 The search engine maps a fixed generating sequence onto candidate image
 tuples, pruning by conjugacy-invariant fingerprints (element order,
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -28,8 +30,8 @@ from .perm_core import (
     GroupArgumentError,
     Permutation,
     PermutationGroup,
-    UnionFind,
     _mult,
+    subgroup_from_members,
 )
 from .group_structure import min_rank
 
@@ -165,15 +167,14 @@ def _respects_generators(ct_src: CayleyTable, ct_dst: CayleyTable,
 
 
 def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
-              src_gens: Sequence[int], *, first_only: bool,
-              limits: Limits) -> tuple:
+              src_gens: Sequence[int], fps_src: list, fps_dst: list, *,
+              first_only: bool, limits: Limits) -> tuple:
     """All (or the first) bijections extending src_gens -> candidate images.
 
-    Returns (maps, exhausted): ``exhausted`` is False when the leaf budget
-    tripped, i.e. absence of maps was not proven.
+    ``fps_src`` and ``fps_dst`` are the ``_element_fingerprints`` of the
+    two tables.  Returns (maps, exhausted): ``exhausted`` is False when
+    the leaf budget tripped, i.e. absence of maps was not proven.
     """
-    fps_src = _element_fingerprints(ct_src)
-    fps_dst = _element_fingerprints(ct_dst)
     buckets = {}
     for x in range(ct_dst.n):
         buckets.setdefault(fps_dst[x], []).append(x)
@@ -208,42 +209,6 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
 # automorphism groups
 
 
-@dataclass
-class Automorphism:
-    """Bijection on elements(L), stored as a permutation of element indices."""
-
-    base: PermutationGroup
-    index_map: Permutation
-
-    def apply(self, p: Permutation) -> Permutation:
-        ct = self.base.cayley_table()
-        return ct.perm(self.index_map(ct.index[p.images]))
-
-    def __call__(self, p: Permutation) -> Permutation:
-        return self.apply(p)
-
-
-@dataclass
-class AutGroup:
-    """Aut(L) (or a subgroup of it) acting on element indices of L."""
-
-    base: PermutationGroup
-    perm_group: PermutationGroup  # degree == |L|, acting on element indices
-    inner: PermutationGroup       # the distinguished inner subgroup
-
-    @property
-    def order(self) -> int:
-        return self.perm_group.order
-
-    def automorphisms(self, limits: Limits = DEFAULT_LIMITS) -> list:
-        return [Automorphism(self.base, p)
-                for p in self.perm_group.elements(limits)]
-
-    def subgroup(self, members: Iterable[Permutation]) -> "AutGroup":
-        sub = PermutationGroup(self.perm_group.degree, list(members))
-        return AutGroup(self.base, sub, self.inner)
-
-
 def inner_automorphisms(L: PermutationGroup,
                         limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
     ct = L.cayley_table(limits)
@@ -253,33 +218,10 @@ def inner_automorphisms(L: PermutationGroup,
     return PermutationGroup(ct.n, gens)
 
 
-def aut_group_from_maps(L: PermutationGroup, gen_maps,
-                        limits: Limits = DEFAULT_LIMITS) -> AutGroup:
-    """AutGroup from catalog-supplied generator element-maps.
-
-    Each map lists one image array per generator of L; the maps are
-    extended over the group, validated, and joined with the inner
-    automorphisms.  This bypasses the backtracking search for groups
-    whose automorphisms are supplied externally.
-    """
-    from .perm_core import Homomorphism
-    ct = L.cayley_table(limits)
-    inner = inner_automorphisms(L, limits)
-    gens = list(inner.generators)
-    for maps in gen_maps:
-        images = [Permutation(m) for m in maps]
-        hom = Homomorphism(L, L, images)
-        table = hom._build_table(limits)
-        if len(set(table.values())) != ct.n:
-            raise GroupArgumentError("supplied map is not bijective")
-        gens.append(Permutation(
-            [ct.index[table[ct.elements[i].images]] for i in range(ct.n)]))
-    return AutGroup(L, PermutationGroup(ct.n, gens), inner)
-
-
 def automorphism_group(L: PermutationGroup,
-                       limits: Limits = DEFAULT_LIMITS) -> AutGroup:
-    """Complete Aut(L) by backtracking over images of a generating sequence.
+                       limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
+    """Complete Aut(L), acting on the element indices of L, by
+    backtracking over images of a generating sequence.
 
     Pruning is by fingerprint buckets and word orders; every surviving
     candidate is validated by ``_respects_generators``, so the result is
@@ -291,8 +233,8 @@ def automorphism_group(L: PermutationGroup,
     ct = L.cayley_table(limits)
     fps = _element_fingerprints(ct)
     src_gens = _generating_sequence(L, ct, fps)
-    maps, exhausted = _iso_maps(ct, ct, src_gens, first_only=False,
-                                limits=limits)
+    maps, exhausted = _iso_maps(ct, ct, src_gens, fps, fps,
+                                first_only=False, limits=limits)
     if not exhausted:
         raise CapExceededError("automorphism search exceeded leaf budget")
     perms = tuple(sorted(Permutation(tuple(int(i) for i in sigma))
@@ -302,72 +244,61 @@ def automorphism_group(L: PermutationGroup,
                              _elements=perms)
     if group.order != len(perms):
         raise GroupArgumentError("automorphism set failed to close")
-    inner = inner_automorphisms(L, limits)
-    return AutGroup(L, group, inner)
+    return group
 
 
 def x_subgroup(L_mono, limits: Limits = DEFAULT_LIMITS,
-               aut: Optional[AutGroup] = None) -> AutGroup:
-    """Automorphisms of L acting trivially on L/N (N the socle).
+               aut: Optional[PermutationGroup] = None) -> PermutationGroup:
+    """X = C_Aut(L)(L/N) (N the socle), acting on the element indices of L.
 
     The defining condition gamma(l) N = l N holds on all of L as soon as
     it holds on generators, since {l : gamma(l) N = l N} is a subgroup.
-    An externally supplied Aut(L) bypasses the backtracking search.
+    ``aut`` is Aut(L) when the caller already holds it.  X keeps the
+    members filtered from Aut(L)'s sorted element list as its own, and
+    ``subgroup_from_members`` checks that they number |X|.
     """
     L = L_mono.group
-    N = L_mono.socle
     if aut is None:
         aut = automorphism_group(L, limits)
     ct = L.cayley_table(limits)
-    n_set = ct.subset_indices(N)
-    gen_idx = list(ct.gen_indices)
-    members = []
-    for p in aut.perm_group.elements(limits):
-        ok = True
-        for g in gen_idx:
-            # g^-1 * gamma(g) must lie in N
-            if ct.table[ct.inv[g]][p(g)] not in n_set:
-                ok = False
-                break
-        if ok:
-            members.append(p)
-    from .perm_core import subgroup_from_members
-    sub = subgroup_from_members(ct.n, members)
-    return AutGroup(L, sub, aut.inner)
+    n_set = ct.subset_indices(L_mono.socle)
+    # g^-1 * gamma(g) must lie in N for every generator g
+    checks = [(ct.table[ct.inv[g]], g) for g in ct.gen_indices]
+    members = tuple(p for p in aut.elements(limits)
+                    if all(row[p(g)] in n_set for row, g in checks))
+    return subgroup_from_members(ct.n, members)
 
 
 # ---------------------------------------------------------------------------
 # orbits on tuples
 
 
-def orbits_on_tuples(X: AutGroup, tuples: Sequence[tuple]) -> tuple:
-    """Orbit labels for the diagonal action of X on element-index tuples.
+def orbits_on_tuples(X: PermutationGroup, tuples: Sequence[tuple]) -> tuple:
+    """Orbits of the diagonal action of X on element-index tuples.
 
-    Returns (labels, orbit_count); labels are canonical: orbits are
-    numbered by their lexicographically smallest member.  Raises if the
-    action leaves the given tuple set (caller passed a non-closed set).
+    Returns (labels, reps).  Orbits are numbered by their least member,
+    which is ``reps[k]`` for orbit k: the tuples are scanned in sorted
+    order, and every element of X is applied to each tuple that is not
+    labelled yet.  Raises if an image leaves the given tuple set (the
+    caller passed a set that is not closed under X).
     """
     index = {t: i for i, t in enumerate(tuples)}
-    uf = UnionFind(len(tuples))
-    gens = [p.images for p in X.perm_group.generators]
-    for i, t in enumerate(tuples):
-        for g in gens:
-            img = _mult(t, g)
-            j = index.get(img)
-            if j is None:
-                raise GroupArgumentError(
-                    "tuple set is not closed under the X-action")
-            uf.union(i, j)
-    # canonical labels: orbits ordered by smallest tuple
-    rep_best: dict[int, tuple] = {}
-    for i, t in enumerate(tuples):
-        r = uf.find(i)
-        if r not in rep_best or t < rep_best[r]:
-            rep_best[r] = t
-    ordered = sorted(rep_best, key=lambda r: rep_best[r])
-    relabel = {r: k for k, r in enumerate(ordered)}
-    labels = [relabel[uf.find(i)] for i in range(len(tuples))]
-    return labels, len(ordered)
+    elems = [p.images for p in X.elements()]
+    labels = [-1] * len(tuples)
+    reps = []
+    for i in sorted(range(len(tuples)), key=tuples.__getitem__):
+        if labels[i] >= 0:
+            continue
+        rep = tuples[i]
+        k = len(reps)
+        reps.append(rep)
+        try:
+            for g in elems:
+                labels[index[_mult(rep, g)]] = k
+        except KeyError:
+            raise GroupArgumentError(
+                "tuple set is not closed under the X-action") from None
+    return labels, reps
 
 
 # ---------------------------------------------------------------------------
@@ -392,12 +323,13 @@ def isomorphism(G: PermutationGroup, H: PermutationGroup,
         return IsoResult(False)
     ct_g = G.cayley_table(limits)
     ct_h = H.cayley_table(limits)
-    if sorted(_element_fingerprints(ct_g)) != sorted(_element_fingerprints(ct_h)):
+    fps_g = _element_fingerprints(ct_g)
+    fps_h = _element_fingerprints(ct_h)
+    if sorted(fps_g) != sorted(fps_h):
         return IsoResult(False)
-    fps = _element_fingerprints(ct_g)
-    src_gens = _generating_sequence(G, ct_g, fps)
-    maps, exhausted = _iso_maps(ct_g, ct_h, src_gens, first_only=True,
-                                limits=limits)
+    src_gens = _generating_sequence(G, ct_g, fps_g)
+    maps, exhausted = _iso_maps(ct_g, ct_h, src_gens, fps_g, fps_h,
+                                first_only=True, limits=limits)
     if maps:
         return IsoResult(True, [int(i) for i in maps[0]])
     return IsoResult(False if exhausted else None)

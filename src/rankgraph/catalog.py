@@ -2,8 +2,9 @@
 
 The catalog is deliberately small: parametrized builders plus user files.
 Entries carry generators as 0-based image arrays; optional tags are
-verified on load, optional automorphisms are validated by extending the
-generator maps over the whole group.
+verified on load.  Entries carry no automorphisms: Aut(L) is always
+computed by ``automorphisms.automorphism_group``, and a file that
+supplies them is rejected.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
 from .perm_core import (
-    GroupArgumentError,
     Permutation,
     PermutationGroup,
     group_from_generators,
@@ -32,7 +32,6 @@ class CatalogEntry:
     generators: list  # list of image arrays
     tags: list = field(default_factory=list)
     notes: str = ""
-    automorphisms: Optional[list] = None  # list of generator-image lists
     _group: Optional[PermutationGroup] = field(default=None, repr=False)
 
     def group(self) -> PermutationGroup:
@@ -48,8 +47,6 @@ class CatalogEntry:
             out["tags"] = list(self.tags)
         if self.notes:
             out["notes"] = self.notes
-        if self.automorphisms is not None:
-            out["automorphisms"] = self.automorphisms
         return out
 
 
@@ -355,8 +352,6 @@ def validate_entry(entry: CatalogEntry, limits: Limits = DEFAULT_LIMITS) -> None
             _check_almost_simple(entry, G, limits)
         else:
             raise CatalogError(f"entry {entry.id!r}: unknown tag {tag!r}")
-    if entry.automorphisms is not None:
-        _validate_automorphisms(entry, G, limits)
 
 
 def _check_almost_simple(entry, G, limits) -> None:
@@ -372,30 +367,6 @@ def _check_almost_simple(entry, G, limits) -> None:
         if all(g * s == s * g for s in S.generators):
             raise CatalogError(
                 f"entry {entry.id!r}: socle centralizer is non-trivial")
-
-
-def _validate_automorphisms(entry, G, limits) -> None:
-    from .perm_core import GroupArgumentError, Homomorphism
-    for i, gen_maps in enumerate(entry.automorphisms):
-        if len(gen_maps) != len(entry.generators):
-            raise CatalogError(
-                f"entry {entry.id!r}: automorphism {i} needs one image per "
-                "generator")
-        images = [Permutation(m) for m in gen_maps]
-        for p in images:
-            if not G.contains(p):
-                raise CatalogError(
-                    f"entry {entry.id!r}: automorphism {i} image outside "
-                    "the group")
-        hom = Homomorphism(G, G, images)
-        try:
-            table = hom._build_table(limits)
-        except GroupArgumentError as e:
-            raise CatalogError(
-                f"entry {entry.id!r}: automorphism {i}: {e}") from e
-        if len(set(table.values())) != G.order:
-            raise CatalogError(
-                f"entry {entry.id!r}: automorphism {i} is not bijective")
 
 
 def load_catalog(path, limits: Limits = DEFAULT_LIMITS) -> list:
@@ -414,12 +385,15 @@ def load_catalog(path, limits: Limits = DEFAULT_LIMITS) -> list:
     entries = []
     for i, raw in enumerate(raw_entries):
         try:
+            if "automorphisms" in raw:
+                raise CatalogError(
+                    f"entry {raw.get('id')!r}: the automorphisms field is "
+                    "not accepted; Aut(L) is always computed")
             entry = CatalogEntry(
                 id=raw["id"], degree=int(raw["degree"]),
                 generators=[list(map(int, g)) for g in raw["generators"]],
                 tags=list(raw.get("tags", [])),
-                notes=raw.get("notes", ""),
-                automorphisms=raw.get("automorphisms"))
+                notes=raw.get("notes", ""))
             validate_entry(entry, limits)
         except (KeyError, TypeError, ValueError) as e:
             raise CatalogError(f"entry #{i}: {e}") from e

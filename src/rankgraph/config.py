@@ -1,8 +1,8 @@
-"""Resource limits and run configuration shared across the package."""
+"""Resource limits shared across the package."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -31,12 +31,3 @@ class Limits:
 
 DEFAULT_LIMITS = Limits()
 
-
-@dataclass
-class RunConfig:
-    """Options threaded through sweeps and verifiers."""
-
-    limits: Limits = field(default_factory=Limits)
-    seed: int = 0
-    jobs: int = 1
-    diameter: bool = False

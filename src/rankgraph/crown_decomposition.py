@@ -96,10 +96,11 @@ def g_isomorphic(A: GSection, B: GSection,
     ct_a = A.section.cayley_table(limits)
     ct_b = B.section.cayley_table(limits)
     from .automorphisms import _element_fingerprints, _generating_sequence
-    fps = _element_fingerprints(ct_a)
-    src = _generating_sequence(A.section, ct_a, fps)
-    maps, exhausted = _iso_maps(ct_a, ct_b, src, first_only=False,
-                                limits=limits)
+    fps_a = _element_fingerprints(ct_a)
+    src = _generating_sequence(A.section, ct_a, fps_a)
+    maps, exhausted = _iso_maps(ct_a, ct_b, src, fps_a,
+                                _element_fingerprints(ct_b),
+                                first_only=False, limits=limits)
     if not exhausted:
         raise CapExceededError("section isomorphism search over budget")
     act_a = [p.images for p in A.action]

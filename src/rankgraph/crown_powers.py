@@ -39,7 +39,6 @@ from .perm_core import (
 )
 from .group_structure import minimal_normal_subgroups, min_rank, registry_for
 from .automorphisms import (
-    AutGroup,
     _bfs_schedule,
     _extend_map,
     _respects_generators,
@@ -63,8 +62,8 @@ class MonolithicGroup:
     socle_abelian: bool
     name: str = ""
 
-    _aut: Optional[AutGroup] = field(default=None, repr=False)
-    _x: Optional[AutGroup] = field(default=None, repr=False)
+    _aut: Optional[PermutationGroup] = field(default=None, repr=False)
+    _x: Optional[PermutationGroup] = field(default=None, repr=False)
 
     @classmethod
     def from_group(cls, L: PermutationGroup, name: str = "",
@@ -104,12 +103,13 @@ class MonolithicGroup:
         ct = self.ct(limits)
         return tuple(sorted(ct.table[x][n] for n in self.socle_indices(limits)))
 
-    def aut(self, limits: Limits = DEFAULT_LIMITS) -> AutGroup:
+    def aut(self, limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
+        """Aut(L), acting on the element indices of L."""
         if self._aut is None:
             self._aut = automorphism_group(self.group, limits)
         return self._aut
 
-    def x_group(self, limits: Limits = DEFAULT_LIMITS) -> AutGroup:
+    def x_group(self, limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
         """X = C_Aut(L)(L/N), the automorphisms fixing every socle coset."""
         if self._x is None:
             self._x = x_subgroup(self, limits, aut=self.aut(limits))
@@ -384,17 +384,13 @@ def omega_table(L: MonolithicGroup, a: Sequence[int],
         raise PreconditionError("the fixed tuple must generate L")
     tuples = list(_generating_tuples(reg, cosets))
     X = L.x_group(limits)
-    labels, count = orbits_on_tuples(X, tuples)
+    labels, reps = orbits_on_tuples(X, tuples)
+    count = len(reps)
     # an automorphism fixing a generating tuple is trivial, so X acts
     # freely and every orbit has |X| members
     if len(tuples) != count * X.order:
         raise RuntimeError(
             f"|Omega| = {len(tuples)} != {count} orbits * |X| = {X.order}")
-    reps = [None] * count
-    for pos, tup in enumerate(tuples):
-        lab = labels[pos]
-        if reps[lab] is None or tup < reps[lab]:
-            reps[lab] = tup
     return OrbitTable(L, a, tuples, {t: i for i, t in enumerate(tuples)},
                       labels, count, reps)
 
@@ -939,13 +935,9 @@ def partition_meet(partitions: Sequence[IndexPartition]) -> IndexPartition:
 def element_orbit_labels(L: MonolithicGroup,
                          limits: Limits = DEFAULT_LIMITS) -> list:
     """X-orbit label per element index of L."""
-    X = L.x_group(limits)
-    ct = L.ct(limits)
-    uf = UnionFind(ct.n)
-    for g in X.perm_group.generators:
-        for x in range(ct.n):
-            uf.union(x, g(x))
-    return [uf.find(x) for x in range(ct.n)]
+    labels, _ = orbits_on_tuples(L.x_group(limits),
+                                 [(x,) for x in range(L.ct(limits).n)])
+    return labels
 
 
 def partitions_pi(table: OrbitTable, columns: Optional[Sequence[tuple]] = None,

@@ -557,7 +557,12 @@ def centralizer(G: PermutationGroup, p: Permutation,
 
 
 def subgroup_from_members(degree: int, members: Sequence[Permutation]) -> PermutationGroup:
-    """Group on the given member list, with a reduced generating set."""
+    """Group on the given member list, with a reduced generating set.
+
+    The members, every element of the group sorted by image tuple, become
+    its element list; a list whose length is not the order of the group
+    it generates raises ``GroupArgumentError``.
+    """
     chain = StabilizerChain(degree)
     gens = []
     target = len(members)
@@ -567,7 +572,11 @@ def subgroup_from_members(degree: int, members: Sequence[Permutation]) -> Permut
         if not chain.contains(g):
             chain.add_generator(g)
             gens.append(g)
-    return PermutationGroup(degree, gens, _chain=chain)
+    if chain.order() != target:
+        raise GroupArgumentError(
+            f"{target} members generate a group of order {chain.order()}")
+    return PermutationGroup(degree, gens, _chain=chain,
+                            _elements=tuple(members))
 
 
 def normal_closure(G: PermutationGroup, seeds: Iterable[Permutation]) -> PermutationGroup:
@@ -612,60 +621,19 @@ def derived_subgroup(G: PermutationGroup) -> PermutationGroup:
 
 
 class Homomorphism:
-    """A homomorphism between permutation groups, given on generators.
+    """The projection G -> G/N built by ``quotient``, by a coset formula.
 
-    The generic construction extends the generator images by
-    multiplication closure over the source (cap-guarded) and fails loudly
-    if the images are inconsistent.  Quotient projections use a direct
-    coset formula instead and need no table.
+    ``coset_representatives`` holds the least element of each coset of N,
+    in the order of the points of G/N; ``identity_coset`` is the point N.
     """
 
     def __init__(self, source: PermutationGroup, target: PermutationGroup,
-                 gen_images: Sequence, _apply=None):
+                 apply, coset_representatives: tuple, identity_coset: int):
         self.source = source
         self.target = target
-        self.gen_images = tuple(gen_images)  # aligned with source.generators
-        if len(self.gen_images) != len(source.generators):
-            raise GroupArgumentError(
-                "need exactly one image per source generator")
-        self._apply = _apply
-        self._table = None
-
-    def _build_table(self, limits: Limits = DEFAULT_LIMITS) -> dict:
-        if self._table is None:
-            table = {self.source.identity.images: self.target.identity.images}
-            frontier = [self.source.identity.images]
-            pairs = [(g.images, h.images)
-                     for g, h in zip(self.source.generators, self.gen_images)]
-            if self.source.order > limits.max_elements:
-                raise CapExceededError("source too large for table extension")
-            while frontier:
-                new = []
-                for img in frontier:
-                    out = table[img]
-                    for g, h in pairs:
-                        prod = _mult(img, g)
-                        mapped = _mult(out, h)
-                        known = table.get(prod)
-                        if known is None:
-                            table[prod] = mapped
-                            new.append(prod)
-                        elif known != mapped:
-                            raise GroupArgumentError(
-                                "generator images do not extend to a "
-                                "homomorphism")
-                frontier = new
-            self._table = table
-        return self._table
-
-    def apply(self, p: Permutation) -> Permutation:
-        if self._apply is not None:
-            return self._apply(p)
-        table = self._build_table()
-        img = table.get(p.images)
-        if img is None:
-            raise GroupArgumentError("element lies outside the source group")
-        return Permutation._raw(img)
+        self.apply = apply
+        self.coset_representatives = coset_representatives
+        self.identity_coset = identity_coset
 
     def __call__(self, p: Permutation) -> Permutation:
         return self.apply(p)
@@ -719,9 +687,9 @@ def quotient(G: PermutationGroup, N: PermutationGroup,
     def apply(p: Permutation) -> Permutation:
         return Permutation._raw(project_images(p.images))
 
-    hom = Homomorphism(G, Q, gen_imgs, _apply=apply)
-    hom.coset_representatives = tuple(Permutation._raw(r) for r in rep_list)
-    hom.identity_coset = identity_coset
+    hom = Homomorphism(G, Q, apply,
+                       tuple(Permutation._raw(r) for r in rep_list),
+                       identity_coset)
     return Q, hom
 
 

@@ -16,7 +16,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
-from .perm_core import PermutationGroup, WitnessSearchFailure, quotient
+from .perm_core import (
+    GroupArgumentError,
+    PermutationGroup,
+    WitnessSearchFailure,
+    quotient,
+)
 from .group_structure import (
     d_X,
     frattini,
@@ -520,7 +525,8 @@ def verify_lambda(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     choice of distinct representatives x, y yields the same labelled
     graph; a seeded handful of rebuilds confirms that, and the canonical
     graph is checked for connectivity.  The x = y instance must be
-    rejected (and is counted as the documented rejection case).
+    rejected with ``GroupArgumentError`` (counted as the documented
+    rejection case); any other exception propagates.
     """
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -547,7 +553,7 @@ def verify_lambda(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     rejected = False
     try:
         build_lambda(S, odd[0], odd[0], limits)
-    except Exception:
+    except GroupArgumentError:
         rejected = True
     if not rejected:
         failures.append({"err": "x = y instance was not rejected"})

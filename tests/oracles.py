@@ -10,7 +10,10 @@ It also finds the conjugacy classes of subgroups and the maximal
 subgroups by joining every class representative with every element,
 which checks the cyclic-extension search.  ``is_homomorphism`` checks a
 candidate automorphism on the whole multiplication table, where the
-search checks it on generators only.
+search checks it on generators only.  ``union_find_orbits`` labels the
+orbits of a group on tuples by joining each tuple with its generator
+images, where ``orbits_on_tuples`` applies every element to one tuple
+per orbit.
 """
 
 from itertools import combinations, product
@@ -19,6 +22,7 @@ import numpy as np
 
 from rankgraph import Permutation
 from rankgraph.group_structure import SubgroupRegistry
+from rankgraph.perm_core import UnionFind
 
 
 def mult(p: tuple, q: tuple) -> tuple:
@@ -56,6 +60,28 @@ def is_homomorphism(ct_src, ct_dst, sigma) -> bool:
     src = ct_src.numpy_table()
     dst = ct_dst.numpy_table()
     return bool((sigma[src] == dst[sigma][:, sigma]).all())
+
+
+def union_find_orbits(generators, tuples) -> tuple:
+    """Orbits of the group generated by ``generators`` (index
+    permutations) on ``tuples``, acting entry-wise, by a union-find over
+    the generator images.
+
+    Returns (labels, count), orbits numbered by their least member.
+    Raises ``KeyError`` if an image leaves the tuple set.
+    """
+    index = {t: i for i, t in enumerate(tuples)}
+    uf = UnionFind(len(tuples))
+    for i, t in enumerate(tuples):
+        for g in generators:
+            uf.union(i, index[mult(t, g.images)])
+    least = {}
+    for i, t in enumerate(tuples):
+        r = uf.find(i)
+        if r not in least or t < least[r]:
+            least[r] = t
+    number = {r: k for k, r in enumerate(sorted(least, key=least.get))}
+    return [number[uf.find(i)] for i in range(len(tuples))], len(number)
 
 
 def brute_conjugacy_classes(G) -> list:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from rankgraph import GroupArgumentError, Permutation, group_from_generators
 from rankgraph import automorphisms as aut_mod
 from rankgraph.automorphisms import (
-    AutGroup,
     _bfs_schedule,
     _extend_map,
     _respects_generators,
@@ -17,10 +17,15 @@ from rankgraph.automorphisms import (
     x_subgroup,
 )
 from rankgraph.catalog import alternating, default_catalog, psl2, symmetric
-from rankgraph.crown_powers import MonolithicGroup
+from rankgraph.crown_powers import MonolithicGroup, delta_Lt
 from rankgraph.group_structure import min_rank
 
-from oracles import ClosureOracle, brute_closure, is_homomorphism
+from oracles import (
+    ClosureOracle,
+    brute_closure,
+    is_homomorphism,
+    union_find_orbits,
+)
 
 # |Aut| of S4 and of every catalog group tagged monolithic
 KNOWN_AUT = {"S4": 24, "S5": 120, "S6": 1440, "A5": 120, "A6": 1440,
@@ -46,14 +51,14 @@ class TestAutomorphismGroup:
     def test_a5(self, A5):
         aut = automorphism_group(A5)
         assert aut.order == 120
-        assert aut.inner.order == 60
+        assert inner_automorphisms(A5).order == 60
 
     def test_maps_preserve_multiplication(self, A5):
         # every returned map validated against the full multiplication table
         aut = automorphism_group(A5)
         ct = A5.cayley_table()
         rng = random.Random(11)
-        for sigma in aut.perm_group.elements()[:10]:
+        for sigma in aut.elements()[:10]:
             for _ in range(40):
                 i, j = rng.randrange(ct.n), rng.randrange(ct.n)
                 assert sigma(ct.table[i][j]) == ct.table[sigma(i)][sigma(j)]
@@ -66,14 +71,7 @@ class TestAutomorphismGroup:
     def test_aut_order_divisible_by_inner(self, S4, Q8, V4):
         for G in (S4, Q8, V4):
             aut = automorphism_group(G)
-            assert aut.order % aut.inner.order == 0
-
-    def test_apply_wrapper(self, A5):
-        aut = automorphism_group(A5)
-        f = aut.automorphisms()[1]
-        x = cyc(5, [0, 1, 2])
-        y = cyc(5, [0, 1, 2, 3, 4])
-        assert f(x * y) == f(x) * f(y)
+            assert aut.order % inner_automorphisms(G).order == 0
 
     @pytest.mark.parametrize("entry, aut_order, x_order", [
         (symmetric(4), 24, 4), (alternating(5), 120, 120),
@@ -82,9 +80,9 @@ class TestAutomorphismGroup:
         # the search hands its sorted maps over as the element list
         L = entry.group()
         aut = automorphism_group(L)
-        gens = aut.perm_group.generators
-        closure = brute_closure(aut.perm_group.degree, gens)
-        assert aut.perm_group.elements() == tuple(
+        gens = aut.generators
+        closure = brute_closure(aut.degree, gens)
+        assert aut.elements() == tuple(
             Permutation(img) for img in sorted(closure))
         assert aut.order == aut_order
         assert MonolithicGroup.from_group(L).x_group().order == x_order
@@ -98,7 +96,7 @@ class TestAutomorphismGroup:
         G = entry.group()
         aut = automorphism_group(G)
         assert aut.order == KNOWN_AUT[entry.id]
-        maps = aut.perm_group.elements()
+        maps = aut.elements()
         ct = G.cayley_table()
         if G.order > 360:
             for p in random.Random(3).sample(maps, 12):
@@ -109,7 +107,7 @@ class TestAutomorphismGroup:
             lambda ct_src, ct_dst, src_gens, dst_gens, sigma:
                 is_homomorphism(ct_src, ct_dst, sigma)
                 and (sigma[list(src_gens)] == dst_gens).all())
-        assert automorphism_group(G).perm_group.elements() == maps
+        assert automorphism_group(G).elements() == maps
 
     @pytest.mark.parametrize("entry", [symmetric(4), alternating(5),
                                        psl2(7)], ids=["S4", "A5", "PSL(2,7)"])
@@ -121,7 +119,7 @@ class TestAutomorphismGroup:
         ct = G.cayley_table()
         rng = random.Random(17)
         base = [ct.index[p.images] for p in min_rank(G).witness]
-        autos = automorphism_group(G).perm_group.elements()
+        autos = automorphism_group(G).elements()
         for src in (base, base + [base[0]], base + [ct.identity]):
             cands = [tuple(a(x) for x in src) for a in rng.sample(autos, 8)]
             for _ in range(40):
@@ -163,7 +161,7 @@ class TestAutomorphismGroup:
         T = next(T for T in ({tbl[tbl[c][x]][d] for c in C for d in C}
                              for x in range(ct.n))
                  if not T & C and len(T) < ct.n - len(C))
-        alpha = automorphism_group(A5).perm_group.elements()[5]
+        alpha = automorphism_group(A5).elements()[5]
         sigma = np.array([alpha(ct.conj(y, g)) if y in T else alpha(y)
                           for y in range(ct.n)])
         dst = [alpha(y) for y in src]
@@ -178,32 +176,20 @@ class TestXSubgroup:
         X = x_subgroup(mono)
         assert X.order == automorphism_group(A5).order
 
-    def test_externally_supplied_aut_bypasses_search(self, A5):
-        from rankgraph.automorphisms import aut_group_from_maps
-        from rankgraph.catalog import alternating
-        swap = Permutation.from_cycles(5, [0, 1])
-        entry = alternating(5)
-        maps = [[list((swap.inverse() * Permutation(g) * swap).images)
-                 for g in entry.generators]]
-        aut = aut_group_from_maps(A5, maps)
-        assert aut.order == 120
-        mono = MonolithicGroup.from_group(A5)
-        assert x_subgroup(mono, aut=aut).order == 120
-
     def test_s5_contains_inner(self, S5):
         mono = MonolithicGroup.from_group(S5)
         X = x_subgroup(mono)
         assert X.order >= 1
         # inner automorphisms preserve cosets of a normal subgroup
         inner = inner_automorphisms(S5)
-        assert X.perm_group.contains_group(inner)
+        assert X.contains_group(inner)
 
     def test_coset_displacement_lies_in_socle(self, S5):
         mono = MonolithicGroup.from_group(S5)
         X = x_subgroup(mono)
         ct = S5.cayley_table()
         N = mono.socle
-        for gamma in X.perm_group.elements()[:20]:
+        for gamma in X.elements()[:20]:
             for l in range(0, ct.n, 17):
                 disp = ct.perm(ct.inv[l]) * ct.perm(gamma(l))
                 assert N.contains(disp)
@@ -213,17 +199,17 @@ class TestOrbitsOnTuples:
     def test_trivial_x_every_tuple_own_orbit(self, A5):
         mono = MonolithicGroup.from_group(A5)
         aut = automorphism_group(A5)
-        trivial = AutGroup(A5, group_from_generators(60, []), aut.inner)
+        trivial = group_from_generators(60, [])
         tuples = [(0, 1), (2, 3), (4, 5)]
-        labels, count = orbits_on_tuples(trivial, tuples)
-        assert count == 3
+        labels, reps = orbits_on_tuples(trivial, tuples)
+        assert len(reps) == 3
 
     def test_fixed_singleton_single_orbit(self, A5):
         aut = automorphism_group(A5)
         ct = A5.cayley_table()
         tuples = [(ct.identity, ct.identity)]
-        labels, count = orbits_on_tuples(aut, tuples)
-        assert count == 1
+        labels, reps = orbits_on_tuples(aut, tuples)
+        assert len(reps) == 1
 
     def test_a5_generating_pairs_19_orbits(self, A5):
         # 2280 generating pairs frozen from the join oracle; the orbit
@@ -233,8 +219,8 @@ class TestOrbitsOnTuples:
                  if oracle.generates((x, y))]
         assert len(pairs) == 2280
         aut = automorphism_group(A5)
-        labels, count = orbits_on_tuples(aut, pairs)
-        assert count == 19
+        labels, reps = orbits_on_tuples(aut, pairs)
+        assert len(reps) == 19
         sizes = {}
         for lab in labels:
             sizes[lab] = sizes.get(lab, 0) + 1
@@ -245,14 +231,12 @@ class TestOrbitsOnTuples:
         pairs = [(x, y) for x in range(60) for y in range(60)
                  if oracle.generates((x, y))]
         aut = automorphism_group(A5)
-        labels1, n1 = orbits_on_tuples(aut, pairs)
-        shuffled = list(aut.perm_group.generators)
+        labels1, reps1 = orbits_on_tuples(aut, pairs)
+        shuffled = list(aut.generators)
         random.Random(9).shuffle(shuffled)
-        shuffled_aut = AutGroup(
-            A5, group_from_generators(60, list(reversed(shuffled))),
-            aut.inner)
-        labels2, n2 = orbits_on_tuples(shuffled_aut, pairs)
-        assert labels1 == labels2 and n1 == n2
+        shuffled_aut = group_from_generators(60, list(reversed(shuffled)))
+        labels2, reps2 = orbits_on_tuples(shuffled_aut, pairs)
+        assert labels1 == labels2 and reps1 == reps2
 
     def test_non_closed_input_rejected(self, A5):
         aut = automorphism_group(A5)
@@ -261,6 +245,45 @@ class TestOrbitsOnTuples:
                  if oracle.generates((x, y))]
         with pytest.raises(GroupArgumentError):
             orbits_on_tuples(aut, pairs[:100])
+
+
+    @pytest.mark.parametrize("case", [
+        "A5 Omega", "PSL(2,7) Omega", "S5 Omega", "Aut(A5) on A5",
+        "trivial on pairs"])
+    def test_matches_union_find_oracle(self, case):
+        # free actions on Omega at t = 2, a non-free action (Aut(A5) on
+        # the 60 one-tuples) and the trivial group
+        if case.endswith("Omega"):
+            entry = {"A5": alternating(5), "PSL(2,7)": psl2(7),
+                     "S5": symmetric(5)}[case.split()[0]]
+            mono = MonolithicGroup.from_group(entry.group(), entry.id)
+            X = mono.x_group()
+            tuples = delta_Lt(mono, 2)[1].tuples
+        elif case == "Aut(A5) on A5":
+            X = automorphism_group(alternating(5).group())
+            tuples = [(x,) for x in range(60)]
+        else:
+            X = group_from_generators(60, [])
+            tuples = [(x, y) for x in range(0, 60, 7) for y in range(3)]
+        rng = random.Random(5)
+        tuples = rng.sample(tuples, len(tuples))  # scan order is the routine's
+        labels, reps = orbits_on_tuples(X, tuples)
+        want, count = union_find_orbits(X.generators, tuples)
+        assert labels == want and len(reps) == count
+        least = {}
+        for lab, t in zip(labels, tuples):
+            least[lab] = min(least.get(lab, t), t)
+        assert reps == [least[k] for k in range(count)]
+        # dropping a tuple that is not alone in its orbit breaks closure
+        sizes = Counter(labels)
+        drop = next((i for i, lab in enumerate(labels) if sizes[lab] > 1),
+                    None)
+        if drop is not None:
+            rest = tuples[:drop] + tuples[drop + 1:]
+            with pytest.raises(GroupArgumentError):
+                orbits_on_tuples(X, rest)
+            with pytest.raises(KeyError):
+                union_find_orbits(X.generators, rest)
 
 
 class TestIsomorphism:

@@ -113,29 +113,20 @@ class TestCatalogIO:
         with pytest.raises(CatalogError):
             validate_entry(entry)
 
-    def test_automorphisms_validated(self):
-        # conjugation by (0 1) is an automorphism of A4; a wrong map is not
+    def test_automorphisms_rejected(self, tmp_path):
+        # Aut(L) is always computed, so a supplied field is refused, even
+        # a correct map (conjugation by (0 1) on A4) or an empty list
         a4 = alternating(4)
-        G = a4.group()
         swap = Permutation.from_cycles(4, [0, 1])
         good = [list((swap.inverse() * Permutation(g) * swap).images)
                 for g in a4.generators]
-        entry = CatalogEntry("A4", 4, a4.generators, automorphisms=[good])
-        validate_entry(entry)
-        # collapsing both generators onto one image is a quotient map onto
-        # C3, a consistent homomorphism but not a bijection
-        collapse = [a4.generators[0], a4.generators[0]]
-        entry_bad = CatalogEntry("A4", 4, a4.generators,
-                                 automorphisms=[collapse])
-        with pytest.raises(CatalogError):
-            validate_entry(entry_bad)
-        # inconsistent images: map a 3-element to an involution
-        twisted = [list(Permutation.from_cycles(4, [0, 1], [2, 3]).images),
-                   a4.generators[1]]
-        entry_bad2 = CatalogEntry("A4", 4, a4.generators,
-                                  automorphisms=[twisted])
-        with pytest.raises(CatalogError):
-            validate_entry(entry_bad2)
+        for maps in ([good], []):
+            raw = dict(a4.to_dict(), automorphisms=maps)
+            path = tmp_path / "aut.json"
+            path.write_text(json.dumps({"entries": [raw]}))
+            with pytest.raises(CatalogError, match="always computed"):
+                load_catalog(path)
+        assert "automorphisms" not in a4.to_dict()
 
 
 class TestSweep:
@@ -246,6 +237,20 @@ class TestCLI:
 
         monkeypatch.setitem(verify_mod.VERIFIERS, "stub", failing)
         assert cli_main(["verify", "--lemma", "stub"]) == 1
+
+    def test_lambda_bug_is_not_the_rejection(self, monkeypatch):
+        # only GroupArgumentError counts as rejecting x = y; any other
+        # exception is a bug and must escape the suite
+        real = verify_mod.build_lambda
+
+        def buggy(S, x, y, limits):
+            if x == y:
+                raise RuntimeError("bug")
+            return real(S, x, y, limits)
+
+        monkeypatch.setattr(verify_mod, "build_lambda", buggy)
+        with pytest.raises(RuntimeError, match="bug"):
+            verify_mod.run_verifier("lambda")
 
     def test_verify_all(self, tmp_path, monkeypatch, capsys):
         from rankgraph.verify import VerifyReport

@@ -23,7 +23,7 @@ from rankgraph import (
     quotient,
 )
 from rankgraph.config import Limits
-from rankgraph.perm_core import _mult
+from rankgraph.perm_core import _mult, subgroup_from_members
 
 from oracles import (
     brute_closure,
@@ -270,6 +270,19 @@ class TestCentralizer:
         for a in C.generators:
             for b in C.generators:
                 assert C.contains(a * b)
+
+
+class TestSubgroupFromMembers:
+    def test_member_list_is_the_element_list(self, S4):
+        p = Permutation.from_cycles(4, [0, 1, 2])
+        members = tuple(sorted(g for g in S4.elements() if g * p == p * g))
+        C = subgroup_from_members(4, members)
+        assert C.order == 3
+        assert C.elements() is members
+
+    def test_non_closed_list_rejected(self, A5):
+        with pytest.raises(GroupArgumentError):
+            subgroup_from_members(5, A5.elements()[:-1])
 
 
 class TestNormalClosure:
