@@ -237,14 +237,9 @@ def automorphism_group(L: PermutationGroup,
                                 first_only=False, limits=limits)
     if not exhausted:
         raise CapExceededError("automorphism search exceeded leaf budget")
-    perms = tuple(sorted(Permutation(tuple(int(i) for i in sigma))
-                         for sigma in maps))
     # the maps are all of Aut(L), so they are its sorted element list
-    group = PermutationGroup(ct.n, perms, known_order=len(perms),
-                             _elements=perms)
-    if group.order != len(perms):
-        raise GroupArgumentError("automorphism set failed to close")
-    return group
+    return subgroup_from_members(ct.n, sorted(
+        Permutation(tuple(int(i) for i in sigma)) for sigma in maps))
 
 
 def x_subgroup(L_mono, limits: Limits = DEFAULT_LIMITS,

@@ -154,9 +154,13 @@ class CrownPower:
         so this set generates all of L_k.
         """
         L, k = self.base, self.k
-        gens = [_embed_diag(g, k) for g in L.group.generators]
+        gens = [_from_coordinates([g] * k) for g in L.group.generators]
+        one = L.group.identity
         for j in range(k - 1):
-            gens.extend(_embed_block(n, k, j) for n in L.socle.generators)
+            for n in L.socle.generators:
+                coords = [one] * k
+                coords[j] = n
+                gens.append(_from_coordinates(coords))
         return gens
 
     @cached_property
@@ -187,21 +191,13 @@ class CrownPower:
         return all(N.contains(first.inverse() * c) for c in comps[1:])
 
 
-def _embed_block(g: Permutation, k: int, j: int) -> Permutation:
-    d = g.degree
-    images = list(range(k * d))
-    off = j * d
-    for i in range(d):
-        images[off + i] = off + g.images[i]
-    return Permutation._raw(tuple(images))
-
-
-def _embed_diag(g: Permutation, k: int) -> Permutation:
-    d = g.degree
+def _from_coordinates(coords: Sequence[Permutation]) -> Permutation:
+    """The element of L^k with coordinates l_1, ..., l_k, acting on k
+    copies of L's domain (l_j on the j-th)."""
     images = []
-    for j in range(k):
-        off = j * d
-        images.extend(off + g.images[i] for i in range(d))
+    for j, c in enumerate(coords):
+        off = j * c.degree
+        images.extend(off + q for q in c.images)
     return Permutation._raw(tuple(images))
 
 
@@ -225,14 +221,7 @@ def circ(L: MonolithicGroup, a: Permutation, m: Sequence[Permutation]) -> Permut
     for n in m:
         if not L.socle.contains(n):
             raise GroupArgumentError("correction components must lie in the socle")
-    k = len(m)
-    images = []
-    d = L.group.degree
-    for j, n in enumerate(m):
-        prod = a * n
-        off = j * d
-        images.extend(off + prod.images[i] for i in range(d))
-    return Permutation._raw(tuple(images))
+    return _from_coordinates([a * n for n in m])
 
 
 def crown_generates(cp: CrownPower, elems: Sequence[Permutation]) -> bool:
@@ -251,15 +240,8 @@ def column_elements(L: MonolithicGroup, columns: Sequence[tuple],
     s-th element is (c_1[s], ..., c_k[s]) on k copies of L's domain.
     """
     ct = L.ct(limits)
-    d = L.group.degree
-    out = []
-    for s in range(len(columns[0])):
-        images = []
-        for j, col in enumerate(columns):
-            off = j * d
-            images.extend(off + q for q in ct.perm(col[s]).images)
-        out.append(Permutation._raw(tuple(images)))
-    return out
+    return [_from_coordinates([ct.perm(col[s]) for col in columns])
+            for s in range(len(columns[0]))]
 
 
 def columns_generate(L: MonolithicGroup, columns: Sequence[tuple],

@@ -3,12 +3,11 @@ solubility, minimal generator numbers d(G) and d_X(G), and normal-subgroup
 correction lifting.
 
 The workhorse is SubgroupRegistry, a per-group cache of interned
-subgroups (by element index set) with memoized joins.  Those joins serve
-two searches: the pair test of ``min_rank``'s d = 2 search, and the
+subgroups (by element index set).  Its joins serve one search only: the
 conjugacy classes of subgroups by cyclic extension, which joins each
 class representative H with one element of prime-power order per
 N_G(H)-orbit of cyclic subgroups outside H; H is maximal iff every such
-join is G.  Every other generation question is answered from
+join is G.  Every generation question, d(G) included, is answered from
 maximal-subgroup incidence (P. Hall's view of generation): the maximal
 subgroups containing <X> are the AND of the incidence rows of the
 elements of X, <X> = G iff that mask is 0, and d_X(G) is the distance of
@@ -46,11 +45,10 @@ class SubgroupRegistry:
 
     Closures and joins (interned by the frozenset of their element
     indices) find the classes of subgroups and the maximal subgroups by
-    cyclic extension (``subgroup_class_reps``) and test generating pairs
-    for ``min_rank``; a closure exceeding |G|/2 is the whole group by
-    Lagrange.  Other generation questions go through the incidence rows:
-    ``mask_of`` gives the mask of <X>, ``mask_dist`` its distance d_X(G)
-    and ``climb`` a shortest completion.
+    cyclic extension (``subgroup_class_reps``); a closure exceeding |G|/2
+    is the whole group by Lagrange.  Generation questions go through the
+    incidence rows: ``mask_of`` gives the mask of <X>, ``mask_dist`` its
+    distance d_X(G) and ``climb`` a shortest completion.
     """
 
     def __init__(self, ct: CayleyTable):
@@ -61,8 +59,6 @@ class SubgroupRegistry:
         self.trivial_id = self.intern(frozenset([ct.identity]), ())
         self.full_id = self.intern(frozenset(range(ct.n)),
                                    tuple(ct.gen_indices))
-        self._cyc_sub_id: Optional[list] = None
-        self._join_sub_cyc: dict = {}
         self._lattice: Optional[tuple] = None
         self._rows: Optional[list] = None
         self._row_set: frozenset = frozenset()
@@ -76,9 +72,6 @@ class SubgroupRegistry:
             self.members.append(members)
             self.gens.append(gens)
         return sid
-
-    def order(self, sid: int) -> int:
-        return len(self.members[sid])
 
     def close(self, gens: Sequence[int]) -> int:
         """Subgroup generated by the given element indices, interned."""
@@ -106,49 +99,15 @@ class SubgroupRegistry:
                     out.append(y)
         return self.intern(frozenset(out), gens)
 
-    # -- cyclic subgroups -----------------------------------------------------
-
-    @property
-    def cyclic_sub_ids(self) -> list:
-        """Map element index -> interned id of the cyclic subgroup it generates."""
-        if self._cyc_sub_id is None:
-            ct = self.ct
-            by_cyc = {}
-            out = [0] * ct.n
-            for x in range(ct.n):
-                cid = ct.cyclic_id[x]
-                sid = by_cyc.get(cid)
-                if sid is None:
-                    members = ct.cyclic_subgroups[cid]
-                    if len(members) == ct.n:
-                        sid = self.full_id
-                    else:
-                        sid = self.intern(members, (x,))
-                    by_cyc[cid] = sid
-                out[x] = sid
-            self._cyc_sub_id = out
-        return self._cyc_sub_id
-
-    # -- joins ---------------------------------------------------------------
-
     def join_with_element(self, sid: int, z: int) -> int:
-        """<H, z> for an interned subgroup H; depends only on <z>."""
-        if sid == self.full_id:
-            return sid
-        zs = self.cyclic_sub_ids[z]
-        key = (sid, zs)
-        got = self._join_sub_cyc.get(key)
-        if got is None:
-            H, Z = self.members[sid], self.members[zs]
-            if Z <= H:
-                got = sid
-            elif 2 * len(H) * len(Z) > self.ct.n * len(H & Z):
-                # |HZ| = |H||Z|/|H & Z| > |G|/2 and HZ lies in <H, z>
-                got = self.full_id
-            else:
-                got = self.close(self.gens[sid] + (z,))
-            self._join_sub_cyc[key] = got
-        return got
+        """<H, z> for an interned subgroup H."""
+        ct = self.ct
+        H = self.members[sid]
+        Z = ct.cyclic_subgroups[ct.cyclic_id[z]]
+        if 2 * len(H) * len(Z) > ct.n * len(H & Z):
+            # |HZ| = |H||Z|/|H & Z| > |G|/2 and HZ lies in <H, z>
+            return self.full_id
+        return self.close(self.gens[sid] + (z,))
 
     # -- conjugacy classes of subgroups -----------------------------------------
 
@@ -523,11 +482,12 @@ class RankCertificate:
 def min_rank(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> RankCertificate:
     """d(G) with a witness generating sequence.
 
-    Searches ascending d; conjugacy-class representatives seed the first
-    coordinate (generation is invariant under simultaneous conjugation),
-    the remaining coordinates use the full deterministic element order.
-    d = 2 is decided by joins <x, y>, so 2-generated groups never build
-    the maximal-subgroup incidence; d >= 3 climbs incidence masks.
+    Dense groups, from the incidence rows for every d: x is the first
+    conjugacy-class representative, by descending element order, whose
+    row has the least ``mask_dist`` (generation is invariant under
+    simultaneous conjugation), d is 1 + that distance, and
+    ``SubgroupRegistry.climb`` completes x with least elements.  d is
+    checked against the trivial subgroup's distance.
     """
     if G.order == 1:
         return RankCertificate(G, 0, ())
@@ -569,22 +529,9 @@ def _prune_generators(G: PermutationGroup) -> list:
 def _min_rank_dense(G: PermutationGroup, limits: Limits) -> RankCertificate:
     reg = registry_for(G, limits)
     ct = reg.ct
-    # d = 1: an element of full order
-    for cls in ct.classes:
-        rep = cls[0]
-        if ct.order_of[rep] == ct.n:
-            return RankCertificate(G, 1, (ct.perm(rep),))
-    # d = 2: class representative x, arbitrary y.  Memoized joins decide
-    # it without the maximal subgroups, and the lattice search reuses them.
+    rows = reg.incidence_rows()
     class_reps = sorted((cls[0] for cls in ct.classes),
                         key=lambda r: (-ct.order_of[r], r))
-    cyc = reg.cyclic_sub_ids
-    for x in class_reps:
-        for y in range(ct.n):
-            if reg.join_with_element(cyc[x], y) == reg.full_id:
-                return RankCertificate(G, 2, (ct.perm(x), ct.perm(y)))
-    # d >= 3: shortest climb from a class-representative start
-    rows = reg.incidence_rows()
     x = min(class_reps, key=lambda r: reg.mask_dist(rows[r]))
     d = 1 + reg.mask_dist(rows[x])
     if d != reg.mask_dist(reg.mask_of(())):

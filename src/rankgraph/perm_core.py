@@ -792,18 +792,10 @@ class CayleyTable:
             cyclics.append(key)
             for m in members:
                 # only elements generating the same cyclic subgroup share the id
-                if cyc_id[m] < 0 and self._generates_cyclic(m, key):
+                if cyc_id[m] < 0 and self.order_of[m] == len(key):
                     cyc_id[m] = cid
         self._cyclic_id = cyc_id
         self._cyclics = cyclics
-
-    def _generates_cyclic(self, x: int, key: frozenset) -> bool:
-        count = 1
-        y = x
-        while y != self.identity:
-            count += 1
-            y = self.table[y][x]
-        return count == len(key)
 
     @property
     def cyclic_id(self) -> list:

@@ -99,7 +99,6 @@ def _mono(entry_id: str) -> MonolithicGroup:
 def verify_modgg(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                  samples_per_subgroup: int = 6) -> VerifyReport:
     """Sampled lifting instances over catalog groups with proper normals."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     group_ids = ["S4", "A4", "Dih4", "Dih6", "S3xS3", "A4xC2"]
     entries = {e.id: e for e in cat.default_catalog()}
@@ -138,8 +137,7 @@ def verify_modgg(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                     failures.append({"group": gid, "M": M.order,
                                      "err": "corrected tuple fails"})
     return VerifyReport("modgg", not failures, instances, failures,
-                        {"groups": group_ids}, seed,
-                        int((time.perf_counter() - t0) * 1000))
+                        {"groups": group_ids})
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +153,6 @@ def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     of L, so one computation per l covers every valid (l, b_1, b_2).
     Seeded direct cross-checks confirm the translation invariance.
     """
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     L = _mono("A5")
     reg = registry_for(L.group, limits)
@@ -194,8 +191,7 @@ def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     return VerifyReport(
         "delu", not failures, instances + checked, failures,
         {"min_fraction": min_frac, "bound": MIN_CORRECTION_DENSITY,
-         "cross_checks": checked}, seed,
-        int((time.perf_counter() - t0) * 1000))
+         "cross_checks": checked})
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +201,6 @@ def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 def verify_cln(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                group_ids=("A5", "S5", "PSL(2,7)", "PGL(2,7)")) -> VerifyReport:
     """Exhaustive witness search over all pairs with commutator in the socle."""
-    t0 = time.perf_counter()
     failures = []
     instances = 0
     per_group = {}
@@ -228,8 +223,7 @@ def verify_cln(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
         per_group[gid] = count
         instances += count
     return VerifyReport("cln", not failures, instances, failures,
-                        {"pairs": per_group}, seed,
-                        int((time.perf_counter() - t0) * 1000))
+                        {"pairs": per_group})
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +232,6 @@ def verify_cln(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 
 def verify_unico_rank(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                       samples: int = 400) -> VerifyReport:
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     instances = 0
@@ -256,8 +249,7 @@ def verify_unico_rank(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
             instances += 1
             if not unico_rank_check(M, 3, [ct.perm(i) for i in b], limits):
                 failures.append({"group": gid, "b": b})
-    return VerifyReport("unico-rank", not failures, instances, failures,
-                        {}, seed, int((time.perf_counter() - t0) * 1000))
+    return VerifyReport("unico-rank", not failures, instances, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +260,6 @@ def verify_primo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                  random_samples: int = 10**4,
                  exhaustive_slice: int = 10**5) -> VerifyReport:
     """Orbit criterion against the stabilizer-chain oracle on A5, t=2, eta=2."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     L = _mono("A5")
     ct = L.ct(limits)
@@ -300,8 +291,7 @@ def verify_primo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     return VerifyReport(
         "primo", not failures, total, failures,
         {"agreements": agreements, "delta": delta,
-         "random": random_samples, "slice": exhaustive_slice},
-        seed, int((time.perf_counter() - t0) * 1000))
+         "random": random_samples, "slice": exhaustive_slice})
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,6 @@ def verify_primo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 def verify_coniugo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                    max_order: int = 200) -> VerifyReport:
     """Exhaustive: components of Delta_d are unions of conjugacy classes."""
-    t0 = time.perf_counter()
     failures = []
     instances = 0
     for entry in cat.default_catalog():
@@ -339,8 +328,7 @@ def verify_coniugo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                                          "vertex": p.cycle_string(), "z": z})
                         break
     return VerifyReport("coniugo", not failures, instances, failures,
-                        {"max_order": max_order}, seed,
-                        int((time.perf_counter() - t0) * 1000))
+                        {"max_order": max_order})
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +337,6 @@ def verify_coniugo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 
 def verify_frat(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyReport:
     """If Gamma_d(G/Frat(G)) is connected then Gamma_d(G) is connected."""
-    t0 = time.perf_counter()
     group_ids = ["Dih4", "Dih8", "Dih16", "C4xC2", "C4xC4", "Dih4xC2",
                  "S4", "E2^3"]
     entries = {e.id: e for e in cat.default_catalog()}
@@ -376,8 +363,7 @@ def verify_frat(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyReport
             if not components(gg).connected:
                 failures.append({"group": gid, "d": d})
     return VerifyReport("frat", not failures, instances, failures,
-                        {"non_vacuous": nonvacuous, "groups": group_ids},
-                        seed, int((time.perf_counter() - t0) * 1000))
+                        {"non_vacuous": nonvacuous, "groups": group_ids})
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +374,6 @@ def verify_induzionenormale(seed: int = 42,
                             limits: Limits = DEFAULT_LIMITS) -> VerifyReport:
     """Non-isolated x, y with xM, yM in one quotient component admit m in M
     with x and y m in one component."""
-    t0 = time.perf_counter()
     entries = {e.id: e for e in cat.default_catalog()}
     cases = [("S4", 4, 2), ("S4", 4, 3), ("Dih6", 3, 2),
              ("A4xC2", 2, 2), ("S3xS3", 6, 2)]
@@ -427,8 +412,7 @@ def verify_induzionenormale(seed: int = 42,
                 if not ok:
                     failures.append({"group": gid, "d": d, "x": x, "y": y})
     return VerifyReport("induzionenormale", not failures, instances, failures,
-                        {"cases": cases}, seed,
-                        int((time.perf_counter() - t0) * 1000))
+                        {"cases": cases})
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +421,6 @@ def verify_induzionenormale(seed: int = 42,
 
 def verify_norsol(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyReport:
     """Delta_d(G/N) connected with N soluble normal implies Delta_d(G) connected."""
-    t0 = time.perf_counter()
     entries = {e.id: e for e in cat.default_catalog()}
     cases = [("S4", 4, 2), ("S4", 12, 2), ("S4", 4, 3), ("A4", 4, 2),
              ("A4xC2", 2, 2), ("S3xS3", 9, 2), ("Dih6", 3, 2),
@@ -461,8 +444,7 @@ def verify_norsol(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyRepo
         if not delta_summary(G, d, limits).connected:
             failures.append({"group": gid, "N": n_order, "d": d})
     return VerifyReport("norsol", not failures, instances, failures,
-                        {"cases": cases}, seed,
-                        int((time.perf_counter() - t0) * 1000))
+                        {"cases": cases})
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +460,6 @@ def verify_weak_conn(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     generating triples are checked per pattern (the graph only depends on
     the pattern, so equal results double as an invariance check).
     """
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     instances = 0
@@ -510,7 +491,7 @@ def verify_weak_conn(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
         failures.append({"group": "A5", "eta": 2, "mode": "sampled"})
     details["A5_eta2"] = {"samples": rep.sample_size, "seed": seed}
     return VerifyReport("weak-conn", not failures, instances, failures,
-                        details, seed, int((time.perf_counter() - t0) * 1000))
+                        details)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +509,6 @@ def verify_lambda(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     rejected with ``GroupArgumentError`` (counted as the documented
     rejection case); any other exception propagates.
     """
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     S = cat.alternating(5).group()
     S5 = cat.symmetric(5).group()
@@ -561,8 +541,7 @@ def verify_lambda(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     return VerifyReport(
         "lambda", not failures, 1 + checked + 1, failures,
         {"vertices": base.n_vertices, "edges": base.n_edges,
-         "equivalent_choices": n_choices, "rejected_x_eq_y": rejected},
-        seed, int((time.perf_counter() - t0) * 1000))
+         "equivalent_choices": n_choices, "rejected_x_eq_y": rejected})
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +558,6 @@ def verify_sempreuno(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     and reported without being asserted: the statement does not promise
     the meet condition for proper sub-matrices.
     """
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     L = _mono("A5")
     delta, table = delta_Lt(L, 3, limits=limits)
@@ -598,8 +576,7 @@ def verify_sempreuno(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
         "sempreuno", not failures, 1 + submatrix_samples, failures,
         {"delta": delta, "submatrix_pass": sub_pass,
          "submatrix_total": submatrix_samples,
-         "note": "sub-matrix results reported, not asserted"},
-        seed, int((time.perf_counter() - t0) * 1000))
+         "note": "sub-matrix results reported, not asserted"})
 
 
 # ---------------------------------------------------------------------------
@@ -624,9 +601,14 @@ VERIFIERS: dict = {
 
 def run_verifier(lemma: str, seed: int = 42,
                  limits: Limits = DEFAULT_LIMITS, **params) -> VerifyReport:
+    """Run one suite; its report records the seed and the wall time."""
     try:
         fn = VERIFIERS[lemma]
     except KeyError:
         raise ValueError(
             f"unknown lemma id {lemma!r}; available: {sorted(VERIFIERS)}")
-    return fn(seed=seed, limits=limits, **params)
+    t0 = time.perf_counter()
+    rep = fn(seed=seed, limits=limits, **params)
+    rep.seed = seed
+    rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
+    return rep

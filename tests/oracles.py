@@ -319,7 +319,9 @@ class ClosureOracle:
         return self.dist(self.closure(elems))
 
     def min_rank(self) -> tuple:
-        """(d, witness indices) by the search ``min_rank`` performs."""
+        """(d, witness indices) by closures, ascending d: the least class
+        representative of full order, else the first generating pair
+        (class representative, least y), else the shortest climb."""
         ct = self.ct
         if ct.n == 1:
             return 0, ()

@@ -77,10 +77,14 @@ class TestAutomorphismGroup:
         (symmetric(4), 24, 4), (alternating(5), 120, 120),
         (psl2(7), 336, 336)], ids=["S4", "A5", "PSL(2,7)"])
     def test_element_cache_is_the_closure(self, entry, aut_order, x_order):
-        # the search hands its sorted maps over as the element list
+        # the search hands its sorted maps over as the element list, and
+        # the generators are a reduced set: none lies in the closure of
+        # the ones before it
         L = entry.group()
         aut = automorphism_group(L)
         gens = aut.generators
+        for i, g in enumerate(gens):
+            assert g.images not in brute_closure(aut.degree, gens[:i])
         closure = brute_closure(aut.degree, gens)
         assert aut.elements() == tuple(
             Permutation(img) for img in sorted(closure))

@@ -43,6 +43,16 @@ def _indices(ct, perms):
     return tuple(ct.index[p.images] for p in perms)
 
 
+@pytest.mark.parametrize("group_id", [
+    e.id for e in default_catalog() if 360 < e.group().order <= 2048])
+def test_min_rank_matches_closure_oracle_above_360(group_id):
+    # S6, PSL(2,8), PSL(2,11), PSL(2,13) and PGL(2,9): d = 2 from the rows
+    G = _group(group_id)
+    oracle = ClosureOracle(G)
+    cert = min_rank(G)
+    assert (cert.d, _indices(oracle.ct, cert.witness)) == oracle.min_rank()
+
+
 @pytest.mark.parametrize("entry", SMALL, ids=lambda e: e.id)
 def test_min_rank_and_d_X_match_closure_oracle(entry):
     G = entry.group()
@@ -139,9 +149,10 @@ def test_crown_completions_match_closure_oracle(group_id):
         assert (w in graph.adjacency[v]) == expected
 
 
-def test_min_rank_checks_certified_d(monkeypatch):
+@pytest.mark.parametrize("group_id, d", [("C12", 1), ("S4", 2), ("E2^3", 3)])
+def test_min_rank_checks_certified_d(monkeypatch, group_id, d):
     # the certified d must equal the trivial subgroup's distance to G
-    G = _group("E2^3")
+    G = _group(group_id)
     full_mask = registry_for(G).mask_of(())
     true_dist = SubgroupRegistry.mask_dist
 
@@ -149,5 +160,5 @@ def test_min_rank_checks_certified_d(monkeypatch):
         return true_dist(self, mask) + (mask == full_mask)
 
     monkeypatch.setattr(SubgroupRegistry, "mask_dist", off_by_one)
-    with pytest.raises(RuntimeError, match="certified d = 3"):
+    with pytest.raises(RuntimeError, match=f"certified d = {d} "):
         min_rank(G)

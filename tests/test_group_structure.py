@@ -135,8 +135,8 @@ class TestFrattini:
 
     @pytest.mark.parametrize("group_id", ["S4", "A5", "PSL(2,7)"])
     def test_join_with_element_matches_fresh_closure(self, group_id):
-        # the product-formula shortcut and the memo give what closing the
-        # generators of H together with z gives on an empty registry
+        # the product-formula shortcut gives what closing the generators
+        # of H together with z gives on an empty registry
         G = find_entry(default_catalog(), group_id).group()
         reg = registry_for(G)
         fresh = SubgroupRegistry(reg.ct)

@@ -44,3 +44,44 @@ def test_scanner_flags_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+# The package's layers, lowest first: a module may import only from
+# lower layers.  ``from . import __version__`` is allowed everywhere.
+LAYERS = [("config",), ("perm_core",), ("group_structure",),
+          ("graphs", "automorphisms"), ("crown_powers",),
+          ("crown_decomposition", "catalog"), ("sweep", "verify"), ("cli",)]
+LAYER = {module: k for k, layer in enumerate(LAYERS) for module in layer}
+
+
+def upward_imports(module: str, source: str) -> list:
+    """(line, target) for each package-relative import, lazy ones
+    included, of a module in the same layer as ``module`` or a higher one."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ImportFrom) and node.level == 1):
+            continue
+        if node.module:
+            targets = [node.module.split(".")[0]]
+        else:
+            targets = [a.name for a in node.names if a.name != "__version__"]
+        out.extend((node.lineno, t) for t in targets
+                   if LAYER[t] >= LAYER[module])
+    return sorted(out)
+
+
+def test_layer_scanner_flags_upward_import():
+    source = ("from . import __version__\nfrom .perm_core import Permutation\n"
+              "def f():\n    from .sweep import sweep\n"
+              "    from . import automorphisms\n")
+    assert upward_imports("graphs", source) == [(4, "sweep"),
+                                                (5, "automorphisms")]
+
+
+def test_every_module_has_a_layer():
+    assert sorted(LAYER) == sorted(p.stem for p in MODULES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_follow_layer_order(path):
+    assert upward_imports(path.stem, path.read_text()) == [], path.name
