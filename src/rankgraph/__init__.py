@@ -7,7 +7,7 @@ orbit machinery behind crown-based powers.
 
 __version__ = "0.1.0"
 
-from .config import DEFAULT_LIMITS, Limits
+from .config import Limits, caps
 from .perm_core import (
     CapExceededError,
     CayleyTable,

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 from .perm_core import (
     CapExceededError,
     CayleyTable,
@@ -168,7 +168,7 @@ def _respects_generators(ct_src: CayleyTable, ct_dst: CayleyTable,
 
 def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
               src_gens: Sequence[int], fps_src: list, fps_dst: list, *,
-              first_only: bool, limits: Limits) -> tuple:
+              first_only: bool) -> tuple:
     """All (or the first) bijections extending src_gens -> candidate images.
 
     ``fps_src`` and ``fps_dst`` are the ``_element_fingerprints`` of the
@@ -190,7 +190,7 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
     leaves = 0
     for dst_gens in itertools.product(*candidate_sets):
         leaves += 1
-        if leaves > limits.max_iso_leaves:
+        if leaves > config.LIMITS.max_iso_leaves:
             return maps, False
         if any(_word_order(ct_dst, dst_gens, w) != wp
                for w, wp in zip(_WORDS, word_profile)):
@@ -209,17 +209,15 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
 # automorphism groups
 
 
-def inner_automorphisms(L: PermutationGroup,
-                        limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
-    ct = L.cayley_table(limits)
+def inner_automorphisms(L: PermutationGroup) -> PermutationGroup:
+    ct = L.cayley_table()
     gens = []
     for g in ct.gen_indices:
         gens.append(Permutation([ct.conj(x, g) for x in range(ct.n)]))
     return PermutationGroup(ct.n, gens)
 
 
-def automorphism_group(L: PermutationGroup,
-                       limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
+def automorphism_group(L: PermutationGroup) -> PermutationGroup:
     """Complete Aut(L), acting on the element indices of L, by
     backtracking over images of a generating sequence.
 
@@ -227,14 +225,14 @@ def automorphism_group(L: PermutationGroup,
     candidate is validated by ``_respects_generators``, so the result is
     sound regardless of pruning strength.
     """
-    if L.order > limits.max_aut_order:
+    if L.order > config.LIMITS.max_aut_order:
         raise CapExceededError(
-            f"order {L.order} exceeds automorphism cap {limits.max_aut_order}")
-    ct = L.cayley_table(limits)
+            f"order {L.order} exceeds automorphism cap "
+            f"{config.LIMITS.max_aut_order}")
+    ct = L.cayley_table()
     fps = _element_fingerprints(ct)
     src_gens = _generating_sequence(L, ct, fps)
-    maps, exhausted = _iso_maps(ct, ct, src_gens, fps, fps,
-                                first_only=False, limits=limits)
+    maps, exhausted = _iso_maps(ct, ct, src_gens, fps, fps, first_only=False)
     if not exhausted:
         raise CapExceededError("automorphism search exceeded leaf budget")
     # the maps are all of Aut(L), so they are its sorted element list
@@ -242,8 +240,8 @@ def automorphism_group(L: PermutationGroup,
         Permutation(tuple(int(i) for i in sigma)) for sigma in maps))
 
 
-def x_subgroup(L_mono, limits: Limits = DEFAULT_LIMITS,
-               aut: Optional[PermutationGroup] = None) -> PermutationGroup:
+def x_subgroup(L_mono, aut: Optional[PermutationGroup] = None
+               ) -> PermutationGroup:
     """X = C_Aut(L)(L/N) (N the socle), acting on the element indices of L.
 
     The defining condition gamma(l) N = l N holds on all of L as soon as
@@ -254,12 +252,12 @@ def x_subgroup(L_mono, limits: Limits = DEFAULT_LIMITS,
     """
     L = L_mono.group
     if aut is None:
-        aut = automorphism_group(L, limits)
-    ct = L.cayley_table(limits)
+        aut = automorphism_group(L)
+    ct = L.cayley_table()
     n_set = ct.subset_indices(L_mono.socle)
     # g^-1 * gamma(g) must lie in N for every generator g
     checks = [(ct.table[ct.inv[g]], g) for g in ct.gen_indices]
-    members = tuple(p for p in aut.elements(limits)
+    members = tuple(p for p in aut.elements()
                     if all(row[p(g)] in n_set for row, g in checks))
     return subgroup_from_members(ct.n, members)
 
@@ -306,8 +304,7 @@ class IsoResult:
     map: Optional[list] = None  # element-index map when isomorphic
 
 
-def isomorphism(G: PermutationGroup, H: PermutationGroup,
-                limits: Limits = DEFAULT_LIMITS) -> IsoResult:
+def isomorphism(G: PermutationGroup, H: PermutationGroup) -> IsoResult:
     """Search for an isomorphism G -> H (generator-image backtracking).
 
     Cheap invariants (order, fingerprint multiset) run first; a tripped
@@ -316,15 +313,15 @@ def isomorphism(G: PermutationGroup, H: PermutationGroup,
     """
     if G.order != H.order:
         return IsoResult(False)
-    ct_g = G.cayley_table(limits)
-    ct_h = H.cayley_table(limits)
+    ct_g = G.cayley_table()
+    ct_h = H.cayley_table()
     fps_g = _element_fingerprints(ct_g)
     fps_h = _element_fingerprints(ct_h)
     if sorted(fps_g) != sorted(fps_h):
         return IsoResult(False)
     src_gens = _generating_sequence(G, ct_g, fps_g)
     maps, exhausted = _iso_maps(ct_g, ct_h, src_gens, fps_g, fps_h,
-                                first_only=True, limits=limits)
+                                first_only=True)
     if maps:
         return IsoResult(True, [int(i) for i in maps[0]])
     return IsoResult(False if exhausted else None)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 from .perm_core import (
     Permutation,
     PermutationGroup,
@@ -283,15 +283,21 @@ def pgl2(q: int) -> CatalogEntry:
     return entry
 
 
-def crown_power_entry(base: CatalogEntry, k: int,
-                      limits: Limits = DEFAULT_LIMITS) -> CatalogEntry:
+def crown_power_entry(base: CatalogEntry, k: int) -> CatalogEntry:
     """The crown-based power (base)_k of a monolithic catalog entry."""
     from .crown_powers import MonolithicGroup, build_crown_power
-    mono = MonolithicGroup.from_group(base.group(), base.id, limits)
-    cp = build_crown_power(mono, k, limits)
+    mono = MonolithicGroup.from_group(base.group(), base.id)
+    cp = build_crown_power(mono, k)
     gens = [list(g.images) for g in cp.generators]
     return CatalogEntry(f"Crown({base.id},{k})", cp.degree, gens,
                         notes=f"crown-based power of {base.id}, k={k}")
+
+
+def _input_caps():
+    """Catalogs are input, built and validated at the default element
+    cap: a smaller ``max_elements`` in force (``--cap-elements``) bounds
+    the analysis, not the catalog it reads."""
+    return config.caps(max_elements=config.Limits().max_elements)
 
 
 def default_catalog() -> list:
@@ -319,7 +325,8 @@ def default_catalog() -> list:
         direct_product(dihedral(4), cyclic(2)),
         direct_product(alternating(5), alternating(5)),
     ]
-    entries.append(crown_power_entry(symmetric(5), 2))
+    with _input_caps():  # the only builder that enumerates elements
+        entries.append(crown_power_entry(symmetric(5), 2))
     return entries
 
 
@@ -327,7 +334,7 @@ def default_catalog() -> list:
 # validation and IO
 
 
-def validate_entry(entry: CatalogEntry, limits: Limits = DEFAULT_LIMITS) -> None:
+def validate_entry(entry: CatalogEntry) -> None:
     """Bijectivity of generators; declared tags checked by computation."""
     for images in entry.generators:
         if sorted(images) != list(range(entry.degree)):
@@ -342,26 +349,26 @@ def validate_entry(entry: CatalogEntry, limits: Limits = DEFAULT_LIMITS) -> None
                 raise CatalogError(f"entry {entry.id!r}: not soluble")
         elif tag == "simple":
             from .group_structure import is_simple
-            if not is_simple(G, limits):
+            if not is_simple(G):
                 raise CatalogError(f"entry {entry.id!r}: not simple")
         elif tag == "monolithic":
             from .group_structure import minimal_normal_subgroups
-            if len(minimal_normal_subgroups(G, limits)) != 1:
+            if len(minimal_normal_subgroups(G)) != 1:
                 raise CatalogError(f"entry {entry.id!r}: not monolithic")
         elif tag == "almost-simple":
-            _check_almost_simple(entry, G, limits)
+            _check_almost_simple(entry, G)
         else:
             raise CatalogError(f"entry {entry.id!r}: unknown tag {tag!r}")
 
 
-def _check_almost_simple(entry, G, limits) -> None:
+def _check_almost_simple(entry, G) -> None:
     from .group_structure import is_simple, socle
-    S = socle(G, limits)
-    if S.is_abelian() or not is_simple(S, limits):
+    S = socle(G)
+    if S.is_abelian() or not is_simple(S):
         raise CatalogError(
             f"entry {entry.id!r}: socle is not non-abelian simple")
     # C_G(S) = 1 makes G embed into Aut(S)
-    for g in G.elements(limits):
+    for g in G.elements():
         if g.is_identity():
             continue
         if all(g * s == s * g for s in S.generators):
@@ -369,7 +376,7 @@ def _check_almost_simple(entry, G, limits) -> None:
                 f"entry {entry.id!r}: socle centralizer is non-trivial")
 
 
-def load_catalog(path, limits: Limits = DEFAULT_LIMITS) -> list:
+def load_catalog(path) -> list:
     """Parse and validate a catalog JSON file.
 
     Parse errors carry line numbers; validation errors name the entry.
@@ -394,7 +401,8 @@ def load_catalog(path, limits: Limits = DEFAULT_LIMITS) -> list:
                 generators=[list(map(int, g)) for g in raw["generators"]],
                 tags=list(raw.get("tags", [])),
                 notes=raw.get("notes", ""))
-            validate_entry(entry, limits)
+            with _input_caps():
+                validate_entry(entry)
         except (KeyError, TypeError, ValueError) as e:
             raise CatalogError(f"entry #{i}: {e}") from e
         entries.append(entry)

@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import __version__
-from .config import DEFAULT_LIMITS, Limits
+from .config import caps
 from .perm_core import (
     CapExceededError,
     GroupArgumentError,
@@ -43,13 +43,6 @@ from .sweep import (
 from . import verify
 
 
-def _limits_from_args(args) -> Limits:
-    if getattr(args, "cap_elements", None):
-        return dataclasses.replace(DEFAULT_LIMITS,
-                                   max_elements=args.cap_elements)
-    return DEFAULT_LIMITS
-
-
 def _entries(args):
     if getattr(args, "catalog", None):
         return cat.load_catalog(args.catalog)
@@ -64,18 +57,17 @@ def _write_out(args, payload) -> None:
 
 
 def cmd_analyze(args) -> int:
-    limits = _limits_from_args(args)
     entry = cat.find_entry(_entries(args), args.group)
     G = entry.group()
     if args.graph == "gamma":
-        graph = build_gamma_d(G, args.d, limits)
+        graph = build_gamma_d(G, args.d)
     else:
         d = args.d
         if d is None:
-            d = min_rank(G, limits).d
+            d = min_rank(G).d
             if args.graph == "generating":
                 d = 2
-        graph = build_delta_d(G, d, limits)
+        graph = build_delta_d(G, d)
     stats = analyze_graph(entry.id, graph, with_diameter=args.diameter)
     print(f"{entry.id}: |G| = {G.order}, {graph.kind} graph d={graph.meta.get('d')}: "
           f"{stats.n_vertices} vertices, {stats.n_edges} edges, "
@@ -88,7 +80,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    limits = _limits_from_args(args)
     entries = _entries(args)
     policy = args.d_policy
     if args.d is not None:
@@ -105,7 +96,7 @@ def cmd_sweep(args) -> int:
             if args.out else contextlib.nullcontext() as out:
         records = sweep(entries, max_order=args.max_order, policy=policy,
                         with_diameter=args.diameter, jobs=args.jobs,
-                        seed=args.seed, limits=limits,
+                        seed=args.seed,
                         skip_ids={rec.group_id for rec in earlier},
                         on_record=(lambda rec: out.write(rec.to_json() + "\n"))
                         if out else None)
@@ -132,13 +123,11 @@ def cmd_crown(args) -> int:
         MonolithicGroup, delta_Lt, weak_connectivity,
         weak_connectivity_sampled,
     )
-    limits = _limits_from_args(args)
     entry = cat.find_entry(_entries(args), args.L)
-    mono = MonolithicGroup.from_group(entry.group(), entry.id, limits)
+    mono = MonolithicGroup.from_group(entry.group(), entry.id)
     t0 = time.perf_counter()
     if args.check == "delta":
-        delta, table = delta_Lt(mono, args.t, verify=args.verify_witness,
-                                limits=limits)[:2]
+        delta, table = delta_Lt(mono, args.t, verify=args.verify_witness)[:2]
         payload = {"L": entry.id, "t": args.t, "delta": delta,
                    "orbit_count": delta, "omega": len(table.tuples),
                    "seed": args.seed,
@@ -149,16 +138,14 @@ def cmd_crown(args) -> int:
         return 0
     # weak connectivity
     if args.mode == "sampled":
-        _, table = delta_Lt(mono, args.t, limits=limits)
+        _, table = delta_Lt(mono, args.t)
         rep = weak_connectivity_sampled(mono, args.t, args.eta, table,
-                                        samples=args.samples, seed=args.seed,
-                                        limits=limits)
+                                        samples=args.samples, seed=args.seed)
     else:
         table = None
         if args.eta > 1:
-            _, table = delta_Lt(mono, args.t, limits=limits)
-        rep = weak_connectivity(mono, args.t, args.eta, table=table,
-                                limits=limits)
+            _, table = delta_Lt(mono, args.t)
+        rep = weak_connectivity(mono, args.t, args.eta, table=table)
     delta = table.orbit_count if table is not None else None
     payload = {"L": entry.id, "t": args.t, "eta": args.eta, "delta": delta,
                "orbit_count": delta,
@@ -172,7 +159,6 @@ def cmd_crown(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    limits = _limits_from_args(args)
     if args.lemma == "all":
         if args.params:
             raise ValueError("--params needs one suite, not --lemma all")
@@ -182,8 +168,7 @@ def cmd_verify(args) -> int:
     params = json.loads(args.params) if args.params else {}
     reports = []
     for lemma in lemmas:
-        rep = verify.run_verifier(lemma, seed=args.seed, limits=limits,
-                                  **params)
+        rep = verify.run_verifier(lemma, seed=args.seed, **params)
         print(rep.summary())
         for fail in rep.failures[:10]:
             print(f"  failure: {fail}")
@@ -193,14 +178,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    limits = _limits_from_args(args)
     entry = cat.find_entry(_entries(args), args.group)
     G = entry.group()
-    d = args.d if args.d is not None else min_rank(G, limits).d
+    d = args.d if args.d is not None else min_rank(G).d
     if args.graph == "gamma":
-        graph = build_gamma_d(G, d, limits)
+        graph = build_gamma_d(G, d)
     else:
-        graph = build_delta_d(G, d, limits)
+        graph = build_delta_d(G, d)
     export_dot(graph, args.out)
     print(f"wrote {graph.n_vertices} vertices / {graph.n_edges} edges "
           f"to {args.out}")
@@ -301,8 +285,10 @@ def cli_main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(e.code or 0)
+    cap = {"max_elements": args.cap_elements} if args.cap_elements else {}
     try:
-        return args.fn(args)
+        with caps(**cap):
+            return args.fn(args)
     except (CatalogError, GroupArgumentError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,7 +1,15 @@
-"""Resource limits shared across the package."""
+"""Resource caps, one process-wide value for the whole package.
+
+``LIMITS`` holds the caps in force.  Every check site reads
+``config.LIMITS.<field>`` when it runs, so modules import this module,
+not the name: ``caps(...)`` swaps the value for the duration of a
+``with`` block and restores the previous one on exit.
+"""
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 from dataclasses import dataclass
 
 
@@ -15,19 +23,32 @@ class Limits:
 
     # Hard cap on explicit element enumeration.
     max_elements: int = 10**6
-    # Cap on groups that get a dense multiplication table (memory: order^2 ints).
+    # Cap on groups that get a dense multiplication table (memory: order^2
+    # ints); maximal subgroups, Frattini subgroups and d(G) by incidence
+    # rows all need the table.
     max_dense_order: int = 2048
     # Cap for complete normal-subgroup lattice computation.
     max_normal_lattice: int = 10**4
     # Cap for automorphism-group backtracking.
     max_aut_order: int = 2000
-    # Cap for maximal-subgroup search (and hence Frattini subgroups).
-    max_maximal_order: int = 2000
     # Cap on brute-force witness searches (e.g. tuples of corrections tried).
     max_search_space: int = 10**7
     # Budget (candidate image tuples) for isomorphism backtracking.
     max_iso_leaves: int = 2 * 10**6
 
 
-DEFAULT_LIMITS = Limits()
+LIMITS = Limits()
 
+
+@contextlib.contextmanager
+def caps(**changes):
+    """Run the block with the given caps changed, e.g.
+    ``with caps(max_elements=100): ...``; the caps before the block are
+    restored on exit, also when the block raises."""
+    global LIMITS
+    saved = LIMITS
+    LIMITS = dataclasses.replace(saved, **changes)
+    try:
+        yield LIMITS
+    finally:
+        LIMITS = saved

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 from .perm_core import (
     CapExceededError,
     GroupArgumentError,
@@ -66,9 +66,9 @@ class MonolithicGroup:
     _x: Optional[PermutationGroup] = field(default=None, repr=False)
 
     @classmethod
-    def from_group(cls, L: PermutationGroup, name: str = "",
-                   limits: Limits = DEFAULT_LIMITS) -> "MonolithicGroup":
-        minimals = minimal_normal_subgroups(L, limits)
+    def from_group(cls, L: PermutationGroup,
+                   name: str = "") -> "MonolithicGroup":
+        minimals = minimal_normal_subgroups(L)
         if len(minimals) != 1:
             raise GroupArgumentError(
                 f"group is not monolithic: {len(minimals)} minimal normal "
@@ -87,32 +87,32 @@ class MonolithicGroup:
 
     # -- dense coset helpers -------------------------------------------------
 
-    def ct(self, limits: Limits = DEFAULT_LIMITS):
-        return self.group.cayley_table(limits)
+    def ct(self):
+        return self.group.cayley_table()
 
-    def socle_indices(self, limits: Limits = DEFAULT_LIMITS) -> tuple:
-        ct = self.ct(limits)
+    def socle_indices(self) -> tuple:
+        ct = self.ct()
         got = getattr(ct, "_socle_sorted", None)
         if got is None:
             got = tuple(sorted(ct.subset_indices(self.socle)))
             ct._socle_sorted = got
         return got
 
-    def coset_indices(self, x: int, limits: Limits = DEFAULT_LIMITS) -> tuple:
+    def coset_indices(self, x: int) -> tuple:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
-        ct = self.ct(limits)
-        return tuple(sorted(ct.table[x][n] for n in self.socle_indices(limits)))
+        ct = self.ct()
+        return tuple(sorted(ct.table[x][n] for n in self.socle_indices()))
 
-    def aut(self, limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
+    def aut(self) -> PermutationGroup:
         """Aut(L), acting on the element indices of L."""
         if self._aut is None:
-            self._aut = automorphism_group(self.group, limits)
+            self._aut = automorphism_group(self.group)
         return self._aut
 
-    def x_group(self, limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
+    def x_group(self) -> PermutationGroup:
         """X = C_Aut(L)(L/N), the automorphisms fixing every socle coset."""
         if self._x is None:
-            self._x = x_subgroup(self, limits, aut=self.aut(limits))
+            self._x = x_subgroup(self, aut=self.aut())
         return self._x
 
 
@@ -201,8 +201,7 @@ def _from_coordinates(coords: Sequence[Permutation]) -> Permutation:
     return Permutation._raw(tuple(images))
 
 
-def build_crown_power(L: MonolithicGroup, k: int,
-                      limits: Limits = DEFAULT_LIMITS) -> CrownPower:
+def build_crown_power(L: MonolithicGroup, k: int) -> CrownPower:
     """L_k of degree k * deg(L).
 
     No chain is built here: ``CrownPower.group`` builds and certifies one
@@ -232,20 +231,18 @@ def crown_generates(cp: CrownPower, elems: Sequence[Permutation]) -> bool:
     return chain.order() == cp.order
 
 
-def column_elements(L: MonolithicGroup, columns: Sequence[tuple],
-                    limits: Limits = DEFAULT_LIMITS) -> list:
+def column_elements(L: MonolithicGroup, columns: Sequence[tuple]) -> list:
     """The t elements of L^k whose coordinates are given by columns.
 
     ``columns[j]`` holds the element indices (c_j[1], ..., c_j[t]); the
     s-th element is (c_1[s], ..., c_k[s]) on k copies of L's domain.
     """
-    ct = L.ct(limits)
+    ct = L.ct()
     return [_from_coordinates([ct.perm(col[s]) for col in columns])
             for s in range(len(columns[0]))]
 
 
-def columns_generate(L: MonolithicGroup, columns: Sequence[tuple],
-                     limits: Limits = DEFAULT_LIMITS) -> bool:
+def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
     """Do the elements with these coordinate columns generate L_k?
 
     The subdirect-product lemma decides it without a stabilizer chain.
@@ -266,16 +263,16 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple],
     one coset of N (the elements lie in L_k).
     """
     L.require_nonabelian()
-    ct = L.ct(limits)
+    ct = L.ct()
     tbl, inv = ct.table, ct.inv
-    socle = frozenset(L.socle_indices(limits))
+    socle = frozenset(L.socle_indices())
     first = columns[0]
     for col in columns[1:]:
         if len(col) != len(first) or any(
                 tbl[inv[a]][b] not in socle for a, b in zip(first, col)):
             raise PreconditionError(
                 "columns must agree modulo the socle, row by row")
-    reg = registry_for(L.group, limits)
+    reg = registry_for(L.group)
     if any(reg.mask_of(col) for col in columns):
         return False
     cols = np.array(columns, dtype=np.int64)
@@ -335,37 +332,36 @@ class OrbitTable:
         return got
 
 
-def default_generating_tuple(L: MonolithicGroup, t: int,
-                             limits: Limits = DEFAULT_LIMITS) -> tuple:
+def default_generating_tuple(L: MonolithicGroup, t: int) -> tuple:
     """min_rank witness padded with the identity up to length t."""
-    cert = min_rank(L.group, limits)
+    cert = min_rank(L.group)
     if t < cert.d:
         raise PreconditionError(f"t = {t} < d(L) = {cert.d}")
-    ct = L.ct(limits)
+    ct = L.ct()
     idxs = [ct.index[p.images] for p in cert.witness]
     idxs += [ct.identity] * (t - len(idxs))
     return tuple(idxs)
 
 
-def omega_table(L: MonolithicGroup, a: Sequence[int],
-                limits: Limits = DEFAULT_LIMITS) -> OrbitTable:
+def omega_table(L: MonolithicGroup, a: Sequence[int]) -> OrbitTable:
     """Enumerate and label the generating coset tuples over (a_1, ..., a_t)."""
     L.require_nonabelian()
-    ct = L.ct(limits)
+    ct = L.ct()
     a = tuple(a)
-    cosets = [L.coset_indices(x, limits) for x in a]
+    cosets = [L.coset_indices(x) for x in a]
     total = 1
     for c in cosets:
         total *= len(c)
-    if total > limits.max_search_space:
+    if total > config.LIMITS.max_search_space:
         raise CapExceededError(
-            f"|N|^t = {total} exceeds search cap {limits.max_search_space}")
+            f"|N|^t = {total} exceeds search cap "
+            f"{config.LIMITS.max_search_space}")
     # the cap comes first: it spares an over-cap call the maximal subgroups
-    reg = registry_for(L.group, limits)
+    reg = registry_for(L.group)
     if reg.mask_of(a):
         raise PreconditionError("the fixed tuple must generate L")
     tuples = list(_generating_tuples(reg, cosets))
-    X = L.x_group(limits)
+    X = L.x_group()
     labels, reps = orbits_on_tuples(X, tuples)
     count = len(reps)
     # an automorphism fixing a generating tuple is trivial, so X acts
@@ -395,8 +391,7 @@ def _generating_tuples(reg, cosets):
 
 
 def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False,
-             a: Optional[Sequence[int]] = None,
-             limits: Limits = DEFAULT_LIMITS):
+             a: Optional[Sequence[int]] = None):
     """delta(L, t): the X-orbit count on the generating coset tuples.
 
     With ``verify`` the witness tuple whose columns are the complete
@@ -407,23 +402,23 @@ def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False,
     crown power's group still unbuilt.
     """
     if a is None:
-        a = default_generating_tuple(L, t, limits)
-    elif t < min_rank(L.group, limits).d:
+        a = default_generating_tuple(L, t)
+    elif t < min_rank(L.group).d:
         raise PreconditionError(f"t = {t} < d(L)")
-    table = omega_table(L, a, limits)
+    table = omega_table(L, a)
     delta = table.orbit_count
     if not verify:
         return delta, table
-    crown = build_crown_power(L, delta, limits)
+    crown = build_crown_power(L, delta)
     # rep entries already carry the a_i factor: rep[i] = a_i n_{i,rep}
-    if not columns_generate(L, table.reps, limits):
+    if not columns_generate(L, table.reps):
         raise WitnessSearchFailure(
             "orbit-representative witness failed to generate the crown power")
-    return delta, table, crown, column_elements(L, table.reps, limits)
+    return delta, table, crown, column_elements(L, table.reps)
 
 
-def generation_via_orbits(table: OrbitTable, rows: Sequence[Sequence[int]],
-                          limits: Limits = DEFAULT_LIMITS) -> bool:
+def generation_via_orbits(table: OrbitTable,
+                          rows: Sequence[Sequence[int]]) -> bool:
     """Orbit criterion for <a_1 . m_1, ..., a_t . m_t> = L_eta.
 
     ``rows`` holds the correction tuples m_i as socle element indices;
@@ -440,7 +435,7 @@ def generation_via_orbits(table: OrbitTable, rows: Sequence[Sequence[int]],
         raise GroupArgumentError("ragged correction matrix")
     if eta > table.orbit_count:
         raise PreconditionError("eta exceeds delta(L, t)")
-    ct = table.mono.ct(limits)
+    ct = table.mono.ct()
     seen = set()
     for k in range(eta):
         column = tuple(ct.table[table.a[i]][rows[i][k]] for i in range(t))
@@ -497,22 +492,20 @@ class CrownGraphBuilder:
 
     def __init__(self, L: MonolithicGroup, t: int, eta: int,
                  a: Optional[Sequence[int]] = None,
-                 table: Optional[OrbitTable] = None,
-                 limits: Limits = DEFAULT_LIMITS):
+                 table: Optional[OrbitTable] = None):
         L.require_nonabelian()
         self.L = L
-        self.limits = limits
-        reg = registry_for(L.group, limits)
+        reg = registry_for(L.group)
         self.rows = reg.incidence_rows()
-        self.ct = L.ct(limits)
+        self.ct = L.ct()
         if a is None:
-            a = default_generating_tuple(L, t, limits)
+            a = default_generating_tuple(L, t)
         self.a = tuple(a)
         self.t = t
         self.eta = eta
         if reg.mask_of(self.a):
             raise PreconditionError("the row tuple must generate L")
-        self.socle = L.socle_indices(limits)
+        self.socle = L.socle_indices()
         self.table = table
         if table is None and eta != 1:
             raise GroupArgumentError(
@@ -527,7 +520,7 @@ class CrownGraphBuilder:
 
         The t * |N|^eta vertices are capped at max_elements.
         """
-        if self.t * len(self.socle) ** self.eta > self.limits.max_elements:
+        if self.t * len(self.socle) ** self.eta > config.LIMITS.max_elements:
             raise CapExceededError("crown graph vertex count over cap")
         corrections = self.corrections()
         return [CrownVertex(i, c) for i in range(self.t) for c in corrections]
@@ -596,7 +589,7 @@ class CrownGraphBuilder:
         if got is None:
             rows, rest = self.rows, free[1:]
             got = any(self._completes(mask & rows[z], rest) for z in
-                      self.L.coset_indices(self.a[free[0]], self.limits))
+                      self.L.coset_indices(self.a[free[0]]))
             self._complete_memo[key] = got
         return got
 
@@ -604,14 +597,13 @@ class CrownGraphBuilder:
 def crown_graph(L: MonolithicGroup, t: int, eta: int,
                 a: Optional[Sequence[int]] = None,
                 table: Optional[OrbitTable] = None,
-                drop_isolated: bool = True,
-                limits: Limits = DEFAULT_LIMITS) -> ElementGraph:
+                drop_isolated: bool = True) -> ElementGraph:
     """The graph Gamma_{a_1..a_t}(L_eta) on formal (row, correction) vertices.
 
     With ``drop_isolated`` the Delta version is returned.  Vertex count is
     capped at t * |N|^eta <= max_elements.
     """
-    builder = CrownGraphBuilder(L, t, eta, a, table, limits)
+    builder = CrownGraphBuilder(L, t, eta, a, table)
     verts = builder.vertices()
     adjacency = [[] for _ in verts]
     for v, w in builder.edges():
@@ -662,9 +654,9 @@ class WeakConnectivityReport:
                 f"components={self.n_components} mode={self.mode}")
 
 
-def _socle_bfs_order(L: MonolithicGroup, limits: Limits) -> list:
+def _socle_bfs_order(L: MonolithicGroup) -> list:
     """Socle elements ordered by word length in the socle generators."""
-    ct = L.ct(limits)
+    ct = L.ct()
     gens = [ct.index[g.images] for g in L.socle.generators]
     order = [ct.identity]
     seen = {ct.identity}
@@ -682,15 +674,14 @@ def _socle_bfs_order(L: MonolithicGroup, limits: Limits) -> list:
 
 def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
                       a: Optional[Sequence[int]] = None,
-                      table: Optional[OrbitTable] = None,
-                      limits: Limits = DEFAULT_LIMITS) -> WeakConnectivityReport:
+                      table: Optional[OrbitTable] = None) -> WeakConnectivityReport:
     """Exhaustive weak-connectivity check of Delta_{a_1..a_t}(L_eta).
 
     For every row i and every ordered pair of row-i vertices (v1, v2) of
     the Delta graph there must be m in M = N^eta with v1 and v2^m in the
     same component.  Conjugators are tried in BFS order (identity first).
     """
-    builder = CrownGraphBuilder(L, t, eta, a, table, limits)
+    builder = CrownGraphBuilder(L, t, eta, a, table)
     verts = builder.vertices()
     n = len(verts)
     per_row = n // t
@@ -706,7 +697,7 @@ def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
     comp_of = {v: uf.find(v) for v in range(n) if non_isolated[v]}
     n_components = len(set(comp_of.values()))
 
-    socle_order = _socle_bfs_order(L, limits)
+    socle_order = _socle_bfs_order(L)
     m_order = list(itertools.product(socle_order, repeat=eta))
 
     rows = []
@@ -738,8 +729,7 @@ def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
         rows, all_pass)
 
 
-def generating_coset_patterns(L: MonolithicGroup, t: int,
-                              limits: Limits = DEFAULT_LIMITS) -> list:
+def generating_coset_patterns(L: MonolithicGroup, t: int) -> list:
     """Socle-coset patterns admitting a generating t-tuple lift.
 
     Patterns are tuples of canonical (minimal) coset representatives; a
@@ -748,16 +738,16 @@ def generating_coset_patterns(L: MonolithicGroup, t: int,
     normal-correction lemma.  Each pattern comes with its canonical lift
     (first generating tuple in lexicographic order).
     """
-    reg = registry_for(L.group, limits)
-    ct = L.ct(limits)
-    reps = sorted({min(L.coset_indices(x, limits)) for x in range(ct.n)})
+    reg = registry_for(L.group)
+    ct = L.ct()
+    reps = sorted({min(L.coset_indices(x)) for x in range(ct.n)})
     n_gens = [ct.index[p.images] for p in L.socle.generators]
     out = []
     for pattern in itertools.product(reps, repeat=t):
         if reg.mask_of(pattern + tuple(n_gens)):
             continue
         lift = next(_generating_tuples(
-            reg, [L.coset_indices(x, limits) for x in pattern]), None)
+            reg, [L.coset_indices(x) for x in pattern]), None)
         if lift is None:
             raise WitnessSearchFailure(
                 "no generating lift found; contradicts the correction lemma")
@@ -765,8 +755,7 @@ def generating_coset_patterns(L: MonolithicGroup, t: int,
     return out
 
 
-def t_locally_connected(L: MonolithicGroup, t: int, eta: int,
-                        limits: Limits = DEFAULT_LIMITS) -> tuple:
+def t_locally_connected(L: MonolithicGroup, t: int, eta: int) -> tuple:
     """Weak connectivity across every generating coset pattern.
 
     The crown graph only depends on the tuple through its coset pattern
@@ -775,16 +764,15 @@ def t_locally_connected(L: MonolithicGroup, t: int, eta: int,
     (all_passed, reports).
     """
     reports = []
-    for pattern, lift in generating_coset_patterns(L, t, limits):
-        reports.append(weak_connectivity(L, t, eta, a=lift, limits=limits))
+    for pattern, lift in generating_coset_patterns(L, t):
+        reports.append(weak_connectivity(L, t, eta, a=lift))
     return all(r.passed for r in reports), reports
 
 
 def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
                               table: OrbitTable,
                               a: Optional[Sequence[int]] = None,
-                              samples: int = 60, seed: int = 0,
-                              limits: Limits = DEFAULT_LIMITS) -> WeakConnectivityReport:
+                              samples: int = 60, seed: int = 0) -> WeakConnectivityReport:
     """Sampled weak connectivity for graphs too large to hold explicitly.
 
     Seeded pairs of same-row vertices are checked: some conjugate of the
@@ -793,10 +781,10 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
     """
     import random
 
-    builder = CrownGraphBuilder(L, t, eta, a, table, limits)
+    builder = CrownGraphBuilder(L, t, eta, a, table)
     rng = random.Random(seed)
     corrections = builder.corrections()
-    socle_order = _socle_bfs_order(L, limits)
+    socle_order = _socle_bfs_order(L)
     m_order = list(itertools.product(socle_order, repeat=eta))
 
     neighbour_sets: dict = {}
@@ -914,16 +902,14 @@ def partition_meet(partitions: Sequence[IndexPartition]) -> IndexPartition:
     return IndexPartition.from_keys([uf.find(x) for x in range(n)])
 
 
-def element_orbit_labels(L: MonolithicGroup,
-                         limits: Limits = DEFAULT_LIMITS) -> list:
+def element_orbit_labels(L: MonolithicGroup) -> list:
     """X-orbit label per element index of L."""
-    labels, _ = orbits_on_tuples(L.x_group(limits),
-                                 [(x,) for x in range(L.ct(limits).n)])
+    labels, _ = orbits_on_tuples(L.x_group(), [(x,) for x in range(L.ct().n)])
     return labels
 
 
-def partitions_pi(table: OrbitTable, columns: Optional[Sequence[tuple]] = None,
-                  limits: Limits = DEFAULT_LIMITS):
+def partitions_pi(table: OrbitTable,
+                  columns: Optional[Sequence[tuple]] = None):
     """Row partitions of the column set by X-conjugacy of entries.
 
     Columns default to the complete orbit-representative system (the
@@ -933,7 +919,7 @@ def partitions_pi(table: OrbitTable, columns: Optional[Sequence[tuple]] = None,
     """
     if columns is None:
         columns = table.reps
-    labels = element_orbit_labels(table.mono, limits)
+    labels = element_orbit_labels(table.mono)
     partitions = []
     for i in range(table.t):
         partitions.append(IndexPartition.from_keys(
@@ -947,14 +933,13 @@ def partitions_pi(table: OrbitTable, columns: Optional[Sequence[tuple]] = None,
 
 
 def delu_fraction(L: MonolithicGroup, l: Permutation,
-                  b: Sequence[Permutation],
-                  limits: Limits = DEFAULT_LIMITS) -> Fraction:
+                  b: Sequence[Permutation]) -> Fraction:
     """Exact density of correction tuples keeping <l, b_1 n_1, ..> = L.
 
     Preconditions: d = len(b) >= max(2, d_l(L)) and <l, b_1, ..., b_d> = L.
     """
-    reg = registry_for(L.group, limits)
-    ct = L.ct(limits)
+    reg = registry_for(L.group)
+    ct = L.ct()
     try:
         l_idx = ct.index[l.images]
         b_idx = [ct.index[p.images] for p in b]
@@ -968,8 +953,8 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
         raise PreconditionError("d < d_l(L)")
     if reg.mask_of([l_idx] + b_idx):
         raise PreconditionError("<l, b_1, ..., b_d> != L")
-    socle = L.socle_indices(limits)
-    if len(socle) ** d > limits.max_search_space:
+    socle = L.socle_indices()
+    if len(socle) ** d > config.LIMITS.max_search_space:
         raise CapExceededError("|N|^d over search cap")
     tbl = ct.table
     count = 0
@@ -982,8 +967,7 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
     return Fraction(count, len(socle) ** d)
 
 
-def cln_witness(G: MonolithicGroup, a: Permutation, b: Permutation,
-                limits: Limits = DEFAULT_LIMITS) -> tuple:
+def cln_witness(G: MonolithicGroup, a: Permutation, b: Permutation) -> tuple:
     """Socle corrections (n, m) with a n and b m commuting.
 
     Precondition: [a, b] lies in the socle.  Search order: n ascending in
@@ -992,13 +976,13 @@ def cln_witness(G: MonolithicGroup, a: Permutation, b: Permutation,
     which callers treat as a theorem violation.
     """
     G.require_nonabelian()
-    ct = G.ct(limits)
+    ct = G.ct()
     try:
         a_idx = ct.index[a.images]
         b_idx = ct.index[b.images]
     except KeyError:
         raise PreconditionError("a and b must lie in the group")
-    socle = G.socle_indices(limits)
+    socle = G.socle_indices()
     socle_set = frozenset(socle)
     tbl, inv = ct.table, ct.inv
     comm = tbl[tbl[inv[a_idx]][inv[b_idx]]][tbl[a_idx][b_idx]]
@@ -1023,13 +1007,12 @@ def cln_witness(G: MonolithicGroup, a: Permutation, b: Permutation,
 
 
 def unico_rank_check(L: MonolithicGroup, t: int,
-                     b: Sequence[Permutation],
-                     limits: Limits = DEFAULT_LIMITS) -> bool:
+                     b: Sequence[Permutation]) -> bool:
     """Check d_{b_t}(L) <= t - 1 for tuples with <b_1..b_t> N = L, t >= 3."""
     if t < 3 or len(b) != t:
         raise PreconditionError("need t >= 3 elements")
-    reg = registry_for(L.group, limits)
-    ct = L.ct(limits)
+    reg = registry_for(L.group)
+    ct = L.ct()
     try:
         b_idx = [ct.index[p.images] for p in b]
         n_gens = [ct.index[p.images] for p in L.socle.generators]

@@ -29,7 +29,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .config import DEFAULT_LIMITS, Limits
 from .perm_core import (
     GroupArgumentError,
     Permutation,
@@ -135,9 +134,9 @@ class EdgeOracle:
     of row classes and expanded to elements by the builders.
     """
 
-    def __init__(self, G: PermutationGroup, limits: Limits = DEFAULT_LIMITS):
+    def __init__(self, G: PermutationGroup):
         self.group = G
-        self.reg = registry_for(G, limits)
+        self.reg = registry_for(G)
         self.ct = self.reg.ct
         self.rows = self.reg.incidence_rows()
         by_row: dict = {}
@@ -175,14 +174,14 @@ class EdgeOracle:
                     yield (i, j)
 
 
-def is_edge_d(G: PermutationGroup, x: Permutation, y: Permutation, d: int,
-              limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_edge_d(G: PermutationGroup, x: Permutation, y: Permutation,
+              d: int) -> bool:
     """Whether some generating set of G of cardinality exactly d contains x and y."""
     if d < 2:
         raise GroupArgumentError("d must be at least 2")
     if x == y:
         raise GroupArgumentError("x and y must be distinct")
-    oracle = _oracle_for(G, limits)
+    oracle = _oracle_for(G)
     ct = oracle.ct
     try:
         xi, yi = ct.index[x.images], ct.index[y.images]
@@ -191,12 +190,12 @@ def is_edge_d(G: PermutationGroup, x: Permutation, y: Permutation, d: int,
     return oracle.edge(xi, yi, d)
 
 
-def edge_witness(G: PermutationGroup, x: Permutation, y: Permutation, d: int,
-                 limits: Limits = DEFAULT_LIMITS) -> Optional[frozenset]:
+def edge_witness(G: PermutationGroup, x: Permutation, y: Permutation,
+                 d: int) -> Optional[frozenset]:
     """A generating set of cardinality exactly d containing x and y, or None."""
-    if not is_edge_d(G, x, y, d, limits):
+    if not is_edge_d(G, x, y, d):
         return None
-    oracle = _oracle_for(G, limits)
+    oracle = _oracle_for(G)
     ct, reg = oracle.ct, oracle.reg
     n = ct.n
     if n == d:
@@ -210,20 +209,19 @@ def edge_witness(G: PermutationGroup, x: Permutation, y: Permutation, d: int,
     return frozenset(ct.perm(i) for i in chosen)
 
 
-def _oracle_for(G: PermutationGroup, limits: Limits) -> EdgeOracle:
-    ct = G.cayley_table(limits)
+def _oracle_for(G: PermutationGroup) -> EdgeOracle:
+    ct = G.cayley_table()
     oracle = getattr(ct, "_edge_oracle", None)
     if oracle is None:
-        oracle = EdgeOracle(G, limits)
+        oracle = EdgeOracle(G)
         ct._edge_oracle = oracle
     return oracle
 
 
-def build_gamma_d(G: PermutationGroup, d: int,
-                  limits: Limits = DEFAULT_LIMITS) -> ElementGraph:
+def build_gamma_d(G: PermutationGroup, d: int) -> ElementGraph:
     """Gamma_d on all elements of G (isolated vertices included)."""
     _check_graph_args(G, d)
-    oracle = _oracle_for(G, limits)
+    oracle = _oracle_for(G)
     classes = oracle.classes
     joined_to = [[] for _ in classes]
     for i, j in oracle.class_edges(d):
@@ -240,21 +238,14 @@ def build_gamma_d(G: PermutationGroup, d: int,
                         {"d": d})
 
 
-def build_delta_d(G: PermutationGroup, d: int,
-                  limits: Limits = DEFAULT_LIMITS) -> ElementGraph:
+def build_delta_d(G: PermutationGroup, d: int) -> ElementGraph:
     """Delta_d: Gamma_d with isolated vertices removed."""
-    gamma = build_gamma_d(G, d, limits)
+    gamma = build_gamma_d(G, d)
     keep = [v for v in range(gamma.n_vertices) if gamma.adjacency[v]]
     remap = {v: i for i, v in enumerate(keep)}
     adjacency = [sorted(remap[w] for w in gamma.adjacency[v]) for v in keep]
     return ElementGraph(gamma.kind, [gamma.labels[v] for v in keep],
                         adjacency, G, dict(gamma.meta))
-
-
-def generating_graph(G: PermutationGroup,
-                     limits: Limits = DEFAULT_LIMITS) -> ElementGraph:
-    """The generating graph: Delta_2."""
-    return build_delta_d(G, 2, limits)
 
 
 def _check_graph_args(G: PermutationGroup, d: int) -> None:
@@ -279,15 +270,14 @@ class DeltaSummary:
         return self.n_components <= 1
 
 
-def delta_summary(G: PermutationGroup, d: int,
-                  limits: Limits = DEFAULT_LIMITS) -> DeltaSummary:
+def delta_summary(G: PermutationGroup, d: int) -> DeltaSummary:
     """Connectivity of Delta_d via union-find over joined row classes.
 
     Every element of a class that has an edge is adjacent to all of that
     edge's other class, so a non-isolated class lies in one component.
     """
     _check_graph_args(G, d)
-    oracle = _oracle_for(G, limits)
+    oracle = _oracle_for(G)
     classes = oracle.classes
     uf = UnionFind(len(classes))
     non_isolated = bytearray(len(classes))
@@ -306,8 +296,8 @@ def delta_summary(G: PermutationGroup, d: int,
 # bipartite coset graph
 
 
-def build_lambda(S: PermutationGroup, x: Permutation, y: Permutation,
-                 limits: Limits = DEFAULT_LIMITS) -> ElementGraph:
+def build_lambda(S: PermutationGroup, x: Permutation,
+                 y: Permutation) -> ElementGraph:
     """Bipartite graph whose parts are the cosets xS and yS in G = <S, x, y>.
 
     The parts are kept as two formally disjoint vertex copies (2|S|
@@ -324,9 +314,9 @@ def build_lambda(S: PermutationGroup, x: Permutation, y: Permutation,
     if x == y:
         raise GroupArgumentError(
             "rejected: x = y gives identical parts for the coset graph")
-    reg = registry_for(G, limits)
+    reg = registry_for(G)
     ct, rows = reg.ct, reg.incidence_rows()
-    s_elems = S.elements(limits)
+    s_elems = S.elements()
     part_x = sorted(ct.index[(x * s).images] for s in s_elems)
     part_y = sorted(ct.index[(y * s).images] for s in s_elems)
     labels = [("x", ct.perm(i)) for i in part_x]

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 from .perm_core import (
     CapExceededError,
     CayleyTable,
@@ -309,8 +309,8 @@ def _is_prime_power(k: int) -> bool:
     return k == 1
 
 
-def registry_for(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> SubgroupRegistry:
-    ct = G.cayley_table(limits)
+def registry_for(G: PermutationGroup) -> SubgroupRegistry:
+    ct = G.cayley_table()
     reg = getattr(ct, "_registry", None)
     if reg is None:
         reg = SubgroupRegistry(ct)
@@ -332,26 +332,25 @@ class NormalLattice:
         return [N.order for N in self.normals]
 
 
-def normal_subgroups(G: PermutationGroup,
-                     limits: Limits = DEFAULT_LIMITS) -> NormalLattice:
+def normal_subgroups(G: PermutationGroup) -> NormalLattice:
     """Complete normal-subgroup lattice.
 
     Normal closures of conjugacy classes are the join-irreducible normal
     subgroups; closing them under joins yields every normal subgroup.
     """
-    if G.order > limits.max_normal_lattice:
+    if G.order > config.LIMITS.max_normal_lattice:
         raise CapExceededError(
             f"order {G.order} exceeds normal-lattice cap "
-            f"{limits.max_normal_lattice}")
+            f"{config.LIMITS.max_normal_lattice}")
     from .perm_core import conjugacy_classes
 
     atoms = {}
-    for cls in conjugacy_classes(G, limits):
+    for cls in conjugacy_classes(G):
         rep = cls[0]
         if rep.is_identity():
             continue
         N = normal_closure(G, [rep])
-        key = frozenset(p.images for p in N.elements(limits))
+        key = frozenset(p.images for p in N.elements())
         atoms.setdefault(key, N)
 
     found = dict(atoms)
@@ -366,7 +365,7 @@ def normal_subgroups(G: PermutationGroup,
                 J = PermutationGroup(
                     G.degree, tuple(N.generators) + tuple(M.generators),
                     known_order=G.order)
-                jkey = frozenset(p.images for p in J.elements(limits))
+                jkey = frozenset(p.images for p in J.elements())
                 if jkey not in found and jkey != trivial_key:
                     found[jkey] = J
                     new.append((jkey, J))
@@ -375,7 +374,7 @@ def normal_subgroups(G: PermutationGroup,
     trivial = PermutationGroup(G.degree, ())
     all_normals = {trivial_key: trivial}
     all_normals.update(found)
-    full_key = frozenset(p.images for p in G.elements(limits))
+    full_key = frozenset(p.images for p in G.elements())
     all_normals[full_key] = G
 
     ordered = sorted(all_normals.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
@@ -390,14 +389,13 @@ def normal_subgroups(G: PermutationGroup,
     return NormalLattice(G, normals, minimal)
 
 
-def minimal_normal_subgroups(G: PermutationGroup,
-                             limits: Limits = DEFAULT_LIMITS) -> list:
-    return normal_subgroups(G, limits).minimal_normals
+def minimal_normal_subgroups(G: PermutationGroup) -> list:
+    return normal_subgroups(G).minimal_normals
 
 
-def socle(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
+def socle(G: PermutationGroup) -> PermutationGroup:
     """Join of all minimal normal subgroups."""
-    minimals = minimal_normal_subgroups(G, limits)
+    minimals = minimal_normal_subgroups(G)
     if not minimals:
         return PermutationGroup(G.degree, ())
     gens = []
@@ -406,8 +404,8 @@ def socle(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> PermutationGr
     return PermutationGroup(G.degree, gens, known_order=G.order)
 
 
-def is_simple(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> bool:
-    return G.order > 1 and len(normal_subgroups(G, limits).normals) == 2
+def is_simple(G: PermutationGroup) -> bool:
+    return G.order > 1 and len(normal_subgroups(G).normals) == 2
 
 
 def is_soluble(G: PermutationGroup) -> bool:
@@ -425,16 +423,11 @@ def is_soluble(G: PermutationGroup) -> bool:
 # Frattini subgroup
 
 
-def maximal_subgroups(G: PermutationGroup,
-                      limits: Limits = DEFAULT_LIMITS) -> list:
+def maximal_subgroups(G: PermutationGroup) -> list:
     """All maximal subgroups of G (as PermutationGroups), cap-guarded."""
-    if G.order > limits.max_maximal_order:
-        raise CapExceededError(
-            f"order {G.order} exceeds maximal-subgroup cap "
-            f"{limits.max_maximal_order}; Frattini not computed")
     if G.order == 1:
         return []
-    reg = registry_for(G, limits)
+    reg = registry_for(G)
     ct = reg.ct
     out = []
     for members in reg.maximal_subgroups():
@@ -443,15 +436,11 @@ def maximal_subgroups(G: PermutationGroup,
     return out
 
 
-def frattini(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
+def frattini(G: PermutationGroup) -> PermutationGroup:
     """Intersection of all maximal subgroups (the non-generators)."""
     if G.order == 1:
         return PermutationGroup(G.degree, ())
-    if G.order > limits.max_maximal_order:
-        raise CapExceededError(
-            f"order {G.order} exceeds maximal-subgroup cap "
-            f"{limits.max_maximal_order}; Frattini not computed")
-    reg = registry_for(G, limits)
+    reg = registry_for(G)
     ct = reg.ct
     maximals = reg.maximal_subgroups()
     if not maximals:
@@ -479,7 +468,7 @@ class RankCertificate:
         return generates(self.group, list(self.witness))
 
 
-def min_rank(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> RankCertificate:
+def min_rank(G: PermutationGroup) -> RankCertificate:
     """d(G) with a witness generating sequence.
 
     Dense groups, from the incidence rows for every d: x is the first
@@ -491,8 +480,8 @@ def min_rank(G: PermutationGroup, limits: Limits = DEFAULT_LIMITS) -> RankCertif
     """
     if G.order == 1:
         return RankCertificate(G, 0, ())
-    if G.order <= limits.max_dense_order:
-        return _min_rank_dense(G, limits)
+    if G.order <= config.LIMITS.max_dense_order:
+        return _min_rank_dense(G)
     # Large groups: a generating pair plus non-abelianness (which rules
     # out d = 1) certifies d(G) = 2 without enumeration.  The pair search
     # is a fixed-seed random probe; generating pairs are dense whenever
@@ -526,8 +515,8 @@ def _prune_generators(G: PermutationGroup) -> list:
     return keep
 
 
-def _min_rank_dense(G: PermutationGroup, limits: Limits) -> RankCertificate:
-    reg = registry_for(G, limits)
+def _min_rank_dense(G: PermutationGroup) -> RankCertificate:
+    reg = registry_for(G)
     ct = reg.ct
     rows = reg.incidence_rows()
     class_reps = sorted((cls[0] for cls in ct.classes),
@@ -542,10 +531,9 @@ def _min_rank_dense(G: PermutationGroup, limits: Limits) -> RankCertificate:
     return RankCertificate(G, d, witness)
 
 
-def d_X(G: PermutationGroup, X: Iterable[Permutation],
-        limits: Limits = DEFAULT_LIMITS) -> int:
+def d_X(G: PermutationGroup, X: Iterable[Permutation]) -> int:
     """Smallest r such that X together with r further elements generates G."""
-    reg = registry_for(G, limits)
+    reg = registry_for(G)
     ct = reg.ct
     idxs = []
     for p in X:
@@ -557,8 +545,7 @@ def d_X(G: PermutationGroup, X: Iterable[Permutation],
 
 
 def gaschutz_lift(G: PermutationGroup, M: PermutationGroup,
-                  X: Sequence[Permutation], g: Sequence[Permutation],
-                  limits: Limits = DEFAULT_LIMITS) -> tuple:
+                  X: Sequence[Permutation], g: Sequence[Permutation]) -> tuple:
     """Corrections n_1..n_r in M with <g_1 n_1, ..., g_r n_r, X> = G.
 
     Preconditions: M normal in G, <g, X, M> = G and r >= d_X(G).  Violated
@@ -567,7 +554,7 @@ def gaschutz_lift(G: PermutationGroup, M: PermutationGroup,
     """
     if not is_normal(G, M):
         raise PreconditionError("M is not normal in G")
-    reg = registry_for(G, limits)
+    reg = registry_for(G)
     ct = reg.ct
     try:
         g_idx = [ct.index[p.images] for p in g]
@@ -581,7 +568,7 @@ def gaschutz_lift(G: PermutationGroup, M: PermutationGroup,
     x_mask = reg.mask_of(x_idx)
     if r < reg.mask_dist(x_mask):
         raise PreconditionError("r < d_X(G)")
-    if len(m_idx) ** r > limits.max_search_space:
+    if len(m_idx) ** r > config.LIMITS.max_search_space:
         raise CapExceededError("correction search space over cap")
     rows, table = reg.incidence_rows(), ct.table
     for combo in itertools.product(m_idx, repeat=r):

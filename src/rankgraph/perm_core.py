@@ -16,6 +16,10 @@ Groups are represented by generators plus a stabilizer-chain certificate
 non-fixed point), which provides order and membership without
 enumeration.  Groups and permutations are immutable after construction
 and safe to share across parallel workers.
+
+Element lists and Cayley tables are the two dense structures; their caps
+(``max_elements``, ``max_dense_order``) are read from ``config.LIMITS``
+when they run, so ``config.caps`` governs every caller.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
+from . import config
 
 
 class GroupArgumentError(ValueError):
@@ -459,13 +463,17 @@ class PermutationGroup:
 
     # -- element enumeration ----------------------------------------------------
 
-    def elements(self, limits: Limits = DEFAULT_LIMITS) -> tuple:
-        """All elements in deterministic (lexicographic) order."""
+    def elements(self) -> tuple:
+        """All elements in deterministic (lexicographic) order.
+
+        The enumeration cap is checked on every call, so a list built
+        under larger caps is not handed out under smaller ones.
+        """
+        if self._order > config.LIMITS.max_elements:
+            raise CapExceededError(
+                f"order {self._order} exceeds enumeration cap "
+                f"{config.LIMITS.max_elements}")
         if self._elements is None:
-            if self._order > limits.max_elements:
-                raise CapExceededError(
-                    f"order {self._order} exceeds enumeration cap "
-                    f"{limits.max_elements}")
             seen = {self.identity.images}
             frontier = [self.identity.images]
             gen_images = [g.images for g in self.generators]
@@ -487,9 +495,9 @@ class PermutationGroup:
         return all(a * b == b * a for a, b in
                    itertools.combinations_with_replacement(gens, 2))
 
-    def cayley_table(self, limits: Limits = DEFAULT_LIMITS) -> "CayleyTable":
+    def cayley_table(self) -> "CayleyTable":
         if self._cayley is None:
-            self._cayley = CayleyTable(self, limits)
+            self._cayley = CayleyTable(self)
         return self._cayley
 
     def release_dense_caches(self) -> None:
@@ -516,14 +524,13 @@ def generates(G: PermutationGroup, elems: Iterable[Permutation]) -> bool:
     return chain.order() == G.order
 
 
-def conjugacy_classes(G: PermutationGroup,
-                      limits: Limits = DEFAULT_LIMITS) -> list:
+def conjugacy_classes(G: PermutationGroup) -> list:
     """Conjugacy classes as sorted element lists, smallest representative first.
 
     Classes are orbits of the generator-conjugation action; the class list
     is ordered by each class's minimal element, so output is deterministic.
     """
-    elems = G.elements(limits)
+    elems = G.elements()
     index = {p.images: i for i, p in enumerate(elems)}
     assigned = [False] * len(elems)
     classes = []
@@ -547,12 +554,11 @@ def conjugacy_classes(G: PermutationGroup,
     return classes
 
 
-def centralizer(G: PermutationGroup, p: Permutation,
-                limits: Limits = DEFAULT_LIMITS) -> PermutationGroup:
+def centralizer(G: PermutationGroup, p: Permutation) -> PermutationGroup:
     """The subgroup of G commuting with p (brute scan, cap-guarded)."""
     if not G.contains(p):
         raise GroupArgumentError("element lies outside the group")
-    members = [g for g in G.elements(limits) if g * p == p * g]
+    members = [g for g in G.elements() if g * p == p * g]
     return subgroup_from_members(G.degree, members)
 
 
@@ -639,8 +645,7 @@ class Homomorphism:
         return self.apply(p)
 
 
-def quotient(G: PermutationGroup, N: PermutationGroup,
-             limits: Limits = DEFAULT_LIMITS):
+def quotient(G: PermutationGroup, N: PermutationGroup):
     """Faithful permutation action of G/N on right cosets of N.
 
     Returns (quotient group, projection homomorphism).  For normal N the
@@ -650,7 +655,7 @@ def quotient(G: PermutationGroup, N: PermutationGroup,
     """
     if not is_normal(G, N):
         raise NotNormalError("N is not a normal subgroup of G")
-    n_elems = [p.images for p in N.elements(limits)]
+    n_elems = [p.images for p in N.elements()]
 
     def canonical(img: tuple) -> tuple:
         return min(_mult(n, img) for n in n_elems)
@@ -714,14 +719,14 @@ class CayleyTable:
     object per index.
     """
 
-    def __init__(self, G: PermutationGroup, limits: Limits = DEFAULT_LIMITS):
+    def __init__(self, G: PermutationGroup):
         import numpy as np
-        if G.order > limits.max_dense_order:
+        if G.order > config.LIMITS.max_dense_order:
             raise CapExceededError(
                 f"order {G.order} exceeds dense-table cap "
-                f"{limits.max_dense_order}")
+                f"{config.LIMITS.max_dense_order}")
         self.group = G
-        self.elements = G.elements(limits)
+        self.elements = G.elements()
         n = len(self.elements)
         self.n = n
         self.index = {p.images: i for i, p in enumerate(self.elements)}

@@ -19,8 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import __version__
-from .config import DEFAULT_LIMITS, Limits
+from . import __version__, config
 from .perm_core import CapExceededError
 from .catalog import CatalogEntry
 from .graphs import build_delta_d, components, delta_summary, diameter
@@ -120,8 +119,7 @@ CAP_ERROR = "cap exceeded: "
 
 
 def sweep_entry(entry: CatalogEntry, policy="default",
-                with_diameter: bool = False, seed: int = 0,
-                limits: Limits = DEFAULT_LIMITS) -> SweepRecord:
+                with_diameter: bool = False, seed: int = 0) -> SweepRecord:
     """Analyze one catalog entry; errors are captured, not raised."""
     t0 = time.perf_counter()
     policy_fn = resolve_policy(policy)
@@ -129,7 +127,7 @@ def sweep_entry(entry: CatalogEntry, policy="default",
     record = SweepRecord(entry.id, G.order, entry.degree, None, None, [], [],
                          None, 0, __version__, seed, time.time())
     try:
-        cert = min_rank(G, limits)
+        cert = min_rank(G)
         if cert.d <= 1:
             record.skipped = "cyclic"
         else:
@@ -137,7 +135,7 @@ def sweep_entry(entry: CatalogEntry, policy="default",
             for d in policy_fn(cert.d):
                 g0 = time.perf_counter()
                 if with_diameter:
-                    graph = build_delta_d(G, d, limits)
+                    graph = build_delta_d(G, d)
                     comps = components(graph)
                     diam = max(diameter(graph, comps).values()) \
                         if graph.n_vertices else 0
@@ -145,7 +143,7 @@ def sweep_entry(entry: CatalogEntry, policy="default",
                         d, graph.n_vertices, graph.n_edges, comps.count,
                         comps.count <= 1, diam)
                 else:
-                    s = delta_summary(G, d, limits)
+                    s = delta_summary(G, d)
                     verdict = GraphVerdict(
                         d, s.n_vertices, s.n_edges, s.n_components,
                         s.connected)
@@ -164,18 +162,21 @@ def sweep_entry(entry: CatalogEntry, policy="default",
     return record
 
 
+def _install_caps(parent_caps: config.Limits) -> None:
+    """Worker initializer: the parent's caps, whatever the start method."""
+    config.LIMITS = parent_caps
+
+
 def _sweep_worker(args) -> str:
-    raw, policy, with_diameter, seed, limits_dict = args
+    raw, policy, with_diameter, seed = args
     entry = CatalogEntry(id=raw["id"], degree=raw["degree"],
                          generators=raw["generators"])
-    return sweep_entry(entry, policy, with_diameter, seed,
-                       Limits(**limits_dict)).to_json()
+    return sweep_entry(entry, policy, with_diameter, seed).to_json()
 
 
 def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
           policy="default", with_diameter: bool = False, jobs: int = 1,
-          seed: int = 0, limits: Limits = DEFAULT_LIMITS,
-          skip_ids: Iterable[str] = (),
+          seed: int = 0, skip_ids: Iterable[str] = (),
           on_record: Optional[Callable[[SweepRecord], None]] = None) -> list:
     """Sweep the catalog; singleton errors are recorded, never fatal.
 
@@ -202,14 +203,11 @@ def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
             todo.append(entry)
     pool = None
     if jobs <= 1 or len(todo) <= 1:
-        results = (sweep_entry(e, policy, with_diameter, seed, limits)
-                   for e in todo)
+        results = (sweep_entry(e, policy, with_diameter, seed) for e in todo)
     else:
-        import dataclasses
-        limits_dict = dataclasses.asdict(limits)
-        args = [(e.to_dict(), policy, with_diameter, seed, limits_dict)
-                for e in todo]
-        pool = ProcessPoolExecutor(max_workers=jobs)
+        args = [(e.to_dict(), policy, with_diameter, seed) for e in todo]
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_install_caps,
+                                   initargs=(config.LIMITS,))
         results = map(SweepRecord.from_json, pool.map(_sweep_worker, args))
     records = []
     try:
@@ -223,14 +221,6 @@ def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return records
-
-
-def save_records(records: Iterable[SweepRecord], path,
-                 append: bool = True) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode) as fh:
-        for rec in records:
-            fh.write(rec.to_json() + "\n")
 
 
 def cap_skipped(records: Iterable[SweepRecord]) -> list:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .config import DEFAULT_LIMITS, Limits
 from .perm_core import (
     GroupArgumentError,
     PermutationGroup,
@@ -96,7 +95,7 @@ def _mono(entry_id: str) -> MonolithicGroup:
 # gaschutz-style correction lifting (modgg)
 
 
-def verify_modgg(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
+def verify_modgg(seed: int = 42,
                  samples_per_subgroup: int = 6) -> VerifyReport:
     """Sampled lifting instances over catalog groups with proper normals."""
     rng = random.Random(seed)
@@ -106,14 +105,14 @@ def verify_modgg(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     instances = 0
     for gid in group_ids:
         G = entries[gid].group()
-        elems = G.elements(limits)
-        lattice = normal_subgroups(G, limits)
+        elems = G.elements()
+        lattice = normal_subgroups(G)
         for M in lattice.normals:
             if M.order in (1, G.order):
                 continue
             for _ in range(samples_per_subgroup):
                 X = [rng.choice(elems) for _ in range(rng.randrange(3))]
-                r = max(1, d_X(G, X, limits))
+                r = max(1, d_X(G, X))
                 # rejection-sample g with <g, X, M> = G
                 for _ in range(200):
                     g = [rng.choice(elems) for _ in range(r)]
@@ -125,7 +124,7 @@ def verify_modgg(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                     continue
                 instances += 1
                 try:
-                    ns = gaschutz_lift(G, M, X, g, limits)
+                    ns = gaschutz_lift(G, M, X, g)
                 except WitnessSearchFailure as e:
                     failures.append({"group": gid, "M": M.order, "err": str(e)})
                     continue
@@ -144,8 +143,7 @@ def verify_modgg(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 # correction-density lower bound (delu)
 
 
-def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
-                cross_checks: int = 20) -> VerifyReport:
+def verify_delu(seed: int = 42, cross_checks: int = 20) -> VerifyReport:
     """Exhaustive density check for L = A5, d = 2.
 
     |Omega(l; b_1, b_2)| depends on the b_i only through their socle
@@ -155,9 +153,9 @@ def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     """
     rng = random.Random(seed)
     L = _mono("A5")
-    reg = registry_for(L.group, limits)
+    reg = registry_for(L.group)
     rows = reg.incidence_rows()
-    ct = L.ct(limits)
+    ct = L.ct()
     failures = []
     fractions = {}
     instances = 0
@@ -169,7 +167,7 @@ def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
             continue
         instances += 1
         frac = delu_fraction(L, ct.perm(l_idx),
-                             [ct.perm(found[0]), ct.perm(found[1])], limits)
+                             [ct.perm(found[0]), ct.perm(found[1])])
         fractions[l_idx] = frac
         if frac < MIN_CORRECTION_DENSITY:
             failures.append({"l": ct.perm(l_idx).cycle_string(),
@@ -182,8 +180,7 @@ def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
         if reg.mask_of([l_idx, b1, b2]):
             continue
         checked += 1
-        frac = delu_fraction(L, ct.perm(l_idx),
-                             [ct.perm(b1), ct.perm(b2)], limits)
+        frac = delu_fraction(L, ct.perm(l_idx), [ct.perm(b1), ct.perm(b2)])
         if frac != fractions[l_idx]:
             failures.append({"l": l_idx, "b": (b1, b2),
                              "err": "translation invariance broken"})
@@ -198,7 +195,7 @@ def verify_delu(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 # commuting corrections (cln)
 
 
-def verify_cln(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
+def verify_cln(seed: int = 42,
                group_ids=("A5", "S5", "PSL(2,7)", "PGL(2,7)")) -> VerifyReport:
     """Exhaustive witness search over all pairs with commutator in the socle."""
     failures = []
@@ -206,8 +203,8 @@ def verify_cln(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     per_group = {}
     for gid in group_ids:
         M = _mono(gid)
-        ct = M.ct(limits)
-        socle_set = frozenset(M.socle_indices(limits))
+        ct = M.ct()
+        socle_set = frozenset(M.socle_indices())
         tbl, inv = ct.table, ct.inv
         count = 0
         for a in range(ct.n):
@@ -217,7 +214,7 @@ def verify_cln(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                     continue
                 count += 1
                 try:
-                    n, m = cln_witness(M, ct.perm(a), ct.perm(b), limits)
+                    n, m = cln_witness(M, ct.perm(a), ct.perm(b))
                 except WitnessSearchFailure:
                     failures.append({"group": gid, "a": a, "b": b})
         per_group[gid] = count
@@ -230,15 +227,14 @@ def verify_cln(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 # residual rank bound (unico-rank)
 
 
-def verify_unico_rank(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
-                      samples: int = 400) -> VerifyReport:
+def verify_unico_rank(seed: int = 42, samples: int = 400) -> VerifyReport:
     rng = random.Random(seed)
     failures = []
     instances = 0
     for gid in ("A5", "S5"):
         M = _mono(gid)
-        ct = M.ct(limits)
-        reg = registry_for(M.group, limits)
+        ct = M.ct()
+        reg = registry_for(M.group)
         n_gens = [ct.index[p.images] for p in M.socle.generators]
         done = 0
         while done < samples:
@@ -247,7 +243,7 @@ def verify_unico_rank(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                 continue
             done += 1
             instances += 1
-            if not unico_rank_check(M, 3, [ct.perm(i) for i in b], limits):
+            if not unico_rank_check(M, 3, [ct.perm(i) for i in b]):
                 failures.append({"group": gid, "b": b})
     return VerifyReport("unico-rank", not failures, instances, failures)
 
@@ -256,20 +252,20 @@ def verify_unico_rank(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 # orbit criterion vs direct generation (primo)
 
 
-def verify_primo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
+def verify_primo(seed: int = 42,
                  random_samples: int = 10**4,
                  exhaustive_slice: int = 10**5) -> VerifyReport:
     """Orbit criterion against the stabilizer-chain oracle on A5, t=2, eta=2."""
     rng = random.Random(seed)
     L = _mono("A5")
-    ct = L.ct(limits)
-    delta, table = delta_Lt(L, 2, limits=limits)
-    cp = build_crown_power(L, 2, limits)
-    socle = L.socle_indices(limits)
+    ct = L.ct()
+    delta, table = delta_Lt(L, 2)
+    cp = build_crown_power(L, 2)
+    socle = L.socle_indices()
     failures = []
 
     def check(rows) -> bool:
-        pred = generation_via_orbits(table, rows, limits)
+        pred = generation_via_orbits(table, rows)
         elems = [circ(L, ct.perm(table.a[i]),
                       [ct.perm(r) for r in rows[i]]) for i in range(2)]
         direct = crown_generates(cp, elems)
@@ -298,8 +294,7 @@ def verify_primo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 # component conjugation invariance (coniugo)
 
 
-def verify_coniugo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
-                   max_order: int = 200) -> VerifyReport:
+def verify_coniugo(seed: int = 42, max_order: int = 200) -> VerifyReport:
     """Exhaustive: components of Delta_d are unions of conjugacy classes."""
     failures = []
     instances = 0
@@ -307,14 +302,14 @@ def verify_coniugo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
         G = entry.group()
         if G.order > max_order:
             continue
-        cert = min_rank(G, limits)
+        cert = min_rank(G)
         if cert.d <= 1:
             continue
         ds = ([2] if cert.d == 2 else []) + [3]
         for d in ds:
-            graph = build_delta_d(G, d, limits)
+            graph = build_delta_d(G, d)
             comps = components(graph)
-            ct = G.cayley_table(limits)
+            ct = G.cayley_table()
             pos = {ct.index[p.images]: v
                    for v, p in enumerate(graph.labels)}
             for v, p in enumerate(graph.labels):
@@ -335,7 +330,7 @@ def verify_coniugo(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 # Frattini-quotient reduction (frat)
 
 
-def verify_frat(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyReport:
+def verify_frat(seed: int = 42) -> VerifyReport:
     """If Gamma_d(G/Frat(G)) is connected then Gamma_d(G) is connected."""
     group_ids = ["Dih4", "Dih8", "Dih16", "C4xC2", "C4xC4", "Dih4xC2",
                  "S4", "E2^3"]
@@ -345,21 +340,21 @@ def verify_frat(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyReport
     nonvacuous = 0
     for gid in group_ids:
         G = entries[gid].group()
-        F = frattini(G, limits)
+        F = frattini(G)
         if F.order == 1:
             Q = G
         else:
-            Q, _ = quotient(G, F, limits)
-        cert = min_rank(G, limits)
+            Q, _ = quotient(G, F)
+        cert = min_rank(G)
         if cert.d <= 1:
             continue
         for d in (2, 3, max(2, cert.d)):
             instances += 1
-            gq = build_gamma_d(Q, d, limits)
+            gq = build_gamma_d(Q, d)
             if not components(gq).connected:
                 continue  # hypothesis fails; implication vacuous
             nonvacuous += 1
-            gg = build_gamma_d(G, d, limits)
+            gg = build_gamma_d(G, d)
             if not components(gg).connected:
                 failures.append({"group": gid, "d": d})
     return VerifyReport("frat", not failures, instances, failures,
@@ -370,8 +365,7 @@ def verify_frat(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyReport
 # quotient path lifting (induzionenormale)
 
 
-def verify_induzionenormale(seed: int = 42,
-                            limits: Limits = DEFAULT_LIMITS) -> VerifyReport:
+def verify_induzionenormale(seed: int = 42) -> VerifyReport:
     """Non-isolated x, y with xM, yM in one quotient component admit m in M
     with x and y m in one component."""
     entries = {e.id: e for e in cat.default_catalog()}
@@ -381,18 +375,18 @@ def verify_induzionenormale(seed: int = 42,
     instances = 0
     for gid, m_order, d in cases:
         G = entries[gid].group()
-        lattice = normal_subgroups(G, limits)
+        lattice = normal_subgroups(G)
         M = next(N for N in lattice.normals if N.order == m_order)
-        Q, hom = quotient(G, M, limits)
-        if min_rank(Q, limits).d <= 1:
+        Q, hom = quotient(G, M)
+        if min_rank(Q).d <= 1:
             continue  # cyclic quotient: the graph policy excludes it
-        gamma = build_gamma_d(G, d, limits)
+        gamma = build_gamma_d(G, d)
         comps = components(gamma)
-        gamma_q = build_gamma_d(Q, d, limits)
+        gamma_q = build_gamma_d(Q, d)
         comps_q = components(gamma_q)
-        ct = G.cayley_table(limits)
-        ctq = Q.cayley_table(limits)
-        m_elems = M.elements(limits)
+        ct = G.cayley_table()
+        ctq = Q.cayley_table()
+        m_elems = M.elements()
         vert = {i: v for v, i in
                 enumerate(ct.index[p.images] for p in gamma.labels)}
         vert_q = {i: v for v, i in
@@ -419,7 +413,7 @@ def verify_induzionenormale(seed: int = 42,
 # soluble-quotient reduction (norsol)
 
 
-def verify_norsol(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyReport:
+def verify_norsol(seed: int = 42) -> VerifyReport:
     """Delta_d(G/N) connected with N soluble normal implies Delta_d(G) connected."""
     entries = {e.id: e for e in cat.default_catalog()}
     cases = [("S4", 4, 2), ("S4", 12, 2), ("S4", 4, 3), ("A4", 4, 2),
@@ -429,19 +423,19 @@ def verify_norsol(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyRepo
     instances = 0
     for gid, n_order, d in cases:
         G = entries[gid].group()
-        lattice = normal_subgroups(G, limits)
+        lattice = normal_subgroups(G)
         N = next(M for M in lattice.normals if M.order == n_order)
         if not is_soluble(N):
             failures.append({"group": gid, "err": "instance N not soluble"})
             continue
-        Q, _ = quotient(G, N, limits)
-        dq = min_rank(Q, limits).d
+        Q, _ = quotient(G, N)
+        dq = min_rank(Q).d
         if dq <= 1 or dq > d:
             continue  # cyclic quotient or empty Delta_d: nothing to conclude
         instances += 1
-        if not delta_summary(Q, d, limits).connected:
+        if not delta_summary(Q, d).connected:
             continue
-        if not delta_summary(G, d, limits).connected:
+        if not delta_summary(G, d).connected:
             failures.append({"group": gid, "N": n_order, "d": d})
     return VerifyReport("norsol", not failures, instances, failures,
                         {"cases": cases})
@@ -451,7 +445,7 @@ def verify_norsol(seed: int = 42, limits: Limits = DEFAULT_LIMITS) -> VerifyRepo
 # weak connectivity of crown graphs (weak-conn)
 
 
-def verify_weak_conn(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
+def verify_weak_conn(seed: int = 42,
                      tuples_per_pattern: int = 3,
                      eta2_samples: int = 60) -> VerifyReport:
     """t = 3, eta = 1 exhaustively for A5 and PSL(2,7); eta = 2 sampled for A5.
@@ -466,8 +460,8 @@ def verify_weak_conn(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     details = {}
     for gid in ("A5", "PSL(2,7)"):
         L = _mono(gid)
-        ct = L.ct(limits)
-        reg = registry_for(L.group, limits)
+        ct = L.ct()
+        reg = registry_for(L.group)
         tuples = [None]  # canonical
         tried = 0
         while len(tuples) < 1 + tuples_per_pattern and tried < 500:
@@ -477,15 +471,15 @@ def verify_weak_conn(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
                 tuples.append(a)
         for a in tuples:
             instances += 1
-            rep = weak_connectivity(L, 3, 1, a=a, limits=limits)
+            rep = weak_connectivity(L, 3, 1, a=a)
             if not rep.passed:
                 failures.append({"group": gid, "a": a, "eta": 1})
         details[gid] = {"eta1_tuples": len(tuples)}
     # A5, eta = 2, sampled
     L = _mono("A5")
-    _, table = delta_Lt(L, 3, limits=limits)
+    _, table = delta_Lt(L, 3)
     rep = weak_connectivity_sampled(L, 3, 2, table, samples=eta2_samples,
-                                    seed=seed, limits=limits)
+                                    seed=seed)
     instances += rep.sample_size
     if not rep.passed:
         failures.append({"group": "A5", "eta": 2, "mode": "sampled"})
@@ -498,8 +492,7 @@ def verify_weak_conn(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 # bipartite coset graph connectivity (lambda)
 
 
-def verify_lambda(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
-                  choice_checks: int = 5) -> VerifyReport:
+def verify_lambda(seed: int = 42, choice_checks: int = 5) -> VerifyReport:
     """All representative choices for the nontrivial coset of A5 in S5.
 
     The adjacency depends only on the underlying element pairs, so every
@@ -512,9 +505,9 @@ def verify_lambda(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     rng = random.Random(seed)
     S = cat.alternating(5).group()
     S5 = cat.symmetric(5).group()
-    odd = [p for p in S5.elements(limits) if not S.contains(p)]
+    odd = [p for p in S5.elements() if not S.contains(p)]
     failures = []
-    base = build_lambda(S, odd[0], odd[1], limits)
+    base = build_lambda(S, odd[0], odd[1])
     comps = components(base)
     if not comps.connected:
         failures.append({"err": f"{comps.count} components"})
@@ -524,7 +517,7 @@ def verify_lambda(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     checked = 0
     for _ in range(choice_checks):
         x, y = rng.sample(odd, 2)
-        g = build_lambda(S, x, y, limits)
+        g = build_lambda(S, x, y)
         checked += 1
         if g.adjacency != base.adjacency:
             failures.append({"err": "representative choice changed the graph",
@@ -532,7 +525,7 @@ def verify_lambda(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     # the identical-representative instance is rejected and logged
     rejected = False
     try:
-        build_lambda(S, odd[0], odd[0], limits)
+        build_lambda(S, odd[0], odd[0])
     except GroupArgumentError:
         rejected = True
     if not rejected:
@@ -548,7 +541,7 @@ def verify_lambda(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
 # partition meet condition (sempreuno)
 
 
-def verify_sempreuno(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
+def verify_sempreuno(seed: int = 42,
                      submatrix_samples: int = 30) -> VerifyReport:
     """Full-width meet condition for A5, t = 3, plus sub-matrix reports.
 
@@ -560,8 +553,8 @@ def verify_sempreuno(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     """
     rng = random.Random(seed)
     L = _mono("A5")
-    delta, table = delta_Lt(L, 3, limits=limits)
-    parts, meet, ok = partitions_pi(table, limits=limits)
+    delta, table = delta_Lt(L, 3)
+    parts, meet, ok = partitions_pi(table)
     failures = []
     if not ok:
         failures.append({"err": "meet condition fails at full width",
@@ -570,7 +563,7 @@ def verify_sempreuno(seed: int = 42, limits: Limits = DEFAULT_LIMITS,
     for _ in range(submatrix_samples):
         cols = [table.reps[i]
                 for i in sorted(rng.sample(range(delta), 3))]
-        _, _, sub_ok = partitions_pi(table, cols, limits=limits)
+        _, _, sub_ok = partitions_pi(table, cols)
         sub_pass += bool(sub_ok)
     return VerifyReport(
         "sempreuno", not failures, 1 + submatrix_samples, failures,
@@ -599,8 +592,7 @@ VERIFIERS: dict = {
 }
 
 
-def run_verifier(lemma: str, seed: int = 42,
-                 limits: Limits = DEFAULT_LIMITS, **params) -> VerifyReport:
+def run_verifier(lemma: str, seed: int = 42, **params) -> VerifyReport:
     """Run one suite; its report records the seed and the wall time."""
     try:
         fn = VERIFIERS[lemma]
@@ -608,7 +600,7 @@ def run_verifier(lemma: str, seed: int = 42,
         raise ValueError(
             f"unknown lemma id {lemma!r}; available: {sorted(VERIFIERS)}")
     t0 = time.perf_counter()
-    rep = fn(seed=seed, limits=limits, **params)
+    rep = fn(seed=seed, **params)
     rep.seed = seed
     rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return rep

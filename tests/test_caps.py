@@ -1,0 +1,133 @@
+"""Resource caps are one process-wide value that every check site reads."""
+
+import functools
+import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
+
+from rankgraph import CapExceededError, config
+from rankgraph.catalog import (
+    alternating,
+    default_catalog,
+    dihedral,
+    load_catalog,
+    save_catalog,
+    symmetric,
+)
+from rankgraph.cli import cli_main
+from rankgraph.config import Limits, caps
+from rankgraph.graphs import delta_summary
+from rankgraph import sweep as sweep_mod
+
+
+def test_caps_nest_and_restore_on_error():
+    with caps(max_elements=50) as outer:
+        assert config.LIMITS == outer == Limits(max_elements=50)
+        with pytest.raises(CapExceededError):
+            with caps(max_dense_order=10):
+                assert config.LIMITS == Limits(max_elements=50,
+                                               max_dense_order=10)
+                raise CapExceededError("stub")
+        assert config.LIMITS == Limits(max_elements=50)
+    assert config.LIMITS == Limits()
+    with pytest.raises(TypeError):
+        with caps(no_such_cap=1):
+            pass
+    assert config.LIMITS == Limits()
+
+
+def test_dense_cap_reaches_delta_summary():
+    with caps(max_dense_order=10), pytest.raises(CapExceededError,
+                                                 match="dense-table cap 10"):
+        delta_summary(symmetric(4).group(), 2)
+
+
+def test_element_cap_holds_for_a_cached_list():
+    G = symmetric(4).group()
+    assert len(G.elements()) == 24
+    with caps(max_elements=10), pytest.raises(CapExceededError):
+        G.elements()
+    assert len(G.elements()) == 24
+
+
+# (subcommand, order of the first group it analyses above 10 elements)
+CAPPED_RUNS = [
+    (["analyze", "--group", "S4"], 24),
+    (["analyze", "--group", "S4", "--d", "2"], 24),
+    (["analyze", "--group", "S4", "--graph", "gamma", "--d", "2"], 24),
+    (["export-dot", "--group", "S4"], 24),
+    (["export-dot", "--group", "S4", "--d", "2"], 24),
+    (["crown", "--L", "A5", "--t", "2", "--check", "delta"], 60),
+    (["verify", "--lemma", "frat"], 16),  # Dih8
+]
+
+
+@pytest.mark.parametrize("argv, order", CAPPED_RUNS,
+                         ids=[" ".join(argv) for argv, _ in CAPPED_RUNS])
+def test_cap_elements_holds_on_every_subcommand(argv, order, tmp_path,
+                                                capsys):
+    # the analysed group trips the cap, not the catalog that names it
+    argv = argv + ["--out", str(tmp_path / "out")]
+    assert cli_main(argv + ["--cap-elements", "10"]) == 2
+    assert f"resource cap: order {order} exceeds enumeration cap 10" in \
+        capsys.readouterr().err
+    assert config.LIMITS == Limits()
+
+
+def test_catalogs_are_read_at_the_default_element_cap(tmp_path):
+    path = tmp_path / "cat.json"
+    save_catalog([alternating(5)], path)
+    with caps(max_elements=10):
+        assert len(default_catalog()) == 48
+        [entry] = load_catalog(path)
+        assert config.LIMITS == Limits(max_elements=10)
+        # the list cached while validating is not handed out over the cap
+        with pytest.raises(CapExceededError):
+            entry.group().elements()
+
+
+def test_cap_elements_at_the_group_order_passes(capsys):
+    assert cli_main(["analyze", "--group", "S4", "--d", "2",
+                     "--cap-elements", "24"]) == 0
+    assert "S4: |G| = 24" in capsys.readouterr().out
+    assert config.LIMITS == Limits()
+
+
+def _strip_timing(line: str) -> dict:
+    rec = json.loads(line)
+    del rec["elapsed_ms"], rec["timestamp"]
+    for g in rec["graphs"]:
+        del g["elapsed_ms"]
+    return rec
+
+
+def test_sweep_cap_elements_same_with_jobs(tmp_path, capsys):
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.jsonl"
+        assert cli_main(["sweep", "--max-order", "60", "--cap-elements", "30",
+                         "--jobs", jobs, "--out", str(out)]) == 0
+        runs.append([_strip_timing(line)
+                     for line in out.read_text().splitlines()])
+    assert runs[0] == runs[1]
+    by_id = {rec["group_id"]: rec for rec in runs[0]}
+    assert by_id["A5"]["error"] == \
+        "cap exceeded: order 60 exceeds enumeration cap 30"
+    assert by_id["S4"]["error"] is None and by_id["S4"]["graphs"]
+    assert all((rec["error"] is not None) == (30 < rec["order"] <= 60)
+               for rec in runs[0])
+    assert config.LIMITS == Limits()
+
+
+def test_sweep_workers_get_the_caps_under_spawn(monkeypatch):
+    # a spawned worker imports the package afresh, so it sees the caps
+    # only through the pool initializer
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    entries = [symmetric(4), alternating(4), dihedral(5)]
+    with caps(max_elements=12):
+        records = sweep_mod.sweep(entries, jobs=2)
+    assert [rec.error for rec in records] == [
+        "cap exceeded: order 24 exceeds enumeration cap 12", None, None]

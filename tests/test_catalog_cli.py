@@ -27,7 +27,6 @@ from rankgraph.sweep import (
     SweepRecord,
     critical_flags,
     load_records,
-    save_records,
     sweep,
     sweep_entry,
 )
@@ -141,7 +140,7 @@ class TestSweep:
     def test_records_round_trip(self, tmp_path):
         recs = sweep([symmetric(4), alternating(4)], max_order=100)
         path = tmp_path / "out.jsonl"
-        save_records(recs, path, append=False)
+        path.write_text("".join(r.to_json() + "\n" for r in recs))
         loaded = load_records(path)
         assert [r.to_json() for r in loaded] == [r.to_json() for r in recs]
 
@@ -232,7 +231,7 @@ class TestCLI:
     def test_verify_failure_exit_1(self, monkeypatch):
         from rankgraph.verify import VerifyReport
 
-        def failing(seed=42, limits=None):
+        def failing(seed=42):
             return VerifyReport("stub", False, 1, [{"err": "boom"}])
 
         monkeypatch.setitem(verify_mod.VERIFIERS, "stub", failing)
@@ -243,10 +242,10 @@ class TestCLI:
         # exception is a bug and must escape the suite
         real = verify_mod.build_lambda
 
-        def buggy(S, x, y, limits):
+        def buggy(S, x, y):
             if x == y:
                 raise RuntimeError("bug")
-            return real(S, x, y, limits)
+            return real(S, x, y)
 
         monkeypatch.setattr(verify_mod, "build_lambda", buggy)
         with pytest.raises(RuntimeError, match="bug"):
@@ -255,10 +254,10 @@ class TestCLI:
     def test_verify_all(self, tmp_path, monkeypatch, capsys):
         from rankgraph.verify import VerifyReport
 
-        def passing(seed=42, limits=None):
+        def passing(seed=42):
             return VerifyReport("ok", True, 2, seed=seed)
 
-        def failing(seed=42, limits=None):
+        def failing(seed=42):
             return VerifyReport("bad", False, 1, [{"err": "boom"}], seed=seed)
 
         # suites run in VERIFIERS order, not sorted by id
@@ -308,7 +307,7 @@ class TestCLI:
     def test_crown_witness_failure_exit_1(self, monkeypatch, capsys):
         from rankgraph import crown_powers
         monkeypatch.setattr(crown_powers, "columns_generate",
-                            lambda L, columns, limits: False)
+                            lambda L, columns: False)
         rc = cli_main(["crown", "--L", "A5", "--t", "2", "--check", "delta",
                        "--verify-witness"])
         assert rc == 1
@@ -333,10 +332,10 @@ class TestCLI:
         real = sweep_mod.min_rank
 
         def failing_on_s4(exc):
-            def min_rank(G, limits):
+            def min_rank(G):
                 if G.order == 24:
                     raise exc
-                return real(G, limits)
+                return real(G)
             return min_rank
 
         # a cap error is a recorded skip
@@ -414,7 +413,7 @@ class TestCLI:
         assert cli_main(argv) == 0
         records = load_records(out)
         records[0].critical.append("Delta_2 disconnected (stub)")
-        save_records(records, out, append=False)
+        out.write_text("".join(r.to_json() + "\n" for r in records))
         capsys.readouterr()
         assert cli_main(argv + ["--resume"]) == 1
         assert "CRITICAL S4: Delta_2 disconnected (stub)" in \

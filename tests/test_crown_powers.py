@@ -291,7 +291,7 @@ class TestOmegaTable:
         mono = MonolithicGroup.from_group(A5, "A5")
         X = mono.x_group()
         wrong = SimpleNamespace(elements=X.elements, order=X.order // 2)
-        monkeypatch.setattr(mono, "x_group", lambda limits=None: wrong)
+        monkeypatch.setattr(mono, "x_group", lambda: wrong)
         with pytest.raises(RuntimeError, match="orbits"):
             delta_Lt(mono, 2)
 

@@ -17,7 +17,6 @@ from rankgraph.graphs import (
     diameter,
     edge_witness,
     export_dot,
-    generating_graph,
     is_edge_d,
 )
 from rankgraph.crown_powers import IndexPartition, partition_meet
@@ -128,7 +127,7 @@ class TestComponentsAndDiameter:
         assert max(diameter(delta, comps).values()) == 2
 
     def test_s4_generating_graph_diameter(self, S4):
-        delta = generating_graph(S4)
+        delta = build_delta_d(S4, 2)
         comps = components(delta)
         assert comps.connected
         assert max(diameter(delta, comps).values()) <= 3

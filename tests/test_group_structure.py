@@ -11,7 +11,7 @@ from rankgraph import (
     quotient,
 )
 from rankgraph.catalog import default_catalog, find_entry
-from rankgraph.config import Limits
+from rankgraph.config import caps
 from rankgraph.group_structure import (
     SubgroupRegistry,
     d_X,
@@ -178,8 +178,8 @@ class TestFrattini:
     def test_cap(self):
         from rankgraph.catalog import symmetric
         S6 = symmetric(6).group()
-        with pytest.raises(CapExceededError):
-            frattini(S6, Limits(max_maximal_order=100))
+        with caps(max_dense_order=100), pytest.raises(CapExceededError):
+            frattini(S6)
 
     def test_idempotence_and_rank_invariance_on_catalog(self, catalog_entries):
         # Frat(G/Frat(G)) = 1 and d(G) = d(G/Frat(G)) on small catalog groups
@@ -227,7 +227,7 @@ class TestMinRank:
         entry = crown_power_entry(alternating(5), 2)
         G = entry.group()
         assert G.order == 3600
-        assert min_rank(G, Limits(max_dense_order=256)).d == 2
+        assert min_rank(G).d == 2
 
 
 class TestDX:

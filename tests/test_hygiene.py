@@ -85,3 +85,67 @@ def test_every_module_has_a_layer():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_imports_follow_layer_order(path):
     assert upward_imports(path.stem, path.read_text()) == [], path.name
+
+
+# Resource caps are one process-wide value, ``config.LIMITS``: no function
+# takes them as a parameter, every check site reads them through the
+# module (a name bound by ``from .config import LIMITS`` would not see
+# ``caps()``), and every cap is checked somewhere.
+
+
+def cap_violations(source: str) -> list:
+    """(line, what) for each ``limits`` parameter and each binding of the
+    name ``LIMITS`` in a module other than config."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            out.extend((node.lineno, "limits parameter") for p in params
+                       if p.arg == "limits")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.extend((node.lineno, "binds LIMITS") for alias in node.names
+                       if "LIMITS" in (alias.name, alias.asname))
+        elif isinstance(node, ast.Name) and node.id == "LIMITS" and \
+                not isinstance(node.ctx, ast.Load):
+            out.append((node.lineno, "binds LIMITS"))
+        elif isinstance(node, ast.Global) and "LIMITS" in node.names:
+            out.append((node.lineno, "binds LIMITS"))
+    return sorted(out)
+
+
+def caps_read(source: str) -> set:
+    """Fields read as ``LIMITS.<field>``."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and
+            ((isinstance(node.value, ast.Name) and node.value.id == "LIMITS")
+             or (isinstance(node.value, ast.Attribute) and
+                 node.value.attr == "LIMITS"))}
+
+
+def test_cap_scanner_flags_parameter_and_binding():
+    source = ("from .config import LIMITS\n"
+              "def f(G, limits=None):\n    return config.LIMITS.max_elements\n"
+              "g = lambda *, limits: 0\n")
+    assert cap_violations(source) == [(1, "binds LIMITS"),
+                                      (2, "limits parameter"),
+                                      (4, "limits parameter")]
+    assert caps_read(source) == {"max_elements"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                       if p.stem != "config"),
+                         ids=lambda p: p.name)
+def test_caps_are_read_through_config(path):
+    assert cap_violations(path.read_text()) == [], path.name
+
+
+def test_every_cap_is_checked():
+    import dataclasses
+    from rankgraph.config import Limits
+    read = set().union(*(caps_read(p.read_text()) for p in MODULES))
+    fields = {f.name for f in dataclasses.fields(Limits)}
+    assert fields - read == set()
+    assert read - fields == set()

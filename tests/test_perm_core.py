@@ -22,7 +22,7 @@ from rankgraph import (
     normal_closure,
     quotient,
 )
-from rankgraph.config import Limits
+from rankgraph.config import caps
 from rankgraph.perm_core import _mult, subgroup_from_members
 
 from oracles import (
@@ -227,8 +227,8 @@ class TestElements:
         G = group_from_generators(5, [
             Permutation.from_cycles(5, [0, 1, 2, 3, 4]),
             Permutation.from_cycles(5, [0, 1, 2])])
-        with pytest.raises(CapExceededError):
-            G.elements(Limits(max_elements=10))
+        with caps(max_elements=10), pytest.raises(CapExceededError):
+            G.elements()
 
 
 class TestConjugacyClasses:
