@@ -205,6 +205,16 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankgraph",
@@ -217,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", help="catalog JSON (default: builders)")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", help="write JSON output here")
-        p.add_argument("--cap-elements", type=int,
+        p.add_argument("--cap-elements", type=_positive_int,
                        help="override the element enumeration cap")
 
     p = sub.add_parser("analyze", help="analyze one group's graph")
@@ -285,7 +295,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(e.code or 0)
-    cap = {"max_elements": args.cap_elements} if args.cap_elements else {}
+    cap = {} if args.cap_elements is None else \
+        {"max_elements": args.cap_elements}
     try:
         with caps(**cap):
             return args.fn(args)

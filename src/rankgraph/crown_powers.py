@@ -13,7 +13,10 @@ L and no automorphism maps one column to another.
 Crown-graph edges are decided by a system-of-distinct-representatives
 test over the orbit table (one admissible-orbit set per column, matched
 to pairwise distinct orbits); for single-column graphs a direct
-completion search over the free rows is used instead.
+completion search over the free rows is used instead.  Whole crown graphs
+are built on class nodes: on the direct path, the vertices of a row with
+one incidence row of a_i . c have the same neighbours, and the blocks of
+two rows are decided by ``graphs.class_block``.
 """
 
 from __future__ import annotations
@@ -46,7 +49,12 @@ from .automorphisms import (
     orbits_on_tuples,
     x_subgroup,
 )
-from .graphs import ElementGraph
+from .graphs import (
+    ElementGraph,
+    class_block,
+    class_neighbours,
+    component_labels,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +106,24 @@ class MonolithicGroup:
             ct._socle_sorted = got
         return got
 
+    def socle_set(self) -> frozenset:
+        ct = self.ct()
+        got = getattr(ct, "_socle_set", None)
+        if got is None:
+            got = ct._socle_set = frozenset(self.socle_indices())
+        return got
+
     def coset_indices(self, x: int) -> tuple:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
         ct = self.ct()
-        return tuple(sorted(ct.table[x][n] for n in self.socle_indices()))
+        cosets = getattr(ct, "_cosets", None)
+        if cosets is None:
+            cosets = ct._cosets = {}
+        got = cosets.get(x)
+        if got is None:
+            got = cosets[x] = tuple(sorted(ct.table[x][n]
+                                           for n in self.socle_indices()))
+        return got
 
     def aut(self) -> PermutationGroup:
         """Aut(L), acting on the element indices of L."""
@@ -265,7 +287,7 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
     L.require_nonabelian()
     ct = L.ct()
     tbl, inv = ct.table, ct.inv
-    socle = frozenset(L.socle_indices())
+    socle = L.socle_set()
     first = columns[0]
     for col in columns[1:]:
         if len(col) != len(first) or any(
@@ -511,6 +533,7 @@ class CrownGraphBuilder:
             raise GroupArgumentError(
                 "orbit table required for eta > 1 edge tests")
         self._complete_memo: dict = {}
+        self._class_graph = None
 
     def corrections(self) -> list:
         return list(itertools.product(self.socle, repeat=self.eta))
@@ -525,19 +548,71 @@ class CrownGraphBuilder:
         corrections = self.corrections()
         return [CrownVertex(i, c) for i in range(self.t) for c in corrections]
 
+    def class_graph(self) -> tuple:
+        """The graph on class nodes: (node_of, adj), built once.
+
+        Each row's vertices are grouped by a key that fixes their edges:
+        on the direct path (no orbit table) the incidence row of a_i . c,
+        on the SDR path the correction itself.  Nodes are numbered row by
+        row, each row's classes in the order of their first vertex;
+        ``node_of[v]`` is the node of vertex v and ``adj`` the boolean
+        node adjacency.  A direct-path block of two rows is decided by
+        ``class_block`` over the keys, with the completion search over the
+        free rows as its predicate; an SDR block is filled by ``edge``
+        pair by pair.
+        """
+        if self._class_graph is None:
+            verts = self.vertices()
+            per_row = len(verts) // self.t
+            node_of = []
+            keys = []
+            offsets = [0]
+            for i in range(self.t):
+                row_keys: dict = {}
+                for v in verts[i * per_row:(i + 1) * per_row]:
+                    node_of.append(offsets[-1] + row_keys.setdefault(
+                        self._class_key(v), len(row_keys)))
+                keys.append(list(row_keys))
+                offsets.append(offsets[-1] + len(row_keys))
+            node_of = np.array(node_of, dtype=np.intp)
+            adj = np.zeros((offsets[-1], offsets[-1]), dtype=bool)
+            for i in range(self.t):
+                for j in range(i + 1, self.t):
+                    block = self._row_block(i, j, keys[i], keys[j])
+                    adj[offsets[i]:offsets[i + 1],
+                        offsets[j]:offsets[j + 1]] = block
+                    adj[offsets[j]:offsets[j + 1],
+                        offsets[i]:offsets[i + 1]] = block.T
+            self._class_graph = node_of, adj
+        return self._class_graph
+
+    def _class_key(self, v: CrownVertex):
+        if self.table is not None:
+            return v.correction
+        return self.rows[self.ct.table[self.a[v.row]][v.correction[0]]]
+
+    def _row_block(self, i: int, j: int, left: list, right: list):
+        if self.table is not None:
+            edge, ws = self._edge_sdr, [CrownVertex(j, e) for e in right]
+            return np.array([[edge(v, w) for w in ws] for v in
+                             (CrownVertex(i, c) for c in left)], dtype=bool)
+        free = tuple(u for u in range(self.t) if u not in (i, j))
+        return class_block(left, right, (lambda mask: self._completes(
+            mask, free)) if free else None)
+
     def edges(self):
         """Yield every edge once as a pair (v, w), v < w, of indices into
         ``vertices()``: row pairs i < j in turn, then v in row i, then w in
         row j."""
-        verts = self.vertices()
-        per_row = len(verts) // self.t
-        edge = self.edge
+        node_of, adj = self.class_graph()
+        per_row = len(node_of) // self.t
         for i in range(self.t):
+            rows_i = node_of[i * per_row:(i + 1) * per_row]
             for j in range(i + 1, self.t):
-                for v in range(i * per_row, (i + 1) * per_row):
-                    for w in range(j * per_row, (j + 1) * per_row):
-                        if edge(verts[v], verts[w]):
-                            yield v, w
+                vs, ws = np.nonzero(
+                    adj[np.ix_(rows_i, node_of[j * per_row:(j + 1) * per_row])])
+                yield from zip((vs + i * per_row).tolist(),
+                               (ws + j * per_row).tolist())
 
     def conjugate(self, v: CrownVertex, m: tuple) -> CrownVertex:
         """The vertex of (a_i . c)^m for v = (i, c) and m in N^eta."""
@@ -605,17 +680,16 @@ def crown_graph(L: MonolithicGroup, t: int, eta: int,
     """
     builder = CrownGraphBuilder(L, t, eta, a, table)
     verts = builder.vertices()
-    adjacency = [[] for _ in verts]
-    for v, w in builder.edges():
-        adjacency[v].append(w)
-        adjacency[w].append(v)
-    for nbrs in adjacency:
-        nbrs.sort()
+    node_of, adj = builder.class_graph()
+    members = [[] for _ in adj]
+    for v, k in enumerate(node_of.tolist()):
+        members[k].append(v)
+    adjacency = class_neighbours(members, adj)
     labels = list(verts)
     if drop_isolated:
         keep = [v for v in range(len(verts)) if adjacency[v]]
         remap = {v: k for k, v in enumerate(keep)}
-        adjacency = [sorted(remap[w] for w in adjacency[v]) for v in keep]
+        adjacency = [[remap[w] for w in adjacency[v]] for v in keep]
         labels = [labels[v] for v in keep]
     return ElementGraph("crown", labels, adjacency, builder.L.group,
                         {"t": t, "eta": eta, "a": builder.a})
@@ -680,30 +754,36 @@ def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
     For every row i and every ordered pair of row-i vertices (v1, v2) of
     the Delta graph there must be m in M = N^eta with v1 and v2^m in the
     same component.  Conjugators are tried in BFS order (identity first).
+    The components are those of the builder's class graph: vertices with
+    equal class keys have the same neighbours.
     """
     builder = CrownGraphBuilder(L, t, eta, a, table)
+    node_of, adj = builder.class_graph()
+    # a node with an edge lies in one component with all of its vertices
+    node_comp = np.where(adj.any(axis=1), component_labels(adj), -1)
+    return _exhaustive_report(builder, node_comp[node_of].tolist())
+
+
+def _exhaustive_report(builder: CrownGraphBuilder,
+                       comp_of: list) -> WeakConnectivityReport:
+    """The exhaustive report, given the component id of every vertex of
+    ``builder.vertices()`` (-1 for an isolated vertex)."""
+    t, eta = builder.t, builder.eta
     verts = builder.vertices()
     n = len(verts)
     per_row = n // t
     rank = {v.correction: k for k, v in enumerate(verts[:per_row])}
+    n_non_isolated = sum(c >= 0 for c in comp_of)
+    n_components = len(set(comp_of) - {-1})
 
-    # stream edges into union-find; remember non-isolation
-    uf = UnionFind(n)
-    non_isolated = bytearray(n)
-    for v, w in builder.edges():
-        non_isolated[v] = non_isolated[w] = 1
-        uf.union(v, w)
-
-    comp_of = {v: uf.find(v) for v in range(n) if non_isolated[v]}
-    n_components = len(set(comp_of.values()))
-
-    socle_order = _socle_bfs_order(L)
+    socle_order = _socle_bfs_order(builder.L)
     m_order = list(itertools.product(socle_order, repeat=eta))
 
     rows = []
     all_pass = True
     for i in range(t):
-        row_vs = [i * per_row + k for k in range(per_row) if non_isolated[i * per_row + k]]
+        row_vs = [v for v in range(i * per_row, (i + 1) * per_row)
+                  if comp_of[v] >= 0]
         row_comps = {comp_of[v] for v in row_vs}
         depths = {}
         row_pass = True
@@ -713,9 +793,9 @@ def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
             depth_used = 0
             for depth, m in enumerate(m_order):
                 w = builder.conjugate(v, m)
-                w_idx = w.row * per_row + rank[w.correction]
-                if non_isolated[w_idx]:
-                    reach.add(comp_of[w_idx])
+                c = comp_of[w.row * per_row + rank[w.correction]]
+                if c >= 0:
+                    reach.add(c)
                 if row_comps <= reach:
                     depth_used = depth
                     break
@@ -725,7 +805,7 @@ def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
             depths[depth_used] = depths.get(depth_used, 0) + 1
         rows.append(RowCheck(i, len(row_vs), len(row_comps), row_pass, depths))
     return WeakConnectivityReport(
-        t, eta, builder.a, "exhaustive", n, sum(non_isolated), n_components,
+        t, eta, builder.a, "exhaustive", n, n_non_isolated, n_components,
         rows, all_pass)
 
 
@@ -982,20 +1062,20 @@ def cln_witness(G: MonolithicGroup, a: Permutation, b: Permutation) -> tuple:
         b_idx = ct.index[b.images]
     except KeyError:
         raise PreconditionError("a and b must lie in the group")
-    socle = G.socle_indices()
-    socle_set = frozenset(socle)
+    socle_set = G.socle_set()
     tbl, inv = ct.table, ct.inv
     comm = tbl[tbl[inv[a_idx]][inv[b_idx]]][tbl[a_idx][b_idx]]
     if comm not in socle_set:
         raise PreconditionError("[a, b] does not lie in the socle")
-    b_coset = frozenset(tbl[b_idx][n] for n in socle)
-    for n in socle:
+    b_coset = G.coset_indices(b_idx)
+    b_inv_row = tbl[inv[b_idx]]  # c lies in b N iff b^-1 c lies in N
+    for n in G.socle_indices():
         an = tbl[a_idx][n]
         cent = ct.centralizer_set(an)
         if b_idx in cent:  # m = identity works; covers [a, b] = 1 with (1, 1)
             return ct.perm(n), ct.perm(ct.identity)
         if len(cent) <= len(b_coset):
-            meet = [c for c in cent if c in b_coset]
+            meet = [c for c in cent if b_inv_row[c] in socle_set]
         else:
             meet = [c for c in b_coset if c in cent]
         if meet:

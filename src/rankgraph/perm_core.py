@@ -496,6 +496,12 @@ class PermutationGroup:
                    itertools.combinations_with_replacement(gens, 2))
 
     def cayley_table(self) -> "CayleyTable":
+        """The dense table, built once.  The dense-table cap is checked on
+        every call, like the enumeration cap in ``elements()``."""
+        if self._order > config.LIMITS.max_dense_order:
+            raise CapExceededError(
+                f"order {self._order} exceeds dense-table cap "
+                f"{config.LIMITS.max_dense_order}")
         if self._cayley is None:
             self._cayley = CayleyTable(self)
         return self._cayley
@@ -721,10 +727,6 @@ class CayleyTable:
 
     def __init__(self, G: PermutationGroup):
         import numpy as np
-        if G.order > config.LIMITS.max_dense_order:
-            raise CapExceededError(
-                f"order {G.order} exceeds dense-table cap "
-                f"{config.LIMITS.max_dense_order}")
         self.group = G
         self.elements = G.elements()
         n = len(self.elements)

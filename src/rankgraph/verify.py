@@ -204,7 +204,7 @@ def verify_cln(seed: int = 42,
     for gid in group_ids:
         M = _mono(gid)
         ct = M.ct()
-        socle_set = frozenset(M.socle_indices())
+        socle_set = M.socle_set()
         tbl, inv = ct.table, ct.inv
         count = 0
         for a in range(ct.n):

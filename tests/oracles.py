@@ -13,7 +13,11 @@ candidate automorphism on the whole multiplication table, where the
 search checks it on generators only.  ``union_find_orbits`` labels the
 orbits of a group on tuples by joining each tuple with its generator
 images, where ``orbits_on_tuples`` applies every element to one tuple
-per orbit.
+per orbit.  ``class_edges`` and ``class_pair_summary`` decide Delta_d
+one pair of row classes at a time with a union-find over the joined
+pairs, and ``pairwise_weak_connectivity`` joins every vertex pair of a
+crown graph by ``CrownGraphBuilder.edge``; the block kernels of
+``graphs`` are checked against them.
 """
 
 from itertools import combinations, product
@@ -21,6 +25,8 @@ from itertools import combinations, product
 import numpy as np
 
 from rankgraph import Permutation
+from rankgraph.crown_powers import CrownGraphBuilder, _exhaustive_report
+from rankgraph.graphs import _check_graph_args, _oracle_for
 from rankgraph.group_structure import SubgroupRegistry
 from rankgraph.perm_core import UnionFind
 
@@ -373,3 +379,61 @@ class ClosureOracle:
                 self.completes(self.join(sid, z), cosets[1:])
                 for z in cosets[0])
         return got
+
+
+def class_edges(oracle, d: int):
+    """Yield (i, j), i <= j, for the joined pairs of the row classes of
+    an ``EdgeOracle``, one ``joined`` test per pair.
+
+    (i, i) means the elements of class i are pairwise joined; it is
+    yielded only for classes of two or more elements.
+    """
+    classes, rows, joined = oracle.classes, oracle.rows, oracle.joined
+    heads = [rows[c[0]] for c in classes]
+    for i, ri in enumerate(heads):
+        if len(classes[i]) > 1 and joined(ri, d):
+            yield (i, i)
+        for j in range(i + 1, len(heads)):
+            if joined(ri & heads[j], d):
+                yield (i, j)
+
+
+def class_pair_summary(G, d: int) -> tuple:
+    """(n_vertices, n_edges, n_components) of Delta_d by a union-find
+    over the pairs ``class_edges`` yields."""
+    _check_graph_args(G, d)
+    oracle = _oracle_for(G)
+    classes = oracle.classes
+    uf = UnionFind(len(classes))
+    non_isolated = bytearray(len(classes))
+    n_edges = 0
+    for i, j in class_edges(oracle, d):
+        ci, cj = len(classes[i]), len(classes[j])
+        n_edges += ci * (ci - 1) // 2 if i == j else ci * cj
+        non_isolated[i] = non_isolated[j] = 1
+        uf.union(i, j)
+    active = [i for i in range(len(classes)) if non_isolated[i]]
+    return (sum(len(classes[i]) for i in active), n_edges,
+            len({uf.find(i) for i in active}))
+
+
+def pairwise_edges(builder) -> list:
+    """Every edge (v, w), v < w, of a crown graph, by one
+    ``CrownGraphBuilder.edge`` test per vertex pair."""
+    verts = builder.vertices()
+    return [(v, w) for v, w in combinations(range(len(verts)), 2)
+            if builder.edge(verts[v], verts[w])]
+
+
+def pairwise_weak_connectivity(L, t, eta, a=None, table=None):
+    """``weak_connectivity`` with the components found by a union-find
+    over every vertex pair that ``CrownGraphBuilder.edge`` joins."""
+    builder = CrownGraphBuilder(L, t, eta, a, table)
+    n = len(builder.vertices())
+    uf = UnionFind(n)
+    non_isolated = bytearray(n)
+    for v, w in pairwise_edges(builder):
+        non_isolated[v] = non_isolated[w] = 1
+        uf.union(v, w)
+    return _exhaustive_report(
+        builder, [uf.find(v) if non_isolated[v] else -1 for v in range(n)])

@@ -44,6 +44,15 @@ def test_dense_cap_reaches_delta_summary():
         delta_summary(symmetric(4).group(), 2)
 
 
+def test_dense_cap_holds_for_a_cached_table():
+    G = symmetric(4).group()
+    assert delta_summary(G, 2).connected
+    with caps(max_dense_order=10), pytest.raises(CapExceededError,
+                                                 match="dense-table cap 10"):
+        delta_summary(G, 2)
+    assert delta_summary(G, 2).connected
+
+
 def test_element_cap_holds_for_a_cached_list():
     G = symmetric(4).group()
     assert len(G.elements()) == 24
@@ -92,6 +101,15 @@ def test_cap_elements_at_the_group_order_passes(capsys):
     assert cli_main(["analyze", "--group", "S4", "--d", "2",
                      "--cap-elements", "24"]) == 0
     assert "S4: |G| = 24" in capsys.readouterr().out
+    assert config.LIMITS == Limits()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_cap_elements_below_one_is_a_usage_error(value, capsys):
+    assert cli_main(["analyze", "--group", "S4", "--d", "2",
+                     "--cap-elements", value]) == 2
+    assert f"--cap-elements: must be at least 1, got {value}" in \
+        capsys.readouterr().err
     assert config.LIMITS == Limits()
 
 
