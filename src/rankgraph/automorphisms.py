@@ -1,23 +1,28 @@
 """Automorphism groups of small groups and orbits on element tuples.
 
-Aut(L) and its subgroups (the inner automorphisms, X = C_Aut(L)(L/N))
-are plain ``PermutationGroup``s on element *indices* of L (relative to
-the deterministic element order), so orbit computations on tuples of
+Aut(L) and its subgroup X = C_Aut(L)(L/N) are plain
+``PermutationGroup``s on element *indices* of L (relative to the
+deterministic element order), so orbit computations on tuples of
 elements reuse the ordinary permutation machinery.  Aut(L) always comes
 from the search below; ``orbits_on_tuples`` is the one orbit routine.
 
 The search engine maps a fixed generating sequence onto candidate image
 tuples, pruning by conjugacy-invariant fingerprints (element order,
 class size, power profile) and cheap word-order checks, and validates
-survivors by the homomorphism condition on generators.  The same engine,
-pointed at two different groups, decides isomorphism; the map extension
-and its check also decide whether two generating tuples are related by
-an automorphism.
+survivors by the homomorphism condition on generators.  Image tuples are
+enumerated up to inner automorphisms of the target (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005): the first image
+runs over one representative per conjugacy class, each later one over
+one representative per orbit of the centraliser of the images before it,
+so Aut(L) costs |Out(L)| validated candidates and its element list is
+the found maps composed with every inner automorphism, in one gather.
+The same engine, pointed at two different groups, decides isomorphism;
+the map extension and its check also decide whether two generating
+tuples are related by an automorphism.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -33,7 +38,7 @@ from .perm_core import (
     _mult,
     subgroup_from_members,
 )
-from .group_structure import min_rank
+from .group_structure import _prune_generators
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +62,12 @@ def _element_fingerprints(ct: CayleyTable) -> list:
 
 def _generating_sequence(G: PermutationGroup, ct: CayleyTable,
                          fps: list) -> list:
-    """Small generating sequence, rarest fingerprint first."""
-    cert = min_rank(G)
-    idxs = [ct.index[p.images] for p in cert.witness]
+    """Irredundant generating sequence, rarest fingerprint first.
+
+    The search needs a short sequence, not a minimal one, so the group's
+    own generators are pruned; no subgroup lattice is built.
+    """
+    idxs = [ct.index[p.images] for p in _prune_generators(G)]
     buckets = {}
     for fp in fps:
         buckets[fp] = buckets.get(fp, 0) + 1
@@ -73,13 +81,36 @@ _WORDS = [
 ]
 
 
-def _word_order(ct: CayleyTable, gens: Sequence[int], word) -> int:
-    x = ct.identity
-    for letter in word:
-        if letter >= len(gens):
-            return 0
-        x = ct.table[x][gens[letter]]
-    return ct.order_of[x]
+def _word_orders(ct: CayleyTable, gens: np.ndarray, words) -> np.ndarray:
+    """Order of each word in each row of generator images: shape
+    (len(words), len(gens)); letter k of a word stands for column k."""
+    table = ct.numpy_table()
+    order_of = np.asarray(ct.order_of)
+    out = np.empty((len(words), len(gens)), dtype=np.int64)
+    for i, word in enumerate(words):
+        x = np.full(len(gens), ct.identity)
+        for letter in word:
+            x = table[x, gens[:, letter]]
+        out[i] = order_of[x]
+    return out
+
+
+def _conjugation_matrix(ct: CayleyTable) -> np.ndarray:
+    """C[x, y] = x^-1 * y * x, one row per element x."""
+    table = ct.numpy_table()
+    return table[table[ct.inv], np.arange(ct.n)[:, None]]
+
+
+def _inner_rows(ct: CayleyTable, conj: np.ndarray) -> np.ndarray:
+    """The distinct rows of the conjugation matrix, i.e. Inn(G).
+
+    Rows x and y agree iff x and y lie in one coset of the centre Z(G),
+    so the row of the least element of each coset stands for it.
+    """
+    n = ct.n
+    centre = np.flatnonzero((conj == np.arange(n)).all(1))
+    least = ct.numpy_table()[:, centre].min(1) == np.arange(n)
+    return conj[least]
 
 
 def _bfs_schedule(ct: CayleyTable, gens: Sequence[int]) -> list:
@@ -169,12 +200,23 @@ def _respects_generators(ct_src: CayleyTable, ct_dst: CayleyTable,
 def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
               src_gens: Sequence[int], fps_src: list, fps_dst: list, *,
               first_only: bool) -> tuple:
-    """All (or the first) bijections extending src_gens -> candidate images.
+    """All (or the first) isomorphisms extending src_gens -> candidate
+    images, as the rows of an int64 array.
 
-    ``fps_src`` and ``fps_dst`` are the ``_element_fingerprints`` of the
-    two tables.  Returns (maps, exhausted): ``exhausted`` is False when
-    the leaf budget tripped, i.e. absence of maps was not proven.
+    Two maps differing by an inner automorphism of the target send the
+    generators to simultaneously conjugate tuples, and conjugation fixes
+    a generating tuple only for elements of Z(target).  So the image of
+    src_gens[0] runs over one representative per conjugacy class, that
+    of src_gens[k] over one per orbit of C(r_0) & ... & C(r_(k-1)) on its
+    fingerprint bucket, and each class of maps is validated once (the
+    last generator's candidates in one batch).  All maps are then the
+    found ones composed with Inn(source), sorted; they must be pairwise
+    distinct.  ``fps_src`` and ``fps_dst`` are the ``_element_fingerprints``
+    of the two tables.  Returns (maps, exhausted): ``exhausted`` is False
+    when the leaf budget tripped, i.e. absence of maps was not proven.
     """
+    n = ct_src.n
+    none = np.empty((0, n), dtype=np.int64)
     buckets = {}
     for x in range(ct_dst.n):
         buckets.setdefault(fps_dst[x], []).append(x)
@@ -182,26 +224,64 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
     for g in src_gens:
         cands = buckets.get(fps_src[g])
         if not cands:
-            return [], True
-        candidate_sets.append(cands)
-    word_profile = [_word_order(ct_src, src_gens, w) for w in _WORDS]
+            return none, True
+        candidate_sets.append(np.array(cands))
+    last = len(src_gens) - 1
+    words = [w for w in _WORDS if max(w) <= last]
+    word_profile = _word_orders(ct_src, np.array([src_gens]), words)
     schedule = _bfs_schedule(ct_src, src_gens)
-    maps = []
+    conj = _conjugation_matrix(ct_dst)
+    budget = config.LIMITS.max_iso_leaves
     leaves = 0
-    for dst_gens in itertools.product(*candidate_sets):
-        leaves += 1
-        if leaves > config.LIMITS.max_iso_leaves:
-            return maps, False
-        if any(_word_order(ct_dst, dst_gens, w) != wp
-               for w, wp in zip(_WORDS, word_profile)):
-            continue
+
+    def search(prefix: tuple, cent: np.ndarray):
+        # cent: the elements centralising every image in prefix
+        nonlocal leaves
+        if leaves > budget:
+            return
+        cands = candidate_sets[len(prefix)]
+        reps = cands[conj[np.ix_(cent, cands)].min(0) == cands]
+        if len(prefix) < last:
+            for x in reps.tolist():
+                yield from search(prefix + (x,), cent[conj[cent, x] == x])
+            return
+        leaves += len(reps)
+        if leaves > budget:
+            return
+        dst_gens = np.empty((len(reps), last + 1), dtype=np.int64)
+        dst_gens[:, :last] = prefix
+        dst_gens[:, last] = reps
+        dst_gens = dst_gens[
+            (_word_orders(ct_dst, dst_gens, words) == word_profile).all(0)]
+        if not len(dst_gens):
+            return
         sigma = _extend_map(ct_src, ct_dst, schedule, src_gens, dst_gens)
-        if not _respects_generators(ct_src, ct_dst, src_gens, dst_gens,
-                                    sigma):
-            continue
-        maps.append(sigma)
+        sigma = sigma[_respects_generators(ct_src, ct_dst, src_gens,
+                                           dst_gens, sigma)]
+        if len(sigma):
+            yield sigma
+
+    found = []
+    for maps in search((), np.arange(ct_dst.n)):
         if first_only:
-            return maps, True
+            return maps[:1], True
+        found.append(maps)
+    if leaves > budget:
+        return none, False
+    if not found:
+        return none, True
+    found = np.concatenate(found)
+    inner = _inner_rows(ct_src, conj if ct_src is ct_dst
+                        else _conjugation_matrix(ct_src))
+    maps = found[:, inner].reshape(-1, n)
+    # rows of big-endian words compare bytewise in lexicographic order
+    keys = np.ascontiguousarray(maps, dtype=">u4").view(f"V{4 * n}")
+    maps = maps[np.argsort(keys.ravel())]
+    distinct = 1 + int((maps[1:] != maps[:-1]).any(1).sum())
+    if distinct != len(inner) * len(found):
+        raise RuntimeError(
+            f"{len(found)} maps times {len(inner)} inner automorphisms "
+            f"give {distinct} distinct maps")
     return maps, True
 
 
@@ -209,21 +289,14 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
 # automorphism groups
 
 
-def inner_automorphisms(L: PermutationGroup) -> PermutationGroup:
-    ct = L.cayley_table()
-    gens = []
-    for g in ct.gen_indices:
-        gens.append(Permutation([ct.conj(x, g) for x in range(ct.n)]))
-    return PermutationGroup(ct.n, gens)
-
-
 def automorphism_group(L: PermutationGroup) -> PermutationGroup:
-    """Complete Aut(L), acting on the element indices of L, by
-    backtracking over images of a generating sequence.
+    """Complete Aut(L), acting on the element indices of L: Inn(L) times
+    one searched map per coset of Inn(L).
 
-    Pruning is by fingerprint buckets and word orders; every surviving
-    candidate is validated by ``_respects_generators``, so the result is
-    sound regardless of pruning strength.
+    Pruning is by fingerprint buckets, word orders and inner
+    automorphisms; every searched candidate is validated by
+    ``_respects_generators``, and ``subgroup_from_members`` checks that
+    the maps number the order of the group they generate.
     """
     if L.order > config.LIMITS.max_aut_order:
         raise CapExceededError(
@@ -235,9 +308,9 @@ def automorphism_group(L: PermutationGroup) -> PermutationGroup:
     maps, exhausted = _iso_maps(ct, ct, src_gens, fps, fps, first_only=False)
     if not exhausted:
         raise CapExceededError("automorphism search exceeded leaf budget")
-    # the maps are all of Aut(L), so they are its sorted element list
-    return subgroup_from_members(ct.n, sorted(
-        Permutation(tuple(int(i) for i in sigma)) for sigma in maps))
+    # the maps are all of Aut(L), sorted, so they are its element list
+    return subgroup_from_members(
+        ct.n, [Permutation._raw(tuple(row)) for row in maps.tolist()])
 
 
 def x_subgroup(L_mono, aut: Optional[PermutationGroup] = None
@@ -322,6 +395,6 @@ def isomorphism(G: PermutationGroup, H: PermutationGroup) -> IsoResult:
     src_gens = _generating_sequence(G, ct_g, fps_g)
     maps, exhausted = _iso_maps(ct_g, ct_h, src_gens, fps_g, fps_h,
                                 first_only=True)
-    if maps:
-        return IsoResult(True, [int(i) for i in maps[0]])
+    if len(maps):
+        return IsoResult(True, maps[0].tolist())
     return IsoResult(False if exhausted else None)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
 from . import config
@@ -300,34 +301,41 @@ def _input_caps():
     return config.caps(max_elements=config.Limits().max_elements)
 
 
+# id -> builder of every built-in entry, in catalog order
+_BUILTINS = {
+    **{f"C{n}": partial(cyclic, n) for n in (6, 12)},
+    **{f"Dih{n}": partial(dihedral, n)
+       for n in (3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 20, 24, 50, 100)},
+    **{f"S{n}": partial(symmetric, n) for n in (3, 4, 5, 6)},
+    **{f"A{n}": partial(alternating, n) for n in (4, 5, 6)},
+    **{f"E{p}^{k}": partial(elementary_abelian, p, k)
+       for p, k in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2))},
+    **{f"PSL(2,{q})": partial(psl2, q) for q in _PSL2_Q},
+    **{f"PGL(2,{q})": partial(pgl2, q) for q in (7, 9)},
+    "S3xS3": lambda: direct_product(symmetric(3), symmetric(3)),
+    "A4xC2": lambda: direct_product(alternating(4), cyclic(2)),
+    "S3xC2": lambda: direct_product(symmetric(3), cyclic(2)),
+    "S4xC2": lambda: direct_product(symmetric(4), cyclic(2)),
+    "C4xC2": lambda: direct_product(cyclic(4), cyclic(2)),
+    "C4xC4": lambda: direct_product(cyclic(4), cyclic(4)),
+    "Dih4xC2": lambda: direct_product(dihedral(4), cyclic(2)),
+    "A5xA5": lambda: direct_product(alternating(5), alternating(5)),
+    "Crown(S5,2)": lambda: crown_power_entry(symmetric(5), 2),
+}
+
+
+def builtin_entry(group_id: str) -> CatalogEntry:
+    """The built-in entry named ``group_id``, built alone."""
+    builder = _BUILTINS.get(group_id)
+    if builder is None:
+        raise CatalogError(f"no catalog entry named {group_id!r}")
+    with _input_caps():  # Crown(S5,2) enumerates elements
+        return builder()
+
+
 def default_catalog() -> list:
     """The deterministic built-in catalog used by sweeps and tests."""
-    entries = [
-        cyclic(6), cyclic(12),
-    ]
-    entries += [dihedral(n) for n in
-                (3, 4, 5, 6, 7, 8, 9, 10, 12, 16, 20, 24, 50, 100)]
-    entries += [symmetric(n) for n in (3, 4, 5, 6)]
-    entries += [alternating(n) for n in (4, 5, 6)]
-    entries += [elementary_abelian(2, 2), elementary_abelian(2, 3),
-                elementary_abelian(2, 4), elementary_abelian(3, 2),
-                elementary_abelian(3, 3), elementary_abelian(5, 2),
-                elementary_abelian(7, 2)]
-    entries += [psl2(q) for q in _PSL2_Q]
-    entries += [pgl2(7), pgl2(9)]
-    entries += [
-        direct_product(symmetric(3), symmetric(3)),
-        direct_product(alternating(4), cyclic(2)),
-        direct_product(symmetric(3), cyclic(2)),
-        direct_product(symmetric(4), cyclic(2)),
-        direct_product(cyclic(4), cyclic(2)),
-        direct_product(cyclic(4), cyclic(4)),
-        direct_product(dihedral(4), cyclic(2)),
-        direct_product(alternating(5), alternating(5)),
-    ]
-    with _input_caps():  # the only builder that enumerates elements
-        entries.append(crown_power_entry(symmetric(5), 2))
-    return entries
+    return [builtin_entry(group_id) for group_id in _BUILTINS]
 
 
 # ---------------------------------------------------------------------------

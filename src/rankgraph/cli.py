@@ -49,6 +49,13 @@ def _entries(args):
     return cat.default_catalog()
 
 
+def _entry(args, group_id: str):
+    """One entry by id; without --catalog only that entry is built."""
+    if getattr(args, "catalog", None):
+        return cat.find_entry(cat.load_catalog(args.catalog), group_id)
+    return cat.builtin_entry(group_id)
+
+
 def _write_out(args, payload) -> None:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -57,7 +64,7 @@ def _write_out(args, payload) -> None:
 
 
 def cmd_analyze(args) -> int:
-    entry = cat.find_entry(_entries(args), args.group)
+    entry = _entry(args, args.group)
     G = entry.group()
     if args.graph == "gamma":
         graph = build_gamma_d(G, args.d)
@@ -123,7 +130,7 @@ def cmd_crown(args) -> int:
         MonolithicGroup, delta_Lt, weak_connectivity,
         weak_connectivity_sampled,
     )
-    entry = cat.find_entry(_entries(args), args.L)
+    entry = _entry(args, args.L)
     mono = MonolithicGroup.from_group(entry.group(), entry.id)
     t0 = time.perf_counter()
     if args.check == "delta":
@@ -178,7 +185,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    entry = cat.find_entry(_entries(args), args.group)
+    entry = _entry(args, args.group)
     G = entry.group()
     d = args.d if args.d is not None else min_rank(G).d
     if args.graph == "gamma":

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import config
 from .perm_core import (
     CapExceededError,
@@ -100,13 +102,11 @@ def g_isomorphic(A: GSection, B: GSection) -> bool:
                                 _element_fingerprints(ct_b), first_only=False)
     if not exhausted:
         raise CapExceededError("section isomorphism search over budget")
-    act_a = [p.images for p in A.action]
-    act_b = [p.images for p in B.action]
-    for sigma in maps:
-        if all(all(sigma[aa[x]] == ab[sigma[x]] for x in range(ct_a.n))
-               for aa, ab in zip(act_a, act_b)):
-            return True
-    return False
+    # sigma(a(x)) = b(sigma(x)) for the action a, b of each G-generator
+    for a, b in zip(A.action, B.action):
+        maps = maps[(maps[:, list(a.images)] ==
+                     np.array(b.images)[maps]).all(1)]
+    return len(maps) > 0
 
 
 # ---------------------------------------------------------------------------

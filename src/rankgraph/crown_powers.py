@@ -202,16 +202,6 @@ class CrownPower:
         return Permutation._raw(tuple(p.images[off + i] - off
                                       for i in range(d)))
 
-    def components(self, p: Permutation) -> list:
-        return [self.component(p, j) for j in range(self.k)]
-
-    def is_congruent(self, p: Permutation) -> bool:
-        """Coordinates lie in one coset of the socle (membership in L_k)."""
-        comps = self.components(p)
-        first = comps[0]
-        N = self.base.socle
-        return all(N.contains(first.inverse() * c) for c in comps[1:])
-
 
 def _from_coordinates(coords: Sequence[Permutation]) -> Permutation:
     """The element of L^k with coordinates l_1, ..., l_k, acting on k
@@ -951,18 +941,6 @@ class IndexPartition:
     @property
     def is_single_block(self) -> bool:
         return len(self.parts) <= 1
-
-    @property
-    def is_discrete(self) -> bool:
-        return all(len(p) == 1 for p in self.parts)
-
-    def refines(self, other: "IndexPartition") -> bool:
-        """True if every part of self lies inside a part of other."""
-        where = {}
-        for k, part in enumerate(other.parts):
-            for x in part:
-                where[x] = k
-        return all(len({where[x] for x in part}) == 1 for part in self.parts)
 
 
 def partition_meet(partitions: Sequence[IndexPartition]) -> IndexPartition:

@@ -151,7 +151,8 @@ class SubgroupRegistry:
         return self._cyclic_extension()[0]
 
     def _cyclic_extension(self) -> tuple:
-        """(class representatives, the maximal ones among them), once."""
+        """(class representatives, the conjugacy class of each maximal
+        one), once."""
         if self._lattice is not None:
             return self._lattice
         ct = self.ct
@@ -164,8 +165,9 @@ class SubgroupRegistry:
         extenders = list(extenders.values())
         seen: set = set()
         normalisers: dict = {}
+        orbits: dict = {}
         reps: list = []
-        maximal: list = []
+        maximal: list = []  # orbits of the maximal representatives
 
         def register(sid: int) -> None:
             members = self.members[sid]
@@ -180,11 +182,13 @@ class SubgroupRegistry:
                     f"group of order {ct.n}")
             seen.update(orbit)
             normalisers[sid] = N
+            orbits[sid] = orbit
             reps.append(sid)
 
         register(self.trivial_id)
         for sid in reps:  # grows while it is read: breadth first
             N = normalisers.pop(sid)
+            orbit = orbits.pop(sid)
             if sid == self.full_id:
                 continue
             members = self.members[sid]
@@ -199,7 +203,7 @@ class SubgroupRegistry:
                 all_full = all_full and j == self.full_id
                 register(j)
             if all_full:
-                maximal.append(sid)
+                maximal.append(orbit)
         self._lattice = (reps, maximal)
         return self._lattice
 
@@ -212,10 +216,7 @@ class SubgroupRegistry:
         order, and the extension by the orbit representative of <z> is
         conjugate to K.
         """
-        out = []
-        for sid in self._cyclic_extension()[1]:
-            out.extend(self.conjugates(self.members[sid]))
-        return out
+        return [m for orbit in self._cyclic_extension()[1] for m in orbit]
 
     # -- maximal-subgroup incidence --------------------------------------------
 

@@ -81,13 +81,7 @@ class VerifyReport:
 
 
 def _mono(entry_id: str) -> MonolithicGroup:
-    builders = {
-        "A5": lambda: cat.alternating(5),
-        "S5": lambda: cat.symmetric(5),
-        "PSL(2,7)": lambda: cat.psl2(7),
-        "PGL(2,7)": lambda: cat.pgl2(7),
-    }
-    e = builders[entry_id]()
+    e = cat.builtin_entry(entry_id)
     return MonolithicGroup.from_group(e.group(), entry_id)
 
 
@@ -100,11 +94,10 @@ def verify_modgg(seed: int = 42,
     """Sampled lifting instances over catalog groups with proper normals."""
     rng = random.Random(seed)
     group_ids = ["S4", "A4", "Dih4", "Dih6", "S3xS3", "A4xC2"]
-    entries = {e.id: e for e in cat.default_catalog()}
     failures = []
     instances = 0
     for gid in group_ids:
-        G = entries[gid].group()
+        G = cat.builtin_entry(gid).group()
         elems = G.elements()
         lattice = normal_subgroups(G)
         for M in lattice.normals:
@@ -334,12 +327,11 @@ def verify_frat(seed: int = 42) -> VerifyReport:
     """If Gamma_d(G/Frat(G)) is connected then Gamma_d(G) is connected."""
     group_ids = ["Dih4", "Dih8", "Dih16", "C4xC2", "C4xC4", "Dih4xC2",
                  "S4", "E2^3"]
-    entries = {e.id: e for e in cat.default_catalog()}
     failures = []
     instances = 0
     nonvacuous = 0
     for gid in group_ids:
-        G = entries[gid].group()
+        G = cat.builtin_entry(gid).group()
         F = frattini(G)
         if F.order == 1:
             Q = G
@@ -368,13 +360,12 @@ def verify_frat(seed: int = 42) -> VerifyReport:
 def verify_induzionenormale(seed: int = 42) -> VerifyReport:
     """Non-isolated x, y with xM, yM in one quotient component admit m in M
     with x and y m in one component."""
-    entries = {e.id: e for e in cat.default_catalog()}
     cases = [("S4", 4, 2), ("S4", 4, 3), ("Dih6", 3, 2),
              ("A4xC2", 2, 2), ("S3xS3", 6, 2)]
     failures = []
     instances = 0
     for gid, m_order, d in cases:
-        G = entries[gid].group()
+        G = cat.builtin_entry(gid).group()
         lattice = normal_subgroups(G)
         M = next(N for N in lattice.normals if N.order == m_order)
         Q, hom = quotient(G, M)
@@ -415,14 +406,13 @@ def verify_induzionenormale(seed: int = 42) -> VerifyReport:
 
 def verify_norsol(seed: int = 42) -> VerifyReport:
     """Delta_d(G/N) connected with N soluble normal implies Delta_d(G) connected."""
-    entries = {e.id: e for e in cat.default_catalog()}
     cases = [("S4", 4, 2), ("S4", 12, 2), ("S4", 4, 3), ("A4", 4, 2),
              ("A4xC2", 2, 2), ("S3xS3", 9, 2), ("Dih6", 3, 2),
              ("Dih12", 3, 2)]
     failures = []
     instances = 0
     for gid, n_order, d in cases:
-        G = entries[gid].group()
+        G = cat.builtin_entry(gid).group()
         lattice = normal_subgroups(G)
         N = next(M for M in lattice.normals if M.order == n_order)
         if not is_soluble(N):

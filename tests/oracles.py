@@ -10,7 +10,13 @@ It also finds the conjugacy classes of subgroups and the maximal
 subgroups by joining every class representative with every element,
 which checks the cyclic-extension search.  ``is_homomorphism`` checks a
 candidate automorphism on the whole multiplication table, where the
-search checks it on generators only.  ``union_find_orbits`` labels the
+search checks it on generators only.  ``exhaustive_automorphisms`` tries
+every fingerprint-compatible image tuple of a minimal generating
+sequence, where the search tries one tuple per class of tuples under
+inner automorphisms, and ``inner_automorphisms`` builds Inn(G) from
+conjugation by the generators.  ``is_congruent``, ``is_discrete`` and
+``refines`` are predicates on crown powers and index partitions that
+only tests ask.  ``union_find_orbits`` labels the
 orbits of a group on tuples by joining each tuple with its generator
 images, where ``orbits_on_tuples`` applies every element to one tuple
 per orbit.  ``class_edges`` and ``class_pair_summary`` decide Delta_d
@@ -24,10 +30,17 @@ from itertools import combinations, product
 
 import numpy as np
 
-from rankgraph import Permutation
+from rankgraph import Permutation, PermutationGroup
+from rankgraph.automorphisms import (
+    _WORDS,
+    _bfs_schedule,
+    _element_fingerprints,
+    _extend_map,
+    _respects_generators,
+)
 from rankgraph.crown_powers import CrownGraphBuilder, _exhaustive_report
 from rankgraph.graphs import _check_graph_args, _oracle_for
-from rankgraph.group_structure import SubgroupRegistry
+from rankgraph.group_structure import SubgroupRegistry, min_rank
 from rankgraph.perm_core import UnionFind
 
 
@@ -66,6 +79,74 @@ def is_homomorphism(ct_src, ct_dst, sigma) -> bool:
     src = ct_src.numpy_table()
     dst = ct_dst.numpy_table()
     return bool((sigma[src] == dst[sigma][:, sigma]).all())
+
+
+def inner_automorphisms(G) -> PermutationGroup:
+    """Inn(G) on element indices, generated by conjugation with the
+    generators of G."""
+    ct = G.cayley_table()
+    gens = [Permutation([ct.conj(x, g) for x in range(ct.n)])
+            for g in ct.gen_indices]
+    return PermutationGroup(ct.n, gens)
+
+
+def exhaustive_automorphisms(G) -> list:
+    """Every automorphism of G, sorted, by the search without the
+    inner-automorphism reduction: every product of the fingerprint
+    buckets of a ``min_rank`` witness (rarest bucket first) is tried,
+    filtered by word orders and validated by ``_respects_generators``."""
+    ct = G.cayley_table()
+    fps = _element_fingerprints(ct)
+    sizes = {}
+    for fp in fps:
+        sizes[fp] = sizes.get(fp, 0) + 1
+    src = sorted((ct.index[p.images] for p in min_rank(G).witness),
+                 key=lambda i: (sizes[fps[i]], i))
+    buckets = {}
+    for x in range(ct.n):
+        buckets.setdefault(fps[x], []).append(x)
+
+    def word_order(gens, word):
+        x = ct.identity
+        for letter in word:
+            if letter >= len(gens):
+                return 0
+            x = ct.table[x][gens[letter]]
+        return ct.order_of[x]
+
+    profile = [word_order(src, w) for w in _WORDS]
+    schedule = _bfs_schedule(ct, src)
+    maps = []
+    for dst in product(*(buckets[fps[g]] for g in src)):
+        if any(word_order(dst, w) != wp for w, wp in zip(_WORDS, profile)):
+            continue
+        sigma = _extend_map(ct, ct, schedule, src, dst)
+        if _respects_generators(ct, ct, src, dst, sigma):
+            maps.append(Permutation(sigma.tolist()))
+    return sorted(maps)
+
+
+def is_congruent(cp, p) -> bool:
+    """The coordinates of p lie in one coset of the socle of the crown
+    power's base (membership in L_k)."""
+    comps = [cp.component(p, j) for j in range(cp.k)]
+    first = comps[0]
+    N = cp.base.socle
+    return all(N.contains(first.inverse() * c) for c in comps[1:])
+
+
+def is_discrete(partition) -> bool:
+    """Every part of an ``IndexPartition`` is a singleton."""
+    return all(len(p) == 1 for p in partition.parts)
+
+
+def refines(fine, coarse) -> bool:
+    """Every part of ``fine`` lies inside a part of ``coarse``."""
+    where = {}
+    for k, part in enumerate(coarse.parts):
+        for x in part:
+            where[x] = k
+    return all(len({where[x] for x in part}) == 1 for part in fine.parts)
 
 
 def union_find_orbits(generators, tuples) -> tuple:

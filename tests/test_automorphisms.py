@@ -8,32 +8,40 @@ from rankgraph import GroupArgumentError, Permutation, group_from_generators
 from rankgraph import automorphisms as aut_mod
 from rankgraph.automorphisms import (
     _bfs_schedule,
+    _conjugation_matrix,
     _extend_map,
+    _inner_rows,
     _respects_generators,
     automorphism_group,
-    inner_automorphisms,
     isomorphism,
     orbits_on_tuples,
     x_subgroup,
 )
 from rankgraph.catalog import alternating, default_catalog, psl2, symmetric
+from rankgraph.crown_decomposition import chief_series, g_isomorphic
 from rankgraph.crown_powers import MonolithicGroup, delta_Lt
-from rankgraph.group_structure import min_rank
+from rankgraph.group_structure import SubgroupRegistry, min_rank
+from rankgraph.perm_core import subgroup_from_members
 
 from oracles import (
     ClosureOracle,
     brute_closure,
+    exhaustive_automorphisms,
+    inner_automorphisms,
     is_homomorphism,
     union_find_orbits,
 )
 
-# |Aut| of S4 and of every catalog group tagged monolithic
+# |Aut| of S4, of every catalog group tagged monolithic and of groups
+# with a non-trivial centre
 KNOWN_AUT = {"S4": 24, "S5": 120, "S6": 1440, "A5": 120, "A6": 1440,
              "PSL(2,4)": 120, "PSL(2,5)": 120, "PSL(2,7)": 336,
              "PSL(2,8)": 1512, "PSL(2,9)": 1440, "PSL(2,11)": 1320,
-             "PSL(2,13)": 2184, "PGL(2,7)": 336, "PGL(2,9)": 1440}
-MONOLITHIC = [symmetric(4)] + [e for e in default_catalog()
-                               if "monolithic" in e.tags]
+             "PSL(2,13)": 2184, "PGL(2,7)": 336, "PGL(2,9)": 1440,
+             "Q8": 24, "V4": 6, "Dih4": 8, "E2^3": 168, "C4xC4": 96}
+AUT_CASES = {e.id: e for e in [symmetric(4)] + default_catalog()
+             if "monolithic" in e.tags
+             or e.id in ("S4", "Dih4", "E2^3", "C4xC4")}
 
 
 def cyc(n, *cycles):
@@ -92,26 +100,58 @@ class TestAutomorphismGroup:
         assert MonolithicGroup.from_group(L).x_group().order == x_order
 
 
-    @pytest.mark.parametrize("entry", MONOLITHIC, ids=lambda e: e.id)
-    def test_matches_full_table_search(self, entry, monkeypatch):
-        # the search with the whole-table check as its validator is the
-        # oracle; it takes 66 s over these groups (34 s for PSL(2,13)), so
-        # above order 360 a seeded sample of the maps is checked instead
-        G = entry.group()
+    @pytest.mark.parametrize(
+        "case", [*AUT_CASES, "Q8", "V4"])
+    def test_matches_full_table_search(self, case, request):
+        # the search without the inner-automorphism reduction is the
+        # oracle for the element list and the reduced generators; every
+        # map is checked on the whole table up to order 360, a seeded
+        # sample of 12 above (the whole table takes 34 s for PSL(2,13))
+        G = request.getfixturevalue(case) if case in ("Q8", "V4") \
+            else AUT_CASES[case].group()
         aut = automorphism_group(G)
-        assert aut.order == KNOWN_AUT[entry.id]
+        assert aut.order == KNOWN_AUT[case]
         maps = aut.elements()
+        want = exhaustive_automorphisms(G)
+        assert list(maps) == want
+        assert aut.generators == subgroup_from_members(
+            aut.degree, want).generators
         ct = G.cayley_table()
-        if G.order > 360:
-            for p in random.Random(3).sample(maps, 12):
-                assert is_homomorphism(ct, ct, np.array(p.images))
-            return
-        monkeypatch.setattr(
-            aut_mod, "_respects_generators",
-            lambda ct_src, ct_dst, src_gens, dst_gens, sigma:
-                is_homomorphism(ct_src, ct_dst, sigma)
-                and (sigma[list(src_gens)] == dst_gens).all())
-        assert automorphism_group(G).elements() == maps
+        sample = maps if G.order <= 360 else random.Random(3).sample(maps, 12)
+        for p in sample:
+            assert is_homomorphism(ct, ct, np.array(p.images))
+
+    @pytest.mark.parametrize("name", ["S4", "Q8", "V4", "A5"])
+    def test_inner_rows_are_inn(self, name, request):
+        # the distinct rows of the conjugation matrix are Inn(G), built
+        # independently from conjugation by the generators
+        G = request.getfixturevalue(name)
+        ct = G.cayley_table()
+        conj = _conjugation_matrix(ct)
+        inner = _inner_rows(ct, conj)
+        assert len(np.unique(inner, axis=0)) == len(inner)
+        assert len(np.unique(conj, axis=0)) == len(inner)
+        assert len(inner) == inner_automorphisms(G).order
+
+    def test_search_builds_no_lattice(self, monkeypatch):
+        # the generating sequence comes from pruning the group's own
+        # generators, so none of the three searches joins subgroups
+        calls = []
+        extend = SubgroupRegistry._cyclic_extension
+
+        def counted(reg):
+            calls.append(reg.ct.n)
+            return extend(reg)
+
+        S4 = symmetric(4).group()
+        sections = [F.section() for F in chief_series(S4)]
+        A5, P = alternating(5).group(), psl2(5).group()
+        L = psl2(7).group()
+        monkeypatch.setattr(SubgroupRegistry, "_cyclic_extension", counted)
+        assert automorphism_group(L).order == 336
+        assert isomorphism(P, A5).isomorphic is True
+        assert all(g_isomorphic(sec, sec) for sec in sections)
+        assert calls == []
 
     @pytest.mark.parametrize("entry", [symmetric(4), alternating(5),
                                        psl2(7)], ids=["S4", "A5", "PSL(2,7)"])

@@ -3,10 +3,12 @@ import json
 import pytest
 
 from rankgraph import CapExceededError, Permutation
+from rankgraph import catalog as catalog_mod
 from rankgraph.catalog import (
     CatalogError,
     CatalogEntry,
     alternating,
+    builtin_entry,
     crown_power_entry,
     cyclic,
     default_catalog,
@@ -465,3 +467,38 @@ class TestFindEntry:
     def test_missing(self):
         with pytest.raises(CatalogError):
             find_entry(default_catalog(), "M11")
+
+    def test_builtin_entry_is_the_catalog_entry(self):
+        # every table key names the entry its builder makes; a missing id
+        # fails as find_entry fails
+        entries = default_catalog()
+        assert [e.id for e in entries] == list(catalog_mod._BUILTINS)
+        for e in entries:
+            assert builtin_entry(e.id).to_dict() == e.to_dict()
+        with pytest.raises(CatalogError) as ours:
+            builtin_entry("M11")
+        with pytest.raises(CatalogError) as theirs:
+            find_entry(entries, "M11")
+        assert str(ours.value) == str(theirs.value)
+
+    def test_single_entry_commands_build_one_entry(self, monkeypatch,
+                                                   tmp_path, capsys):
+        def whole_catalog():
+            raise AssertionError("the whole catalog was built")
+
+        monkeypatch.setattr(catalog_mod, "default_catalog", whole_catalog)
+        assert cli_main(["crown", "--L", "A5", "--t", "2",
+                         "--check", "delta"]) == 0
+        assert cli_main(["analyze", "--group", "S4", "--d", "2"]) == 0
+        assert cli_main(["export-dot", "--group", "S3",
+                         "--out", str(tmp_path / "s3.dot")]) == 0
+        assert cli_main(["crown", "--L", "M11", "--t", "2",
+                         "--check", "delta"]) == 2
+        # --catalog FILE still names the entries
+        path = tmp_path / "cat.json"
+        save_catalog([psl2(5)], path)
+        assert cli_main(["crown", "--catalog", str(path), "--L",
+                         "PSL(2,5)", "--t", "2", "--check", "delta"]) == 0
+        assert cli_main(["crown", "--catalog", str(path), "--L", "A5",
+                         "--t", "2", "--check", "delta"]) == 2
+        assert "no catalog entry named 'A5'" in capsys.readouterr().err
