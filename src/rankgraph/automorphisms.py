@@ -216,7 +216,7 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
     when the leaf budget tripped, i.e. absence of maps was not proven.
     """
     n = ct_src.n
-    none = np.empty((0, n), dtype=np.int64)
+    empty = np.empty((0, n), dtype=np.int64)
     buckets = {}
     for x in range(ct_dst.n):
         buckets.setdefault(fps_dst[x], []).append(x)
@@ -224,7 +224,7 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
     for g in src_gens:
         cands = buckets.get(fps_src[g])
         if not cands:
-            return none, True
+            return empty, True
         candidate_sets.append(np.array(cands))
     last = len(src_gens) - 1
     words = [w for w in _WORDS if max(w) <= last]
@@ -267,9 +267,9 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
             return maps[:1], True
         found.append(maps)
     if leaves > budget:
-        return none, False
+        return empty, False
     if not found:
-        return none, True
+        return empty, True
     found = np.concatenate(found)
     inner = _inner_rows(ct_src, conj if ct_src is ct_dst
                         else _conjugation_matrix(ct_src))
