@@ -216,6 +216,8 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
     when the leaf budget tripped, i.e. absence of maps was not proven.
     """
     n = ct_src.n
+    if not src_gens:  # trivial groups: the one map sends 1 to 1
+        return np.full((1, n), ct_dst.identity, dtype=np.int64), True
     empty = np.empty((0, n), dtype=np.int64)
     buckets = {}
     for x in range(ct_dst.n):

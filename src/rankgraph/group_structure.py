@@ -203,7 +203,8 @@ class SubgroupRegistry:
                 all_full = all_full and j == self.full_id
                 register(j)
             if all_full:
-                maximal.append(orbit)
+                # tuples: a frozenset takes about four times the memory
+                maximal.append([tuple(m) for m in orbit])
         self._lattice = (reps, maximal)
         return self._lattice
 
@@ -216,7 +217,8 @@ class SubgroupRegistry:
         order, and the extension by the orbit representative of <z> is
         conjugate to K.
         """
-        return [m for orbit in self._cyclic_extension()[1] for m in orbit]
+        return [frozenset(m) for orbit in self._cyclic_extension()[1]
+                for m in orbit]
 
     # -- maximal-subgroup incidence --------------------------------------------
 

@@ -53,6 +53,11 @@ class TestAutomorphismGroup:
         G = group_from_generators(2, [cyc(2, [0, 1])])
         assert automorphism_group(G).order == 1
 
+    def test_trivial_group(self):
+        T = group_from_generators(3, [])
+        assert automorphism_group(T).order == 1
+        assert isomorphism(T, group_from_generators(2, [])).map == [0]
+
     def test_klein_four_gl22(self, V4):
         assert automorphism_group(V4).order == 6
 
