@@ -115,15 +115,11 @@ def exhaustive_automorphisms(G) -> list:
         return ct.order_of[x]
 
     profile = [word_order(src, w) for w in _WORDS]
-    schedule = _bfs_schedule(ct, src)
-    maps = []
-    for dst in product(*(buckets[fps[g]] for g in src)):
-        if any(word_order(dst, w) != wp for w, wp in zip(_WORDS, profile)):
-            continue
-        sigma = _extend_map(ct, ct, schedule, src, dst)
-        if _respects_generators(ct, ct, src, dst, sigma):
-            maps.append(Permutation(sigma.tolist()))
-    return sorted(maps)
+    dst = [d for d in product(*(buckets[fps[g]] for g in src))
+           if all(word_order(d, w) == wp for w, wp in zip(_WORDS, profile))]
+    sigma = _extend_map(ct, ct, _bfs_schedule(ct, src), src, dst)
+    ok = _respects_generators(ct, ct, src, dst, sigma)
+    return sorted(Permutation(row) for row in sigma[ok].tolist())
 
 
 def is_congruent(cp, p) -> bool:
