@@ -39,7 +39,7 @@ KNOWN_AUT = {"S4": 24, "S5": 120, "S6": 1440, "A5": 120, "A6": 1440,
              "PSL(2,8)": 1512, "PSL(2,9)": 1440, "PSL(2,11)": 1320,
              "PSL(2,13)": 2184, "PGL(2,7)": 336, "PGL(2,9)": 1440,
              "Q8": 24, "V4": 6, "Dih4": 8, "E2^3": 168, "C4xC4": 96}
-AUT_CASES = {e.id: e for e in [symmetric(4)] + default_catalog()
+AUT_CASES = {e.id: e for e in default_catalog()
              if "monolithic" in e.tags
              or e.id in ("S4", "Dih4", "E2^3", "C4xC4")}
 
