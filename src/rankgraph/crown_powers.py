@@ -195,13 +195,6 @@ class CrownPower:
                 f"crown power order {G.order} != expected {self.order}")
         return G
 
-    def component(self, p: Permutation, j: int) -> Permutation:
-        """The j-th coordinate of an element of L_k."""
-        d = self.block_degree
-        off = j * d
-        return Permutation._raw(tuple(p.images[off + i] - off
-                                      for i in range(d)))
-
 
 def _from_coordinates(coords: Sequence[Permutation]) -> Permutation:
     """The element of L^k with coordinates l_1, ..., l_k, acting on k

@@ -289,25 +289,6 @@ def is_edge_d(G: PermutationGroup, x: Permutation, y: Permutation,
     return oracle.edge(xi, yi, d)
 
 
-def edge_witness(G: PermutationGroup, x: Permutation, y: Permutation,
-                 d: int) -> Optional[frozenset]:
-    """A generating set of cardinality exactly d containing x and y, or None."""
-    if not is_edge_d(G, x, y, d):
-        return None
-    oracle = _oracle_for(G)
-    ct, reg = oracle.ct, oracle.reg
-    n = ct.n
-    if n == d:
-        return frozenset(ct.elements)
-    xi, yi = ct.index[x.images], ct.index[y.images]
-    chosen = {xi, yi, *reg.climb(oracle.rows[xi] & oracle.rows[yi])}
-    for z in range(n):
-        if len(chosen) == d:
-            break
-        chosen.add(z)
-    return frozenset(ct.perm(i) for i in chosen)
-
-
 def _oracle_for(G: PermutationGroup) -> EdgeOracle:
     ct = G.cayley_table()
     oracle = getattr(ct, "_edge_oracle", None)

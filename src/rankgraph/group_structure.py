@@ -7,7 +7,9 @@ subgroups (by element index set).  Its joins serve one search only: the
 conjugacy classes of subgroups by cyclic extension, which joins each
 class representative H with one element of prime-power order per
 N_G(H)-orbit of cyclic subgroups outside H; H is maximal iff every such
-join is G.  Every generation question, d(G) included, is answered from
+join is G.  A join <H, z> is closed coset by coset (Dimino): it grows
+as a union of cosets of H, so its cost is counted in cosets, not in
+elements.  Every generation question, d(G) included, is answered from
 maximal-subgroup incidence (P. Hall's view of generation): the maximal
 subgroups containing <X> are the AND of the incidence rows of the
 elements of X, <X> = G iff that mask is 0, and d_X(G) is the distance of
@@ -43,12 +45,15 @@ from .perm_core import (
 class SubgroupRegistry:
     """Subgroups of one dense group and its maximal-subgroup incidence.
 
-    Closures and joins (interned by the frozenset of their element
-    indices) find the classes of subgroups and the maximal subgroups by
-    cyclic extension (``subgroup_class_reps``); a closure exceeding |G|/2
-    is the whole group by Lagrange.  Generation questions go through the
-    incidence rows: ``mask_of`` gives the mask of <X>, ``mask_dist`` its
-    distance d_X(G) and ``climb`` a shortest completion.
+    Joins <H, z> of an interned subgroup with one element (interned by
+    the frozenset of their element indices) find the classes of
+    subgroups and the maximal subgroups by cyclic extension
+    (``subgroup_class_reps``).  ``close`` builds a join from the cosets
+    of H; one exceeding |G|/2 is the whole group by Lagrange.
+    ``normaliser`` and ``conjugates`` work on the same list rows.
+    Generation questions go through the incidence rows: ``mask_of`` gives
+    the mask of <X>, ``mask_dist`` its distance d_X(G) and ``climb`` a
+    shortest completion.
     """
 
     def __init__(self, ct: CayleyTable):
@@ -73,31 +78,36 @@ class SubgroupRegistry:
             self.gens.append(gens)
         return sid
 
-    def close(self, gens: Sequence[int]) -> int:
-        """Subgroup generated by the given element indices, interned."""
+    def close(self, sid: int, z: int) -> int:
+        """<H, z> for an interned subgroup H, interned.
+
+        Dimino's coset closure: the result is grown as a union of left
+        cosets yH, starting from H with the representative list [1].
+        For each representative c and each generator s of <H, z>, the
+        coset of y = s * c is added unless y is already in; the union
+        is then closed under left multiplication by the generators, so
+        it is <H, z>.  Each join costs (cosets x generators) lookups
+        plus one table cell per element of the result.  By Lagrange, a
+        union that would exceed |G|/2 is the whole group.
+        """
         ct = self.ct
         n = ct.n
-        half = n // 2
-        gens = tuple(dict.fromkeys(g for g in gens if g != ct.identity))
-        if not gens:
-            return self.trivial_id
-        seen = bytearray(n)
-        seen[ct.identity] = 1
-        out = [ct.identity]
         table = ct.table
-        qi = 0
-        while qi < len(out):
-            x = out[qi]
-            qi += 1
-            row = table[x]
-            for g in gens:
-                y = row[g]
-                if not seen[y]:
-                    if len(out) > half:
+        H = self.members[sid]
+        h = len(H)
+        gens = self.gens[sid] + (z,)
+        rows = [table[s] for s in gens]
+        K = set(H)
+        reps = [ct.identity]
+        for c in reps:  # grows while it is read
+            for row in rows:
+                y = row[c]
+                if y not in K:
+                    if 2 * (len(K) + h) > n:
                         return self.full_id
-                    seen[y] = 1
-                    out.append(y)
-        return self.intern(frozenset(out), gens)
+                    K.update(map(table[y].__getitem__, H))
+                    reps.append(y)
+        return self.intern(frozenset(K), gens)
 
     def join_with_element(self, sid: int, z: int) -> int:
         """<H, z> for an interned subgroup H."""
@@ -107,32 +117,41 @@ class SubgroupRegistry:
         if 2 * len(H) * len(Z) > ct.n * len(H & Z):
             # |HZ| = |H||Z|/|H & Z| > |G|/2 and HZ lies in <H, z>
             return self.full_id
-        return self.close(self.gens[sid] + (z,))
+        return self.close(sid, z)
 
     # -- conjugacy classes of subgroups -----------------------------------------
 
     def conjugates(self, members: frozenset) -> list:
-        """Orbit of a subgroup under conjugation by the group generators."""
+        """Orbit of a subgroup under conjugation by the group generators,
+        mapped through the generators' conjugation rows."""
         ct = self.ct
+        rows = [ct.conj_row(g).__getitem__ for g in ct.gen_indices]
         orbit = {members}
         queue = [members]
         while queue:
             s = queue.pop()
-            for g in ct.gen_indices:
-                img = frozenset(ct.conj(x, g) for x in s)
+            for row in rows:
+                img = frozenset(map(row, s))
                 if img not in orbit:
                     orbit.add(img)
                     queue.append(img)
         return sorted(orbit, key=sorted)
 
     def normaliser(self, sid: int) -> list:
-        """N_G(H): the g with h^g in H for every generator h of H."""
+        """N_G(H): the g with h^g in H for every generator h of H.
+
+        A membership mask of H filters the candidates once per
+        generator of H, so later generators test only the survivors.
+        """
         ct = self.ct
         table, inv = ct.table, ct.inv
-        members = self.members[sid]
-        gens = self.gens[sid]
-        return [g for g in range(ct.n)
-                if all(table[table[inv[g]][h]][g] in members for h in gens)]
+        inside = bytearray(ct.n)
+        for x in self.members[sid]:
+            inside[x] = 1
+        out = range(ct.n)
+        for h in self.gens[sid]:
+            out = [g for g in out if inside[table[table[inv[g]][h]][g]]]
+        return list(out)
 
     def subgroup_class_reps(self) -> list:
         """One interned id per conjugacy class of subgroups of G.

@@ -67,9 +67,10 @@ class WitnessSearchFailure(RuntimeError):
 def _mult(p: tuple, q: tuple) -> tuple:
     """Image tuple of p then q: ``_mult(p, q)[i] == q[p[i]]``.
 
-    Every composition of image tuples goes through here.  ``itemgetter``
-    with one argument returns a scalar, so degrees 0 and 1 take the
-    plain path.
+    Every composition of image tuples goes through here, except in the
+    stabilizer-chain loops, which inline the ``itemgetter`` call.
+    ``itemgetter`` with one argument returns a scalar, so degrees 0 and 1
+    take the plain path.
     """
     if len(p) > 1:
         return itemgetter(*p)(q)
@@ -239,11 +240,12 @@ class UnionFind:
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "orbit", "done")
+    __slots__ = ("point", "gens", "visible", "transversal", "orbit", "done")
 
     def __init__(self, point: int, id_images: tuple):
         self.point = point
         self.gens = []  # [(images, inverse images)] added at this level
+        self.visible = None  # gens of this level and below; None: stale
         self.transversal = {point: (id_images, id_images)}
         self.orbit = [point]  # discovery order; reps are never replaced
         self.done = {}  # generator images -> orbit prefix already processed
@@ -306,6 +308,10 @@ class StabilizerChain:
             return
         self._add_images(0, g.images)
 
+    # A level exists only for a non-identity permutation, so the degree
+    # is at least 2 wherever one is read, and ``itemgetter(*p)(q)`` is
+    # ``_mult(p, q)`` inlined.
+
     def _sift(self, img: tuple, start: int):
         """Sift img through levels[start:]; return (residue, stuck level)."""
         for i in range(start, len(self.levels)):
@@ -313,7 +319,7 @@ class StabilizerChain:
             entry = lv.transversal.get(img[lv.point])
             if entry is None:
                 return img, i
-            img = _mult(img, entry[1])
+            img = itemgetter(*img)(entry[1])
         return img, len(self.levels)
 
     def _add_images(self, start: int, img: tuple) -> None:
@@ -333,6 +339,8 @@ class StabilizerChain:
                 break
             j += 1
         self.levels[j].gens.append((residue, _inv(residue)))
+        for lv in self.levels[:j + 1]:
+            lv.visible = None
         for i in range(j, start - 1, -1):
             self._extend_orbit(i)
             if self._done():
@@ -342,10 +350,12 @@ class StabilizerChain:
                 return
 
     def _visible_gens(self, i: int) -> list:
-        out = []
-        for lv in self.levels[i:]:
-            out.extend(lv.gens)
-        return out
+        """The generators of levels[i:], cached on level i until a level
+        at or below it gains one."""
+        lv = self.levels[i]
+        if lv.visible is None:
+            lv.visible = [g for level in self.levels[i:] for g in level.gens]
+        return lv.visible
 
     def _extend_orbit(self, i: int) -> None:
         """Grow the fundamental orbit at level i; existing reps are kept."""
@@ -361,7 +371,8 @@ class StabilizerChain:
             for g, g_inv in gens:
                 q = g[p]
                 if q not in lv.transversal:
-                    lv.transversal[q] = (_mult(u, g), _mult(g_inv, u_inv))
+                    lv.transversal[q] = (itemgetter(*u)(g),
+                                         itemgetter(*g_inv)(u_inv))
                     lv.orbit.append(q)
                     queue.append(q)
         if len(lv.orbit) != size:
@@ -388,8 +399,8 @@ class StabilizerChain:
                 lv.done[g] = n
                 for p in lv.orbit[start:n]:
                     u = lv.transversal[p][0]
-                    x = _mult(u, g)  # maps base point to g(p)
-                    schreier = _mult(x, lv.transversal[x[lv.point]][1])
+                    x = itemgetter(*u)(g)  # maps base point to g(p)
+                    schreier = itemgetter(*x)(lv.transversal[x[lv.point]][1])
                     if schreier != self._id:
                         self._add_images(i + 1, schreier)
                         if self._done():
@@ -779,6 +790,7 @@ class CayleyTable:
         self._class_id = None
         self._classes = None
         self._centralizer_sets = {}
+        self._conj_rows = {}
         self._np_table = None
 
     # -- cyclic subgroups ---------------------------------------------------
@@ -863,6 +875,15 @@ class CayleyTable:
     def conj(self, x: int, g: int) -> int:
         """Index of g^-1 * x * g."""
         return self.table[self.table[self.inv[g]][x]][g]
+
+    def conj_row(self, g: int) -> list:
+        """``conj(x, g)`` for every index x, as one list, cached per g."""
+        row = self._conj_rows.get(g)
+        if row is None:
+            table = self.table
+            row = self._conj_rows[g] = [table[y][g]
+                                        for y in table[self.inv[g]]]
+        return row
 
     def centralizer_set(self, x: int) -> frozenset:
         got = self._centralizer_sets.get(x)

@@ -3,9 +3,11 @@
 The brute-force functions work by exhaustive enumeration on raw image
 tuples and never touch stabilizer chains, Cayley tables or subgroup
 registries.  ``ClosureOracle`` answers generation questions by subgroup
-closures alone (``SubgroupRegistry.close`` on a registry of its own),
-the path rankgraph took before maximal-subgroup incidence rows answered
-them; it never reads incidence rows, so it checks the row-mask engine.
+closures alone (a breadth-first closure over Cayley-table rows, interned
+in a registry of its own), the path rankgraph took before
+maximal-subgroup incidence rows answered them; it never reads incidence
+rows, so it checks the row-mask engine, and it never calls the
+registry's coset closure, which it checks too.
 It also finds the conjugacy classes of subgroups and the maximal
 subgroups by joining every class representative with every element,
 which checks the cyclic-extension search.  ``is_homomorphism`` checks a
@@ -14,15 +16,16 @@ search checks it on generators only.  ``exhaustive_automorphisms`` tries
 every fingerprint-compatible image tuple of a minimal generating
 sequence, where the search tries one tuple per class of tuples under
 inner automorphisms, and ``inner_automorphisms`` builds Inn(G) from
-conjugation by the generators.  ``is_congruent``, ``is_discrete`` and
-``refines`` are predicates on crown powers and index partitions that
-only tests ask.  ``union_find_orbits`` labels the
-orbits of a group on tuples by joining each tuple with its generator
-images, where ``orbits_on_tuples`` applies every element to one tuple
-per orbit.  ``class_edges`` and ``class_pair_summary`` decide Delta_d
-one pair of row classes at a time with a union-find over the joined
-pairs, and ``pairwise_weak_connectivity`` joins every vertex pair of a
-crown graph by ``CrownGraphBuilder.edge``; the block kernels of
+conjugation by the generators.  ``component``, ``is_congruent``,
+``is_discrete`` and ``refines`` are helpers on crown powers and index
+partitions that only tests ask, as is ``edge_witness``, a generating set
+of cardinality d through an edge of Delta_d.  ``union_find_orbits``
+labels the orbits of a group on tuples by joining each tuple with its
+generator images, where ``orbits_on_tuples`` applies every element to
+one tuple per orbit.  ``class_edges`` and ``class_pair_summary`` decide
+Delta_d one pair of row classes at a time with a union-find over the
+joined pairs, and ``pairwise_weak_connectivity`` joins every vertex pair
+of a crown graph by ``CrownGraphBuilder.edge``; the block kernels of
 ``graphs`` are checked against them.
 """
 
@@ -39,7 +42,7 @@ from rankgraph.automorphisms import (
     _respects_generators,
 )
 from rankgraph.crown_powers import CrownGraphBuilder, _exhaustive_report
-from rankgraph.graphs import _check_graph_args, _oracle_for
+from rankgraph.graphs import _check_graph_args, _oracle_for, is_edge_d
 from rankgraph.group_structure import SubgroupRegistry, min_rank
 from rankgraph.perm_core import UnionFind
 
@@ -122,10 +125,17 @@ def exhaustive_automorphisms(G) -> list:
     return sorted(Permutation(row) for row in sigma[ok].tolist())
 
 
+def component(cp, p, j: int) -> Permutation:
+    """The j-th coordinate of an element of the crown power L_k."""
+    d = cp.block_degree
+    off = j * d
+    return Permutation(p.images[off + i] - off for i in range(d))
+
+
 def is_congruent(cp, p) -> bool:
     """The coordinates of p lie in one coset of the socle of the crown
     power's base (membership in L_k)."""
-    comps = [cp.component(p, j) for j in range(cp.k)]
+    comps = [component(cp, p, j) for j in range(cp.k)]
     first = comps[0]
     N = cp.base.socle
     return all(N.contains(first.inverse() * c) for c in comps[1:])
@@ -143,6 +153,26 @@ def refines(fine, coarse) -> bool:
         for x in part:
             where[x] = k
     return all(len({where[x] for x in part}) == 1 for part in fine.parts)
+
+
+def edge_witness(G, x, y, d: int):
+    """A generating set of cardinality exactly d containing x and y, or
+    None: x, y and a ``climb`` of the registry from row[x] & row[y],
+    padded by least elements."""
+    if not is_edge_d(G, x, y, d):
+        return None
+    oracle = _oracle_for(G)
+    ct, reg = oracle.ct, oracle.reg
+    n = ct.n
+    if n == d:
+        return frozenset(ct.elements)
+    xi, yi = ct.index[x.images], ct.index[y.images]
+    chosen = {xi, yi, *reg.climb(oracle.rows[xi] & oracle.rows[yi])}
+    for z in range(n):
+        if len(chosen) == d:
+            break
+        chosen.add(z)
+    return frozenset(ct.perm(i) for i in chosen)
 
 
 def union_find_orbits(generators, tuples) -> tuple:
@@ -303,11 +333,31 @@ class ClosureOracle:
         self._dist = {}
         self._completes = {}
 
+    def bfs_close(self, gens) -> int:
+        """Subgroup generated by the given element indices, interned: one
+        table lookup per element and generator, breadth first.  More than
+        |G|/2 elements is the whole group by Lagrange."""
+        ct = self.ct
+        gens = tuple(dict.fromkeys(g for g in gens if g != ct.identity))
+        seen = bytearray(ct.n)
+        seen[ct.identity] = 1
+        out = [ct.identity]
+        for x in out:
+            row = ct.table[x]
+            for g in gens:
+                y = row[g]
+                if not seen[y]:
+                    if 2 * len(out) > ct.n:
+                        return self.full
+                    seen[y] = 1
+                    out.append(y)
+        return self.reg.intern(frozenset(out), gens)
+
     def join(self, sid: int, z: int) -> int:
         key = (sid, self.ct.cyclic_id[z])
         got = self._joins.get(key)
         if got is None:
-            got = self._joins[key] = self.reg.close(self.reg.gens[sid] + (z,))
+            got = self._joins[key] = self.bfs_close(self.reg.gens[sid] + (z,))
         return got
 
     def closure(self, elems) -> int:

@@ -18,7 +18,7 @@ from rankgraph.crown_powers import (
     default_generating_tuple,
     omega_table,
 )
-from rankgraph.graphs import edge_witness, is_edge_d
+from rankgraph.graphs import is_edge_d
 from rankgraph.group_structure import (
     SubgroupRegistry,
     d_X,
@@ -28,7 +28,7 @@ from rankgraph.group_structure import (
     registry_for,
 )
 
-from oracles import ClosureOracle
+from oracles import ClosureOracle, edge_witness
 
 SMALL = [e for e in default_catalog() if e.group().order <= 360]
 MONOLITHIC = [e for e in SMALL if "monolithic" in e.tags

@@ -15,14 +15,13 @@ from rankgraph.graphs import (
     components,
     delta_summary,
     diameter,
-    edge_witness,
     export_dot,
     is_edge_d,
 )
 from rankgraph.crown_powers import IndexPartition, partition_meet
 from rankgraph.group_structure import min_rank, registry_for
 
-from oracles import bfs_components, brute_generates
+from oracles import bfs_components, brute_generates, edge_witness
 
 
 def cyc(n, *cycles):

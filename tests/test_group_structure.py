@@ -36,6 +36,7 @@ from oracles import (
 
 
 UP_TO_720 = [e.id for e in default_catalog() if e.group().order <= 720]
+UP_TO_360 = [e.id for e in default_catalog() if e.group().order <= 360]
 
 
 def cyc(n, *cycles):
@@ -135,15 +136,29 @@ class TestFrattini:
 
     @pytest.mark.parametrize("group_id", ["S4", "A5", "PSL(2,7)"])
     def test_join_with_element_matches_fresh_closure(self, group_id):
-        # the product-formula shortcut gives what closing the generators
-        # of H together with z gives on an empty registry
+        # the product-formula shortcut and the coset closure give what a
+        # breadth-first closure of the generators of H and z gives
         G = find_entry(default_catalog(), group_id).group()
         reg = registry_for(G)
-        fresh = SubgroupRegistry(reg.ct)
+        oracle = ClosureOracle(G)
         for sid in reg.subgroup_class_reps():
             for z in range(reg.ct.n):
-                want = fresh.members[fresh.close(reg.gens[sid] + (z,))]
+                want = oracle.reg.members[
+                    oracle.bfs_close(reg.gens[sid] + (z,))]
                 assert reg.members[reg.join_with_element(sid, z)] == want
+
+    @pytest.mark.parametrize("group_id", UP_TO_360)
+    def test_normaliser_matches_all_conjugators(self, group_id):
+        # N_G(H) from the generators of H equals {g : H^g = H}, with H^g
+        # computed element by element for every g in G
+        G = find_entry(default_catalog(), group_id).group()
+        reg = registry_for(G)
+        ct = reg.ct
+        for sid in reg.subgroup_class_reps():
+            H = reg.members[sid]
+            want = [g for g in range(ct.n)
+                    if frozenset(ct.conj(x, g) for x in H) == H]
+            assert reg.normaliser(sid) == want
 
     @pytest.mark.parametrize("group_id", UP_TO_720)
     def test_cyclic_extension_matches_join_closure(self, group_id):

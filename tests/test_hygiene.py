@@ -149,3 +149,31 @@ def test_every_cap_is_checked():
     fields = {f.name for f in dataclasses.fields(Limits)}
     assert fields - read == set()
     assert read - fields == set()
+
+
+# ``ClosureOracle`` checks the registry's closure kernel, so it must not
+# call it: the oracle closes subgroups breadth first on its own.
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+KERNELS = ("close", "join_with_element")
+
+
+def kernel_calls(source: str) -> list:
+    """(line, name) for each call of a method named like a
+    ``SubgroupRegistry`` closure kernel."""
+    return sorted((node.lineno, node.func.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and
+                  isinstance(node.func, ast.Attribute) and
+                  node.func.attr in KERNELS)
+
+
+def test_kernel_scanner_flags_registry_closure():
+    source = ("def f(reg, sid, z):\n    a = reg.close(sid, z)\n"
+              "    b = reg.bfs_close((z,))\n"
+              "    return getattr(reg, 'x').join_with_element(a, b)\n")
+    assert kernel_calls(source) == [(2, "close"), (4, "join_with_element")]
+
+
+def test_oracles_do_not_call_the_closure_kernel():
+    assert kernel_calls(ORACLES.read_text()) == []

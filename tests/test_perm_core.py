@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -22,6 +23,7 @@ from rankgraph import (
     normal_closure,
     quotient,
 )
+from rankgraph.catalog import builtin_entry
 from rankgraph.config import caps
 from rankgraph.perm_core import _mult, subgroup_from_members
 
@@ -167,6 +169,22 @@ class TestGroupConstruction:
             assert chain.order() == math.prod(
                 len(lv.transversal) for lv in chain.levels)
         assert chain.order() == true_order
+
+    @pytest.mark.parametrize("group_id, digest", [
+        ("S6", "9d5280a1ccc944da337e83c2146821f5327b9e75d912048a47a7b59c0af40956"),
+        ("PSL(2,13)",
+         "8ced0e5367eec7ed9001ce06d42e76639c84793864497c89c0d4d4d2f50cf9e7"),
+    ])
+    def test_random_element_draws_are_pinned(self, group_id, digest):
+        # random_element reads the base, the orbits and the transversal
+        # representatives, so a chain built in another order shows here
+        G = builtin_entry(group_id).group()
+        draws = []
+        for known in (None, G.order):
+            H = PermutationGroup(G.degree, G.generators, known_order=known)
+            rng = random.Random(2024)
+            draws.append([H.random_element(rng).images for _ in range(40)])
+        assert hashlib.sha256(repr(draws).encode()).hexdigest() == digest
 
     def test_known_order_early_exit_is_sound(self, A5):
         chain = StabilizerChain(5, A5.generators, known_order=60)
@@ -338,6 +356,11 @@ class TestCayleyTable:
         for _ in range(50):
             i, j = rng.randrange(ct.n), rng.randrange(ct.n)
             assert ct.elements[ct.table[i][j]] == ct.elements[i] * ct.elements[j]
+
+    def test_conj_row(self, S4):
+        ct = S4.cayley_table()
+        for g in range(ct.n):
+            assert ct.conj_row(g) == [ct.conj(x, g) for x in range(ct.n)]
 
     def test_inverse_array(self, S4):
         ct = S4.cayley_table()
