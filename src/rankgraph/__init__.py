@@ -13,7 +13,6 @@ from .perm_core import (
     CayleyTable,
     DegreeMismatchError,
     GroupArgumentError,
-    Homomorphism,
     NotNormalError,
     Permutation,
     PermutationGroup,

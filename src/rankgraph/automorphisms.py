@@ -16,14 +16,12 @@ runs over one representative per conjugacy class, each later one over
 one representative per orbit of the centraliser of the images before it,
 so Aut(L) costs |Out(L)| validated candidates and its element list is
 the found maps composed with every inner automorphism, in one gather.
-The same engine, pointed at two different groups, decides isomorphism;
-the map extension and its check also decide whether two generating
+The map extension and its check also decide whether two generating
 tuples are related by an automorphism.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -198,10 +196,9 @@ def _respects_generators(ct_src: CayleyTable, ct_dst: CayleyTable,
 
 
 def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
-              src_gens: Sequence[int], fps_src: list, fps_dst: list, *,
-              first_only: bool) -> tuple:
-    """All (or the first) isomorphisms extending src_gens -> candidate
-    images, as the rows of an int64 array.
+              src_gens: Sequence[int], fps_src: list, fps_dst: list) -> tuple:
+    """All isomorphisms extending src_gens -> candidate images, as the
+    rows of an int64 array.
 
     Two maps differing by an inner automorphism of the target send the
     generators to simultaneously conjugate tuples, and conjugation fixes
@@ -263,11 +260,7 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
         if len(sigma):
             yield sigma
 
-    found = []
-    for maps in search((), np.arange(ct_dst.n)):
-        if first_only:
-            return maps[:1], True
-        found.append(maps)
+    found = list(search((), np.arange(ct_dst.n)))
     if leaves > budget:
         return empty, False
     if not found:
@@ -298,16 +291,13 @@ def automorphism_group(L: PermutationGroup) -> PermutationGroup:
     Pruning is by fingerprint buckets, word orders and inner
     automorphisms; every searched candidate is validated by
     ``_respects_generators``, and ``subgroup_from_members`` checks that
-    the maps number the order of the group they generate.
+    the maps number the order of the group they generate.  The search
+    runs on the Cayley table, so the dense-table cap bounds |L|.
     """
-    if L.order > config.LIMITS.max_aut_order:
-        raise CapExceededError(
-            f"order {L.order} exceeds automorphism cap "
-            f"{config.LIMITS.max_aut_order}")
     ct = L.cayley_table()
     fps = _element_fingerprints(ct)
     src_gens = _generating_sequence(L, ct, fps)
-    maps, exhausted = _iso_maps(ct, ct, src_gens, fps, fps, first_only=False)
+    maps, exhausted = _iso_maps(ct, ct, src_gens, fps, fps)
     if not exhausted:
         raise CapExceededError("automorphism search exceeded leaf budget")
     # the maps are all of Aut(L), sorted, so they are its element list
@@ -367,36 +357,3 @@ def orbits_on_tuples(X: PermutationGroup, tuples: Sequence[tuple]) -> tuple:
             raise GroupArgumentError(
                 "tuple set is not closed under the X-action") from None
     return labels, reps
-
-
-# ---------------------------------------------------------------------------
-# isomorphism testing
-
-
-@dataclass
-class IsoResult:
-    isomorphic: Optional[bool]  # None when the search budget tripped
-    map: Optional[list] = None  # element-index map when isomorphic
-
-
-def isomorphism(G: PermutationGroup, H: PermutationGroup) -> IsoResult:
-    """Search for an isomorphism G -> H (generator-image backtracking).
-
-    Cheap invariants (order, fingerprint multiset) run first; a tripped
-    leaf budget yields ``isomorphic=None`` (absence not proven) instead
-    of a wrong answer.
-    """
-    if G.order != H.order:
-        return IsoResult(False)
-    ct_g = G.cayley_table()
-    ct_h = H.cayley_table()
-    fps_g = _element_fingerprints(ct_g)
-    fps_h = _element_fingerprints(ct_h)
-    if sorted(fps_g) != sorted(fps_h):
-        return IsoResult(False)
-    src_gens = _generating_sequence(G, ct_g, fps_g)
-    maps, exhausted = _iso_maps(ct_g, ct_h, src_gens, fps_g, fps_h,
-                                first_only=True)
-    if len(maps):
-        return IsoResult(True, maps[0].tolist())
-    return IsoResult(False if exhausted else None)

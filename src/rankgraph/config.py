@@ -24,16 +24,14 @@ class Limits:
     # Hard cap on explicit element enumeration.
     max_elements: int = 10**6
     # Cap on groups that get a dense multiplication table (memory: order^2
-    # ints); maximal subgroups, Frattini subgroups and d(G) by incidence
-    # rows all need the table.
+    # ints); maximal subgroups, Frattini subgroups, d(G) by incidence
+    # rows and the Aut(L) search all need the table.
     max_dense_order: int = 2048
     # Cap for complete normal-subgroup lattice computation.
     max_normal_lattice: int = 10**4
-    # Cap for automorphism-group backtracking.
-    max_aut_order: int = 2000
     # Cap on brute-force witness searches (e.g. tuples of corrections tried).
     max_search_space: int = 10**7
-    # Budget (candidate image tuples) for isomorphism backtracking.
+    # Budget (candidate image tuples) for the Aut(L) backtracking search.
     max_iso_leaves: int = 2 * 10**6
 
 

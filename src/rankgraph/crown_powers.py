@@ -49,12 +49,7 @@ from .automorphisms import (
     orbits_on_tuples,
     x_subgroup,
 )
-from .graphs import (
-    ElementGraph,
-    class_block,
-    class_neighbours,
-    component_labels,
-)
+from .graphs import class_block, component_labels
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +488,8 @@ def _sdr_exists(option_sets: Sequence[set]) -> bool:
 
 
 class CrownGraphBuilder:
-    """Edge tests for Gamma_{a_1..a_t}(L_eta), shared by graph and sweeps."""
+    """Edge tests and the class graph of Gamma_{a_1..a_t}(L_eta), shared
+    by the exhaustive and the sampled weak-connectivity checks."""
 
     def __init__(self, L: MonolithicGroup, t: int, eta: int,
                  a: Optional[Sequence[int]] = None,
@@ -583,20 +579,6 @@ class CrownGraphBuilder:
         return class_block(left, right, (lambda mask: self._completes(
             mask, free)) if free else None)
 
-    def edges(self):
-        """Yield every edge once as a pair (v, w), v < w, of indices into
-        ``vertices()``: row pairs i < j in turn, then v in row i, then w in
-        row j."""
-        node_of, adj = self.class_graph()
-        per_row = len(node_of) // self.t
-        for i in range(self.t):
-            rows_i = node_of[i * per_row:(i + 1) * per_row]
-            for j in range(i + 1, self.t):
-                vs, ws = np.nonzero(
-                    adj[np.ix_(rows_i, node_of[j * per_row:(j + 1) * per_row])])
-                yield from zip((vs + i * per_row).tolist(),
-                               (ws + j * per_row).tolist())
-
     def conjugate(self, v: CrownVertex, m: tuple) -> CrownVertex:
         """The vertex of (a_i . c)^m for v = (i, c) and m in N^eta."""
         tbl, inv = self.ct.table, self.ct.inv
@@ -650,32 +632,6 @@ class CrownGraphBuilder:
                       self.L.coset_indices(self.a[free[0]]))
             self._complete_memo[key] = got
         return got
-
-
-def crown_graph(L: MonolithicGroup, t: int, eta: int,
-                a: Optional[Sequence[int]] = None,
-                table: Optional[OrbitTable] = None,
-                drop_isolated: bool = True) -> ElementGraph:
-    """The graph Gamma_{a_1..a_t}(L_eta) on formal (row, correction) vertices.
-
-    With ``drop_isolated`` the Delta version is returned.  Vertex count is
-    capped at t * |N|^eta <= max_elements.
-    """
-    builder = CrownGraphBuilder(L, t, eta, a, table)
-    verts = builder.vertices()
-    node_of, adj = builder.class_graph()
-    members = [[] for _ in adj]
-    for v, k in enumerate(node_of.tolist()):
-        members[k].append(v)
-    adjacency = class_neighbours(members, adj)
-    labels = list(verts)
-    if drop_isolated:
-        keep = [v for v in range(len(verts)) if adjacency[v]]
-        remap = {v: k for k, v in enumerate(keep)}
-        adjacency = [[remap[w] for w in adjacency[v]] for v in keep]
-        labels = [labels[v] for v in keep]
-    return ElementGraph("crown", labels, adjacency, builder.L.group,
-                        {"t": t, "eta": eta, "a": builder.a})
 
 
 # ---------------------------------------------------------------------------
@@ -792,55 +748,20 @@ def _exhaustive_report(builder: CrownGraphBuilder,
         rows, all_pass)
 
 
-def generating_coset_patterns(L: MonolithicGroup, t: int) -> list:
-    """Socle-coset patterns admitting a generating t-tuple lift.
-
-    Patterns are tuples of canonical (minimal) coset representatives; a
-    pattern qualifies when its representatives generate L together with
-    the socle, which for t >= d(L) guarantees a generating lift by the
-    normal-correction lemma.  Each pattern comes with its canonical lift
-    (first generating tuple in lexicographic order).
-    """
-    reg = registry_for(L.group)
-    ct = L.ct()
-    reps = sorted({min(L.coset_indices(x)) for x in range(ct.n)})
-    n_gens = [ct.index[p.images] for p in L.socle.generators]
-    out = []
-    for pattern in itertools.product(reps, repeat=t):
-        if reg.mask_of(pattern + tuple(n_gens)):
-            continue
-        lift = next(_generating_tuples(
-            reg, [L.coset_indices(x) for x in pattern]), None)
-        if lift is None:
-            raise WitnessSearchFailure(
-                "no generating lift found; contradicts the correction lemma")
-        out.append((pattern, lift))
-    return out
-
-
-def t_locally_connected(L: MonolithicGroup, t: int, eta: int) -> tuple:
-    """Weak connectivity across every generating coset pattern.
-
-    The crown graph only depends on the tuple through its coset pattern
-    (replacing a_i by a_i n relabels the row's corrections bijectively),
-    so one canonical lift per pattern is exhaustive.  Returns
-    (all_passed, reports).
-    """
-    reports = []
-    for pattern, lift in generating_coset_patterns(L, t):
-        reports.append(weak_connectivity(L, t, eta, a=lift))
-    return all(r.passed for r in reports), reports
-
-
 def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
                               table: OrbitTable,
                               a: Optional[Sequence[int]] = None,
                               samples: int = 60, seed: int = 0) -> WeakConnectivityReport:
     """Sampled weak connectivity for graphs too large to hold explicitly.
 
-    Seeded pairs of same-row vertices are checked: some conjugate of the
-    second endpoint must be joined to the first by a path in the implicit
-    Delta graph (bidirectional neighbourhood meet, then deeper BFS).
+    Seeded pairs (v1, v2) of non-isolated same-row vertices are checked:
+    for some conjugator m, v1 and v2^m must be joined in the implicit
+    Delta graph by a path of length at most 3 (an edge, a common
+    neighbour, or an edge between their neighbourhoods).  The conjugators
+    tried are the first |N| of the BFS order on M = N^eta, those trivial
+    in every coordinate except the last; for eta >= 2 no other conjugator
+    is tried.  A pair that no such path and conjugator join counts as a
+    failure.
     """
     import random
 

@@ -445,19 +445,6 @@ def is_soluble(G: PermutationGroup) -> bool:
 # Frattini subgroup
 
 
-def maximal_subgroups(G: PermutationGroup) -> list:
-    """All maximal subgroups of G (as PermutationGroups), cap-guarded."""
-    if G.order == 1:
-        return []
-    reg = registry_for(G)
-    ct = reg.ct
-    out = []
-    for members in reg.maximal_subgroups():
-        out.append(subgroup_from_members(
-            G.degree, [ct.perm(i) for i in sorted(members)]))
-    return out
-
-
 def frattini(G: PermutationGroup) -> PermutationGroup:
     """Intersection of all maximal subgroups (the non-generators)."""
     if G.order == 1:

@@ -462,9 +462,6 @@ class PermutationGroup:
     def contains_group(self, other: "PermutationGroup") -> bool:
         return all(self.contains(g) for g in other.generators)
 
-    def same_group(self, other: "PermutationGroup") -> bool:
-        return (self.order == other.order and self.contains_group(other))
-
     def random_element(self, rng) -> Permutation:
         return self._chain.sample(rng)
 
@@ -640,33 +637,14 @@ def derived_subgroup(G: PermutationGroup) -> PermutationGroup:
 
 
 # ---------------------------------------------------------------------------
-# homomorphisms and quotients
-
-
-class Homomorphism:
-    """The projection G -> G/N built by ``quotient``, by a coset formula.
-
-    ``coset_representatives`` holds the least element of each coset of N,
-    in the order of the points of G/N; ``identity_coset`` is the point N.
-    """
-
-    def __init__(self, source: PermutationGroup, target: PermutationGroup,
-                 apply, coset_representatives: tuple, identity_coset: int):
-        self.source = source
-        self.target = target
-        self.apply = apply
-        self.coset_representatives = coset_representatives
-        self.identity_coset = identity_coset
-
-    def __call__(self, p: Permutation) -> Permutation:
-        return self.apply(p)
+# quotients
 
 
 def quotient(G: PermutationGroup, N: PermutationGroup):
     """Faithful permutation action of G/N on right cosets of N.
 
-    Returns (quotient group, projection homomorphism).  For normal N the
-    kernel of the coset action is exactly N, so the image order is
+    Returns (quotient group, projection function G -> G/N).  For normal N
+    the kernel of the coset action is exactly N, so the image order is
     |G|/|N|; this is asserted.  Coset indices follow the lexicographic
     order of canonical (minimal) coset representatives.
     """
@@ -704,15 +682,10 @@ def quotient(G: PermutationGroup, N: PermutationGroup):
         raise GroupArgumentError(
             "coset action order mismatch; N is not normal in G")
 
-    identity_coset = rep_index[start]
-
-    def apply(p: Permutation) -> Permutation:
+    def project(p: Permutation) -> Permutation:
         return Permutation._raw(project_images(p.images))
 
-    hom = Homomorphism(G, Q, apply,
-                       tuple(Permutation._raw(r) for r in rep_list),
-                       identity_coset)
-    return Q, hom
+    return Q, project
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import __version__, config
 from .perm_core import CapExceededError
 from .catalog import CatalogEntry
-from .graphs import build_delta_d, components, delta_summary, diameter
+from .graphs import build_delta_d, delta_summary, diameter
 from .group_structure import min_rank
 
 
@@ -134,19 +134,13 @@ def sweep_entry(entry: CatalogEntry, policy="default",
             record.d_min = cert.d
             for d in policy_fn(cert.d):
                 g0 = time.perf_counter()
-                if with_diameter:
+                s = delta_summary(G, d)
+                verdict = GraphVerdict(d, s.n_vertices, s.n_edges,
+                                       s.n_components, s.connected)
+                if with_diameter:  # the only use of the element graph
                     graph = build_delta_d(G, d)
-                    comps = components(graph)
-                    diam = max(diameter(graph, comps).values()) \
+                    verdict.diameter = max(diameter(graph).values()) \
                         if graph.n_vertices else 0
-                    verdict = GraphVerdict(
-                        d, graph.n_vertices, graph.n_edges, comps.count,
-                        comps.count <= 1, diam)
-                else:
-                    s = delta_summary(G, d)
-                    verdict = GraphVerdict(
-                        d, s.n_vertices, s.n_edges, s.n_components,
-                        s.connected)
                 verdict.elapsed_ms = int((time.perf_counter() - g0) * 1000)
                 record.graphs.append(verdict)
                 if not verdict.connected and (d >= max(3, cert.d) or d == 2):

@@ -442,7 +442,10 @@ def verify_weak_conn(seed: int = 42,
 
     For a simple socle there is a single coset pattern; several seeded
     generating triples are checked per pattern (the graph only depends on
-    the pattern, so equal results double as an invariance check).
+    the pattern, so equal results double as an invariance check).  The
+    eta = 2 sample (``weak_connectivity_sampled``) only looks for paths of
+    length at most 3 and only tries the conjugators (1, n), n in the
+    socle.
     """
     rng = random.Random(seed)
     failures = []

@@ -16,7 +16,8 @@ search checks it on generators only.  ``exhaustive_automorphisms`` tries
 every fingerprint-compatible image tuple of a minimal generating
 sequence, where the search tries one tuple per class of tuples under
 inner automorphisms, and ``inner_automorphisms`` builds Inn(G) from
-conjugation by the generators.  ``component``, ``is_congruent``,
+conjugation by the generators.  ``isomorphism`` points the same search
+at two groups and keeps its first map.  ``component``, ``is_congruent``,
 ``is_discrete`` and ``refines`` are helpers on crown powers and index
 partitions that only tests ask, as is ``edge_witness``, a generating set
 of cardinality d through an edge of Delta_d.  ``union_find_orbits``
@@ -26,10 +27,14 @@ one tuple per orbit.  ``class_edges`` and ``class_pair_summary`` decide
 Delta_d one pair of row classes at a time with a union-find over the
 joined pairs, and ``pairwise_weak_connectivity`` joins every vertex pair
 of a crown graph by ``CrownGraphBuilder.edge``; the block kernels of
-``graphs`` are checked against them.
+``graphs`` are checked against them.  ``crown_graph`` and
+``class_graph_edges`` expand the builder's class graph to single
+vertices and edges for the tests to compare.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Optional
 
 import numpy as np
 
@@ -39,10 +44,18 @@ from rankgraph.automorphisms import (
     _bfs_schedule,
     _element_fingerprints,
     _extend_map,
+    _generating_sequence,
+    _iso_maps,
     _respects_generators,
 )
 from rankgraph.crown_powers import CrownGraphBuilder, _exhaustive_report
-from rankgraph.graphs import _check_graph_args, _oracle_for, is_edge_d
+from rankgraph.graphs import (
+    ElementGraph,
+    _check_graph_args,
+    _oracle_for,
+    class_neighbours,
+    is_edge_d,
+)
 from rankgraph.group_structure import SubgroupRegistry, min_rank
 from rankgraph.perm_core import UnionFind
 
@@ -123,6 +136,30 @@ def exhaustive_automorphisms(G) -> list:
     sigma = _extend_map(ct, ct, _bfs_schedule(ct, src), src, dst)
     ok = _respects_generators(ct, ct, src, dst, sigma)
     return sorted(Permutation(row) for row in sigma[ok].tolist())
+
+
+@dataclass
+class IsoResult:
+    isomorphic: Optional[bool]  # None when the search budget tripped
+    map: Optional[list] = None  # element-index map when isomorphic
+
+
+def isomorphism(G, H) -> IsoResult:
+    """An isomorphism G -> H by the Aut(L) search pointed at two groups:
+    after the order and fingerprint multisets agree, ``_iso_maps`` finds
+    every map and the first one is kept.  A tripped leaf budget yields
+    ``isomorphic=None`` (absence not proven)."""
+    if G.order != H.order:
+        return IsoResult(False)
+    ct_g, ct_h = G.cayley_table(), H.cayley_table()
+    fps_g, fps_h = _element_fingerprints(ct_g), _element_fingerprints(ct_h)
+    if sorted(fps_g) != sorted(fps_h):
+        return IsoResult(False)
+    src_gens = _generating_sequence(G, ct_g, fps_g)
+    maps, exhausted = _iso_maps(ct_g, ct_h, src_gens, fps_g, fps_h)
+    if len(maps):
+        return IsoResult(True, maps[0].tolist())
+    return IsoResult(False if exhausted else None)
 
 
 def component(cp, p, j: int) -> Permutation:
@@ -550,6 +587,45 @@ def pairwise_edges(builder) -> list:
     verts = builder.vertices()
     return [(v, w) for v, w in combinations(range(len(verts)), 2)
             if builder.edge(verts[v], verts[w])]
+
+
+def class_graph_edges(builder) -> list:
+    """Every edge (v, w), v < w, of a crown graph, read off the builder's
+    class graph: row pairs i < j in turn, then v in row i, then w in
+    row j."""
+    node_of, adj = builder.class_graph()
+    per_row = len(node_of) // builder.t
+    out = []
+    for i in range(builder.t):
+        rows_i = node_of[i * per_row:(i + 1) * per_row]
+        for j in range(i + 1, builder.t):
+            vs, ws = np.nonzero(
+                adj[np.ix_(rows_i, node_of[j * per_row:(j + 1) * per_row])])
+            out.extend(zip((vs + i * per_row).tolist(),
+                           (ws + j * per_row).tolist()))
+    return out
+
+
+def crown_graph(L, t: int, eta: int, a=None, table=None,
+                drop_isolated: bool = True) -> ElementGraph:
+    """The graph Gamma_{a_1..a_t}(L_eta) on (row, correction) vertices,
+    expanded from the builder's class graph; with ``drop_isolated`` the
+    Delta version.  The vertex count is capped at max_elements."""
+    builder = CrownGraphBuilder(L, t, eta, a, table)
+    verts = builder.vertices()
+    node_of, adj = builder.class_graph()
+    members = [[] for _ in adj]
+    for v, k in enumerate(node_of.tolist()):
+        members[k].append(v)
+    adjacency = class_neighbours(members, adj)
+    labels = list(verts)
+    if drop_isolated:
+        keep = [v for v in range(len(verts)) if adjacency[v]]
+        remap = {v: k for k, v in enumerate(keep)}
+        adjacency = [[remap[w] for w in adjacency[v]] for v in keep]
+        labels = [labels[v] for v in keep]
+    return ElementGraph("crown", labels, adjacency, L.group,
+                        {"t": t, "eta": eta, "a": builder.a})
 
 
 def pairwise_weak_connectivity(L, t, eta, a=None, table=None):

@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from rankgraph import CapExceededError, config
+from rankgraph.automorphisms import automorphism_group
 from rankgraph.catalog import (
     alternating,
     default_catalog,
@@ -51,6 +52,13 @@ def test_dense_cap_holds_for_a_cached_table():
                                                  match="dense-table cap 10"):
         delta_summary(G, 2)
     assert delta_summary(G, 2).connected
+
+
+def test_dense_cap_bounds_the_aut_search():
+    # the search runs on the Cayley table, so |L| needs no cap of its own
+    with caps(max_dense_order=50), pytest.raises(CapExceededError,
+                                                 match="dense-table cap 50"):
+        automorphism_group(alternating(5).group())
 
 
 def test_element_cap_holds_for_a_cached_list():

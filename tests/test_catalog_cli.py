@@ -23,17 +23,12 @@ from rankgraph.catalog import (
     symmetric,
     validate_entry,
 )
-from rankgraph.automorphisms import isomorphism
 from rankgraph.group_structure import is_simple
-from rankgraph.sweep import (
-    SweepRecord,
-    critical_flags,
-    load_records,
-    sweep,
-    sweep_entry,
-)
+from rankgraph.sweep import load_records, sweep, sweep_entry
 from rankgraph.cli import cli_main
 from rankgraph import verify as verify_mod
+
+from oracles import isomorphism
 
 
 class TestBuilders:
@@ -201,6 +196,24 @@ class TestSweep:
         assert entry.group().cayley_table() is not ct  # rebuilt on demand
         second = sweep_entry(entry)
         assert verdicts(first) == verdicts(second) and first.graphs
+
+    def test_diameter_flag_changes_only_the_diameter(self):
+        entries = [e for e in default_catalog() if e.group().order <= 120]
+
+        def split(rec):
+            d = json.loads(rec.to_json())
+            d.pop("timestamp")
+            d.pop("elapsed_ms")
+            for g in d["graphs"]:
+                g.pop("elapsed_ms")
+            return d, [g.pop("diameter") for g in d["graphs"]]
+
+        plain = [split(r) for r in sweep(entries)]
+        diam = [split(r) for r in sweep(entries, with_diameter=True)]
+        assert [d for d, _ in plain] == [d for d, _ in diam]
+        assert all(x is None for _, ds in plain for x in ds)
+        diameters = [x for _, ds in diam for x in ds]
+        assert diameters and all(isinstance(x, int) for x in diameters)
 
     def test_connected_verdict_means_one_component(self):
         recs = sweep([symmetric(4)], max_order=100)

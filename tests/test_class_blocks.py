@@ -16,7 +16,6 @@ from rankgraph.catalog import default_catalog, find_entry
 from rankgraph.crown_powers import (
     CrownGraphBuilder,
     MonolithicGroup,
-    crown_graph,
     delta_Lt,
     weak_connectivity,
 )
@@ -32,6 +31,7 @@ from oracles import (
     bfs_components,
     class_edges,
     class_pair_summary,
+    crown_graph,
     pairwise_edges,
     pairwise_weak_connectivity,
 )

@@ -14,7 +14,6 @@ import pytest
 from rankgraph.catalog import default_catalog, find_entry
 from rankgraph.crown_powers import (
     MonolithicGroup,
-    crown_graph,
     default_generating_tuple,
     omega_table,
 )
@@ -28,7 +27,7 @@ from rankgraph.group_structure import (
     registry_for,
 )
 
-from oracles import ClosureOracle, edge_witness
+from oracles import ClosureOracle, crown_graph, edge_witness
 
 SMALL = [e for e in default_catalog() if e.group().order <= 360]
 MONOLITHIC = [e for e in SMALL if "monolithic" in e.tags

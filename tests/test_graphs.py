@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from rankgraph import GroupArgumentError, Permutation, group_from_generators
-from rankgraph.catalog import alternating, dihedral, symmetric
+from rankgraph.catalog import symmetric
 from rankgraph.graphs import (
     ElementGraph,
     build_delta_d,
@@ -19,7 +19,6 @@ from rankgraph.graphs import (
     is_edge_d,
 )
 from rankgraph.crown_powers import IndexPartition, partition_meet
-from rankgraph.group_structure import min_rank, registry_for
 
 from oracles import bfs_components, brute_generates, edge_witness
 
