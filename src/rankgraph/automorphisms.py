@@ -82,7 +82,7 @@ _WORDS = [
 def _word_orders(ct: CayleyTable, gens: np.ndarray, words) -> np.ndarray:
     """Order of each word in each row of generator images: shape
     (len(words), len(gens)); letter k of a word stands for column k."""
-    table = ct.numpy_table()
+    table = ct.array
     order_of = np.asarray(ct.order_of)
     out = np.empty((len(words), len(gens)), dtype=np.int64)
     for i, word in enumerate(words):
@@ -95,7 +95,7 @@ def _word_orders(ct: CayleyTable, gens: np.ndarray, words) -> np.ndarray:
 
 def _conjugation_matrix(ct: CayleyTable) -> np.ndarray:
     """C[x, y] = x^-1 * y * x, one row per element x."""
-    table = ct.numpy_table()
+    table = ct.array
     return table[table[ct.inv], np.arange(ct.n)[:, None]]
 
 
@@ -107,7 +107,7 @@ def _inner_rows(ct: CayleyTable, conj: np.ndarray) -> np.ndarray:
     """
     n = ct.n
     centre = np.flatnonzero((conj == np.arange(n)).all(1))
-    least = ct.numpy_table()[:, centre].min(1) == np.arange(n)
+    least = ct.array[:, centre].min(1) == np.arange(n)
     return conj[least]
 
 
@@ -162,7 +162,7 @@ def _extend_map(ct_src: CayleyTable, ct_dst: CayleyTable,
     sigma = np.empty(dst_gens.shape[:-1] + (ct_src.n,), dtype=np.int64)
     sigma[..., ct_src.identity] = ct_dst.identity
     sigma[..., list(src_gens)] = dst_gens
-    table = ct_dst.numpy_table()
+    table = ct_dst.array
     for new, parent, k in schedule:
         sigma[..., new] = table[sigma[..., parent], dst_gens[..., k]]
     return sigma
@@ -182,7 +182,7 @@ def _respects_generators(ct_src: CayleyTable, ct_dst: CayleyTable,
     axes of sigma and dst_gens are kept; rows are dropped as soon as one
     generator fails.
     """
-    src, dst = ct_src.numpy_table(), ct_dst.numpy_table()
+    src, dst = ct_src.array, ct_dst.array
     dst_gens = np.asarray(dst_gens, dtype=np.int64)
     sig = sigma.reshape(-1, ct_src.n)
     hs = dst_gens.reshape(len(sig), -1)

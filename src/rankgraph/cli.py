@@ -63,18 +63,21 @@ def _write_out(args, payload) -> None:
             fh.write("\n")
 
 
+def _graph(args, G):
+    """The graph that ``--graph`` names, with d from ``--d``, else 2 for
+    the generating graph, else d(G)."""
+    d = args.d
+    if d is None:
+        d = 2 if args.graph == "generating" else min_rank(G).d
+    if args.graph == "gamma":
+        return build_gamma_d(G, d)
+    return build_delta_d(G, d)
+
+
 def cmd_analyze(args) -> int:
     entry = _entry(args, args.group)
     G = entry.group()
-    if args.graph == "gamma":
-        graph = build_gamma_d(G, args.d)
-    else:
-        d = args.d
-        if d is None:
-            d = min_rank(G).d
-            if args.graph == "generating":
-                d = 2
-        graph = build_delta_d(G, d)
+    graph = _graph(args, G)
     stats = analyze_graph(entry.id, graph, with_diameter=args.diameter)
     print(f"{entry.id}: |G| = {G.order}, {graph.kind} graph d={graph.meta.get('d')}: "
           f"{stats.n_vertices} vertices, {stats.n_edges} edges, "
@@ -186,12 +189,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_dot(args) -> int:
     entry = _entry(args, args.group)
-    G = entry.group()
-    d = args.d if args.d is not None else min_rank(G).d
-    if args.graph == "gamma":
-        graph = build_gamma_d(G, d)
-    else:
-        graph = build_delta_d(G, d)
+    graph = _graph(args, entry.group())
     export_dot(graph, args.out)
     print(f"wrote {graph.n_vertices} vertices / {graph.n_edges} edges "
           f"to {args.out}")

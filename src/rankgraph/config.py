@@ -23,8 +23,9 @@ class Limits:
 
     # Hard cap on explicit element enumeration.
     max_elements: int = 10**6
-    # Cap on groups that get a dense multiplication table (memory: order^2
-    # ints); maximal subgroups, Frattini subgroups, d(G) by incidence
+    # Cap on groups that get a dense multiplication table (memory: 2 bytes
+    # per cell, order^2 cells; orders above 65,536 never get one, whatever
+    # the cap); maximal subgroups, Frattini subgroups, d(G) by incidence
     # rows and the Aut(L) search all need the table.
     max_dense_order: int = 2048
     # Cap for complete normal-subgroup lattice computation.

@@ -251,10 +251,6 @@ class EdgeOracle:
             return True
         return not mask or (d > 2 and self.reg.mask_dist(mask) <= d - 2)
 
-    def edge(self, x: int, y: int, d: int) -> bool:
-        """Edge test on element indices, x != y assumed."""
-        return self.joined(self.rows[x] & self.rows[y], d)
-
     def class_adjacency(self, d: int):
         """Symmetric boolean matrix of the joined pairs of row classes.
 
@@ -271,22 +267,6 @@ class EdgeOracle:
                               (lambda mask: reg.mask_dist(mask) <= d - 2))
         adj[np.diag_indices(k)] &= np.array(self.sizes) > 1
         return adj
-
-
-def is_edge_d(G: PermutationGroup, x: Permutation, y: Permutation,
-              d: int) -> bool:
-    """Whether some generating set of G of cardinality exactly d contains x and y."""
-    if d < 2:
-        raise GroupArgumentError("d must be at least 2")
-    if x == y:
-        raise GroupArgumentError("x and y must be distinct")
-    oracle = _oracle_for(G)
-    ct = oracle.ct
-    try:
-        xi, yi = ct.index[x.images], ct.index[y.images]
-    except KeyError:
-        raise GroupArgumentError("x and y must lie in G")
-    return oracle.edge(xi, yi, d)
 
 
 def _oracle_for(G: PermutationGroup) -> EdgeOracle:

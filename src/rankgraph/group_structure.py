@@ -50,7 +50,7 @@ class SubgroupRegistry:
     subgroups and the maximal subgroups by cyclic extension
     (``subgroup_class_reps``).  ``close`` builds a join from the cosets
     of H; one exceeding |G|/2 is the whole group by Lagrange.
-    ``normaliser`` and ``conjugates`` work on the same list rows.
+    ``normaliser`` and ``conjugates`` work on the same table rows.
     Generation questions go through the incidence rows: ``mask_of`` gives
     the mask of <X>, ``mask_dist`` its distance d_X(G) and ``climb`` a
     shortest completion.
@@ -349,9 +349,6 @@ class NormalLattice:
     group: PermutationGroup
     normals: list  # all normal subgroups, ascending (order, fingerprint)
     minimal_normals: list
-
-    def orders(self) -> list:
-        return [N.order for N in self.normals]
 
 
 def normal_subgroups(G: PermutationGroup) -> NormalLattice:

@@ -692,6 +692,10 @@ def quotient(G: PermutationGroup, N: PermutationGroup):
 # dense element tables
 
 
+# Largest order of a Cayley table: its indices are stored as uint16.
+_MAX_TABLE_ORDER = 1 << 16
+
+
 class CayleyTable:
     """Index-level view of a small group: elements, products, classes.
 
@@ -705,12 +709,20 @@ class CayleyTable:
     right-regular representation, ``row(p * g) = row(p)[row(g)]``, one
     numpy gather per element in a breadth-first search from the identity
     (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-    2005).  The rows are then copied to lists whose cells share one int
-    object per index.
+    2005).
+
+    ``array`` is the only storage: one read-only ``uint16`` array of 2n^2
+    bytes, read whole by the numpy kernels.  ``table`` holds its rows as
+    ``memoryview``s, so Python kernels index ``table[x][q]`` without a
+    copy.  ``uint16`` holds the indices of groups of order up to 65,536.
     """
 
     def __init__(self, G: PermutationGroup):
         import numpy as np
+        if G.order > _MAX_TABLE_ORDER:
+            raise CapExceededError(
+                f"order {G.order} exceeds {_MAX_TABLE_ORDER}, the largest "
+                "order whose element indices fit the uint16 table")
         self.group = G
         self.elements = G.elements()
         n = len(self.elements)
@@ -721,8 +733,8 @@ class CayleyTable:
         self.identity = idx[tuple(range(G.degree))]  # == 0 by lex order
         self.gen_indices = tuple(idx[g.images] for g in G.generators)
 
-        rows = np.empty((n, n), dtype=np.int32)
-        rows[self.identity] = np.arange(n, dtype=np.int32)
+        rows = np.empty((n, n), dtype=np.uint16)
+        rows[self.identity] = np.arange(n)
         gens = self.gen_indices  # distinct, without the identity
         for g in gens:
             gimg = images[g]
@@ -742,8 +754,9 @@ class CayleyTable:
         if len(queue) != n:
             raise RuntimeError(
                 f"Cayley table search reached {len(queue)} of {n} rows")
-        cell = list(range(n)).__getitem__
-        self.table = [list(map(cell, row.tolist())) for row in rows]
+        rows.flags.writeable = False
+        self.array = rows
+        self.table = [memoryview(row) for row in rows]
 
         self.inv = [0] * n
         for i, pimg in enumerate(images):
@@ -764,7 +777,6 @@ class CayleyTable:
         self._classes = None
         self._centralizer_sets = {}
         self._conj_rows = {}
-        self._np_table = None
 
     # -- cyclic subgroups ---------------------------------------------------
 
@@ -866,12 +878,6 @@ class CayleyTable:
                 y for y in range(self.n) if row[y] == self.table[y][x])
             self._centralizer_sets[x] = got
         return got
-
-    def numpy_table(self):
-        if self._np_table is None:
-            import numpy as np
-            self._np_table = np.array(self.table, dtype=np.int32)
-        return self._np_table
 
     def perm(self, i: int) -> Permutation:
         return self.elements[i]

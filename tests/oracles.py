@@ -19,7 +19,8 @@ inner automorphisms, and ``inner_automorphisms`` builds Inn(G) from
 conjugation by the generators.  ``isomorphism`` points the same search
 at two groups and keeps its first map.  ``component``, ``is_congruent``,
 ``is_discrete`` and ``refines`` are helpers on crown powers and index
-partitions that only tests ask, as is ``edge_witness``, a generating set
+partitions that only tests ask, as are ``is_edge_d``, the Gamma_d edge
+test of one pair of elements, and ``edge_witness``, a generating set
 of cardinality d through an edge of Delta_d.  ``union_find_orbits``
 labels the orbits of a group on tuples by joining each tuple with its
 generator images, where ``orbits_on_tuples`` applies every element to
@@ -38,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from rankgraph import Permutation, PermutationGroup
+from rankgraph import GroupArgumentError, Permutation, PermutationGroup
 from rankgraph.automorphisms import (
     _WORDS,
     _bfs_schedule,
@@ -54,7 +55,6 @@ from rankgraph.graphs import (
     _check_graph_args,
     _oracle_for,
     class_neighbours,
-    is_edge_d,
 )
 from rankgraph.group_structure import SubgroupRegistry, min_rank
 from rankgraph.perm_core import UnionFind
@@ -92,8 +92,7 @@ def is_homomorphism(ct_src, ct_dst, sigma) -> bool:
     every cell of the source's Cayley table (n^2 cells)."""
     if len(np.unique(sigma)) != ct_src.n:
         return False
-    src = ct_src.numpy_table()
-    dst = ct_dst.numpy_table()
+    src, dst = ct_src.array, ct_dst.array
     return bool((sigma[src] == dst[sigma][:, sigma]).all())
 
 
@@ -190,6 +189,22 @@ def refines(fine, coarse) -> bool:
         for x in part:
             where[x] = k
     return all(len({where[x] for x in part}) == 1 for part in fine.parts)
+
+
+def is_edge_d(G, x, y, d: int) -> bool:
+    """Whether some generating set of G of cardinality exactly d
+    contains the distinct elements x and y."""
+    if d < 2:
+        raise GroupArgumentError("d must be at least 2")
+    if x == y:
+        raise GroupArgumentError("x and y must be distinct")
+    oracle = _oracle_for(G)
+    ct = oracle.ct
+    try:
+        xi, yi = ct.index[x.images], ct.index[y.images]
+    except KeyError:
+        raise GroupArgumentError("x and y must lie in G") from None
+    return oracle.joined(oracle.rows[xi] & oracle.rows[yi], d)
 
 
 def edge_witness(G, x, y, d: int):

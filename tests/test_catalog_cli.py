@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -228,6 +229,16 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "diameter 2" in out
+
+    def test_gamma_without_d_uses_d_of_g(self, tmp_path, capsys):
+        assert cli_main(["export-dot", "--group", "S4", "--graph", "gamma",
+                         "--out", str(tmp_path / "g.dot")]) == 0
+        wrote = re.search(r"wrote (\d+) vertices / (\d+) edges",
+                          capsys.readouterr().out)
+        assert cli_main(["analyze", "--group", "S4", "--graph", "gamma"]) == 0
+        out = capsys.readouterr().out
+        assert "graph d=2:" in out
+        assert f"{wrote[1]} vertices, {wrote[2]} edges" in out
 
     def test_usage_error_exit_2(self):
         assert cli_main(["analyze", "--group", "A5", "--no-such-flag"]) == 2

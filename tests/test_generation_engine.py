@@ -17,7 +17,6 @@ from rankgraph.crown_powers import (
     default_generating_tuple,
     omega_table,
 )
-from rankgraph.graphs import is_edge_d
 from rankgraph.group_structure import (
     SubgroupRegistry,
     d_X,
@@ -27,7 +26,7 @@ from rankgraph.group_structure import (
     registry_for,
 )
 
-from oracles import ClosureOracle, crown_graph, edge_witness
+from oracles import ClosureOracle, crown_graph, edge_witness, is_edge_d
 
 SMALL = [e for e in default_catalog() if e.group().order <= 360]
 MONOLITHIC = [e for e in SMALL if "monolithic" in e.tags

@@ -16,11 +16,10 @@ from rankgraph.graphs import (
     delta_summary,
     diameter,
     export_dot,
-    is_edge_d,
 )
 from rankgraph.crown_powers import IndexPartition, partition_meet
 
-from oracles import bfs_components, brute_generates, edge_witness
+from oracles import bfs_components, brute_generates, edge_witness, is_edge_d
 
 
 def cyc(n, *cycles):

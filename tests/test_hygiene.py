@@ -178,3 +178,54 @@ def test_kernel_scanner_flags_registry_closure():
 
 def test_oracles_do_not_call_the_closure_kernel():
     assert kernel_calls(ORACLES.read_text()) == []
+
+
+# Library code that only tests call belongs in ``tests/oracles.py``: every
+# public module-level function or class of the package is referenced by
+# some package file other than through its own definition.  Names match
+# by spelling, so the scan can miss such code but never flags used code.
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """(module, name) for each public module-level def or class that no
+    source in ``sources`` (module name -> text) references outside its
+    own definition; ``__init__`` imports count as references."""
+    refs = []  # (module, line, name)
+    defs = []  # (module, first line, last line, name)
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defs.extend((module, node.lineno, node.end_lineno, node.name)
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef,
+                                         ast.AsyncFunctionDef))
+                    and not node.name.startswith("_"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                refs.append((module, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                refs.extend((module, node.lineno, a.name) for a in node.names)
+    return sorted((module, name) for module, first, last, name in defs
+                  if not any(r_name == name and
+                             (r_mod != module or not first <= line <= last)
+                             for r_mod, line, r_name in refs))
+
+
+def test_test_only_scanner_flags_unreferenced_definition():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": ("def exported():\n    pass\n\n"
+              "def used():\n    return helper()\n\n"
+              "def helper():\n    return 1\n\n"
+              "def lonely():\n    return lonely()\n\n"
+              "class _Private:\n    pass\n"),
+        "b": ("from . import a\n\ndef main():\n    return a.used()\n\n"
+              "if __name__ == '__main__':\n    main()\n"),
+    }
+    assert unreferenced_definitions(sources) == [("a", "lonely")]
+
+
+def test_no_test_only_library_code():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_definitions(sources) == []

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -23,7 +24,7 @@ from rankgraph import (
     normal_closure,
     quotient,
 )
-from rankgraph.catalog import builtin_entry
+from rankgraph.catalog import builtin_entry, symmetric
 from rankgraph.config import caps
 from rankgraph.perm_core import _mult, subgroup_from_members
 
@@ -388,8 +389,23 @@ class TestCayleyTable:
 
     def test_trivial_group_degree_one(self):
         ct = CayleyTable(group_from_generators(1, []))
-        assert ct.table == [[0]]
+        assert [list(row) for row in ct.table] == [[0]]
         assert (ct.inv, ct.order_of, ct.gen_indices) == ([0], [1], ())
+
+    def test_rows_are_views_of_one_uint16_array(self, S4):
+        ct = S4.cayley_table()
+        assert ct.array.dtype == np.uint16
+        assert ct.array.shape == (ct.n, ct.n)
+        assert not ct.array.flags.writeable
+        for row in ct.table:
+            assert np.shares_memory(np.asarray(row), ct.array)
+
+    def test_order_beyond_uint16_is_refused_before_enumeration(self):
+        S9 = symmetric(9).group()
+        with caps(max_dense_order=10**6), \
+                pytest.raises(CapExceededError, match="uint16"):
+            S9.cayley_table()
+        assert S9._elements is None
 
     def test_identity_and_repeated_generators(self):
         c4 = Permutation.from_cycles(4, [0, 1, 2, 3])
