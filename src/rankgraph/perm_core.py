@@ -520,6 +520,10 @@ class PermutationGroup:
         self._elements = None
         self._cayley = None
 
+    def __getstate__(self) -> dict:
+        # the table's memoryview rows do not pickle; a copy rebuilds it
+        return {**self.__dict__, "_cayley": None}
+
 
 def group_from_generators(degree: int, gens: Iterable[Permutation],
                           known_order: Optional[int] = None) -> PermutationGroup:

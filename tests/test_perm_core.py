@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -406,6 +407,13 @@ class TestCayleyTable:
                 pytest.raises(CapExceededError, match="uint16"):
             S9.cayley_table()
         assert S9._elements is None
+
+    def test_group_with_a_table_pickles(self):
+        G = symmetric(4).group()
+        ct = G.cayley_table()
+        copy = pickle.loads(pickle.dumps(G))
+        assert copy.elements() == G.elements()
+        assert copy.cayley_table().table == ct.table
 
     def test_identity_and_repeated_generators(self):
         c4 = Permutation.from_cycles(4, [0, 1, 2, 3])
