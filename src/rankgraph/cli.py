@@ -176,6 +176,10 @@ def cmd_verify(args) -> int:
     else:
         lemmas = [args.lemma]
     params = json.loads(args.params) if args.params else {}
+    if not isinstance(params, dict):
+        raise ValueError(
+            f"--params must be a JSON object; {args.lemma} accepts "
+            f"{verify.suite_parameters(args.lemma)}")
     reports = []
     for lemma in lemmas:
         rep = verify.run_verifier(lemma, seed=args.seed, **params)

@@ -8,7 +8,10 @@ pairwise distinct orbits of X = C_Aut(L)(L/N).  delta(L, t), the largest
 k with L_k still t-generated, is therefore the number of X-orbits on the
 set of generating coset tuples.  A witness for L_delta is certified by
 the subdirect-product lemma (``columns_generate``): its columns generate
-L and no automorphism maps one column to another.
+L and no automorphism maps one column to another.  ``square_order``
+decides generation of L_2 directly, from the order of the subgroup of
+L x L that index pairs generate (Schreier's lemma on table products);
+``verify --lemma primo`` checks the orbit criterion against it.
 
 Crown-graph edges are decided by a system-of-distinct-representatives
 test over the orbit table (one admissible-orbit set per column, matched
@@ -36,7 +39,6 @@ from .perm_core import (
     Permutation,
     PermutationGroup,
     PreconditionError,
-    StabilizerChain,
     UnionFind,
     WitnessSearchFailure,
 )
@@ -213,22 +215,48 @@ def build_crown_power(L: MonolithicGroup, k: int) -> CrownPower:
     return CrownPower(L, k)
 
 
-def circ(L: MonolithicGroup, a: Permutation, m: Sequence[Permutation]) -> Permutation:
-    """a . m = (a m_1, ..., a m_k) as an element of L_k."""
-    if not L.group.contains(a):
-        raise GroupArgumentError("a must lie in L")
-    for n in m:
-        if not L.socle.contains(n):
-            raise GroupArgumentError("correction components must lie in the socle")
-    return _from_coordinates([a * n for n in m])
+def square_order(ct, pairs: Sequence[tuple], target: int = 0) -> int:
+    """|H| for H = <(x_1, y_1), ...> <= L x L, on element indices of ct.
 
-
-def crown_generates(cp: CrownPower, elems: Sequence[Permutation]) -> bool:
-    """Direct stabilizer-chain generation test inside L_k: the oracle
-    that ``columns_generate`` and the orbit criterion are checked
-    against."""
-    chain = StabilizerChain(cp.degree, elems, known_order=cp.order)
-    return chain.order() == cp.order
+    A breadth-first search over P = pi_1(H) keeps one element (p, s_p) of
+    H per p in P.  By Schreier's lemma the second coordinates
+    s_p y s_{px}^-1 generate K = pi_2(H meet 1 x L), and |H| = |P| |K|.
+    K grows by right cosets (Dimino) only when one of them falls outside
+    it, and stops at all of L.  Once |P| |L| < target that bound is
+    returned, so the result is at least ``target`` exactly when |H| is.
+    """
+    tbl, inv, n, e = ct.table, ct.inv, ct.n, ct.identity
+    second = [-1] * n
+    second[e] = e
+    P = [e]
+    for p in P:
+        row, sp = tbl[p], tbl[second[p]]
+        for x, y in pairs:
+            if second[row[x]] < 0:
+                second[row[x]] = sp[y]
+                P.append(row[x])
+    if len(P) * n < target:
+        return len(P) * n
+    K, member, gens = [e], bytearray(n), []
+    member[e] = 1
+    for p in P:
+        row, sp = tbl[p], tbl[second[p]]
+        for x, y in pairs:
+            z = tbl[sp[y]][inv[second[row[x]]]]
+            if member[z]:
+                continue
+            gens.append(z)
+            base, reps = K[:], [z]
+            for r in reps:
+                if not member[r]:
+                    coset = [tbl[h][r] for h in base]
+                    K += coset
+                    for c in coset:
+                        member[c] = 1
+                    reps += [tbl[r][g] for g in gens]
+            if len(K) == n:
+                return len(P) * n
+    return len(P) * len(K)
 
 
 def column_elements(L: MonolithicGroup, columns: Sequence[tuple]) -> list:
@@ -768,55 +796,54 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
     builder = CrownGraphBuilder(L, t, eta, a, table)
     rng = random.Random(seed)
     corrections = builder.corrections()
+    size = len(corrections)
+    rank = {c: k for k, c in enumerate(corrections)}
     socle_order = _socle_bfs_order(L)
     m_order = list(itertools.product(socle_order, repeat=eta))
 
-    neighbour_sets: dict = {}
+    # vertex (row, c) has rank row * |C| + rank(c); neighbour sets are
+    # bitmasks over the ranks
+    masks: dict = {}
 
-    def neighbours(v: CrownVertex) -> set:
-        out = neighbour_sets.get(v)
+    def neighbours(r: int) -> int:
+        out = masks.get(r)
         if out is None:
-            out = neighbour_sets[v] = set()
+            v = CrownVertex(r // size, corrections[r % size])
+            out = 0
             for j in range(t):
-                if j == v.row:
-                    continue
-                for c in corrections:
-                    w = CrownVertex(j, c)
-                    if builder.edge(v, w):
-                        out.add(w)
+                if j != v.row:
+                    for k, c in enumerate(corrections):
+                        if builder.edge(v, CrownVertex(j, c)):
+                            out |= 1 << (j * size + k)
+            masks[r] = out
         return out
 
-    def non_isolated(v: CrownVertex) -> bool:
-        for j in range(t):
-            if j == v.row:
-                continue
-            for c in corrections:
-                if builder.edge(v, CrownVertex(j, c)):
-                    return True
-        return False
-
     def joined(v: CrownVertex, w: CrownVertex) -> bool:
-        nv = neighbours(v)
-        if w in nv:
+        nv = neighbours(v.row * size + rank[v.correction])
+        rw = w.row * size + rank[w.correction]
+        if nv >> rw & 1:
             return True
-        nw = neighbours(w)
+        nw = neighbours(rw) | 1 << rw
         if nv & nw:
             return True
         # second ring around v
-        ring = set()
-        for u in nv:
+        ring, bits = 0, bin(nv)[:1:-1]
+        u = bits.find("1")
+        while u >= 0:
             ring |= neighbours(u)
-        return bool(ring & nw) or w in ring
+            u = bits.find("1", u + 1)
+        return bool(ring & nw)
 
     checked = 0
     failures = 0
     depths = {}
     while checked < samples:
         row = rng.randrange(t)
-        v1 = CrownVertex(row, tuple(rng.choice(corrections)))
-        v2 = CrownVertex(row, tuple(rng.choice(corrections)))
-        if not (non_isolated(v1) and non_isolated(v2)):
+        c1, c2 = rng.choice(corrections), rng.choice(corrections)
+        if not (neighbours(row * size + rank[c1])
+                and neighbours(row * size + rank[c2])):
             continue
+        v1, v2 = CrownVertex(row, c1), CrownVertex(row, c2)
         checked += 1
         ok = False
         for depth, m in enumerate(m_order[:len(socle_order)]):
@@ -939,8 +966,9 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
     return Fraction(count, len(socle) ** d)
 
 
-def cln_witness(G: MonolithicGroup, a: Permutation, b: Permutation) -> tuple:
-    """Socle corrections (n, m) with a n and b m commuting.
+def cln_witness(G: MonolithicGroup, a: int, b: int) -> tuple:
+    """Socle corrections (n, m) with a n and b m commuting, all four as
+    element indices.
 
     Precondition: [a, b] lies in the socle.  Search order: n ascending in
     element order (identity first), m via centralizer intersection, so
@@ -949,31 +977,26 @@ def cln_witness(G: MonolithicGroup, a: Permutation, b: Permutation) -> tuple:
     """
     G.require_nonabelian()
     ct = G.ct()
-    try:
-        a_idx = ct.index[a.images]
-        b_idx = ct.index[b.images]
-    except KeyError:
-        raise PreconditionError("a and b must lie in the group")
+    if not (0 <= a < ct.n and 0 <= b < ct.n):
+        raise PreconditionError("a and b must be element indices of the group")
+    socle = G.socle_indices()
     socle_set = G.socle_set()
     tbl, inv = ct.table, ct.inv
-    comm = tbl[tbl[inv[a_idx]][inv[b_idx]]][tbl[a_idx][b_idx]]
+    comm = tbl[tbl[inv[a]][inv[b]]][tbl[a][b]]
     if comm not in socle_set:
         raise PreconditionError("[a, b] does not lie in the socle")
-    b_coset = G.coset_indices(b_idx)
-    b_inv_row = tbl[inv[b_idx]]  # c lies in b N iff b^-1 c lies in N
-    for n in G.socle_indices():
-        an = tbl[a_idx][n]
-        cent = ct.centralizer_set(an)
-        if b_idx in cent:  # m = identity works; covers [a, b] = 1 with (1, 1)
-            return ct.perm(n), ct.perm(ct.identity)
-        if len(cent) <= len(b_coset):
+    b_row = tbl[b]
+    b_inv_row = tbl[inv[b]]  # c lies in b N iff b^-1 c lies in N
+    for n in socle:
+        cent = ct.centralizer_set(tbl[a][n])
+        if b in cent:  # m = identity works; covers [a, b] = 1 with (1, 1)
+            return n, ct.identity
+        if len(cent) <= len(socle):
             meet = [c for c in cent if b_inv_row[c] in socle_set]
         else:
-            meet = [c for c in b_coset if c in cent]
+            meet = [c for c in map(b_row.__getitem__, socle) if c in cent]
         if meet:
-            c = min(meet)
-            m = tbl[inv[b_idx]][c]
-            return ct.perm(n), ct.perm(m)
+            return n, b_inv_row[min(meet)]
     raise WitnessSearchFailure(
         "no commuting correction found; contradicts the centralizer theorem")
 

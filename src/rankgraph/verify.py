@@ -8,6 +8,7 @@ seed and instance counts so runs are reproducible.
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 import time
@@ -18,6 +19,7 @@ from typing import Optional
 from .perm_core import (
     GroupArgumentError,
     PermutationGroup,
+    PreconditionError,
     WitnessSearchFailure,
     quotient,
 )
@@ -40,13 +42,12 @@ from .graphs import (
 from .crown_powers import (
     MonolithicGroup,
     build_crown_power,
-    circ,
     cln_witness,
-    crown_generates,
     delta_Lt,
     delu_fraction,
     generation_via_orbits,
     partitions_pi,
+    square_order,
     unico_rank_check,
     weak_connectivity,
     weak_connectivity_sampled,
@@ -207,7 +208,7 @@ def verify_cln(seed: int = 42,
                     continue
                 count += 1
                 try:
-                    n, m = cln_witness(M, ct.perm(a), ct.perm(b))
+                    cln_witness(M, a, b)
                 except WitnessSearchFailure:
                     failures.append({"group": gid, "a": a, "b": b})
         per_group[gid] = count
@@ -248,20 +249,29 @@ def verify_unico_rank(seed: int = 42, samples: int = 400) -> VerifyReport:
 def verify_primo(seed: int = 42,
                  random_samples: int = 10**4,
                  exhaustive_slice: int = 10**5) -> VerifyReport:
-    """Orbit criterion against the stabilizer-chain oracle on A5, t=2, eta=2."""
+    """Orbit criterion against direct generation on A5, t=2, eta=2.
+
+    Each check's two elements a_i . m_i of L_2 are index pairs
+    (a_i m_i1, a_i m_i2) <= L x L; they generate L_2 iff the subgroup
+    they generate has order |L_2| (``square_order``, which uses only
+    table products and inverses: no incidence rows, Aut(L), X or orbit
+    labels).
+    """
+    if random_samples < 0 or exhaustive_slice < 0:
+        raise PreconditionError("sample counts must be non-negative")
     rng = random.Random(seed)
     L = _mono("A5")
     ct = L.ct()
+    tbl = ct.table
     delta, table = delta_Lt(L, 2)
-    cp = build_crown_power(L, 2)
+    target = build_crown_power(L, 2).order
     socle = L.socle_indices()
     failures = []
 
     def check(rows) -> bool:
         pred = generation_via_orbits(table, rows)
-        elems = [circ(L, ct.perm(table.a[i]),
-                      [ct.perm(r) for r in rows[i]]) for i in range(2)]
-        direct = crown_generates(cp, elems)
+        pairs = [(tbl[a][m1], tbl[a][m2]) for a, (m1, m2) in zip(table.a, rows)]
+        direct = square_order(ct, pairs, target) == target
         if pred != direct:
             failures.append({"rows": rows, "orbit": pred, "direct": direct})
         return pred == direct
@@ -585,15 +595,25 @@ VERIFIERS: dict = {
 }
 
 
-def run_verifier(lemma: str, seed: int = 42, **params) -> VerifyReport:
-    """Run one suite; its report records the seed and the wall time."""
+def suite_parameters(lemma: str) -> list:
+    """The parameters a suite takes besides its seed."""
     try:
         fn = VERIFIERS[lemma]
     except KeyError:
         raise ValueError(
             f"unknown lemma id {lemma!r}; available: {sorted(VERIFIERS)}")
+    return [p for p in inspect.signature(fn).parameters if p != "seed"]
+
+
+def run_verifier(lemma: str, seed: int = 42, **params) -> VerifyReport:
+    """Run one suite; its report records the seed and the wall time."""
+    accepted = suite_parameters(lemma)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"{lemma} has no parameter {', '.join(unknown)}; "
+                         f"it accepts {accepted}")
     t0 = time.perf_counter()
-    rep = fn(seed=seed, **params)
+    rep = VERIFIERS[lemma](seed=seed, **params)
     rep.seed = seed
     rep.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return rep

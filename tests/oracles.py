@@ -17,7 +17,9 @@ every fingerprint-compatible image tuple of a minimal generating
 sequence, where the search tries one tuple per class of tuples under
 inner automorphisms, and ``inner_automorphisms`` builds Inn(G) from
 conjugation by the generators.  ``isomorphism`` points the same search
-at two groups and keeps its first map.  ``component``, ``is_congruent``,
+at two groups and keeps its first map.  ``circ`` builds an element a . m of
+a crown power L_k, and ``crown_generates`` decides generation of L_k by
+a stabilizer chain.  ``component``, ``is_congruent``,
 ``is_discrete`` and ``refines`` are helpers on crown powers and index
 partitions that only tests ask, as are ``is_edge_d``, the Gamma_d edge
 test of one pair of elements, and ``edge_witness``, a generating set
@@ -49,7 +51,11 @@ from rankgraph.automorphisms import (
     _iso_maps,
     _respects_generators,
 )
-from rankgraph.crown_powers import CrownGraphBuilder, _exhaustive_report
+from rankgraph.crown_powers import (
+    CrownGraphBuilder,
+    _exhaustive_report,
+    _from_coordinates,
+)
 from rankgraph.graphs import (
     ElementGraph,
     _check_graph_args,
@@ -57,7 +63,7 @@ from rankgraph.graphs import (
     class_neighbours,
 )
 from rankgraph.group_structure import SubgroupRegistry, min_rank
-from rankgraph.perm_core import UnionFind
+from rankgraph.perm_core import StabilizerChain, UnionFind
 
 
 def mult(p: tuple, q: tuple) -> tuple:
@@ -166,6 +172,24 @@ def component(cp, p, j: int) -> Permutation:
     d = cp.block_degree
     off = j * d
     return Permutation(p.images[off + i] - off for i in range(d))
+
+
+def circ(L, a: Permutation, m) -> Permutation:
+    """a . m = (a m_1, ..., a m_k) as an element of L_k."""
+    if not L.group.contains(a):
+        raise GroupArgumentError("a must lie in L")
+    for n in m:
+        if not L.socle.contains(n):
+            raise GroupArgumentError("correction components must lie in the socle")
+    return _from_coordinates([a * n for n in m])
+
+
+def crown_generates(cp, elems) -> bool:
+    """Direct stabilizer-chain generation test inside L_k: the oracle
+    that ``columns_generate``, ``square_order`` and the orbit criterion
+    are checked against."""
+    chain = StabilizerChain(cp.degree, elems, known_order=cp.order)
+    return chain.order() == cp.order
 
 
 def is_congruent(cp, p) -> bool:

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from rankgraph import CapExceededError, Permutation
+from rankgraph import CapExceededError, Permutation, PreconditionError
 from rankgraph import catalog as catalog_mod
 from rankgraph.catalog import (
     CatalogError,
@@ -262,6 +262,23 @@ class TestCLI:
 
         monkeypatch.setitem(verify_mod.VERIFIERS, "stub", failing)
         assert cli_main(["verify", "--lemma", "stub"]) == 1
+
+    @pytest.mark.parametrize("params", ['{"random_sample": 1}', '[1]'],
+                             ids=["unknown-key", "not-an-object"])
+    def test_verify_bad_params_exit_2(self, params, capsys):
+        assert cli_main(["verify", "--lemma", "primo",
+                         "--params", params]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "random_samples" in err \
+            and "exhaustive_slice" in err
+
+    def test_verify_negative_count_exit_2(self, capsys):
+        assert cli_main(["verify", "--lemma", "primo", "--params",
+                         '{"random_samples": -3, "exhaustive_slice": 0}']) == 2
+        assert "[PASS]" not in capsys.readouterr().out
+        with pytest.raises(PreconditionError):
+            verify_mod.run_verifier("primo", random_samples=-3,
+                                    exhaustive_slice=0)
 
     def test_lambda_bug_is_not_the_rejection(self, monkeypatch):
         # only GroupArgumentError counts as rejecting x = y; any other

@@ -12,15 +12,15 @@ from rankgraph import (
     group_from_generators,
 )
 from rankgraph.catalog import alternating, psl2, symmetric
+from rankgraph.perm_core import StabilizerChain
 from rankgraph.crown_powers import (
     CrownGraphBuilder,
     MonolithicGroup,
+    _from_coordinates,
     build_crown_power,
-    circ,
     cln_witness,
     column_elements,
     columns_generate,
-    crown_generates,
     delta_Lt,
     delu_fraction,
     generation_via_orbits,
@@ -28,6 +28,7 @@ from rankgraph.crown_powers import (
     partitions_pi,
     IndexPartition,
     partition_meet,
+    square_order,
     unico_rank_check,
     weak_connectivity,
 )
@@ -36,8 +37,10 @@ from rankgraph.group_structure import registry_for
 
 from oracles import (
     ClosureOracle,
+    circ,
     class_graph_edges,
     component,
+    crown_generates,
     crown_graph,
     is_congruent,
     is_discrete,
@@ -234,6 +237,59 @@ class TestSubdirectLemma:
         assert verdicts >= {(True, True), (True, False), (False, False)}
 
 
+def random_square_pairs(ct, rng) -> list:
+    """Generators of a seeded random subgroup of L x L: random pairs,
+    a diagonal {(x, x^z)}, the product of two cyclic groups, or a
+    diagonal with one random pair added."""
+    kind = rng.randrange(4)
+    xs = [rng.randrange(ct.n) for _ in range(rng.randint(1, 3))]
+    if kind == 0:
+        return [(x, rng.randrange(ct.n)) for x in xs]
+    if kind == 2:
+        return [(xs[0], ct.identity), (ct.identity, rng.randrange(ct.n))]
+    z = rng.randrange(ct.n)
+    pairs = [(x, ct.conj(x, z)) for x in xs]
+    if kind == 3:
+        pairs.append((rng.randrange(ct.n), rng.randrange(ct.n)))
+    return pairs
+
+
+class TestSquareOrder:
+    """``square_order`` against a stabilizer chain of degree 2 deg(L)."""
+
+    @pytest.mark.parametrize("entry", [symmetric(4), alternating(5),
+                                       symmetric(5), psl2(7)],
+                             ids=["S4", "A5", "S5", "PSL(2,7)"])
+    def test_exact_orders_of_random_subgroups(self, entry):
+        G = entry.group()
+        ct = G.cayley_table()
+        full = G.order ** 2
+        rng = random.Random(31)
+        orders = set()
+        for _ in range(80):
+            pairs = random_square_pairs(ct, rng)
+            chain = StabilizerChain(2 * G.degree, [
+                _from_coordinates([ct.perm(x), ct.perm(y)]) for x, y in pairs])
+            got = square_order(ct, pairs)
+            assert got == chain.order(), pairs
+            orders.add(got)
+            for target in (full, got, got + 1):
+                assert (square_order(ct, pairs, target) >= target) == \
+                    (got >= target), (pairs, target)
+        # small, diagonal-sized and full subgroups all occur
+        assert min(orders) < G.order and G.order in orders and full in orders
+
+    def test_products_and_diagonals(self, A5):
+        ct = A5.cayley_table()
+        e = ct.identity
+        x, y = ct.index[cyc(5, [0, 1, 2]).images], \
+            ct.index[cyc(5, [0, 1, 2, 3, 4]).images]
+        assert square_order(ct, []) == 1
+        assert square_order(ct, [(x, e), (e, y)]) == 15
+        assert square_order(ct, [(x, x), (y, y)]) == 60
+        assert square_order(ct, [(x, x), (y, y), (x, e)]) == 3600
+
+
 class TestOmegaTable:
     def test_a5_pair_count(self, A5m):
         # 2280 generating pairs frozen from the exhaustive join oracle
@@ -341,19 +397,30 @@ class TestGenerationViaOrbits:
         rows = [(socle[3], socle[3]), (socle[7], socle[7])]
         assert not generation_via_orbits(table, rows)
 
-    def test_random_agreement_with_direct_oracle(self, A5m):
-        _, table = delta_Lt(A5m, 2)
-        ct = A5m.ct()
-        cp = build_crown_power(A5m, 2)
-        socle = A5m.socle_indices()
-        rng = random.Random(42)
-        for _ in range(200):
-            rows = [tuple(rng.choice(socle) for _ in range(2))
-                    for _ in range(2)]
-            pred = generation_via_orbits(table, rows)
-            elems = [circ(A5m, ct.perm(table.a[i]),
-                          [ct.perm(r) for r in rows[i]]) for i in range(2)]
-            assert pred == crown_generates(cp, elems)
+    def test_random_agreement_with_direct_oracle(self, witnesses):
+        # primo's checks: the orbit criterion, the order of the pair
+        # subgroup of L x L and a stabilizer chain in L_2 agree, for
+        # L = N (A5) and L != N (S5)
+        for name, (L, table) in witnesses.items():
+            ct = L.ct()
+            tbl = ct.table
+            cp = build_crown_power(L, 2)
+            socle = L.socle_indices()
+            rng = random.Random(42)
+            verdicts = set()
+            for _ in range(200):
+                rows = [tuple(rng.choice(socle) for _ in range(2))
+                        for _ in range(2)]
+                pred = generation_via_orbits(table, rows)
+                pairs = [(tbl[a][m1], tbl[a][m2])
+                         for a, (m1, m2) in zip(table.a, rows)]
+                elems = [circ(L, ct.perm(a), [ct.perm(r) for r in m])
+                         for a, m in zip(table.a, rows)]
+                assert pred == crown_generates(cp, elems), (name, rows)
+                assert pred == (square_order(ct, pairs, cp.order)
+                                == cp.order), (name, rows)
+                verdicts.add(pred)
+            assert verdicts == {True, False}, name
 
 
 class TestCrownGraph:
@@ -539,23 +606,26 @@ class TestDelu:
 
 class TestClnWitness:
     def test_commuting_pair_gets_identities(self, S5m):
-        a = cyc(5, [0, 1, 2])
-        n, m = cln_witness(S5m, a, a * a)
-        assert n.is_identity() and m.is_identity()
+        ct = S5m.ct()
+        a = ct.index[cyc(5, [0, 1, 2]).images]
+        n, m = cln_witness(S5m, a, ct.table[a][a])
+        assert n == m == ct.identity
 
     def test_sample_pairs_s5(self, S5m):
+        ct = S5m.ct()
         rng = random.Random(6)
         els = S5m.group.elements()
         for _ in range(60):
             a, b = rng.choice(els), rng.choice(els)
-            n, m = cln_witness(S5m, a, b)
+            n, m = cln_witness(S5m, ct.index[a.images], ct.index[b.images])
+            n, m = ct.perm(n), ct.perm(m)
             assert S5m.socle.contains(n) and S5m.socle.contains(m)
             an, bm = a * n, b * m
             assert an * bm == bm * an
 
     def test_elements_outside_group_rejected(self, A5m):
         with pytest.raises(PreconditionError):
-            cln_witness(A5m, cyc(5, [0, 1]), cyc(5, [0, 1, 2]))
+            cln_witness(A5m, A5m.ct().n, 0)
 
 
 class TestUnicoRank:
