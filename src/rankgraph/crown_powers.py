@@ -994,7 +994,7 @@ def cln_witness(G: MonolithicGroup, a: int, b: int) -> tuple:
         if len(cent) <= len(socle):
             meet = [c for c in cent if b_inv_row[c] in socle_set]
         else:
-            meet = [c for c in map(b_row.__getitem__, socle) if c in cent]
+            meet = [b_row[x] for x in socle if b_row[x] in cent]
         if meet:
             return n, b_inv_row[min(meet)]
     raise WitnessSearchFailure(

@@ -249,14 +249,9 @@ def verify_unico_rank(seed: int = 42, samples: int = 400) -> VerifyReport:
 def verify_primo(seed: int = 42,
                  random_samples: int = 10**4,
                  exhaustive_slice: int = 10**5) -> VerifyReport:
-    """Orbit criterion against direct generation on A5, t=2, eta=2.
-
-    Each check's two elements a_i . m_i of L_2 are index pairs
-    (a_i m_i1, a_i m_i2) <= L x L; they generate L_2 iff the subgroup
-    they generate has order |L_2| (``square_order``, which uses only
-    table products and inverses: no incidence rows, Aut(L), X or orbit
-    labels).
-    """
+    """Orbit criterion on A5, t=2, eta=2, against the order of the subgroup
+    of L x L that the two index pairs (a_i m_i1, a_i m_i2) generate
+    (``square_order``: table products and inverses only)."""
     if random_samples < 0 or exhaustive_slice < 0:
         raise PreconditionError("sample counts must be non-negative")
     rng = random.Random(seed)
