@@ -30,11 +30,14 @@ one tuple per orbit.  ``class_edges`` and ``class_pair_summary`` decide
 Delta_d one pair of row classes at a time with a union-find over the
 joined pairs, and ``pairwise_weak_connectivity`` joins every vertex pair
 of a crown graph by ``CrownGraphBuilder.edge``; the block kernels of
-``graphs`` are checked against them.  ``crown_graph`` and
+``graphs`` are checked against them.  ``pairwise_sampled_weak_connectivity``
+redraws the seeded pairs of the sampled check and decides each of them
+from those pairwise edges.  ``crown_graph`` and
 ``class_graph_edges`` expand the builder's class graph to single
 vertices and edges for the tests to compare.
 """
 
+import random
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Optional
@@ -53,6 +56,8 @@ from rankgraph.automorphisms import (
 )
 from rankgraph.crown_powers import (
     CrownGraphBuilder,
+    RowCheck,
+    WeakConnectivityReport,
     _exhaustive_report,
     _from_coordinates,
 )
@@ -665,6 +670,65 @@ def crown_graph(L, t: int, eta: int, a=None, table=None,
         labels = [labels[v] for v in keep]
     return ElementGraph("crown", labels, adjacency, L.group,
                         {"t": t, "eta": eta, "a": builder.a})
+
+
+def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,
+                                      samples: int = 60, seed: int = 0):
+    """``weak_connectivity_sampled`` with every decision read off
+    ``pairwise_edges``: the same seeded pairs (v1, v2) of non-isolated
+    same-row vertices, each passing when some conjugator (1, .., 1, n),
+    n in the socle in word-length order, takes v2 to a vertex joined to
+    v1 by an edge, a common neighbour or an edge between the two
+    neighbourhoods."""
+    builder = CrownGraphBuilder(L, t, eta, a, table)
+    ct = L.ct()
+    tbl, inv = ct.table, ct.inv
+    corrections = list(product(sorted(ct.subset_indices(L.socle)),
+                               repeat=eta))
+    size = len(corrections)
+    rank = {c: k for k, c in enumerate(corrections)}
+    nbrs = [set() for _ in range(t * size)]
+    for v, w in pairwise_edges(builder):
+        nbrs[v].add(w)
+        nbrs[w].add(v)
+    gens = [ct.index[g.images] for g in L.socle.generators]
+    word_order = [ct.identity]
+    for x in word_order:
+        for g in gens:
+            if tbl[x][g] not in word_order:
+                word_order.append(tbl[x][g])
+    conjugators = [(ct.identity,) * (eta - 1) + (n,) for n in word_order]
+
+    def conjugate(row, c, m):
+        ai = builder.a[row]
+        return row * size + rank[tuple(
+            tbl[inv[ai]][tbl[tbl[inv[u]][tbl[ai][x]]][u]]
+            for x, u in zip(c, m))]
+
+    def joined(v, w):
+        return (w in nbrs[v] or bool(nbrs[v] & nbrs[w])
+                or any(nbrs[x] & nbrs[w] for x in nbrs[v]))
+
+    rng = random.Random(seed)
+    checked = failures = 0
+    depths = {}
+    while checked < samples:
+        row = rng.randrange(t)
+        c1, c2 = rng.choice(corrections), rng.choice(corrections)
+        v = row * size + rank[c1]
+        if not (nbrs[v] and nbrs[row * size + rank[c2]]):
+            continue
+        checked += 1
+        depth = next((k for k, m in enumerate(conjugators)
+                      if joined(v, conjugate(row, c2, m))), None)
+        if depth is None:
+            failures += 1
+        else:
+            depths[depth] = depths.get(depth, 0) + 1
+    return WeakConnectivityReport(
+        t, eta, builder.a, "sampled", t * size, -1, -1,
+        [RowCheck(-1, checked, -1, failures == 0, depths)], failures == 0,
+        seed=seed, sample_size=samples)
 
 
 def pairwise_weak_connectivity(L, t, eta, a=None, table=None):

@@ -31,6 +31,7 @@ from rankgraph.crown_powers import (
     square_order,
     unico_rank_check,
     weak_connectivity,
+    weak_connectivity_sampled,
 )
 from rankgraph.graphs import components
 from rankgraph.group_structure import registry_for
@@ -44,6 +45,7 @@ from oracles import (
     crown_graph,
     is_congruent,
     is_discrete,
+    pairwise_sampled_weak_connectivity,
     refines,
 )
 
@@ -509,6 +511,19 @@ class TestWeakConnectivity:
                 continue
             done += 1
             assert weak_connectivity(A5m, 3, 1, a=a).passed
+
+
+class TestSampledWeakConnectivity:
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
+    def test_matches_pairwise_oracle_at_t2(self, name):
+        base = alternating(5) if name == "A5" else psl2(7)
+        L = MonolithicGroup.from_group(base.group(), name)
+        _, table = delta_Lt(L, 2)
+        for seed in range(3):
+            got = weak_connectivity_sampled(L, 2, 1, table, seed=seed)
+            assert got == pairwise_sampled_weak_connectivity(
+                L, 2, 1, table, seed=seed), seed
+            assert got.rows[0].vertices == 60
 
 
 class TestCrownEdgeStream:
