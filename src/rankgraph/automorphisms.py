@@ -22,7 +22,7 @@ tuples are related by an automorphism.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -305,24 +305,20 @@ def automorphism_group(L: PermutationGroup) -> PermutationGroup:
         ct.n, [Permutation._raw(tuple(row)) for row in maps.tolist()])
 
 
-def x_subgroup(L_mono, aut: Optional[PermutationGroup] = None
-               ) -> PermutationGroup:
+def x_subgroup(L_mono) -> PermutationGroup:
     """X = C_Aut(L)(L/N) (N the socle), acting on the element indices of L.
 
     The defining condition gamma(l) N = l N holds on all of L as soon as
     it holds on generators, since {l : gamma(l) N = l N} is a subgroup.
-    ``aut`` is Aut(L) when the caller already holds it.  X keeps the
-    members filtered from Aut(L)'s sorted element list as its own, and
-    ``subgroup_from_members`` checks that they number |X|.
+    Aut(L) and the socle's indices are those ``L_mono`` holds.  X keeps
+    the members filtered from Aut(L)'s sorted element list as its own,
+    and ``subgroup_from_members`` checks that they number |X|.
     """
-    L = L_mono.group
-    if aut is None:
-        aut = automorphism_group(L)
-    ct = L.cayley_table()
-    n_set = ct.subset_indices(L_mono.socle)
+    ct = L_mono.ct()
+    n_set = L_mono.socle_set
     # g^-1 * gamma(g) must lie in N for every generator g
     checks = [(ct.table[ct.inv[g]], g) for g in ct.gen_indices]
-    members = tuple(p for p in aut.elements()
+    members = tuple(p for p in L_mono.aut.elements()
                     if all(row[p(g)] in n_set for row, g in checks))
     return subgroup_from_members(ct.n, members)
 

@@ -89,7 +89,6 @@ class _GF:
                          for b in range(q)] for a in range(q)]
             self.mul = [[self._poly_mul(a, b, poly) for b in range(q)]
                         for a in range(q)]
-        self.neg = [self.mul[a][ (self.p - 1) % self.p if self.k == 1 else self._encode([(p - 1) % p])] for a in range(q)]
         self.inv = [0] * q
         for a in range(1, q):
             for b in range(1, q):
@@ -259,7 +258,8 @@ def psl2(q: int) -> CatalogEntry:
              for i in range(field.k)]
     for b in basis:
         gens.append(_mobius_perm(field, 1, b, 0, 1).images)
-    gens.append(_mobius_perm(field, 0, 1, field.neg[1], 0).images)
+    # -1 in GF(q) is the constant p - 1
+    gens.append(_mobius_perm(field, 0, 1, field.p - 1, 0).images)
     entry = CatalogEntry(f"PSL(2,{q})", q + 1, gens,
                          tags=["simple", "monolithic"])
     expected = q * (q * q - 1) // (2 if q % 2 else 1)

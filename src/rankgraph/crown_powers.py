@@ -13,13 +13,15 @@ decides generation of L_2 directly, from the order of the subgroup of
 L x L that index pairs generate (Schreier's lemma on table products);
 ``verify --lemma primo`` checks the orbit criterion against it.
 
-Crown-graph edges are decided by a system-of-distinct-representatives
-test over the orbit table (one admissible-orbit set per column, matched
-to pairwise distinct orbits); for single-column graphs a direct
-completion search over the free rows is used instead.  Whole crown graphs
-are built on class nodes: on the direct path, the vertices of a row with
-one incidence row of a_i . c have the same neighbours, and the blocks of
-two rows are decided by ``graphs.class_block``.
+A crown-graph vertex a_i . c is the integer rank i |C| + k, c the k-th
+correction tuple.  ``CrownGraphBuilder._row_block`` decides the edges
+between two rows, a block at a time: by a system-of-distinct-
+representatives test over the orbit table (one admissible-orbit set per
+column, matched to pairwise distinct orbits), or, for single-column
+graphs, by ``graphs.class_block`` over incidence rows with a completion
+search over the free rows.  The exhaustive check builds the whole graph
+on class nodes from these blocks; the sampled check asks for one vertex
+against each other row.
 """
 
 from __future__ import annotations
@@ -60,15 +62,17 @@ from .graphs import class_block, component_labels
 
 @dataclass
 class MonolithicGroup:
-    """A group with its unique minimal normal subgroup (the socle)."""
+    """A group with its unique minimal normal subgroup (the socle).
+
+    The index data below (socle, Aut(L), X and the orbit labels) is built
+    on first use and kept on the instance.
+    """
 
     group: PermutationGroup
     socle: PermutationGroup
     socle_abelian: bool
     name: str = ""
-
-    _aut: Optional[PermutationGroup] = field(default=None, repr=False)
-    _x: Optional[PermutationGroup] = field(default=None, repr=False)
+    _cosets: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_group(cls, L: PermutationGroup,
@@ -90,49 +94,60 @@ class MonolithicGroup:
             raise PreconditionError(
                 "crown-power graph machinery needs a non-abelian socle")
 
-    # -- dense coset helpers -------------------------------------------------
+    # -- dense index data ----------------------------------------------------
 
     def ct(self):
         return self.group.cayley_table()
 
+    @cached_property
     def socle_indices(self) -> tuple:
-        ct = self.ct()
-        got = getattr(ct, "_socle_sorted", None)
-        if got is None:
-            got = tuple(sorted(ct.subset_indices(self.socle)))
-            ct._socle_sorted = got
-        return got
+        """Sorted element indices of the socle."""
+        return tuple(sorted(self.ct().subset_indices(self.socle)))
 
+    @cached_property
     def socle_set(self) -> frozenset:
-        ct = self.ct()
-        got = getattr(ct, "_socle_set", None)
-        if got is None:
-            got = ct._socle_set = frozenset(self.socle_indices())
-        return got
+        return frozenset(self.socle_indices)
 
     def coset_indices(self, x: int) -> tuple:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
-        ct = self.ct()
-        cosets = getattr(ct, "_cosets", None)
-        if cosets is None:
-            cosets = ct._cosets = {}
-        got = cosets.get(x)
+        got = self._cosets.get(x)
         if got is None:
-            got = cosets[x] = tuple(sorted(ct.table[x][n]
-                                           for n in self.socle_indices()))
+            row = self.ct().table[x]
+            got = self._cosets[x] = tuple(sorted(row[n]
+                                                 for n in self.socle_indices))
         return got
 
+    @cached_property
+    def socle_bfs_order(self) -> list:
+        """Socle elements ordered by word length in the socle generators."""
+        ct = self.ct()
+        gens = [ct.index[g.images] for g in self.socle.generators]
+        order = [ct.identity]
+        seen = {ct.identity}
+        for x in order:
+            for g in gens:
+                y = ct.table[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+        return order
+
+    @cached_property
     def aut(self) -> PermutationGroup:
         """Aut(L), acting on the element indices of L."""
-        if self._aut is None:
-            self._aut = automorphism_group(self.group)
-        return self._aut
+        return automorphism_group(self.group)
 
+    @cached_property
     def x_group(self) -> PermutationGroup:
         """X = C_Aut(L)(L/N), the automorphisms fixing every socle coset."""
-        if self._x is None:
-            self._x = x_subgroup(self, aut=self.aut())
-        return self._x
+        return x_subgroup(self)
+
+    @cached_property
+    def element_orbit_labels(self) -> list:
+        """X-orbit label per element index of L."""
+        labels, _ = orbits_on_tuples(self.x_group,
+                                     [(x,) for x in range(self.ct().n)])
+        return labels
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +308,7 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
     L.require_nonabelian()
     ct = L.ct()
     tbl, inv = ct.table, ct.inv
-    socle = L.socle_set()
+    socle = L.socle_set
     first = columns[0]
     for col in columns[1:]:
         if len(col) != len(first) or any(
@@ -389,7 +404,7 @@ def omega_table(L: MonolithicGroup, a: Sequence[int]) -> OrbitTable:
     if reg.mask_of(a):
         raise PreconditionError("the fixed tuple must generate L")
     tuples = list(_generating_tuples(reg, cosets))
-    X = L.x_group()
+    X = L.x_group
     labels, reps = orbits_on_tuples(X, tuples)
     count = len(reps)
     # an automorphism fixing a generating tuple is trivial, so X acts
@@ -478,14 +493,6 @@ def generation_via_orbits(table: OrbitTable,
 # crown graphs
 
 
-@dataclass(frozen=True)
-class CrownVertex:
-    """Row index plus correction tuple, denoting a_i . m inside L_eta."""
-
-    row: int
-    correction: tuple  # socle element indices, length eta
-
-
 def _sdr_exists(option_sets: Sequence[set]) -> bool:
     """Hall-style matching: one distinct representative per option set.
 
@@ -516,8 +523,13 @@ def _sdr_exists(option_sets: Sequence[set]) -> bool:
 
 
 class CrownGraphBuilder:
-    """Edge tests and the class graph of Gamma_{a_1..a_t}(L_eta), shared
-    by the exhaustive and the sampled weak-connectivity checks."""
+    """The vertices and edge blocks of Gamma_{a_1..a_t}(L_eta), shared by
+    the exhaustive and the sampled weak-connectivity checks.
+
+    The vertex a_i . c has the rank i |C| + k, where c is the k-th
+    tuple of ``corrections``, the list C of socle tuples of length eta
+    in ``itertools.product`` order.  ``_row_block`` decides every edge.
+    """
 
     def __init__(self, L: MonolithicGroup, t: int, eta: int,
                  a: Optional[Sequence[int]] = None,
@@ -534,7 +546,9 @@ class CrownGraphBuilder:
         self.eta = eta
         if reg.mask_of(self.a):
             raise PreconditionError("the row tuple must generate L")
-        self.socle = L.socle_indices()
+        self.socle = L.socle_indices
+        self.corrections = list(itertools.product(self.socle, repeat=eta))
+        self._socle_pos = {x: k for k, x in enumerate(self.socle)}
         self.table = table
         if table is None and eta != 1:
             raise GroupArgumentError(
@@ -542,43 +556,43 @@ class CrownGraphBuilder:
         self._complete_memo: dict = {}
         self._class_graph = None
 
-    def corrections(self) -> list:
-        return list(itertools.product(self.socle, repeat=self.eta))
+    def rank(self, row: int, correction: tuple) -> int:
+        """The rank of the vertex a_row . correction."""
+        k = 0
+        for x in correction:
+            k = k * len(self.socle) + self._socle_pos[x]
+        return row * len(self.corrections) + k
 
-    def vertices(self) -> list:
-        """Every vertex, row-major over (row, correction rank).
-
-        The t * |N|^eta vertices are capped at max_elements.
-        """
-        if self.t * len(self.socle) ** self.eta > config.LIMITS.max_elements:
-            raise CapExceededError("crown graph vertex count over cap")
-        corrections = self.corrections()
-        return [CrownVertex(i, c) for i in range(self.t) for c in corrections]
+    def keys(self, i: int) -> list:
+        """The class key of each row-i vertex, in rank order.  Vertices
+        of one row with equal keys have the same neighbours: on the SDR
+        path (with an orbit table) the key is the correction itself, on
+        the direct path the incidence row of a_i . c."""
+        if self.table is not None:
+            return self.corrections
+        row = self.ct.table[self.a[i]]
+        return [self.rows[row[c]] for (c,) in self.corrections]
 
     def class_graph(self) -> tuple:
         """The graph on class nodes: (node_of, adj), built once.
 
-        Each row's vertices are grouped by a key that fixes their edges:
-        on the direct path (no orbit table) the incidence row of a_i . c,
-        on the SDR path the correction itself.  Nodes are numbered row by
-        row, each row's classes in the order of their first vertex;
-        ``node_of[v]`` is the node of vertex v and ``adj`` the boolean
-        node adjacency.  A direct-path block of two rows is decided by
-        ``class_block`` over the keys, with the completion search over the
-        free rows as its predicate; an SDR block is filled by ``edge``
-        pair by pair.
+        Nodes are numbered row by row, each row's keys in the order of
+        their first vertex; ``node_of[r]`` is the node of the vertex of
+        rank r and ``adj`` the boolean node adjacency, filled by
+        ``_row_block`` for each pair of rows.  The t * |N|^eta vertices
+        are capped at max_elements.
         """
         if self._class_graph is None:
-            verts = self.vertices()
-            per_row = len(verts) // self.t
+            if self.t * len(self.corrections) > config.LIMITS.max_elements:
+                raise CapExceededError("crown graph vertex count over cap")
             node_of = []
             keys = []
             offsets = [0]
             for i in range(self.t):
                 row_keys: dict = {}
-                for v in verts[i * per_row:(i + 1) * per_row]:
+                for key in self.keys(i):
                     node_of.append(offsets[-1] + row_keys.setdefault(
-                        self._class_key(v), len(row_keys)))
+                        key, len(row_keys)))
                 keys.append(list(row_keys))
                 offsets.append(offsets[-1] + len(row_keys))
             node_of = np.array(node_of, dtype=np.intp)
@@ -593,61 +607,40 @@ class CrownGraphBuilder:
             self._class_graph = node_of, adj
         return self._class_graph
 
-    def _class_key(self, v: CrownVertex):
-        if self.table is not None:
-            return v.correction
-        return self.rows[self.ct.table[self.a[v.row]][v.correction[0]]]
-
     def _row_block(self, i: int, j: int, left: list, right: list):
-        if self.table is not None:
-            edge, ws = self._edge_sdr, [CrownVertex(j, e) for e in right]
-            return np.array([[edge(v, w) for w in ws] for v in
-                             (CrownVertex(i, c) for c in left)], dtype=bool)
-        free = tuple(u for u in range(self.t) if u not in (i, j))
-        return class_block(left, right, (lambda mask: self._completes(
-            mask, free)) if free else None)
+        """The boolean edge block between row-i vertices with the keys
+        ``left`` and row-j vertices with the keys ``right``, i != j.
 
-    def conjugate(self, v: CrownVertex, m: tuple) -> CrownVertex:
-        """The vertex of (a_i . c)^m for v = (i, c) and m in N^eta."""
+        A direct-path block is decided by ``class_block`` over the
+        incidence rows, with the completion search over the free rows as
+        its predicate.  On the SDR path each column pair (a_i c_k,
+        a_j e_k) has a set of admissible orbits, and c, e are joined when
+        those sets have distinct representatives.
+        """
+        if self.table is None:
+            free = tuple(u for u in range(self.t) if u not in (i, j))
+            return class_block(left, right, (lambda mask: self._completes(
+                mask, free)) if free else None)
+        proj = self.table.projection(min(i, j), max(i, j))
+        row_i, row_j = self.ct.table[self.a[i]], self.ct.table[self.a[j]]
+        block = np.zeros((len(left), len(right)), dtype=bool)
+        for p, c in enumerate(left):
+            # the admissible orbits of column k, by the socle entry e_k
+            options = [{y: proj.get((row_i[x], row_j[y]) if i < j else
+                                    (row_j[y], row_i[x])) for y in self.socle}
+                       for x in c]
+            block[p] = [_sdr_exists([opt[y] for opt, y in zip(options, e)])
+                        for e in right]
+        return block
+
+    def conjugate(self, r: int, m: tuple) -> int:
+        """The rank of (a_i . c)^m for the vertex r = (i, c), m in N^eta."""
         tbl, inv = self.ct.table, self.ct.inv
-        ai = self.a[v.row]
-        new = []
-        for c, u in zip(v.correction, m):
-            val = tbl[tbl[inv[u]][tbl[ai][c]]][u]   # u^-1 (a_i c) u
-            new.append(tbl[inv[ai]][val])
-        return CrownVertex(v.row, tuple(new))
-
-    def edge(self, v: CrownVertex, w: CrownVertex) -> bool:
-        if v.row == w.row:
-            return False
-        if self.table is not None:
-            return self._edge_sdr(v, w)
-        return self._edge_direct(v, w)
-
-    def _edge_sdr(self, v, w) -> bool:
-        i, j = v.row, w.row
-        if i > j:
-            i, j, v, w = j, i, w, v
-        proj = self.table.projection(i, j)
-        tbl = self.ct.table
-        ai, aj = self.a[i], self.a[j]
-        sets = []
-        for k in range(self.eta):
-            key = (tbl[ai][v.correction[k]], tbl[aj][w.correction[k]])
-            got = proj.get(key)
-            if not got:
-                return False
-            sets.append(got)
-        return _sdr_exists(sets)
-
-    def _edge_direct(self, v, w) -> bool:
-        # eta == 1: search completions over the free rows, memoized on the
-        # incidence mask of the two pinned elements.
-        i, j = v.row, w.row
-        x = self.ct.table[self.a[i]][v.correction[0]]
-        y = self.ct.table[self.a[j]][w.correction[0]]
-        free = tuple(u for u in range(self.t) if u not in (i, j))
-        return self._completes(self.rows[x] & self.rows[y], free)
+        i, k = divmod(r, len(self.corrections))
+        ai = self.a[i]
+        # a_i^-1 u^-1 (a_i c) u, coordinate by coordinate
+        return self.rank(i, tuple(tbl[inv[ai]][tbl[tbl[inv[u]][tbl[ai][c]]][u]]
+                                  for c, u in zip(self.corrections[k], m)))
 
     def _completes(self, mask: int, free: tuple) -> bool:
         if not free or not mask:
@@ -695,24 +688,6 @@ class WeakConnectivityReport:
                 f"components={self.n_components} mode={self.mode}")
 
 
-def _socle_bfs_order(L: MonolithicGroup) -> list:
-    """Socle elements ordered by word length in the socle generators."""
-    ct = L.ct()
-    gens = [ct.index[g.images] for g in L.socle.generators]
-    order = [ct.identity]
-    seen = {ct.identity}
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
-        for g in gens:
-            y = ct.table[x][g]
-            if y not in seen:
-                seen.add(y)
-                order.append(y)
-    return order
-
-
 def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
                       a: Optional[Sequence[int]] = None,
                       table: Optional[OrbitTable] = None) -> WeakConnectivityReport:
@@ -733,18 +708,14 @@ def weak_connectivity(L: MonolithicGroup, t: int, eta: int,
 
 def _exhaustive_report(builder: CrownGraphBuilder,
                        comp_of: list) -> WeakConnectivityReport:
-    """The exhaustive report, given the component id of every vertex of
-    ``builder.vertices()`` (-1 for an isolated vertex)."""
+    """The exhaustive report, given the component id of the vertex of
+    each rank (-1 for an isolated vertex)."""
     t, eta = builder.t, builder.eta
-    verts = builder.vertices()
-    n = len(verts)
+    n = len(comp_of)
     per_row = n // t
-    rank = {v.correction: k for k, v in enumerate(verts[:per_row])}
     n_non_isolated = sum(c >= 0 for c in comp_of)
     n_components = len(set(comp_of) - {-1})
-
-    socle_order = _socle_bfs_order(builder.L)
-    m_order = list(itertools.product(socle_order, repeat=eta))
+    m_order = list(itertools.product(builder.L.socle_bfs_order, repeat=eta))
 
     rows = []
     all_pass = True
@@ -754,13 +725,11 @@ def _exhaustive_report(builder: CrownGraphBuilder,
         row_comps = {comp_of[v] for v in row_vs}
         depths = {}
         row_pass = True
-        for v_idx in row_vs:
-            v = verts[v_idx]
+        for v in row_vs:
             reach = set()
             depth_used = 0
             for depth, m in enumerate(m_order):
-                w = builder.conjugate(v, m)
-                c = comp_of[w.row * per_row + rank[w.correction]]
+                c = comp_of[builder.conjugate(v, m)]
                 if c >= 0:
                     reach.add(c)
                 if row_comps <= reach:
@@ -795,35 +764,33 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
 
     builder = CrownGraphBuilder(L, t, eta, a, table)
     rng = random.Random(seed)
-    corrections = builder.corrections()
+    corrections = builder.corrections
     size = len(corrections)
-    rank = {c: k for k, c in enumerate(corrections)}
-    socle_order = _socle_bfs_order(L)
-    m_order = list(itertools.product(socle_order, repeat=eta))
+    keys = [builder.keys(j) for j in range(t)]
+    one = (builder.ct.identity,) * (eta - 1)
+    conjugators = [one + (n,) for n in L.socle_bfs_order]
 
-    # vertex (row, c) has rank row * |C| + rank(c); neighbour sets are
-    # bitmasks over the ranks
+    # neighbour sets are bitmasks over the vertex ranks
     masks: dict = {}
 
     def neighbours(r: int) -> int:
         out = masks.get(r)
         if out is None:
-            v = CrownVertex(r // size, corrections[r % size])
+            i, k = divmod(r, size)
             out = 0
             for j in range(t):
-                if j != v.row:
-                    for k, c in enumerate(corrections):
-                        if builder.edge(v, CrownVertex(j, c)):
-                            out |= 1 << (j * size + k)
+                if j != i:
+                    block = builder._row_block(i, j, keys[i][k:k + 1], keys[j])
+                    bits = np.packbits(block[0], bitorder="little").tobytes()
+                    out |= int.from_bytes(bits, "little") << (j * size)
             masks[r] = out
         return out
 
-    def joined(v: CrownVertex, w: CrownVertex) -> bool:
-        nv = neighbours(v.row * size + rank[v.correction])
-        rw = w.row * size + rank[w.correction]
-        if nv >> rw & 1:
+    def joined(v: int, w: int) -> bool:
+        nv = neighbours(v)
+        if nv >> w & 1:
             return True
-        nw = neighbours(rw) | 1 << rw
+        nw = neighbours(w) | 1 << w
         if nv & nw:
             return True
         # second ring around v
@@ -840,13 +807,12 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
     while checked < samples:
         row = rng.randrange(t)
         c1, c2 = rng.choice(corrections), rng.choice(corrections)
-        if not (neighbours(row * size + rank[c1])
-                and neighbours(row * size + rank[c2])):
+        v1, v2 = builder.rank(row, c1), builder.rank(row, c2)
+        if not (neighbours(v1) and neighbours(v2)):
             continue
-        v1, v2 = CrownVertex(row, c1), CrownVertex(row, c2)
         checked += 1
         ok = False
-        for depth, m in enumerate(m_order[:len(socle_order)]):
+        for depth, m in enumerate(conjugators):
             if joined(v1, builder.conjugate(v2, m)):
                 depths[depth] = depths.get(depth, 0) + 1
                 ok = True
@@ -854,7 +820,7 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
         if not ok:
             failures += 1
     return WeakConnectivityReport(
-        t, eta, builder.a, "sampled", t * len(corrections), -1, -1,
+        t, eta, builder.a, "sampled", t * size, -1, -1,
         [RowCheck(-1, checked, -1, failures == 0, depths)],
         failures == 0, seed=seed, sample_size=samples)
 
@@ -901,12 +867,6 @@ def partition_meet(partitions: Sequence[IndexPartition]) -> IndexPartition:
     return IndexPartition.from_keys([uf.find(x) for x in range(n)])
 
 
-def element_orbit_labels(L: MonolithicGroup) -> list:
-    """X-orbit label per element index of L."""
-    labels, _ = orbits_on_tuples(L.x_group(), [(x,) for x in range(L.ct().n)])
-    return labels
-
-
 def partitions_pi(table: OrbitTable,
                   columns: Optional[Sequence[tuple]] = None):
     """Row partitions of the column set by X-conjugacy of entries.
@@ -918,7 +878,7 @@ def partitions_pi(table: OrbitTable,
     """
     if columns is None:
         columns = table.reps
-    labels = element_orbit_labels(table.mono)
+    labels = table.mono.element_orbit_labels
     partitions = []
     for i in range(table.t):
         partitions.append(IndexPartition.from_keys(
@@ -952,7 +912,7 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
         raise PreconditionError("d < d_l(L)")
     if reg.mask_of([l_idx] + b_idx):
         raise PreconditionError("<l, b_1, ..., b_d> != L")
-    socle = L.socle_indices()
+    socle = L.socle_indices
     if len(socle) ** d > config.LIMITS.max_search_space:
         raise CapExceededError("|N|^d over search cap")
     tbl = ct.table
@@ -979,8 +939,8 @@ def cln_witness(G: MonolithicGroup, a: int, b: int) -> tuple:
     ct = G.ct()
     if not (0 <= a < ct.n and 0 <= b < ct.n):
         raise PreconditionError("a and b must be element indices of the group")
-    socle = G.socle_indices()
-    socle_set = G.socle_set()
+    socle = G.socle_indices
+    socle_set = G.socle_set
     tbl, inv = ct.table, ct.inv
     comm = tbl[tbl[inv[a]][inv[b]]][tbl[a][b]]
     if comm not in socle_set:

@@ -66,9 +66,6 @@ class ElementGraph:
     def n_edges(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
 
 @dataclass
 class Components:
@@ -241,15 +238,6 @@ class EdgeOracle:
         self.classes = list(by_row.values())
         self.heads = [self.rows[c[0]] for c in self.classes]
         self.sizes = [len(c) for c in self.classes]
-
-    def joined(self, mask: int, d: int) -> bool:
-        """Edge test for distinct x, y with rows[x] & rows[y] == mask."""
-        n = self.ct.n
-        if n < d:
-            return False
-        if n == d:
-            return True
-        return not mask or (d > 2 and self.reg.mask_dist(mask) <= d - 2)
 
     def class_adjacency(self, d: int):
         """Symmetric boolean matrix of the joined pairs of row classes.

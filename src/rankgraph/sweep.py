@@ -93,13 +93,11 @@ D_POLICIES = {
 
 
 def resolve_policy(policy) -> Callable:
-    """A d policy from a callable, a name in D_POLICIES or ("range", lo, hi).
+    """A d policy from a name in D_POLICIES or ("range", lo, hi).
 
     Names and range specs pickle, so they reach sweep worker processes
     unchanged.
     """
-    if callable(policy):
-        return policy
     if isinstance(policy, tuple) and len(policy) == 3 and \
             policy[0] == "range":
         _, lo, hi = policy
@@ -176,8 +174,7 @@ def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
 
     Entries above ``max_order`` and ids in ``skip_ids`` (resume support)
     are skipped with an explicit record.  With jobs > 1 the entries are
-    distributed over worker processes, so a callable ``policy`` must
-    pickle (a module-level function); record order follows the catalog.
+    distributed over worker processes; record order follows the catalog.
     ``on_record`` receives each record in that order as soon as it and
     every record before it are done.
     """

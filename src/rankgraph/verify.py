@@ -191,14 +191,18 @@ def verify_delu(seed: int = 42, cross_checks: int = 20) -> VerifyReport:
 
 def verify_cln(seed: int = 42,
                group_ids=("A5", "S5", "PSL(2,7)", "PGL(2,7)")) -> VerifyReport:
-    """Exhaustive witness search over all pairs with commutator in the socle."""
+    """Exhaustive witness search over all pairs with commutator in the socle.
+
+    Each witness (n, m) is checked: n and m lie in the socle and a n
+    commutes with b m.
+    """
     failures = []
     instances = 0
     per_group = {}
     for gid in group_ids:
         M = _mono(gid)
         ct = M.ct()
-        socle_set = M.socle_set()
+        socle_set = M.socle_set
         tbl, inv = ct.table, ct.inv
         count = 0
         for a in range(ct.n):
@@ -208,9 +212,15 @@ def verify_cln(seed: int = 42,
                     continue
                 count += 1
                 try:
-                    cln_witness(M, a, b)
+                    n, m = cln_witness(M, a, b)
                 except WitnessSearchFailure:
                     failures.append({"group": gid, "a": a, "b": b})
+                    continue
+                an, bm = tbl[a][n], tbl[b][m]
+                if not (n in socle_set and m in socle_set
+                        and tbl[an][bm] == tbl[bm][an]):
+                    failures.append({"group": gid, "a": a, "b": b,
+                                     "witness": (n, m)})
         per_group[gid] = count
         instances += count
     return VerifyReport("cln", not failures, instances, failures,
@@ -260,7 +270,7 @@ def verify_primo(seed: int = 42,
     tbl = ct.table
     delta, table = delta_Lt(L, 2)
     target = build_crown_power(L, 2).order
-    socle = L.socle_indices()
+    socle = L.socle_indices
     failures = []
 
     def check(rows) -> bool:

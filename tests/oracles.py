@@ -21,20 +21,22 @@ at two groups and keeps its first map.  ``circ`` builds an element a . m of
 a crown power L_k, and ``crown_generates`` decides generation of L_k by
 a stabilizer chain.  ``component``, ``is_congruent``,
 ``is_discrete`` and ``refines`` are helpers on crown powers and index
-partitions that only tests ask, as are ``is_edge_d``, the Gamma_d edge
-test of one pair of elements, and ``edge_witness``, a generating set
-of cardinality d through an edge of Delta_d.  ``union_find_orbits``
+partitions that only tests ask, as are ``joined`` and ``is_edge_d``,
+the Gamma_d edge test of one mask and of one pair of elements, and
+``edge_witness``, a generating set of cardinality d through an edge of
+Delta_d.  ``union_find_orbits``
 labels the orbits of a group on tuples by joining each tuple with its
 generator images, where ``orbits_on_tuples`` applies every element to
 one tuple per orbit.  ``class_edges`` and ``class_pair_summary`` decide
 Delta_d one pair of row classes at a time with a union-find over the
-joined pairs, and ``pairwise_weak_connectivity`` joins every vertex pair
-of a crown graph by ``CrownGraphBuilder.edge``; the block kernels of
-``graphs`` are checked against them.  ``pairwise_sampled_weak_connectivity``
-redraws the seeded pairs of the sampled check and decides each of them
-from those pairwise edges.  ``crown_graph`` and
-``class_graph_edges`` expand the builder's class graph to single
-vertices and edges for the tests to compare.
+joined pairs.  ``crown_edge`` decides one pair of crown-graph vertex
+ranks, and ``pairwise_weak_connectivity`` joins every vertex pair of a
+crown graph by it; the block kernels of ``graphs`` and the builder's
+``_row_block`` are checked against them.
+``pairwise_sampled_weak_connectivity`` redraws the seeded pairs of the
+sampled check and decides each of them from those pairwise edges.
+``crown_graph`` and ``class_graph_edges`` expand the builder's class
+graph to vertex ranks and edges for the tests to compare.
 """
 
 import random
@@ -60,6 +62,7 @@ from rankgraph.crown_powers import (
     WeakConnectivityReport,
     _exhaustive_report,
     _from_coordinates,
+    _sdr_exists,
 )
 from rankgraph.graphs import (
     ElementGraph,
@@ -220,6 +223,18 @@ def refines(fine, coarse) -> bool:
     return all(len({where[x] for x in part}) == 1 for part in fine.parts)
 
 
+def joined(oracle, mask: int, d: int) -> bool:
+    """The Gamma_d edge test of distinct x, y with rows[x] & rows[y] ==
+    mask, for an ``EdgeOracle``: the rule ``class_adjacency`` applies to
+    whole row classes, stated for one pair."""
+    n = oracle.ct.n
+    if n < d:
+        return False
+    if n == d:
+        return True
+    return not mask or (d > 2 and oracle.reg.mask_dist(mask) <= d - 2)
+
+
 def is_edge_d(G, x, y, d: int) -> bool:
     """Whether some generating set of G of cardinality exactly d
     contains the distinct elements x and y."""
@@ -233,7 +248,7 @@ def is_edge_d(G, x, y, d: int) -> bool:
         xi, yi = ct.index[x.images], ct.index[y.images]
     except KeyError:
         raise GroupArgumentError("x and y must lie in G") from None
-    return oracle.joined(oracle.rows[xi] & oracle.rows[yi], d)
+    return joined(oracle, oracle.rows[xi] & oracle.rows[yi], d)
 
 
 def edge_witness(G, x, y, d: int):
@@ -596,13 +611,13 @@ def class_edges(oracle, d: int):
     (i, i) means the elements of class i are pairwise joined; it is
     yielded only for classes of two or more elements.
     """
-    classes, rows, joined = oracle.classes, oracle.rows, oracle.joined
+    classes, rows = oracle.classes, oracle.rows
     heads = [rows[c[0]] for c in classes]
     for i, ri in enumerate(heads):
-        if len(classes[i]) > 1 and joined(ri, d):
+        if len(classes[i]) > 1 and joined(oracle, ri, d):
             yield (i, i)
         for j in range(i + 1, len(heads)):
-            if joined(ri & heads[j], d):
+            if joined(oracle, ri & heads[j], d):
                 yield (i, j)
 
 
@@ -625,12 +640,34 @@ def class_pair_summary(G, d: int) -> tuple:
             len({uf.find(i) for i in active}))
 
 
+def crown_edge(builder, r: int, s: int) -> bool:
+    """The crown-graph edge test of the vertices of ranks r and s of a
+    ``CrownGraphBuilder``, one pair at a time.  On the SDR path (with an
+    orbit table) the column pairs (a_i c_k, a_j e_k) need distinct
+    admissible orbits; on the direct path the incidence rows of a_i c and
+    a_j e must complete to a generating tuple over the free rows."""
+    size = len(builder.corrections)
+    (i, k), (j, l) = divmod(r, size), divmod(s, size)
+    if i == j:
+        return False
+    if i > j:
+        i, j, k, l = j, i, l, k
+    c, e = builder.corrections[k], builder.corrections[l]
+    row_i, row_j = builder.ct.table[builder.a[i]], builder.ct.table[builder.a[j]]
+    if builder.table is None:
+        free = tuple(u for u in range(builder.t) if u not in (i, j))
+        return builder._completes(
+            builder.rows[row_i[c[0]]] & builder.rows[row_j[e[0]]], free)
+    proj = builder.table.projection(i, j)
+    return _sdr_exists([proj.get((row_i[x], row_j[y])) for x, y in zip(c, e)])
+
+
 def pairwise_edges(builder) -> list:
-    """Every edge (v, w), v < w, of a crown graph, by one
-    ``CrownGraphBuilder.edge`` test per vertex pair."""
-    verts = builder.vertices()
-    return [(v, w) for v, w in combinations(range(len(verts)), 2)
-            if builder.edge(verts[v], verts[w])]
+    """Every edge (v, w), v < w, of a crown graph, by one ``crown_edge``
+    test per pair of vertex ranks."""
+    n = builder.t * len(builder.corrections)
+    return [(v, w) for v, w in combinations(range(n), 2)
+            if crown_edge(builder, v, w)]
 
 
 def class_graph_edges(builder) -> list:
@@ -652,22 +689,21 @@ def class_graph_edges(builder) -> list:
 
 def crown_graph(L, t: int, eta: int, a=None, table=None,
                 drop_isolated: bool = True) -> ElementGraph:
-    """The graph Gamma_{a_1..a_t}(L_eta) on (row, correction) vertices,
+    """The graph Gamma_{a_1..a_t}(L_eta) labelled by vertex ranks,
     expanded from the builder's class graph; with ``drop_isolated`` the
     Delta version.  The vertex count is capped at max_elements."""
     builder = CrownGraphBuilder(L, t, eta, a, table)
-    verts = builder.vertices()
     node_of, adj = builder.class_graph()
     members = [[] for _ in adj]
     for v, k in enumerate(node_of.tolist()):
         members[k].append(v)
     adjacency = class_neighbours(members, adj)
-    labels = list(verts)
+    labels = list(range(len(node_of)))
     if drop_isolated:
-        keep = [v for v in range(len(verts)) if adjacency[v]]
+        keep = [v for v in labels if adjacency[v]]
         remap = {v: k for k, v in enumerate(keep)}
         adjacency = [[remap[w] for w in adjacency[v]] for v in keep]
-        labels = [labels[v] for v in keep]
+        labels = keep
     return ElementGraph("crown", labels, adjacency, L.group,
                         {"t": t, "eta": eta, "a": builder.a})
 
@@ -733,9 +769,9 @@ def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,
 
 def pairwise_weak_connectivity(L, t, eta, a=None, table=None):
     """``weak_connectivity`` with the components found by a union-find
-    over every vertex pair that ``CrownGraphBuilder.edge`` joins."""
+    over every vertex pair that ``crown_edge`` joins."""
     builder = CrownGraphBuilder(L, t, eta, a, table)
-    n = len(builder.vertices())
+    n = t * len(builder.corrections)
     uf = UnionFind(n)
     non_isolated = bytearray(n)
     for v, w in pairwise_edges(builder):

@@ -100,7 +100,7 @@ class TestAutomorphismGroup:
         assert aut.elements() == tuple(
             Permutation(img) for img in sorted(closure))
         assert aut.order == aut_order
-        assert MonolithicGroup.from_group(L).x_group().order == x_order
+        assert MonolithicGroup.from_group(L).x_group.order == x_order
 
 
     @pytest.mark.parametrize(
@@ -301,7 +301,7 @@ class TestOrbitsOnTuples:
             entry = {"A5": alternating(5), "PSL(2,7)": psl2(7),
                      "S5": symmetric(5)}[case.split()[0]]
             mono = MonolithicGroup.from_group(entry.group(), entry.id)
-            X = mono.x_group()
+            X = mono.x_group
             tuples = delta_Lt(mono, 2)[1].tuples
         elif case == "Aut(A5) on A5":
             X = automorphism_group(alternating(5).group())

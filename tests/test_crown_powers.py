@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -41,10 +40,12 @@ from oracles import (
     circ,
     class_graph_edges,
     component,
+    crown_edge,
     crown_generates,
     crown_graph,
     is_congruent,
     is_discrete,
+    pairwise_edges,
     pairwise_sampled_weak_connectivity,
     refines,
 )
@@ -177,7 +178,7 @@ class TestSubdirectLemma:
     @pytest.mark.parametrize("name", ["A5", "S5"])
     def test_x_image_column_fails(self, witnesses, name):
         L, table = witnesses[name]
-        alpha = L.x_group().generators[0]
+        alpha = L.x_group.generators[0]
         columns = list(table.reps)
         columns[7] = tuple(alpha(x) for x in columns[2])
         assert columns[7] != columns[2]
@@ -204,7 +205,7 @@ class TestSubdirectLemma:
     def test_rejects_columns_outside_crown_power(self, witnesses):
         L, table = witnesses["S5"]
         odd = next(x for x in range(L.ct().n)
-                   if x not in L.socle_indices())
+                   if x not in L.socle_indices)
         even = L.ct().identity
         columns = [(odd, odd), (odd, even)]
         with pytest.raises(PreconditionError):
@@ -215,7 +216,7 @@ class TestSubdirectLemma:
         # columns drawn from Omega, as X-images of an earlier column, or
         # as arbitrary coset tuples (often not generating)
         L, table = witnesses[name]
-        X = L.x_group().elements()
+        X = L.x_group.elements()
         cosets = [L.coset_indices(x) for x in table.a]
         rng = random.Random(29)
         verdicts = set()
@@ -301,7 +302,7 @@ class TestOmegaTable:
 
     def test_tuples_stay_in_omega_under_x(self, A5m):
         _, table = delta_Lt(A5m, 2)
-        X = A5m.x_group()
+        X = A5m.x_group
         for g in X.generators:
             for tup in table.tuples[:200]:
                 assert tuple(g(x) for x in tup) in table.index
@@ -323,7 +324,7 @@ class TestOmegaTable:
     def test_s5_orbit_count_same_for_both_patterns(self, S5m):
         ct = S5m.ct()
         reg = registry_for(S5m.group)
-        socle_set = frozenset(S5m.socle_indices())
+        socle_set = frozenset(S5m.socle_indices)
         odd = [i for i in range(ct.n) if i not in socle_set]
         even = [i for i in range(ct.n) if i in socle_set]
         # (odd, odd) and (odd, even) coset patterns
@@ -347,14 +348,14 @@ class TestOmegaTable:
         # X acts freely on generating tuples: |Omega| = delta(L, 2) * |X|
         mono = MonolithicGroup.from_group(entry.group(), entry.id)
         got, table = delta_Lt(mono, 2)
-        assert (len(table.tuples), got, mono.x_group().order) == \
+        assert (len(table.tuples), got, mono.x_group.order) == \
             (omega, delta, x_order)
 
     def test_counting_identity_violation_raises(self, A5, monkeypatch):
         mono = MonolithicGroup.from_group(A5, "A5")
-        X = mono.x_group()
+        X = mono.x_group
         wrong = SimpleNamespace(elements=X.elements, order=X.order // 2)
-        monkeypatch.setattr(mono, "x_group", lambda: wrong)
+        monkeypatch.setattr(mono, "x_group", wrong)
         with pytest.raises(RuntimeError, match="orbits"):
             delta_Lt(mono, 2)
 
@@ -383,7 +384,7 @@ class TestGenerationViaOrbits:
     def test_eta_one_single_column(self, A5m):
         _, table = delta_Lt(A5m, 2)
         ct = A5m.ct()
-        socle = A5m.socle_indices()
+        socle = A5m.socle_indices
         rng = random.Random(5)
         cp1 = build_crown_power(A5m, 1)
         for _ in range(50):
@@ -395,7 +396,7 @@ class TestGenerationViaOrbits:
 
     def test_duplicate_columns_fail(self, A5m):
         _, table = delta_Lt(A5m, 2)
-        socle = A5m.socle_indices()
+        socle = A5m.socle_indices
         rows = [(socle[3], socle[3]), (socle[7], socle[7])]
         assert not generation_via_orbits(table, rows)
 
@@ -407,7 +408,7 @@ class TestGenerationViaOrbits:
             ct = L.ct()
             tbl = ct.table
             cp = build_crown_power(L, 2)
-            socle = L.socle_indices()
+            socle = L.socle_indices
             rng = random.Random(42)
             verdicts = set()
             for _ in range(200):
@@ -434,7 +435,7 @@ class TestCrownGraph:
         graph = crown_graph(A5m, 3, 1, drop_isolated=False)
         for v, nbrs in enumerate(graph.adjacency):
             for w in nbrs:
-                assert graph.labels[v].row != graph.labels[w].row
+                assert graph.labels[v] // 60 != graph.labels[w] // 60
 
     def test_delta_version_has_no_isolated(self, A5m):
         graph = crown_graph(A5m, 3, 1)
@@ -448,14 +449,15 @@ class TestCrownGraph:
                      for w in nbrs}
         rng = random.Random(13)
         labels = graph.labels
+        socle = A5m.socle_indices
         for _ in range(300):
             v, w = rng.randrange(180), rng.randrange(180)
-            lv, lw = labels[v], labels[w]
-            if lv.row == lw.row:
+            (iv, kv), (iw, kw) = divmod(labels[v], 60), divmod(labels[w], 60)
+            if iv == iw:
                 expected = False
             else:
-                x = ct.table[graph.meta["a"][lv.row]][lv.correction[0]]
-                y = ct.table[graph.meta["a"][lw.row]][lw.correction[0]]
+                x = ct.table[graph.meta["a"][iv]][socle[kv]]
+                y = ct.table[graph.meta["a"][iw]][socle[kw]]
                 expected = any(
                     oracle.generates((x, y, z)) for z in range(ct.n))
             assert ((v, w) in adjacency) == expected
@@ -463,19 +465,17 @@ class TestCrownGraph:
     def test_sdr_edges_match_direct_on_eta2(self, A5m):
         # SDR edge test against direct generation in L_2, random vertex pairs
         _, table = delta_Lt(A5m, 3)
-        from rankgraph.crown_powers import CrownGraphBuilder, CrownVertex
         builder = CrownGraphBuilder(A5m, 3, 2, table=table)
         cp = build_crown_power(A5m, 2)
         ct = A5m.ct()
-        socle = A5m.socle_indices()
+        socle = A5m.socle_indices
         rng = random.Random(21)
         a = builder.a
         for _ in range(40):
             i, j = rng.sample(range(3), 2)
             mi = tuple(rng.choice(socle) for _ in range(2))
             mj = tuple(rng.choice(socle) for _ in range(2))
-            v, w = CrownVertex(i, mi), CrownVertex(j, mj)
-            got = builder.edge(v, w)
+            got = crown_edge(builder, builder.rank(i, mi), builder.rank(j, mj))
             u = 3 - i - j
             expected = False
             for n1 in socle:
@@ -537,9 +537,7 @@ class TestCrownEdgeStream:
 
     @staticmethod
     def check_stream(builder):
-        verts = builder.vertices()
-        expected = [(v, w) for v, w in combinations(range(len(verts)), 2)
-                    if builder.edge(verts[v], verts[w])]
+        expected = pairwise_edges(builder)
         streamed = class_graph_edges(builder)
         assert len(set(streamed)) == len(streamed)
         assert sorted(streamed) == expected
@@ -575,8 +573,7 @@ class TestPartitions:
 
     def test_same_orbit_entries_share_part(self, A5m):
         _, table = delta_Lt(A5m, 3)
-        from rankgraph.crown_powers import element_orbit_labels
-        labels = element_orbit_labels(A5m)
+        labels = A5m.element_orbit_labels
         cols = [table.reps[0], table.reps[1], table.reps[2]]
         parts, _, _ = partitions_pi(table, cols)
         for i, pi in enumerate(parts):
@@ -620,6 +617,24 @@ class TestDelu:
 
 
 class TestClnWitness:
+    @pytest.mark.parametrize("group_id, witness", [
+        ("A5", lambda ct, socle: (ct.identity, ct.identity)),
+        ("S5", lambda ct, socle: (min(set(range(ct.n)) - set(socle)),) * 2),
+    ], ids=["not-commuting", "outside-socle"])
+    def test_verify_cln_checks_the_witness(self, monkeypatch, group_id,
+                                           witness):
+        from rankgraph import verify
+        mono = verify._mono(group_id)
+        ct = mono.ct()
+        wrong = witness(ct, mono.socle_indices)
+        monkeypatch.setattr(verify, "cln_witness", lambda G, a, b: wrong)
+        rep = verify.verify_cln(group_ids=(group_id,))
+        assert not rep.passed
+        assert rep.failures[0]["witness"] == wrong
+        if group_id == "A5":
+            # a pair that commutes is not a failure with (1, 1)
+            assert len(rep.failures) < rep.instances
+
     def test_commuting_pair_gets_identities(self, S5m):
         ct = S5m.ct()
         a = ct.index[cyc(5, [0, 1, 2]).images]

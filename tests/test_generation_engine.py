@@ -134,14 +134,17 @@ def test_crown_completions_match_closure_oracle(group_id):
     oracle = ClosureOracle(L.group)
     tbl = oracle.ct.table
     a = graph.meta["a"]
+    socle = L.socle_indices
     labels = graph.labels
     for v, w in itertools.combinations(range(len(labels)), 2):
-        lv, lw = labels[v], labels[w]
+        # rank = row * |N| + the position of the correction in the socle
+        (iv, kv), (iw, kw) = (divmod(labels[v], len(socle)),
+                              divmod(labels[w], len(socle)))
         expected = False
-        if lv.row != lw.row:
-            x = tbl[a[lv.row]][lv.correction[0]]
-            y = tbl[a[lw.row]][lw.correction[0]]
-            u = 3 - lv.row - lw.row
+        if iv != iw:
+            x = tbl[a[iv]][socle[kv]]
+            y = tbl[a[iw]][socle[kw]]
+            u = 3 - iv - iw
             expected = oracle.completes(oracle.closure((x, y)),
                                         [L.coset_indices(a[u])])
         assert (w in graph.adjacency[v]) == expected
