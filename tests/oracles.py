@@ -653,7 +653,8 @@ def crown_edge(builder, r: int, s: int) -> bool:
     if i > j:
         i, j, k, l = j, i, l, k
     c, e = builder.corrections[k], builder.corrections[l]
-    row_i, row_j = builder.ct.table[builder.a[i]], builder.ct.table[builder.a[j]]
+    tbl = builder.ct.table
+    row_i, row_j = tbl[builder.a[i]], tbl[builder.a[j]]
     if builder.table is None:
         free = tuple(u for u in range(builder.t) if u not in (i, j))
         return builder._completes(
@@ -741,7 +742,7 @@ def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,
             tbl[inv[ai]][tbl[tbl[inv[u]][tbl[ai][x]]][u]]
             for x, u in zip(c, m))]
 
-    def joined(v, w):
+    def near(v, w):
         return (w in nbrs[v] or bool(nbrs[v] & nbrs[w])
                 or any(nbrs[x] & nbrs[w] for x in nbrs[v]))
 
@@ -756,7 +757,7 @@ def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,
             continue
         checked += 1
         depth = next((k for k, m in enumerate(conjugators)
-                      if joined(v, conjugate(row, c2, m))), None)
+                      if near(v, conjugate(row, c2, m))), None)
         if depth is None:
             failures += 1
         else:

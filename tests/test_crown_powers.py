@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from rankgraph import (
@@ -20,6 +21,7 @@ from rankgraph.crown_powers import (
     cln_witness,
     column_elements,
     columns_generate,
+    default_generating_tuple,
     delta_Lt,
     delu_fraction,
     generation_via_orbits,
@@ -35,6 +37,7 @@ from rankgraph.crown_powers import (
 from rankgraph.graphs import components
 from rankgraph.group_structure import registry_for
 
+import oracles
 from oracles import (
     ClosureOracle,
     circ,
@@ -524,6 +527,58 @@ class TestSampledWeakConnectivity:
             assert got == pairwise_sampled_weak_connectivity(
                 L, 2, 1, table, seed=seed), seed
             assert got.rows[0].vertices == 60
+
+    def test_search_matches_oracle_on_a_sparse_graph(self, A5m,
+                                                      monkeypatch):
+        # a seeded sparse graph stands in for the crown-graph edges, so
+        # that pairs need a conjugator or a path of length 3, or fail
+        _, table = delta_Lt(A5m, 3)
+        rng = random.Random(5)
+        edges = {(v, w) for v in range(180)
+                 for w in range(60 * (v // 60 + 1), 180)
+                 if rng.random() < 0.02}
+
+        def row_block(builder, i, j, left, right):
+            ranks = [builder.rank(j, e) for e in right]
+            return np.array([[(min(r, s), max(r, s)) in edges for s in ranks]
+                             for r in (builder.rank(i, c) for c in left)],
+                            dtype=bool)
+
+        monkeypatch.setattr(CrownGraphBuilder, "_row_block", row_block)
+        monkeypatch.setattr(oracles, "crown_edge",
+                            lambda builder, r, s: (min(r, s), max(r, s))
+                            in edges)
+        depths = set()
+        for seed in range(3):
+            got = weak_connectivity_sampled(A5m, 3, 1, table, seed=seed)
+            assert got == pairwise_sampled_weak_connectivity(
+                A5m, 3, 1, table, seed=seed), seed
+            depths |= set(got.rows[0].witness_depths)
+        assert len(depths) > 1
+
+    def test_one_vertex_against_a_row_matches_pairwise_edges(self, S5m):
+        # the sampled check asks for one vertex against each other row, in
+        # both row orders; at eta = 2 the SDR test matches two columns.
+        # An odd and an even row: a key in the wrong row order falls
+        # outside the orbit table.
+        odd = default_generating_tuple(S5m, 2)[0]
+        assert odd not in S5m.socle_set
+        reg = registry_for(S5m.group)
+        a = (odd, next(x for x in S5m.socle_indices
+                       if not reg.mask_of((odd, x))))
+        _, table = delta_Lt(S5m, 2, a=a)
+        builder = CrownGraphBuilder(S5m, 2, 2, a=a, table=table)
+        C = builder.corrections
+        rng = random.Random(8)
+        verdicts = set()
+        for i, j in ((0, 1), (1, 0)):
+            for c in rng.sample(C, 3):
+                row = builder._row_block(i, j, [c], C)[0].tolist()
+                assert row == [
+                    crown_edge(builder, builder.rank(i, c), builder.rank(j, e))
+                    for e in C]
+                verdicts |= set(row)
+        assert verdicts == {True, False}
 
 
 class TestCrownEdgeStream:
