@@ -547,7 +547,7 @@ class CrownGraphBuilder:
         if reg.mask_of(self.a):
             raise PreconditionError("the row tuple must generate L")
         self.socle = L.socle_indices
-        self.corrections = list(itertools.product(self.socle, repeat=eta))
+        self.size = len(self.socle) ** eta
         self._socle_pos = {x: k for k, x in enumerate(self.socle)}
         self.table = table
         if table is None and eta != 1:
@@ -561,7 +561,13 @@ class CrownGraphBuilder:
         k = 0
         for x in correction:
             k = k * len(self.socle) + self._socle_pos[x]
-        return row * len(self.corrections) + k
+        return row * self.size + k
+
+    @cached_property
+    def corrections(self) -> list:
+        """C: the |N|^eta socle tuples of length eta, built on first use
+        (after the vertex cap on the exhaustive path)."""
+        return list(itertools.product(self.socle, repeat=self.eta))
 
     def keys(self, i: int) -> list:
         """The class key of each row-i vertex, in rank order.  Vertices
@@ -583,7 +589,7 @@ class CrownGraphBuilder:
         are capped at max_elements.
         """
         if self._class_graph is None:
-            if self.t * len(self.corrections) > config.LIMITS.max_elements:
+            if self.t * self.size > config.LIMITS.max_elements:
                 raise CapExceededError("crown graph vertex count over cap")
             node_of = []
             keys = []
@@ -636,7 +642,7 @@ class CrownGraphBuilder:
     def conjugate(self, r: int, m: tuple) -> int:
         """The rank of (a_i . c)^m for the vertex r = (i, c), m in N^eta."""
         tbl, inv = self.ct.table, self.ct.inv
-        i, k = divmod(r, len(self.corrections))
+        i, k = divmod(r, self.size)
         ai = self.a[i]
         # a_i^-1 u^-1 (a_i c) u, coordinate by coordinate
         return self.rank(i, tuple(tbl[inv[ai]][tbl[tbl[inv[u]][tbl[ai][c]]][u]]
@@ -765,7 +771,7 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
     builder = CrownGraphBuilder(L, t, eta, a, table)
     rng = random.Random(seed)
     corrections = builder.corrections
-    size = len(corrections)
+    size = builder.size
     keys = [builder.keys(j) for j in range(t)]
     one = (builder.ct.identity,) * (eta - 1)
     conjugators = [one + (n,) for n in L.socle_bfs_order]

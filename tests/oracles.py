@@ -646,7 +646,7 @@ def crown_edge(builder, r: int, s: int) -> bool:
     orbit table) the column pairs (a_i c_k, a_j e_k) need distinct
     admissible orbits; on the direct path the incidence rows of a_i c and
     a_j e must complete to a generating tuple over the free rows."""
-    size = len(builder.corrections)
+    size = builder.size
     (i, k), (j, l) = divmod(r, size), divmod(s, size)
     if i == j:
         return False
@@ -666,7 +666,7 @@ def crown_edge(builder, r: int, s: int) -> bool:
 def pairwise_edges(builder) -> list:
     """Every edge (v, w), v < w, of a crown graph, by one ``crown_edge``
     test per pair of vertex ranks."""
-    n = builder.t * len(builder.corrections)
+    n = builder.t * builder.size
     return [(v, w) for v, w in combinations(range(n), 2)
             if crown_edge(builder, v, w)]
 
@@ -772,7 +772,7 @@ def pairwise_weak_connectivity(L, t, eta, a=None, table=None):
     """``weak_connectivity`` with the components found by a union-find
     over every vertex pair that ``crown_edge`` joins."""
     builder = CrownGraphBuilder(L, t, eta, a, table)
-    n = t * len(builder.corrections)
+    n = t * builder.size
     uf = UnionFind(n)
     non_isolated = bytearray(n)
     for v, w in pairwise_edges(builder):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from rankgraph import (
+    CapExceededError,
     GroupArgumentError,
     Permutation,
     PreconditionError,
     group_from_generators,
 )
 from rankgraph.catalog import alternating, psl2, symmetric
+from rankgraph.config import caps
 from rankgraph.perm_core import StabilizerChain
 from rankgraph.crown_powers import (
     CrownGraphBuilder,
@@ -617,6 +619,18 @@ class TestCrownEdgeStream:
         assert (rep.n_non_isolated, rep.n_components) == \
             (graph.n_vertices, components(graph).count)
         self.check_stream(CrownGraphBuilder(A5m, 3, 1))
+
+    def test_vertex_cap_is_checked_before_corrections_are_built(self, A5m):
+        # 2 * 60^3 vertices over a cap of 10^5: the cap refuses before C
+        # is enumerated (an eager C at eta = 5 would hold 60^5 tuples)
+        _, table = delta_Lt(A5m, 2)
+        builder = CrownGraphBuilder(A5m, 2, 3, table=table)
+        assert builder.size == 60 ** 3
+        with caps(max_elements=10**5), pytest.raises(CapExceededError):
+            builder.class_graph()
+        assert "corrections" not in vars(builder)
+        with caps(max_elements=10**5), pytest.raises(CapExceededError):
+            weak_connectivity(A5m, 2, 3, table=table)
 
 
 class TestPartitions:
