@@ -266,12 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--L", required=True, help="catalog id of the base group")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--eta", type=int, default=1)
+    p.add_argument("--eta", type=_positive_int, default=1)
     p.add_argument("--check", choices=["weak-conn", "delta"],
                    default="weak-conn")
     p.add_argument("--mode", choices=["exhaustive", "sampled"],
                    default="exhaustive")
-    p.add_argument("--samples", type=int, default=60)
+    p.add_argument("--samples", type=_positive_int, default=60)
     p.add_argument("--verify-witness", action="store_true")
     p.set_defaults(fn=cmd_crown)
 

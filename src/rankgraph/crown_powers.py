@@ -41,7 +41,6 @@ from .perm_core import (
     Permutation,
     PermutationGroup,
     PreconditionError,
-    UnionFind,
     WitnessSearchFailure,
 )
 from .group_structure import minimal_normal_subgroups, min_rank, registry_for
@@ -565,8 +564,11 @@ class CrownGraphBuilder:
 
     @cached_property
     def corrections(self) -> list:
-        """C: the |N|^eta socle tuples of length eta, built on first use
-        (after the vertex cap on the exhaustive path)."""
+        """C: the |N|^eta socle tuples of length eta, built on first use.
+        Every check reads C, so the cap of max_elements on the t |N|^eta
+        vertices is checked here, before C is built."""
+        if self.t * self.size > config.LIMITS.max_elements:
+            raise CapExceededError("crown graph vertex count over cap")
         return list(itertools.product(self.socle, repeat=self.eta))
 
     def keys(self, i: int) -> list:
@@ -585,12 +587,9 @@ class CrownGraphBuilder:
         Nodes are numbered row by row, each row's keys in the order of
         their first vertex; ``node_of[r]`` is the node of the vertex of
         rank r and ``adj`` the boolean node adjacency, filled by
-        ``_row_block`` for each pair of rows.  The t * |N|^eta vertices
-        are capped at max_elements.
+        ``_row_block`` for each pair of rows.
         """
         if self._class_graph is None:
-            if self.t * self.size > config.LIMITS.max_elements:
-                raise CapExceededError("crown graph vertex count over cap")
             node_of = []
             keys = []
             offsets = [0]
@@ -865,12 +864,11 @@ def partition_meet(partitions: Sequence[IndexPartition]) -> IndexPartition:
     if not partitions:
         raise GroupArgumentError("need at least one partition")
     n = partitions[0].n
-    uf = UnionFind(n)
+    linked = np.zeros((n, n), dtype=bool)
     for pi in partitions:
         for part in pi.parts:
-            for x in part[1:]:
-                uf.union(part[0], x)
-    return IndexPartition.from_keys([uf.find(x) for x in range(n)])
+            linked[np.ix_(part, part)] = True
+    return IndexPartition.from_keys(component_labels(linked).tolist())
 
 
 def partitions_pi(table: OrbitTable,

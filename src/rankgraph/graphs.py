@@ -24,8 +24,12 @@ interchangeable, so edges are decided per pair of row classes.
 ``class_block`` decides a whole block of class pairs at once: it ANDs
 the masks as numpy ``uint64`` words and tests each distinct ANDed mask
 once, so the Python work grows with the number of distinct masks, not
-with the number of pairs.  ``component_labels`` finds the connected
-components of the resulting class adjacency by frontier search.
+with the number of pairs.
+
+Every graph is held as a symmetric boolean adjacency matrix
+(``ElementGraph.from_matrix``), and one frontier search (``_levels``)
+finds its components (``component_labels``, ``components``) and its
+diameters (``diameter``).
 """
 
 from __future__ import annotations
@@ -33,14 +37,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
-from .perm_core import (
-    GroupArgumentError,
-    Permutation,
-    PermutationGroup,
-    UnionFind,
-)
+from .perm_core import GroupArgumentError, Permutation, PermutationGroup
 from .group_structure import min_rank, registry_for
 
 
@@ -50,13 +50,33 @@ from .group_structure import min_rank, registry_for
 
 @dataclass
 class ElementGraph:
-    """Simple undirected graph on labelled vertices."""
+    """Simple undirected graph on labelled vertices, held as a symmetric
+    boolean adjacency matrix with a zero diagonal; build it with
+    ``from_matrix``."""
 
     kind: str  # "generating" | "rank-d" | "lambda" | "crown"
     labels: list
-    adjacency: list  # list of sorted neighbour lists
+    matrix: object  # numpy bool array, n_vertices x n_vertices
     group: Optional[PermutationGroup] = None
     meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_matrix(cls, kind: str, labels: list, adj,
+                    group: Optional[PermutationGroup] = None,
+                    meta: Optional[dict] = None) -> "ElementGraph":
+        """The graph on ``labels`` whose distinct vertices v, w are joined
+        where ``adj[v, w]``; ``adj`` is symmetric and boolean, and its
+        diagonal is ignored."""
+        import numpy as np
+        adj = np.array(adj, dtype=bool)
+        np.fill_diagonal(adj, False)
+        return cls(kind, labels, adj, group, dict(meta or {}))
+
+    @cached_property
+    def adjacency(self) -> list:
+        """The sorted neighbour list of each vertex."""
+        import numpy as np
+        return [np.flatnonzero(row).tolist() for row in self.matrix]
 
     @property
     def n_vertices(self) -> int:
@@ -64,7 +84,7 @@ class ElementGraph:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return int(self.matrix.sum()) // 2
 
 
 @dataclass
@@ -82,47 +102,42 @@ class Components:
 
 
 def components(graph: ElementGraph) -> Components:
-    """Union-find over the adjacency lists."""
-    n = graph.n_vertices
-    uf = UnionFind(n)
-    for v, nbrs in enumerate(graph.adjacency):
-        for w in nbrs:
-            uf.union(v, w)
-    roots = {}
-    ids = [0] * n
-    for v in range(n):
-        r = uf.find(v)
-        if r not in roots:
-            roots[r] = len(roots)
-        ids[v] = roots[r]
-    sizes = [0] * len(roots)
-    for c in ids:
-        sizes[c] += 1
-    return Components(ids, len(roots), sizes)
+    """Components numbered in the order of their least vertex, found by
+    ``component_labels`` on the graph's boolean matrix."""
+    import numpy as np
+    ids = component_labels(graph.matrix)
+    count = int(ids.max()) + 1 if len(ids) else 0
+    return Components(ids.tolist(), count,
+                      np.bincount(ids, minlength=count).tolist())
 
 
 def diameter(graph: ElementGraph, comps: Optional[Components] = None) -> dict:
-    """Exact diameter per component id (all-pairs BFS; opt-in, it dominates)."""
+    """Exact diameter per component id: the largest eccentricity, each
+    one the number of levels of a frontier search from its vertex, less
+    one (opt-in, it dominates)."""
+    import numpy as np
     if comps is None:
         comps = components(graph)
-    adj = graph.adjacency
+    adj = graph.matrix
     diam = {c: 0 for c in range(comps.count)}
-    for source in range(graph.n_vertices):
-        dist = {source: 0}
-        queue = [source]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        ecc = max(dist.values()) if dist else 0
-        c = comps.ids[source]
-        if ecc > diam[c]:
-            diam[c] = ecc
+    for source, c in enumerate(comps.ids):
+        levels = _levels(adj, source, np.ones(len(adj), dtype=bool))
+        diam[c] = max(diam[c], sum(1 for _ in levels) - 1)
     return diam
+
+
+def _levels(adj, source: int, unseen):
+    """The levels of a frontier search of the boolean adjacency ``adj``
+    from ``source``: ``[source]``, then each unseen node adjacent to the
+    level before, as arrays of node indices.  ``unseen`` is a boolean
+    mask over the nodes; the nodes reached are cleared in it."""
+    import numpy as np
+    unseen[source] = False
+    level = np.array([source])
+    while len(level):
+        yield level
+        level = np.flatnonzero(adj[level].any(axis=0) & unseen)
+        unseen[level] = False
 
 
 # ---------------------------------------------------------------------------
@@ -181,36 +196,19 @@ def component_labels(adj):
     """Component id per node of a symmetric boolean adjacency matrix,
     numbered in the order of each component's least node.
 
-    Each component is grown from its least node by frontier search: the
-    next frontier is every unlabelled node adjacent to the current one.
+    Each component is grown from its least node by the frontier search
+    of ``_levels``.
     """
     import numpy as np
     labels = np.full(len(adj), -1, dtype=np.intp)
+    unseen = np.ones(len(adj), dtype=bool)
     count = 0
     for source in range(len(adj)):
-        if labels[source] >= 0:
-            continue
-        labels[source] = count
-        frontier = [source]
-        while len(frontier):
-            frontier = np.flatnonzero(adj[frontier].any(axis=0) & (labels < 0))
-            labels[frontier] = count
-        count += 1
+        if unseen[source]:
+            for level in _levels(adj, source, unseen):
+                labels[level] = count
+            count += 1
     return labels
-
-
-def class_neighbours(classes: list, adj) -> list:
-    """Sorted neighbour lists of the vertices of a graph given on class
-    nodes: ``classes[k]`` lists the vertices of node k, ``adj`` is the
-    node adjacency, and a vertex is no neighbour of itself."""
-    import numpy as np
-    adjacency = [None] * sum(map(len, classes))
-    for members, joined in zip(classes, adj):
-        nbrs = sorted(w for k in np.flatnonzero(joined).tolist()
-                      for w in classes[k])
-        for v in members:
-            adjacency[v] = [w for w in nbrs if w != v]
-    return adjacency
 
 
 # ---------------------------------------------------------------------------
@@ -268,23 +266,35 @@ def _oracle_for(G: PermutationGroup) -> EdgeOracle:
 
 def build_gamma_d(G: PermutationGroup, d: int) -> ElementGraph:
     """Gamma_d on all elements of G (isolated vertices included)."""
-    _check_graph_args(G, d)
-    oracle = _oracle_for(G)
-    kind = "generating" if d == 2 else "rank-d"
-    return ElementGraph(kind, list(oracle.ct.elements),
-                        class_neighbours(oracle.classes,
-                                         oracle.class_adjacency(d)),
-                        G, {"d": d})
+    return _rank_graph(G, d, drop_isolated=False)
 
 
 def build_delta_d(G: PermutationGroup, d: int) -> ElementGraph:
     """Delta_d: Gamma_d with isolated vertices removed."""
-    gamma = build_gamma_d(G, d)
-    keep = [v for v in range(gamma.n_vertices) if gamma.adjacency[v]]
-    remap = {v: i for i, v in enumerate(keep)}
-    adjacency = [sorted(remap[w] for w in gamma.adjacency[v]) for v in keep]
-    return ElementGraph(gamma.kind, [gamma.labels[v] for v in keep],
-                        adjacency, G, dict(gamma.meta))
+    return _rank_graph(G, d, drop_isolated=True)
+
+
+def _rank_graph(G: PermutationGroup, d: int,
+                drop_isolated: bool) -> ElementGraph:
+    """Gamma_d, or Delta_d with ``drop_isolated``: the class adjacency
+    gathered at the row class of each element."""
+    _check_graph_args(G, d)
+    oracle = _oracle_for(G)
+    import numpy as np
+    node_of = np.empty(oracle.ct.n, dtype=np.intp)
+    for k, members in enumerate(oracle.classes):
+        node_of[members] = k
+    keep = np.arange(oracle.ct.n)
+    adj = oracle.class_adjacency(d)
+    if drop_isolated:
+        # a class joined inside has two or more elements, so its diagonal
+        # entry never makes an isolated element look joined
+        keep = np.flatnonzero(adj[node_of].any(axis=1))
+    elements = oracle.ct.elements
+    return ElementGraph.from_matrix(
+        "generating" if d == 2 else "rank-d",
+        [elements[v] for v in keep.tolist()],
+        adj[np.ix_(node_of[keep], node_of[keep])], G, {"d": d})
 
 
 def _check_graph_args(G: PermutationGroup, d: int) -> None:
@@ -359,18 +369,14 @@ def build_lambda(S: PermutationGroup, x: Permutation,
     part_y = sorted(ct.index[(y * s).images] for s in s_elems)
     labels = [("x", ct.perm(i)) for i in part_x]
     labels += [("y", ct.perm(i)) for i in part_y]
-    adjacency = [[] for _ in labels]
-    offset = len(part_x)
-    for i, xi in enumerate(part_x):
-        for j, yj in enumerate(part_y):
-            if xi != yj and not rows[xi] & rows[yj]:
-                adjacency[i].append(offset + j)
-                adjacency[offset + j].append(i)
-    for a in adjacency:
-        a.sort()
-    return ElementGraph("lambda", labels, adjacency, G,
-                        {"parts": (len(part_x), len(part_y)),
-                         "same_coset": part_x == part_y})
+    import numpy as np
+    block = class_block([rows[i] for i in part_x], [rows[j] for j in part_y])
+    block &= np.not_equal.outer(part_x, part_y)  # x s1 != y s2
+    empty = np.zeros_like(block)  # both parts have |S| vertices
+    return ElementGraph.from_matrix(
+        "lambda", labels, np.block([[empty, block], [block.T, empty]]),
+        G, {"parts": (len(part_x), len(part_y)),
+            "same_coset": part_x == part_y})
 
 
 # ---------------------------------------------------------------------------

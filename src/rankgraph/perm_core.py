@@ -207,35 +207,6 @@ def _lcm(a: int, b: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# disjoint sets
-
-
-class UnionFind:
-    """Disjoint sets on {0, ..., n-1} with path halving.
-
-    ``union(a, b)`` attaches the root of b under the root of a; callers
-    that expose roots as labels depend on that rule.
-    """
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-# ---------------------------------------------------------------------------
 # stabilizer chains (deterministic Schreier-Sims)
 
 

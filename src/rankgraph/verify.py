@@ -262,8 +262,6 @@ def verify_primo(seed: int = 42,
     """Orbit criterion on A5, t=2, eta=2, against the order of the subgroup
     of L x L that the two index pairs (a_i m_i1, a_i m_i2) generate
     (``square_order``: table products and inverses only)."""
-    if random_samples < 0 or exhaustive_slice < 0:
-        raise PreconditionError("sample counts must be non-negative")
     rng = random.Random(seed)
     L = _mono("A5")
     ct = L.ct()
@@ -611,12 +609,23 @@ def suite_parameters(lemma: str) -> list:
 
 
 def run_verifier(lemma: str, seed: int = 42, **params) -> VerifyReport:
-    """Run one suite; its report records the seed and the wall time."""
+    """Run one suite; its report records the seed and the wall time.
+
+    A parameter whose default is an ``int`` is a count: it must be given
+    a non-negative ``int``, else ``PreconditionError`` is raised.
+    """
     accepted = suite_parameters(lemma)
     unknown = sorted(set(params) - set(accepted))
     if unknown:
         raise ValueError(f"{lemma} has no parameter {', '.join(unknown)}; "
                          f"it accepts {accepted}")
+    defaults = inspect.signature(VERIFIERS[lemma]).parameters
+    for name, value in params.items():
+        if type(defaults[name].default) is int and not (
+                type(value) is int and value >= 0):
+            raise PreconditionError(
+                f"{lemma}: {name} must be a non-negative integer, "
+                f"got {value!r}")
     t0 = time.perf_counter()
     rep = VERIFIERS[lemma](seed=seed, **params)
     rep.seed = seed

@@ -37,6 +37,11 @@ crown graph by it; the block kernels of ``graphs`` and the builder's
 sampled check and decides each of them from those pairwise edges.
 ``crown_graph`` and ``class_graph_edges`` expand the builder's class
 graph to vertex ranks and edges for the tests to compare.
+``UnionFind`` joins the orbits of ``union_find_orbits`` and the
+components of ``class_pair_summary`` and ``pairwise_weak_connectivity``,
+and ``bfs_components`` and ``bfs_diameters`` search neighbour lists
+breadth first, where rankgraph runs a frontier search over a boolean
+matrix.
 """
 
 import random
@@ -64,18 +69,37 @@ from rankgraph.crown_powers import (
     _from_coordinates,
     _sdr_exists,
 )
-from rankgraph.graphs import (
-    ElementGraph,
-    _check_graph_args,
-    _oracle_for,
-    class_neighbours,
-)
+from rankgraph.graphs import ElementGraph, _check_graph_args, _oracle_for
 from rankgraph.group_structure import SubgroupRegistry, min_rank
-from rankgraph.perm_core import StabilizerChain, UnionFind
+from rankgraph.perm_core import StabilizerChain
 
 
 def mult(p: tuple, q: tuple) -> tuple:
     return tuple(q[i] for i in p)
+
+
+class UnionFind:
+    """Disjoint sets on {0, ..., n-1} with path halving.
+
+    ``union(a, b)`` attaches the root of b under the root of a.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
 
 
 def brute_closure(degree: int, gens) -> set:
@@ -410,6 +434,25 @@ def bfs_components(n: int, edges) -> list:
     return ids
 
 
+def bfs_diameters(adjacency: list) -> dict:
+    """Diameter per component of a graph given by neighbour lists, by a
+    breadth-first search from every vertex; components are numbered in
+    the order of their smallest vertex."""
+    ids = bfs_components(len(adjacency), [(v, w) for v, nbrs in
+                                          enumerate(adjacency) for w in nbrs])
+    diam = dict.fromkeys(ids, 0)
+    for source in range(len(adjacency)):
+        dist = {source: 0}
+        queue = [source]
+        for v in queue:
+            for w in adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        diam[ids[source]] = max(diam[ids[source]], max(dist.values()))
+    return diam
+
+
 class ClosureOracle:
     """Generation answers for one dense group from closures only.
 
@@ -695,18 +738,12 @@ def crown_graph(L, t: int, eta: int, a=None, table=None,
     Delta version.  The vertex count is capped at max_elements."""
     builder = CrownGraphBuilder(L, t, eta, a, table)
     node_of, adj = builder.class_graph()
-    members = [[] for _ in adj]
-    for v, k in enumerate(node_of.tolist()):
-        members[k].append(v)
-    adjacency = class_neighbours(members, adj)
-    labels = list(range(len(node_of)))
+    keep = np.arange(len(node_of))
     if drop_isolated:
-        keep = [v for v in labels if adjacency[v]]
-        remap = {v: k for k, v in enumerate(keep)}
-        adjacency = [[remap[w] for w in adjacency[v]] for v in keep]
-        labels = keep
-    return ElementGraph("crown", labels, adjacency, L.group,
-                        {"t": t, "eta": eta, "a": builder.a})
+        keep = np.flatnonzero(adj[node_of].any(axis=1))
+    return ElementGraph.from_matrix(
+        "crown", keep.tolist(), adj[np.ix_(node_of[keep], node_of[keep])],
+        L.group, {"t": t, "eta": eta, "a": builder.a})
 
 
 def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,

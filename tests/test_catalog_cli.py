@@ -272,13 +272,20 @@ class TestCLI:
         assert err.startswith("error:") and "random_samples" in err \
             and "exhaustive_slice" in err
 
-    def test_verify_negative_count_exit_2(self, capsys):
-        assert cli_main(["verify", "--lemma", "primo", "--params",
-                         '{"random_samples": -3, "exhaustive_slice": 0}']) == 2
+    @pytest.mark.parametrize("lemma, params", [
+        ("primo", {"random_samples": -3, "exhaustive_slice": 0}),
+        ("sempreuno", {"submatrix_samples": -2}),
+        ("unico-rank", {"samples": -3}),
+        ("lambda", {"choice_checks": "x"}),
+        ("lambda", {"choice_checks": True}),
+    ], ids=["primo", "sempreuno", "unico-rank", "lambda-str", "lambda-bool"])
+    def test_verify_negative_count_exit_2(self, lemma, params, capsys):
+        # every parameter with an int default is a non-negative count
+        assert cli_main(["verify", "--lemma", lemma, "--params",
+                         json.dumps(params)]) == 2
         assert "[PASS]" not in capsys.readouterr().out
         with pytest.raises(PreconditionError):
-            verify_mod.run_verifier("primo", random_samples=-3,
-                                    exhaustive_slice=0)
+            verify_mod.run_verifier(lemma, **params)
 
     def test_lambda_bug_is_not_the_rejection(self, monkeypatch):
         # only GroupArgumentError counts as rejecting x = y; any other
@@ -346,6 +353,13 @@ class TestCLI:
             payloads.append(payload)
         assert payloads[0] == payloads[1]
         assert payloads[1]["delta"] == 57
+
+    @pytest.mark.parametrize("extra", [["--eta", "0"], ["--samples", "0"]],
+                             ids=["eta", "samples"])
+    def test_crown_counts_must_be_positive(self, extra, capsys):
+        assert cli_main(["crown", "--L", "A5", "--t", "2", "--check",
+                         "weak-conn", "--mode", "sampled"] + extra) == 2
+        assert "PASS" not in capsys.readouterr().out
 
     def test_crown_witness_failure_exit_1(self, monkeypatch, capsys):
         from rankgraph import crown_powers

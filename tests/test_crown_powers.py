@@ -631,6 +631,11 @@ class TestCrownEdgeStream:
         assert "corrections" not in vars(builder)
         with caps(max_elements=10**5), pytest.raises(CapExceededError):
             weak_connectivity(A5m, 2, 3, table=table)
+        # the sampled check reads C too, so it obeys the same cap
+        with caps(max_elements=10**5), pytest.raises(CapExceededError):
+            weak_connectivity_sampled(A5m, 2, 3, table)
+        with caps(max_elements=1000), pytest.raises(CapExceededError):
+            weak_connectivity_sampled(A5m, 2, 2, table)
 
 
 class TestPartitions:

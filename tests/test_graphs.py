@@ -1,8 +1,9 @@
 import io
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from rankgraph import GroupArgumentError, Permutation, group_from_generators
@@ -18,8 +19,15 @@ from rankgraph.graphs import (
     export_dot,
 )
 from rankgraph.crown_powers import IndexPartition, partition_meet
+from rankgraph.group_structure import min_rank
 
-from oracles import bfs_components, brute_generates, edge_witness, is_edge_d
+from oracles import (
+    bfs_components,
+    bfs_diameters,
+    brute_generates,
+    edge_witness,
+    is_edge_d,
+)
 
 
 def cyc(n, *cycles):
@@ -110,9 +118,25 @@ class TestGammaDelta:
                 (graph.n_vertices, graph.n_edges, comps.count)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_delta_is_gamma_without_isolated_vertices(catalog_entries, d):
+    for entry in catalog_entries:
+        G = entry.group()
+        if G.order > 120 or min_rank(G).d < 2:
+            continue
+        gamma, delta = build_gamma_d(G, d), build_delta_d(G, d)
+        keep = [v for v, nbrs in enumerate(gamma.adjacency) if nbrs]
+        renumber = {v: k for k, v in enumerate(keep)}
+        assert delta.labels == [gamma.labels[v] for v in keep], entry.id
+        assert delta.adjacency == [[renumber[w] for w in gamma.adjacency[v]]
+                                   for v in keep], entry.id
+        assert (delta.kind, delta.meta) == (gamma.kind, gamma.meta)
+
+
 class TestComponentsAndDiameter:
     def test_edgeless_graph(self):
-        g = ElementGraph("rank-d", list(range(4)), [[] for _ in range(4)])
+        g = ElementGraph.from_matrix("rank-d", list(range(4)),
+                                     np.zeros((4, 4), dtype=bool))
         comps = components(g)
         assert comps.count == 4
         assert not comps.connected
@@ -130,6 +154,13 @@ class TestComponentsAndDiameter:
         assert max(diameter(delta, comps).values()) <= 3
 
 
+def _edge_matrix(n, edges):
+    adj = np.zeros((n, n), dtype=bool)
+    for v, w in edges:
+        adj[v, w] = adj[w, v] = True
+    return adj
+
+
 @st.composite
 def _random_graphs(draw):
     n = draw(st.integers(0, 30))
@@ -141,17 +172,29 @@ def _random_graphs(draw):
     return n, edges
 
 
-class TestUnionFindAgainstOracle:
+@st.composite
+def _sparse_graphs(draw):
+    """Paths through the vertices in a drawn order, cut at random, plus
+    a few chords: long paths, several components and isolated vertices."""
+    n = draw(st.integers(0, 30))
+    order = draw(st.permutations(range(n)))
+    links = draw(st.lists(st.integers(0, 4), min_size=max(n - 1, 0),
+                          max_size=max(n - 1, 0)))
+    edges = [(v, w) for v, w, k in zip(order, order[1:], links) if k]
+    if n >= 2:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges += draw(st.lists(pairs.filter(lambda e: e[0] != e[1]),
+                               max_size=n // 4))
+    return n, edges
+
+
+class TestFrontierSearchAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(_random_graphs())
     def test_components_match_bfs(self, graph):
         n, edges = graph
-        adjacency = [set() for _ in range(n)]
-        for v, w in edges:
-            adjacency[v].add(w)
-            adjacency[w].add(v)
-        comps = components(ElementGraph(
-            "rank-d", list(range(n)), [sorted(a) for a in adjacency]))
+        comps = components(ElementGraph.from_matrix(
+            "rank-d", list(range(n)), _edge_matrix(n, edges)))
         ids = bfs_components(n, edges)
         count = len(set(ids))
         assert comps.ids == ids
@@ -172,6 +215,25 @@ class TestUnionFindAgainstOracle:
         expected = tuple(tuple(x for x in range(n) if ids[x] == c)
                          for c in range(len(set(ids))))
         assert partition_meet(partitions).parts == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_graphs(), st.randoms(use_true_random=False))
+    @example((0, []), random.Random(0))
+    @example((12, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6),
+                   (7, 8), (8, 9), (9, 10), (10, 7)]), random.Random(0))
+    def test_diameter_matches_bfs(self, graph, rng):
+        n, edges = graph
+        adjacency = [set() for _ in range(n)]
+        for v, w in edges:
+            adjacency[v].add(w)
+            adjacency[w].add(v)
+        adj = _edge_matrix(n, edges)
+        # from_matrix ignores the diagonal
+        adj[np.diag_indices(n)] = [rng.random() < 0.5 for _ in range(n)]
+        graph = ElementGraph.from_matrix("rank-d", list(range(n)), adj)
+        assert graph.adjacency == [sorted(a) for a in adjacency]
+        assert graph.n_edges == len({frozenset(e) for e in edges})
+        assert diameter(graph) == bfs_diameters(graph.adjacency)
 
 
 class TestConjugationInvariance:
@@ -263,7 +325,8 @@ class TestLambdaGraph:
 
 class TestExportDot:
     def test_empty_graph(self):
-        g = ElementGraph("rank-d", [], [])
+        g = ElementGraph.from_matrix("rank-d", [],
+                                     np.zeros((0, 0), dtype=bool))
         text = export_dot(g)
         assert text.splitlines()[0].startswith("graph")
         assert "--" not in text
