@@ -63,8 +63,8 @@ from .graphs import class_block, component_labels
 class MonolithicGroup:
     """A group with its unique minimal normal subgroup (the socle).
 
-    The index data below (socle, Aut(L), X and the orbit labels) is built
-    on first use and kept on the instance.
+    The index data below (socle, its mask and coset labels, Aut(L), X and
+    the orbit labels) is built on first use and kept on the instance.
     """
 
     group: PermutationGroup
@@ -106,6 +106,18 @@ class MonolithicGroup:
     @cached_property
     def socle_set(self) -> frozenset:
         return frozenset(self.socle_indices)
+
+    @cached_property
+    def socle_mask(self) -> np.ndarray:
+        """Boolean array over the element indices: True on the socle."""
+        mask = np.zeros(self.ct().n, dtype=bool)
+        mask[list(self.socle_indices)] = True
+        return mask
+
+    @cached_property
+    def coset_labels(self) -> np.ndarray:
+        """Per element index c, the least element index of c N."""
+        return self.ct().array[:, list(self.socle_indices)].min(axis=1)
 
     def coset_indices(self, x: int) -> tuple:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
@@ -930,39 +942,51 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
     return Fraction(count, len(socle) ** d)
 
 
-def cln_witness(G: MonolithicGroup, a: int, b: int) -> tuple:
-    """Socle corrections (n, m) with a n and b m commuting, all four as
-    element indices.
+def cln_witness(G: MonolithicGroup, a: int) -> tuple:
+    """Socle corrections for one row: every b with [a, b] in the socle,
+    and socle elements n, m with a n and b m commuting.
 
-    Precondition: [a, b] lies in the socle.  Search order: n ascending in
-    element order (identity first), m via centralizer intersection, so
-    [a, b] = 1 returns (1, 1).  Exhaustion raises WitnessSearchFailure,
-    which callers treat as a theorem violation.
+    Returns int arrays (b, n, m) of equal length, b ascending; n = m = -1
+    where the search ran out, which callers treat as a theorem violation.
+    Search order, per b: n ascending in element order (identity first);
+    m = 1 when b commutes with a n, else m = b^-1 min(C(a n) ∩ b N).  So
+    [a, b] = 1 gives (1, 1).  Each step of n decides every b still open
+    with a few gathers on the Cayley table.
     """
     G.require_nonabelian()
     ct = G.ct()
-    if not (0 <= a < ct.n and 0 <= b < ct.n):
-        raise PreconditionError("a and b must be element indices of the group")
-    socle = G.socle_indices
-    socle_set = G.socle_set
-    tbl, inv = ct.table, ct.inv
-    comm = tbl[tbl[inv[a]][inv[b]]][tbl[a][b]]
-    if comm not in socle_set:
-        raise PreconditionError("[a, b] does not lie in the socle")
-    b_row = tbl[b]
-    b_inv_row = tbl[inv[b]]  # c lies in b N iff b^-1 c lies in N
-    for n in socle:
-        cent = ct.centralizer_set(tbl[a][n])
-        if b in cent:  # m = identity works; covers [a, b] = 1 with (1, 1)
-            return n, ct.identity
-        if len(cent) <= len(socle):
-            meet = [c for c in cent if b_inv_row[c] in socle_set]
-        else:
-            meet = [b_row[x] for x in socle if b_row[x] in cent]
-        if meet:
-            return n, b_inv_row[min(meet)]
-    raise WitnessSearchFailure(
-        "no commuting correction found; contradicts the centralizer theorem")
+    if not 0 <= a < ct.n:
+        raise PreconditionError("a must be an element index of the group")
+    A = ct.array
+    label = G.coset_labels
+    inv = np.asarray(ct.inv)
+    b = np.flatnonzero(label[A[a]] == label[A[:, a]])  # a b N = b a N
+    n_of = np.full(len(b), -1)
+    m_of = np.full(len(b), -1)
+    todo = np.arange(len(b))
+    # per coset label, the least element of C(a n) in that coset; ct.n
+    # where there is none
+    least = np.full(ct.n, ct.n)
+    for n in G.socle_indices:
+        x = A[a, n]
+        cent = A[x] == A[:, x]
+        hit = cent[b[todo]]
+        n_of[todo[hit]] = n
+        m_of[todo[hit]] = ct.identity
+        todo = todo[~hit]
+        if not len(todo):
+            break
+        c_all = np.flatnonzero(cent)
+        np.minimum.at(least, label[c_all], c_all)
+        c = least[label[b[todo]]]
+        least[label[c_all]] = ct.n
+        hit = c < ct.n
+        n_of[todo[hit]] = n
+        m_of[todo[hit]] = A[inv[b[todo[hit]]], c[hit]]
+        todo = todo[~hit]
+        if not len(todo):
+            break
+    return b, n_of, m_of
 
 
 def unico_rank_check(L: MonolithicGroup, t: int,

@@ -750,7 +750,6 @@ class CayleyTable:
         self._cyclics = None
         self._class_id = None
         self._classes = None
-        self._centralizer_sets = {}
         self._conj_rows = {}
 
     # -- cyclic subgroups ---------------------------------------------------
@@ -844,15 +843,6 @@ class CayleyTable:
             row = self._conj_rows[g] = [table[y][g]
                                         for y in table[self.inv[g]]]
         return row
-
-    def centralizer_set(self, x: int) -> frozenset:
-        got = self._centralizer_sets.get(x)
-        if got is None:
-            row = self.table[x]
-            got = frozenset(
-                y for y in range(self.n) if row[y] == self.table[y][x])
-            self._centralizer_sets[x] = got
-        return got
 
     def perm(self, i: int) -> Permutation:
         return self.elements[i]

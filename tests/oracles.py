@@ -37,6 +37,9 @@ crown graph by it; the block kernels of ``graphs`` and the builder's
 sampled check and decides each of them from those pairwise edges.
 ``crown_graph`` and ``class_graph_edges`` expand the builder's class
 graph to vertex ranks and edges for the tests to compare.
+``cln_pair_witnesses`` searches the commuting corrections pair by pair
+over centralizer sets, where ``cln_witness`` decides a whole row of
+pairs by gathers on the Cayley table.
 ``UnionFind`` joins the orbits of ``union_find_orbits`` and the
 components of ``class_pair_summary`` and ``pairwise_weak_connectivity``,
 and ``bfs_components`` and ``bfs_diameters`` search neighbour lists
@@ -704,6 +707,34 @@ def crown_edge(builder, r: int, s: int) -> bool:
             builder.rows[row_i[c[0]]] & builder.rows[row_j[e[0]]], free)
     proj = builder.table.projection(i, j)
     return _sdr_exists([proj.get((row_i[x], row_j[y])) for x, y in zip(c, e)])
+
+
+def cln_pair_witnesses(G) -> dict:
+    """(a, b) -> (n, m) for every pair of element indices with [a, b] in
+    the socle, found one pair at a time: n runs over the socle in
+    ascending element order (identity first); m = 1 when b lies in
+    C(a n), else m = b^-1 min(C(a n) ∩ b N).  The value is None where
+    the search runs out."""
+    ct = G.ct()
+    tbl, inv = ct.table, ct.inv
+    socle_set = G.socle_set
+    cent = [frozenset(y for y in range(ct.n) if tbl[x][y] == tbl[y][x])
+            for x in range(ct.n)]
+    out = {}
+    for a, b in product(range(ct.n), repeat=2):
+        if tbl[tbl[inv[a]][inv[b]]][tbl[a][b]] not in socle_set:
+            continue
+        out[a, b] = None
+        for n in G.socle_indices:
+            c_an = cent[tbl[a][n]]
+            if b in c_an:
+                out[a, b] = (n, ct.identity)
+                break
+            meet = [c for c in c_an if tbl[inv[b]][c] in socle_set]
+            if meet:
+                out[a, b] = (n, tbl[inv[b]][min(meet)])
+                break
+    return out
 
 
 def pairwise_edges(builder) -> list:

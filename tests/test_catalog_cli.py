@@ -278,9 +278,14 @@ class TestCLI:
         ("unico-rank", {"samples": -3}),
         ("lambda", {"choice_checks": "x"}),
         ("lambda", {"choice_checks": True}),
-    ], ids=["primo", "sempreuno", "unico-rank", "lambda-str", "lambda-bool"])
+        ("cln", {"group_ids": []}),
+        ("cln", {"group_ids": ["A5", "A5"]}),
+        ("cln", {"group_ids": "A5"}),
+    ], ids=["primo", "sempreuno", "unico-rank", "lambda-str", "lambda-bool",
+            "cln-empty", "cln-repeated", "cln-str"])
     def test_verify_negative_count_exit_2(self, lemma, params, capsys):
-        # every parameter with an int default is a non-negative count
+        # every parameter with an int default is a non-negative count, and
+        # cln's group_ids is a non-empty list of distinct strings
         assert cli_main(["verify", "--lemma", lemma, "--params",
                          json.dumps(params)]) == 2
         assert "[PASS]" not in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -694,26 +695,55 @@ class TestClnWitness:
     @pytest.mark.parametrize("group_id, witness", [
         ("A5", lambda ct, socle: (ct.identity, ct.identity)),
         ("S5", lambda ct, socle: (min(set(range(ct.n)) - set(socle)),) * 2),
-    ], ids=["not-commuting", "outside-socle"])
+        ("A5", lambda ct, socle: (-1, -1)),
+    ], ids=["not-commuting", "outside-socle", "exhausted"])
     def test_verify_cln_checks_the_witness(self, monkeypatch, group_id,
                                            witness):
         from rankgraph import verify
         mono = verify._mono(group_id)
         ct = mono.ct()
         wrong = witness(ct, mono.socle_indices)
-        monkeypatch.setattr(verify, "cln_witness", lambda G, a, b: wrong)
+
+        def wrong_row(G, a):
+            b, n, m = cln_witness(G, a)
+            return b, np.full_like(n, wrong[0]), np.full_like(m, wrong[1])
+
+        monkeypatch.setattr(verify, "cln_witness", wrong_row)
         rep = verify.verify_cln(group_ids=(group_id,))
         assert not rep.passed
+        # failures hold Python ints, so --out can write them
+        json.dumps(rep.to_dict())
+        if wrong == (-1, -1):
+            # an exhausted search is the bare pair, as for a theorem violation
+            assert len(rep.failures) == rep.instances
+            b0 = int(cln_witness(mono, 0)[0][0])
+            assert rep.failures[0] == {"group": group_id, "a": 0, "b": b0}
+            assert all(set(f) == {"group", "a", "b"} for f in rep.failures)
+            return
         assert rep.failures[0]["witness"] == wrong
         if group_id == "A5":
             # a pair that commutes is not a failure with (1, 1)
             assert len(rep.failures) < rep.instances
 
+    @pytest.mark.parametrize("group_id",
+                             ["A5", "S5", "PSL(2,7)", "PGL(2,7)"])
+    def test_rows_match_the_pair_oracle(self, group_id):
+        from rankgraph import verify
+        mono = verify._mono(group_id)
+        got = {}
+        for a in range(mono.ct().n):
+            b, n, m = cln_witness(mono, a)
+            assert list(b) == sorted(b)
+            got.update({(a, int(x)): (int(y), int(z))
+                        for x, y, z in zip(b, n, m)})
+        assert got == oracles.cln_pair_witnesses(mono)
+
     def test_commuting_pair_gets_identities(self, S5m):
         ct = S5m.ct()
         a = ct.index[cyc(5, [0, 1, 2]).images]
-        n, m = cln_witness(S5m, a, ct.table[a][a])
-        assert n == m == ct.identity
+        b, n, m = cln_witness(S5m, a)
+        k = list(b).index(ct.table[a][a])
+        assert n[k] == m[k] == ct.identity
 
     def test_sample_pairs_s5(self, S5m):
         ct = S5m.ct()
@@ -721,15 +751,18 @@ class TestClnWitness:
         els = S5m.group.elements()
         for _ in range(60):
             a, b = rng.choice(els), rng.choice(els)
-            n, m = cln_witness(S5m, ct.index[a.images], ct.index[b.images])
-            n, m = ct.perm(n), ct.perm(m)
+            row_b, row_n, row_m = cln_witness(S5m, ct.index[a.images])
+            # S5 / A5 is abelian, so every b is in the row of a
+            k = list(row_b).index(ct.index[b.images])
+            n, m = ct.perm(int(row_n[k])), ct.perm(int(row_m[k]))
             assert S5m.socle.contains(n) and S5m.socle.contains(m)
             an, bm = a * n, b * m
             assert an * bm == bm * an
 
     def test_elements_outside_group_rejected(self, A5m):
-        with pytest.raises(PreconditionError):
-            cln_witness(A5m, A5m.ct().n, 0)
+        for a in (-1, A5m.ct().n):
+            with pytest.raises(PreconditionError):
+                cln_witness(A5m, a)
 
 
 class TestUnicoRank:
