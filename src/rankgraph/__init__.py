@@ -19,8 +19,6 @@ from .perm_core import (
     PreconditionError,
     StabilizerChain,
     WitnessSearchFailure,
-    conjugacy_classes,
-    centralizer,
     generates,
     group_from_generators,
     is_normal,

@@ -367,6 +367,9 @@ def validate_entry(entry: CatalogEntry) -> None:
             _check_almost_simple(entry, G)
         else:
             raise CatalogError(f"entry {entry.id!r}: unknown tag {tag!r}")
+    # the tag checks build the dense table: a catalog of many tagged
+    # groups would otherwise hold all their tables at once
+    G.release_dense_caches()
 
 
 def _check_almost_simple(entry, G) -> None:

@@ -26,10 +26,9 @@ class Limits:
     # Cap on groups that get a dense multiplication table (memory: 2 bytes
     # per cell, order^2 cells; orders above 65,536 never get one, whatever
     # the cap); maximal subgroups, Frattini subgroups, d(G) by incidence
-    # rows and the Aut(L) search all need the table.
+    # rows, the normal-subgroup lattice and the Aut(L) search all need
+    # the table.
     max_dense_order: int = 2048
-    # Cap for complete normal-subgroup lattice computation.
-    max_normal_lattice: int = 10**4
     # Cap on brute-force witness searches (e.g. tuples of corrections tried).
     max_search_space: int = 10**7
     # Budget (candidate image tuples) for the Aut(L) backtracking search.

@@ -114,15 +114,28 @@ def components(graph: ElementGraph) -> Components:
 def diameter(graph: ElementGraph, comps: Optional[Components] = None) -> dict:
     """Exact diameter per component id: the largest eccentricity, each
     one the number of levels of a frontier search from its vertex, less
-    one (opt-in, it dominates)."""
+    one (opt-in, it dominates).
+
+    Conjugation by the group is an automorphism of Gamma_d and Delta_d,
+    so on those graphs conjugate vertices have equal eccentricities:
+    one search per conjugacy class, from its first vertex, serves every
+    vertex of the class, in whichever component it lies.
+    """
     import numpy as np
     if comps is None:
         comps = components(graph)
     adj = graph.matrix
+    source = range(len(adj))
+    if graph.group is not None and graph.kind in ("generating", "rank-d"):
+        ct = graph.group.cayley_table()
+        first: dict = {}
+        source = [first.setdefault(ct.class_id[ct.index[p.images]], v)
+                  for v, p in enumerate(graph.labels)]
+    ecc = {s: sum(1 for _ in _levels(adj, s, np.ones(len(adj), dtype=bool)))
+           - 1 for s in set(source)}
     diam = {c: 0 for c in range(comps.count)}
-    for source, c in enumerate(comps.ids):
-        levels = _levels(adj, source, np.ones(len(adj), dtype=bool))
-        diam[c] = max(diam[c], sum(1 for _ in levels) - 1)
+    for s, c in zip(source, comps.ids):
+        diam[c] = max(diam[c], ecc[s])
     return diam
 
 

@@ -347,65 +347,71 @@ def registry_for(G: PermutationGroup) -> SubgroupRegistry:
 @dataclass
 class NormalLattice:
     group: PermutationGroup
-    normals: list  # all normal subgroups, ascending (order, fingerprint)
+    normals: list  # all normal subgroups, ascending (order, element indices)
     minimal_normals: list
 
 
 def normal_subgroups(G: PermutationGroup) -> NormalLattice:
-    """Complete normal-subgroup lattice.
+    """Complete normal-subgroup lattice, on the Cayley table.
 
-    Normal closures of conjugacy classes are the join-irreducible normal
-    subgroups; closing them under joins yields every normal subgroup.
+    A normal subgroup is a union of conjugacy classes closed under
+    products (Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 2005), so the lattice is computed on sets of class ids.
+    For classes C_i and C_j, C_i C_j is a union of classes, all of them
+    met by x C_j for any one x in C_i: one table row per class gives the
+    class-product support table.  The normal closure of C_i is the least
+    class set holding 1 and closed under products with C_i.  Every
+    normal subgroup is the product of the closures of its classes, and
+    the join of normal subgroups N and M is NM, so multiplying what is
+    found by each closure in turn yields the lattice.
+
+    Groups are built for the normals only at the end: a proper minimal
+    normal N as the normal closure of its least non-identity element,
+    every other one from its members.  The lattice needs the dense table,
+    so ``max_dense_order`` bounds it.
     """
-    if G.order > config.LIMITS.max_normal_lattice:
-        raise CapExceededError(
-            f"order {G.order} exceeds normal-lattice cap "
-            f"{config.LIMITS.max_normal_lattice}")
-    from .perm_core import conjugacy_classes
+    ct = G.cayley_table()
+    classes, cid = ct.classes, ct.class_id
+    # product[i][j]: the classes of x y, x the least element of C_i and
+    # y in C_j
+    product = []
+    for cls in classes:
+        row = [set() for _ in classes]
+        for j, c in set(zip(cid, map(cid.__getitem__, ct.table[cls[0]]))):
+            row[j].add(c)
+        product.append(row)
 
-    atoms = {}
-    for cls in conjugacy_classes(G):
-        rep = cls[0]
-        if rep.is_identity():
-            continue
-        N = normal_closure(G, [rep])
-        key = frozenset(p.images for p in N.elements())
-        atoms.setdefault(key, N)
+    def times(left, right) -> frozenset:
+        """The classes met by the products of two class sets."""
+        return frozenset().union(*(product[i][j] for i in left
+                                   for j in right))
 
-    found = dict(atoms)
-    trivial_key = frozenset([G.identity.images])
-    frontier = list(atoms.items())
-    while frontier:
-        new = []
-        for key, N in frontier:
-            for key2, M in list(found.items()):
-                if key2 <= key:
-                    continue
-                J = PermutationGroup(
-                    G.degree, tuple(N.generators) + tuple(M.generators),
-                    known_order=G.order)
-                jkey = frozenset(p.images for p in J.elements())
-                if jkey not in found and jkey != trivial_key:
-                    found[jkey] = J
-                    new.append((jkey, J))
-        frontier = new
+    trivial = frozenset([cid[ct.identity]])
+    found = {trivial}
+    for i in range(len(classes)):
+        closure = grown = trivial
+        while grown:
+            grown = times(grown, [i]) - closure
+            closure |= grown
+        found |= {times(N, closure) for N in found if not closure <= N}
 
-    trivial = PermutationGroup(G.degree, ())
-    all_normals = {trivial_key: trivial}
-    all_normals.update(found)
-    full_key = frozenset(p.images for p in G.elements())
-    all_normals[full_key] = G
-
-    ordered = sorted(all_normals.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    normals = [N for _, N in ordered]
-    keys = [k for k, _ in ordered]
-    minimal = []
-    for i, (key, N) in enumerate(zip(keys, normals)):
-        if len(key) == 1:
-            continue
-        if not any(1 < len(k2) < len(key) and k2 < key for k2 in keys):
-            minimal.append(N)
-    return NormalLattice(G, normals, minimal)
+    members = {N: sorted(x for i in N for x in classes[i]) for N in found}
+    normals = sorted(found, key=lambda N: (len(members[N]), members[N]))
+    minimal = [N for N in normals[1:]
+               if not any(trivial < M < N for M in normals)]
+    groups = {}
+    for N in normals:
+        if N == normals[-1]:
+            groups[N] = G
+        elif N == trivial:
+            groups[N] = PermutationGroup(G.degree, ())
+        elif N in minimal:
+            groups[N] = normal_closure(G, [ct.perm(members[N][1])])
+        else:
+            groups[N] = subgroup_from_members(
+                G.degree, [ct.perm(x) for x in members[N]])
+    return NormalLattice(G, [groups[N] for N in normals],
+                         [groups[N] for N in minimal])
 
 
 def minimal_normal_subgroups(G: PermutationGroup) -> list:

@@ -513,44 +513,6 @@ def generates(G: PermutationGroup, elems: Iterable[Permutation]) -> bool:
     return chain.order() == G.order
 
 
-def conjugacy_classes(G: PermutationGroup) -> list:
-    """Conjugacy classes as sorted element lists, smallest representative first.
-
-    Classes are orbits of the generator-conjugation action; the class list
-    is ordered by each class's minimal element, so output is deterministic.
-    """
-    elems = G.elements()
-    index = {p.images: i for i, p in enumerate(elems)}
-    assigned = [False] * len(elems)
-    classes = []
-    gen_pairs = [(g.images, g.inverse().images) for g in G.generators]
-    for i, p in enumerate(elems):
-        if assigned[i]:
-            continue
-        orbit = {i}
-        queue = [p.images]
-        assigned[i] = True
-        while queue:
-            img = queue.pop()
-            for g, g_inv in gen_pairs:
-                conj = _mult(_mult(g_inv, img), g)
-                j = index[conj]
-                if not assigned[j]:
-                    assigned[j] = True
-                    orbit.add(j)
-                    queue.append(conj)
-        classes.append([elems[j] for j in sorted(orbit)])
-    return classes
-
-
-def centralizer(G: PermutationGroup, p: Permutation) -> PermutationGroup:
-    """The subgroup of G commuting with p (brute scan, cap-guarded)."""
-    if not G.contains(p):
-        raise GroupArgumentError("element lies outside the group")
-    members = [g for g in G.elements() if g * p == p * g]
-    return subgroup_from_members(G.degree, members)
-
-
 def subgroup_from_members(degree: int, members: Sequence[Permutation]) -> PermutationGroup:
     """Group on the given member list, with a reduced generating set.
 

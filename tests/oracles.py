@@ -40,6 +40,10 @@ graph to vertex ranks and edges for the tests to compare.
 ``cln_pair_witnesses`` searches the commuting corrections pair by pair
 over centralizer sets, where ``cln_witness`` decides a whole row of
 pairs by gathers on the Cayley table.
+``permutation_normal_subgroups`` builds the normal-subgroup lattice on
+permutations, by Schreier-Sims normal closures of the conjugacy classes
+and pairwise joins, where ``normal_subgroups`` computes on class masks
+of the Cayley table.
 ``UnionFind`` joins the orbits of ``union_find_orbits`` and the
 components of ``class_pair_summary`` and ``pairwise_weak_connectivity``,
 and ``bfs_components`` and ``bfs_diameters`` search neighbour lists
@@ -74,7 +78,7 @@ from rankgraph.crown_powers import (
 )
 from rankgraph.graphs import ElementGraph, _check_graph_args, _oracle_for
 from rankgraph.group_structure import SubgroupRegistry, min_rank
-from rankgraph.perm_core import StabilizerChain
+from rankgraph.perm_core import StabilizerChain, normal_closure
 
 
 def mult(p: tuple, q: tuple) -> tuple:
@@ -374,6 +378,47 @@ def brute_normal_subgroups(G, max_gens: int = 2) -> set:
     return normals
 
 
+def permutation_normal_subgroups(G) -> tuple:
+    """(normal subgroups, minimal normal subgroups) of G on permutations,
+    in the order of ``group_structure.normal_subgroups``.
+
+    Each non-identity class, by least element, gets a Schreier-Sims
+    normal closure; the first class reaching a subgroup keeps it, and
+    every pair of normal subgroups found is joined by a new group on
+    both generator lists until no join is new.
+    """
+    atoms = {}
+    for cls in sorted(brute_conjugacy_classes(G), key=lambda c: c[0]):
+        rep = Permutation(cls[0])
+        if rep.is_identity():
+            continue
+        N = normal_closure(G, [rep])
+        atoms.setdefault(frozenset(p.images for p in N.elements()), N)
+    found = dict(atoms)
+    trivial_key = frozenset([G.identity.images])
+    frontier = list(atoms.items())
+    while frontier:
+        new = []
+        for key, N in frontier:
+            for key2, M in list(found.items()):
+                if key2 <= key:
+                    continue
+                J = PermutationGroup(
+                    G.degree, tuple(N.generators) + tuple(M.generators),
+                    known_order=G.order)
+                jkey = frozenset(p.images for p in J.elements())
+                if jkey not in found and jkey != trivial_key:
+                    found[jkey] = J
+                    new.append((jkey, J))
+        frontier = new
+    found[trivial_key] = PermutationGroup(G.degree, ())
+    found[frozenset(p.images for p in G.elements())] = G
+    keys = sorted(found, key=lambda key: (len(key), sorted(key)))
+    minimal = [found[key] for key in keys if len(key) > 1 and not any(
+        1 < len(other) < len(key) and other < key for other in keys)]
+    return [found[key] for key in keys], minimal
+
+
 def brute_maximal_subgroups(G, max_gens: int = 2) -> list:
     subs = brute_subgroups(G, max_gens)
     full = frozenset(p.images for p in G.elements())
@@ -440,19 +485,22 @@ def bfs_components(n: int, edges) -> list:
 def bfs_diameters(adjacency: list) -> dict:
     """Diameter per component of a graph given by neighbour lists, by a
     breadth-first search from every vertex; components are numbered in
-    the order of their smallest vertex."""
+    the order of their smallest vertex.  Each level is the set of unseen
+    vertices with a neighbour in the level before, which is quick on the
+    dense graphs of groups."""
     ids = bfs_components(len(adjacency), [(v, w) for v, nbrs in
                                           enumerate(adjacency) for w in nbrs])
+    neighbours = [set(nbrs) for nbrs in adjacency]
     diam = dict.fromkeys(ids, 0)
     for source in range(len(adjacency)):
-        dist = {source: 0}
-        queue = [source]
-        for v in queue:
-            for w in adjacency[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        diam[ids[source]] = max(diam[ids[source]], max(dist.values()))
+        unseen = set(range(len(adjacency))) - {source}
+        level = {source}
+        ecc = -1
+        while level:
+            ecc += 1
+            level = {w for w in unseen if not neighbours[w].isdisjoint(level)}
+            unseen -= level
+        diam[ids[source]] = max(diam[ids[source]], ecc)
     return diam
 
 

@@ -24,6 +24,7 @@ from rankgraph.catalog import (
     symmetric,
     validate_entry,
 )
+from rankgraph.config import caps
 from rankgraph.group_structure import is_simple
 from rankgraph.sweep import load_records, sweep, sweep_entry
 from rankgraph.cli import cli_main
@@ -73,6 +74,13 @@ class TestBuilders:
         for entry in default_catalog():
             validate_entry(entry)
 
+    def test_validation_releases_the_table(self):
+        # the tag checks build the dense table; validation drops it
+        entry = builtin_entry("S5")
+        ct = entry.group().cayley_table()
+        validate_entry(entry)
+        assert entry.group().cayley_table() is not ct
+
 
 class TestCatalogIO:
     def test_empty_catalog(self, tmp_path):
@@ -109,6 +117,22 @@ class TestCatalogIO:
                              symmetric(4).generators, tags=["simple"])
         with pytest.raises(CatalogError):
             validate_entry(entry)
+
+    @pytest.mark.parametrize("tag", ["simple", "monolithic", "almost-simple"])
+    def test_lattice_tag_above_dense_cap_is_a_cap_error(self, tag):
+        # these tags are checked on the normal lattice, which needs the
+        # dense table
+        entry = CatalogEntry("A5-tagged", 5, alternating(5).generators,
+                             tags=[tag])
+        with caps(max_dense_order=50), pytest.raises(CapExceededError):
+            validate_entry(entry)
+
+    def test_lattice_tag_above_dense_cap_exits_2(self, tmp_path):
+        raw = dict(builtin_entry("A5xA5").to_dict(), tags=["monolithic"])
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"entries": [raw]}))
+        assert cli_main(["sweep", "--catalog", str(path), "--max-order",
+                         "10000", "--out", str(tmp_path / "out.jsonl")]) == 2
 
     def test_automorphisms_rejected(self, tmp_path):
         # Aut(L) is always computed, so a supplied field is refused, even

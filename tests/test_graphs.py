@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from rankgraph import GroupArgumentError, Permutation, group_from_generators
-from rankgraph.catalog import symmetric
+from rankgraph.catalog import default_catalog, symmetric
 from rankgraph.graphs import (
     ElementGraph,
     build_delta_d,
@@ -133,6 +133,10 @@ def test_delta_is_gamma_without_isolated_vertices(catalog_entries, d):
         assert (delta.kind, delta.meta) == (gamma.kind, gamma.meta)
 
 
+NON_CYCLIC_360 = [e for e in default_catalog()
+                  if e.group().order <= 360 and min_rank(e.group()).d > 1]
+
+
 class TestComponentsAndDiameter:
     def test_edgeless_graph(self):
         g = ElementGraph.from_matrix("rank-d", list(range(4)),
@@ -152,6 +156,18 @@ class TestComponentsAndDiameter:
         comps = components(delta)
         assert comps.connected
         assert max(diameter(delta, comps).values()) <= 3
+
+    @pytest.mark.parametrize("build,d", [(build_gamma_d, 2),
+                                         (build_gamma_d, 3),
+                                         (build_delta_d, 3)],
+                             ids=["gamma2", "gamma3", "delta3"])
+    @pytest.mark.parametrize("entry", NON_CYCLIC_360, ids=lambda e: e.id)
+    def test_class_sources_match_all_sources(self, entry, build, d):
+        # one search per conjugacy class against a search from every
+        # vertex; Gamma_d keeps its isolated vertices, so several
+        # components are compared
+        graph = build(entry.group(), d)
+        assert diameter(graph) == bfs_diameters(graph.adjacency)
 
 
 def _edge_matrix(n, edges):

@@ -10,7 +10,7 @@ from rankgraph import (
     is_normal,
     quotient,
 )
-from rankgraph.catalog import default_catalog, find_entry
+from rankgraph.catalog import builtin_entry, default_catalog, find_entry
 from rankgraph.config import caps
 from rankgraph.group_structure import (
     SubgroupRegistry,
@@ -31,11 +31,13 @@ from oracles import (
     brute_maximal_subgroups,
     brute_non_generators,
     brute_normal_subgroups,
+    permutation_normal_subgroups,
 )
 
 
 UP_TO_720 = [e.id for e in default_catalog() if e.group().order <= 720]
 UP_TO_360 = [e.id for e in default_catalog() if e.group().order <= 360]
+DENSE = [e.id for e in default_catalog() if e.group().order <= 2048]
 
 
 def cyc(n, *cycles):
@@ -71,6 +73,45 @@ class TestNormalSubgroups:
             for M in lat.normals:
                 if 1 < M.order < N.order:
                     assert not N.contains_group(M)
+
+    @pytest.mark.parametrize("gid", DENSE)
+    def test_class_masks_match_permutation_oracle(self, gid):
+        # the oracle runs on a group object of its own, with no table
+        lat = normal_subgroups(builtin_entry(gid).group())
+        normals, minimal = permutation_normal_subgroups(
+            builtin_entry(gid).group())
+
+        def key(H):
+            return sorted(p.images for p in H.elements())
+
+        assert list(map(key, lat.normals)) == list(map(key, normals))
+        assert list(map(key, lat.minimal_normals)) == list(map(key, minimal))
+        assert [N.generators for N in lat.minimal_normals] == \
+            [N.generators for N in minimal]
+
+    @pytest.mark.parametrize("gid,count", [("E2^4", 67), ("E3^3", 28),
+                                           ("E5^2", 8), ("E7^2", 10)])
+    def test_elementary_abelian_normals_are_subspaces(self, gid, count):
+        # every subgroup of E_p^k is normal, and the subgroups are the
+        # subspaces of F_p^k: sum over j of the Gaussian binomials [k, j]_p
+        p, k = map(int, gid[1:].split("^"))
+
+        def gaussian(j):
+            num = den = 1
+            for i in range(j):
+                num *= p ** (k - i) - 1
+                den *= p ** (i + 1) - 1
+            return num // den
+
+        assert sum(map(gaussian, range(k + 1))) == count
+        lat = normal_subgroups(builtin_entry(gid).group())
+        assert len(lat.normals) == count
+        assert [N.order for N in lat.minimal_normals] == \
+            [p] * gaussian(1)
+
+    def test_lattice_needs_the_dense_table(self, A5):
+        with caps(max_dense_order=50), pytest.raises(CapExceededError):
+            normal_subgroups(A5)
 
 
 class TestSocle:

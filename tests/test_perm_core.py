@@ -17,8 +17,6 @@ from rankgraph import (
     Permutation,
     PermutationGroup,
     StabilizerChain,
-    conjugacy_classes,
-    centralizer,
     generates,
     group_from_generators,
     is_normal,
@@ -255,41 +253,30 @@ class TestConjugacyClasses:
     def test_abelian_all_singletons(self):
         G = group_from_generators(6, [Permutation.from_cycles(6, [0, 1, 2]),
                                       Permutation.from_cycles(6, [3, 4])])
-        assert all(len(c) == 1 for c in conjugacy_classes(G))
+        assert all(len(c) == 1 for c in G.cayley_table().classes)
 
     def test_a5_class_sizes(self, A5):
         # frozen from the brute-force conjugation-orbit oracle
         oracle = brute_conjugacy_classes(A5)
         assert sorted(len(c) for c in oracle) == [1, 12, 12, 15, 20]
-        ours = conjugacy_classes(A5)
+        ours = A5.cayley_table().classes
         assert sorted(len(c) for c in ours) == [1, 12, 12, 15, 20]
         assert sum(len(c) for c in ours) == 60
 
     def test_s3_three_classes(self):
         G = group_from_generators(3, [Permutation.from_cycles(3, [0, 1, 2]),
                                       Permutation.from_cycles(3, [0, 1])])
-        assert len(conjugacy_classes(G)) == 3
+        assert len(G.cayley_table().classes) == 3
 
-
-class TestCentralizer:
-    def test_identity_gives_whole_group(self, A5):
-        assert centralizer(A5, A5.identity).order == 60
-
-    def test_five_cycle(self, A5):
-        # frozen from the brute scan oracle
-        p = Permutation.from_cycles(5, [0, 1, 2, 3, 4])
-        assert len(brute_centralizer(A5, p)) == 5
-        C = centralizer(A5, p)
-        assert C.order == 5
-        assert C.contains(p)
-
-    def test_is_subgroup_containing_element(self, S4):
-        p = Permutation.from_cycles(4, [0, 1, 2])
-        C = centralizer(S4, p)
-        assert C.contains(p)
-        for a in C.generators:
-            for b in C.generators:
-                assert C.contains(a * b)
+    @pytest.mark.parametrize("name", ["S4", "A5"])
+    def test_class_size_is_centralizer_index(self, name, request):
+        # orbit-stabilizer: |x^G| |C_G(x)| = |G|, with C_G(x) by brute scan
+        G = request.getfixturevalue(name)
+        ct = G.cayley_table()
+        for cls in ct.classes:
+            for x in cls:
+                assert ct.class_size(x) * len(
+                    brute_centralizer(G, ct.perm(x))) == G.order
 
 
 class TestSubgroupFromMembers:
