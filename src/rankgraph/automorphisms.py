@@ -1,10 +1,10 @@
 """Automorphism groups of small groups and orbits on element tuples.
 
-Aut(L) and its subgroup X = C_Aut(L)(L/N) are plain
-``PermutationGroup``s on element *indices* of L (relative to the
-deterministic element order), so orbit computations on tuples of
-elements reuse the ordinary permutation machinery.  Aut(L) always comes
-from the search below; ``orbits_on_tuples`` is the one orbit routine.
+Aut(L) and its subgroup X = C_Aut(L)(L/N) are sorted int arrays of
+shape (|Aut|, n) and (|X|, n) on element *indices* of L (relative to the
+deterministic element order): row sigma maps index x to sigma[x].  An
+orbit of a tuple is one gather of its columns.  Aut(L) always comes from
+the search below; ``orbits_on_tuples`` is the one orbit routine.
 
 The search engine maps a fixed generating sequence onto candidate image
 tuples, pruning by conjugacy-invariant fingerprints (element order,
@@ -31,10 +31,7 @@ from .perm_core import (
     CapExceededError,
     CayleyTable,
     GroupArgumentError,
-    Permutation,
     PermutationGroup,
-    _mult,
-    subgroup_from_members,
 )
 from .group_structure import _prune_generators
 
@@ -105,10 +102,9 @@ def _inner_rows(ct: CayleyTable, conj: np.ndarray) -> np.ndarray:
     Rows x and y agree iff x and y lie in one coset of the centre Z(G),
     so the row of the least element of each coset stands for it.
     """
-    n = ct.n
-    centre = np.flatnonzero((conj == np.arange(n)).all(1))
-    least = ct.array[:, centre].min(1) == np.arange(n)
-    return conj[least]
+    index = np.arange(ct.n)
+    centre = np.flatnonzero((conj == index).all(1))
+    return conj[ct.coset_labels(centre) == index]
 
 
 def _bfs_schedule(ct: CayleyTable, gens: Sequence[int]) -> list:
@@ -211,6 +207,12 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
     distinct.  ``fps_src`` and ``fps_dst`` are the ``_element_fingerprints``
     of the two tables.  Returns (maps, exhausted): ``exhausted`` is False
     when the leaf budget tripped, i.e. absence of maps was not proven.
+
+    For automorphisms (``ct_src is ct_dst``) the maps must form a group.
+    They hold 1 and are generated by the found maps and conjugation by
+    the generators of the source, so it suffices that composing every
+    map with each of those gives a map again; a map is fixed by its
+    images of src_gens, so those are compared.  Else ``RuntimeError``.
     """
     n = ct_src.n
     if not src_gens:  # trivial groups: the one map sends 1 to 1
@@ -277,6 +279,14 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
         raise RuntimeError(
             f"{len(found)} maps times {len(inner)} inner automorphisms "
             f"give {distinct} distinct maps")
+    if ct_src is ct_dst:
+        gens = np.concatenate([found, conj[list(ct_src.gen_indices)]])
+        # row (s, g): the src_gens images of maps[s] composed with gens[g]
+        products = maps[:, gens[:, src_gens]].reshape(-1, len(src_gens))
+        images = set(map(tuple, maps[:, src_gens].tolist()))
+        if not images.issuperset(map(tuple, products.tolist())):
+            raise RuntimeError(
+                f"the {len(maps)} maps are not closed under composition")
     return maps, True
 
 
@@ -284,15 +294,15 @@ def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
 # automorphism groups
 
 
-def automorphism_group(L: PermutationGroup) -> PermutationGroup:
-    """Complete Aut(L), acting on the element indices of L: Inn(L) times
-    one searched map per coset of Inn(L).
+def automorphism_group(L: PermutationGroup) -> np.ndarray:
+    """Complete Aut(L) as a sorted (|Aut|, n) int array on the element
+    indices of L: Inn(L) times one searched map per coset of Inn(L).
 
     Pruning is by fingerprint buckets, word orders and inner
     automorphisms; every searched candidate is validated by
-    ``_respects_generators``, and ``subgroup_from_members`` checks that
-    the maps number the order of the group they generate.  The search
-    runs on the Cayley table, so the dense-table cap bounds |L|.
+    ``_respects_generators``, and ``_iso_maps`` checks that the maps are
+    closed under composition.  The search runs on the Cayley table, so
+    the dense-table cap bounds |L|.
     """
     ct = L.cayley_table()
     fps = _element_fingerprints(ct)
@@ -300,44 +310,36 @@ def automorphism_group(L: PermutationGroup) -> PermutationGroup:
     maps, exhausted = _iso_maps(ct, ct, src_gens, fps, fps)
     if not exhausted:
         raise CapExceededError("automorphism search exceeded leaf budget")
-    # the maps are all of Aut(L), sorted, so they are its element list
-    return subgroup_from_members(
-        ct.n, [Permutation._raw(tuple(row)) for row in maps.tolist()])
+    return maps
 
 
-def x_subgroup(L_mono) -> PermutationGroup:
-    """X = C_Aut(L)(L/N) (N the socle), acting on the element indices of L.
+def x_subgroup(L_mono) -> np.ndarray:
+    """X = C_Aut(L)(L/N) (N the socle): the rows of Aut(L) with
+    gamma(l) N = l N for every element l of L, in Aut(L)'s sorted order.
 
-    The defining condition gamma(l) N = l N holds on all of L as soon as
-    it holds on generators, since {l : gamma(l) N = l N} is a subgroup.
-    Aut(L) and the socle's indices are those ``L_mono`` holds.  X keeps
-    the members filtered from Aut(L)'s sorted element list as its own,
-    and ``subgroup_from_members`` checks that they number |X|.
+    X is the kernel of Aut(L) -> Aut(L/N), so a subgroup.  Aut(L) and
+    the coset labels are those ``L_mono`` holds.
     """
-    ct = L_mono.ct()
-    n_set = L_mono.socle_set
-    # g^-1 * gamma(g) must lie in N for every generator g
-    checks = [(ct.table[ct.inv[g]], g) for g in ct.gen_indices]
-    members = tuple(p for p in L_mono.aut.elements()
-                    if all(row[p(g)] in n_set for row, g in checks))
-    return subgroup_from_members(ct.n, members)
+    aut, label = L_mono.aut, L_mono.coset_labels
+    return aut[(label[aut] == label).all(1)]
 
 
 # ---------------------------------------------------------------------------
 # orbits on tuples
 
 
-def orbits_on_tuples(X: PermutationGroup, tuples: Sequence[tuple]) -> tuple:
+def orbits_on_tuples(X: np.ndarray, tuples: Sequence[tuple]) -> tuple:
     """Orbits of the diagonal action of X on element-index tuples.
 
-    Returns (labels, reps).  Orbits are numbered by their least member,
-    which is ``reps[k]`` for orbit k: the tuples are scanned in sorted
-    order, and every element of X is applied to each tuple that is not
-    labelled yet.  Raises if an image leaves the given tuple set (the
-    caller passed a set that is not closed under X).
+    ``X`` holds one automorphism per row, as ``automorphism_group``
+    returns it.  Returns (labels, reps).  Orbits are numbered by their
+    least member, which is ``reps[k]`` for orbit k: the tuples are
+    scanned in sorted order, and the orbit of each tuple that is not
+    labelled yet is one gather of its columns of X.  Raises if an image
+    leaves the given tuple set (the caller passed a set that is not
+    closed under X).
     """
     index = {t: i for i, t in enumerate(tuples)}
-    elems = [p.images for p in X.elements()]
     labels = [-1] * len(tuples)
     reps = []
     for i in sorted(range(len(tuples)), key=tuples.__getitem__):
@@ -347,8 +349,8 @@ def orbits_on_tuples(X: PermutationGroup, tuples: Sequence[tuple]) -> tuple:
         k = len(reps)
         reps.append(rep)
         try:
-            for g in elems:
-                labels[index[_mult(rep, g)]] = k
+            for image in X[:, rep].tolist():
+                labels[index[tuple(image)]] = k
         except KeyError:
             raise GroupArgumentError(
                 "tuple set is not closed under the X-action") from None

@@ -201,7 +201,7 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    entries = cat.default_catalog()
+    entries = _entries(args)
     if args.max_order:
         entries = [e for e in entries if e.group().order <= args.max_order]
     if args.out:
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, help="fixed d range start (overrides policy)")
     p.add_argument("--d-max", type=int)
     p.add_argument("--diameter", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--resume", action="store_true",
                    help="skip group ids already present in --out")
     p.set_defaults(fn=cmd_sweep)
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int)
     p.set_defaults(fn=cmd_export_dot)
 
-    p = sub.add_parser("catalog", help="list or export the built-in catalog")
+    p = sub.add_parser("catalog", help="list or export a catalog")
     common(p)
     p.add_argument("--max-order", type=int)
     p.set_defaults(fn=cmd_catalog)

@@ -104,10 +104,6 @@ class MonolithicGroup:
         return tuple(sorted(self.ct().subset_indices(self.socle)))
 
     @cached_property
-    def socle_set(self) -> frozenset:
-        return frozenset(self.socle_indices)
-
-    @cached_property
     def socle_mask(self) -> np.ndarray:
         """Boolean array over the element indices: True on the socle."""
         mask = np.zeros(self.ct().n, dtype=bool)
@@ -117,7 +113,7 @@ class MonolithicGroup:
     @cached_property
     def coset_labels(self) -> np.ndarray:
         """Per element index c, the least element index of c N."""
-        return self.ct().array[:, list(self.socle_indices)].min(axis=1)
+        return self.ct().coset_labels(self.socle_indices)
 
     def coset_indices(self, x: int) -> tuple:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
@@ -144,13 +140,15 @@ class MonolithicGroup:
         return order
 
     @cached_property
-    def aut(self) -> PermutationGroup:
-        """Aut(L), acting on the element indices of L."""
+    def aut(self) -> np.ndarray:
+        """Aut(L) as a sorted (|Aut|, n) array: row sigma maps element
+        index x to sigma[x]."""
         return automorphism_group(self.group)
 
     @cached_property
-    def x_group(self) -> PermutationGroup:
-        """X = C_Aut(L)(L/N), the automorphisms fixing every socle coset."""
+    def x_group(self) -> np.ndarray:
+        """X = C_Aut(L)(L/N), the rows of ``aut`` fixing every socle
+        coset."""
         return x_subgroup(self)
 
     @cached_property
@@ -319,11 +317,11 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
     L.require_nonabelian()
     ct = L.ct()
     tbl, inv = ct.table, ct.inv
-    socle = L.socle_set
+    in_socle = L.socle_mask
     first = columns[0]
     for col in columns[1:]:
         if len(col) != len(first) or any(
-                tbl[inv[a]][b] not in socle for a, b in zip(first, col)):
+                not in_socle[tbl[inv[a]][b]] for a, b in zip(first, col)):
             raise PreconditionError(
                 "columns must agree modulo the socle, row by row")
     reg = registry_for(L.group)
@@ -420,9 +418,9 @@ def omega_table(L: MonolithicGroup, a: Sequence[int]) -> OrbitTable:
     count = len(reps)
     # an automorphism fixing a generating tuple is trivial, so X acts
     # freely and every orbit has |X| members
-    if len(tuples) != count * X.order:
+    if len(tuples) != count * len(X):
         raise RuntimeError(
-            f"|Omega| = {len(tuples)} != {count} orbits * |X| = {X.order}")
+            f"|Omega| = {len(tuples)} != {count} orbits * |X| = {len(X)}")
     return OrbitTable(L, a, tuples, {t: i for i, t in enumerate(tuples)},
                       labels, count, reps)
 

@@ -582,45 +582,33 @@ def quotient(G: PermutationGroup, N: PermutationGroup):
 
     Returns (quotient group, projection function G -> G/N).  For normal N
     the kernel of the coset action is exactly N, so the image order is
-    |G|/|N|; this is asserted.  Coset indices follow the lexicographic
-    order of canonical (minimal) coset representatives.
+    |G|/|N|; this is asserted.  Cosets are read off G's Cayley table
+    (``CayleyTable.coset_labels``), so the dense-table cap bounds |G|.
+    Coset indices follow the order of the least element index of each
+    coset, i.e. the lexicographic order of canonical (minimal) coset
+    representatives.
     """
+    import numpy as np
     if not is_normal(G, N):
         raise NotNormalError("N is not a normal subgroup of G")
-    n_elems = [p.images for p in N.elements()]
+    ct = G.cayley_table()
+    labels = ct.coset_labels(sorted(ct.subset_indices(N)))
+    reps = np.unique(labels)
+    rank = np.zeros(ct.n, dtype=np.int64)
+    rank[reps] = np.arange(len(reps))
 
-    def canonical(img: tuple) -> tuple:
-        return min(_mult(n, img) for n in n_elems)
+    def project_images(x: int) -> tuple:
+        # coset N r goes to N r x
+        return tuple(rank[labels[ct.array[reps, x]]].tolist())
 
-    # discover cosets by right multiplication with generators
-    start = canonical(G.identity.images)
-    reps = {start}
-    frontier = [start]
-    gen_images = [g.images for g in G.generators]
-    while frontier:
-        new = []
-        for rep in frontier:
-            for g in gen_images:
-                c = canonical(_mult(rep, g))
-                if c not in reps:
-                    reps.add(c)
-                    new.append(c)
-        frontier = new
-    rep_list = sorted(reps)
-    rep_index = {rep: i for i, rep in enumerate(rep_list)}
-    index = len(rep_list)
-
-    def project_images(img: tuple) -> tuple:
-        return tuple(rep_index[canonical(_mult(rep, img))] for rep in rep_list)
-
-    gen_imgs = [Permutation._raw(project_images(g)) for g in gen_images]
-    Q = PermutationGroup(index, gen_imgs, known_order=G.order // N.order)
+    gen_imgs = [Permutation._raw(project_images(g)) for g in ct.gen_indices]
+    Q = PermutationGroup(len(reps), gen_imgs, known_order=G.order // N.order)
     if Q.order * N.order != G.order:
         raise GroupArgumentError(
             "coset action order mismatch; N is not normal in G")
 
     def project(p: Permutation) -> Permutation:
-        return Permutation._raw(project_images(p.images))
+        return Permutation._raw(project_images(ct.index[p.images]))
 
     return Q, project
 
@@ -808,6 +796,12 @@ class CayleyTable:
 
     def perm(self, i: int) -> Permutation:
         return self.elements[i]
+
+    def coset_labels(self, members: Sequence[int]):
+        """Per element index x, the least element index of x N, N the
+        normal subgroup with these element indices.  Indices follow the
+        order of image tuples, so this is the canonical representative."""
+        return self.array[:, members].min(1)
 
     def subset_indices(self, H: PermutationGroup) -> frozenset:
         """Indices of a subgroup's elements inside this table."""

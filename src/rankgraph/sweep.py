@@ -197,7 +197,10 @@ def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
         results = (sweep_entry(e, policy, with_diameter, seed) for e in todo)
     else:
         args = [(e.to_dict(), policy, with_diameter, seed) for e in todo]
-        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_install_caps,
+        # the pool starts all its workers at once, so never more than the
+        # entries need
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(todo)),
+                                   initializer=_install_caps,
                                    initargs=(config.LIMITS,))
         results = map(SweepRecord.from_json, pool.map(_sweep_worker, args))
     records = []

@@ -26,8 +26,9 @@ the Gamma_d edge test of one mask and of one pair of elements, and
 ``edge_witness``, a generating set of cardinality d through an edge of
 Delta_d.  ``union_find_orbits``
 labels the orbits of a group on tuples by joining each tuple with its
-generator images, where ``orbits_on_tuples`` applies every element to
-one tuple per orbit.  ``class_edges`` and ``class_pair_summary`` decide
+generator images, where ``orbits_on_tuples`` gathers the whole orbit of
+one tuple per orbit from the rows of X.  ``class_edges`` and
+``class_pair_summary`` decide
 Delta_d one pair of row classes at a time with a union-find over the
 joined pairs.  ``crown_edge`` decides one pair of crown-graph vertex
 ranks, and ``pairwise_weak_connectivity`` joins every vertex pair of a
@@ -43,7 +44,10 @@ pairs by gathers on the Cayley table.
 ``permutation_normal_subgroups`` builds the normal-subgroup lattice on
 permutations, by Schreier-Sims normal closures of the conjugacy classes
 and pairwise joins, where ``normal_subgroups`` computes on class masks
-of the Cayley table.
+of the Cayley table.  ``permutation_quotient`` finds the cosets of a
+normal subgroup by a search over image tuples, taking the least of
+n * x over all of N for each coset, where ``quotient`` reads them off
+the Cayley table's coset labels.
 ``UnionFind`` joins the orbits of ``union_find_orbits`` and the
 components of ``class_pair_summary`` and ``pairwise_weak_connectivity``,
 and ``bfs_components`` and ``bfs_diameters`` search neighbour lists
@@ -58,7 +62,13 @@ from typing import Optional
 
 import numpy as np
 
-from rankgraph import GroupArgumentError, Permutation, PermutationGroup
+from rankgraph import (
+    GroupArgumentError,
+    NotNormalError,
+    Permutation,
+    PermutationGroup,
+    is_normal,
+)
 from rankgraph.automorphisms import (
     _WORDS,
     _bfs_schedule,
@@ -419,6 +429,49 @@ def permutation_normal_subgroups(G) -> tuple:
     return [found[key] for key in keys], minimal
 
 
+def permutation_quotient(G, N):
+    """(G/N, projection) by the coset search on image tuples: cosets are
+    discovered by right multiplication with the generators, each named by
+    its least member n * x over all n in N; the quotient acts on them in
+    the sorted order of those names."""
+    if not is_normal(G, N):
+        raise NotNormalError("N is not a normal subgroup of G")
+    n_elems = [p.images for p in N.elements()]
+
+    def canonical(img: tuple) -> tuple:
+        return min(mult(n, img) for n in n_elems)
+
+    start = canonical(G.identity.images)
+    reps = {start}
+    frontier = [start]
+    gen_images = [g.images for g in G.generators]
+    while frontier:
+        new = []
+        for rep in frontier:
+            for g in gen_images:
+                c = canonical(mult(rep, g))
+                if c not in reps:
+                    reps.add(c)
+                    new.append(c)
+        frontier = new
+    rep_list = sorted(reps)
+    rep_index = {rep: i for i, rep in enumerate(rep_list)}
+
+    def project_images(img: tuple) -> tuple:
+        return tuple(rep_index[canonical(mult(rep, img))] for rep in rep_list)
+
+    Q = PermutationGroup(len(rep_list),
+                         [Permutation(project_images(g)) for g in gen_images])
+    if Q.order * N.order != G.order:
+        raise GroupArgumentError(
+            "coset action order mismatch; N is not normal in G")
+
+    def project(p: Permutation) -> Permutation:
+        return Permutation(project_images(p.images))
+
+    return Q, project
+
+
 def brute_maximal_subgroups(G, max_gens: int = 2) -> list:
     subs = brute_subgroups(G, max_gens)
     full = frozenset(p.images for p in G.elements())
@@ -765,7 +818,7 @@ def cln_pair_witnesses(G) -> dict:
     the search runs out."""
     ct = G.ct()
     tbl, inv = ct.table, ct.inv
-    socle_set = G.socle_set
+    socle_set = frozenset(G.socle_indices)
     cent = [frozenset(y for y in range(ct.n) if tbl[x][y] == tbl[y][x])
             for x in range(ct.n)]
     out = {}

@@ -15,7 +15,13 @@ from rankgraph.automorphisms import (
     orbits_on_tuples,
     x_subgroup,
 )
-from rankgraph.catalog import alternating, default_catalog, psl2, symmetric
+from rankgraph.catalog import (
+    alternating,
+    default_catalog,
+    pgl2,
+    psl2,
+    symmetric,
+)
 from rankgraph.crown_powers import MonolithicGroup, delta_Lt
 from rankgraph.group_structure import SubgroupRegistry, min_rank
 from rankgraph.perm_core import subgroup_from_members
@@ -46,22 +52,29 @@ def cyc(n, *cycles):
     return Permutation.from_cycles(n, *cycles)
 
 
+def row_generators(rows):
+    """A reduced generating set of the group whose elements are the rows
+    of an index array, built by ``subgroup_from_members``."""
+    members = [Permutation(row) for row in rows.tolist()]
+    return subgroup_from_members(rows.shape[1], members).generators
+
+
 class TestAutomorphismGroup:
     def test_c2_trivial(self):
         G = group_from_generators(2, [cyc(2, [0, 1])])
-        assert automorphism_group(G).order == 1
+        assert len(automorphism_group(G)) == 1
 
     def test_trivial_group(self):
         T = group_from_generators(3, [])
-        assert automorphism_group(T).order == 1
+        assert len(automorphism_group(T)) == 1
         assert isomorphism(T, group_from_generators(2, [])).map == [0]
 
     def test_klein_four_gl22(self, V4):
-        assert automorphism_group(V4).order == 6
+        assert len(automorphism_group(V4)) == 6
 
     def test_a5(self, A5):
         aut = automorphism_group(A5)
-        assert aut.order == 120
+        assert len(aut) == 120
         assert inner_automorphisms(A5).order == 60
 
     def test_maps_preserve_multiplication(self, A5):
@@ -69,11 +82,11 @@ class TestAutomorphismGroup:
         aut = automorphism_group(A5)
         ct = A5.cayley_table()
         rng = random.Random(11)
-        for sigma in aut.elements()[:10]:
+        for sigma in aut[:10]:
             for _ in range(40):
                 i, j = rng.randrange(ct.n), rng.randrange(ct.n)
-                assert sigma(ct.table[i][j]) == ct.table[sigma(i)][sigma(j)]
-            assert sigma(ct.identity) == ct.identity
+                assert sigma[ct.table[i][j]] == ct.table[sigma[i]][sigma[j]]
+            assert sigma[ct.identity] == ct.identity
 
     def test_inner_order_is_g_mod_center(self, S4, Q8):
         assert inner_automorphisms(S4).order == 24   # trivial center
@@ -82,47 +95,49 @@ class TestAutomorphismGroup:
     def test_aut_order_divisible_by_inner(self, S4, Q8, V4):
         for G in (S4, Q8, V4):
             aut = automorphism_group(G)
-            assert aut.order % inner_automorphisms(G).order == 0
+            assert len(aut) % inner_automorphisms(G).order == 0
 
     @pytest.mark.parametrize("entry, aut_order, x_order", [
         (symmetric(4), 24, 4), (alternating(5), 120, 120),
         (psl2(7), 336, 336)], ids=["S4", "A5", "PSL(2,7)"])
     def test_element_cache_is_the_closure(self, entry, aut_order, x_order):
-        # the search hands its sorted maps over as the element list, and
-        # the generators are a reduced set: none lies in the closure of
-        # the ones before it
+        # the search's sorted rows are the whole group they generate
         L = entry.group()
         aut = automorphism_group(L)
-        gens = aut.generators
-        for i, g in enumerate(gens):
-            assert g.images not in brute_closure(aut.degree, gens[:i])
-        closure = brute_closure(aut.degree, gens)
-        assert aut.elements() == tuple(
-            Permutation(img) for img in sorted(closure))
-        assert aut.order == aut_order
-        assert MonolithicGroup.from_group(L).x_group.order == x_order
+        closure = brute_closure(aut.shape[1], row_generators(aut))
+        assert [tuple(row) for row in aut.tolist()] == sorted(closure)
+        assert len(aut) == aut_order
+        assert len(MonolithicGroup.from_group(L).x_group) == x_order
+
+    def test_closure_check_catches_a_missing_map(self, A5, monkeypatch):
+        # with one inner automorphism dropped the maps are still pairwise
+        # distinct, but composing with conjugation leaves the set
+        import rankgraph.automorphisms as automorphisms
+        inner_rows = automorphisms._inner_rows
+        monkeypatch.setattr(automorphisms, "_inner_rows",
+                            lambda ct, conj: inner_rows(ct, conj)[1:])
+        with pytest.raises(RuntimeError, match="closed under composition"):
+            automorphism_group(A5)
 
 
     @pytest.mark.parametrize(
         "case", [*AUT_CASES, "Q8", "V4"])
     def test_matches_full_table_search(self, case, request):
         # the search without the inner-automorphism reduction is the
-        # oracle for the element list and the reduced generators; every
-        # map is checked on the whole table up to order 360, a seeded
-        # sample of 12 above (the whole table takes 34 s for PSL(2,13))
+        # oracle for the element list; every map is checked on the whole
+        # table up to order 360, a seeded sample of 12 above (the whole
+        # table takes 34 s for PSL(2,13))
         G = request.getfixturevalue(case) if case in ("Q8", "V4") \
             else AUT_CASES[case].group()
         aut = automorphism_group(G)
-        assert aut.order == KNOWN_AUT[case]
-        maps = aut.elements()
+        assert len(aut) == KNOWN_AUT[case]
+        maps = aut.tolist()
         want = exhaustive_automorphisms(G)
-        assert list(maps) == want
-        assert aut.generators == subgroup_from_members(
-            aut.degree, want).generators
+        assert [Permutation(row) for row in maps] == want
         ct = G.cayley_table()
         sample = maps if G.order <= 360 else random.Random(3).sample(maps, 12)
-        for p in sample:
-            assert is_homomorphism(ct, ct, np.array(p.images))
+        for row in sample:
+            assert is_homomorphism(ct, ct, np.array(row))
 
     @pytest.mark.parametrize("name", ["S4", "Q8", "V4", "A5"])
     def test_inner_rows_are_inn(self, name, request):
@@ -149,7 +164,7 @@ class TestAutomorphismGroup:
         A5, P = alternating(5).group(), psl2(5).group()
         L = psl2(7).group()
         monkeypatch.setattr(SubgroupRegistry, "_cyclic_extension", counted)
-        assert automorphism_group(L).order == 336
+        assert len(automorphism_group(L)) == 336
         assert isomorphism(P, A5).isomorphic is True
         assert calls == []
 
@@ -163,9 +178,9 @@ class TestAutomorphismGroup:
         ct = G.cayley_table()
         rng = random.Random(17)
         base = [ct.index[p.images] for p in min_rank(G).witness]
-        autos = automorphism_group(G).elements()
+        autos = automorphism_group(G).tolist()
         for src in (base, base + [base[0]], base + [ct.identity]):
-            cands = [tuple(a(x) for x in src) for a in rng.sample(autos, 8)]
+            cands = [tuple(a[x] for x in src) for a in rng.sample(autos, 8)]
             for _ in range(40):
                 cands.append(tuple(
                     rng.choice([y for y in range(ct.n)
@@ -205,10 +220,10 @@ class TestAutomorphismGroup:
         T = next(T for T in ({tbl[tbl[c][x]][d] for c in C for d in C}
                              for x in range(ct.n))
                  if not T & C and len(T) < ct.n - len(C))
-        alpha = automorphism_group(A5).elements()[5]
-        sigma = np.array([alpha(ct.conj(y, g)) if y in T else alpha(y)
+        alpha = automorphism_group(A5)[5].tolist()
+        sigma = np.array([alpha[ct.conj(y, g)] if y in T else alpha[y]
                           for y in range(ct.n)])
-        dst = [alpha(y) for y in src]
+        dst = [alpha[y] for y in src]
         assert not is_homomorphism(ct, ct, sigma)
         assert _respects_generators(ct, ct, src[:1], dst[:1], sigma)
         assert not _respects_generators(ct, ct, src, dst, sigma)
@@ -218,32 +233,48 @@ class TestXSubgroup:
     def test_simple_socle_gives_full_aut(self, A5):
         mono = MonolithicGroup.from_group(A5)
         X = x_subgroup(mono)
-        assert X.order == automorphism_group(A5).order
+        assert len(X) == len(automorphism_group(A5))
 
     def test_s5_contains_inner(self, S5):
         mono = MonolithicGroup.from_group(S5)
         X = x_subgroup(mono)
-        assert X.order >= 1
+        assert len(X) >= 1
         # inner automorphisms preserve cosets of a normal subgroup
-        inner = inner_automorphisms(S5)
-        assert X.contains_group(inner)
+        rows = {tuple(row) for row in X.tolist()}
+        assert all(p.images in rows
+                   for p in inner_automorphisms(S5).elements())
 
     def test_coset_displacement_lies_in_socle(self, S5):
         mono = MonolithicGroup.from_group(S5)
         X = x_subgroup(mono)
         ct = S5.cayley_table()
         N = mono.socle
-        for gamma in X.elements()[:20]:
+        for gamma in X[:20].tolist():
             for l in range(0, ct.n, 17):
-                disp = ct.perm(ct.inv[l]) * ct.perm(gamma(l))
+                disp = ct.perm(ct.inv[l]) * ct.perm(gamma[l])
                 assert N.contains(disp)
+
+    @pytest.mark.parametrize("entry, x_order", [
+        (symmetric(4), 4), (symmetric(5), 120), (pgl2(7), 336),
+        (symmetric(6), 1440)], ids=["S4", "S5", "PGL(2,7)", "S6"])
+    def test_rows_are_the_aut_rows_fixing_every_coset(self, entry, x_order):
+        # gamma lies in X iff l^-1 gamma(l) lies in the socle for every
+        # element l, read from the socle's own element list
+        mono = MonolithicGroup.from_group(entry.group(), entry.id)
+        ct = mono.ct()
+        in_socle = np.zeros(ct.n, dtype=bool)
+        in_socle[list(ct.subset_indices(mono.socle))] = True
+        aut = mono.aut
+        disp = ct.array[np.asarray(ct.inv), aut]
+        want = aut[in_socle[disp].all(1)]
+        assert np.array_equal(x_subgroup(mono), want)
+        assert np.array_equal(mono.x_group, want)
+        assert len(want) == x_order
 
 
 class TestOrbitsOnTuples:
     def test_trivial_x_every_tuple_own_orbit(self, A5):
-        mono = MonolithicGroup.from_group(A5)
-        aut = automorphism_group(A5)
-        trivial = group_from_generators(60, [])
+        trivial = np.arange(60)[None, :]
         tuples = [(0, 1), (2, 3), (4, 5)]
         labels, reps = orbits_on_tuples(trivial, tuples)
         assert len(reps) == 3
@@ -276,10 +307,9 @@ class TestOrbitsOnTuples:
                  if oracle.generates((x, y))]
         aut = automorphism_group(A5)
         labels1, reps1 = orbits_on_tuples(aut, pairs)
-        shuffled = list(aut.generators)
+        shuffled = list(range(len(aut)))
         random.Random(9).shuffle(shuffled)
-        shuffled_aut = group_from_generators(60, list(reversed(shuffled)))
-        labels2, reps2 = orbits_on_tuples(shuffled_aut, pairs)
+        labels2, reps2 = orbits_on_tuples(aut[shuffled], pairs)
         assert labels1 == labels2 and reps1 == reps2
 
     def test_non_closed_input_rejected(self, A5):
@@ -307,12 +337,13 @@ class TestOrbitsOnTuples:
             X = automorphism_group(alternating(5).group())
             tuples = [(x,) for x in range(60)]
         else:
-            X = group_from_generators(60, [])
+            X = np.arange(60)[None, :]
             tuples = [(x, y) for x in range(0, 60, 7) for y in range(3)]
         rng = random.Random(5)
         tuples = rng.sample(tuples, len(tuples))  # scan order is the routine's
         labels, reps = orbits_on_tuples(X, tuples)
-        want, count = union_find_orbits(X.generators, tuples)
+        gens = row_generators(X)
+        want, count = union_find_orbits(gens, tuples)
         assert labels == want and len(reps) == count
         least = {}
         for lab, t in zip(labels, tuples):
@@ -327,7 +358,7 @@ class TestOrbitsOnTuples:
             with pytest.raises(GroupArgumentError):
                 orbits_on_tuples(X, rest)
             with pytest.raises(KeyError):
-                union_find_orbits(X.generators, rest)
+                union_find_orbits(gens, rest)
 
 
 class TestIsomorphism:

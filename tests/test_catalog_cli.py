@@ -150,6 +150,16 @@ class TestCatalogIO:
         assert "automorphisms" not in a4.to_dict()
 
 
+def strip_timing(rec):
+    """A sweep record as a dict without its timing fields."""
+    d = json.loads(rec.to_json())
+    d.pop("timestamp")
+    d.pop("elapsed_ms")
+    for g in d["graphs"]:
+        g.pop("elapsed_ms")
+    return d
+
+
 class TestSweep:
     def test_empty_catalog(self):
         assert sweep([], max_order=100) == []
@@ -167,17 +177,9 @@ class TestSweep:
         assert [r.to_json() for r in loaded] == [r.to_json() for r in recs]
 
     def test_determinism_modulo_timing(self):
-        def strip(rec):
-            d = json.loads(rec.to_json())
-            d.pop("timestamp")
-            d.pop("elapsed_ms")
-            for g in d["graphs"]:
-                g.pop("elapsed_ms")
-            return d
-
         entries = [symmetric(4), dihedral(5), elementary_abelian(2, 2)]
-        a = [strip(r) for r in sweep(entries, max_order=100)]
-        b = [strip(r) for r in sweep(entries, max_order=100)]
+        a = [strip_timing(r) for r in sweep(entries, max_order=100)]
+        b = [strip_timing(r) for r in sweep(entries, max_order=100)]
         assert a == b
 
     def test_error_isolation(self):
@@ -199,17 +201,42 @@ class TestSweep:
     def test_parallel_matches_serial(self):
         entries = [symmetric(4), alternating(4), dihedral(6)]
 
-        def strip(rec):
-            d = json.loads(rec.to_json())
-            d.pop("timestamp")
-            d.pop("elapsed_ms")
-            for g in d["graphs"]:
-                g.pop("elapsed_ms")
-            return d
-
-        serial = [strip(r) for r in sweep(entries, max_order=100, jobs=1)]
-        parallel = [strip(r) for r in sweep(entries, max_order=100, jobs=2)]
+        serial = [strip_timing(r)
+                  for r in sweep(entries, max_order=100, jobs=1)]
+        parallel = [strip_timing(r)
+                    for r in sweep(entries, max_order=100, jobs=2)]
         assert serial == parallel
+
+    def test_pool_is_no_larger_than_the_entries(self, monkeypatch):
+        # the pool forks all its workers up front; an in-process stand-in
+        # records the size asked for, so no process is started here
+        from rankgraph import sweep as sweep_mod
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def map(self, fn, args):
+                return map(fn, args)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        entries = [symmetric(4), alternating(4), dihedral(6)]
+        serial = [strip_timing(r)
+                  for r in sweep(entries, max_order=100, jobs=1)]
+        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
+        pooled = [strip_timing(r)
+                  for r in sweep(entries, max_order=100, jobs=10_000)]
+        assert asked == [3]
+        assert pooled == serial
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_must_be_a_positive_integer(self, jobs, capsys):
+        assert cli_main(["sweep", "--max-order", "10", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_entry_releases_dense_caches(self):
         def verdicts(rec):
@@ -538,6 +565,28 @@ class TestCLI:
         rc = cli_main(["catalog", "--max-order", "30", "--out", str(out)])
         assert rc == 0
         assert load_catalog(out)
+
+    def test_catalog_lists_the_given_file(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        save_catalog([dihedral(5)], path)
+        assert cli_main(["catalog", "--catalog", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Dih5\tdegree 5\torder 10\t[soluble]"]
+        out = tmp_path / "copy.json"
+        assert cli_main(["catalog", "--catalog", str(path), "--max-order",
+                         "10", "--out", str(out)]) == 0
+        assert [e.id for e in load_catalog(out)] == ["Dih5"]
+        assert cli_main(["catalog", "--catalog", str(path), "--max-order",
+                         "9", "--out", str(out)]) == 0
+        assert load_catalog(out) == []
+
+    def test_catalog_file_with_a_false_tag_exits_2(self, tmp_path, capsys):
+        raw = dict(symmetric(4).to_dict(), id="S4-oops", tags=["simple"])
+        path = tmp_path / "oops.json"
+        path.write_text(json.dumps({"entries": [raw]}))
+        for command in ("catalog", "sweep"):
+            assert cli_main([command, "--catalog", str(path)]) == 2
+            assert "S4-oops" in capsys.readouterr().err
 
     def test_version(self, capsys):
         rc = cli_main(["--version"])

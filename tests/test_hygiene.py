@@ -180,6 +180,40 @@ def test_oracles_do_not_call_the_closure_kernel():
     assert kernel_calls(ORACLES.read_text()) == []
 
 
+# Aut(L) and X are index arrays, never permutation groups: the
+# automorphisms module builds no group from its maps.
+
+AUTOMORPHISMS = SRC / "automorphisms.py"
+GROUP_BUILDERS = ("subgroup_from_members", "PermutationGroup")
+
+
+def group_builder_calls(source: str) -> list:
+    """(line, name) for each call of a group builder, by bare name or
+    as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in GROUP_BUILDERS:
+                out.append((node.lineno, name))
+    return sorted(out)
+
+
+def test_group_builder_scanner_flags_calls():
+    source = ("from .perm_core import PermutationGroup\n"
+              "def f(L: PermutationGroup, rows):\n"
+              "    G = perm_core.subgroup_from_members(5, rows)\n"
+              "    return PermutationGroup(5, G.generators)\n")
+    assert group_builder_calls(source) == [(3, "subgroup_from_members"),
+                                           (4, "PermutationGroup")]
+
+
+def test_automorphisms_build_no_permutation_group():
+    assert group_builder_calls(AUTOMORPHISMS.read_text()) == []
+
+
 # Library code that only tests call belongs in ``tests/oracles.py``: every
 # public module-level function or class of the package is referenced by
 # some package file other than through its own definition.  Names match

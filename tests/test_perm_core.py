@@ -23,7 +23,7 @@ from rankgraph import (
     normal_closure,
     quotient,
 )
-from rankgraph.catalog import builtin_entry, symmetric
+from rankgraph.catalog import builtin_entry, default_catalog, symmetric
 from rankgraph.config import caps
 from rankgraph.perm_core import _mult, subgroup_from_members
 
@@ -32,6 +32,7 @@ from oracles import (
     brute_centralizer,
     brute_conjugacy_classes,
     mult,
+    permutation_quotient,
 )
 
 
@@ -331,6 +332,32 @@ class TestQuotient:
         H = group_from_generators(4, [Permutation.from_cycles(4, [0, 1])])
         with pytest.raises(GroupArgumentError):
             quotient(S4, H)
+
+    def test_matches_coset_search(self):
+        # the coset labels of the Cayley table against the search over
+        # image tuples, on every normal subgroup of the catalog groups of
+        # order <= 400: the same generators, and the same projection of
+        # the generators and of a seeded sample of 12 elements
+        from rankgraph.group_structure import normal_subgroups
+        rng = random.Random(6)
+        checked = 0
+        for entry in default_catalog():
+            G = entry.group()
+            if G.order > 400:
+                continue
+            sample = list(G.generators) + rng.sample(
+                G.elements(), min(12, G.order))
+            for N in normal_subgroups(G).normals:
+                Q, hom = quotient(G, N)
+                R, ref = permutation_quotient(G, N)
+                assert Q.generators == R.generators, (entry.id, N.order)
+                assert [hom(p) for p in sample] == [ref(p) for p in sample]
+                checked += 1
+        assert checked == 350
+
+    def test_needs_the_dense_table(self, S4, V4):
+        with caps(max_dense_order=12), pytest.raises(CapExceededError):
+            quotient(S4, V4)
 
 
 class TestCayleyTable:
