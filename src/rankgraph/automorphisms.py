@@ -6,14 +6,15 @@ deterministic element order): row sigma maps index x to sigma[x].  An
 orbit of a tuple is one gather of its columns.  Aut(L) always comes from
 the search below; ``orbits_on_tuples`` is the one orbit routine.
 
-The search engine maps a fixed generating sequence onto candidate image
-tuples, pruning by conjugacy-invariant fingerprints (element order,
-class size, power profile) and cheap word-order checks, and validates
-survivors by the homomorphism condition on generators.  Image tuples are
-enumerated up to inner automorphisms of the target (Holt, Eick and
-O'Brien, *Handbook of Computational Group Theory*, 2005): the first image
-runs over one representative per conjugacy class, each later one over
-one representative per orbit of the centraliser of the images before it,
+The search runs on the one Cayley table of L.  It maps a fixed
+generating sequence onto candidate image tuples, pruning by
+conjugacy-invariant fingerprints (element order, class size, power
+profile) and cheap word-order checks, and validates survivors by the
+automorphism condition on generators.  Image tuples are enumerated up
+to inner automorphisms (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005): the first image runs over one
+representative per conjugacy class, each later one over one
+representative per orbit of the centraliser of the images before it,
 so Aut(L) costs |Out(L)| validated candidates and its element list is
 the found maps composed with every inner automorphism, in one gather.
 The map extension and its check also decide whether two generating
@@ -142,152 +143,50 @@ def _bfs_schedule(ct: CayleyTable, gens: Sequence[int]) -> list:
     return layers
 
 
-def _extend_map(ct_src: CayleyTable, ct_dst: CayleyTable,
-                schedule: list, src_gens: Sequence[int],
+def _extend_map(ct: CayleyTable, schedule: list, src_gens: Sequence[int],
                 dst_gens) -> np.ndarray:
     """Replay the BFS layers: sigma(1) = 1, sigma(src_gens[k]) =
     dst_gens[k] and sigma(x * src_gens[k]) = sigma(x) * dst_gens[k] along
     the schedule.
 
     ``dst_gens`` may carry leading batch axes, one candidate image tuple
-    per row; sigma then carries the same axes.  Whether sigma is a
-    homomorphism (repeated generators with clashing images included) is
+    per row; sigma then carries the same axes.  Whether sigma is an
+    automorphism (repeated generators with clashing images included) is
     left to ``_respects_generators``.
     """
     dst_gens = np.asarray(dst_gens, dtype=np.int64)
-    sigma = np.empty(dst_gens.shape[:-1] + (ct_src.n,), dtype=np.int64)
-    sigma[..., ct_src.identity] = ct_dst.identity
+    sigma = np.empty(dst_gens.shape[:-1] + (ct.n,), dtype=np.int64)
+    sigma[..., ct.identity] = ct.identity
     sigma[..., list(src_gens)] = dst_gens
-    table = ct_dst.array
+    table = ct.array
     for new, parent, k in schedule:
         sigma[..., new] = table[sigma[..., parent], dst_gens[..., k]]
     return sigma
 
 
-def _respects_generators(ct_src: CayleyTable, ct_dst: CayleyTable,
-                         src_gens: Sequence[int], dst_gens,
+def _respects_generators(ct: CayleyTable, src_gens: Sequence[int], dst_gens,
                          sigma: np.ndarray) -> np.ndarray:
-    """Which maps sigma are isomorphisms with src_gens[k] -> dst_gens[k].
+    """Which maps sigma are automorphisms with src_gens[k] -> dst_gens[k].
 
-    With src_gens generating the source and the groups of equal order,
-    sigma passes iff sigma(1) = 1, sigma(x * g_k) = sigma(x) * h_k for
-    every element x and every k (n * |gens| cells, not the n^2 of the
-    whole table), and only the identity maps to the identity.  By
-    induction on word length the first two make sigma a homomorphism
-    with sigma(g_k) = h_k; the third makes it injective.  Leading batch
-    axes of sigma and dst_gens are kept; rows are dropped as soon as one
-    generator fails.
+    With src_gens generating the group, sigma passes iff sigma(1) = 1,
+    sigma(x * g_k) = sigma(x) * h_k for every element x and every k
+    (n * |gens| cells, not the n^2 of the whole table), and only the
+    identity maps to the identity.  By induction on word length the
+    first two make sigma an endomorphism with sigma(g_k) = h_k; the third
+    makes it injective.  Leading batch axes of sigma and dst_gens are
+    kept; rows are dropped as soon as one generator fails.
     """
-    src, dst = ct_src.array, ct_dst.array
+    A = ct.array
     dst_gens = np.asarray(dst_gens, dtype=np.int64)
-    sig = sigma.reshape(-1, ct_src.n)
+    sig = sigma.reshape(-1, ct.n)
     hs = dst_gens.reshape(len(sig), -1)
-    alive = np.flatnonzero(sig[:, ct_src.identity] == ct_dst.identity)
+    alive = np.flatnonzero(sig[:, ct.identity] == ct.identity)
     for k, g in enumerate(src_gens):
         s = sig[alive]
-        alive = alive[(s[:, src[:, g]] == dst[s, hs[alive, k, None]]).all(1)]
+        alive = alive[(s[:, A[:, g]] == A[s, hs[alive, k, None]]).all(1)]
     ok = np.zeros(len(sig), dtype=bool)
-    ok[alive] = (sig[alive] == ct_dst.identity).sum(1) == 1
+    ok[alive] = (sig[alive] == ct.identity).sum(1) == 1
     return ok.reshape(sigma.shape[:-1])
-
-
-def _iso_maps(ct_src: CayleyTable, ct_dst: CayleyTable,
-              src_gens: Sequence[int], fps_src: list, fps_dst: list) -> tuple:
-    """All isomorphisms extending src_gens -> candidate images, as the
-    rows of an int64 array.
-
-    Two maps differing by an inner automorphism of the target send the
-    generators to simultaneously conjugate tuples, and conjugation fixes
-    a generating tuple only for elements of Z(target).  So the image of
-    src_gens[0] runs over one representative per conjugacy class, that
-    of src_gens[k] over one per orbit of C(r_0) & ... & C(r_(k-1)) on its
-    fingerprint bucket, and each class of maps is validated once (the
-    last generator's candidates in one batch).  All maps are then the
-    found ones composed with Inn(source), sorted; they must be pairwise
-    distinct.  ``fps_src`` and ``fps_dst`` are the ``_element_fingerprints``
-    of the two tables.  Returns (maps, exhausted): ``exhausted`` is False
-    when the leaf budget tripped, i.e. absence of maps was not proven.
-
-    For automorphisms (``ct_src is ct_dst``) the maps must form a group.
-    They hold 1 and are generated by the found maps and conjugation by
-    the generators of the source, so it suffices that composing every
-    map with each of those gives a map again; a map is fixed by its
-    images of src_gens, so those are compared.  Else ``RuntimeError``.
-    """
-    n = ct_src.n
-    if not src_gens:  # trivial groups: the one map sends 1 to 1
-        return np.full((1, n), ct_dst.identity, dtype=np.int64), True
-    empty = np.empty((0, n), dtype=np.int64)
-    buckets = {}
-    for x in range(ct_dst.n):
-        buckets.setdefault(fps_dst[x], []).append(x)
-    candidate_sets = []
-    for g in src_gens:
-        cands = buckets.get(fps_src[g])
-        if not cands:
-            return empty, True
-        candidate_sets.append(np.array(cands))
-    last = len(src_gens) - 1
-    words = [w for w in _WORDS if max(w) <= last]
-    word_profile = _word_orders(ct_src, np.array([src_gens]), words)
-    schedule = _bfs_schedule(ct_src, src_gens)
-    conj = _conjugation_matrix(ct_dst)
-    budget = config.LIMITS.max_iso_leaves
-    leaves = 0
-
-    def search(prefix: tuple, cent: np.ndarray):
-        # cent: the elements centralising every image in prefix
-        nonlocal leaves
-        if leaves > budget:
-            return
-        cands = candidate_sets[len(prefix)]
-        reps = cands[conj[np.ix_(cent, cands)].min(0) == cands]
-        if len(prefix) < last:
-            for x in reps.tolist():
-                yield from search(prefix + (x,), cent[conj[cent, x] == x])
-            return
-        leaves += len(reps)
-        if leaves > budget:
-            return
-        dst_gens = np.empty((len(reps), last + 1), dtype=np.int64)
-        dst_gens[:, :last] = prefix
-        dst_gens[:, last] = reps
-        dst_gens = dst_gens[
-            (_word_orders(ct_dst, dst_gens, words) == word_profile).all(0)]
-        if not len(dst_gens):
-            return
-        sigma = _extend_map(ct_src, ct_dst, schedule, src_gens, dst_gens)
-        sigma = sigma[_respects_generators(ct_src, ct_dst, src_gens,
-                                           dst_gens, sigma)]
-        if len(sigma):
-            yield sigma
-
-    found = list(search((), np.arange(ct_dst.n)))
-    if leaves > budget:
-        return empty, False
-    if not found:
-        return empty, True
-    found = np.concatenate(found)
-    inner = _inner_rows(ct_src, conj if ct_src is ct_dst
-                        else _conjugation_matrix(ct_src))
-    maps = found[:, inner].reshape(-1, n)
-    # rows of big-endian words compare bytewise in lexicographic order
-    keys = np.ascontiguousarray(maps, dtype=">u4").view(f"V{4 * n}")
-    maps = maps[np.argsort(keys.ravel())]
-    distinct = 1 + int((maps[1:] != maps[:-1]).any(1).sum())
-    if distinct != len(inner) * len(found):
-        raise RuntimeError(
-            f"{len(found)} maps times {len(inner)} inner automorphisms "
-            f"give {distinct} distinct maps")
-    if ct_src is ct_dst:
-        gens = np.concatenate([found, conj[list(ct_src.gen_indices)]])
-        # row (s, g): the src_gens images of maps[s] composed with gens[g]
-        products = maps[:, gens[:, src_gens]].reshape(-1, len(src_gens))
-        images = set(map(tuple, maps[:, src_gens].tolist()))
-        if not images.issuperset(map(tuple, products.tolist())):
-            raise RuntimeError(
-                f"the {len(maps)} maps are not closed under composition")
-    return maps, True
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +197,88 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
     """Complete Aut(L) as a sorted (|Aut|, n) int array on the element
     indices of L: Inn(L) times one searched map per coset of Inn(L).
 
-    Pruning is by fingerprint buckets, word orders and inner
-    automorphisms; every searched candidate is validated by
-    ``_respects_generators``, and ``_iso_maps`` checks that the maps are
-    closed under composition.  The search runs on the Cayley table, so
-    the dense-table cap bounds |L|.
+    A generating sequence g_0, ..., g_last of L is mapped onto candidate
+    image tuples.  Two automorphisms differing by an inner one send it
+    to simultaneously conjugate tuples, and conjugation fixes a
+    generating tuple only for elements of Z(L).  So the image of g_0
+    runs over one representative per conjugacy class of its fingerprint
+    bucket, that of g_k over one per orbit of C(r_0) & ... & C(r_(k-1))
+    on its bucket, and each class of maps is validated once by
+    ``_respects_generators`` (the last generator's candidates in one
+    batch, after a word-order filter).  Each g_k lies in its own bucket
+    and the identity map is among the classes, so some map is found.
+    The maps are the found ones composed with Inn(L), sorted; they must
+    be pairwise distinct and closed under composition: they hold 1 and
+    are generated by the found maps and conjugation by the generators of
+    L, so composing every map with each of those must give a map again
+    (a map is fixed by its images of the g_k, so those are compared).
+    Else ``RuntimeError``.
+
+    More than ``max_iso_leaves`` validated candidates raise
+    ``CapExceededError``.  The search runs on the Cayley table, so the
+    dense-table cap bounds |L|.
     """
     ct = L.cayley_table()
+    n = ct.n
     fps = _element_fingerprints(ct)
     src_gens = _generating_sequence(L, ct, fps)
-    maps, exhausted = _iso_maps(ct, ct, src_gens, fps, fps)
-    if not exhausted:
-        raise CapExceededError("automorphism search exceeded leaf budget")
+    if not src_gens:  # trivial groups: the one map sends 1 to 1
+        return np.full((1, n), ct.identity, dtype=np.int64)
+    buckets = {}
+    for x in range(n):
+        buckets.setdefault(fps[x], []).append(x)
+    candidate_sets = [np.array(buckets[fps[g]]) for g in src_gens]
+    last = len(src_gens) - 1
+    words = [w for w in _WORDS if max(w) <= last]
+    word_profile = _word_orders(ct, np.array([src_gens]), words)
+    schedule = _bfs_schedule(ct, src_gens)
+    conj = _conjugation_matrix(ct)
+    budget = config.LIMITS.max_iso_leaves
+    leaves = 0
+    found = []
+
+    def search(prefix: tuple, cent: np.ndarray) -> None:
+        # cent: the elements centralising every image in prefix
+        nonlocal leaves
+        cands = candidate_sets[len(prefix)]
+        reps = cands[conj[np.ix_(cent, cands)].min(0) == cands]
+        if len(prefix) < last:
+            for x in reps.tolist():
+                search(prefix + (x,), cent[conj[cent, x] == x])
+            return
+        leaves += len(reps)
+        if leaves > budget:
+            raise CapExceededError(
+                "automorphism search exceeded leaf budget")
+        dst_gens = np.empty((len(reps), last + 1), dtype=np.int64)
+        dst_gens[:, :last] = prefix
+        dst_gens[:, last] = reps
+        dst_gens = dst_gens[
+            (_word_orders(ct, dst_gens, words) == word_profile).all(0)]
+        if len(dst_gens):
+            sigma = _extend_map(ct, schedule, src_gens, dst_gens)
+            found.append(sigma[_respects_generators(ct, src_gens, dst_gens,
+                                                    sigma)])
+
+    search((), np.arange(n))
+    found = np.concatenate(found)
+    inner = _inner_rows(ct, conj)
+    maps = found[:, inner].reshape(-1, n)
+    # rows of big-endian words compare bytewise in lexicographic order
+    keys = np.ascontiguousarray(maps, dtype=">u4").view(f"V{4 * n}")
+    maps = maps[np.argsort(keys.ravel())]
+    distinct = 1 + int((maps[1:] != maps[:-1]).any(1).sum())
+    if distinct != len(inner) * len(found):
+        raise RuntimeError(
+            f"{len(found)} maps times {len(inner)} inner automorphisms "
+            f"give {distinct} distinct maps")
+    gens = np.concatenate([found, conj[list(ct.gen_indices)]])
+    # row (s, g): the src_gens images of maps[s] composed with gens[g]
+    products = maps[:, gens[:, src_gens]].reshape(-1, len(src_gens))
+    images = set(map(tuple, maps[:, src_gens].tolist()))
+    if not images.issuperset(map(tuple, products.tolist())):
+        raise RuntimeError(
+            f"the {len(maps)} maps are not closed under composition")
     return maps
 
 

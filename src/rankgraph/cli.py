@@ -37,6 +37,7 @@ from .sweep import (
     cap_skipped,
     critical_flags,
     load_records,
+    resolve_policy,
     sweep,
     unexpected_errors,
 )
@@ -95,6 +96,9 @@ def cmd_sweep(args) -> int:
     if args.d is not None:
         hi = args.d_max if args.d_max is not None else args.d
         policy = ("range", args.d, hi)
+    elif args.d_max is not None:
+        raise ValueError("--d-max needs --d")
+    resolve_policy(policy)  # a bad range is refused before --out is opened
     earlier = []
     if args.resume and args.out:
         earlier = load_records(args.out)
@@ -137,7 +141,7 @@ def cmd_crown(args) -> int:
     mono = MonolithicGroup.from_group(entry.group(), entry.id)
     t0 = time.perf_counter()
     if args.check == "delta":
-        delta, table = delta_Lt(mono, args.t, verify=args.verify_witness)[:2]
+        delta, table = delta_Lt(mono, args.t, verify=args.verify_witness)
         payload = {"L": entry.id, "t": args.t, "delta": delta,
                    "orbit_count": delta, "omega": len(table.tuples),
                    "seed": args.seed,

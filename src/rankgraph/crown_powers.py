@@ -168,8 +168,8 @@ class CrownPower:
     """L_k realized on k disjoint copies of the domain of L.
 
     The degree k * deg(L) and the order |L/N| |N|^k are known from the
-    construction.  The generators and the stabilizer chain of ``group``
-    grow with k, so they are built on first access only.
+    construction.  The generators grow with k, so they are built on
+    first access only.
     """
 
     base: MonolithicGroup
@@ -206,16 +206,6 @@ class CrownPower:
                 gens.append(_from_coordinates(coords))
         return gens
 
-    @cached_property
-    def group(self) -> PermutationGroup:
-        """L_k as a permutation group, its order certified by a chain."""
-        G = PermutationGroup(self.degree, self.generators,
-                             known_order=self.order)
-        if G.order != self.order:
-            raise GroupArgumentError(
-                f"crown power order {G.order} != expected {self.order}")
-        return G
-
 
 def _from_coordinates(coords: Sequence[Permutation]) -> Permutation:
     """The element of L^k with coordinates l_1, ..., l_k, acting on k
@@ -228,12 +218,8 @@ def _from_coordinates(coords: Sequence[Permutation]) -> Permutation:
 
 
 def build_crown_power(L: MonolithicGroup, k: int) -> CrownPower:
-    """L_k of degree k * deg(L).
-
-    No chain is built here: ``CrownPower.group`` builds and certifies one
-    on first access, and a witness is certified without it by
-    ``columns_generate``.
-    """
+    """L_k of degree k * deg(L).  No stabilizer chain is built: a
+    witness is certified by ``columns_generate``."""
     if k < 1:
         raise GroupArgumentError("k must be positive")
     return CrownPower(L, k)
@@ -283,17 +269,6 @@ def square_order(ct, pairs: Sequence[tuple], target: int = 0) -> int:
     return len(P) * len(K)
 
 
-def column_elements(L: MonolithicGroup, columns: Sequence[tuple]) -> list:
-    """The t elements of L^k whose coordinates are given by columns.
-
-    ``columns[j]`` holds the element indices (c_j[1], ..., c_j[t]); the
-    s-th element is (c_1[s], ..., c_k[s]) on k copies of L's domain.
-    """
-    ct = L.ct()
-    return [_from_coordinates([ct.perm(col[s]) for col in columns])
-            for s in range(len(columns[0]))]
-
-
 def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
     """Do the elements with these coordinate columns generate L_k?
 
@@ -335,8 +310,8 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
         if not len(rest):
             continue
         gens = columns[i]
-        sigma = _extend_map(ct, ct, _bfs_schedule(ct, gens), gens, rest)
-        if _respects_generators(ct, ct, gens, rest, sigma).any():
+        sigma = _extend_map(ct, _bfs_schedule(ct, gens), gens, rest)
+        if _respects_generators(ct, gens, rest, sigma).any():
             return False
     return True
 
@@ -358,7 +333,6 @@ class OrbitTable:
     mono: MonolithicGroup
     a: tuple  # element indices of the fixed generating tuple
     tuples: list
-    index: dict
     labels: list
     orbit_count: int
     reps: list
@@ -367,6 +341,11 @@ class OrbitTable:
     @property
     def t(self) -> int:
         return len(self.a)
+
+    @cached_property
+    def index(self) -> dict:
+        """Tuple -> its position in ``tuples``, built on first use."""
+        return {t: i for i, t in enumerate(self.tuples)}
 
     def label_of(self, column: tuple) -> Optional[int]:
         i = self.index.get(column)
@@ -421,8 +400,7 @@ def omega_table(L: MonolithicGroup, a: Sequence[int]) -> OrbitTable:
     if len(tuples) != count * len(X):
         raise RuntimeError(
             f"|Omega| = {len(tuples)} != {count} orbits * |X| = {len(X)}")
-    return OrbitTable(L, a, tuples, {t: i for i, t in enumerate(tuples)},
-                      labels, count, reps)
+    return OrbitTable(L, a, tuples, labels, count, reps)
 
 
 def _generating_tuples(reg, cosets):
@@ -444,29 +422,25 @@ def _generating_tuples(reg, cosets):
 
 def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False,
              a: Optional[Sequence[int]] = None):
-    """delta(L, t): the X-orbit count on the generating coset tuples.
+    """delta(L, t) and the orbit table: (delta, table).
 
-    With ``verify`` the witness tuple whose columns are the complete
-    orbit-representative system is certified to generate L_delta by the
-    subdirect-product lemma (``columns_generate``), with no stabilizer
-    chain; a failure raises ``WitnessSearchFailure``.  Returns
-    (delta, table) or (delta, table, crown, witness) in verify mode, the
-    crown power's group still unbuilt.
+    delta is the X-orbit count on the generating coset tuples.  With
+    ``verify`` the witness, the t elements of L_delta whose columns are
+    the complete orbit-representative system ``table.reps``, is
+    certified to generate L_delta by the subdirect-product lemma
+    (``columns_generate``), with no stabilizer chain; a failure raises
+    ``WitnessSearchFailure``.
     """
     if a is None:
         a = default_generating_tuple(L, t)
     elif t < min_rank(L.group).d:
         raise PreconditionError(f"t = {t} < d(L)")
     table = omega_table(L, a)
-    delta = table.orbit_count
-    if not verify:
-        return delta, table
-    crown = build_crown_power(L, delta)
     # rep entries already carry the a_i factor: rep[i] = a_i n_{i,rep}
-    if not columns_generate(L, table.reps):
+    if verify and not columns_generate(L, table.reps):
         raise WitnessSearchFailure(
             "orbit-representative witness failed to generate the crown power")
-    return delta, table, crown, column_elements(L, table.reps)
+    return table.orbit_count, table
 
 
 def generation_via_orbits(table: OrbitTable,
@@ -841,64 +815,28 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
 
 
 # ---------------------------------------------------------------------------
-# index partitions and the meet condition
+# the meet condition
 
 
-@dataclass(frozen=True)
-class IndexPartition:
-    """Partition of {0..n-1}; ordered by coarseness, single block smallest."""
+def meet_is_single_block(table: OrbitTable,
+                         columns: Optional[Sequence[tuple]] = None) -> bool:
+    """Is the meet of the row partitions pi_1, ..., pi_t one block?
 
-    n: int
-    parts: tuple  # tuple of sorted tuples, ordered by smallest member
-
-    @classmethod
-    def from_keys(cls, keys: Sequence) -> "IndexPartition":
-        groups: dict = {}
-        for pos, key in enumerate(keys):
-            groups.setdefault(key, []).append(pos)
-        parts = tuple(sorted((tuple(sorted(g)) for g in groups.values()),
-                             key=lambda p: p[0]))
-        return cls(len(keys), parts)
-
-    @property
-    def is_single_block(self) -> bool:
-        return len(self.parts) <= 1
-
-
-def partition_meet(partitions: Sequence[IndexPartition]) -> IndexPartition:
-    """Greatest lower bound when the single-block partition is smallest.
-
-    With that order the meet is the finest common coarsening: positions
-    are linked whenever some partition puts them in one part.
-    """
-    if not partitions:
-        raise GroupArgumentError("need at least one partition")
-    n = partitions[0].n
-    linked = np.zeros((n, n), dtype=bool)
-    for pi in partitions:
-        for part in pi.parts:
-            linked[np.ix_(part, part)] = True
-    return IndexPartition.from_keys(component_labels(linked).tolist())
-
-
-def partitions_pi(table: OrbitTable,
-                  columns: Optional[Sequence[tuple]] = None):
-    """Row partitions of the column set by X-conjugacy of entries.
-
-    Columns default to the complete orbit-representative system (the
-    reference matrix for L_delta).  Positions j1, j2 fall in the same
-    part of pi_i exactly when the row-i entries are in one X-orbit.
-    Returns (partitions, meet, meet_is_single_block).
+    pi_i puts column positions j1, j2 in one part when their row-i
+    entries lie in one X-orbit.  Ordered with the single block smallest,
+    the meet is the finest common coarsening: positions are linked when
+    they agree in some row, and the meet is one block iff the link graph
+    is connected.  Columns default to the complete orbit-representative
+    system (the reference matrix for L_delta).
     """
     if columns is None:
         columns = table.reps
-    labels = table.mono.element_orbit_labels
-    partitions = []
-    for i in range(table.t):
-        partitions.append(IndexPartition.from_keys(
-            [labels[col[i]] for col in columns]))
-    meet = partition_meet(partitions)
-    return partitions, meet, meet.is_single_block
+    labels = np.asarray(table.mono.element_orbit_labels)[
+        np.array(columns, dtype=np.intp)]
+    linked = np.zeros((len(columns), len(columns)), dtype=bool)
+    for row in labels.T:
+        linked |= row[:, None] == row
+    return not component_labels(linked).any()
 
 
 # ---------------------------------------------------------------------------

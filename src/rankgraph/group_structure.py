@@ -32,6 +32,7 @@ from .perm_core import (
     PreconditionError,
     WitnessSearchFailure,
     derived_subgroup,
+    generates,
     is_normal,
     normal_closure,
     subgroup_from_members,
@@ -474,7 +475,6 @@ class RankCertificate:
     witness: tuple  # generating sequence of length d
 
     def check(self) -> bool:
-        from .perm_core import generates
         if self.d == 0:
             return self.group.order == 1
         return generates(self.group, list(self.witness))
@@ -508,8 +508,7 @@ def min_rank(G: PermutationGroup) -> RankCertificate:
         rng = random.Random(0xC0FFEE)
         for _ in range(300):
             x, y = G.random_element(rng), G.random_element(rng)
-            if PermutationGroup(G.degree, [x, y],
-                                known_order=G.order).order == G.order:
+            if generates(G, [x, y]):
                 return RankCertificate(G, 2, (x, y))
     raise CapExceededError(
         f"order {G.order} exceeds dense cap and no small certificate found")
@@ -521,8 +520,7 @@ def _prune_generators(G: PermutationGroup) -> list:
     keep = list(gens)
     for g in gens:
         candidate = [h for h in keep if h != g]
-        if candidate and PermutationGroup(
-                G.degree, candidate, known_order=G.order).order == G.order:
+        if candidate and generates(G, candidate):
             keep = candidate
     return keep
 

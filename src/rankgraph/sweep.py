@@ -96,11 +96,15 @@ def resolve_policy(policy) -> Callable:
     """A d policy from a name in D_POLICIES or ("range", lo, hi).
 
     Names and range specs pickle, so they reach sweep worker processes
-    unchanged.
+    unchanged.  A range needs 2 <= lo <= hi, else ``ValueError``.
     """
     if isinstance(policy, tuple) and len(policy) == 3 and \
             policy[0] == "range":
         _, lo, hi = policy
+        if lo < 2:
+            raise ValueError(f"d must be at least 2, got {lo}")
+        if hi < lo:
+            raise ValueError(f"d range {lo}..{hi} is empty")
         return lambda d_min: list(range(lo, hi + 1))
     try:
         return D_POLICIES[policy]

@@ -18,9 +18,9 @@ from typing import Optional
 
 from .perm_core import (
     GroupArgumentError,
-    PermutationGroup,
     PreconditionError,
     WitnessSearchFailure,
+    generates,
     quotient,
 )
 from .group_structure import (
@@ -46,7 +46,7 @@ from .crown_powers import (
     delta_Lt,
     delu_fraction,
     generation_via_orbits,
-    partitions_pi,
+    meet_is_single_block,
     square_order,
     unico_rank_check,
     weak_connectivity,
@@ -111,8 +111,7 @@ def verify_modgg(seed: int = 42,
                 for _ in range(200):
                     g = [rng.choice(elems) for _ in range(r)]
                     gens = list(g) + list(X) + list(M.generators)
-                    if PermutationGroup(G.degree, gens,
-                                        known_order=G.order).order == G.order:
+                    if generates(G, gens):
                         break
                 else:
                     continue
@@ -123,10 +122,7 @@ def verify_modgg(seed: int = 42,
                     failures.append({"group": gid, "M": M.order, "err": str(e)})
                     continue
                 corrected = [gi * ni for gi, ni in zip(g, ns)]
-                ok = PermutationGroup(
-                    G.degree, corrected + list(X),
-                    known_order=G.order).order == G.order
-                if not ok:
+                if not generates(G, corrected + list(X)):
                     failures.append({"group": gid, "M": M.order,
                                      "err": "corrected tuple fails"})
     return VerifyReport("modgg", not failures, instances, failures,
@@ -569,17 +565,15 @@ def verify_sempreuno(seed: int = 42,
     rng = random.Random(seed)
     L = _mono("A5")
     delta, table = delta_Lt(L, 3)
-    parts, meet, ok = partitions_pi(table)
     failures = []
-    if not ok:
+    if not meet_is_single_block(table):
         failures.append({"err": "meet condition fails at full width",
                          "delta": delta})
     sub_pass = 0
     for _ in range(submatrix_samples):
         cols = [table.reps[i]
                 for i in sorted(rng.sample(range(delta), 3))]
-        _, _, sub_ok = partitions_pi(table, cols)
-        sub_pass += bool(sub_ok)
+        sub_pass += meet_is_single_block(table, cols)
     return VerifyReport(
         "sempreuno", not failures, 1 + submatrix_samples, failures,
         {"delta": delta, "submatrix_pass": sub_pass,

@@ -16,12 +16,17 @@ search checks it on generators only.  ``exhaustive_automorphisms`` tries
 every fingerprint-compatible image tuple of a minimal generating
 sequence, where the search tries one tuple per class of tuples under
 inner automorphisms, and ``inner_automorphisms`` builds Inn(G) from
-conjugation by the generators.  ``isomorphism`` points the same search
-at two groups and keeps its first map.  ``circ`` builds an element a . m of
-a crown power L_k, and ``crown_generates`` decides generation of L_k by
-a stabilizer chain.  ``component``, ``is_congruent``,
-``is_discrete`` and ``refines`` are helpers on crown powers and index
-partitions that only tests ask, as are ``joined`` and ``is_edge_d``,
+conjugation by the generators.  ``isomorphism`` tries every tuple of
+equal-order images of a ``min_rank`` witness, extended breadth first on
+the Cayley table and checked by ``is_homomorphism``; it shares no code
+with the Aut(L) search.  ``circ`` builds an element a . m of a crown
+power L_k, ``column_elements`` the elements of L_k with given coordinate
+columns, ``crown_group`` L_k as a permutation group with its order from
+a chain, and ``crown_generates`` decides generation of L_k by a
+stabilizer chain.  ``meet_blocks`` counts the blocks of the meet of the
+row partitions of a column matrix with a union-find.
+``component`` and ``is_congruent`` are helpers on crown powers that only
+tests ask, as are ``joined`` and ``is_edge_d``,
 the Gamma_d edge test of one mask and of one pair of elements, and
 ``edge_witness``, a generating set of cardinality d through an edge of
 Delta_d.  ``union_find_orbits``
@@ -74,8 +79,6 @@ from rankgraph.automorphisms import (
     _bfs_schedule,
     _element_fingerprints,
     _extend_map,
-    _generating_sequence,
-    _iso_maps,
     _respects_generators,
 )
 from rankgraph.crown_powers import (
@@ -187,33 +190,53 @@ def exhaustive_automorphisms(G) -> list:
     profile = [word_order(src, w) for w in _WORDS]
     dst = [d for d in product(*(buckets[fps[g]] for g in src))
            if all(word_order(d, w) == wp for w, wp in zip(_WORDS, profile))]
-    sigma = _extend_map(ct, ct, _bfs_schedule(ct, src), src, dst)
-    ok = _respects_generators(ct, ct, src, dst, sigma)
+    sigma = _extend_map(ct, _bfs_schedule(ct, src), src, dst)
+    ok = _respects_generators(ct, src, dst, sigma)
     return sorted(Permutation(row) for row in sigma[ok].tolist())
 
 
 @dataclass
 class IsoResult:
-    isomorphic: Optional[bool]  # None when the search budget tripped
+    isomorphic: bool
     map: Optional[list] = None  # element-index map when isomorphic
 
 
+def bfs_extension(ct_src, ct_dst, src, dst) -> list:
+    """sigma(1) = 1 and sigma(x * src[k]) = sigma(x) * dst[k], filled
+    breadth first from the identity; the first image an element gets is
+    kept (-1 where none is reached)."""
+    sigma = [-1] * ct_src.n
+    sigma[ct_src.identity] = ct_dst.identity
+    frontier = [ct_src.identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, h in zip(src, dst):
+                y = ct_src.table[x][g]
+                if sigma[y] < 0:
+                    sigma[y] = ct_dst.table[sigma[x]][h]
+                    new.append(y)
+        frontier = new
+    return sigma
+
+
 def isomorphism(G, H) -> IsoResult:
-    """An isomorphism G -> H by the Aut(L) search pointed at two groups:
-    after the order and fingerprint multisets agree, ``_iso_maps`` finds
-    every map and the first one is kept.  A tripped leaf budget yields
-    ``isomorphic=None`` (absence not proven)."""
+    """An isomorphism G -> H by brute search: the images of a
+    ``min_rank`` witness of G run over every tuple of elements of H of
+    the same orders, each is extended by ``bfs_extension``, and the
+    first extension that ``is_homomorphism`` accepts is kept."""
     if G.order != H.order:
         return IsoResult(False)
     ct_g, ct_h = G.cayley_table(), H.cayley_table()
-    fps_g, fps_h = _element_fingerprints(ct_g), _element_fingerprints(ct_h)
-    if sorted(fps_g) != sorted(fps_h):
-        return IsoResult(False)
-    src_gens = _generating_sequence(G, ct_g, fps_g)
-    maps, exhausted = _iso_maps(ct_g, ct_h, src_gens, fps_g, fps_h)
-    if len(maps):
-        return IsoResult(True, maps[0].tolist())
-    return IsoResult(False if exhausted else None)
+    src = [ct_g.index[p.images] for p in min_rank(G).witness]
+    by_order = {}
+    for y in range(ct_h.n):
+        by_order.setdefault(ct_h.order_of[y], []).append(y)
+    for dst in product(*(by_order.get(ct_g.order_of[x], []) for x in src)):
+        sigma = bfs_extension(ct_g, ct_h, src, dst)
+        if is_homomorphism(ct_g, ct_h, np.array(sigma)):
+            return IsoResult(True, sigma)
+    return IsoResult(False)
 
 
 def component(cp, p, j: int) -> Permutation:
@@ -233,6 +256,23 @@ def circ(L, a: Permutation, m) -> Permutation:
     return _from_coordinates([a * n for n in m])
 
 
+def column_elements(L, columns) -> list:
+    """The t elements of L^k whose coordinates are given by columns.
+
+    ``columns[j]`` holds the element indices (c_j[1], ..., c_j[t]); the
+    s-th element is (c_1[s], ..., c_k[s]) on k copies of L's domain.
+    """
+    ct = L.ct()
+    return [_from_coordinates([ct.perm(col[s]) for col in columns])
+            for s in range(len(columns[0]))]
+
+
+def crown_group(cp) -> PermutationGroup:
+    """L_k as the permutation group its generators give, its order from
+    a stabilizer chain built without the known order."""
+    return PermutationGroup(cp.degree, cp.generators)
+
+
 def crown_generates(cp, elems) -> bool:
     """Direct stabilizer-chain generation test inside L_k: the oracle
     that ``columns_generate``, ``square_order`` and the orbit criterion
@@ -250,18 +290,18 @@ def is_congruent(cp, p) -> bool:
     return all(N.contains(first.inverse() * c) for c in comps[1:])
 
 
-def is_discrete(partition) -> bool:
-    """Every part of an ``IndexPartition`` is a singleton."""
-    return all(len(p) == 1 for p in partition.parts)
-
-
-def refines(fine, coarse) -> bool:
-    """Every part of ``fine`` lies inside a part of ``coarse``."""
-    where = {}
-    for k, part in enumerate(coarse.parts):
-        for x in part:
-            where[x] = k
-    return all(len({where[x] for x in part}) == 1 for part in fine.parts)
+def meet_blocks(table, columns) -> int:
+    """The number of blocks of the meet of the row partitions of a column
+    matrix: a union-find joins two positions whenever their entries in
+    some row lie in one X-orbit, the orbit of x being column x of the
+    rows of X."""
+    orbit = table.mono.x_group.min(0).tolist()  # least member per orbit
+    uf = UnionFind(len(columns))
+    for i in range(table.t):
+        first = {}
+        for pos, col in enumerate(columns):
+            uf.union(first.setdefault(orbit[col[i]], pos), pos)
+    return len({uf.find(pos) for pos in range(len(columns))})
 
 
 def joined(oracle, mask: int, d: int) -> bool:

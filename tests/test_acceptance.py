@@ -13,11 +13,17 @@ from fractions import Fraction
 import pytest
 
 from rankgraph.catalog import default_catalog, find_entry
-from rankgraph.crown_powers import MonolithicGroup, delta_Lt
+from rankgraph.crown_powers import (
+    MonolithicGroup,
+    build_crown_power,
+    delta_Lt,
+)
 from rankgraph.graphs import build_delta_d, components, delta_summary, diameter
 from rankgraph.group_structure import is_soluble, min_rank
 from rankgraph.sweep import critical_flags, sweep
 from rankgraph.verify import run_verifier
+
+from oracles import column_elements, crown_generates
 
 
 def _report(num: int, text: str, ok: bool, elapsed: float) -> None:
@@ -164,17 +170,21 @@ def test_criterion_8_delta_a5_nineteen():
     t0 = time.perf_counter()
     A5 = MonolithicGroup.from_group(
         find_entry(default_catalog(), "A5").group(), "A5")
-    delta, table, crown, witness = delta_Lt(A5, 2, verify=True)
+    delta, table = delta_Lt(A5, 2, verify=True)
+    crown = build_crown_power(A5, delta)
+    # the witness itself, checked by a stabilizer chain in L_19
+    generated = crown_generates(crown, column_elements(A5, table.reps))
     elapsed = time.perf_counter() - t0
     ok = (delta == 19 and len(table.tuples) == 2280
-          and crown.group.degree == 95 and crown.group.order == 60 ** 19
-          and elapsed < 300)
+          and crown.degree == 95 and crown.order == 60 ** 19
+          and generated and elapsed < 300)
     _report(8, f"delta(A5,2) = {delta}, witness pair generates the "
-               f"degree-{crown.group.degree} power of order 60^19", ok,
+               f"degree-{crown.degree} power of order 60^19", ok,
             elapsed)
     assert delta == 19
     assert len(table.tuples) == 2280
-    assert crown.group.order == 60 ** 19
+    assert crown.order == 60 ** 19
+    assert generated
     assert elapsed < 300
 
 

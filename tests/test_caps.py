@@ -61,6 +61,14 @@ def test_dense_cap_bounds_the_aut_search():
         automorphism_group(alternating(5).group())
 
 
+def test_leaf_budget_bounds_the_aut_search():
+    # A5 needs a validated candidate, so a budget of 0 trips the search
+    with caps(max_iso_leaves=0), pytest.raises(CapExceededError,
+                                               match="leaf budget"):
+        automorphism_group(alternating(5).group())
+    assert len(automorphism_group(alternating(5).group())) == 120
+
+
 def test_element_cap_holds_for_a_cached_list():
     G = symmetric(4).group()
     assert len(G.elements()) == 24

@@ -553,6 +553,20 @@ class TestCLI:
                 for g in json.loads(line)["graphs"]} == {4}
         assert run(2) == serial
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("bad", [["--d", "1"], ["--d", "5", "--d-max", "3"],
+                                     ["--d-max", "3"]],
+                             ids=["d-below-2", "empty-range", "d-max-alone"])
+    def test_sweep_bad_d_range_exits_2(self, tmp_path, capsys, bad, jobs):
+        # refused before --out is opened: an existing file is kept
+        out = tmp_path / "records.jsonl"
+        out.write_text("kept\n")
+        rc = cli_main(["sweep", "--max-order", "12", "--jobs", jobs,
+                       "--out", str(out)] + bad)
+        assert rc == 2
+        assert "swept" not in capsys.readouterr().out
+        assert out.read_text() == "kept\n"
+
     def test_export_dot(self, tmp_path):
         out = tmp_path / "g.dot"
         rc = cli_main(["export-dot", "--group", "E2^2", "--d", "2",

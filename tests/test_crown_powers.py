@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -21,16 +22,13 @@ from rankgraph.crown_powers import (
     _from_coordinates,
     build_crown_power,
     cln_witness,
-    column_elements,
     columns_generate,
     default_generating_tuple,
     delta_Lt,
     delu_fraction,
     generation_via_orbits,
+    meet_is_single_block,
     omega_table,
-    partitions_pi,
-    IndexPartition,
-    partition_meet,
     square_order,
     unico_rank_check,
     weak_connectivity,
@@ -44,15 +42,16 @@ from oracles import (
     ClosureOracle,
     circ,
     class_graph_edges,
+    column_elements,
     component,
     crown_edge,
     crown_generates,
     crown_graph,
+    crown_group,
     is_congruent,
-    is_discrete,
+    meet_blocks,
     pairwise_edges,
     pairwise_sampled_weak_connectivity,
-    refines,
 )
 
 
@@ -95,27 +94,28 @@ class TestMonolithic:
 class TestCrownPower:
     def test_k1_is_l_itself(self, A5m):
         cp = build_crown_power(A5m, 1)
-        assert cp.group.order == 60
-        assert cp.group.degree == 5
+        assert crown_group(cp).order == 60
+        assert crown_group(cp).degree == 5
 
     def test_a5_squared(self, A5m):
         cp = build_crown_power(A5m, 2)
-        assert cp.group.order == 3600
+        assert crown_group(cp).order == 3600
 
     def test_s5_power_two(self, S5m):
         cp = build_crown_power(S5m, 2)
-        assert cp.group.order == 2 * 60 * 60
+        assert crown_group(cp).order == 2 * 60 * 60
 
     def test_order_certified_for_k3(self, S5m):
         # the per-coordinate socle generators matter from k = 3 on
         cp = build_crown_power(S5m, 3)
-        assert cp.group.order == 2 * 60 ** 3
+        assert crown_group(cp).order == 2 * 60 ** 3
 
     def test_congruence_members(self, S5m):
         cp = build_crown_power(S5m, 2)
+        G = crown_group(cp)
         rng = random.Random(0)
         for _ in range(15):
-            p = cp.group.random_element(rng)
+            p = G.random_element(rng)
             assert is_congruent(cp, p)
 
     def test_circ_diagonal(self, A5m):
@@ -144,11 +144,14 @@ class TestCrownPower:
             circ(S5m, cyc(5, [0, 1]), [cyc(5, [0, 1]), Permutation.identity(5)])
 
     def test_chain_built_on_first_access(self, S5m):
+        # degree and order come from the construction; the generators
+        # are built on first access and give a group of that order
         cp = build_crown_power(S5m, 4)
         assert (cp.degree, cp.order) == (20, 2 * 60 ** 4)
-        assert "group" not in vars(cp) and "generators" not in vars(cp)
-        assert cp.group.order == cp.order and cp.group.degree == cp.degree
-        assert list(cp.group.generators) == cp.generators
+        assert "generators" not in vars(cp)
+        G = crown_group(cp)
+        assert G.order == cp.order and G.degree == cp.degree
+        assert list(G.generators) == cp.generators
 
 
 @pytest.fixture(scope="module")
@@ -379,9 +382,10 @@ class TestDeltaLt:
             delta_Lt(A5m, 1)
 
     def test_verified_witness_small(self, S5m):
-        delta, table, crown, witness = delta_Lt(S5m, 2, verify=True)
-        assert crown.group.order == 2 * 60 ** delta
-        assert crown_generates(crown, witness)
+        delta, table = delta_Lt(S5m, 2, verify=True)
+        crown = build_crown_power(S5m, delta)
+        assert crown_group(crown).order == 2 * 60 ** delta
+        assert crown_generates(crown, column_elements(S5m, table.reps))
 
 
 class TestGenerationViaOrbits:
@@ -638,36 +642,64 @@ class TestCrownEdgeStream:
 
 
 class TestPartitions:
+    """``meet_is_single_block`` against the union-find of ``meet_blocks``."""
+
     def test_single_column(self, A5m):
         _, table = delta_Lt(A5m, 2)
-        parts, meet, ok = partitions_pi(table, [table.reps[0]])
-        assert ok
-        assert all(p.is_single_block for p in parts)
+        assert meet_is_single_block(table, [table.reps[0]])
+        assert meet_blocks(table, [table.reps[0]]) == 1
 
     def test_same_orbit_entries_share_part(self, A5m):
+        # two columns are linked iff some row holds entries of one X-orbit
         _, table = delta_Lt(A5m, 3)
         labels = A5m.element_orbit_labels
-        cols = [table.reps[0], table.reps[1], table.reps[2]]
-        parts, _, _ = partitions_pi(table, cols)
-        for i, pi in enumerate(parts):
-            keys = [labels[c[i]] for c in cols]
-            for part in pi.parts:
-                vals = {keys[pos] for pos in part}
-                assert len(vals) == 1
+        rng = random.Random(4)
+        verdicts = set()
+        for _ in range(40):
+            c1, c2 = rng.sample(table.reps, 2)
+            linked = any(labels[x] == labels[y] for x, y in zip(c1, c2))
+            assert meet_is_single_block(table, [c1, c2]) == linked
+            verdicts.add(linked)
+        assert verdicts == {True, False}
 
-    def test_meet_convention(self):
-        p1 = IndexPartition.from_keys([0, 0, 1])
-        p2 = IndexPartition.from_keys([0, 1, 1])
-        meet = partition_meet([p1, p2])
-        assert meet.is_single_block
-        p3 = IndexPartition.from_keys([0, 1, 2])
-        assert is_discrete(partition_meet([p3, p3]))
+    def test_meet_convention(self, A5m):
+        # row partitions {01|2} and {0|12} meet in one block (the finest
+        # common coarsening); discrete rows stay three blocks
+        _, table = delta_Lt(A5m, 2)
+        labels = A5m.element_orbit_labels
 
-    def test_refinement_order(self):
-        fine = IndexPartition.from_keys([0, 1, 2])
-        coarse = IndexPartition.from_keys([0, 0, 0])
-        assert refines(fine, coarse)
-        assert not refines(coarse, fine)
+        def keys(cols):
+            out = []
+            for i in range(2):
+                first = {}
+                out.append([first.setdefault(labels[c[i]], len(first))
+                            for c in cols])
+            return out
+
+        def find(want):
+            return next(list(cols) for cols in
+                        itertools.combinations(table.reps, 3)
+                        if keys(cols) == want)
+
+        assert meet_is_single_block(table, find([[0, 0, 1], [0, 1, 1]]))
+        apart = find([[0, 1, 2], [0, 1, 2]])
+        assert not meet_is_single_block(table, apart)
+        assert meet_blocks(table, apart) == 3
+
+    @pytest.mark.parametrize("t", [2, 3])
+    def test_matches_union_find_oracle(self, A5m, t):
+        # full width (delta columns) and 60 seeded subsets of 1-6 columns
+        delta, table = delta_Lt(A5m, t)
+        assert meet_is_single_block(table) == (meet_blocks(table,
+                                                           table.reps) == 1)
+        rng = random.Random(t)
+        verdicts = set()
+        for _ in range(60):
+            cols = rng.sample(table.reps, rng.randint(1, 6))
+            got = meet_is_single_block(table, cols)
+            assert got == (meet_blocks(table, cols) == 1), cols
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
 
 class TestDelu:

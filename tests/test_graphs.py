@@ -18,7 +18,6 @@ from rankgraph.graphs import (
     diameter,
     export_dot,
 )
-from rankgraph.crown_powers import IndexPartition, partition_meet
 from rankgraph.group_structure import min_rank
 
 from oracles import (
@@ -216,21 +215,6 @@ class TestFrontierSearchAgainstOracle:
         assert comps.ids == ids
         assert comps.count == count
         assert comps.sizes == [ids.count(c) for c in range(count)]
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 30).flatmap(lambda n: st.lists(
-        st.lists(st.integers(0, 5), min_size=n, max_size=n),
-        min_size=1, max_size=4)))
-    def test_partition_meet_matches_bfs(self, key_lists):
-        n = len(key_lists[0])
-        partitions = [IndexPartition.from_keys(keys) for keys in key_lists]
-        # positions with equal keys in any partition are linked
-        edges = [(i, j) for keys in key_lists for i in range(n)
-                 for j in range(i + 1, n) if keys[i] == keys[j]]
-        ids = bfs_components(n, edges)
-        expected = tuple(tuple(x for x in range(n) if ids[x] == c)
-                         for c in range(len(set(ids))))
-        assert partition_meet(partitions).parts == expected
 
     @settings(max_examples=150, deadline=None)
     @given(_sparse_graphs(), st.randoms(use_true_random=False))
