@@ -3,7 +3,8 @@
 Subcommands: analyze, sweep, crown, verify, export-dot, catalog.
 Exit codes: 0 on success, 1 when a run finds a theorem violation
 (CRITICAL sweep flag, failed verification or a WitnessSearchFailure) or
-a sweep record holds an unexpected error, 2 on usage or resource errors.
+a sweep record holds an unexpected error, 2 on usage, file or resource
+errors.
 A sweep entry skipped at a resource cap is recorded and does not change
 the exit code.
 """
@@ -68,6 +69,8 @@ def _graph(args, G):
     """The graph that ``--graph`` names, with d from ``--d``, else 2 for
     the generating graph, else d(G)."""
     d = args.d
+    if args.graph == "generating" and d not in (None, 2):
+        raise ValueError(f"the generating graph has d = 2, got --d {d}")
     if d is None:
         d = 2 if args.graph == "generating" else min_rank(G).d
     if args.graph == "gamma":
@@ -196,6 +199,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    if not args.out:
+        raise ValueError("export-dot needs --out")
     entry = _entry(args, args.group)
     graph = _graph(args, entry.group())
     export_dot(graph, args.out)
@@ -206,7 +211,7 @@ def cmd_export_dot(args) -> int:
 
 def cmd_catalog(args) -> int:
     entries = _entries(args)
-    if args.max_order:
+    if args.max_order is not None:
         entries = [e for e in entries if e.group().order <= args.max_order]
     if args.out:
         cat.save_catalog(entries, args.out)
@@ -255,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="connectivity sweep over the catalog")
     common(p)
-    p.add_argument("--max-order", type=int, default=500)
+    p.add_argument("--max-order", type=_positive_int, default=500)
     p.add_argument("--d-policy", choices=["default", "theorem", "conjecture"],
                    default="default")
     p.add_argument("--d", type=int, help="fixed d range start (overrides policy)")
@@ -295,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="list or export a catalog")
     common(p)
-    p.add_argument("--max-order", type=int)
+    p.add_argument("--max-order", type=_positive_int)
     p.set_defaults(fn=cmd_catalog)
 
     return parser
@@ -313,7 +318,7 @@ def cli_main(argv=None) -> int:
     try:
         with caps(**cap):
             return args.fn(args)
-    except (CatalogError, GroupArgumentError, ValueError) as e:
+    except (CatalogError, GroupArgumentError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CapExceededError as e:

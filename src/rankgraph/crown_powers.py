@@ -71,7 +71,6 @@ class MonolithicGroup:
     socle: PermutationGroup
     socle_abelian: bool
     name: str = ""
-    _cosets: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_group(cls, L: PermutationGroup,
@@ -104,25 +103,19 @@ class MonolithicGroup:
         return tuple(sorted(self.ct().subset_indices(self.socle)))
 
     @cached_property
-    def socle_mask(self) -> np.ndarray:
-        """Boolean array over the element indices: True on the socle."""
-        mask = np.zeros(self.ct().n, dtype=bool)
-        mask[list(self.socle_indices)] = True
-        return mask
-
-    @cached_property
     def coset_labels(self) -> np.ndarray:
         """Per element index c, the least element index of c N."""
         return self.ct().coset_labels(self.socle_indices)
 
-    def coset_indices(self, x: int) -> tuple:
+    @cached_property
+    def socle_mask(self) -> np.ndarray:
+        """True on the socle: the coset labelled by the identity (index 0)."""
+        return self.coset_labels == self.ct().identity
+
+    def coset_indices(self, x: int) -> list:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
-        got = self._cosets.get(x)
-        if got is None:
-            row = self.ct().table[x]
-            got = self._cosets[x] = tuple(sorted(row[n]
-                                                 for n in self.socle_indices))
-        return got
+        labels = self.coset_labels
+        return np.flatnonzero(labels == labels[x]).tolist()
 
     @cached_property
     def socle_bfs_order(self) -> list:
@@ -377,21 +370,13 @@ def default_generating_tuple(L: MonolithicGroup, t: int) -> tuple:
 def omega_table(L: MonolithicGroup, a: Sequence[int]) -> OrbitTable:
     """Enumerate and label the generating coset tuples over (a_1, ..., a_t)."""
     L.require_nonabelian()
-    ct = L.ct()
     a = tuple(a)
-    cosets = [L.coset_indices(x) for x in a]
-    total = 1
-    for c in cosets:
-        total *= len(c)
-    if total > config.LIMITS.max_search_space:
-        raise CapExceededError(
-            f"|N|^t = {total} exceeds search cap "
-            f"{config.LIMITS.max_search_space}")
-    # the cap comes first: it spares an over-cap call the maximal subgroups
     reg = registry_for(L.group)
+    # the search checks its cap when called, before any lattice work
+    search = reg.generating_tuples([L.coset_indices(x) for x in a])
     if reg.mask_of(a):
         raise PreconditionError("the fixed tuple must generate L")
-    tuples = list(_generating_tuples(reg, cosets))
+    tuples = list(search)
     X = L.x_group
     labels, reps = orbits_on_tuples(X, tuples)
     count = len(reps)
@@ -403,25 +388,7 @@ def omega_table(L: MonolithicGroup, a: Sequence[int]) -> OrbitTable:
     return OrbitTable(L, a, tuples, labels, count, reps)
 
 
-def _generating_tuples(reg, cosets):
-    """The tuples with one entry per coset that generate L, in
-    lexicographic order: a prefix-AND of incidence rows, with one row-AND
-    per cell at the last coordinate."""
-    rows = reg.incidence_rows()
-    last = len(cosets) - 1
-
-    def extend(prefix, mask, depth):
-        if depth == last:
-            yield from (prefix + (y,) for y in cosets[last]
-                        if not mask & rows[y])
-            return
-        for x in cosets[depth]:
-            yield from extend(prefix + (x,), mask & rows[x], depth + 1)
-    return extend((), reg.mask_of(()), 0) if cosets else iter(())
-
-
-def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False,
-             a: Optional[Sequence[int]] = None):
+def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False):
     """delta(L, t) and the orbit table: (delta, table).
 
     delta is the X-orbit count on the generating coset tuples.  With
@@ -431,11 +398,7 @@ def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False,
     (``columns_generate``), with no stabilizer chain; a failure raises
     ``WitnessSearchFailure``.
     """
-    if a is None:
-        a = default_generating_tuple(L, t)
-    elif t < min_rank(L.group).d:
-        raise PreconditionError(f"t = {t} < d(L)")
-    table = omega_table(L, a)
+    table = omega_table(L, default_generating_tuple(L, t))
     # rep entries already carry the a_i factor: rep[i] = a_i n_{i,rep}
     if verify and not columns_generate(L, table.reps):
         raise WitnessSearchFailure(
@@ -530,6 +493,7 @@ class CrownGraphBuilder:
         if reg.mask_of(self.a):
             raise PreconditionError("the row tuple must generate L")
         self.socle = L.socle_indices
+        self.cosets = [L.coset_indices(x) for x in self.a]
         self.size = len(self.socle) ** eta
         self._socle_pos = {x: k for k, x in enumerate(self.socle)}
         self.table = table
@@ -638,8 +602,8 @@ class CrownGraphBuilder:
         got = self._complete_memo.get(key)
         if got is None:
             rows, rest = self.rows, free[1:]
-            got = any(self._completes(mask & rows[z], rest) for z in
-                      self.L.coset_indices(self.a[free[0]]))
+            got = any(self._completes(mask & rows[z], rest)
+                      for z in self.cosets[free[0]])
             self._complete_memo[key] = got
         return got
 
@@ -735,9 +699,8 @@ def _exhaustive_report(builder: CrownGraphBuilder,
 
 
 def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
-                              table: OrbitTable,
-                              a: Optional[Sequence[int]] = None,
-                              samples: int = 60, seed: int = 0) -> WeakConnectivityReport:
+                              table: OrbitTable, samples: int = 60,
+                              seed: int = 0) -> WeakConnectivityReport:
     """Sampled weak connectivity for graphs too large to hold explicitly.
 
     Seeded pairs (v1, v2) of non-isolated same-row vertices are checked:
@@ -751,7 +714,7 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
     """
     import random
 
-    builder = CrownGraphBuilder(L, t, eta, a, table)
+    builder = CrownGraphBuilder(L, t, eta, table=table)
     rng = random.Random(seed)
     corrections = builder.corrections
     size = builder.size
@@ -864,18 +827,10 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
         raise PreconditionError("d < d_l(L)")
     if reg.mask_of([l_idx] + b_idx):
         raise PreconditionError("<l, b_1, ..., b_d> != L")
-    socle = L.socle_indices
-    if len(socle) ** d > config.LIMITS.max_search_space:
-        raise CapExceededError("|N|^d over search cap")
-    tbl = ct.table
-    count = 0
-    for combo in itertools.product(socle, repeat=d):
-        mask = rows[l_idx]
-        for bi, ni in zip(b_idx, combo):
-            mask &= rows[tbl[bi][ni]]
-        if not mask:
-            count += 1
-    return Fraction(count, len(socle) ** d)
+    # n -> b_i n maps N onto b_i N: count the tuples over the cosets
+    count = sum(1 for _ in reg.generating_tuples(
+        [L.coset_indices(x) for x in b_idx], rows[l_idx]))
+    return Fraction(count, len(L.socle_indices) ** d)
 
 
 def cln_witness(G: MonolithicGroup, a: int) -> tuple:

@@ -311,11 +311,12 @@ def _rank_graph(G: PermutationGroup, d: int,
 
 
 def _check_graph_args(G: PermutationGroup, d: int) -> None:
-    if d < 2:
-        raise GroupArgumentError("d must be at least 2")
+    # cyclicity first: for a cyclic group, d = d(G) = 1 is not the reason
     if G.order > 1 and min_rank(G).d == 1:
         raise GroupArgumentError(
             "rank graphs are defined for non-cyclic groups only")
+    if d < 2:
+        raise GroupArgumentError("d must be at least 2")
 
 
 @dataclass
@@ -367,8 +368,6 @@ def build_lambda(S: PermutationGroup, x: Permutation,
     the two parts would be literally the same labelled family.
     """
     G = PermutationGroup(S.degree, tuple(S.generators) + (x, y))
-    if not G.contains(x) or not G.contains(y):
-        raise GroupArgumentError("x and y must have the ambient degree")
     from .perm_core import is_normal
     if not is_normal(G, S):
         raise GroupArgumentError("S must be normal in <S, x, y>")

@@ -18,7 +18,7 @@ the mask to 0 (``SubgroupRegistry.mask_dist``).
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -319,6 +319,38 @@ class SubgroupRegistry:
             d -= 1
         return out
 
+    def generating_tuples(self, cells: Sequence[Sequence[int]],
+                          mask: Optional[int] = None):
+        """The tuples with one entry per cell whose incidence rows AND
+        with ``mask`` (default: every maximal subgroup) to 0, lazily, in
+        the product order of the cells.
+
+        A prefix-AND search: each prefix carries the AND of its rows, and
+        the last coordinate costs one row-AND per cell entry.  The search
+        space, the product of the cell sizes, is checked against the cap
+        first, before any incidence row is read.
+        """
+        total = math.prod(map(len, cells))
+        cap = config.LIMITS.max_search_space
+        if total > cap:
+            raise CapExceededError(
+                f"search space of {total} tuples exceeds the cap {cap}")
+        rows = self.incidence_rows()
+        if mask is None:
+            mask = rows[self.ct.identity]
+        if not cells:
+            return iter([] if mask else [()])
+        last = len(cells) - 1
+
+        def extend(prefix, mask, depth):
+            if depth == last:
+                yield from (prefix + (y,) for y in cells[last]
+                            if not mask & rows[y])
+                return
+            for x in cells[depth]:
+                yield from extend(prefix + (x,), mask & rows[x], depth + 1)
+        return extend((), mask, 0)
+
 
 def _is_prime_power(k: int) -> bool:
     """Whether k = p^e for a prime p and e >= 1."""
@@ -455,11 +487,8 @@ def frattini(G: PermutationGroup) -> PermutationGroup:
         return PermutationGroup(G.degree, ())
     reg = registry_for(G)
     ct = reg.ct
-    maximals = reg.maximal_subgroups()
-    if not maximals:
-        return G  # no proper subgroup at all: G trivial handled above
     common = frozenset(range(ct.n))
-    for members in maximals:
+    for members in reg.maximal_subgroups():
         common &= members
     return subgroup_from_members(G.degree, [ct.perm(i) for i in sorted(common)])
 
@@ -574,18 +603,14 @@ def gaschutz_lift(G: PermutationGroup, M: PermutationGroup,
         raise PreconditionError("inputs must lie inside G")
     if reg.mask_of(x_idx + g_idx + m_idx):
         raise PreconditionError("<g, X, M> is not all of G")
-    r = len(g_idx)
     x_mask = reg.mask_of(x_idx)
-    if r < reg.mask_dist(x_mask):
+    if len(g_idx) < reg.mask_dist(x_mask):
         raise PreconditionError("r < d_X(G)")
-    if len(m_idx) ** r > config.LIMITS.max_search_space:
-        raise CapExceededError("correction search space over cap")
-    rows, table = reg.incidence_rows(), ct.table
-    for combo in itertools.product(m_idx, repeat=r):
-        mask = x_mask
-        for gi, ni in zip(g_idx, combo):
-            mask &= rows[table[gi][ni]]
-        if not mask:
-            return tuple(ct.perm(ni) for ni in combo)
-    raise WitnessSearchFailure(
-        "no correction tuple found; contradicts the lifting lemma")
+    table = ct.table
+    # cell i is g_i M, ordered by the correction n in sorted M
+    cells = [[table[gi][n] for n in m_idx] for gi in g_idx]
+    found = next(reg.generating_tuples(cells, x_mask), None)
+    if found is None:
+        raise WitnessSearchFailure(
+            "no correction tuple found; contradicts the lifting lemma")
+    return tuple(ct.perm(table[ct.inv[gi]][y]) for gi, y in zip(g_idx, found))

@@ -248,9 +248,6 @@ class StabilizerChain:
     def order(self) -> int:
         return self._order
 
-    def base(self) -> list:
-        return [lv.point for lv in self.levels]
-
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise DegreeMismatchError(

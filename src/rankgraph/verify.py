@@ -151,8 +151,8 @@ def verify_delu(seed: int = 42, cross_checks: int = 20) -> VerifyReport:
     instances = 0
     for l_idx in range(ct.n):
         # canonical valid completion: first (b1, b2) with <l, b1, b2> = L
-        found = next(((b1, b2) for b1 in range(ct.n) for b2 in range(ct.n)
-                      if not rows[l_idx] & rows[b1] & rows[b2]), None)
+        found = next(reg.generating_tuples([range(ct.n)] * 2, rows[l_idx]),
+                     None)
         if found is None:
             continue
         instances += 1

@@ -19,7 +19,14 @@ from rankgraph.catalog import (
 )
 from rankgraph.cli import cli_main
 from rankgraph.config import Limits, caps
+from rankgraph.crown_powers import MonolithicGroup, delu_fraction, omega_table
 from rankgraph.graphs import delta_summary
+from rankgraph.group_structure import (
+    SubgroupRegistry,
+    gaschutz_lift,
+    min_rank,
+    normal_subgroups,
+)
 from rankgraph import sweep as sweep_mod
 
 
@@ -67,6 +74,52 @@ def test_leaf_budget_bounds_the_aut_search():
                                                match="leaf budget"):
         automorphism_group(alternating(5).group())
     assert len(automorphism_group(alternating(5).group())) == 120
+
+
+def test_omega_search_cap_comes_before_the_lattice(monkeypatch):
+    # a fresh A5: the cap refuses |N|^2 = 3600 tuples before any maximal
+    # subgroup is searched for
+    L = MonolithicGroup.from_group(alternating(5).group(), "A5")
+    ct = L.ct()
+    a = [ct.index[g.images] for g in L.group.generators]
+    assert len(a) == 2
+    calls = []
+    extend = SubgroupRegistry._cyclic_extension
+
+    def counted(reg):
+        calls.append(reg.ct.n)
+        return extend(reg)
+
+    monkeypatch.setattr(SubgroupRegistry, "_cyclic_extension", counted)
+    with caps(max_search_space=3599), pytest.raises(
+            CapExceededError,
+            match="search space of 3600 tuples exceeds the cap 3599"):
+        omega_table(L, a)
+    assert calls == []
+    assert omega_table(L, a).orbit_count == 19
+    assert calls
+
+
+def test_density_search_cap():
+    L = MonolithicGroup.from_group(alternating(5).group(), "A5")
+    l, b1 = min_rank(L.group).witness
+    with caps(max_search_space=3599), pytest.raises(
+            CapExceededError,
+            match="search space of 3600 tuples exceeds the cap 3599"):
+        delu_fraction(L, l, [b1, l])
+    assert delu_fraction(L, l, [b1, l]) > 0
+
+
+def test_lifting_search_cap():
+    # S4 over V4, r = 2 corrections: 4^2 = 16 tuples
+    G = symmetric(4).group()
+    [V4] = [M for M in normal_subgroups(G).normals if M.order == 4]
+    g = list(min_rank(G).witness)
+    with caps(max_search_space=15), pytest.raises(
+            CapExceededError,
+            match="search space of 16 tuples exceeds the cap 15"):
+        gaschutz_lift(G, V4, [], g)
+    assert len(gaschutz_lift(G, V4, [], g)) == 2
 
 
 def test_element_cap_holds_for_a_cached_list():

@@ -28,6 +28,7 @@ from rankgraph.config import caps
 from rankgraph.group_structure import is_simple
 from rankgraph.sweep import load_records, sweep, sweep_entry
 from rankgraph.cli import cli_main
+from rankgraph import cli as cli_mod
 from rankgraph import verify as verify_mod
 
 from oracles import isomorphism
@@ -148,6 +149,36 @@ class TestCatalogIO:
             with pytest.raises(CatalogError, match="always computed"):
                 load_catalog(path)
         assert "automorphisms" not in a4.to_dict()
+
+    def test_unreadable_file_names_its_path(self, tmp_path):
+        path = tmp_path / "missing.json"
+        with pytest.raises(CatalogError,
+                           match=f"{re.escape(str(path))}: cannot read"):
+            load_catalog(path)
+        with pytest.raises(CatalogError, match="cannot read"):
+            load_catalog(tmp_path)  # a directory
+
+    @pytest.mark.parametrize("group_id", ["S5", "PGL(2,7)", "PGL(2,9)",
+                                          "S6"])
+    def test_almost_simple_tag_holds(self, tmp_path, group_id):
+        raw = dict(builtin_entry(group_id).to_dict(), tags=["almost-simple"])
+        path = tmp_path / "as.json"
+        path.write_text(json.dumps({"entries": [raw]}))
+        [entry] = load_catalog(path)
+        assert entry.id == group_id
+
+    @pytest.mark.parametrize("entry", [
+        symmetric(4), direct_product(symmetric(3), symmetric(3)),
+        direct_product(alternating(5), cyclic(2))],
+        ids=["S4", "S3xS3", "A5xC2"])
+    def test_almost_simple_tag_needs_a_simple_socle(self, tmp_path, entry):
+        # S4 and S3xS3 have an abelian socle, A5xC2 the socle A5xC2
+        raw = dict(entry.to_dict(), tags=["almost-simple"])
+        path = tmp_path / "as.json"
+        path.write_text(json.dumps({"entries": [raw]}))
+        with pytest.raises(CatalogError,
+                           match="socle is not non-abelian simple"):
+            load_catalog(path)
 
 
 def strip_timing(rec):
@@ -566,6 +597,66 @@ class TestCLI:
         assert rc == 2
         assert "swept" not in capsys.readouterr().out
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("argv", [
+        ["--catalog", "{missing}/cat.json"],
+        ["--max-order", "6", "--out", "{missing}/dir/x.jsonl"]],
+        ids=["catalog", "out"])
+    def test_sweep_file_errors_exit_2(self, tmp_path, capsys, argv, jobs):
+        missing = tmp_path / "missing"
+        argv = [a.format(missing=missing) for a in argv]
+        assert cli_main(["sweep", "--jobs", jobs] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["catalog", "--catalog", "{missing}"],
+        ["analyze", "--group", "S3", "--d", "2", "--dot", "{missing}/x.dot"],
+        ["verify", "--lemma", "frat", "--out", "{missing}/x.json"]],
+        ids=["catalog", "analyze-dot", "verify-out"])
+    def test_file_errors_exit_2(self, tmp_path, capsys, argv):
+        # 1 is the theorem-violation code; a path that cannot be read or
+        # written is an error of the run's inputs
+        missing = tmp_path / "missing"
+        argv = [a.format(missing=missing) for a in argv]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+    def test_export_dot_needs_out(self, monkeypatch, capsys):
+        def no_graph(args, G):
+            raise AssertionError("graph built")
+        monkeypatch.setattr(cli_mod, "_graph", no_graph)
+        assert cli_main(["export-dot", "--group", "S3"]) == 2
+        assert "export-dot needs --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["catalog", "sweep"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_order_must_be_positive(self, capsys, command, value):
+        assert cli_main([command, "--max-order", value]) == 2
+        err = capsys.readouterr().err
+        assert "--max-order: must be at least 1" in err
+
+    def test_catalog_max_order_one_lists_nothing(self, capsys):
+        assert cli_main(["catalog", "--max-order", "1"]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_generating_graph_refuses_other_d(self, capsys):
+        assert cli_main(["analyze", "--group", "A5", "--graph", "generating",
+                         "--d", "3"]) == 2
+        assert "generating graph has d = 2" in capsys.readouterr().err
+        assert cli_main(["analyze", "--group", "A5", "--graph", "generating",
+                         "--d", "2"]) == 0
+        assert "generating graph d=2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [[], ["--d", "1"], ["--d", "2"]],
+                             ids=["no-d", "d1", "d2"])
+    def test_cyclic_group_names_the_reason(self, capsys, argv):
+        # d(C6) = 1: the refusal names cyclicity, not d < 2
+        assert cli_main(["analyze", "--group", "C6"] + argv) == 2
+        err = capsys.readouterr().err
+        assert "non-cyclic groups only" in err and "at least 2" not in err
 
     def test_export_dot(self, tmp_path):
         out = tmp_path / "g.dot"

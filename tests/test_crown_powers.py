@@ -571,7 +571,7 @@ class TestSampledWeakConnectivity:
         reg = registry_for(S5m.group)
         a = (odd, next(x for x in S5m.socle_indices
                        if not reg.mask_of((odd, x))))
-        _, table = delta_Lt(S5m, 2, a=a)
+        table = omega_table(S5m, a)
         builder = CrownGraphBuilder(S5m, 2, 2, a=a, table=table)
         C = builder.corrections
         rng = random.Random(8)

@@ -108,6 +108,48 @@ def test_gaschutz_lift_matches_closure_oracle(group_id):
     assert checked >= 6
 
 
+@pytest.mark.parametrize("group_id", ["S4", "A5", "PSL(2,7)", "S3xS3",
+                                      "Dih12"])
+def test_generating_tuples_match_closure_oracle(group_id):
+    # seeded unsorted cells of arbitrary elements, searched from the
+    # default mask or from the mask of a seeded start subset; the tuples
+    # come in the product order of the cells
+    G = _group(group_id)
+    reg = registry_for(G)
+    oracle = ClosureOracle(G)
+    n = oracle.ct.n
+    rng = random.Random(24)
+    nonempty = set()
+    for _ in range(16):
+        cells = [rng.sample(range(n), rng.randint(1, 6))
+                 for _ in range(rng.randint(1, 3))]
+        start = tuple(rng.sample(range(n), rng.randrange(3)))
+        want = [tup for tup in itertools.product(*cells)
+                if oracle.generates(start + tup)]
+        mask = reg.mask_of(start) if start else None
+        assert list(reg.generating_tuples(cells, mask)) == want
+        nonempty.add(bool(want))
+    assert nonempty == {False, True}
+    # cells inside one maximal subgroup: no tuple generates
+    M = sorted(reg.maximal_subgroups()[0])
+    rng.shuffle(M)
+    assert list(reg.generating_tuples([M, M[:5]])) == []
+    # no cells: the empty tuple, iff the start mask is already 0
+    assert list(reg.generating_tuples([])) == []
+    assert list(reg.generating_tuples([], 0)) == [()]
+
+
+@pytest.mark.parametrize("group_id", ["A5", "S5", "PSL(2,7)", "PGL(2,7)"])
+def test_coset_indices_match_row_products(group_id):
+    # the definition the coset labels replaced: the sorted x n, n in N
+    L = MonolithicGroup.from_group(_group(group_id), group_id)
+    table = L.ct().table
+    socle = set(L.socle_indices)
+    for x in range(L.ct().n):
+        assert L.coset_indices(x) == sorted(table[x][n] for n in socle)
+    assert L.socle_mask.tolist() == [x in socle for x in range(L.ct().n)]
+
+
 @pytest.mark.parametrize("entry", MONOLITHIC, ids=lambda e: e.id)
 def test_omega_tuples_match_closure_oracle(entry):
     L = MonolithicGroup.from_group(entry.group(), entry.id)
