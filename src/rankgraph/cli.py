@@ -28,10 +28,11 @@ from .perm_core import (
 from . import catalog as cat
 from .catalog import CatalogError
 from .graphs import (
-    analyze_graph,
     build_delta_d,
     build_gamma_d,
+    delta_summary,
     export_dot,
+    graph_kind,
 )
 from .group_structure import min_rank
 from .sweep import (
@@ -58,42 +59,66 @@ def _entry(args, group_id: str):
     return cat.builtin_entry(group_id)
 
 
-def _write_out(args, payload) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+def _open_out(path):
+    """``path`` opened for writing, or a null context without one.  Output
+    files are opened before a run's work, so a path that cannot be
+    written fails at once."""
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
+def _dump(out, payload) -> None:
+    if out is not None:
+        json.dump(payload, out, indent=1, sort_keys=True)
+        out.write("\n")
+
+
+def _graph_d(args, G) -> int:
+    """d from ``--d``, else 2 for the generating graph, else d(G)."""
+    if args.d is not None:
+        return args.d
+    return 2 if args.graph == "generating" else min_rank(G).d
 
 
 def _graph(args, G):
-    """The graph that ``--graph`` names, with d from ``--d``, else 2 for
-    the generating graph, else d(G)."""
-    d = args.d
-    if args.graph == "generating" and d not in (None, 2):
-        raise ValueError(f"the generating graph has d = 2, got --d {d}")
-    if d is None:
-        d = 2 if args.graph == "generating" else min_rank(G).d
-    if args.graph == "gamma":
-        return build_gamma_d(G, d)
-    return build_delta_d(G, d)
+    """The element graph that ``--graph`` names, at ``_graph_d``."""
+    build = build_gamma_d if args.graph == "gamma" else build_delta_d
+    return build(G, _graph_d(args, G))
 
 
 def cmd_analyze(args) -> int:
+    if args.graph == "generating" and args.d not in (None, 2):
+        raise ValueError(
+            f"the generating graph has d = 2, got --d {args.d}")
     entry = _entry(args, args.group)
     G = entry.group()
-    graph = _graph(args, G)
-    stats = analyze_graph(entry.id, graph, with_diameter=args.diameter)
-    print(f"{entry.id}: |G| = {G.order}, {graph.kind} graph d={graph.meta.get('d')}: "
-          f"{stats.n_vertices} vertices, {stats.n_edges} edges, "
-          f"{stats.n_components} component(s)"
-          + (f", diameter {stats.diameter}" if stats.diameter is not None else ""))
-    _write_out(args, json.loads(stats.to_json()))
-    if args.dot:
-        export_dot(graph, args.dot)
+    with _open_out(args.out) as out, _open_out(args.dot) as dot:
+        t0 = time.perf_counter()
+        d = _graph_d(args, G)
+        stats = dataclasses.asdict(
+            delta_summary(G, d, with_diameter=args.diameter))
+        del stats["connected"]
+        if args.graph == "gamma":
+            # each isolated element is a component of diameter 0
+            stats["n_components"] += G.order - stats["n_vertices"]
+            stats["n_vertices"] = G.order
+        elif not stats["n_vertices"]:
+            stats["diameter"] = None  # the empty graph has none
+        stats.update(group_id=entry.id, kind=graph_kind(d),
+                     elapsed_ms=int((time.perf_counter() - t0) * 1000))
+        print(f"{entry.id}: |G| = {G.order}, {stats['kind']} graph d={d}: "
+              f"{stats['n_vertices']} vertices, {stats['n_edges']} edges, "
+              f"{stats['n_components']} component(s)"
+              + (f", diameter {stats['diameter']}"
+                 if stats["diameter"] is not None else ""))
+        _dump(out, stats)
+        if dot is not None:
+            export_dot(_graph(args, G), dot)
     return 0
 
 
 def cmd_sweep(args) -> int:
+    if args.resume and not args.out:
+        raise ValueError("--resume needs --out")
     entries = _entries(args)
     policy = args.d_policy
     if args.d is not None:
@@ -103,7 +128,7 @@ def cmd_sweep(args) -> int:
         raise ValueError("--d-max needs --d")
     resolve_policy(policy)  # a bad range is refused before --out is opened
     earlier = []
-    if args.resume and args.out:
+    if args.resume:
         earlier = load_records(args.out)
         if earlier:
             print(f"resuming: {len(earlier)} group(s) already recorded")
@@ -141,38 +166,40 @@ def cmd_crown(args) -> int:
         weak_connectivity_sampled,
     )
     entry = _entry(args, args.L)
-    mono = MonolithicGroup.from_group(entry.group(), entry.id)
-    t0 = time.perf_counter()
-    if args.check == "delta":
-        delta, table = delta_Lt(mono, args.t, verify=args.verify_witness)
-        payload = {"L": entry.id, "t": args.t, "delta": delta,
-                   "orbit_count": delta, "omega": len(table.tuples),
-                   "seed": args.seed,
-                   "elapsed_ms": int((time.perf_counter() - t0) * 1000)}
-        print(f"delta({entry.id}, {args.t}) = {delta} "
-              f"(|Omega| = {len(table.tuples)})")
-        _write_out(args, payload)
-        return 0
-    # weak connectivity
-    if args.mode == "sampled":
-        _, table = delta_Lt(mono, args.t)
-        rep = weak_connectivity_sampled(mono, args.t, args.eta, table,
-                                        samples=args.samples, seed=args.seed)
-    else:
-        table = None
-        if args.eta > 1:
+    with _open_out(args.out) as out:
+        mono = MonolithicGroup.from_group(entry.group(), entry.id)
+        t0 = time.perf_counter()
+        if args.check == "delta":
+            delta, table = delta_Lt(mono, args.t, verify=args.verify_witness)
+            payload = {"L": entry.id, "t": args.t, "delta": delta,
+                       "orbit_count": delta, "omega": len(table.tuples),
+                       "seed": args.seed,
+                       "elapsed_ms": int((time.perf_counter() - t0) * 1000)}
+            print(f"delta({entry.id}, {args.t}) = {delta} "
+                  f"(|Omega| = {len(table.tuples)})")
+            _dump(out, payload)
+            return 0
+        # weak connectivity
+        if args.mode == "sampled":
             _, table = delta_Lt(mono, args.t)
-        rep = weak_connectivity(mono, args.t, args.eta, table=table)
-    delta = table.orbit_count if table is not None else None
-    payload = {"L": entry.id, "t": args.t, "eta": args.eta, "delta": delta,
-               "orbit_count": delta,
-               "weak_connectivity": "pass" if rep.passed else "fail",
-               "witnesses": [dataclasses.asdict(r) for r in rep.rows],
-               "mode": rep.mode, "seed": args.seed,
-               "elapsed_ms": int((time.perf_counter() - t0) * 1000)}
-    print(rep.summary())
-    _write_out(args, payload)
-    return 0 if rep.passed else 1
+            rep = weak_connectivity_sampled(
+                mono, args.t, args.eta, table, samples=args.samples,
+                seed=args.seed)
+        else:
+            table = None
+            if args.eta > 1:
+                _, table = delta_Lt(mono, args.t)
+            rep = weak_connectivity(mono, args.t, args.eta, table=table)
+        delta = table.orbit_count if table is not None else None
+        payload = {"L": entry.id, "t": args.t, "eta": args.eta,
+                   "delta": delta, "orbit_count": delta,
+                   "weak_connectivity": "pass" if rep.passed else "fail",
+                   "witnesses": [dataclasses.asdict(r) for r in rep.rows],
+                   "mode": rep.mode, "seed": args.seed,
+                   "elapsed_ms": int((time.perf_counter() - t0) * 1000)}
+        print(rep.summary())
+        _dump(out, payload)
+        return 0 if rep.passed else 1
 
 
 def cmd_verify(args) -> int:
@@ -188,13 +215,14 @@ def cmd_verify(args) -> int:
             f"--params must be a JSON object; {args.lemma} accepts "
             f"{verify.suite_parameters(args.lemma)}")
     reports = []
-    for lemma in lemmas:
-        rep = verify.run_verifier(lemma, seed=args.seed, **params)
-        print(rep.summary())
-        for fail in rep.failures[:10]:
-            print(f"  failure: {fail}")
-        reports.append(rep.to_dict())
-    _write_out(args, reports if args.lemma == "all" else reports[0])
+    with _open_out(args.out) as out:
+        for lemma in lemmas:
+            rep = verify.run_verifier(lemma, seed=args.seed, **params)
+            print(rep.summary())
+            for fail in rep.failures[:10]:
+                print(f"  failure: {fail}")
+            reports.append(rep.to_dict())
+        _dump(out, reports if args.lemma == "all" else reports[0])
     return 0 if all(rep["passed"] for rep in reports) else 1
 
 

@@ -26,16 +26,18 @@ the masks as numpy ``uint64`` words and tests each distinct ANDed mask
 once, so the Python work grows with the number of distinct masks, not
 with the number of pairs.
 
-Every graph is held as a symmetric boolean adjacency matrix
-(``ElementGraph.from_matrix``), and one frontier search (``_levels``)
-finds its components (``component_labels``, ``components``) and its
-diameters (``diameter``).
+Rank-graph statistics come from the class adjacency alone
+(``delta_summary``): elements with equal rows have the same neighbours,
+so counts, components and diameters are read off the row classes.
+Element graphs are held as a symmetric boolean adjacency matrix
+(``ElementGraph.from_matrix``) for DOT export and per-vertex components.
+One frontier search (``_levels``) finds components
+(``component_labels``, ``components``) and class eccentricities
+(``class_eccentricities``).
 """
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -57,12 +59,10 @@ class ElementGraph:
     kind: str  # "generating" | "rank-d" | "lambda" | "crown"
     labels: list
     matrix: object  # numpy bool array, n_vertices x n_vertices
-    group: Optional[PermutationGroup] = None
     meta: dict = field(default_factory=dict)
 
     @classmethod
     def from_matrix(cls, kind: str, labels: list, adj,
-                    group: Optional[PermutationGroup] = None,
                     meta: Optional[dict] = None) -> "ElementGraph":
         """The graph on ``labels`` whose distinct vertices v, w are joined
         where ``adj[v, w]``; ``adj`` is symmetric and boolean, and its
@@ -70,7 +70,7 @@ class ElementGraph:
         import numpy as np
         adj = np.array(adj, dtype=bool)
         np.fill_diagonal(adj, False)
-        return cls(kind, labels, adj, group, dict(meta or {}))
+        return cls(kind, labels, adj, dict(meta or {}))
 
     @cached_property
     def adjacency(self) -> list:
@@ -109,34 +109,6 @@ def components(graph: ElementGraph) -> Components:
     count = int(ids.max()) + 1 if len(ids) else 0
     return Components(ids.tolist(), count,
                       np.bincount(ids, minlength=count).tolist())
-
-
-def diameter(graph: ElementGraph, comps: Optional[Components] = None) -> dict:
-    """Exact diameter per component id: the largest eccentricity, each
-    one the number of levels of a frontier search from its vertex, less
-    one (opt-in, it dominates).
-
-    Conjugation by the group is an automorphism of Gamma_d and Delta_d,
-    so on those graphs conjugate vertices have equal eccentricities:
-    one search per conjugacy class, from its first vertex, serves every
-    vertex of the class, in whichever component it lies.
-    """
-    import numpy as np
-    if comps is None:
-        comps = components(graph)
-    adj = graph.matrix
-    source = range(len(adj))
-    if graph.group is not None and graph.kind in ("generating", "rank-d"):
-        ct = graph.group.cayley_table()
-        first: dict = {}
-        source = [first.setdefault(ct.class_id[ct.index[p.images]], v)
-                  for v, p in enumerate(graph.labels)]
-    ecc = {s: sum(1 for _ in _levels(adj, s, np.ones(len(adj), dtype=bool)))
-           - 1 for s in set(source)}
-    diam = {c: 0 for c in range(comps.count)}
-    for s, c in zip(source, comps.ids):
-        diam[c] = max(diam[c], ecc[s])
-    return diam
 
 
 def _levels(adj, source: int, unseen):
@@ -224,6 +196,29 @@ def component_labels(adj):
     return labels
 
 
+def class_eccentricities(adj, sizes: list):
+    """Eccentricity of the elements of each row class in their component
+    of the element graph, from the symmetric class adjacency ``adj``,
+    whose diagonal says that a class is joined inside, and the class
+    sizes; 0 for an isolated class.
+
+    An element reaches another class as its class does, so one frontier
+    search over ``adj`` with the diagonal cleared serves the whole class.
+    For a non-isolated class of two or more elements this is raised to
+    the distance between two of them: 1 if the class is joined inside,
+    else 2, through a common neighbour in another class.
+    """
+    import numpy as np
+    inside = adj.diagonal().copy()
+    twin = np.where(inside, 1, 2) * (adj.any(axis=1) & (np.array(sizes) > 1))
+    adj = adj.copy()
+    np.fill_diagonal(adj, False)
+    k = len(adj)
+    ecc = [sum(1 for _ in _levels(adj, c, np.ones(k, dtype=bool))) - 1
+           for c in range(k)]
+    return np.maximum(np.array(ecc, dtype=np.intp), twin)
+
+
 # ---------------------------------------------------------------------------
 # rank-graph edge machinery
 
@@ -305,9 +300,8 @@ def _rank_graph(G: PermutationGroup, d: int,
         keep = np.flatnonzero(adj[node_of].any(axis=1))
     elements = oracle.ct.elements
     return ElementGraph.from_matrix(
-        "generating" if d == 2 else "rank-d",
-        [elements[v] for v in keep.tolist()],
-        adj[np.ix_(node_of[keep], node_of[keep])], G, {"d": d})
+        graph_kind(d), [elements[v] for v in keep.tolist()],
+        adj[np.ix_(node_of[keep], node_of[keep])], {"d": d})
 
 
 def _check_graph_args(G: PermutationGroup, d: int) -> None:
@@ -319,26 +313,36 @@ def _check_graph_args(G: PermutationGroup, d: int) -> None:
         raise GroupArgumentError("d must be at least 2")
 
 
+def graph_kind(d: int) -> str:
+    """The kind of Gamma_d and Delta_d: the generating graph at d = 2."""
+    return "generating" if d == 2 else "rank-d"
+
+
 @dataclass
-class DeltaSummary:
-    """Streaming connectivity summary of Delta_d (no adjacency stored)."""
+class GraphVerdict:
+    """Counts, connectivity and (opt-in) diameter of Delta_d, and the
+    wall time its caller spent on them."""
 
     d: int
     n_vertices: int
     n_edges: int
     n_components: int
+    connected: bool
+    diameter: Optional[int] = None
+    elapsed_ms: int = 0
 
-    @property
-    def connected(self) -> bool:
-        return self.n_components <= 1
 
-
-def delta_summary(G: PermutationGroup, d: int) -> DeltaSummary:
-    """Connectivity of Delta_d from the adjacency of the row classes.
+def delta_summary(G: PermutationGroup, d: int,
+                  with_diameter: bool = False) -> GraphVerdict:
+    """Delta_d from the adjacency of the row classes, with no element
+    graph built.
 
     Every element of a class that has an edge is adjacent to all of that
     edge's other class, so a non-isolated class lies in one component,
     and the components of Delta_d are those of the non-isolated classes.
+    With ``with_diameter`` the diameter is the largest eccentricity of a
+    non-isolated class (``class_eccentricities``), 0 when Delta_d is
+    empty.
     """
     _check_graph_args(G, d)
     oracle = _oracle_for(G)
@@ -350,8 +354,13 @@ def delta_summary(G: PermutationGroup, d: int) -> DeltaSummary:
     ordered = int(np.einsum("ij,i,j->", adj, sizes, sizes)) - \
         int(sizes @ adj.diagonal())
     active = adj.any(axis=1)
-    return DeltaSummary(d, int(sizes[active].sum()), ordered // 2,
-                        len(set(component_labels(adj)[active].tolist())))
+    count = len(set(component_labels(adj)[active].tolist()))
+    verdict = GraphVerdict(d, int(sizes[active].sum()), ordered // 2, count,
+                           count <= 1)
+    if with_diameter:
+        verdict.diameter = int(
+            class_eccentricities(adj, oracle.sizes)[active].max(initial=0))
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +396,8 @@ def build_lambda(S: PermutationGroup, x: Permutation,
     empty = np.zeros_like(block)  # both parts have |S| vertices
     return ElementGraph.from_matrix(
         "lambda", labels, np.block([[empty, block], [block.T, empty]]),
-        G, {"parts": (len(part_x), len(part_y)),
-            "same_coset": part_x == part_y})
+        {"parts": (len(part_x), len(part_y)),
+         "same_coset": part_x == part_y})
 
 
 # ---------------------------------------------------------------------------
@@ -421,32 +430,3 @@ def export_dot(graph: ElementGraph, sink=None) -> str:
             with open(sink, "w") as fh:
                 fh.write(text)
     return text
-
-
-@dataclass
-class GraphStats:
-    """One JSON record per analyzed graph."""
-
-    group_id: str
-    kind: str
-    d: Optional[int]
-    n_vertices: int
-    n_edges: int
-    n_components: int
-    diameter: Optional[int]
-    elapsed_ms: int
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-
-def analyze_graph(group_id: str, graph: ElementGraph,
-                  with_diameter: bool = False) -> GraphStats:
-    t0 = time.perf_counter()
-    comps = components(graph)
-    diam = None
-    if with_diameter and graph.n_vertices:
-        diam = max(diameter(graph, comps).values())
-    return GraphStats(group_id, graph.kind, graph.meta.get("d"),
-                      graph.n_vertices, graph.n_edges, comps.count, diam,
-                      int((time.perf_counter() - t0) * 1000))

@@ -22,19 +22,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import __version__, config
 from .perm_core import CapExceededError
 from .catalog import CatalogEntry
-from .graphs import build_delta_d, delta_summary, diameter
+from .graphs import GraphVerdict, delta_summary
 from .group_structure import min_rank
-
-
-@dataclass
-class GraphVerdict:
-    d: int
-    n_vertices: int
-    n_edges: int
-    n_components: int
-    connected: bool
-    diameter: Optional[int] = None
-    elapsed_ms: int = 0
 
 
 @dataclass
@@ -136,13 +125,7 @@ def sweep_entry(entry: CatalogEntry, policy="default",
             record.d_min = cert.d
             for d in policy_fn(cert.d):
                 g0 = time.perf_counter()
-                s = delta_summary(G, d)
-                verdict = GraphVerdict(d, s.n_vertices, s.n_edges,
-                                       s.n_components, s.connected)
-                if with_diameter:  # the only use of the element graph
-                    graph = build_delta_d(G, d)
-                    verdict.diameter = max(diameter(graph).values()) \
-                        if graph.n_vertices else 0
+                verdict = delta_summary(G, d, with_diameter)
                 verdict.elapsed_ms = int((time.perf_counter() - g0) * 1000)
                 record.graphs.append(verdict)
                 if not verdict.connected and (d >= max(3, cert.d) or d == 2):

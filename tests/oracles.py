@@ -915,7 +915,7 @@ def crown_graph(L, t: int, eta: int, a=None, table=None,
         keep = np.flatnonzero(adj[node_of].any(axis=1))
     return ElementGraph.from_matrix(
         "crown", keep.tolist(), adj[np.ix_(node_of[keep], node_of[keep])],
-        L.group, {"t": t, "eta": eta, "a": builder.a})
+        {"t": t, "eta": eta, "a": builder.a})
 
 
 def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,

@@ -18,7 +18,7 @@ from rankgraph.crown_powers import (
     build_crown_power,
     delta_Lt,
 )
-from rankgraph.graphs import build_delta_d, components, delta_summary, diameter
+from rankgraph.graphs import delta_summary
 from rankgraph.group_structure import is_soluble, min_rank
 from rankgraph.sweep import critical_flags, sweep
 from rankgraph.verify import run_verifier
@@ -40,17 +40,16 @@ def test_criterion_1_simple_rank_graph_diameter(catalog):
     """Delta_2(A5): connected, 59 vertices, diameter exactly 2, < 5 s."""
     t0 = time.perf_counter()
     A5 = find_entry(catalog, "A5").group()
-    graph = build_delta_d(A5, 2)
-    comps = components(graph)
-    diam = max(diameter(graph, comps).values())
+    s = delta_summary(A5, 2, with_diameter=True)
     elapsed = time.perf_counter() - t0
-    ok = (graph.n_vertices == 59 and comps.connected and diam == 2
+    ok = (s.n_vertices == 59 and s.connected and s.diameter == 2
           and elapsed < 5)
-    _report(1, f"Delta_2(A5): {graph.n_vertices} vertices, "
-               f"{comps.count} component(s), diameter {diam}", ok, elapsed)
-    assert graph.n_vertices == 59
-    assert comps.connected
-    assert diam == 2
+    _report(1, f"Delta_2(A5): {s.n_vertices} vertices, "
+               f"{s.n_components} component(s), diameter {s.diameter}",
+            ok, elapsed)
+    assert s.n_vertices == 59
+    assert s.connected
+    assert s.diameter == 2
     assert elapsed < 5
 
 
@@ -66,11 +65,9 @@ def test_criterion_2_soluble_diameter_bound(catalog):
         if min_rank(G).d != 2:
             continue
         checked += 1
-        graph = build_delta_d(G, 2)
-        comps = components(graph)
-        diam = max(diameter(graph, comps).values())
-        if not comps.connected or diam > 3:
-            violations.append((entry.id, comps.count, diam))
+        s = delta_summary(G, 2, with_diameter=True)
+        if not s.connected or s.diameter > 3:
+            violations.append((entry.id, s.n_components, s.diameter))
     elapsed = time.perf_counter() - t0
     ok = not violations and elapsed < 120
     _report(2, f"{checked} soluble groups <= 200: zero violations "

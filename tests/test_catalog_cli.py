@@ -613,16 +613,66 @@ class TestCLI:
     @pytest.mark.parametrize("argv", [
         ["catalog", "--catalog", "{missing}"],
         ["analyze", "--group", "S3", "--d", "2", "--dot", "{missing}/x.dot"],
-        ["verify", "--lemma", "frat", "--out", "{missing}/x.json"]],
-        ids=["catalog", "analyze-dot", "verify-out"])
+        ["verify", "--lemma", "frat", "--out", "{missing}/x.json"],
+        ["analyze", "--group", "A5", "--out", "{tmp}/a.json",
+         "--dot", "{missing}/x.dot"],
+        ["verify", "--lemma", "all", "--out", "{missing}/x.json"],
+        ["crown", "--L", "A5", "--t", "2", "--check", "delta",
+         "--out", "{missing}/x.json"]],
+        ids=["catalog", "analyze-dot", "verify-out", "analyze-out-dot",
+             "verify-all-out", "crown-out"])
     def test_file_errors_exit_2(self, tmp_path, capsys, argv):
         # 1 is the theorem-violation code; a path that cannot be read or
-        # written is an error of the run's inputs
+        # written is an error of the run's inputs.  Output files are
+        # opened before any work, so nothing is printed or written first.
         missing = tmp_path / "missing"
-        argv = [a.format(missing=missing) for a in argv]
+        argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
         assert cli_main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(missing) in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and \
+            str(missing) in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "a.json").exists() or \
+            (tmp_path / "a.json").read_text() == ""
+
+    def test_sweep_resume_needs_out(self, monkeypatch, capsys):
+        from rankgraph import sweep as sweep_mod
+
+        def no_entry(*args, **kwargs):
+            raise AssertionError("entry swept")
+
+        monkeypatch.setattr(sweep_mod, "sweep_entry", no_entry)
+        assert cli_main(["sweep", "--max-order", "60", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert "swept" not in captured.out
+        assert "--resume needs --out" in captured.err
+
+    def test_diameter_builds_no_element_graph(self, tmp_path, monkeypatch,
+                                              capsys):
+        from rankgraph.graphs import ElementGraph
+
+        def no_graph(*args, **kwargs):
+            raise AssertionError("element graph built")
+
+        monkeypatch.setattr(ElementGraph, "from_matrix", no_graph)
+        assert cli_main(["sweep", "--max-order", "60", "--diameter"]) == 0
+        assert "0 error(s)" in capsys.readouterr().out
+        out = tmp_path / "a.json"
+
+        def analyze(*argv):
+            assert cli_main(["analyze", "--diameter", "--out", str(out)]
+                            + list(argv)) == 0
+            return json.loads(out.read_text())
+
+        a5 = analyze("--group", "A5", "--graph", "gamma", "--d", "2")
+        assert (a5["n_vertices"], a5["n_components"], a5["diameter"]) == \
+            (60, 2, 2)
+        # E2^3 needs three generators: Gamma_2 is its 8 isolated elements
+        gamma = analyze("--group", "E2^3", "--graph", "gamma", "--d", "2")
+        assert (gamma["n_vertices"], gamma["n_components"],
+                gamma["diameter"]) == (8, 8, 0)
+        delta = analyze("--group", "E2^3", "--graph", "rank", "--d", "2")
+        assert (delta["n_vertices"], delta["diameter"]) == (0, None)
 
     def test_export_dot_needs_out(self, monkeypatch, capsys):
         def no_graph(args, G):

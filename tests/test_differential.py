@@ -17,7 +17,13 @@ from rankgraph import (
     normal_closure,
 )
 from rankgraph.catalog import default_catalog
-from rankgraph.graphs import build_delta_d, components, diameter
+from rankgraph.graphs import (
+    _oracle_for,
+    build_delta_d,
+    class_eccentricities,
+    component_labels,
+    components,
+)
 from rankgraph.group_structure import min_rank
 from rankgraph.perm_core import derived_subgroup
 
@@ -89,6 +95,14 @@ def test_delta_components_and_diameter_match_networkx(entry, d):
     theirs.add_edges_from((v, w) for v, nbrs in enumerate(graph.adjacency)
                           for w in nbrs)
     assert comps.count == nx.number_connected_components(theirs)
-    ours = sorted(diameter(graph, comps).values())
+    # per component of the non-isolated row classes, the largest class
+    # eccentricity
+    oracle = _oracle_for(entry.group())
+    adj = oracle.class_adjacency(d)
+    ecc = class_eccentricities(adj, oracle.sizes)
+    active = adj.any(axis=1)
+    labels = component_labels(adj)
+    ours = sorted(int(ecc[active & (labels == c)].max())
+                  for c in set(labels[active].tolist()))
     assert ours == sorted(nx.diameter(theirs.subgraph(c))
                           for c in nx.connected_components(theirs))

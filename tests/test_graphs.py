@@ -10,12 +10,13 @@ from rankgraph import GroupArgumentError, Permutation, group_from_generators
 from rankgraph.catalog import default_catalog, symmetric
 from rankgraph.graphs import (
     ElementGraph,
+    _oracle_for,
     build_delta_d,
     build_gamma_d,
     build_lambda,
+    class_eccentricities,
     components,
     delta_summary,
-    diameter,
     export_dot,
 )
 from rankgraph.group_structure import min_rank
@@ -145,16 +146,14 @@ class TestComponentsAndDiameter:
         assert not comps.connected
 
     def test_a5_connected_diameter_two(self, A5):
-        delta = build_delta_d(A5, 2)
-        comps = components(delta)
-        assert comps.connected
-        assert max(diameter(delta, comps).values()) == 2
+        s = delta_summary(A5, 2, with_diameter=True)
+        assert s.connected
+        assert s.diameter == 2
 
     def test_s4_generating_graph_diameter(self, S4):
-        delta = build_delta_d(S4, 2)
-        comps = components(delta)
-        assert comps.connected
-        assert max(diameter(delta, comps).values()) <= 3
+        s = delta_summary(S4, 2, with_diameter=True)
+        assert s.connected
+        assert s.diameter <= 3
 
     @pytest.mark.parametrize("build,d", [(build_gamma_d, 2),
                                          (build_gamma_d, 3),
@@ -162,11 +161,62 @@ class TestComponentsAndDiameter:
                              ids=["gamma2", "gamma3", "delta3"])
     @pytest.mark.parametrize("entry", NON_CYCLIC_360, ids=lambda e: e.id)
     def test_class_sources_match_all_sources(self, entry, build, d):
-        # one search per conjugacy class against a search from every
-        # vertex; Gamma_d keeps its isolated vertices, so several
-        # components are compared
-        graph = build(entry.group(), d)
-        assert diameter(graph) == bfs_diameters(graph.adjacency)
+        # one search per row class against a search from every vertex;
+        # Gamma_d keeps its isolated vertices, so several components are
+        # compared
+        G = entry.group()
+        graph = build(G, d)
+        assert _class_diameters(G, d, graph) == \
+            bfs_diameters(graph.adjacency)
+        if build is build_delta_d:
+            assert delta_summary(G, d, with_diameter=True).diameter == \
+                max(bfs_diameters(graph.adjacency).values(), default=0)
+
+
+def _per_component(ids, ecc):
+    """The largest of ``ecc`` over the vertices of each component id."""
+    diam = dict.fromkeys(ids, 0)
+    for c, e in zip(ids, ecc):
+        diam[c] = max(diam[c], int(e))
+    return diam
+
+
+def _class_diameters(G, d, graph):
+    """Diameter per component of an element graph of G, each vertex
+    given the eccentricity of its row class in the class adjacency."""
+    oracle = _oracle_for(G)
+    ecc = class_eccentricities(oracle.class_adjacency(d), oracle.sizes)
+    class_of = {x: k for k, members in enumerate(oracle.classes)
+                for x in members}
+    ct = G.cayley_table()
+    return _per_component(components(graph).ids,
+                          [ecc[class_of[ct.index[p.images]]]
+                           for p in graph.labels])
+
+
+def _expand(adj, sizes):
+    """The element graph of a class adjacency: sizes[i] elements per
+    class i, distinct elements joined where their classes are."""
+    node_of = np.repeat(np.arange(len(sizes)), sizes)
+    return ElementGraph.from_matrix("rank-d", node_of.tolist(),
+                                    adj[np.ix_(node_of, node_of)])
+
+
+class TestTwinDistance:
+    # two or more elements of one class are one step apart when their
+    # class is joined inside, else two steps, through another class
+    @pytest.mark.parametrize("adj,sizes,ecc", [
+        ([[True, True], [True, False]], [2, 1], [1, 1]),
+        ([[False, True], [True, False]], [2, 1], [2, 1]),
+        ([[True, False], [False, False]], [3, 2], [1, 0])],
+        ids=["joined-inside", "not-joined-inside", "only-inside"])
+    def test_twin_rule_matches_bfs(self, adj, sizes, ecc):
+        adj = np.array(adj)
+        graph = _expand(adj, sizes)
+        ours = class_eccentricities(adj, sizes)
+        assert ours.tolist() == ecc
+        assert _per_component(components(graph).ids, ours[graph.labels]) \
+            == bfs_diameters(graph.adjacency)
 
 
 def _edge_matrix(n, edges):
@@ -233,7 +283,10 @@ class TestFrontierSearchAgainstOracle:
         graph = ElementGraph.from_matrix("rank-d", list(range(n)), adj)
         assert graph.adjacency == [sorted(a) for a in adjacency]
         assert graph.n_edges == len({frozenset(e) for e in edges})
-        assert diameter(graph) == bfs_diameters(graph.adjacency)
+        # classes of one element: the diagonal is ignored there too
+        ecc = class_eccentricities(adj, [1] * n)
+        assert _per_component(components(graph).ids, ecc) == \
+            bfs_diameters(graph.adjacency)
 
 
 class TestConjugationInvariance:
