@@ -15,7 +15,9 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
+import tempfile
 import time
 
 from . import __version__
@@ -27,13 +29,7 @@ from .perm_core import (
 )
 from . import catalog as cat
 from .catalog import CatalogError
-from .graphs import (
-    build_delta_d,
-    build_gamma_d,
-    delta_summary,
-    export_dot,
-    graph_kind,
-)
+from .graphs import delta_summary, export_dot, graph_kind
 from .group_structure import min_rank
 from .sweep import (
     cap_skipped,
@@ -60,10 +56,40 @@ def _entry(args, group_id: str):
 
 
 def _open_out(path):
-    """``path`` opened for writing, or a null context without one.  Output
-    files are opened before a run's work, so a path that cannot be
-    written fails at once."""
-    return open(path, "w") if path else contextlib.nullcontext()
+    """A context giving a file to write ``path`` through, or None without
+    a path.  Output files are opened before a run's work, so a path that
+    cannot be written fails at once.  The output goes to a temporary file
+    in the same directory, which replaces ``path`` when the block ends
+    without an exception and is deleted when one escapes, so a failed run
+    leaves the old file as it was; a link, a pipe or a device
+    (``/dev/stdout``) is written in place."""
+    if not path:
+        return contextlib.nullcontext()
+    if os.path.lexists(path) and (os.path.islink(path)
+                                  or not os.path.isfile(path)):
+        return open(path, "w")
+    return _replacing(path)
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+            dir=os.path.dirname(path) or ".")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None  # name the path
+    try:
+        # the mode of a file opened for writing; mkstemp's is 0600
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _dump(out, payload) -> None:
@@ -77,12 +103,6 @@ def _graph_d(args, G) -> int:
     if args.d is not None:
         return args.d
     return 2 if args.graph == "generating" else min_rank(G).d
-
-
-def _graph(args, G):
-    """The element graph that ``--graph`` names, at ``_graph_d``."""
-    build = build_gamma_d if args.graph == "gamma" else build_delta_d
-    return build(G, _graph_d(args, G))
 
 
 def cmd_analyze(args) -> int:
@@ -112,7 +132,7 @@ def cmd_analyze(args) -> int:
                  if stats["diameter"] is not None else ""))
         _dump(out, stats)
         if dot is not None:
-            export_dot(_graph(args, G), dot)
+            export_dot(G, d, args.graph == "gamma", dot)
     return 0
 
 
@@ -230,9 +250,13 @@ def cmd_export_dot(args) -> int:
     if not args.out:
         raise ValueError("export-dot needs --out")
     entry = _entry(args, args.group)
-    graph = _graph(args, entry.group())
-    export_dot(graph, args.out)
-    print(f"wrote {graph.n_vertices} vertices / {graph.n_edges} edges "
+    G = entry.group()
+    with _open_out(args.out) as out:
+        d = _graph_d(args, G)
+        stats = delta_summary(G, d)
+        export_dot(G, d, args.graph == "gamma", out)
+    n_vertices = G.order if args.graph == "gamma" else stats.n_vertices
+    print(f"wrote {n_vertices} vertices / {stats.n_edges} edges "
           f"to {args.out}")
     return 0
 

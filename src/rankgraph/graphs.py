@@ -1,8 +1,7 @@
-"""Element graphs: generating graphs, rank graphs and bipartite coset graphs.
+"""Generating graphs, rank graphs and bipartite coset graphs.
 
-Vertices are indices into a deterministic label list; for group-element
-graphs the labels are the group elements themselves (lexicographic
-order), for coset graphs they are (part, element) pairs.  All graphs are
+The vertices of Gamma_d and Delta_d are group elements, numbered by
+their index in the Cayley table (lexicographic order).  All graphs are
 simple and undirected.
 
 Edge predicate for the d-rank graph: x and y are joined when some
@@ -26,19 +25,20 @@ the masks as numpy ``uint64`` words and tests each distinct ANDed mask
 once, so the Python work grows with the number of distinct masks, not
 with the number of pairs.
 
-Rank-graph statistics come from the class adjacency alone
-(``delta_summary``): elements with equal rows have the same neighbours,
-so counts, components and diameters are read off the row classes.
-Element graphs are held as a symmetric boolean adjacency matrix
-(``ElementGraph.from_matrix``) for DOT export and per-vertex components.
-One frontier search (``_levels``) finds components
-(``component_labels``, ``components``) and class eccentricities
-(``class_eccentricities``).
+Everything about Gamma_d and Delta_d is read off the class adjacency:
+elements with equal rows have the same neighbours, so counts,
+components and diameters come from the row classes (``delta_summary``),
+an element's component is that of its class (``element_components``),
+and DOT export streams each element's neighbours from its class's row
+(``export_dot``); no element-by-element matrix is built.  One frontier
+search (``_levels``) finds components (``component_labels``) and class
+eccentricities (``class_eccentricities``).  The bipartite coset graph
+of ``build_lambda`` is one ``class_block`` between its two parts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -47,68 +47,7 @@ from .group_structure import min_rank, registry_for
 
 
 # ---------------------------------------------------------------------------
-# graph containers
-
-
-@dataclass
-class ElementGraph:
-    """Simple undirected graph on labelled vertices, held as a symmetric
-    boolean adjacency matrix with a zero diagonal; build it with
-    ``from_matrix``."""
-
-    kind: str  # "generating" | "rank-d" | "lambda" | "crown"
-    labels: list
-    matrix: object  # numpy bool array, n_vertices x n_vertices
-    meta: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_matrix(cls, kind: str, labels: list, adj,
-                    meta: Optional[dict] = None) -> "ElementGraph":
-        """The graph on ``labels`` whose distinct vertices v, w are joined
-        where ``adj[v, w]``; ``adj`` is symmetric and boolean, and its
-        diagonal is ignored."""
-        import numpy as np
-        adj = np.array(adj, dtype=bool)
-        np.fill_diagonal(adj, False)
-        return cls(kind, labels, adj, dict(meta or {}))
-
-    @cached_property
-    def adjacency(self) -> list:
-        """The sorted neighbour list of each vertex."""
-        import numpy as np
-        return [np.flatnonzero(row).tolist() for row in self.matrix]
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.labels)
-
-    @property
-    def n_edges(self) -> int:
-        return int(self.matrix.sum()) // 2
-
-
-@dataclass
-class Components:
-    """Connected components of an ElementGraph."""
-
-    ids: list  # component id per vertex
-    count: int
-    sizes: list
-
-    @property
-    def connected(self) -> bool:
-        # the empty graph is trivially connected
-        return self.count <= 1
-
-
-def components(graph: ElementGraph) -> Components:
-    """Components numbered in the order of their least vertex, found by
-    ``component_labels`` on the graph's boolean matrix."""
-    import numpy as np
-    ids = component_labels(graph.matrix)
-    count = int(ids.max()) + 1 if len(ids) else 0
-    return Components(ids.tolist(), count,
-                      np.bincount(ids, minlength=count).tolist())
+# frontier search
 
 
 def _levels(adj, source: int, unseen):
@@ -228,8 +167,8 @@ class EdgeOracle:
 
     An edge test only sees the AND of the two incidence rows, so elements
     with equal rows are interchangeable: edges are decided once per pair
-    of row classes (``class_adjacency``) and expanded to elements by the
-    builders.
+    of row classes (``class_adjacency``) and read off per element through
+    ``node_of``.
     """
 
     def __init__(self, G: PermutationGroup):
@@ -262,6 +201,15 @@ class EdgeOracle:
         adj[np.diag_indices(k)] &= np.array(self.sizes) > 1
         return adj
 
+    @cached_property
+    def node_of(self):
+        """The row class of each element index."""
+        import numpy as np
+        node_of = np.empty(self.ct.n, dtype=np.intp)
+        for k, members in enumerate(self.classes):
+            node_of[members] = k
+        return node_of
+
 
 def _oracle_for(G: PermutationGroup) -> EdgeOracle:
     ct = G.cayley_table()
@@ -270,38 +218,6 @@ def _oracle_for(G: PermutationGroup) -> EdgeOracle:
         oracle = EdgeOracle(G)
         ct._edge_oracle = oracle
     return oracle
-
-
-def build_gamma_d(G: PermutationGroup, d: int) -> ElementGraph:
-    """Gamma_d on all elements of G (isolated vertices included)."""
-    return _rank_graph(G, d, drop_isolated=False)
-
-
-def build_delta_d(G: PermutationGroup, d: int) -> ElementGraph:
-    """Delta_d: Gamma_d with isolated vertices removed."""
-    return _rank_graph(G, d, drop_isolated=True)
-
-
-def _rank_graph(G: PermutationGroup, d: int,
-                drop_isolated: bool) -> ElementGraph:
-    """Gamma_d, or Delta_d with ``drop_isolated``: the class adjacency
-    gathered at the row class of each element."""
-    _check_graph_args(G, d)
-    oracle = _oracle_for(G)
-    import numpy as np
-    node_of = np.empty(oracle.ct.n, dtype=np.intp)
-    for k, members in enumerate(oracle.classes):
-        node_of[members] = k
-    keep = np.arange(oracle.ct.n)
-    adj = oracle.class_adjacency(d)
-    if drop_isolated:
-        # a class joined inside has two or more elements, so its diagonal
-        # entry never makes an isolated element look joined
-        keep = np.flatnonzero(adj[node_of].any(axis=1))
-    elements = oracle.ct.elements
-    return ElementGraph.from_matrix(
-        graph_kind(d), [elements[v] for v in keep.tolist()],
-        adj[np.ix_(node_of[keep], node_of[keep])], {"d": d})
 
 
 def _check_graph_args(G: PermutationGroup, d: int) -> None:
@@ -363,18 +279,37 @@ def delta_summary(G: PermutationGroup, d: int,
     return verdict
 
 
+def element_components(G: PermutationGroup, d: int):
+    """Component label per element index of Gamma_d: the component of its
+    row class in the class adjacency (``component_labels``), or -1 - x for
+    an isolated element x, so the elements labelled >= 0 are the vertices
+    of Delta_d and two elements share a label exactly when they lie in
+    one component."""
+    _check_graph_args(G, d)
+    oracle = _oracle_for(G)
+    import numpy as np
+    adj = oracle.class_adjacency(d)
+    labels = component_labels(adj)[oracle.node_of]
+    isolated = np.flatnonzero(~adj.any(axis=1)[oracle.node_of])
+    labels[isolated] = -1 - isolated
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # bipartite coset graph
 
 
 def build_lambda(S: PermutationGroup, x: Permutation,
-                 y: Permutation) -> ElementGraph:
+                 y: Permutation) -> tuple:
     """Bipartite graph whose parts are the cosets xS and yS in G = <S, x, y>.
 
-    The parts are kept as two formally disjoint vertex copies (2|S|
-    vertices even when xS = yS as sets); (x s1, y s2) is an edge exactly
-    when the two elements generate G.  Instances with x = y are rejected:
-    the two parts would be literally the same labelled family.
+    Returns ``(block, part_x, part_y)``: each part as its elements sorted
+    by index in G's Cayley table, and the boolean |S| x |S| block whose
+    entry (i, j) is True exactly when part_x[i] and part_y[j] are
+    distinct and generate G.  The parts are two formally disjoint vertex
+    copies (2|S| vertices even when xS = yS as sets).  Instances with
+    x = y are rejected: the two parts would be literally the same
+    labelled family.
     """
     G = PermutationGroup(S.degree, tuple(S.generators) + (x, y))
     from .perm_core import is_normal
@@ -388,45 +323,37 @@ def build_lambda(S: PermutationGroup, x: Permutation,
     s_elems = S.elements()
     part_x = sorted(ct.index[(x * s).images] for s in s_elems)
     part_y = sorted(ct.index[(y * s).images] for s in s_elems)
-    labels = [("x", ct.perm(i)) for i in part_x]
-    labels += [("y", ct.perm(i)) for i in part_y]
     import numpy as np
     block = class_block([rows[i] for i in part_x], [rows[j] for j in part_y])
     block &= np.not_equal.outer(part_x, part_y)  # x s1 != y s2
-    empty = np.zeros_like(block)  # both parts have |S| vertices
-    return ElementGraph.from_matrix(
-        "lambda", labels, np.block([[empty, block], [block.T, empty]]),
-        {"parts": (len(part_x), len(part_y)),
-         "same_coset": part_x == part_y})
+    return block, [ct.perm(i) for i in part_x], [ct.perm(i) for i in part_y]
 
 
 # ---------------------------------------------------------------------------
 # export
 
 
-def _vertex_label(label) -> str:
-    if isinstance(label, Permutation):
-        return label.cycle_string()
-    if isinstance(label, tuple):
-        return "|".join(_vertex_label(part) for part in label)
-    return str(label)
-
-
-def export_dot(graph: ElementGraph, sink=None) -> str:
-    """Deterministic DOT output; vertices labelled by cycle notation."""
-    lines = [f'graph "{graph.kind}" {{']
-    for v, label in enumerate(graph.labels):
-        lines.append(f'  v{v} [label="{_vertex_label(label)}"];')
-    for v, nbrs in enumerate(graph.adjacency):
-        for w in nbrs:
-            if v < w:
-                lines.append(f"  v{v} -- v{w};")
-    lines.append("}")
-    text = "\n".join(lines) + "\n"
-    if sink is not None:
-        if hasattr(sink, "write"):
-            sink.write(text)
-        else:
-            with open(sink, "w") as fh:
-                fh.write(text)
-    return text
+def export_dot(G: PermutationGroup, d: int, keep_isolated: bool,
+               out) -> None:
+    """Write Gamma_d, or Delta_d without ``keep_isolated``, to the file
+    object ``out`` as deterministic DOT: the kept elements in ascending
+    index order, labelled by cycle notation, then the edges (v, w), v < w,
+    streamed from the class adjacency one element at a time."""
+    _check_graph_args(G, d)
+    oracle = _oracle_for(G)
+    import numpy as np
+    adj = oracle.class_adjacency(d)
+    keep = np.arange(oracle.ct.n)
+    if not keep_isolated:
+        # a class joined inside has two or more elements, so its diagonal
+        # entry never makes an isolated element look joined
+        keep = np.flatnonzero(adj.any(axis=1)[oracle.node_of])
+    cls = oracle.node_of[keep]
+    elements = oracle.ct.elements
+    out.write(f'graph "{graph_kind(d)}" {{\n')
+    for v, x in enumerate(keep.tolist()):
+        out.write(f'  v{v} [label="{elements[x].cycle_string()}"];\n')
+    for v in range(len(cls)):
+        nbrs = np.flatnonzero(adj[cls[v], cls[v + 1:]]) + (v + 1)
+        out.write("".join(f"  v{v} -- v{w};\n" for w in nbrs.tolist()))
+    out.write("}\n")

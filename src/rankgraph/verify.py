@@ -33,11 +33,10 @@ from .group_structure import (
     registry_for,
 )
 from .graphs import (
-    build_delta_d,
-    build_gamma_d,
     build_lambda,
-    components,
+    component_labels,
     delta_summary,
+    element_components,
 )
 from .crown_powers import (
     MonolithicGroup,
@@ -318,20 +317,17 @@ def verify_coniugo(seed: int = 42, max_order: int = 200) -> VerifyReport:
             continue
         ds = ([2] if cert.d == 2 else []) + [3]
         for d in ds:
-            graph = build_delta_d(G, d)
-            comps = components(graph)
+            labels = element_components(G, d).tolist()
             ct = G.cayley_table()
-            pos = {ct.index[p.images]: v
-                   for v, p in enumerate(graph.labels)}
-            for v, p in enumerate(graph.labels):
+            # each vertex of Delta_d; an isolated conjugate has a label of
+            # its own, so it fails the check as well
+            for x in (x for x, c in enumerate(labels) if c >= 0):
                 instances += 1
-                x = ct.index[p.images]
                 for z in range(ct.n):
-                    xz = ct.conj(x, z)
-                    w = pos.get(xz)
-                    if w is None or comps.ids[w] != comps.ids[v]:
+                    if labels[ct.conj(x, z)] != labels[x]:
                         failures.append({"group": entry.id, "d": d,
-                                         "vertex": p.cycle_string(), "z": z})
+                                         "vertex": ct.perm(x).cycle_string(),
+                                         "z": z})
                         break
     return VerifyReport("coniugo", not failures, instances, failures,
                         {"max_order": max_order})
@@ -360,15 +356,19 @@ def verify_frat(seed: int = 42) -> VerifyReport:
             continue
         for d in (2, 3, max(2, cert.d)):
             instances += 1
-            gq = build_gamma_d(Q, d)
-            if not components(gq).connected:
+            if not _gamma_connected(Q, d):
                 continue  # hypothesis fails; implication vacuous
             nonvacuous += 1
-            gg = build_gamma_d(G, d)
-            if not components(gg).connected:
+            if not _gamma_connected(G, d):
                 failures.append({"group": gid, "d": d})
     return VerifyReport("frat", not failures, instances, failures,
                         {"non_vacuous": nonvacuous, "groups": group_ids})
+
+
+def _gamma_connected(G, d: int) -> bool:
+    """Gamma_d(G) is connected: Delta_d is, and no element is isolated."""
+    verdict = delta_summary(G, d)
+    return verdict.connected and verdict.n_vertices == G.order
 
 
 # ---------------------------------------------------------------------------
@@ -389,29 +389,22 @@ def verify_induzionenormale(seed: int = 42) -> VerifyReport:
         Q, hom = quotient(G, M)
         if min_rank(Q).d <= 1:
             continue  # cyclic quotient: the graph policy excludes it
-        gamma = build_gamma_d(G, d)
-        comps = components(gamma)
-        gamma_q = build_gamma_d(Q, d)
-        comps_q = components(gamma_q)
+        labels = element_components(G, d).tolist()
+        labels_q = element_components(Q, d).tolist()
         ct = G.cayley_table()
         ctq = Q.cayley_table()
         m_elems = M.elements()
-        vert = {i: v for v, i in
-                enumerate(ct.index[p.images] for p in gamma.labels)}
-        vert_q = {i: v for v, i in
-                  enumerate(ctq.index[p.images] for p in gamma_q.labels)}
-        non_iso = [x for x, v in vert.items() if gamma.adjacency[v]]
+        non_iso = [x for x, c in enumerate(labels) if c >= 0]
         for x in non_iso:
             for y in non_iso:
-                qx = vert_q[ctq.index[hom(ct.perm(x)).images]]
-                qy = vert_q[ctq.index[hom(ct.perm(y)).images]]
-                if comps_q.ids[qx] != comps_q.ids[qy]:
+                qx = ctq.index[hom(ct.perm(x)).images]
+                qy = ctq.index[hom(ct.perm(y)).images]
+                if labels_q[qx] != labels_q[qy]:
                     continue
                 instances += 1
-                target = comps.ids[vert[x]]
-                ok = any(
-                    comps.ids[vert[ct.index[(ct.perm(y) * m).images]]] == target
-                    for m in m_elems)
+                target = labels[x]
+                ok = any(labels[ct.index[(ct.perm(y) * m).images]] == target
+                         for m in m_elems)
                 if not ok:
                     failures.append({"group": gid, "d": d, "x": x, "y": y})
     return VerifyReport("induzionenormale", not failures, instances, failures,
@@ -518,19 +511,23 @@ def verify_lambda(seed: int = 42, choice_checks: int = 5) -> VerifyReport:
     S5 = cat.symmetric(5).group()
     odd = [p for p in S5.elements() if not S.contains(p)]
     failures = []
-    base = build_lambda(S, odd[0], odd[1])
-    comps = components(base)
-    if not comps.connected:
-        failures.append({"err": f"{comps.count} components"})
-    isolated = sum(1 for a in base.adjacency if not a)
+    base, _, _ = build_lambda(S, odd[0], odd[1])
+    # imported here as in graphs.py
+    import numpy as np
+    empty = np.zeros_like(base)  # both parts have |S| vertices
+    count = int(component_labels(
+        np.block([[empty, base], [base.T, empty]])).max()) + 1
+    if count > 1:
+        failures.append({"err": f"{count} components"})
+    isolated = int((~base.any(axis=1)).sum() + (~base.any(axis=0)).sum())
     if isolated:
         failures.append({"err": f"{isolated} isolated vertices"})
     checked = 0
     for _ in range(choice_checks):
         x, y = rng.sample(odd, 2)
-        g = build_lambda(S, x, y)
+        block, _, _ = build_lambda(S, x, y)
         checked += 1
-        if g.adjacency != base.adjacency:
+        if not np.array_equal(block, base):
             failures.append({"err": "representative choice changed the graph",
                              "x": x.cycle_string(), "y": y.cycle_string()})
     # the identical-representative instance is rejected and logged
@@ -544,7 +541,7 @@ def verify_lambda(seed: int = 42, choice_checks: int = 5) -> VerifyReport:
     n_choices = len(odd) * (len(odd) - 1)
     return VerifyReport(
         "lambda", not failures, 1 + checked + 1, failures,
-        {"vertices": base.n_vertices, "edges": base.n_edges,
+        {"vertices": 2 * len(base), "edges": int(base.sum()),
          "equivalent_choices": n_choices, "rejected_x_eq_y": rejected})
 
 

@@ -43,6 +43,12 @@ crown graph by it; the block kernels of ``graphs`` and the builder's
 sampled check and decides each of them from those pairwise edges.
 ``crown_graph`` and ``class_graph_edges`` expand the builder's class
 graph to vertex ranks and edges for the tests to compare.
+``ElementGraph`` holds a graph as an n x n boolean matrix:
+``build_gamma_d`` and ``build_delta_d`` gather the class adjacency at
+each element's class, ``components`` labels the vertices and
+``element_dot`` writes DOT from the neighbour lists, the element-matrix
+path rankgraph took before ``element_components`` and ``export_dot``
+read the class adjacency row by row.
 ``cln_pair_witnesses`` searches the commuting corrections pair by pair
 over centralizer sets, where ``cln_witness`` decides a whole row of
 pairs by gathers on the Cayley table.
@@ -61,7 +67,8 @@ matrix.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 from typing import Optional
 
@@ -89,7 +96,12 @@ from rankgraph.crown_powers import (
     _from_coordinates,
     _sdr_exists,
 )
-from rankgraph.graphs import ElementGraph, _check_graph_args, _oracle_for
+from rankgraph.graphs import (
+    _check_graph_args,
+    _oracle_for,
+    component_labels,
+    graph_kind,
+)
 from rankgraph.group_structure import SubgroupRegistry, min_rank
 from rankgraph.perm_core import StabilizerChain, normal_closure
 
@@ -825,6 +837,106 @@ def class_pair_summary(G, d: int) -> tuple:
     active = [i for i in range(len(classes)) if non_isolated[i]]
     return (sum(len(classes[i]) for i in active), n_edges,
             len({uf.find(i) for i in active}))
+
+
+@dataclass
+class ElementGraph:
+    """Simple undirected graph on labelled vertices, held as a symmetric
+    boolean adjacency matrix with a zero diagonal; build it with
+    ``from_matrix``."""
+
+    kind: str  # "generating" | "rank-d" | "lambda" | "crown"
+    labels: list
+    matrix: object  # numpy bool array, n_vertices x n_vertices
+    meta: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_matrix(cls, kind: str, labels: list, adj,
+                    meta: Optional[dict] = None) -> "ElementGraph":
+        """The graph on ``labels`` whose distinct vertices v, w are joined
+        where ``adj[v, w]``; ``adj`` is symmetric and boolean, and its
+        diagonal is ignored."""
+        adj = np.array(adj, dtype=bool)
+        np.fill_diagonal(adj, False)
+        return cls(kind, labels, adj, dict(meta or {}))
+
+    @cached_property
+    def adjacency(self) -> list:
+        """The sorted neighbour list of each vertex."""
+        return [np.flatnonzero(row).tolist() for row in self.matrix]
+
+    @property
+    def n_vertices(self) -> int:
+        return len(self.labels)
+
+    @property
+    def n_edges(self) -> int:
+        return int(self.matrix.sum()) // 2
+
+
+@dataclass
+class Components:
+    """Connected components of an ElementGraph."""
+
+    ids: list  # component id per vertex
+    count: int
+    sizes: list
+
+    @property
+    def connected(self) -> bool:
+        # the empty graph is trivially connected
+        return self.count <= 1
+
+
+def components(graph: ElementGraph) -> Components:
+    """Components numbered in the order of their least vertex, found by
+    ``component_labels`` on the graph's boolean matrix."""
+    ids = component_labels(graph.matrix)
+    count = int(ids.max()) + 1 if len(ids) else 0
+    return Components(ids.tolist(), count,
+                      np.bincount(ids, minlength=count).tolist())
+
+
+def build_gamma_d(G, d: int) -> ElementGraph:
+    """Gamma_d on all elements of G (isolated vertices included)."""
+    return _rank_graph(G, d, drop_isolated=False)
+
+
+def build_delta_d(G, d: int) -> ElementGraph:
+    """Delta_d: Gamma_d with isolated vertices removed."""
+    return _rank_graph(G, d, drop_isolated=True)
+
+
+def _rank_graph(G, d: int, drop_isolated: bool) -> ElementGraph:
+    """Gamma_d, or Delta_d with ``drop_isolated``: the class adjacency
+    gathered at the row class of each element into an element matrix."""
+    _check_graph_args(G, d)
+    oracle = _oracle_for(G)
+    node_of = np.empty(oracle.ct.n, dtype=np.intp)
+    for k, members in enumerate(oracle.classes):
+        node_of[members] = k
+    keep = np.arange(oracle.ct.n)
+    adj = oracle.class_adjacency(d)
+    if drop_isolated:
+        keep = np.flatnonzero(adj[node_of].any(axis=1))
+    elements = oracle.ct.elements
+    return ElementGraph.from_matrix(
+        graph_kind(d), [elements[v] for v in keep.tolist()],
+        adj[np.ix_(node_of[keep], node_of[keep])], {"d": d})
+
+
+def element_dot(graph: ElementGraph) -> str:
+    """DOT text of an element graph: its vertices labelled by cycle
+    notation, then each edge (v, w), v < w, from the neighbour lists."""
+    lines = [f'graph "{graph.kind}" {{']
+    for v, label in enumerate(graph.labels):
+        lines.append(f'  v{v} [label="{label.cycle_string()}"];')
+    for v, nbrs in enumerate(graph.adjacency):
+        for w in nbrs:
+            if v < w:
+                lines.append(f"  v{v} -- v{w};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def crown_edge(builder, r: int, s: int) -> bool:

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 
 import pytest
@@ -618,13 +619,20 @@ class TestCLI:
          "--dot", "{missing}/x.dot"],
         ["verify", "--lemma", "all", "--out", "{missing}/x.json"],
         ["crown", "--L", "A5", "--t", "2", "--check", "delta",
-         "--out", "{missing}/x.json"]],
+         "--out", "{missing}/x.json"],
+        ["export-dot", "--group", "S3", "--d", "2",
+         "--out", "{missing}/x.dot"]],
         ids=["catalog", "analyze-dot", "verify-out", "analyze-out-dot",
-             "verify-all-out", "crown-out"])
-    def test_file_errors_exit_2(self, tmp_path, capsys, argv):
+             "verify-all-out", "crown-out", "export-dot-out"])
+    def test_file_errors_exit_2(self, tmp_path, monkeypatch, capsys, argv):
         # 1 is the theorem-violation code; a path that cannot be read or
         # written is an error of the run's inputs.  Output files are
         # opened before any work, so nothing is printed or written first.
+        def no_graph(*args, **kwargs):
+            raise AssertionError("graph work ran")
+
+        monkeypatch.setattr(cli_mod, "delta_summary", no_graph)
+        monkeypatch.setattr(cli_mod, "export_dot", no_graph)
         missing = tmp_path / "missing"
         argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
         assert cli_main(argv) == 2
@@ -647,14 +655,7 @@ class TestCLI:
         assert "swept" not in captured.out
         assert "--resume needs --out" in captured.err
 
-    def test_diameter_builds_no_element_graph(self, tmp_path, monkeypatch,
-                                              capsys):
-        from rankgraph.graphs import ElementGraph
-
-        def no_graph(*args, **kwargs):
-            raise AssertionError("element graph built")
-
-        monkeypatch.setattr(ElementGraph, "from_matrix", no_graph)
+    def test_diameter_builds_no_element_graph(self, tmp_path, capsys):
         assert cli_main(["sweep", "--max-order", "60", "--diameter"]) == 0
         assert "0 error(s)" in capsys.readouterr().out
         out = tmp_path / "a.json"
@@ -675,11 +676,78 @@ class TestCLI:
         assert (delta["n_vertices"], delta["diameter"]) == (0, None)
 
     def test_export_dot_needs_out(self, monkeypatch, capsys):
-        def no_graph(args, G):
+        def no_graph(*args, **kwargs):
             raise AssertionError("graph built")
-        monkeypatch.setattr(cli_mod, "_graph", no_graph)
+        monkeypatch.setattr(cli_mod, "export_dot", no_graph)
         assert cli_main(["export-dot", "--group", "S3"]) == 2
         assert "export-dot needs --out" in capsys.readouterr().err
+
+    # an output file is written to a temporary file beside it, which
+    # replaces it only when the run completes
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--group", "C6", "--out", "{path}"],
+        ["analyze", "--group", "C6", "--dot", "{path}"],
+        ["export-dot", "--group", "C6", "--out", "{path}"],
+        ["crown", "--L", "S4", "--t", "2", "--check", "delta",
+         "--out", "{path}"],
+        ["verify", "--lemma", "lambda", "--params", '{"choice_checks": -1}',
+         "--out", "{path}"]],
+        ids=["analyze-out", "analyze-dot", "export-dot", "crown", "verify"])
+    def test_failed_run_keeps_the_old_output(self, tmp_path, capsys, argv):
+        path = tmp_path / "old.txt"
+        path.write_text("old\n")
+        assert cli_main([a.replace("{path}", str(path)) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith(("error: ",
+                                                   "resource cap: "))
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+
+    @pytest.mark.parametrize("argv,head", [
+        (["analyze", "--group", "S3", "--d", "2", "--out", "{path}"], "{"),
+        (["analyze", "--group", "S3", "--d", "2", "--dot", "{path}"],
+         "graph"),
+        (["export-dot", "--group", "S3", "--d", "2", "--out", "{path}"],
+         "graph"),
+        (["crown", "--L", "A5", "--t", "2", "--check", "delta",
+          "--out", "{path}"], "{"),
+        (["verify", "--lemma", "frat", "--out", "{path}"], "{")],
+        ids=["analyze-out", "analyze-dot", "export-dot", "crown", "verify"])
+    def test_run_replaces_the_old_output(self, tmp_path, argv, head):
+        path = tmp_path / "old.txt"
+        path.write_text("old\n")
+        assert cli_main([a.replace("{path}", str(path)) for a in argv]) == 0
+        assert path.read_text().startswith(head)
+        assert [p.name for p in tmp_path.iterdir()] == ["old.txt"]
+        # the mode of a file opened for writing, not mkstemp's 0600
+        umask = os.umask(0)
+        os.umask(umask)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failing_verification_still_writes_its_report(
+            self, tmp_path, monkeypatch):
+        from rankgraph.verify import VerifyReport
+
+        def failing(seed=42):
+            return VerifyReport("bad", False, 1, [{"err": "boom"}], seed=seed)
+
+        monkeypatch.setattr(verify_mod, "VERIFIERS", {"bad": failing})
+        path = tmp_path / "old.json"
+        path.write_text("old\n")
+        assert cli_main(["verify", "--lemma", "bad", "--out", str(path)]) == 1
+        assert json.loads(path.read_text())["passed"] is False
+        assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+
+    def test_link_is_written_through(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert cli_main(["analyze", "--group", "S3", "--d", "2",
+                         "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["group_id"] == "S3"
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["link.json", "target.json"]
 
     @pytest.mark.parametrize("command", ["catalog", "sweep"])
     @pytest.mark.parametrize("value", ["0", "-3"])

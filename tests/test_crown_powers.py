@@ -34,7 +34,6 @@ from rankgraph.crown_powers import (
     weak_connectivity,
     weak_connectivity_sampled,
 )
-from rankgraph.graphs import components
 from rankgraph.group_structure import registry_for
 
 import oracles
@@ -44,6 +43,7 @@ from oracles import (
     class_graph_edges,
     column_elements,
     component,
+    components,
     crown_edge,
     crown_generates,
     crown_graph,

@@ -19,13 +19,14 @@ from rankgraph import (
 from rankgraph.catalog import default_catalog
 from rankgraph.graphs import (
     _oracle_for,
-    build_delta_d,
     class_eccentricities,
     component_labels,
-    components,
+    element_components,
 )
 from rankgraph.group_structure import min_rank
 from rankgraph.perm_core import derived_subgroup
+
+from oracles import build_delta_d, components
 
 
 def _generator_sets(max_degree=7, max_gens=3):
@@ -95,6 +96,15 @@ def test_delta_components_and_diameter_match_networkx(entry, d):
     theirs.add_edges_from((v, w) for v, nbrs in enumerate(graph.adjacency)
                           for w in nbrs)
     assert comps.count == nx.number_connected_components(theirs)
+    # the element labels, read at the elements of Delta_d (vertex v is
+    # the v-th element labelled >= 0)
+    labels = element_components(entry.group(), d)
+    keep = [x for x, c in enumerate(labels.tolist()) if c >= 0]
+    assert len(keep) == graph.n_vertices
+    assert {frozenset(x for x in keep if labels[x] == c)
+            for c in set(labels[keep].tolist())} == \
+        {frozenset(keep[v] for v in c)
+         for c in nx.connected_components(theirs)}
     # per component of the non-isolated row classes, the largest class
     # eccentricity
     oracle = _oracle_for(entry.group())

@@ -9,23 +9,25 @@ import hypothesis.strategies as st
 from rankgraph import GroupArgumentError, Permutation, group_from_generators
 from rankgraph.catalog import default_catalog, symmetric
 from rankgraph.graphs import (
-    ElementGraph,
     _oracle_for,
-    build_delta_d,
-    build_gamma_d,
     build_lambda,
     class_eccentricities,
-    components,
     delta_summary,
+    element_components,
     export_dot,
 )
 from rankgraph.group_structure import min_rank
 
 from oracles import (
+    ElementGraph,
     bfs_components,
     bfs_diameters,
     brute_generates,
+    build_delta_d,
+    build_gamma_d,
+    components,
     edge_witness,
+    element_dot,
     is_edge_d,
 )
 
@@ -332,18 +334,28 @@ class TestQuotientLifting:
                 for m in m_elems)
 
 
+def _lambda_graph(S, x, y):
+    """``build_lambda``'s block as the bipartite graph on its 2|S|
+    vertices, labelled ("x", element) and ("y", element)."""
+    block, part_x, part_y = build_lambda(S, x, y)
+    empty = np.zeros_like(block)  # both parts have |S| vertices
+    return ElementGraph.from_matrix(
+        "lambda", [("x", p) for p in part_x] + [("y", p) for p in part_y],
+        np.block([[empty, block], [block.T, empty]]))
+
+
 class TestLambdaGraph:
     def test_s5_over_a5(self, A5):
         S5 = symmetric(5).group()
         odd = [p for p in S5.elements() if not A5.contains(p)]
-        graph = build_lambda(A5, odd[0], odd[1])
+        graph = _lambda_graph(A5, odd[0], odd[1])
         assert graph.n_vertices == 120
         assert components(graph).connected
 
     def test_edge_subgroup_contains_socle(self, A5):
         S5 = symmetric(5).group()
         odd = [p for p in S5.elements() if not A5.contains(p)]
-        graph = build_lambda(A5, odd[0], odd[1])
+        graph = _lambda_graph(A5, odd[0], odd[1])
         offset = 60
         for v in range(3):
             for w in graph.adjacency[v]:
@@ -356,7 +368,7 @@ class TestLambdaGraph:
         S = group_from_generators(3, [])
         x = cyc(3, [0, 1, 2])
         y = cyc(3, [0, 1])
-        graph = build_lambda(S, x, y)
+        graph = _lambda_graph(S, x, y)
         # single-element cosets; an edge iff the two elements generate
         assert graph.n_vertices == 2
         assert graph.n_edges == (1 if brute_generates(
@@ -370,28 +382,70 @@ class TestLambdaGraph:
     def test_distinct_coset_instance_has_isolated_identity(self, A5):
         S5 = symmetric(5).group()
         x = cyc(5, [0, 1])
-        graph = build_lambda(A5, x, Permutation.identity(5))
+        graph = _lambda_graph(A5, x, Permutation.identity(5))
         iso = [v for v in range(graph.n_vertices) if not graph.adjacency[v]]
         assert iso  # the identity vertex cannot be joined to anything
         assert not components(graph).connected
 
 
+def _dot(G, d, keep_isolated):
+    sink = io.StringIO()
+    export_dot(G, d, keep_isolated, sink)
+    return sink.getvalue()
+
+
 class TestExportDot:
     def test_empty_graph(self):
-        g = ElementGraph.from_matrix("rank-d", [],
-                                     np.zeros((0, 0), dtype=bool))
-        text = export_dot(g)
+        # d(E2^3) = 3: Delta_2 has no vertex
+        G = group_from_generators(6, [cyc(6, [0, 1]), cyc(6, [2, 3]),
+                                      cyc(6, [4, 5])])
+        text = _dot(G, 2, False)
         assert text.splitlines()[0].startswith("graph")
         assert "--" not in text
 
     def test_triangle(self, V4):
-        delta = build_delta_d(V4, 2)
-        text = export_dot(delta)
+        text = _dot(V4, 2, False)
         assert text.count("--") == 3
         assert text.count("label=") == 3
 
     def test_stable_ordering(self, V4):
-        delta = build_delta_d(V4, 2)
-        sink = io.StringIO()
-        export_dot(delta, sink)
-        assert sink.getvalue() == export_dot(delta)
+        assert _dot(V4, 2, False) == _dot(V4, 2, False) == \
+            element_dot(build_delta_d(V4, 2))
+
+
+@pytest.mark.parametrize("build,d", [(build_gamma_d, 2), (build_delta_d, 2),
+                                     (build_gamma_d, 3), (build_delta_d, 3)],
+                         ids=["gamma2", "delta2", "gamma3", "delta3"])
+def test_streamed_dot_matches_element_graph(build, d):
+    # each element's neighbours streamed from its class's row against the
+    # neighbour lists of the gathered element matrix
+    for entry in NON_CYCLIC_360:
+        G = entry.group()
+        assert _dot(G, d, build is build_gamma_d) == \
+            element_dot(build(G, d)), entry.id
+
+
+def _partition(ids) -> list:
+    """The ids renumbered in the order of their first appearance."""
+    first = {}
+    return [first.setdefault(c, len(first)) for c in ids]
+
+
+class TestElementComponents:
+    def test_isolated_elements_have_labels_of_their_own(self):
+        # d(E2^3) = 3: all 8 elements are isolated in Gamma_2
+        G = group_from_generators(6, [cyc(6, [0, 1]), cyc(6, [2, 3]),
+                                      cyc(6, [4, 5])])
+        assert element_components(G, 2).tolist() == \
+            [-1 - x for x in range(8)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_labels_match_element_graph_components(self, d):
+        for entry in NON_CYCLIC_360:
+            G = entry.group()
+            labels = element_components(G, d)
+            gamma = build_gamma_d(G, d)
+            assert _partition(labels.tolist()) == \
+                _partition(components(gamma).ids), entry.id
+            assert (labels >= 0).tolist() == \
+                [bool(nbrs) for nbrs in gamma.adjacency], entry.id

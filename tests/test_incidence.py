@@ -12,10 +12,10 @@ import itertools
 import pytest
 
 from rankgraph.catalog import default_catalog, find_entry
-from rankgraph.graphs import build_gamma_d, delta_summary
+from rankgraph.graphs import delta_summary
 from rankgraph.group_structure import SubgroupRegistry, min_rank
 
-from oracles import ClosureOracle, brute_generates
+from oracles import ClosureOracle, brute_generates, build_gamma_d
 
 
 def _group(group_id):
