@@ -215,8 +215,9 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
     Else ``RuntimeError``.
 
     More than ``max_iso_leaves`` validated candidates raise
-    ``CapExceededError``.  The search runs on the Cayley table, so the
-    dense-table cap bounds |L|.
+    ``CapExceededError``, as does a closure check of more than
+    ``max_search_space`` cells.  The search runs on the Cayley table, so
+    the dense-table cap bounds |L|.
     """
     ct = L.cayley_table()
     n = ct.n
@@ -273,6 +274,12 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
             f"{len(found)} maps times {len(inner)} inner automorphisms "
             f"give {distinct} distinct maps")
     gens = np.concatenate([found, conj[list(ct.gen_indices)]])
+    # for an abelian L every map is found, so the check grows as |Aut|^2
+    cells = len(maps) * len(gens) * len(src_gens)
+    cap = config.LIMITS.max_search_space
+    if cells > cap:
+        raise CapExceededError(
+            f"closure check of {cells} cells exceeds the cap {cap}")
     # row (s, g): the src_gens images of maps[s] composed with gens[g]
     products = maps[:, gens[:, src_gens]].reshape(-1, len(src_gens))
     images = set(map(tuple, maps[:, src_gens].tolist()))

@@ -29,7 +29,8 @@ class Limits:
     # rows, the normal-subgroup lattice and the Aut(L) search all need
     # the table.
     max_dense_order: int = 2048
-    # Cap on brute-force witness searches (e.g. tuples of corrections tried).
+    # Cap on brute-force witness searches (e.g. tuples of corrections tried)
+    # and on the cells of the Aut(L) closure check.
     max_search_space: int = 10**7
     # Budget (candidate image tuples) for the Aut(L) backtracking search.
     max_iso_leaves: int = 2 * 10**6

@@ -475,6 +475,9 @@ class CrownGraphBuilder:
     The vertex a_i . c has the rank i |C| + k, where c is the k-th
     tuple of ``corrections``, the list C of socle tuples of length eta
     in ``itertools.product`` order.  ``_row_block`` decides every edge.
+    The row tuple ``a`` defaults to the orbit table's, or without a table
+    to ``default_generating_tuple``; any other ``a`` with a table, or one
+    of length other than t, raises ``GroupArgumentError``.
     """
 
     def __init__(self, L: MonolithicGroup, t: int, eta: int,
@@ -485,8 +488,15 @@ class CrownGraphBuilder:
         reg = registry_for(L.group)
         self.rows = reg.incidence_rows()
         self.ct = L.ct()
-        if a is None:
+        if table is not None:
+            # the table's tuples are columns over its own a
+            if a is not None and tuple(a) != table.a:
+                raise GroupArgumentError("a differs from the orbit table's")
+            a = table.a
+        elif a is None:
             a = default_generating_tuple(L, t)
+        if len(a) != t:
+            raise GroupArgumentError(f"a has {len(a)} entries where t = {t}")
         self.a = tuple(a)
         self.t = t
         self.eta = eta

@@ -18,14 +18,15 @@ x, the maximal subgroups containing <x, y, z_1..z_r> are the AND of the
 rows.  So x ~ y in Delta_2 iff row[x] & row[y] == 0, and in Delta_d iff
 the mask row[x] & row[y] can be cleared by at most d - 2 further rows
 (``SubgroupRegistry.mask_dist``).  Elements with equal rows are
-interchangeable, so edges are decided per pair of row classes.
+interchangeable, so edges are decided per pair of the registry's row
+classes (``SubgroupRegistry.row_classes``) by ``class_adjacency``.
 
 ``class_block`` decides a whole block of class pairs at once: it ANDs
 the masks as numpy ``uint64`` words and tests each distinct ANDed mask
 once, so the Python work grows with the number of distinct masks, not
 with the number of pairs.
 
-Everything about Gamma_d and Delta_d is read off the class adjacency:
+Everything about Gamma_d and Delta_d is read off ``class_adjacency``:
 elements with equal rows have the same neighbours, so counts,
 components and diameters come from the row classes (``delta_summary``),
 an element's component is that of its class (``element_components``),
@@ -39,7 +40,6 @@ of ``build_lambda`` is one ``class_block`` between its two parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 from .perm_core import GroupArgumentError, Permutation, PermutationGroup
@@ -162,64 +162,6 @@ def class_eccentricities(adj, sizes: list):
 # rank-graph edge machinery
 
 
-class EdgeOracle:
-    """Gamma_d edge tests of one dense group, by maximal-subgroup incidence.
-
-    An edge test only sees the AND of the two incidence rows, so elements
-    with equal rows are interchangeable: edges are decided once per pair
-    of row classes (``class_adjacency``) and read off per element through
-    ``node_of``.
-    """
-
-    def __init__(self, G: PermutationGroup):
-        self.group = G
-        self.reg = registry_for(G)
-        self.ct = self.reg.ct
-        self.rows = self.reg.incidence_rows()
-        by_row: dict = {}
-        for x, row in enumerate(self.rows):
-            by_row.setdefault(row, []).append(x)
-        # ascending element indices per distinct row, classes by first element
-        self.classes = list(by_row.values())
-        self.heads = [self.rows[c[0]] for c in self.classes]
-        self.sizes = [len(c) for c in self.classes]
-
-    def class_adjacency(self, d: int):
-        """Symmetric boolean matrix of the joined pairs of row classes.
-
-        The diagonal entry of class i says that its elements are pairwise
-        joined; it is False for classes of one element.
-        """
-        import numpy as np
-        n, k = self.ct.n, len(self.classes)
-        if n <= d:
-            adj = np.full((k, k), n == d)
-        else:
-            reg = self.reg
-            adj = class_block(self.heads, self.heads, None if d == 2 else
-                              (lambda mask: reg.mask_dist(mask) <= d - 2))
-        adj[np.diag_indices(k)] &= np.array(self.sizes) > 1
-        return adj
-
-    @cached_property
-    def node_of(self):
-        """The row class of each element index."""
-        import numpy as np
-        node_of = np.empty(self.ct.n, dtype=np.intp)
-        for k, members in enumerate(self.classes):
-            node_of[members] = k
-        return node_of
-
-
-def _oracle_for(G: PermutationGroup) -> EdgeOracle:
-    ct = G.cayley_table()
-    oracle = getattr(ct, "_edge_oracle", None)
-    if oracle is None:
-        oracle = EdgeOracle(G)
-        ct._edge_oracle = oracle
-    return oracle
-
-
 def _check_graph_args(G: PermutationGroup, d: int) -> None:
     # cyclicity first: for a cyclic group, d = d(G) = 1 is not the reason
     if G.order > 1 and min_rank(G).d == 1:
@@ -227,6 +169,29 @@ def _check_graph_args(G: PermutationGroup, d: int) -> None:
             "rank graphs are defined for non-cyclic groups only")
     if d < 2:
         raise GroupArgumentError("d must be at least 2")
+
+
+def class_adjacency(G: PermutationGroup, d: int):
+    """Symmetric boolean matrix of the joined pairs of the row classes
+    (``SubgroupRegistry.row_classes``) of Gamma_d.
+
+    An edge test only sees the AND of the two incidence rows, so it is
+    decided once per pair of classes.  The diagonal entry of class i
+    says that its elements are pairwise joined; it is False for classes
+    of one element.
+    """
+    _check_graph_args(G, d)
+    import numpy as np
+    reg = registry_for(G)
+    classes, rows, _ = reg.row_classes()
+    n, k = reg.ct.n, len(classes)
+    if n <= d:
+        adj = np.full((k, k), n == d)
+    else:
+        adj = class_block(rows, rows, None if d == 2 else
+                          (lambda mask: reg.mask_dist(mask) <= d - 2))
+    adj[np.diag_indices(k)] &= np.array(list(map(len, classes))) > 1
+    return adj
 
 
 def graph_kind(d: int) -> str:
@@ -260,11 +225,10 @@ def delta_summary(G: PermutationGroup, d: int,
     non-isolated class (``class_eccentricities``), 0 when Delta_d is
     empty.
     """
-    _check_graph_args(G, d)
-    oracle = _oracle_for(G)
+    adj = class_adjacency(G, d)
     import numpy as np
-    adj = oracle.class_adjacency(d)
-    sizes = np.array(oracle.sizes, dtype=np.int64)
+    sizes = np.array(list(map(len, registry_for(G).row_classes()[0])),
+                     dtype=np.int64)
     # ordered pairs of joined elements: |c_i| |c_j| per joined class pair,
     # less the pairs (x, x) of the classes joined inside
     ordered = int(np.einsum("ij,i,j->", adj, sizes, sizes)) - \
@@ -275,7 +239,7 @@ def delta_summary(G: PermutationGroup, d: int,
                            count <= 1)
     if with_diameter:
         verdict.diameter = int(
-            class_eccentricities(adj, oracle.sizes)[active].max(initial=0))
+            class_eccentricities(adj, sizes)[active].max(initial=0))
     return verdict
 
 
@@ -285,12 +249,11 @@ def element_components(G: PermutationGroup, d: int):
     an isolated element x, so the elements labelled >= 0 are the vertices
     of Delta_d and two elements share a label exactly when they lie in
     one component."""
-    _check_graph_args(G, d)
-    oracle = _oracle_for(G)
+    adj = class_adjacency(G, d)
     import numpy as np
-    adj = oracle.class_adjacency(d)
-    labels = component_labels(adj)[oracle.node_of]
-    isolated = np.flatnonzero(~adj.any(axis=1)[oracle.node_of])
+    node_of = np.array(registry_for(G).row_classes()[2])
+    labels = component_labels(adj)[node_of]
+    isolated = np.flatnonzero(~adj.any(axis=1)[node_of])
     labels[isolated] = -1 - isolated
     return labels
 
@@ -339,17 +302,17 @@ def export_dot(G: PermutationGroup, d: int, keep_isolated: bool,
     object ``out`` as deterministic DOT: the kept elements in ascending
     index order, labelled by cycle notation, then the edges (v, w), v < w,
     streamed from the class adjacency one element at a time."""
-    _check_graph_args(G, d)
-    oracle = _oracle_for(G)
+    adj = class_adjacency(G, d)
     import numpy as np
-    adj = oracle.class_adjacency(d)
-    keep = np.arange(oracle.ct.n)
+    reg = registry_for(G)
+    node_of = np.array(reg.row_classes()[2])
+    keep = np.arange(reg.ct.n)
     if not keep_isolated:
         # a class joined inside has two or more elements, so its diagonal
         # entry never makes an isolated element look joined
-        keep = np.flatnonzero(adj.any(axis=1)[oracle.node_of])
-    cls = oracle.node_of[keep]
-    elements = oracle.ct.elements
+        keep = np.flatnonzero(adj.any(axis=1)[node_of])
+    cls = node_of[keep]
+    elements = reg.ct.elements
     out.write(f'graph "{graph_kind(d)}" {{\n')
     for v, x in enumerate(keep.tolist()):
         out.write(f'  v{v} [label="{elements[x].cycle_string()}"];\n')

@@ -13,7 +13,9 @@ elements.  Every generation question, d(G) included, is answered from
 maximal-subgroup incidence (P. Hall's view of generation): the maximal
 subgroups containing <X> are the AND of the incidence rows of the
 elements of X, <X> = G iff that mask is 0, and d_X(G) is the distance of
-the mask to 0 (``SubgroupRegistry.mask_dist``).
+the mask to 0 (``SubgroupRegistry.mask_dist``).  Elements with equal rows
+are interchangeable, and ``SubgroupRegistry.row_classes`` is the one
+grouping of elements by row.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ class SubgroupRegistry:
     ``normaliser`` and ``conjugates`` work on the same table rows.
     Generation questions go through the incidence rows: ``mask_of`` gives
     the mask of <X>, ``mask_dist`` its distance d_X(G) and ``climb`` a
-    shortest completion.
+    shortest completion; ``row_classes`` groups the elements by row.
     """
 
     def __init__(self, ct: CayleyTable):
@@ -67,7 +69,7 @@ class SubgroupRegistry:
                                    tuple(ct.gen_indices))
         self._lattice: Optional[tuple] = None
         self._rows: Optional[list] = None
-        self._row_set: frozenset = frozenset()
+        self._row_classes: Optional[tuple] = None
         self._mask_dist: dict = {}
 
     def intern(self, members: frozenset, gens: tuple) -> int:
@@ -269,8 +271,22 @@ class SubgroupRegistry:
                 raise RuntimeError(
                     "a maximal subgroup contains every generator of G")
             self._rows = rows
-            self._row_set = frozenset(rows)
         return self._rows
+
+    def row_classes(self) -> tuple:
+        """(classes, rows, class_of): the elements grouped by incidence
+        row, each class ascending and the classes in the order of their
+        least element; the row of each class; the class of each element.
+        """
+        if self._row_classes is None:
+            ids: dict = {}
+            class_of = [ids.setdefault(row, len(ids))
+                        for row in self.incidence_rows()]
+            classes = [[] for _ in ids]
+            for x, k in enumerate(class_of):
+                classes[k].append(x)
+            self._row_classes = classes, list(ids), class_of
+        return self._row_classes
 
     def mask_of(self, elems: Iterable[int]) -> int:
         """AND of the rows of ``elems``: the maximal subgroups containing
@@ -285,16 +301,15 @@ class SubgroupRegistry:
         """Least r with mask & row[z_1] & ... & row[z_r] = 0, i.e. d_H(G)
         for any subgroup H whose incidence mask is ``mask``.
 
-        mdist(0) = 0 and mdist(m) = 1 + min mdist(m & r) over the distinct
-        rows r with m & r != m (the maximal subgroups containing <H, z> are
-        mask(H) & row[z]); memoized per mask.
+        mdist(0) = 0 and mdist(m) = 1 + min mdist(m & r) over the rows r
+        of the row classes with m & r != m (the maximal subgroups
+        containing <H, z> are mask(H) & row[z]); memoized per mask.
         """
         if not mask:
             return 0
         got = self._mask_dist.get(mask)
         if got is None:
-            self.incidence_rows()
-            smaller = {mask & r for r in self._row_set}
+            smaller = {mask & r for r in self.row_classes()[1]}
             smaller.discard(mask)
             got = 1 if 0 in smaller else \
                 1 + min(self.mask_dist(m) for m in smaller)
@@ -482,15 +497,16 @@ def is_soluble(G: PermutationGroup) -> bool:
 
 
 def frattini(G: PermutationGroup) -> PermutationGroup:
-    """Intersection of all maximal subgroups (the non-generators)."""
+    """Intersection of all maximal subgroups (the non-generators): the
+    row class of the identity, as an element lies in every maximal
+    subgroup exactly when its incidence row equals the identity's."""
     if G.order == 1:
         return PermutationGroup(G.degree, ())
     reg = registry_for(G)
     ct = reg.ct
-    common = frozenset(range(ct.n))
-    for members in reg.maximal_subgroups():
-        common &= members
-    return subgroup_from_members(G.degree, [ct.perm(i) for i in sorted(common)])
+    classes, _, class_of = reg.row_classes()
+    return subgroup_from_members(
+        G.degree, [ct.perm(i) for i in classes[class_of[ct.identity]]])
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,10 @@ Delta_d.  ``union_find_orbits``
 labels the orbits of a group on tuples by joining each tuple with its
 generator images, where ``orbits_on_tuples`` gathers the whole orbit of
 one tuple per orbit from the rows of X.  ``class_edges`` and
-``class_pair_summary`` decide
-Delta_d one pair of row classes at a time with a union-find over the
-joined pairs.  ``crown_edge`` decides one pair of crown-graph vertex
-ranks, and ``pairwise_weak_connectivity`` joins every vertex pair of a
+``class_pair_summary`` decide Delta_d one pair of the registry's row
+classes (``SubgroupRegistry.row_classes``) at a time with a union-find
+over the joined pairs, where ``class_adjacency`` decides them in blocks.
+``crown_edge`` decides one pair of crown-graph vertex ranks, and ``pairwise_weak_connectivity`` joins every vertex pair of a
 crown graph by it; the block kernels of ``graphs`` and the builder's
 ``_row_block`` are checked against them.
 ``pairwise_sampled_weak_connectivity`` redraws the seeded pairs of the
@@ -98,11 +98,11 @@ from rankgraph.crown_powers import (
 )
 from rankgraph.graphs import (
     _check_graph_args,
-    _oracle_for,
+    class_adjacency,
     component_labels,
     graph_kind,
 )
-from rankgraph.group_structure import SubgroupRegistry, min_rank
+from rankgraph.group_structure import SubgroupRegistry, min_rank, registry_for
 from rankgraph.perm_core import StabilizerChain, normal_closure
 
 
@@ -316,16 +316,16 @@ def meet_blocks(table, columns) -> int:
     return len({uf.find(pos) for pos in range(len(columns))})
 
 
-def joined(oracle, mask: int, d: int) -> bool:
+def joined(reg, mask: int, d: int) -> bool:
     """The Gamma_d edge test of distinct x, y with rows[x] & rows[y] ==
-    mask, for an ``EdgeOracle``: the rule ``class_adjacency`` applies to
-    whole row classes, stated for one pair."""
-    n = oracle.ct.n
+    mask, for a ``SubgroupRegistry``: the rule ``class_adjacency``
+    applies to whole row classes, stated for one pair."""
+    n = reg.ct.n
     if n < d:
         return False
     if n == d:
         return True
-    return not mask or (d > 2 and oracle.reg.mask_dist(mask) <= d - 2)
+    return not mask or (d > 2 and reg.mask_dist(mask) <= d - 2)
 
 
 def is_edge_d(G, x, y, d: int) -> bool:
@@ -335,13 +335,13 @@ def is_edge_d(G, x, y, d: int) -> bool:
         raise GroupArgumentError("d must be at least 2")
     if x == y:
         raise GroupArgumentError("x and y must be distinct")
-    oracle = _oracle_for(G)
-    ct = oracle.ct
+    reg = registry_for(G)
+    ct, rows = reg.ct, reg.incidence_rows()
     try:
         xi, yi = ct.index[x.images], ct.index[y.images]
     except KeyError:
         raise GroupArgumentError("x and y must lie in G") from None
-    return joined(oracle, oracle.rows[xi] & oracle.rows[yi], d)
+    return joined(reg, rows[xi] & rows[yi], d)
 
 
 def edge_witness(G, x, y, d: int):
@@ -350,13 +350,13 @@ def edge_witness(G, x, y, d: int):
     padded by least elements."""
     if not is_edge_d(G, x, y, d):
         return None
-    oracle = _oracle_for(G)
-    ct, reg = oracle.ct, oracle.reg
+    reg = registry_for(G)
+    ct, rows = reg.ct, reg.incidence_rows()
     n = ct.n
     if n == d:
         return frozenset(ct.elements)
     xi, yi = ct.index[x.images], ct.index[y.images]
-    chosen = {xi, yi, *reg.climb(oracle.rows[xi] & oracle.rows[yi])}
+    chosen = {xi, yi, *reg.climb(rows[xi] & rows[yi])}
     for z in range(n):
         if len(chosen) == d:
             break
@@ -803,20 +803,19 @@ class ClosureOracle:
         return got
 
 
-def class_edges(oracle, d: int):
+def class_edges(reg, d: int):
     """Yield (i, j), i <= j, for the joined pairs of the row classes of
-    an ``EdgeOracle``, one ``joined`` test per pair.
+    a ``SubgroupRegistry``, one ``joined`` test per pair.
 
     (i, i) means the elements of class i are pairwise joined; it is
     yielded only for classes of two or more elements.
     """
-    classes, rows = oracle.classes, oracle.rows
-    heads = [rows[c[0]] for c in classes]
+    classes, heads, _ = reg.row_classes()
     for i, ri in enumerate(heads):
-        if len(classes[i]) > 1 and joined(oracle, ri, d):
+        if len(classes[i]) > 1 and joined(reg, ri, d):
             yield (i, i)
         for j in range(i + 1, len(heads)):
-            if joined(oracle, ri & heads[j], d):
+            if joined(reg, ri & heads[j], d):
                 yield (i, j)
 
 
@@ -824,12 +823,12 @@ def class_pair_summary(G, d: int) -> tuple:
     """(n_vertices, n_edges, n_components) of Delta_d by a union-find
     over the pairs ``class_edges`` yields."""
     _check_graph_args(G, d)
-    oracle = _oracle_for(G)
-    classes = oracle.classes
+    reg = registry_for(G)
+    classes = reg.row_classes()[0]
     uf = UnionFind(len(classes))
     non_isolated = bytearray(len(classes))
     n_edges = 0
-    for i, j in class_edges(oracle, d):
+    for i, j in class_edges(reg, d):
         ci, cj = len(classes[i]), len(classes[j])
         n_edges += ci * (ci - 1) // 2 if i == j else ci * cj
         non_isolated[i] = non_isolated[j] = 1
@@ -910,16 +909,15 @@ def build_delta_d(G, d: int) -> ElementGraph:
 def _rank_graph(G, d: int, drop_isolated: bool) -> ElementGraph:
     """Gamma_d, or Delta_d with ``drop_isolated``: the class adjacency
     gathered at the row class of each element into an element matrix."""
-    _check_graph_args(G, d)
-    oracle = _oracle_for(G)
-    node_of = np.empty(oracle.ct.n, dtype=np.intp)
-    for k, members in enumerate(oracle.classes):
+    adj = class_adjacency(G, d)
+    ct = G.cayley_table()
+    node_of = np.empty(ct.n, dtype=np.intp)
+    for k, members in enumerate(registry_for(G).row_classes()[0]):
         node_of[members] = k
-    keep = np.arange(oracle.ct.n)
-    adj = oracle.class_adjacency(d)
+    keep = np.arange(ct.n)
     if drop_isolated:
         keep = np.flatnonzero(adj[node_of].any(axis=1))
-    elements = oracle.ct.elements
+    elements = ct.elements
     return ElementGraph.from_matrix(
         graph_kind(d), [elements[v] for v in keep.tolist()],
         adj[np.ix_(node_of[keep], node_of[keep])], {"d": d})

@@ -4,7 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rankgraph import GroupArgumentError, Permutation, group_from_generators
+from rankgraph import (
+    CapExceededError,
+    GroupArgumentError,
+    Permutation,
+    group_from_generators,
+)
 from rankgraph.automorphisms import (
     _bfs_schedule,
     _conjugation_matrix,
@@ -18,10 +23,12 @@ from rankgraph.automorphisms import (
 from rankgraph.catalog import (
     alternating,
     default_catalog,
+    elementary_abelian,
     pgl2,
     psl2,
     symmetric,
 )
+from rankgraph.config import caps
 from rankgraph.crown_powers import MonolithicGroup, delta_Lt
 from rankgraph.group_structure import SubgroupRegistry, min_rank
 from rankgraph.perm_core import subgroup_from_members
@@ -118,6 +125,20 @@ class TestAutomorphismGroup:
                             lambda ct, conj: inner_rows(ct, conj)[1:])
         with pytest.raises(RuntimeError, match="closed under composition"):
             automorphism_group(A5)
+
+    def test_closure_check_over_the_cap_is_refused(self):
+        # L abelian: all 168 maps are found, and the check composes each
+        # map with every one of them
+        G = AUT_CASES["E2^3"].group()
+        with caps(max_search_space=10**4), \
+                pytest.raises(CapExceededError, match="closure check"):
+            automorphism_group(G)
+        assert len(automorphism_group(G)) == 168
+
+    def test_closure_check_of_e2_4_is_refused_at_the_default_caps(self):
+        # Aut = GL(4, 2): the check would hold 1.6e9 int64 cells
+        with pytest.raises(CapExceededError, match="closure check"):
+            automorphism_group(elementary_abelian(2, 4).group())
 
 
     @pytest.mark.parametrize(

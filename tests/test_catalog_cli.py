@@ -239,6 +239,22 @@ class TestSweep:
                     for r in sweep(entries, max_order=100, jobs=2)]
         assert serial == parallel
 
+    def test_conjecture_policy(self):
+        # d = 2 for 2-generated groups only; nothing for E2^3 (d = 3)
+        entries = [find_entry(default_catalog(), gid)
+                   for gid in ("S4", "E2^3", "A5", "C6")]
+        serial = sweep(entries, policy="conjecture")
+        s4, e23, a5, c6 = serial
+        for rec in (s4, a5):
+            assert [g.d for g in rec.graphs] == [2]
+            assert rec.graphs[0].connected and rec.critical == []
+        assert (e23.d_min, e23.graphs, e23.critical) == (3, [], [])
+        assert (c6.skipped, c6.graphs) == ("cyclic", [])
+        assert [r.error for r in serial] == [None] * 4
+        assert [strip_timing(r) for r in sweep(entries, policy="conjecture",
+                                               jobs=2)] == \
+            [strip_timing(r) for r in serial]
+
     def test_pool_is_no_larger_than_the_entries(self, monkeypatch):
         # the pool forks all its workers up front; an in-process stand-in
         # records the size asked for, so no process is started here

@@ -20,7 +20,7 @@ from rankgraph.crown_powers import (
     weak_connectivity,
 )
 from rankgraph.graphs import (
-    _oracle_for,
+    class_adjacency,
     class_block,
     component_labels,
     delta_summary,
@@ -44,10 +44,9 @@ def _group(group_id):
 def check_class_pairs(G, d):
     """The class adjacency and ``delta_summary`` against the class pairs
     joined one at a time."""
-    oracle = _oracle_for(G)
-    upper = np.triu(oracle.class_adjacency(d))
+    upper = np.triu(class_adjacency(G, d))
     assert set(map(tuple, np.argwhere(upper).tolist())) == \
-        set(class_edges(oracle, d))
+        set(class_edges(registry_for(G), d))
     s = delta_summary(G, d)
     assert (s.n_vertices, s.n_edges, s.n_components) == \
         class_pair_summary(G, d)

@@ -520,6 +520,22 @@ class TestWeakConnectivity:
             done += 1
             assert weak_connectivity(A5m, 3, 1, a=a).passed
 
+    def test_tuple_of_the_wrong_length_is_refused(self, A5m):
+        a = default_generating_tuple(A5m, 2)
+        with pytest.raises(GroupArgumentError, match="t = 3"):
+            weak_connectivity(A5m, 3, 1, a=a)
+
+    def test_tuple_other_than_the_tables_is_refused(self, S5m):
+        # the table's tuples are columns over its own a: read against
+        # another a, no vertex would be joined
+        _, table = delta_Lt(S5m, 2)
+        assert table.a != (1, 33)
+        assert not registry_for(S5m.group).mask_of((1, 33))
+        with pytest.raises(GroupArgumentError, match="orbit table"):
+            weak_connectivity(S5m, 2, 1, a=(1, 33), table=table)
+        assert weak_connectivity(S5m, 2, 1, a=table.a, table=table) == \
+            weak_connectivity(S5m, 2, 1, table=table)
+
 
 class TestSampledWeakConnectivity:
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])

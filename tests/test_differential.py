@@ -18,12 +18,12 @@ from rankgraph import (
 )
 from rankgraph.catalog import default_catalog
 from rankgraph.graphs import (
-    _oracle_for,
+    class_adjacency,
     class_eccentricities,
     component_labels,
     element_components,
 )
-from rankgraph.group_structure import min_rank
+from rankgraph.group_structure import min_rank, registry_for
 from rankgraph.perm_core import derived_subgroup
 
 from oracles import build_delta_d, components
@@ -107,9 +107,9 @@ def test_delta_components_and_diameter_match_networkx(entry, d):
          for c in nx.connected_components(theirs)}
     # per component of the non-isolated row classes, the largest class
     # eccentricity
-    oracle = _oracle_for(entry.group())
-    adj = oracle.class_adjacency(d)
-    ecc = class_eccentricities(adj, oracle.sizes)
+    adj = class_adjacency(entry.group(), d)
+    sizes = list(map(len, registry_for(entry.group()).row_classes()[0]))
+    ecc = class_eccentricities(adj, sizes)
     active = adj.any(axis=1)
     labels = component_labels(adj)
     ours = sorted(int(ecc[active & (labels == c)].max())

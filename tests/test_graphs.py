@@ -9,14 +9,14 @@ import hypothesis.strategies as st
 from rankgraph import GroupArgumentError, Permutation, group_from_generators
 from rankgraph.catalog import default_catalog, symmetric
 from rankgraph.graphs import (
-    _oracle_for,
     build_lambda,
+    class_adjacency,
     class_eccentricities,
     delta_summary,
     element_components,
     export_dot,
 )
-from rankgraph.group_structure import min_rank
+from rankgraph.group_structure import min_rank, registry_for
 
 from oracles import (
     ElementGraph,
@@ -186,10 +186,10 @@ def _per_component(ids, ecc):
 def _class_diameters(G, d, graph):
     """Diameter per component of an element graph of G, each vertex
     given the eccentricity of its row class in the class adjacency."""
-    oracle = _oracle_for(G)
-    ecc = class_eccentricities(oracle.class_adjacency(d), oracle.sizes)
-    class_of = {x: k for k, members in enumerate(oracle.classes)
-                for x in members}
+    classes = registry_for(G).row_classes()[0]
+    ecc = class_eccentricities(class_adjacency(G, d),
+                               list(map(len, classes)))
+    class_of = {x: k for k, members in enumerate(classes) for x in members}
     ct = G.cayley_table()
     return _per_component(components(graph).ids,
                           [ecc[class_of[ct.index[p.images]]]

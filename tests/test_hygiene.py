@@ -214,6 +214,63 @@ def test_automorphisms_build_no_permutation_group():
     assert group_builder_calls(AUTOMORPHISMS.read_text()) == []
 
 
+# Per-table state hangs off a Cayley table only where ``perm_core`` builds
+# the table and where ``registry_for`` keeps the table's one
+# ``SubgroupRegistry``; what any other layer caches per table belongs to
+# that registry.
+
+TABLE_STORES_ALLOWED = {("group_structure", "registry_for", "_registry")}
+
+
+def table_attribute_stores(source: str) -> list:
+    """(line, enclosing function, attribute) for each attribute of a
+    name ``ct`` assigned, by a store or by ``setattr``."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.ctx, ast.Store) and \
+                isinstance(node.value, ast.Name) and node.value.id == "ct":
+            out.append((node.lineno, func, node.attr))
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Name) and \
+                node.func.id == "setattr" and node.args and \
+                isinstance(node.args[0], ast.Name) and \
+                node.args[0].id == "ct":
+            name = node.args[1] if len(node.args) > 1 else None
+            out.append((node.lineno, func,
+                        name.value if isinstance(name, ast.Constant)
+                        else None))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return sorted(out, key=lambda s: s[0])
+
+
+def test_table_store_scanner_flags_assignments():
+    source = ("def f(G, table):\n    ct = G.cayley_table()\n"
+              "    ct._cache = 1\n    ct.n += 0\n"
+              "    setattr(ct, 'x', 2)\n    table.y = ct.n\n"
+              "    def g():\n        ct.z = 3\n    return ct._cache\n"
+              "ct.w = 4\n")
+    assert table_attribute_stores(source) == [
+        (3, "f", "_cache"), (4, "f", "n"), (5, "f", "x"), (8, "g", "z"),
+        (10, None, "w")]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.stem != "perm_core"],
+                         ids=lambda p: p.name)
+def test_only_the_registry_hangs_off_the_table(path):
+    assert [(line, func, attr) for line, func, attr
+            in table_attribute_stores(path.read_text())
+            if (path.stem, func, attr) not in TABLE_STORES_ALLOWED] == [], \
+        path.name
+
+
 # Library code that only tests call belongs in ``tests/oracles.py``: every
 # public module-level function or class of the package is referenced by
 # some package file other than through its own definition.  Names match

@@ -101,6 +101,23 @@ class TestIncidenceRows:
         assert rows[reg.ct.identity] == \
             (1 << len(reg.maximal_subgroups())) - 1
 
+    @pytest.mark.parametrize("group_id", ["S4", "Dih8", "Dih4xC2",
+                                          "C4xC4", "A5"])
+    def test_row_classes_group_the_elements_by_row(self, group_id):
+        reg = SubgroupRegistry(_group(group_id).cayley_table())
+        rows = reg.incidence_rows()
+        classes, class_rows, class_of = reg.row_classes()
+        assert sorted(x for c in classes for x in c) == list(range(reg.ct.n))
+        assert [c[0] for c in classes] == sorted(c[0] for c in classes)
+        assert len(set(class_rows)) == len(classes)
+        for k, members in enumerate(classes):
+            assert members == sorted(members)
+            assert {rows[x] for x in members} == {class_rows[k]}
+            assert {class_of[x] for x in members} == {k}
+        # the identity's class is the Frattini subgroup
+        assert frozenset(classes[class_of[reg.ct.identity]]) == \
+            frozenset.intersection(*reg.maximal_subgroups())
+
     def test_mask_dist_matches_closure_distance(self, S4):
         reg = SubgroupRegistry(S4.cayley_table())
         rows = reg.incidence_rows()
