@@ -252,12 +252,9 @@ def cmd_export_dot(args) -> int:
     entry = _entry(args, args.group)
     G = entry.group()
     with _open_out(args.out) as out:
-        d = _graph_d(args, G)
-        stats = delta_summary(G, d)
-        export_dot(G, d, args.graph == "gamma", out)
-    n_vertices = G.order if args.graph == "gamma" else stats.n_vertices
-    print(f"wrote {n_vertices} vertices / {stats.n_edges} edges "
-          f"to {args.out}")
+        n_vertices, n_edges = export_dot(G, _graph_d(args, G),
+                                         args.graph == "gamma", out)
+    print(f"wrote {n_vertices} vertices / {n_edges} edges to {args.out}")
     return 0
 
 

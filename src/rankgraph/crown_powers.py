@@ -10,7 +10,8 @@ set of generating coset tuples.  A witness for L_delta is certified by
 the subdirect-product lemma (``columns_generate``): its columns generate
 L and no automorphism maps one column to another.  ``square_order``
 decides generation of L_2 directly, from the order of the subgroup of
-L x L that index pairs generate (Schreier's lemma on table products);
+L x L that index pairs generate (Schreier's lemma on table products,
+the kernel grown by the coset closure ``SubgroupRegistry.close``);
 ``verify --lemma primo`` checks the orbit criterion against it.
 
 A crown-graph vertex a_i . c is the integer rank i |C| + k, c the k-th
@@ -224,9 +225,10 @@ def square_order(ct, pairs: Sequence[tuple], target: int = 0) -> int:
     A breadth-first search over P = pi_1(H) keeps one element (p, s_p) of
     H per p in P.  By Schreier's lemma the second coordinates
     s_p y s_{px}^-1 generate K = pi_2(H meet 1 x L), and |H| = |P| |K|.
-    K grows by right cosets (Dimino) only when one of them falls outside
-    it, and stops at all of L.  Once |P| |L| < target that bound is
-    returned, so the result is at least ``target`` exactly when |H| is.
+    Each such generator outside the K found so far joins it by
+    ``SubgroupRegistry.close``, so the K's are interned in L's registry,
+    and the search stops once K is all of L.  Once |P| |L| < target that bound is returned, so the result is
+    at least ``target`` exactly when |H| is.
     """
     tbl, inv, n, e = ct.table, ct.inv, ct.n, ct.identity
     second = [-1] * n
@@ -240,26 +242,17 @@ def square_order(ct, pairs: Sequence[tuple], target: int = 0) -> int:
                 P.append(row[x])
     if len(P) * n < target:
         return len(P) * n
-    K, member, gens = [e], bytearray(n), []
-    member[e] = 1
+    reg = registry_for(ct.group)
+    k = reg.trivial_id
     for p in P:
         row, sp = tbl[p], tbl[second[p]]
         for x, y in pairs:
             z = tbl[sp[y]][inv[second[row[x]]]]
-            if member[z]:
-                continue
-            gens.append(z)
-            base, reps = K[:], [z]
-            for r in reps:
-                if not member[r]:
-                    coset = [tbl[h][r] for h in base]
-                    K += coset
-                    for c in coset:
-                        member[c] = 1
-                    reps += [tbl[r][g] for g in gens]
-            if len(K) == n:
-                return len(P) * n
-    return len(P) * len(K)
+            if z not in reg.members[k]:
+                k = reg.close(k, z)
+                if k == reg.full_id:
+                    return len(P) * n
+    return len(P) * len(reg.members[k])
 
 
 def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:

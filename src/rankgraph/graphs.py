@@ -297,11 +297,12 @@ def build_lambda(S: PermutationGroup, x: Permutation,
 
 
 def export_dot(G: PermutationGroup, d: int, keep_isolated: bool,
-               out) -> None:
+               out) -> tuple:
     """Write Gamma_d, or Delta_d without ``keep_isolated``, to the file
     object ``out`` as deterministic DOT: the kept elements in ascending
     index order, labelled by cycle notation, then the edges (v, w), v < w,
-    streamed from the class adjacency one element at a time."""
+    streamed from the class adjacency one element at a time.  Returns
+    the numbers of vertices and edges written."""
     adj = class_adjacency(G, d)
     import numpy as np
     reg = registry_for(G)
@@ -316,7 +317,10 @@ def export_dot(G: PermutationGroup, d: int, keep_isolated: bool,
     out.write(f'graph "{graph_kind(d)}" {{\n')
     for v, x in enumerate(keep.tolist()):
         out.write(f'  v{v} [label="{elements[x].cycle_string()}"];\n')
+    n_edges = 0
     for v in range(len(cls)):
         nbrs = np.flatnonzero(adj[cls[v], cls[v + 1:]]) + (v + 1)
+        n_edges += len(nbrs)
         out.write("".join(f"  v{v} -- v{w};\n" for w in nbrs.tolist()))
     out.write("}\n")
+    return len(keep), n_edges

@@ -91,7 +91,9 @@ class SubgroupRegistry:
         is then closed under left multiplication by the generators, so
         it is <H, z>.  Each join costs (cosets x generators) lookups
         plus one table cell per element of the result.  By Lagrange, a
-        union that would exceed |G|/2 is the whole group.
+        union that would exceed |G|/2 is the whole group.  Callers: the
+        cyclic extension (``join_with_element``) and the Schreier
+        generators of ``crown_powers.square_order``.
         """
         ct = self.ct
         n = ct.n
@@ -394,7 +396,6 @@ def registry_for(G: PermutationGroup) -> SubgroupRegistry:
 
 @dataclass
 class NormalLattice:
-    group: PermutationGroup
     normals: list  # all normal subgroups, ascending (order, element indices)
     minimal_normals: list
 
@@ -458,7 +459,7 @@ def normal_subgroups(G: PermutationGroup) -> NormalLattice:
         else:
             groups[N] = subgroup_from_members(
                 G.degree, [ct.perm(x) for x in members[N]])
-    return NormalLattice(G, [groups[N] for N in normals],
+    return NormalLattice([groups[N] for N in normals],
                          [groups[N] for N in minimal])
 
 

@@ -265,7 +265,8 @@ def verify_primo(seed: int = 42,
                  exhaustive_slice: int = 10**5) -> VerifyReport:
     """Orbit criterion on A5, t=2, eta=2, against the order of the subgroup
     of L x L that the two index pairs (a_i m_i1, a_i m_i2) generate
-    (``square_order``: table products and inverses only)."""
+    (``square_order``: table products and inverses, and the registry's
+    coset closure; no incidence rows, Aut(L), X or orbit labels)."""
     rng = random.Random(seed)
     L = _mono("A5")
     ct = L.ct()

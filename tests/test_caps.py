@@ -11,6 +11,7 @@ from rankgraph import CapExceededError, config
 from rankgraph.automorphisms import automorphism_group
 from rankgraph.catalog import (
     alternating,
+    builtin_entry,
     default_catalog,
     dihedral,
     load_catalog,
@@ -23,7 +24,9 @@ from rankgraph.crown_powers import MonolithicGroup, delu_fraction, omega_table
 from rankgraph.graphs import delta_summary
 from rankgraph.group_structure import (
     SubgroupRegistry,
+    _prune_generators,
     gaschutz_lift,
+    generates,
     min_rank,
     normal_subgroups,
 )
@@ -218,3 +221,39 @@ def test_sweep_workers_get_the_caps_under_spawn(monkeypatch):
         records = sweep_mod.sweep(entries, jobs=2)
     assert [rec.error for rec in records] == [
         "cap exceeded: order 24 exceeds enumeration cap 12", None, None]
+
+
+# Above the dense cap, min_rank certifies d <= 2 from the pruned
+# generators, or from a generating pair of the seeded random probe when
+# three generators survive pruning; non-abelianness rules out d = 1.
+@pytest.mark.parametrize("group_id,d,probed", [
+    ("S4", 2, False), ("A5", 2, False), ("PGL(2,7)", 2, True),
+    ("PSL(2,8)", 2, True), ("C12", 1, False)])
+def test_min_rank_above_the_dense_cap(group_id, d, probed):
+    G = builtin_entry(group_id).group()
+    with caps(max_dense_order=4):
+        cert = min_rank(G)
+        pruned = tuple(_prune_generators(G))
+        assert generates(G, list(cert.witness))
+    assert cert.d == len(cert.witness) == d
+    assert len(pruned) == (3 if probed else d)
+    assert (cert.witness != pruned) == probed
+    assert min_rank(G).d == d  # the dense path agrees
+
+
+@pytest.mark.parametrize("group_id", ["E2^3", "Dih4xC2"])
+def test_min_rank_above_the_dense_cap_needs_a_small_certificate(group_id):
+    G = builtin_entry(group_id).group()
+    with caps(max_dense_order=4), pytest.raises(
+            CapExceededError, match="no small certificate"):
+        min_rank(G)
+
+
+def test_sweep_entry_above_the_dense_cap_keeps_d():
+    with caps(max_dense_order=100):
+        rec = sweep_mod.sweep_entry(builtin_entry("PGL(2,7)"))
+    assert (rec.d_min, rec.graphs) == (2, [])
+    assert rec.error == \
+        "cap exceeded: order 336 exceeds dense-table cap 100"
+    assert sweep_mod.cap_skipped([rec]) == ["PGL(2,7)"]
+    assert sweep_mod.unexpected_errors([rec]) == []

@@ -34,7 +34,7 @@ from rankgraph.crown_powers import (
     weak_connectivity,
     weak_connectivity_sampled,
 )
-from rankgraph.group_structure import registry_for
+from rankgraph.group_structure import SubgroupRegistry, registry_for
 
 import oracles
 from oracles import (
@@ -299,6 +299,35 @@ class TestSquareOrder:
         assert square_order(ct, [(x, e), (e, y)]) == 15
         assert square_order(ct, [(x, x), (y, y)]) == 60
         assert square_order(ct, [(x, x), (y, y), (x, e)]) == 3600
+
+    def test_kernel_grows_by_the_registry_closure(self, A5, monkeypatch):
+        ct = A5.cayley_table()
+        e = ct.identity
+        x, y = ct.index[cyc(5, [0, 1, 2]).images], \
+            ct.index[cyc(5, [0, 1, 2, 3, 4]).images]
+        calls = []
+        close = SubgroupRegistry.close
+
+        def counted(reg, sid, z):
+            calls.append(z)
+            return close(reg, sid, z)
+
+        monkeypatch.setattr(SubgroupRegistry, "close", counted)
+        assert square_order(ct, [(x, x), (y, y), (x, e)]) == 3600
+        assert calls
+
+    def test_kernel_of_half_the_group(self, S5):
+        # K = A5 has order |S5|/2, the Lagrange boundary of the closure
+        ct = S5.cayley_table()
+        c5, t, c3 = (ct.index[cyc(5, c).images]
+                     for c in ([0, 1, 2, 3, 4], [0, 1], [0, 1, 2]))
+        pairs = [(c5, c5), (t, t), (ct.identity, c3)]
+        chain = StabilizerChain(2 * S5.degree, [
+            _from_coordinates([ct.perm(x), ct.perm(y)]) for x, y in pairs])
+        assert square_order(ct, pairs) == chain.order() == 7200
+        for target in (7200, 7201, 14400):
+            assert (square_order(ct, pairs, target) >= target) == \
+                (7200 >= target), target
 
 
 class TestOmegaTable:
