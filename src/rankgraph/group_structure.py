@@ -3,13 +3,18 @@ solubility, minimal generator numbers d(G) and d_X(G), and normal-subgroup
 correction lifting.
 
 The workhorse is SubgroupRegistry, a per-group cache of interned
-subgroups (by element index set).  Its joins serve one search only: the
-conjugacy classes of subgroups by cyclic extension, which joins each
-class representative H with one element of prime-power order per
-N_G(H)-orbit of cyclic subgroups outside H; H is maximal iff every such
-join is G.  A join <H, z> is closed coset by coset (Dimino): it grows
-as a union of cosets of H, so its cost is counted in cosets, not in
-elements.  Every generation question, d(G) included, is answered from
+subgroups (by element index set).  Its joins serve the conjugacy classes
+of subgroups by cyclic extension, which joins each class representative
+H with one element of prime-power order per N_G(H)-orbit of cyclic
+subgroups outside H; H is maximal iff every such join is G.  A join
+<H, z> is closed coset by coset (Dimino) on the coset labels of H, so
+its cost is counted in cosets, not in elements: a join reaching G builds
+no element set, and a proper one builds its members once per H and
+result.  Only the orbits of maximal classes are sorted, which fixes the
+order of ``maximal_subgroups()``.  ``crown_powers.square_order`` grows
+its kernels with the same joins.
+
+Every generation question, d(G) included, is answered from
 maximal-subgroup incidence (P. Hall's view of generation): the maximal
 subgroups containing <X> are the AND of the incidence rows of the
 elements of X, <X> = G iff that mask is 0, and d_X(G) is the distance of
@@ -51,8 +56,8 @@ class SubgroupRegistry:
     Joins <H, z> of an interned subgroup with one element (interned by
     the frozenset of their element indices) find the classes of
     subgroups and the maximal subgroups by cyclic extension
-    (``subgroup_class_reps``).  ``close`` builds a join from the cosets
-    of H; one exceeding |G|/2 is the whole group by Lagrange.
+    (``subgroup_class_reps``).  ``close`` builds a join from the labelled
+    cosets of H; one exceeding |G|/2 is the whole group by Lagrange.
     ``normaliser`` and ``conjugates`` work on the same table rows.
     Generation questions go through the incidence rows: ``mask_of`` gives
     the mask of <X>, ``mask_dist`` its distance d_X(G) and ``climb`` a
@@ -71,6 +76,8 @@ class SubgroupRegistry:
         self._rows: Optional[list] = None
         self._row_classes: Optional[tuple] = None
         self._mask_dist: dict = {}
+        self._labels: dict = {}  # sid -> coset label of each element
+        self._joins: dict = {}  # sid -> {labels of <H, z>: its sid}
 
     def intern(self, members: frozenset, gens: tuple) -> int:
         sid = self._ids.get(members)
@@ -84,35 +91,49 @@ class SubgroupRegistry:
     def close(self, sid: int, z: int) -> int:
         """<H, z> for an interned subgroup H, interned.
 
-        Dimino's coset closure: the result is grown as a union of left
-        cosets yH, starting from H with the representative list [1].
-        For each representative c and each generator s of <H, z>, the
-        coset of y = s * c is added unless y is already in; the union
-        is then closed under left multiplication by the generators, so
-        it is <H, z>.  Each join costs (cosets x generators) lookups
-        plus one table cell per element of the result.  By Lagrange, a
-        union that would exceed |G|/2 is the whole group.  Callers: the
-        cyclic extension (``join_with_element``) and the Schreier
-        generators of ``crown_powers.square_order``.
+        Dimino's coset closure on coset labels: the result is grown as a
+        union of left cosets yH, starting from H with the representative
+        list [1].  Each coset xH is named by its least element
+        (``CayleyTable.coset_labels``), labelled once per H and kept in
+        the registry.  For each representative c and each generator s of
+        <H, z>, the coset of y = s * c is added when the label of y is
+        new; the union is then closed under left multiplication by the
+        generators, so it is <H, z>.  Each join costs (cosets x
+        generators) label lookups.  By Lagrange, a union that would pass
+        |G|/2 is the whole group, so a join reaching G builds no element
+        set.  A proper join builds its members once per H and set of
+        labels, and is interned with the generators of its first call.
+        Callers: the cyclic extension (``join_with_element``) and the
+        Schreier generators of ``crown_powers.square_order``.
         """
         ct = self.ct
-        n = ct.n
         table = ct.table
         H = self.members[sid]
-        h = len(H)
+        label = self._labels.get(sid)
+        if label is None:
+            label = self._labels[sid] = ct.coset_labels(sorted(H)).tolist()
         gens = self.gens[sid] + (z,)
         rows = [table[s] for s in gens]
-        K = set(H)
+        last = ct.n // (2 * len(H))  # one more coset would pass |G|/2
+        cosets = {label[ct.identity]}
         reps = [ct.identity]
         for c in reps:  # grows while it is read
             for row in rows:
                 y = row[c]
-                if y not in K:
-                    if 2 * (len(K) + h) > n:
+                if label[y] not in cosets:
+                    if len(reps) == last:
                         return self.full_id
-                    K.update(map(table[y].__getitem__, H))
+                    cosets.add(label[y])
                     reps.append(y)
-        return self.intern(frozenset(K), gens)
+        joins = self._joins.setdefault(sid, {})
+        key = frozenset(cosets)
+        got = joins.get(key)
+        if got is None:
+            K = set()
+            for y in reps:
+                K.update(map(table[y].__getitem__, H))
+            got = joins[key] = self.intern(frozenset(K), gens)
+        return got
 
     def join_with_element(self, sid: int, z: int) -> int:
         """<H, z> for an interned subgroup H."""
@@ -128,19 +149,19 @@ class SubgroupRegistry:
 
     def conjugates(self, members: frozenset) -> list:
         """Orbit of a subgroup under conjugation by the group generators,
-        mapped through the generators' conjugation rows."""
+        mapped through the generators' conjugation rows, in the order
+        found (breadth first from ``members``)."""
         ct = self.ct
         rows = [ct.conj_row(g).__getitem__ for g in ct.gen_indices]
-        orbit = {members}
-        queue = [members]
-        while queue:
-            s = queue.pop()
+        orbit = [members]
+        found = {members}
+        for s in orbit:  # grows while it is read
             for row in rows:
                 img = frozenset(map(row, s))
-                if img not in orbit:
-                    orbit.add(img)
-                    queue.append(img)
-        return sorted(orbit, key=sorted)
+                if img not in found:
+                    found.add(img)
+                    orbit.append(img)
+        return orbit
 
     def normaliser(self, sid: int) -> list:
         """N_G(H): the g with h^g in H for every generator h of H.
@@ -176,7 +197,10 @@ class SubgroupRegistry:
 
     def _cyclic_extension(self) -> tuple:
         """(class representatives, the conjugacy class of each maximal
-        one), once."""
+        one), once.  A representative's coset labels and join memo are
+        dropped once its extensions are done; each maximal class is
+        sorted by ascending member lists, so the incidence bits do not
+        depend on the order ``conjugates`` found it in."""
         if self._lattice is not None:
             return self._lattice
         ct = self.ct
@@ -226,9 +250,11 @@ class SubgroupRegistry:
                 j = self.join_with_element(sid, z)
                 all_full = all_full and j == self.full_id
                 register(j)
+            self._labels.pop(sid, None)
+            self._joins.pop(sid, None)
             if all_full:
                 # tuples: a frozenset takes about four times the memory
-                maximal.append([tuple(m) for m in orbit])
+                maximal.append([tuple(m) for m in sorted(orbit, key=sorted)])
         self._lattice = (reps, maximal)
         return self._lattice
 

@@ -795,9 +795,10 @@ class CayleyTable:
         return self.elements[i]
 
     def coset_labels(self, members: Sequence[int]):
-        """Per element index x, the least element index of x N, N the
-        normal subgroup with these element indices.  Indices follow the
-        order of image tuples, so this is the canonical representative."""
+        """Per element index x, the least element index of the left coset
+        x H, H any subgroup (normal or not) with these element indices.
+        Indices follow the order of image tuples, so this is the canonical
+        representative of x H: x and y get one label iff x H = y H."""
         return self.array[:, members].min(1)
 
     def subset_indices(self, H: PermutationGroup) -> frozenset:

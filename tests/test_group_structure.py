@@ -2,6 +2,7 @@ import pytest
 
 from rankgraph import (
     CapExceededError,
+    CayleyTable,
     Permutation,
     PermutationGroup,
     PreconditionError,
@@ -174,10 +175,13 @@ class TestFrattini:
         assert len(set(ours)) == len(ours)
         assert set(ours) == set(brute_maximal_subgroups(G, max_gens))
 
-    @pytest.mark.parametrize("group_id", ["S4", "A5", "PSL(2,7)"])
+    @pytest.mark.parametrize("group_id",
+                             ["S4", "A5", "PSL(2,7)", "E3^3", "Dih9"])
     def test_join_with_element_matches_fresh_closure(self, group_id):
         # the product-formula shortcut and the coset closure give what a
-        # breadth-first closure of the generators of H and z gives
+        # breadth-first closure of the generators of H and z gives; in
+        # E3^3 (every H) and Dih9 (|H| = 2, 6), |G|/(2|H|) is not an
+        # integer, which would show an off-by-one in the Lagrange exit
         G = find_entry(default_catalog(), group_id).group()
         reg = registry_for(G)
         oracle = ClosureOracle(G)
@@ -186,6 +190,73 @@ class TestFrattini:
                 want = oracle.reg.members[
                     oracle.bfs_close(reg.gens[sid] + (z,))]
                 assert reg.members[reg.join_with_element(sid, z)] == want
+
+    def test_coset_labels_once_per_subgroup_closed_from(self, A5,
+                                                        monkeypatch):
+        # ``close`` labels the cosets of each H it closes from once
+        labelled, closed_from = [], set()
+        coset_labels = CayleyTable.coset_labels
+        close = SubgroupRegistry.close
+
+        def labels_spy(ct, members):
+            labelled.append(len(members))
+            return coset_labels(ct, members)
+
+        def close_spy(reg, sid, z):
+            closed_from.add(sid)
+            return close(reg, sid, z)
+        monkeypatch.setattr(CayleyTable, "coset_labels", labels_spy)
+        monkeypatch.setattr(SubgroupRegistry, "close", close_spy)
+        SubgroupRegistry(A5.cayley_table()).subgroup_class_reps()
+        assert labelled
+        assert len(labelled) == len(closed_from)
+
+    def test_proper_join_interned_once_per_representative(self, S4,
+                                                          monkeypatch):
+        # a proper join that a representative already produced is read
+        # from its memo, not built and interned again
+        inside, interned, proper = [], [], set()
+        close = SubgroupRegistry.close
+        intern = SubgroupRegistry.intern
+
+        def close_spy(reg, sid, z):
+            inside.append(sid)
+            try:
+                got = close(reg, sid, z)
+            finally:
+                inside.pop()
+            if got != reg.full_id:
+                proper.add((sid, got))
+            return got
+
+        def intern_spy(reg, members, gens):
+            if inside:
+                interned.append(members)
+            return intern(reg, members, gens)
+        monkeypatch.setattr(SubgroupRegistry, "close", close_spy)
+        monkeypatch.setattr(SubgroupRegistry, "intern", intern_spy)
+        SubgroupRegistry(S4.cayley_table()).subgroup_class_reps()
+        assert proper
+        assert len(interned) == len(proper)
+
+    @pytest.mark.parametrize("group_id", ["A5", "S5", "PSL(2,7)"])
+    def test_maximal_classes_in_ascending_member_order(self, group_id):
+        # each conjugacy class of maximal subgroups is one run of
+        # ``maximal_subgroups()``, its members in ascending sorted order,
+        # so the incidence bits do not depend on how an orbit was found
+        G = find_entry(default_catalog(), group_id).group()
+        reg = registry_for(G)
+        runs = []
+        for M in reg.maximal_subgroups():
+            if runs and M in runs[-1][0]:
+                runs[-1][1].append(M)
+            else:
+                runs.append((set(reg.conjugates(M)), [M]))
+        for cls, run in runs:
+            assert set(run) == cls
+            keys = [sorted(M) for M in run]
+            assert keys == sorted(keys)
+        assert len(runs) > 1
 
     @pytest.mark.parametrize("group_id", UP_TO_360)
     def test_normaliser_matches_all_conjugators(self, group_id):

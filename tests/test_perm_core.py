@@ -378,6 +378,19 @@ class TestCayleyTable:
         for g in range(ct.n):
             assert ct.conj_row(g) == [ct.conj(x, g) for x in range(ct.n)]
 
+    def test_coset_labels_of_a_non_normal_subgroup(self, S4):
+        # the S3 fixing point 3 is not normal in S4; each element is
+        # labelled by the least index of its left coset x H
+        ct = S4.cayley_table()
+        H = sorted(i for i, p in enumerate(ct.elements) if p.images[3] == 3)
+        assert len(H) == 6
+        assert not is_normal(S4, subgroup_from_members(
+            4, [ct.perm(i) for i in H]))
+        labels = ct.coset_labels(H)
+        assert labels.tolist() == [min(ct.table[x][h] for h in H)
+                                   for x in range(ct.n)]
+        assert len(set(labels.tolist())) == 4
+
     def test_inverse_array(self, S4):
         ct = S4.cayley_table()
         for i in range(ct.n):
