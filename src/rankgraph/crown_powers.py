@@ -19,10 +19,10 @@ correction tuple.  ``CrownGraphBuilder._row_block`` decides the edges
 between two rows, a block at a time: by a system-of-distinct-
 representatives test over the orbit table (one admissible-orbit set per
 column, matched to pairwise distinct orbits), or, for single-column
-graphs, by ``graphs.class_block`` over incidence rows with a completion
-search over the free rows.  The exhaustive check builds the whole graph
-on class nodes from these blocks; the sampled check asks for one vertex
-against each other row.
+graphs, by ``group_structure.class_block`` over incidence rows with a
+completion search over the free rows.  The exhaustive check builds the
+whole graph on class nodes from these blocks; the sampled check asks for
+one vertex against each other row.
 """
 
 from __future__ import annotations
@@ -44,7 +44,12 @@ from .perm_core import (
     PreconditionError,
     WitnessSearchFailure,
 )
-from .group_structure import minimal_normal_subgroups, min_rank, registry_for
+from .group_structure import (
+    class_block,
+    minimal_normal_subgroups,
+    min_rank,
+    registry_for,
+)
 from .automorphisms import (
     _bfs_schedule,
     _extend_map,
@@ -53,7 +58,7 @@ from .automorphisms import (
     orbits_on_tuples,
     x_subgroup,
 )
-from .graphs import class_block, component_labels
+from .graphs import component_labels
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,12 @@ the mask row[x] & row[y] can be cleared by at most d - 2 further rows
 interchangeable, so edges are decided per pair of the registry's row
 classes (``SubgroupRegistry.row_classes``) by ``class_adjacency``.
 
-``class_block`` decides a whole block of class pairs at once: it ANDs
-the masks as numpy ``uint64`` words and tests each distinct ANDed mask
-once, so the Python work grows with the number of distinct masks, not
-with the number of pairs.
+At d = 2 ``class_adjacency`` reads the empty ANDs of all class pairs
+off ``group_structure.class_block``, which ANDs the masks as numpy
+``uint64`` words; at d >= 3 it reads ``SubgroupRegistry.class_dists``,
+the distance of every class pair, built once per group by the same
+kernel with one ``mask_dist`` call per distinct AND, so Delta_3 and
+Delta_4 of a group share one pass.
 
 Everything about Gamma_d and Delta_d is read off ``class_adjacency``:
 elements with equal rows have the same neighbours, so counts,
@@ -40,10 +42,14 @@ of ``build_lambda`` is one ``class_block`` between its two parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .perm_core import GroupArgumentError, Permutation, PermutationGroup
-from .group_structure import min_rank, registry_for
+from .group_structure import class_block, min_rank, registry_for
+
+# numpy is imported where it is used: importing it with this module, ahead
+# of the modules the CLI imports after it, raised the peak RSS of the
+# benchmark's crown pass by 0.6 MB (CPython 3.11, numpy 2.4, x86-64).
 
 
 # ---------------------------------------------------------------------------
@@ -62,58 +68,6 @@ def _levels(adj, source: int, unseen):
         yield level
         level = np.flatnonzero(adj[level].any(axis=0) & unseen)
         unseen[level] = False
-
-
-# ---------------------------------------------------------------------------
-# class blocks
-
-# numpy is imported where it is used: importing it with this module, ahead
-# of the modules the CLI imports after it, raised the peak RSS of the
-# benchmark's crown pass by 0.6 MB (CPython 3.11, numpy 2.4, x86-64).
-
-# Left masks ANDed with all right masks at a time; the temporary holds
-# rows * len(right) * words uint64 cells.
-_BLOCK_ROWS = 32
-_WORD = (1 << 64) - 1
-
-
-def _mask_words(masks: list, n_words: int):
-    """The masks as rows of ``n_words`` uint64 words, low word first."""
-    import numpy as np
-    out = np.empty((len(masks), n_words), dtype="<u8")
-    for k in range(n_words):
-        out[:, k] = [(m >> (64 * k)) & _WORD for m in masks]
-    return out
-
-
-def class_block(left: list, right: list,
-                joined: Optional[Callable[[int], bool]] = None):
-    """Boolean matrix of the pairs (left[i], right[j]) of incidence masks
-    whose AND is joined.
-
-    An empty AND is always joined (the two elements generate).  The
-    masks are ANDed as uint64 words, ``_BLOCK_ROWS`` left rows at a time,
-    and each distinct non-empty AND of a row block is decided once by
-    ``joined``, which callers memoise on the mask; without ``joined`` no
-    non-empty AND is joined.
-    """
-    import numpy as np
-    widest = max(map(int.bit_length, left + right), default=0)
-    n_words = max(1, -(-widest // 64))
-    left_w, right_w = _mask_words(left, n_words), _mask_words(right, n_words)
-    out = np.empty((len(left), len(right)), dtype=bool)
-    for start in range(0, len(left), _BLOCK_ROWS):
-        anded = left_w[start:start + _BLOCK_ROWS, None, :] & right_w[None]
-        block = ~anded.any(axis=2)
-        rest = ~block
-        if joined is not None and rest.any():
-            # one little-endian byte string per mask, low word first
-            found = anded[rest].view(f"V{8 * n_words}")[:, 0].tolist()
-            verdict = {key: joined(int.from_bytes(key, "little"))
-                       for key in set(found)}
-            block[rest] = list(map(verdict.__getitem__, found))
-        out[start:start + len(block)] = block
-    return out
 
 
 def component_labels(adj):
@@ -176,9 +130,10 @@ def class_adjacency(G: PermutationGroup, d: int):
     (``SubgroupRegistry.row_classes``) of Gamma_d.
 
     An edge test only sees the AND of the two incidence rows, so it is
-    decided once per pair of classes.  The diagonal entry of class i
-    says that its elements are pairwise joined; it is False for classes
-    of one element.
+    decided once per pair of classes: by an empty AND at d = 2, and by
+    the class-pair distances ``SubgroupRegistry.class_dists`` at d >= 3.
+    The diagonal entry of class i says that its elements are pairwise
+    joined; it is False for classes of one element.
     """
     _check_graph_args(G, d)
     import numpy as np
@@ -187,9 +142,10 @@ def class_adjacency(G: PermutationGroup, d: int):
     n, k = reg.ct.n, len(classes)
     if n <= d:
         adj = np.full((k, k), n == d)
+    elif d == 2:
+        adj = class_block(rows, rows)
     else:
-        adj = class_block(rows, rows, None if d == 2 else
-                          (lambda mask: reg.mask_dist(mask) <= d - 2))
+        adj = reg.class_dists() <= d - 2
     adj[np.diag_indices(k)] &= np.array(list(map(len, classes))) > 1
     return adj
 

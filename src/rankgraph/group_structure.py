@@ -20,7 +20,12 @@ subgroups containing <X> are the AND of the incidence rows of the
 elements of X, <X> = G iff that mask is 0, and d_X(G) is the distance of
 the mask to 0 (``SubgroupRegistry.mask_dist``).  Elements with equal rows
 are interchangeable, and ``SubgroupRegistry.row_classes`` is the one
-grouping of elements by row.
+grouping of elements by row.  ``mask_dist`` reads distance 1 off
+row-avoidance bitsets and recurses only below that.  ``class_block``
+decides whole blocks of row pairs in numpy, one predicate call per
+distinct AND, and ``SubgroupRegistry.class_dists`` keeps the distance of
+every pair of row classes, which answers every rank-graph edge test
+for d >= 3.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ class SubgroupRegistry:
     ``normaliser`` and ``conjugates`` work on the same table rows.
     Generation questions go through the incidence rows: ``mask_of`` gives
     the mask of <X>, ``mask_dist`` its distance d_X(G) and ``climb`` a
-    shortest completion; ``row_classes`` groups the elements by row.
+    shortest completion; ``row_classes`` groups the elements by row, and
+    ``class_dists`` holds the distance of every pair of row classes.
     """
 
     def __init__(self, ct: CayleyTable):
@@ -76,6 +82,8 @@ class SubgroupRegistry:
         self._rows: Optional[list] = None
         self._row_classes: Optional[tuple] = None
         self._mask_dist: dict = {}
+        self._avoid: Optional[list] = None
+        self._class_dists = None
         self._labels: dict = {}  # sid -> coset label of each element
         self._joins: dict = {}  # sid -> {labels of <H, z>: its sid}
 
@@ -325,6 +333,22 @@ class SubgroupRegistry:
             mask &= rows[z]
         return mask
 
+    def _avoiders(self) -> list:
+        """Per maximal subgroup k, the bitset of the row classes whose
+        row does not contain k (bit c for class c), once."""
+        if self._avoid is None:
+            rows = self.row_classes()[1]
+            contain = [0] * self.mask_of(()).bit_length()
+            for c, row in enumerate(rows):
+                bit = 1 << c
+                while row:
+                    low = row & -row
+                    contain[low.bit_length() - 1] |= bit
+                    row ^= low
+            every = (1 << len(rows)) - 1
+            self._avoid = [every ^ b for b in contain]
+        return self._avoid
+
     def mask_dist(self, mask: int) -> int:
         """Least r with mask & row[z_1] & ... & row[z_r] = 0, i.e. d_H(G)
         for any subgroup H whose incidence mask is ``mask``.
@@ -332,33 +356,56 @@ class SubgroupRegistry:
         mdist(0) = 0 and mdist(m) = 1 + min mdist(m & r) over the rows r
         of the row classes with m & r != m (the maximal subgroups
         containing <H, z> are mask(H) & row[z]); memoized per mask.
+        Distance 1 is read off the row-avoidance bitsets: some row clears
+        m iff the AND of the bitsets of the bits of m is non-zero, so the
+        recursion runs only on masks at distance 2 or more.
         """
         if not mask:
             return 0
         got = self._mask_dist.get(mask)
         if got is None:
-            smaller = {mask & r for r in self.row_classes()[1]}
-            smaller.discard(mask)
-            got = 1 if 0 in smaller else \
-                1 + min(self.mask_dist(m) for m in smaller)
+            avoid = self._avoiders()
+            common, rest = -1, mask
+            while rest and common:
+                low = rest & -rest
+                common &= avoid[low.bit_length() - 1]
+                rest ^= low
+            if common:
+                got = 1
+            else:
+                smaller = {mask & r for r in self.row_classes()[1]}
+                smaller.discard(mask)
+                got = 1 + min(map(self.mask_dist, smaller))
             self._mask_dist[mask] = got
         return got
+
+    def class_dists(self):
+        """``mask_dist(rows[i] & rows[j])`` for every pair (i, j) of row
+        classes, as an int8 matrix, built once by ``class_block``."""
+        if self._class_dists is None:
+            import numpy as np
+            rows = self.row_classes()[1]
+            self._class_dists = class_block(rows, rows, self.mask_dist,
+                                            np.int8(0))
+        return self._class_dists
 
     def climb(self, mask: int) -> list:
         """Elements z_1..z_r, r = mask_dist(mask), that clear ``mask``.
 
-        Each z_i is the least element lowering the distance by one.  As
-        <H, hz> = <H, z>, it is the least element of its coset Hz, so the
-        climb passes through coset representatives only.
+        Each z_i is the least element lowering the distance by one: the
+        least element of the first row class, in the order of least
+        elements, whose row does.  As <H, hz> = <H, z>, it is the least
+        element of its coset Hz, so the climb passes through coset
+        representatives only.
         """
-        rows = self.incidence_rows()
+        classes, rows, _ = self.row_classes()
         out = []
         d = self.mask_dist(mask)
         while mask:
-            z = next(z for z, row in enumerate(rows)
+            c = next(c for c, row in enumerate(rows)
                      if self.mask_dist(mask & row) == d - 1)
-            out.append(z)
-            mask &= rows[z]
+            out.append(classes[c][0])
+            mask &= rows[c]
             d -= 1
         return out
 
@@ -393,6 +440,75 @@ class SubgroupRegistry:
             for x in cells[depth]:
                 yield from extend(prefix + (x,), mask & rows[x], depth + 1)
         return extend((), mask, 0)
+
+
+# ---------------------------------------------------------------------------
+# class blocks
+
+# numpy is imported where it is used, as in ``graphs``.
+
+# Left masks ANDed with all right masks at a time; the temporary holds
+# rows * len(right) * words uint64 cells.
+_BLOCK_ROWS = 32
+_WORD = (1 << 64) - 1
+
+
+def _mask_words(masks: list, n_words: int):
+    """The masks as ``n_words`` rows of uint64 words, low word first: row
+    k holds word k of every mask."""
+    import numpy as np
+    out = np.empty((n_words, len(masks)), dtype="<u8")
+    for k in range(n_words):
+        out[k] = [(m >> (64 * k)) & _WORD for m in masks]
+    return out
+
+
+def class_block(left: list, right: list, joined=None, empty=True):
+    """Matrix over the pairs (left[i], right[j]) of incidence masks:
+    ``empty`` where their AND is 0, else ``joined`` of the AND (False
+    without ``joined``), in the dtype of ``empty``.
+
+    The masks are ANDed as uint64 words, ``_BLOCK_ROWS`` left rows at a
+    time.  The distinct non-empty ANDs of a row block are found in numpy
+    (a lexsort over the words, the starts of runs of equal ANDs, and a
+    cumsum from each pair back to its run), and ``joined`` is called once
+    per distinct AND, which callers memoise on the mask; so the Python
+    work grows with the number of distinct ANDs, not with the number of
+    pairs.
+    """
+    import numpy as np
+    widest = max(map(int.bit_length, left + right), default=0)
+    n_words = max(1, -(-widest // 64))
+    step = 8 * n_words
+    left_w, right_w = _mask_words(left, n_words), _mask_words(right, n_words)
+    out = np.full((len(left), len(right)), empty)
+    for start in range(0, len(left), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        # word k of the AND of each pair of the block, row by row
+        anded = [(lw[start:stop, None] & rw).reshape(-1)
+                 for lw, rw in zip(left_w, right_w)]
+        nonempty = anded[0] != 0
+        for word in anded[1:]:
+            nonempty |= word != 0
+        block = out[start:stop].reshape(-1)  # a view: ``out`` is contiguous
+        if joined is None:
+            block[nonempty] = False
+            continue
+        rest = np.flatnonzero(nonempty)
+        words = [word[rest] for word in anded]
+        order = np.lexsort(words)
+        words = [word[order] for word in words]
+        new = np.zeros(len(rest), dtype=bool)
+        new[:1] = True
+        for word in words:
+            new[1:] |= word[1:] != word[:-1]
+        # the distinct ANDs as little-endian bytes, low word first
+        keys = np.stack([word[new] for word in words], axis=1).tobytes()
+        verdict = np.array([joined(int.from_bytes(keys[i:i + step], "little"))
+                            for i in range(0, len(keys), step)],
+                           dtype=out.dtype)
+        block[rest[order]] = verdict[np.cumsum(new) - 1]
+    return out
 
 
 def _is_prime_power(k: int) -> bool:

@@ -616,6 +616,9 @@ def quotient(G: PermutationGroup, N: PermutationGroup):
 
 # Largest order of a Cayley table: its indices are stored as uint16.
 _MAX_TABLE_ORDER = 1 << 16
+# Table rows gathered at a time by ``coset_labels``: its temporary holds
+# rows * |H| cells, and a group of order up to 512 is one block.
+_BLOCK_ROWS = 512
 
 
 class CayleyTable:
@@ -798,8 +801,17 @@ class CayleyTable:
         """Per element index x, the least element index of the left coset
         x H, H any subgroup (normal or not) with these element indices.
         Indices follow the order of image tuples, so this is the canonical
-        representative of x H: x and y get one label iff x H = y H."""
-        return self.array[:, members].min(1)
+        representative of x H: x and y get one label iff x H = y H.
+
+        The min is taken over ``_BLOCK_ROWS`` table rows at a time, so the
+        gathered temporary holds at most ``_BLOCK_ROWS`` x |H| cells.
+        """
+        import numpy as np
+        out = np.empty(self.n, dtype=self.array.dtype)
+        for start in range(0, self.n, _BLOCK_ROWS):
+            out[start:start + _BLOCK_ROWS] = \
+                self.array[start:start + _BLOCK_ROWS, members].min(1)
+        return out
 
     def subset_indices(self, H: PermutationGroup) -> frozenset:
         """Indices of a subgroup's elements inside this table."""

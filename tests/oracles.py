@@ -29,7 +29,9 @@ row partitions of a column matrix with a union-find.
 tests ask, as are ``joined`` and ``is_edge_d``,
 the Gamma_d edge test of one mask and of one pair of elements, and
 ``edge_witness``, a generating set of cardinality d through an edge of
-Delta_d.  ``union_find_orbits``
+Delta_d.  ``joined`` reads ``reference_dist``, the distance of a mask
+by the set recursion over the class rows, where ``mask_dist`` reads
+distance 1 off row-avoidance bitsets.  ``union_find_orbits``
 labels the orbits of a group on tuples by joining each tuple with its
 generator images, where ``orbits_on_tuples`` gathers the whole orbit of
 one tuple per orbit from the rows of X.  ``class_edges`` and
@@ -67,6 +69,7 @@ matrix.
 """
 
 import random
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
@@ -316,6 +319,24 @@ def meet_blocks(table, columns) -> int:
     return len({uf.find(pos) for pos in range(len(columns))})
 
 
+_REFERENCE_DISTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def reference_dist(reg, mask: int) -> int:
+    """d_H(G) for a subgroup H with incidence mask ``mask``, from the
+    class rows of a ``SubgroupRegistry``: 0 for the empty mask, else
+    1 + the least distance of the masks mask & r != mask, r a class row;
+    memoised per registry and mask."""
+    memo = _REFERENCE_DISTS.setdefault(reg, {0: 0})
+    got = memo.get(mask)
+    if got is None:
+        smaller = {mask & r for r in reg.row_classes()[1]}
+        smaller.discard(mask)
+        got = memo[mask] = 1 if 0 in smaller else \
+            1 + min(reference_dist(reg, m) for m in smaller)
+    return got
+
+
 def joined(reg, mask: int, d: int) -> bool:
     """The Gamma_d edge test of distinct x, y with rows[x] & rows[y] ==
     mask, for a ``SubgroupRegistry``: the rule ``class_adjacency``
@@ -325,7 +346,7 @@ def joined(reg, mask: int, d: int) -> bool:
         return False
     if n == d:
         return True
-    return not mask or (d > 2 and reg.mask_dist(mask) <= d - 2)
+    return not mask or (d > 2 and reference_dist(reg, mask) <= d - 2)
 
 
 def is_edge_d(G, x, y, d: int) -> bool:

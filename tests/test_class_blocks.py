@@ -1,4 +1,4 @@
-"""The class-block kernels of ``graphs`` against the per-pair oracles.
+"""The class-block kernels against the per-pair oracles.
 
 ``delta_summary``, ``weak_connectivity`` and ``crown_graph`` decide edges
 in numpy blocks over classes of equal incidence rows (or equal crown
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from rankgraph import group_structure
 from rankgraph.catalog import default_catalog, find_entry
 from rankgraph.crown_powers import (
     CrownGraphBuilder,
@@ -21,11 +22,10 @@ from rankgraph.crown_powers import (
 )
 from rankgraph.graphs import (
     class_adjacency,
-    class_block,
     component_labels,
     delta_summary,
 )
-from rankgraph.group_structure import min_rank, registry_for
+from rankgraph.group_structure import class_block, min_rank, registry_for
 
 from oracles import (
     bfs_components,
@@ -123,7 +123,11 @@ def test_class_block_matches_pairwise_ands(left, right, salt):
     assert class_block(left, right, counted).tolist() == expected
     assert class_block(left, right).tolist() == \
         [[not (x & y) for y in right] for x in left]
-    assert 0 not in calls
+    # one call per distinct non-empty AND of each row block
+    rows = group_structure._BLOCK_ROWS
+    assert sorted(calls) == sorted(
+        m for s in range(0, len(left), rows)
+        for m in {x & y for x in left[s:s + rows] for y in right} - {0})
 
 
 @settings(max_examples=80, deadline=None)

@@ -153,15 +153,17 @@ def test_every_cap_is_checked():
 
 
 # ``ClosureOracle`` checks the registry's closure kernel, so it must not
-# call it: the oracle closes subgroups breadth first on its own.
+# call it: the oracle closes subgroups breadth first on its own.  The
+# class-pair oracles check ``mask_dist`` against ``reference_dist``, so
+# the oracles must not call it either.
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
-KERNELS = ("close", "join_with_element")
+KERNELS = ("close", "join_with_element", "mask_dist")
 
 
 def kernel_calls(source: str) -> list:
     """(line, name) for each call of a method named like a
-    ``SubgroupRegistry`` closure kernel."""
+    ``SubgroupRegistry`` closure or distance kernel."""
     return sorted((node.lineno, node.func.attr)
                   for node in ast.walk(ast.parse(source))
                   if isinstance(node, ast.Call) and
@@ -172,8 +174,10 @@ def kernel_calls(source: str) -> list:
 def test_kernel_scanner_flags_registry_closure():
     source = ("def f(reg, sid, z):\n    a = reg.close(sid, z)\n"
               "    b = reg.bfs_close((z,))\n"
-              "    return getattr(reg, 'x').join_with_element(a, b)\n")
-    assert kernel_calls(source) == [(2, "close"), (4, "join_with_element")]
+              "    c = reg.mask_dist(a) + reference_dist(reg, b)\n"
+              "    return getattr(reg, 'x').join_with_element(a, c)\n")
+    assert kernel_calls(source) == [(2, "close"), (4, "mask_dist"),
+                                    (5, "join_with_element")]
 
 
 def test_oracles_do_not_call_the_closure_kernel():

@@ -8,14 +8,23 @@ values frozen from the closure-based implementation.
 """
 
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from rankgraph.catalog import default_catalog, find_entry
-from rankgraph.graphs import delta_summary
-from rankgraph.group_structure import SubgroupRegistry, min_rank
+from rankgraph.config import caps
+from rankgraph.graphs import delta_summary, element_components
+from rankgraph.group_structure import SubgroupRegistry, min_rank, registry_for
 
-from oracles import ClosureOracle, brute_generates, build_gamma_d
+from oracles import (
+    ClosureOracle,
+    brute_generates,
+    build_gamma_d,
+    joined,
+    reference_dist,
+)
 
 
 def _group(group_id):
@@ -150,3 +159,68 @@ class TestIncidenceRows:
         reg.maximal_subgroups = lambda: [fake]
         with pytest.raises(RuntimeError, match="every generator"):
             reg.incidence_rows()
+
+
+# ---------------------------------------------------------------------------
+# row-avoidance distances and the class-pair distance table
+
+
+DISTANCE_GROUPS = [e.id for e in default_catalog()
+                   if e.group().order <= 360] + ["PSL(2,13)"]
+
+
+@pytest.mark.parametrize("group_id", DISTANCE_GROUPS)
+def test_distances_match_the_reference_recursion(group_id):
+    # a registry of its own, so that no earlier test has filled the
+    # distance memo: every distinct AND of two class rows is decided by
+    # the row-avoidance bitsets or the recursion below them here
+    G = _group(group_id)
+    reg = SubgroupRegistry(G.cayley_table())
+    rows = reg.row_classes()[1]
+    expected = [[reference_dist(reg, ri & rj) for rj in rows] for ri in rows]
+    assert reg.class_dists().tolist() == expected
+    # the Delta_3 and Delta_4 reads of ``class_adjacency`` (which reads no
+    # distance when |G| <= d), pair by pair
+    for d in (3, 4):
+        if reg.ct.n > d:
+            assert (reg.class_dists() <= d - 2).tolist() == \
+                [[joined(reg, ri & rj, d) for rj in rows] for ri in rows]
+    fresh = SubgroupRegistry(G.cayley_table())
+    for mask in sorted({ri & rj for ri in rows for rj in rows}):
+        assert fresh.mask_dist(mask) == reference_dist(reg, mask), mask
+    if group_id == "PSL(2,13)":
+        # the masks span more than one uint64 word
+        assert max(rows).bit_length() > 64
+
+
+def test_a5xa5_maximal_subgroups_and_isolated_vertices():
+    # A5 x A5 has the maximal subgroups M x A5 and A5 x M, M one of the
+    # 21 maximal subgroups of A5 (5 A4, 6 D10, 10 S3), and the 120
+    # diagonals {(a, a^phi)}, phi in Aut(A5) = S5; an element with a
+    # trivial coordinate lies in a proper normal subgroup with every
+    # other element, so the 59 + 59 + 1 such elements are isolated in
+    # Delta_2
+    with caps(max_dense_order=3600):
+        G = _group("A5xA5")
+        reg = registry_for(G)
+        images = [p.images for p in reg.ct.elements]
+        kinds = Counter()
+        for M in reg.maximal_subgroups():
+            left = {images[x][:5] for x in M}
+            right = {images[x][5:] for x in M}
+            if len(M) == len(left) == len(right) == 60:
+                kinds["diagonal"] += 1
+            else:
+                assert len(M) == len(left) * len(right)
+                proper = ("A5 x M", len(right)) if len(left) == 60 else \
+                    ("M x A5", len(left))
+                kinds[proper] += 1
+        assert kinds == {"diagonal": 120,
+                         ("A5 x M", 12): 5, ("A5 x M", 10): 6,
+                         ("A5 x M", 6): 10, ("M x A5", 12): 5,
+                         ("M x A5", 10): 6, ("M x A5", 6): 10}
+        assert delta_summary(G, 2).n_vertices == 3600 - 119
+        fixed = (tuple(range(5)), tuple(range(5, 10)))
+        assert np.flatnonzero(element_components(G, 2) < 0).tolist() == \
+            [x for x, img in enumerate(images)
+             if img[:5] == fixed[0] or img[5:] == fixed[1]]

@@ -23,8 +23,10 @@ from rankgraph import (
     normal_closure,
     quotient,
 )
+from rankgraph import perm_core
 from rankgraph.catalog import builtin_entry, default_catalog, symmetric
 from rankgraph.config import caps
+from rankgraph.group_structure import registry_for
 from rankgraph.perm_core import _mult, subgroup_from_members
 
 from oracles import (
@@ -390,6 +392,24 @@ class TestCayleyTable:
         assert labels.tolist() == [min(ct.table[x][h] for h in H)
                                    for x in range(ct.n)]
         assert len(set(labels.tolist())) == 4
+
+    @pytest.mark.parametrize("rows", [1, 7, 24])
+    def test_coset_labels_in_row_blocks(self, S4, A5, monkeypatch, rows):
+        # blocks of 1, 7 (the last one short) and 24 table rows give the
+        # labels of one gather over the whole table, for the non-normal
+        # S3 of S4 and a subgroup of A5 from each conjugacy class
+        assert perm_core._BLOCK_ROWS >= 360
+        ct = S4.cayley_table()
+        cases = [(ct, [i for i, p in enumerate(ct.elements)
+                       if p.images[3] == 3])]
+        reg = registry_for(A5)
+        cases += [(reg.ct, sorted(reg.members[sid]))
+                  for sid in reg.subgroup_class_reps()]
+        assert len(cases) == 1 + 9
+        monkeypatch.setattr(perm_core, "_BLOCK_ROWS", rows)
+        for ct, H in cases:
+            assert ct.coset_labels(H).tolist() == \
+                ct.array[:, H].min(1).tolist()
 
     def test_inverse_array(self, S4):
         ct = S4.cayley_table()
