@@ -9,10 +9,10 @@ the search below; ``orbits_on_tuples`` is the one orbit routine.
 The search runs on the one Cayley table of L.  It maps a fixed
 generating sequence onto candidate image tuples, pruning by
 conjugacy-invariant fingerprints (element order, class size, power
-profile) and cheap word-order checks, and validates survivors by the
-automorphism condition on generators.  Image tuples are enumerated up
-to inner automorphisms (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005): the first image runs over one
+profile), and validates every candidate once by the automorphism
+condition on generators.  Image tuples are enumerated up to inner
+automorphisms (Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, 2005): the first image runs over one
 representative per conjugacy class, each later one over one
 representative per orbit of the centraliser of the images before it,
 so Aut(L) costs |Out(L)| validated candidates and its element list is
@@ -69,26 +69,6 @@ def _generating_sequence(G: PermutationGroup, ct: CayleyTable,
         buckets[fp] = buckets.get(fp, 0) + 1
     idxs.sort(key=lambda i: (buckets[fps[i]], i))
     return idxs
-
-
-_WORDS = [
-    (0, 1), (1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0, 1, 1),
-    (0, 0, 1, 0, 1), (1, 1, 0, 0, 1),
-]
-
-
-def _word_orders(ct: CayleyTable, gens: np.ndarray, words) -> np.ndarray:
-    """Order of each word in each row of generator images: shape
-    (len(words), len(gens)); letter k of a word stands for column k."""
-    table = ct.array
-    order_of = np.asarray(ct.order_of)
-    out = np.empty((len(words), len(gens)), dtype=np.int64)
-    for i, word in enumerate(words):
-        x = np.full(len(gens), ct.identity)
-        for letter in word:
-            x = table[x, gens[:, letter]]
-        out[i] = order_of[x]
-    return out
 
 
 def _conjugation_matrix(ct: CayleyTable) -> np.ndarray:
@@ -205,8 +185,8 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
     bucket, that of g_k over one per orbit of C(r_0) & ... & C(r_(k-1))
     on its bucket, and each class of maps is validated once by
     ``_respects_generators`` (the last generator's candidates in one
-    batch, after a word-order filter).  Each g_k lies in its own bucket
-    and the identity map is among the classes, so some map is found.
+    batch).  Each g_k lies in its own bucket and the identity map is
+    among the classes, so some map is found.
     The maps are the found ones composed with Inn(L), sorted; they must
     be pairwise distinct and closed under composition: they hold 1 and
     are generated by the found maps and conjugation by the generators of
@@ -230,8 +210,6 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
         buckets.setdefault(fps[x], []).append(x)
     candidate_sets = [np.array(buckets[fps[g]]) for g in src_gens]
     last = len(src_gens) - 1
-    words = [w for w in _WORDS if max(w) <= last]
-    word_profile = _word_orders(ct, np.array([src_gens]), words)
     schedule = _bfs_schedule(ct, src_gens)
     conj = _conjugation_matrix(ct)
     budget = config.LIMITS.max_iso_leaves
@@ -254,12 +232,9 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
         dst_gens = np.empty((len(reps), last + 1), dtype=np.int64)
         dst_gens[:, :last] = prefix
         dst_gens[:, last] = reps
-        dst_gens = dst_gens[
-            (_word_orders(ct, dst_gens, words) == word_profile).all(0)]
-        if len(dst_gens):
-            sigma = _extend_map(ct, schedule, src_gens, dst_gens)
-            found.append(sigma[_respects_generators(ct, src_gens, dst_gens,
-                                                    sigma)])
+        sigma = _extend_map(ct, schedule, src_gens, dst_gens)
+        found.append(sigma[_respects_generators(ct, src_gens, dst_gens,
+                                                sigma)])
 
     search((), np.arange(n))
     found = np.concatenate(found)

@@ -144,13 +144,9 @@ class SubgroupRegistry:
         return got
 
     def join_with_element(self, sid: int, z: int) -> int:
-        """<H, z> for an interned subgroup H."""
-        ct = self.ct
-        H = self.members[sid]
-        Z = ct.cyclic_subgroups[ct.cyclic_id[z]]
-        if 2 * len(H) * len(Z) > ct.n * len(H & Z):
-            # |HZ| = |H||Z|/|H & Z| > |G|/2 and HZ lies in <H, z>
-            return self.full_id
+        """<H, z> for an interned subgroup H: the join of the cyclic
+        extension, decided by ``close`` alone (its Lagrange exit settles
+        every join that reaches G)."""
         return self.close(sid, z)
 
     # -- conjugacy classes of subgroups -----------------------------------------
@@ -213,6 +209,7 @@ class SubgroupRegistry:
             return self._lattice
         ct = self.ct
         table, inv, cyc_id = ct.table, ct.inv, ct.cyclic_id
+        n_cyclic = max(cyc_id) + 1
         # least generator of each cyclic subgroup of prime-power order > 1
         extenders = {}
         for z in range(ct.n):
@@ -248,7 +245,7 @@ class SubgroupRegistry:
             if sid == self.full_id:
                 continue
             members = self.members[sid]
-            done = bytearray(len(ct.cyclic_subgroups))
+            done = bytearray(n_cyclic)
             all_full = True
             for z in extenders:
                 if done[cyc_id[z]] or z in members:
@@ -524,12 +521,13 @@ def _is_prime_power(k: int) -> bool:
 
 
 def registry_for(G: PermutationGroup) -> SubgroupRegistry:
+    """The one registry of G's Cayley table, kept on G (``G._registry``)
+    and dropped with the table by ``release_dense_caches``.  The table
+    holds no reference back, so a released table is freed at once."""
     ct = G.cayley_table()
-    reg = getattr(ct, "_registry", None)
-    if reg is None:
-        reg = SubgroupRegistry(ct)
-        ct._registry = reg
-    return reg
+    if G._registry is None:
+        G._registry = SubgroupRegistry(ct)
+    return G._registry
 
 
 # ---------------------------------------------------------------------------
@@ -658,18 +656,13 @@ def frattini(G: PermutationGroup) -> PermutationGroup:
 
 @dataclass
 class RankCertificate:
-    group: PermutationGroup
     d: int
     witness: tuple  # generating sequence of length d
 
-    def check(self) -> bool:
-        if self.d == 0:
-            return self.group.order == 1
-        return generates(self.group, list(self.witness))
-
 
 def min_rank(G: PermutationGroup) -> RankCertificate:
-    """d(G) with a witness generating sequence.
+    """d(G) with a witness: ``RankCertificate(d, witness)``, where the d
+    elements of ``witness`` generate G (``generates(G, witness)``).
 
     Dense groups, from the incidence rows for every d: x is the first
     conjugacy-class representative, by descending element order, whose
@@ -679,7 +672,7 @@ def min_rank(G: PermutationGroup) -> RankCertificate:
     checked against the trivial subgroup's distance.
     """
     if G.order == 1:
-        return RankCertificate(G, 0, ())
+        return RankCertificate(0, ())
     if G.order <= config.LIMITS.max_dense_order:
         return _min_rank_dense(G)
     # Large groups: a generating pair plus non-abelianness (which rules
@@ -688,16 +681,16 @@ def min_rank(G: PermutationGroup) -> RankCertificate:
     # they exist at this scale.
     pruned = _prune_generators(G)
     if len(pruned) == 1:
-        return RankCertificate(G, 1, tuple(pruned))
+        return RankCertificate(1, tuple(pruned))
     if not G.is_abelian():
         if len(pruned) == 2:
-            return RankCertificate(G, 2, tuple(pruned))
+            return RankCertificate(2, tuple(pruned))
         import random
         rng = random.Random(0xC0FFEE)
         for _ in range(300):
             x, y = G.random_element(rng), G.random_element(rng)
             if generates(G, [x, y]):
-                return RankCertificate(G, 2, (x, y))
+                return RankCertificate(2, (x, y))
     raise CapExceededError(
         f"order {G.order} exceeds dense cap and no small certificate found")
 
@@ -726,7 +719,7 @@ def _min_rank_dense(G: PermutationGroup) -> RankCertificate:
             f"certified d = {d} differs from the trivial subgroup's "
             f"distance {reg.mask_dist(reg.mask_of(()))}")
     witness = (ct.perm(x),) + tuple(ct.perm(z) for z in reg.climb(rows[x]))
-    return RankCertificate(G, d, witness)
+    return RankCertificate(d, witness)
 
 
 def d_X(G: PermutationGroup, X: Iterable[Permutation]) -> int:

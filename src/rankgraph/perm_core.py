@@ -410,6 +410,7 @@ class PermutationGroup:
         self._order = self._chain.order()
         self._elements: Optional[tuple] = _elements
         self._cayley = None  # lazy CayleyTable
+        self._registry = None  # the table's SubgroupRegistry (group_structure)
 
     # -- basics ---------------------------------------------------------------
 
@@ -483,14 +484,16 @@ class PermutationGroup:
         return self._cayley
 
     def release_dense_caches(self) -> None:
-        """Drop the element list and the Cayley table, with everything
-        cached on the table; both are rebuilt on demand."""
+        """Drop the element list, the Cayley table and its subgroup
+        registry; all are rebuilt on demand.  Nothing else refers to the
+        table, so it is freed at once, without the cyclic GC."""
         self._elements = None
         self._cayley = None
+        self._registry = None
 
     def __getstate__(self) -> dict:
         # the table's memoryview rows do not pickle; a copy rebuilds it
-        return {**self.__dict__, "_cayley": None}
+        return {**self.__dict__, "_cayley": None, "_registry": None}
 
 
 def group_from_generators(degree: int, gens: Iterable[Permutation],
@@ -697,45 +700,32 @@ class CayleyTable:
             self.order_of[i] = k
 
         self._cyclic_id = None
-        self._cyclics = None
         self._class_id = None
         self._classes = None
         self._conj_rows = {}
 
     # -- cyclic subgroups ---------------------------------------------------
 
-    def _build_cyclics(self):
-        cyc_id = [-1] * self.n
-        cyclics = []
-        for i in range(self.n):
-            if cyc_id[i] >= 0:
-                continue
-            members = [self.identity]
-            x = i
-            while x != self.identity:
-                members.append(x)
-                x = self.table[x][i]
-            key = frozenset(members)
-            cid = len(cyclics)
-            cyclics.append(key)
-            for m in members:
-                # only elements generating the same cyclic subgroup share the id
-                if cyc_id[m] < 0 and self.order_of[m] == len(key):
-                    cyc_id[m] = cid
-        self._cyclic_id = cyc_id
-        self._cyclics = cyclics
-
     @property
     def cyclic_id(self) -> list:
+        """Per element, the id of the cyclic subgroup it generates.  Ids
+        run densely from 0, in the order of each subgroup's least
+        generator."""
         if self._cyclic_id is None:
-            self._build_cyclics()
+            cyc_id = [-1] * self.n
+            cid = 0
+            for i in range(self.n):
+                if cyc_id[i] >= 0:
+                    continue
+                k = self.order_of[i]
+                x = i
+                for _ in range(k):  # x runs over the powers of i
+                    if self.order_of[x] == k:
+                        cyc_id[x] = cid
+                    x = self.table[x][i]
+                cid += 1
+            self._cyclic_id = cyc_id
         return self._cyclic_id
-
-    @property
-    def cyclic_subgroups(self) -> list:
-        if self._cyclics is None:
-            self._build_cyclics()
-        return self._cyclics
 
     # -- conjugacy ------------------------------------------------------------
 

@@ -1,3 +1,4 @@
+import gc
 import sys
 from pathlib import Path
 
@@ -65,3 +66,13 @@ def Q8():
 @pytest.fixture(scope="session")
 def catalog_entries():
     return default_catalog()
+
+
+@pytest.fixture
+def gc_disabled():
+    """The cyclic GC off for one test: only reference counts free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()

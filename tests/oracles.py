@@ -85,7 +85,6 @@ from rankgraph import (
     is_normal,
 )
 from rankgraph.automorphisms import (
-    _WORDS,
     _bfs_schedule,
     _element_fingerprints,
     _extend_map,
@@ -176,6 +175,14 @@ def inner_automorphisms(G) -> PermutationGroup:
     gens = [Permutation([ct.conj(x, g) for x in range(ct.n)])
             for g in ct.gen_indices]
     return PermutationGroup(ct.n, gens)
+
+
+# Words in two letters whose orders every automorphism keeps; letter k
+# stands for the k-th generator image.
+_WORDS = [
+    (0, 1), (1, 0), (0, 0, 1), (0, 1, 1), (0, 1, 0, 1, 1),
+    (0, 0, 1, 0, 1), (1, 1, 0, 0, 1),
+]
 
 
 def exhaustive_automorphisms(G) -> list:

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import weakref
 
 import pytest
 
@@ -296,6 +297,12 @@ class TestSweep:
         assert entry.group().cayley_table() is not ct  # rebuilt on demand
         second = sweep_entry(entry)
         assert verdicts(first) == verdicts(second) and first.graphs
+
+    def test_entry_frees_its_table_at_once(self, gc_disabled):
+        entry = symmetric(4)
+        table = weakref.ref(entry.group().cayley_table())
+        assert sweep_entry(entry).graphs
+        assert table() is None  # no cycle waits for the GC
 
     def test_diameter_flag_changes_only_the_diameter(self):
         entries = [e for e in default_catalog() if e.group().order <= 120]

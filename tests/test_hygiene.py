@@ -219,11 +219,11 @@ def test_automorphisms_build_no_permutation_group():
 
 
 # Per-table state hangs off a Cayley table only where ``perm_core`` builds
-# the table and where ``registry_for`` keeps the table's one
-# ``SubgroupRegistry``; what any other layer caches per table belongs to
-# that registry.
+# the table.  The table's one ``SubgroupRegistry`` is kept on the group
+# (``registry_for``), and what any other layer caches per table belongs
+# to that registry.
 
-TABLE_STORES_ALLOWED = {("group_structure", "registry_for", "_registry")}
+TABLE_STORES_ALLOWED = set()
 
 
 def table_attribute_stores(source: str) -> list:
@@ -332,7 +332,7 @@ def test_no_test_only_library_code():
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 # Removed from the package but still traced; their replacement in the
-# benchmark is ROADMAP item 3.
+# benchmark is ROADMAP item 2.
 KNOWN_STALE = {("rankgraph.group_structure", "SubgroupRegistry.dist_to_full"),
                ("rankgraph.crown_powers", "crown_generates")}
 

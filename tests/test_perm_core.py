@@ -3,6 +3,7 @@ import itertools
 import math
 import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -461,6 +462,32 @@ class TestCayleyTable:
         copy = pickle.loads(pickle.dumps(G))
         assert copy.elements() == G.elements()
         assert copy.cayley_table().table == ct.table
+        # with its registry too; the copy builds its own
+        reg = registry_for(G)
+        reg.incidence_rows()
+        copy = pickle.loads(pickle.dumps(G))
+        assert registry_for(copy) is not reg
+        assert registry_for(copy).incidence_rows() == reg.incidence_rows()
+
+    def test_released_table_is_freed_at_once(self, gc_disabled):
+        # the registry lives on the group, so no reference cycle keeps a
+        # released table waiting for the cyclic GC
+        G = symmetric(4).group()
+        registry_for(G).incidence_rows()
+        table = weakref.ref(G.cayley_table())
+        G.release_dense_caches()
+        assert table() is None
+
+    @pytest.mark.parametrize("group_id", ["S4", "A5", "E2^3", "C12"])
+    def test_cyclic_id_numbers_the_cyclic_subgroups(self, group_id):
+        G = builtin_entry(group_id).group()
+        ct = G.cayley_table()
+        ids = ct.cyclic_id
+        cyclic = [frozenset(brute_closure(G.degree, [p]))
+                  for p in ct.elements]
+        assert sorted(set(ids)) == list(range(len(set(cyclic))))
+        for x, y in itertools.product(range(ct.n), repeat=2):
+            assert (ids[x] == ids[y]) == (cyclic[x] == cyclic[y])
 
     def test_identity_and_repeated_generators(self):
         c4 = Permutation.from_cycles(4, [0, 1, 2, 3])
