@@ -4,7 +4,9 @@ Aut(L) and its subgroup X = C_Aut(L)(L/N) are sorted int arrays of
 shape (|Aut|, n) and (|X|, n) on element *indices* of L (relative to the
 deterministic element order): row sigma maps index x to sigma[x].  An
 orbit of a tuple is one gather of its columns.  Aut(L) always comes from
-the search below; ``orbits_on_tuples`` is the one orbit routine.
+the search below; ``orbits_on_tuples`` is the one orbit routine, on an
+(m, t) array of tuples: each tuple is found again by its code, the
+ranks of its entries, in a dense position array.
 
 The search runs on the one Cayley table of L.  It maps a fixed
 generating sequence onto candidate image tuples, pruning by
@@ -17,6 +19,8 @@ representative per conjugacy class, each later one over one
 representative per orbit of the centraliser of the images before it,
 so Aut(L) costs |Out(L)| validated candidates and its element list is
 the found maps composed with every inner automorphism, in one gather.
+Its closure check looks the composed maps up among the found ones as
+sorted byte keys of their generator images.
 The map extension and its check also decide whether two generating
 tuples are related by an automorphism.
 """
@@ -240,9 +244,7 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
     found = np.concatenate(found)
     inner = _inner_rows(ct, conj)
     maps = found[:, inner].reshape(-1, n)
-    # rows of big-endian words compare bytewise in lexicographic order
-    keys = np.ascontiguousarray(maps, dtype=">u4").view(f"V{4 * n}")
-    maps = maps[np.argsort(keys.ravel())]
+    maps = maps[np.argsort(_row_keys(maps))]
     distinct = 1 + int((maps[1:] != maps[:-1]).any(1).sum())
     if distinct != len(inner) * len(found):
         raise RuntimeError(
@@ -255,13 +257,23 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
     if cells > cap:
         raise CapExceededError(
             f"closure check of {cells} cells exceeds the cap {cap}")
-    # row (s, g): the src_gens images of maps[s] composed with gens[g]
-    products = maps[:, gens[:, src_gens]].reshape(-1, len(src_gens))
-    images = set(map(tuple, maps[:, src_gens].tolist()))
-    if not images.issuperset(map(tuple, products.tolist())):
+    # row (s, g): the src_gens images of maps[s] composed with gens[g],
+    # looked up among the sorted image keys of the maps
+    images = np.sort(_row_keys(maps[:, src_gens]))
+    products = _row_keys(maps[:, gens[:, src_gens]].reshape(
+        -1, len(src_gens)))
+    at = np.searchsorted(images, products).clip(max=len(images) - 1)
+    if not (images[at] == products).all():
         raise RuntimeError(
             f"the {len(maps)} maps are not closed under composition")
     return maps
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One byte key per row of a 2-d int array: rows of big-endian words
+    compare bytewise in lexicographic order."""
+    return np.ascontiguousarray(rows, dtype=">u4").view(
+        f"V{4 * rows.shape[1]}").ravel()
 
 
 def x_subgroup(L_mono) -> np.ndarray:
@@ -279,30 +291,73 @@ def x_subgroup(L_mono) -> np.ndarray:
 # orbits on tuples
 
 
-def orbits_on_tuples(X: np.ndarray, tuples: Sequence[tuple]) -> tuple:
+def orbits_on_tuples(X: np.ndarray, tuples) -> tuple:
     """Orbits of the diagonal action of X on element-index tuples.
 
     ``X`` holds one automorphism per row, as ``automorphism_group``
-    returns it.  Returns (labels, reps).  Orbits are numbered by their
-    least member, which is ``reps[k]`` for orbit k: the tuples are
-    scanned in sorted order, and the orbit of each tuple that is not
-    labelled yet is one gather of its columns of X.  Raises if an image
-    leaves the given tuple set (the caller passed a set that is not
-    closed under X).
+    returns it, and ``tuples`` is an (m, t) int array (or a sequence of
+    t-tuples) of distinct tuples.  Returns (labels, reps): an intp array
+    with the orbit of each tuple, and the list of orbit representatives
+    as tuples.  Orbits are numbered by their least member, which is
+    ``reps[k]`` for orbit k.
+
+    Each tuple gets a code, its per-coordinate value ranks read as one
+    mixed-radix number, so codes sort as the tuples do, and a dense
+    array over the codes gives the sorted position of each tuple.  The
+    positions are scanned in order from a cursor, a chunk at a time, and
+    the orbit of each one not labelled yet is one gather of its columns
+    of X, coded and looked up at once.  An image outside the given set
+    raises ``GroupArgumentError`` (the set is not closed under X).  The
+    dense array has one cell per code, so its size is checked against
+    ``max_search_space``.
     """
-    index = {t: i for i, t in enumerate(tuples)}
-    labels = [-1] * len(tuples)
+    T = np.asarray(tuples, dtype=np.intp)
+    if not len(T):
+        return np.zeros(0, dtype=np.intp), []
+    # weight[c][x]: the rank of value x among column c's values times the
+    # column's stride, or -size where x does not occur in column c, so a
+    # code with such a value is negative
+    weight = []
+    size = 1
+    for column in T.T[::-1]:
+        values = np.unique(column)
+        w = np.full(X.shape[1], -1, dtype=np.int64)
+        w[values] = np.arange(len(values)) * size
+        weight.append(w)
+        size *= len(values)
+    weight.reverse()
+    cap = config.LIMITS.max_search_space
+    if size > cap:
+        raise CapExceededError(
+            f"orbit lookup of {size} cells exceeds the cap {cap}")
+    for w in weight:
+        w[w < 0] = -size
+    code = sum(w[column] for w, column in zip(weight, T.T))
+    order = np.argsort(code)
+    position = np.full(size, -1, dtype=np.intp)
+    position[code[order]] = np.arange(len(T))
+    images = np.ascontiguousarray(X.T)  # row x: the images of x
+    label = np.full(len(T), -1, dtype=np.intp)  # by sorted position
     reps = []
-    for i in sorted(range(len(tuples)), key=tuples.__getitem__):
-        if labels[i] >= 0:
+    cursor = 0
+    while cursor < len(T):
+        if label[cursor] >= 0:
+            free = np.flatnonzero(label[cursor:cursor + _SCAN] < 0)
+            cursor += int(free[0]) if len(free) else _SCAN
             continue
-        rep = tuples[i]
-        k = len(reps)
-        reps.append(rep)
-        try:
-            for image in X[:, rep].tolist():
-                labels[index[tuple(image)]] = k
-        except KeyError:
+        rep = T[order[cursor]]
+        orbit = sum(w[images[x]] for w, x in zip(weight, rep.tolist()))
+        hit = position[orbit.clip(min=0)]
+        if orbit.min() < 0 or hit.min() < 0:
             raise GroupArgumentError(
-                "tuple set is not closed under the X-action") from None
+                "tuple set is not closed under the X-action")
+        label[hit] = len(reps)
+        reps.append(tuple(rep.tolist()))
+    labels = np.empty(len(T), dtype=np.intp)
+    labels[order] = label
     return labels, reps
+
+
+# Sorted positions read at a time when ``orbits_on_tuples`` looks for the
+# next tuple without a label.
+_SCAN = 256

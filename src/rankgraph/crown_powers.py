@@ -6,23 +6,29 @@ of L_k by t-tuples of corrected elements reduces to an orbit condition:
 columns of the correction matrix must be generating t-tuples lying in
 pairwise distinct orbits of X = C_Aut(L)(L/N).  delta(L, t), the largest
 k with L_k still t-generated, is therefore the number of X-orbits on the
-set of generating coset tuples.  A witness for L_delta is certified by
-the subdirect-product lemma (``columns_generate``): its columns generate
-L and no automorphism maps one column to another.  ``square_order``
-decides generation of L_2 directly, from the order of the subgroup of
-L x L that index pairs generate (Schreier's lemma on table products,
-the kernel grown by the coset closure ``SubgroupRegistry.close``);
-``verify --lemma primo`` checks the orbit criterion against it.
+set of generating coset tuples, which ``omega_table`` holds as integer
+arrays: the tuples, their orbit labels and, per row pair, the admissible
+orbits of each pair of socle corrections.  A witness for L_delta is
+certified by the subdirect-product lemma (``columns_generate``): its
+columns generate L and no automorphism maps one column to another.
+``square_order`` decides generation of L_2 directly, from the order of
+the subgroup of L x L that index pairs generate (Schreier's lemma on
+table products, the kernel grown by the coset closure
+``SubgroupRegistry.close``, the breadth-first tree reusable per tuple of
+first coordinates); ``verify --lemma primo`` checks the orbit criterion
+against it.
 
 A crown-graph vertex a_i . c is the integer rank i |C| + k, c the k-th
 correction tuple.  ``CrownGraphBuilder._row_block`` decides the edges
 between two rows, a block at a time: by a system-of-distinct-
 representatives test over the orbit table (one admissible-orbit set per
-column, matched to pairwise distinct orbits), or, for single-column
-graphs, by ``group_structure.class_block`` over incidence rows with a
-completion search over the free rows.  The exhaustive check builds the
-whole graph on class nodes from these blocks; the sampled check asks for
-one vertex against each other row.
+column, matched to pairwise distinct orbits; for one or two columns read
+in closed form off the count and lone-orbit arrays of the table's
+projection), or, for single-column graphs, by
+``group_structure.class_block`` over incidence rows with a completion
+search over the free rows.  The exhaustive check builds the whole graph
+on class nodes from these blocks; the sampled check asks for one vertex
+against each other row.
 """
 
 from __future__ import annotations
@@ -118,6 +124,14 @@ class MonolithicGroup:
         """True on the socle: the coset labelled by the identity (index 0)."""
         return self.coset_labels == self.ct().identity
 
+    @cached_property
+    def socle_positions(self) -> np.ndarray:
+        """Per element index, its position in ``socle_indices``; -1
+        outside the socle."""
+        pos = np.full(self.ct().n, -1, dtype=np.intp)
+        pos[list(self.socle_indices)] = np.arange(len(self.socle_indices))
+        return pos
+
     def coset_indices(self, x: int) -> list:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
         labels = self.coset_labels
@@ -151,10 +165,10 @@ class MonolithicGroup:
         return x_subgroup(self)
 
     @cached_property
-    def element_orbit_labels(self) -> list:
+    def element_orbit_labels(self) -> np.ndarray:
         """X-orbit label per element index of L."""
         labels, _ = orbits_on_tuples(self.x_group,
-                                     [(x,) for x in range(self.ct().n)])
+                                     np.arange(self.ct().n)[:, None])
         return labels
 
 
@@ -224,40 +238,67 @@ def build_crown_power(L: MonolithicGroup, k: int) -> CrownPower:
     return CrownPower(L, k)
 
 
-def square_order(ct, pairs: Sequence[tuple], target: int = 0) -> int:
+def square_order(ct, pairs: Sequence[tuple], target: int = 0,
+                 trees: Optional[dict] = None) -> int:
     """|H| for H = <(x_1, y_1), ...> <= L x L, on element indices of ct.
 
-    A breadth-first search over P = pi_1(H) keeps one element (p, s_p) of
-    H per p in P.  By Schreier's lemma the second coordinates
-    s_p y s_{px}^-1 generate K = pi_2(H meet 1 x L), and |H| = |P| |K|.
-    Each such generator outside the K found so far joins it by
-    ``SubgroupRegistry.close``, so the K's are interned in L's registry,
-    and the search stops once K is all of L.  Once |P| |L| < target that bound is returned, so the result is
-    at least ``target`` exactly when |H| is.
+    A breadth-first tree over P = pi_1(H) keeps one element (p, s_p) of
+    H per p in P: s_{px_k} = s_p y_k along each tree edge.  By Schreier's
+    lemma the second coordinates s_p y_k s_{px_k}^-1 generate
+    K = pi_2(H meet 1 x L), and |H| = |P| |K|; those of the tree edges
+    are 1, so only the other edges are read.  Each generator outside
+    the K found so far joins it by ``SubgroupRegistry.close``, so the K's
+    are interned in L's registry, and the search stops once K is all of
+    L.  Once |P| |L| < target that bound is returned, so the result is
+    at least ``target`` exactly when |H| is.  The tree depends only on
+    the first coordinates: a caller's ``trees`` dict keeps it per tuple
+    (x_1, x_2, ...) across calls.
     """
     tbl, inv, n, e = ct.table, ct.inv, ct.n, ct.identity
+    xs = tuple(x for x, _ in pairs)
+    tree = None if trees is None else trees.get(xs)
+    if tree is None:
+        tree = _bfs_tree(tbl, e, xs)
+        if trees is not None:
+            trees[xs] = tree
+    P, edges, others = tree
+    ys = [y for _, y in pairs]
     second = [-1] * n
     second[e] = e
-    P = [e]
-    for p in P:
-        row, sp = tbl[p], tbl[second[p]]
-        for x, y in pairs:
-            if second[row[x]] < 0:
-                second[row[x]] = sp[y]
-                P.append(row[x])
+    for q, p, k in edges:
+        second[q] = tbl[second[p]][ys[k]]
     if len(P) * n < target:
         return len(P) * n
     reg = registry_for(ct.group)
-    k = reg.trivial_id
-    for p in P:
-        row, sp = tbl[p], tbl[second[p]]
-        for x, y in pairs:
-            z = tbl[sp[y]][inv[second[row[x]]]]
-            if z not in reg.members[k]:
-                k = reg.close(k, z)
-                if k == reg.full_id:
-                    return len(P) * n
-    return len(P) * len(reg.members[k])
+    sid = reg.trivial_id
+    for p, k, q in others:
+        z = tbl[tbl[second[p]][ys[k]]][inv[second[q]]]
+        if z not in reg.members[sid]:
+            sid = reg.close(sid, z)
+            if sid == reg.full_id:
+                return len(P) * n
+    return len(P) * len(reg.members[sid])
+
+
+def _bfs_tree(tbl, e: int, xs: tuple) -> tuple:
+    """(P, edges, others) for <xs>: its elements breadth first from e;
+    (q, p, k) with q = p * xs[k] for the edge that found each q after e;
+    and (p, k, p * xs[k]) for every other p in P and k, in the order of P
+    and then k."""
+    seen = [False] * len(tbl)
+    seen[e] = True
+    P, edges, others = [e], [], []
+    for p in P:  # grows while it is read
+        row = tbl[p]
+        for k, x in enumerate(xs):
+            q = row[x]
+            if seen[q]:
+                others.append((p, k, q))
+            else:
+                seen[q] = True
+                P.append(q)
+                edges.append((q, p, k))
+    return P, edges, others
 
 
 def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
@@ -315,16 +356,17 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
 class OrbitTable:
     """Generating coset tuples with their X-orbit labels.
 
-    ``tuples`` lists every (a_1 n_1, ..., a_t n_t) (element indices) that
-    generates L, in lexicographic order; ``labels`` assigns orbit ids
-    (numbered by each orbit's smallest tuple); ``reps`` is the canonical
-    complete system of orbit representatives.
+    ``tuples`` is an (|Omega|, t) intp array with every (a_1 n_1, ...,
+    a_t n_t) (element indices) that generates L, in lexicographic order;
+    ``labels`` is the intp array of their orbit ids (numbered by each
+    orbit's smallest tuple); ``reps`` is the canonical complete system of
+    orbit representatives, as a list of tuples.
     """
 
     mono: MonolithicGroup
     a: tuple  # element indices of the fixed generating tuple
-    tuples: list
-    labels: list
+    tuples: np.ndarray
+    labels: np.ndarray
     orbit_count: int
     reps: list
     _projections: dict = field(default_factory=dict, repr=False)
@@ -334,23 +376,51 @@ class OrbitTable:
         return len(self.a)
 
     @cached_property
-    def index(self) -> dict:
-        """Tuple -> its position in ``tuples``, built on first use."""
-        return {t: i for i, t in enumerate(self.tuples)}
+    def positions(self) -> np.ndarray:
+        """(|Omega|, t): the socle position of the correction n_i =
+        a_i^-1 x_i of each tuple x."""
+        ct = self.mono.ct()
+        pos = self.mono.socle_positions
+        return np.stack([pos[ct.array[ct.inv[a], column]]
+                         for a, column in zip(self.a, self.tuples.T)], axis=1)
 
-    def label_of(self, column: tuple) -> Optional[int]:
-        i = self.index.get(column)
-        return None if i is None else self.labels[i]
+    @cached_property
+    def label_grid(self) -> np.ndarray:
+        """The orbit label of each correction tuple (n_1, ..., n_t), by
+        its socle positions read as one base-|N| number; -1 where the
+        corrected tuple does not generate L."""
+        size = len(self.mono.socle_indices)
+        code = np.zeros(len(self.tuples), dtype=np.intp)
+        for column in self.positions.T:
+            code = code * size + column
+        grid = np.full(size ** self.t, -1, dtype=np.intp)
+        grid[code] = self.labels
+        return grid
 
-    def projection(self, i: int, j: int) -> dict:
-        """(row-i entry, row-j entry) -> admissible orbit labels."""
-        key = (i, j)
-        got = self._projections.get(key)
+    def projection(self, i: int, j: int) -> tuple:
+        """The admissible orbits of the row pair i < j, by the pair code
+        p = |N| pos(n_i) + pos(n_j) of the corrections: (count, lone,
+        starts, members), where ``count[p]`` is the number of orbits,
+        ``lone[p]`` the orbit where that number is 1 (else -1), and
+        ``members[starts[p]:starts[p + 1]]`` the orbits, ascending.
+
+        The distinct (pair, label) combinations are found as one int64
+        code each, p * |orbits| + label, by one ``np.unique``.
+        """
+        got = self._projections.get((i, j))
         if got is None:
-            got = {}
-            for pos, tup in enumerate(self.tuples):
-                got.setdefault((tup[i], tup[j]), set()).add(self.labels[pos])
-            self._projections[key] = got
+            size = len(self.mono.socle_indices)
+            pos = self.positions
+            pair = pos[:, i] * size + pos[:, j]
+            pair, members = np.divmod(
+                np.unique(pair * self.orbit_count + self.labels),
+                self.orbit_count)
+            count = np.bincount(pair, minlength=size * size)
+            lone = np.full(size * size, -1, dtype=np.intp)
+            lone[pair] = members
+            lone[count != 1] = -1
+            starts = np.concatenate([[0], np.cumsum(count)])
+            got = self._projections[(i, j)] = count, lone, starts, members
         return got
 
 
@@ -374,7 +444,7 @@ def omega_table(L: MonolithicGroup, a: Sequence[int]) -> OrbitTable:
     search = reg.generating_tuples([L.coset_indices(x) for x in a])
     if reg.mask_of(a):
         raise PreconditionError("the fixed tuple must generate L")
-    tuples = list(search)
+    tuples = np.concatenate(list(search))  # a generates, so Omega is not empty
     X = L.x_group
     labels, reps = orbits_on_tuples(X, tuples)
     count = len(reps)
@@ -422,12 +492,20 @@ def generation_via_orbits(table: OrbitTable,
         raise GroupArgumentError("ragged correction matrix")
     if eta > table.orbit_count:
         raise PreconditionError("eta exceeds delta(L, t)")
-    ct = table.mono.ct()
+    pos = table.mono.socle_positions
+    size = len(table.mono.socle_indices)
+    grid = table.label_grid
     seen = set()
     for k in range(eta):
-        column = tuple(ct.table[table.a[i]][rows[i][k]] for i in range(t))
-        lab = table.label_of(column)
-        if lab is None or lab in seen:
+        # the column a_i m_ik, i = 1..t, by its correction code
+        code = 0
+        for row in rows:
+            p = pos[row[k]]
+            if p < 0:
+                return False
+            code = code * size + p
+        lab = grid[code]
+        if lab < 0 or lab in seen:
             return False
         seen.add(lab)
     return True
@@ -437,15 +515,14 @@ def generation_via_orbits(table: OrbitTable,
 # crown graphs
 
 
-def _sdr_exists(option_sets: Sequence[set]) -> bool:
-    """Hall-style matching: one distinct representative per option set.
+# Vertex pairs decided at a time by the SDR path of ``_row_block``.
+_PAIR_BLOCK = 1 << 16
 
-    Two non-empty sets have distinct representatives iff their union has
-    at least two labels; three or more sets go through the matching.
-    """
-    if len(option_sets) == 2:
-        a, b = option_sets
-        return bool(a and b) and (len(a) > 1 or len(b) > 1 or a != b)
+
+def _sdr_exists(option_sets: Sequence) -> bool:
+    """Hall-style matching: one distinct representative per option set,
+    by augmenting paths.  ``_row_block`` decides one or two sets in
+    closed form and calls this for three or more."""
     match: dict = {}
 
     def augment(k, banned):
@@ -472,7 +549,8 @@ class CrownGraphBuilder:
 
     The vertex a_i . c has the rank i |C| + k, where c is the k-th
     tuple of ``corrections``, the list C of socle tuples of length eta
-    in ``itertools.product`` order.  ``_row_block`` decides every edge.
+    in ``itertools.product`` order; ``digits[k]`` holds the socle
+    positions of its entries.  ``_row_block`` decides every edge.
     The row tuple ``a`` defaults to the orbit table's, or without a table
     to ``default_generating_tuple``; any other ``a`` with a table, or one
     of length other than t, raises ``GroupArgumentError``.
@@ -527,13 +605,21 @@ class CrownGraphBuilder:
             raise CapExceededError("crown graph vertex count over cap")
         return list(itertools.product(self.socle, repeat=self.eta))
 
-    def keys(self, i: int) -> list:
+    @cached_property
+    def digits(self) -> np.ndarray:
+        """(|C|, eta): the socle positions of the entries of each tuple
+        of C, i.e. the base-|N| digits of its index."""
+        return np.indices((len(self.socle),) * self.eta).reshape(
+            self.eta, -1).T
+
+    def keys(self, i: int):
         """The class key of each row-i vertex, in rank order.  Vertices
         of one row with equal keys have the same neighbours: on the SDR
-        path (with an orbit table) the key is the correction itself, on
-        the direct path the incidence row of a_i . c."""
+        path (with an orbit table) the key is the index k of the
+        correction in C, an intp array, on the direct path the incidence
+        row of a_i . c."""
         if self.table is not None:
-            return self.corrections
+            return np.arange(len(self.corrections))
         row = self.ct.table[self.a[i]]
         return [self.rows[row[c]] for (c,) in self.corrections]
 
@@ -574,24 +660,42 @@ class CrownGraphBuilder:
 
         A direct-path block is decided by ``class_block`` over the
         incidence rows, with the completion search over the free rows as
-        its predicate.  On the SDR path each column pair (a_i c_k,
-        a_j e_k) has a set of admissible orbits, and c, e are joined when
-        those sets have distinct representatives.
+        its predicate.  On the SDR path each column pair (a_i c_u,
+        a_j e_u) has a set of admissible orbits (``OrbitTable.projection``),
+        and c, e are joined when those sets have distinct representatives:
+        for eta = 1 when the set is not empty, for eta = 2 when both are
+        and they are not the same single orbit, read for whole arrays of
+        pair codes at once; for eta >= 3 by ``_sdr_exists``.
         """
         if self.table is None:
             free = tuple(u for u in range(self.t) if u not in (i, j))
             return class_block(left, right, (lambda mask: self._completes(
                 mask, free)) if free else None)
-        proj = self.table.projection(min(i, j), max(i, j))
-        row_i, row_j = self.ct.table[self.a[i]], self.ct.table[self.a[j]]
-        block = np.zeros((len(left), len(right)), dtype=bool)
-        for p, c in enumerate(left):
-            # the admissible orbits of column k, by the socle entry e_k
-            options = [{y: proj.get((row_i[x], row_j[y]) if i < j else
-                                    (row_j[y], row_i[x])) for y in self.socle}
-                       for x in c]
-            block[p] = [_sdr_exists([opt[y] for opt, y in zip(options, e)])
-                        for e in right]
+        count, lone, starts, members = self.table.projection(min(i, j),
+                                                              max(i, j))
+        size = len(self.socle)
+        # the pair code of column u is |N| pos(row-min entry) + pos(other)
+        lo, hi = (size, 1) if i < j else (1, size)
+        left = self.digits[np.asarray(left, dtype=np.intp)] * lo
+        right = self.digits[np.asarray(right, dtype=np.intp)] * hi
+        block = np.empty((len(left), len(right)), dtype=bool)
+        step = max(1, _PAIR_BLOCK // max(1, len(right)))
+        for start in range(0, len(left), step):
+            pair = [left[start:start + step, u, None] + right[:, u]
+                    for u in range(self.eta)]
+            out = block[start:start + step]
+            if self.eta == 1:
+                out[:] = count[pair[0]] > 0
+            elif self.eta == 2:
+                c0, c1 = count[pair[0]], count[pair[1]]
+                out[:] = (c0 > 0) & (c1 > 0) & (
+                    (c0 > 1) | (c1 > 1) | (lone[pair[0]] != lone[pair[1]]))
+            else:
+                codes = np.stack(pair, axis=-1)
+                for idx in np.ndindex(out.shape):
+                    out[idx] = _sdr_exists([
+                        members[starts[p]:starts[p + 1]].tolist()
+                        for p in codes[idx].tolist()])
         return block
 
     def conjugate(self, r: int, m: tuple) -> int:
@@ -836,8 +940,8 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
     if reg.mask_of([l_idx] + b_idx):
         raise PreconditionError("<l, b_1, ..., b_d> != L")
     # n -> b_i n maps N onto b_i N: count the tuples over the cosets
-    count = sum(1 for _ in reg.generating_tuples(
-        [L.coset_indices(x) for x in b_idx], rows[l_idx]))
+    count = sum(map(len, reg.generating_tuples(
+        [L.coset_indices(x) for x in b_idx], rows[l_idx])))
     return Fraction(count, len(L.socle_indices) ** d)
 
 

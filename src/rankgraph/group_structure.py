@@ -25,7 +25,10 @@ row-avoidance bitsets and recurses only below that.  ``class_block``
 decides whole blocks of row pairs in numpy, one predicate call per
 distinct AND, and ``SubgroupRegistry.class_dists`` keeps the distance of
 every pair of row classes, which answers every rank-graph edge test
-for d >= 3.
+for d >= 3.  ``SubgroupRegistry.generating_tuples``, the one search for
+generating tuples over cells (Omega, Gaschütz lifting, ``delu``),
+yields them as integer arrays, a block of prefixes at a time, with the
+last coordinate decided by one AND of uint64 word arrays.
 """
 
 from __future__ import annotations
@@ -378,7 +381,8 @@ class SubgroupRegistry:
 
     def class_dists(self):
         """``mask_dist(rows[i] & rows[j])`` for every pair (i, j) of row
-        classes, as an int8 matrix, built once by ``class_block``."""
+        classes, as an int8 matrix, built once by ``class_block`` on one
+        triangle and mirrored."""
         if self._class_dists is None:
             import numpy as np
             rows = self.row_classes()[1]
@@ -410,13 +414,19 @@ class SubgroupRegistry:
                           mask: Optional[int] = None):
         """The tuples with one entry per cell whose incidence rows AND
         with ``mask`` (default: every maximal subgroup) to 0, lazily, in
-        the product order of the cells.
+        the product order of the cells: non-empty (k, t) intp arrays,
+        one per block of prefixes.
 
-        A prefix-AND search: each prefix carries the AND of its rows, and
-        the last coordinate costs one row-AND per cell entry.  The search
-        space, the product of the cell sizes, is checked against the cap
-        first, before any incidence row is read.
+        A prefix-AND search: each prefix of the first t - 2 cells carries
+        the AND of its rows; its block is that prefix extended by the
+        entries of cell t - 2 (as many at a time as keep the block within
+        ``_TUPLE_BLOCK`` tuples), and the last coordinate of the whole
+        block is decided by one AND of uint64 word arrays
+        (``_mask_words``).  The search space, the
+        product of the cell sizes, is checked against the cap first,
+        before any incidence row is read.
         """
+        import numpy as np
         total = math.prod(map(len, cells))
         cap = config.LIMITS.max_search_space
         if total > cap:
@@ -425,18 +435,41 @@ class SubgroupRegistry:
         rows = self.incidence_rows()
         if mask is None:
             mask = rows[self.ct.identity]
-        if not cells:
-            return iter([] if mask else [()])
-        last = len(cells) - 1
+        t = len(cells)
+        if not t:
+            return iter([] if mask else [np.empty((1, 0), dtype=np.intp)])
+        n_words = max(1, -(-max(mask, rows[self.ct.identity]).bit_length()
+                           // 64))
+        last = np.asarray(cells[-1], dtype=np.intp)
+        last_w = _mask_words([rows[y] for y in cells[-1]], n_words)
+        if t == 1:  # one empty head; the prefix mask is ANDed in below
+            heads = np.empty((1, 0), dtype=np.intp)
+            heads_w = _mask_words([rows[self.ct.identity]], n_words)
+        else:
+            heads = np.asarray(cells[-2], dtype=np.intp)[:, None]
+            heads_w = _mask_words([rows[x] for x in cells[-2]], n_words)
+        step = max(1, _TUPLE_BLOCK // max(1, len(last)))
 
-        def extend(prefix, mask, depth):
-            if depth == last:
-                yield from (prefix + (y,) for y in cells[last]
-                            if not mask & rows[y])
+        def blocks(prefix, mask, depth):
+            if depth < t - 2:
+                for x in cells[depth]:
+                    yield from blocks(prefix + (x,), mask & rows[x],
+                                      depth + 1)
                 return
-            for x in cells[depth]:
-                yield from extend(prefix + (x,), mask & rows[x], depth + 1)
-        return extend((), mask, 0)
+            mask_w = _mask_words([mask], n_words)
+            for start in range(0, len(heads), step):
+                head_w = heads_w[:, start:start + step] & mask_w
+                hit = (head_w[0][:, None] & last_w[0]) != 0
+                for k in range(1, n_words):
+                    hit |= (head_w[k][:, None] & last_w[k]) != 0
+                i, j = np.nonzero(~hit)
+                if len(i):
+                    out = np.empty((len(i), t), dtype=np.intp)
+                    out[:, :depth] = prefix
+                    out[:, depth:-1] = heads[start + i]
+                    out[:, -1] = last[j]
+                    yield out
+        return blocks((), mask, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +480,8 @@ class SubgroupRegistry:
 # Left masks ANDed with all right masks at a time; the temporary holds
 # rows * len(right) * words uint64 cells.
 _BLOCK_ROWS = 32
+# Tuples decided at a time by ``generating_tuples``.
+_TUPLE_BLOCK = 1 << 15
 _WORD = (1 << 64) - 1
 
 
@@ -471,7 +506,9 @@ def class_block(left: list, right: list, joined=None, empty=True):
     cumsum from each pair back to its run), and ``joined`` is called once
     per distinct AND, which callers memoise on the mask; so the Python
     work grows with the number of distinct ANDs, not with the number of
-    pairs.
+    pairs.  For the symmetric call (``left is right``) a row block meets
+    only the columns from its first row on, and the matrix is mirrored:
+    one triangle holds every distinct AND.
     """
     import numpy as np
     widest = max(map(int.bit_length, left + right), default=0)
@@ -481,30 +518,35 @@ def class_block(left: list, right: list, joined=None, empty=True):
     out = np.full((len(left), len(right)), empty)
     for start in range(0, len(left), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
+        first = start if left is right else 0  # the first column met
         # word k of the AND of each pair of the block, row by row
-        anded = [(lw[start:stop, None] & rw).reshape(-1)
+        anded = [(lw[start:stop, None] & rw[first:]).reshape(-1)
                  for lw, rw in zip(left_w, right_w)]
         nonempty = anded[0] != 0
         for word in anded[1:]:
             nonempty |= word != 0
-        block = out[start:stop].reshape(-1)  # a view: ``out`` is contiguous
+        block = np.full(len(nonempty), empty)
         if joined is None:
             block[nonempty] = False
-            continue
-        rest = np.flatnonzero(nonempty)
-        words = [word[rest] for word in anded]
-        order = np.lexsort(words)
-        words = [word[order] for word in words]
-        new = np.zeros(len(rest), dtype=bool)
-        new[:1] = True
-        for word in words:
-            new[1:] |= word[1:] != word[:-1]
-        # the distinct ANDs as little-endian bytes, low word first
-        keys = np.stack([word[new] for word in words], axis=1).tobytes()
-        verdict = np.array([joined(int.from_bytes(keys[i:i + step], "little"))
-                            for i in range(0, len(keys), step)],
-                           dtype=out.dtype)
-        block[rest[order]] = verdict[np.cumsum(new) - 1]
+        else:
+            rest = np.flatnonzero(nonempty)
+            words = [word[rest] for word in anded]
+            order = np.lexsort(words)
+            words = [word[order] for word in words]
+            new = np.zeros(len(rest), dtype=bool)
+            new[:1] = True
+            for word in words:
+                new[1:] |= word[1:] != word[:-1]
+            # the distinct ANDs as little-endian bytes, low word first
+            keys = np.stack([word[new] for word in words], axis=1).tobytes()
+            verdict = np.array(
+                [joined(int.from_bytes(keys[i:i + step], "little"))
+                 for i in range(0, len(keys), step)], dtype=out.dtype)
+            block[rest[order]] = verdict[np.cumsum(new) - 1]
+        block = block.reshape(min(stop, len(left)) - start, -1)
+        out[start:stop, first:] = block
+        if left is right:
+            out[first:, start:stop] = block.T
     return out
 
 
@@ -765,4 +807,5 @@ def gaschutz_lift(G: PermutationGroup, M: PermutationGroup,
     if found is None:
         raise WitnessSearchFailure(
             "no correction tuple found; contradicts the lifting lemma")
-    return tuple(ct.perm(table[ct.inv[gi]][y]) for gi, y in zip(g_idx, found))
+    return tuple(ct.perm(table[ct.inv[gi]][y])
+                 for gi, y in zip(g_idx, found[0].tolist()))

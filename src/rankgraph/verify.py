@@ -155,8 +155,8 @@ def verify_delu(seed: int = 42, cross_checks: int = 20) -> VerifyReport:
         if found is None:
             continue
         instances += 1
-        frac = delu_fraction(L, ct.perm(l_idx),
-                             [ct.perm(found[0]), ct.perm(found[1])])
+        b1, b2 = found[0].tolist()
+        frac = delu_fraction(L, ct.perm(l_idx), [ct.perm(b1), ct.perm(b2)])
         fractions[l_idx] = frac
         if frac < MIN_CORRECTION_DENSITY:
             failures.append({"l": ct.perm(l_idx).cycle_string(),
@@ -275,11 +275,12 @@ def verify_primo(seed: int = 42,
     target = build_crown_power(L, 2).order
     socle = L.socle_indices
     failures = []
+    trees: dict = {}  # square_order's trees, by first coordinates
 
     def check(rows) -> bool:
         pred = generation_via_orbits(table, rows)
         pairs = [(tbl[a][m1], tbl[a][m2]) for a, (m1, m2) in zip(table.a, rows)]
-        direct = square_order(ct, pairs, target) == target
+        direct = square_order(ct, pairs, target, trees) == target
         if pred != direct:
             failures.append({"rows": rows, "orbit": pred, "direct": direct})
         return pred == direct

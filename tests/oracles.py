@@ -38,9 +38,15 @@ one tuple per orbit from the rows of X.  ``class_edges`` and
 ``class_pair_summary`` decide Delta_d one pair of the registry's row
 classes (``SubgroupRegistry.row_classes``) at a time with a union-find
 over the joined pairs, where ``class_adjacency`` decides them in blocks.
-``crown_edge`` decides one pair of crown-graph vertex ranks, and ``pairwise_weak_connectivity`` joins every vertex pair of a
-crown graph by it; the block kernels of ``graphs`` and the builder's
-``_row_block`` are checked against them.
+``crown_edge`` decides one pair of crown-graph vertex ranks, and
+``pairwise_weak_connectivity`` joins every vertex pair of a crown graph
+by it; the block kernels of ``graphs`` and the builder's ``_row_block``
+are checked against them.  On the SDR path it reads the admissible
+orbits of a column pair off a dict built tuple by tuple
+(``admissible_orbits``), and ``sdr_exists`` decides distinct
+representatives by the two-set rule or by trying every choice, where
+``_row_block`` reads count and lone-label arrays and matches three or
+more sets by augmenting paths.
 ``pairwise_sampled_weak_connectivity`` redraws the seeded pairs of the
 sampled check and decides each of them from those pairwise edges.
 ``crown_graph`` and ``class_graph_edges`` expand the builder's class
@@ -96,7 +102,6 @@ from rankgraph.crown_powers import (
     WeakConnectivityReport,
     _exhaustive_report,
     _from_coordinates,
-    _sdr_exists,
 )
 from rankgraph.graphs import (
     _check_graph_args,
@@ -984,8 +989,38 @@ def crown_edge(builder, r: int, s: int) -> bool:
         free = tuple(u for u in range(builder.t) if u not in (i, j))
         return builder._completes(
             builder.rows[row_i[c[0]]] & builder.rows[row_j[e[0]]], free)
-    proj = builder.table.projection(i, j)
-    return _sdr_exists([proj.get((row_i[x], row_j[y])) for x, y in zip(c, e)])
+    proj = admissible_orbits(builder.table, i, j)
+    return sdr_exists([proj.get((row_i[x], row_j[y]), set())
+                       for x, y in zip(c, e)])
+
+
+_ADMISSIBLE: dict = {}
+
+
+def admissible_orbits(table, i: int, j: int) -> dict:
+    """(row-i entry, row-j entry) -> the set of orbit labels of the
+    tuples of an orbit table with those entries, one tuple at a time,
+    memoised per live table and row pair."""
+    key = (id(table), i, j)
+    got = _ADMISSIBLE.get(key)
+    if got is None or got[0]() is not table:
+        proj = {}
+        for tup, lab in zip(table.tuples.tolist(), table.labels.tolist()):
+            proj.setdefault((tup[i], tup[j]), set()).add(lab)
+        for dead in [k for k, v in _ADMISSIBLE.items() if v[0]() is None]:
+            del _ADMISSIBLE[dead]
+        got = _ADMISSIBLE[key] = weakref.ref(table), proj
+    return got[1]
+
+
+def sdr_exists(option_sets) -> bool:
+    """Whether the sets have distinct representatives: for two sets,
+    both non-empty and their union of two or more labels; for any other
+    number, by trying every choice of one label per set."""
+    if len(option_sets) == 2:
+        a, b = option_sets
+        return bool(a and b) and (len(a) > 1 or len(b) > 1 or a != b)
+    return any(len(set(pick)) == len(pick) for pick in product(*option_sets))
 
 
 def cln_pair_witnesses(G) -> dict:

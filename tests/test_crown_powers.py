@@ -16,6 +16,7 @@ from rankgraph import (
 from rankgraph.catalog import alternating, psl2, symmetric
 from rankgraph.config import caps
 from rankgraph.perm_core import StabilizerChain
+from rankgraph import crown_powers
 from rankgraph.crown_powers import (
     CrownGraphBuilder,
     MonolithicGroup,
@@ -226,6 +227,8 @@ class TestSubdirectLemma:
         L, table = witnesses[name]
         X = L.x_group.tolist()
         cosets = [L.coset_indices(x) for x in table.a]
+        omega = list(map(tuple, table.tuples.tolist()))
+        in_omega = set(omega)
         rng = random.Random(29)
         verdicts = set()
         for _ in range(90):
@@ -233,7 +236,7 @@ class TestSubdirectLemma:
             for _ in range(rng.randint(1, 3)):
                 kind = rng.randrange(3)
                 if kind == 0 or not columns:
-                    columns.append(rng.choice(table.tuples))
+                    columns.append(rng.choice(omega))
                 elif kind == 1:
                     alpha = rng.choice(X)
                     columns.append(tuple(alpha[x]
@@ -242,7 +245,7 @@ class TestSubdirectLemma:
                     columns.append(tuple(rng.choice(c) for c in cosets))
             lemma, chain = lemma_and_chain(L, columns)
             assert lemma == chain, columns
-            generating = all(c in table.index for c in columns)
+            generating = all(c in in_omega for c in columns)
             verdicts.add((len(columns) > 1 and generating, lemma))
         # both verdicts, and a (ii) failure among generating columns
         assert verdicts >= {(True, True), (True, False), (False, False)}
@@ -329,6 +332,32 @@ class TestSquareOrder:
             assert (square_order(ct, pairs, target) >= target) == \
                 (7200 >= target), target
 
+    def test_shared_trees_match_uncached_calls(self, A5m):
+        # the 600 instances of `verify --lemma primo` with 100 random
+        # samples and a slice of 500 at seed 1, as the crown benchmark
+        # runs it; the cache is filled and read in that order
+        ct = A5m.ct()
+        tbl = ct.table
+        a = delta_Lt(A5m, 2)[1].a
+        target = build_crown_power(A5m, 2).order
+        socle = A5m.socle_indices
+        rng = random.Random(1)
+        instances = [[tuple(rng.choice(socle) for _ in range(2))
+                      for _ in range(2)] for _ in range(100)]
+        instances += [[combo[:2], combo[2:]] for combo in itertools.islice(
+            itertools.product(socle, repeat=4), 500)]
+        trees = {}
+        verdicts = set()
+        for rows in instances:
+            pairs = [(tbl[x][m1], tbl[x][m2]) for x, (m1, m2) in zip(a, rows)]
+            got = square_order(ct, pairs, target, trees)
+            assert got == square_order(ct, pairs, target), rows
+            assert square_order(ct, pairs, 0, trees) == \
+                square_order(ct, pairs), rows
+            verdicts.add(got >= target)
+        assert verdicts == {True, False}
+        assert len(trees) < len(instances)
+
 
 class TestOmegaTable:
     def test_a5_pair_count(self, A5m):
@@ -339,9 +368,10 @@ class TestOmegaTable:
 
     def test_tuples_stay_in_omega_under_x(self, A5m):
         _, table = delta_Lt(A5m, 2)
+        omega = set(map(tuple, table.tuples.tolist()))
         for g in A5m.x_group.tolist():
-            for tup in table.tuples[:200]:
-                assert tuple(g[x] for x in tup) in table.index
+            for tup in table.tuples[:200].tolist():
+                assert tuple(g[x] for x in tup) in omega
 
     def test_orbit_count_independent_of_tuple(self, A5m):
         ct = A5m.ct()
@@ -529,6 +559,68 @@ class TestCrownGraph:
             assert got == expected
 
 
+class TestSdrBlocks:
+    """``_row_block`` on the SDR path, decided for whole arrays of pair
+    codes (eta <= 2) or by the matching (eta >= 3), against
+    ``crown_edge``, which reads the admissible orbits off a dict and
+    applies the pairwise rule ``sdr_exists``."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, A5m, S5m):
+        """(L, t) -> the orbit table, built once for the class."""
+        mono = {"A5": A5m, "S5": S5m, "PSL(2,7)": MonolithicGroup.from_group(
+            psl2(7).group(), "PSL(2,7)")}
+        memo = {}
+
+        def get(name, t):
+            if (name, t) not in memo:
+                memo[name, t] = delta_Lt(mono[name], t)[1]
+            return memo[name, t]
+        return get
+
+    @pytest.mark.parametrize("name, t, eta, n_right", [
+        ("A5", 3, 1, None), ("A5", 3, 2, 1500), ("S5", 2, 2, None),
+        ("PSL(2,7)", 2, 2, 1500), ("A5", 3, 3, 200)])
+    def test_blocks_match_pairwise_rule(self, tables, name, t, eta,
+                                        n_right):
+        table = tables(name, t)
+        builder = CrownGraphBuilder(table.mono, t, eta, table=table)
+        rng = random.Random(eta)
+        verdicts = set()
+        for i, j in itertools.permutations(range(t), 2):
+            left = rng.sample(range(builder.size), 3)
+            right = builder.keys(j) if n_right is None else \
+                rng.sample(range(builder.size), n_right)
+            block = builder._row_block(i, j, left, right)
+            assert block.shape == (len(left), len(right))
+            for k, row in zip(left, block.tolist()):
+                assert row == [crown_edge(builder, i * builder.size + k,
+                                          j * builder.size + m)
+                               for m in right], (i, j, k)
+                verdicts |= set(row)
+        assert verdicts == {True, False}
+
+    def test_blocks_split_by_rows_agree(self, tables, monkeypatch):
+        # one left row at a time gives the blocks of the whole rows
+        table = tables("S5", 2)
+        builder = CrownGraphBuilder(table.mono, 2, 1, table=table)
+        whole = builder._row_block(1, 0, builder.keys(1), builder.keys(0))
+        monkeypatch.setattr(crown_powers, "_PAIR_BLOCK", 1)
+        assert np.array_equal(
+            builder._row_block(1, 0, builder.keys(1), builder.keys(0)), whole)
+        assert whole.any() and not whole.all()
+
+    def test_pair_codes_with_one_orbit_each(self, S5m):
+        # at t = 2 each pair code has at most one admissible orbit, so the
+        # eta = 2 verdict rests on the lone labels
+        table = delta_Lt(S5m, 2)[1]
+        count, lone, starts, members = table.projection(0, 1)
+        assert count.max() == 1 and len(members) == len(table.tuples)
+        assert np.array_equal(lone[count == 1], members)
+        assert (lone[count == 0] == -1).all()
+        assert np.array_equal(np.diff(starts), count)
+
+
 class TestWeakConnectivity:
     def test_a5_t3_eta1_passes(self, A5m):
         rep = weak_connectivity(A5m, 3, 1)
@@ -589,9 +681,10 @@ class TestSampledWeakConnectivity:
                  if rng.random() < 0.02}
 
         def row_block(builder, i, j, left, right):
-            ranks = [builder.rank(j, e) for e in right]
+            # the keys of the SDR path are the correction indices
+            ranks = [j * builder.size + k for k in right]
             return np.array([[(min(r, s), max(r, s)) in edges for s in ranks]
-                             for r in (builder.rank(i, c) for c in left)],
+                             for r in (i * builder.size + k for k in left)],
                             dtype=bool)
 
         monkeypatch.setattr(CrownGraphBuilder, "_row_block", row_block)
@@ -622,8 +715,9 @@ class TestSampledWeakConnectivity:
         rng = random.Random(8)
         verdicts = set()
         for i, j in ((0, 1), (1, 0)):
-            for c in rng.sample(C, 3):
-                row = builder._row_block(i, j, [c], C)[0].tolist()
+            for k in rng.sample(range(len(C)), 3):
+                c = C[k]
+                row = builder._row_block(i, j, [k], builder.keys(j))[0].tolist()
                 assert row == [
                     crown_edge(builder, builder.rank(i, c), builder.rank(j, e))
                     for e in C]

@@ -16,7 +16,12 @@ import pytest
 from rankgraph.catalog import default_catalog, find_entry
 from rankgraph.config import caps
 from rankgraph.graphs import delta_summary, element_components
-from rankgraph.group_structure import SubgroupRegistry, min_rank, registry_for
+from rankgraph.group_structure import (
+    SubgroupRegistry,
+    class_block,
+    min_rank,
+    registry_for,
+)
 
 from oracles import (
     ClosureOracle,
@@ -191,6 +196,20 @@ def test_distances_match_the_reference_recursion(group_id):
     if group_id == "PSL(2,13)":
         # the masks span more than one uint64 word
         assert max(rows).bit_length() > 64
+
+
+def test_class_dists_triangle_matches_the_full_grid():
+    # ``class_dists`` decides the class pairs i <= j and mirrors them; a
+    # copy of the rows makes ``class_block`` decide the whole grid
+    groups = [e.group() for e in default_catalog() if e.group().order <= 2048]
+    assert len(groups) == 46
+    with caps(max_dense_order=8000):
+        groups.append(_group("A5xA5"))
+        for G in groups:
+            reg = SubgroupRegistry(G.cayley_table())
+            rows = reg.row_classes()[1]
+            full = class_block(rows, list(rows), reg.mask_dist, np.int8(0))
+            assert np.array_equal(reg.class_dists(), full), G.order
 
 
 def test_a5xa5_maximal_subgroups_and_isolated_vertices():
