@@ -21,8 +21,10 @@ so Aut(L) costs |Out(L)| validated candidates and its element list is
 the found maps composed with every inner automorphism, in one gather.
 Its closure check looks the composed maps up among the found ones as
 sorted byte keys of their generator images.
-The map extension and its check also decide whether two generating
-tuples are related by an automorphism.
+A candidate map is extended from its generator images one gather per
+level of the ``perm_core.bfs_tree`` of the generating sequence; the
+extension and its check also decide whether two generating tuples are
+related by an automorphism.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .perm_core import (
     CayleyTable,
     GroupArgumentError,
     PermutationGroup,
+    bfs_tree,
 )
 from .group_structure import _prune_generators
 
@@ -92,59 +95,40 @@ def _inner_rows(ct: CayleyTable, conj: np.ndarray) -> np.ndarray:
     return conj[ct.coset_labels(centre) == index]
 
 
-def _bfs_schedule(ct: CayleyTable, gens: Sequence[int]) -> list:
-    """Breadth-first layers covering the group from the identity and gens.
-
-    Each layer is a triple (new, parent, k) of index arrays with
-    new = parent * gens[k], and every parent lies in an earlier layer (or
-    is the identity or a generator), so a map can be filled in one numpy
-    gather per layer.
+def _bfs_schedule(ct: CayleyTable, gens: Sequence[int]) -> tuple:
+    """``bfs_tree`` of right multiplication by gens (table columns) from
+    the identity, as index arrays (order, parent, gen) with the level
+    starts.  Every parent lies in an earlier level, so a map is filled
+    in one numpy gather per level.  ``GroupArgumentError`` unless gens
+    generate the group.
     """
-    seen = bytearray(ct.n)
-    frontier = list(dict.fromkeys([ct.identity, *gens]))
-    for x in frontier:
-        seen[x] = 1
-    reached = len(frontier)
-    table = ct.table
-    layers = []
-    while frontier:
-        new, parent, gen = [], [], []
-        for x in frontier:
-            row = table[x]
-            for k, g in enumerate(gens):
-                y = row[g]
-                if not seen[y]:
-                    seen[y] = 1
-                    new.append(y)
-                    parent.append(x)
-                    gen.append(k)
-        if new:
-            layers.append((np.array(new), np.array(parent), np.array(gen)))
-        reached += len(new)
-        frontier = new
-    if reached != ct.n:
+    A = ct.array
+    order, parent, gen, starts = bfs_tree(
+        ct.n, [A[:, g].tolist() for g in gens], ct.identity)
+    if len(order) != ct.n:
         raise GroupArgumentError("sequence does not generate the group")
-    return layers
+    return np.array(order), np.array(parent), np.array(gen), starts
 
 
-def _extend_map(ct: CayleyTable, schedule: list, src_gens: Sequence[int],
+def _extend_map(ct: CayleyTable, schedule: tuple, src_gens: Sequence[int],
                 dst_gens) -> np.ndarray:
-    """Replay the BFS layers: sigma(1) = 1, sigma(src_gens[k]) =
-    dst_gens[k] and sigma(x * src_gens[k]) = sigma(x) * dst_gens[k] along
-    the schedule.
+    """Replay the schedule of src_gens one level at a time: sigma(1) = 1
+    and sigma(x * src_gens[k]) = sigma(x) * dst_gens[k] along each tree
+    edge.
 
     ``dst_gens`` may carry leading batch axes, one candidate image tuple
     per row; sigma then carries the same axes.  Whether sigma is an
-    automorphism (repeated generators with clashing images included) is
-    left to ``_respects_generators``.
+    automorphism (repeated or identity generators with clashing images
+    included) is left to ``_respects_generators``.
     """
     dst_gens = np.asarray(dst_gens, dtype=np.int64)
+    order, parent, gen, starts = schedule
     sigma = np.empty(dst_gens.shape[:-1] + (ct.n,), dtype=np.int64)
     sigma[..., ct.identity] = ct.identity
-    sigma[..., list(src_gens)] = dst_gens
     table = ct.array
-    for new, parent, k in schedule:
-        sigma[..., new] = table[sigma[..., parent], dst_gens[..., k]]
+    for a, b in zip(starts[1:], starts[2:]):
+        sigma[..., order[a:b]] = table[sigma[..., parent[a:b]],
+                                       dst_gens[..., gen[a:b]]]
     return sigma
 
 

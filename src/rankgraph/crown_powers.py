@@ -12,11 +12,11 @@ orbits of each pair of socle corrections.  A witness for L_delta is
 certified by the subdirect-product lemma (``columns_generate``): its
 columns generate L and no automorphism maps one column to another.
 ``square_order`` decides generation of L_2 directly, from the order of
-the subgroup of L x L that index pairs generate (Schreier's lemma on
-table products, the kernel grown by the coset closure
-``SubgroupRegistry.close``, the breadth-first tree reusable per tuple of
-first coordinates); ``verify --lemma primo`` checks the orbit criterion
-against it.
+the subgroup of L x L that index pairs generate (Schreier's lemma along
+the ``perm_core.bfs_tree`` of the first coordinates, reusable per tuple
+of them, the kernel grown by the coset closure
+``SubgroupRegistry.close``); ``verify --lemma primo`` checks the orbit
+criterion against it.
 
 A crown-graph vertex a_i . c is the integer rank i |C| + k, c the k-th
 correction tuple.  ``CrownGraphBuilder._row_block`` decides the edges
@@ -49,6 +49,7 @@ from .perm_core import (
     PermutationGroup,
     PreconditionError,
     WitnessSearchFailure,
+    bfs_tree,
 )
 from .group_structure import (
     class_block,
@@ -139,18 +140,12 @@ class MonolithicGroup:
 
     @cached_property
     def socle_bfs_order(self) -> list:
-        """Socle elements ordered by word length in the socle generators."""
+        """Socle elements ordered by word length in the socle generators:
+        the ``bfs_tree`` of their table columns."""
         ct = self.ct()
-        gens = [ct.index[g.images] for g in self.socle.generators]
-        order = [ct.identity]
-        seen = {ct.identity}
-        for x in order:
-            for g in gens:
-                y = ct.table[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-        return order
+        cols = [ct.array[:, ct.index[g.images]].tolist()
+                for g in self.socle.generators]
+        return bfs_tree(ct.n, cols, ct.identity)[0]
 
     @cached_property
     def aut(self) -> np.ndarray:
@@ -242,9 +237,10 @@ def square_order(ct, pairs: Sequence[tuple], target: int = 0,
                  trees: Optional[dict] = None) -> int:
     """|H| for H = <(x_1, y_1), ...> <= L x L, on element indices of ct.
 
-    A breadth-first tree over P = pi_1(H) keeps one element (p, s_p) of
-    H per p in P: s_{px_k} = s_p y_k along each tree edge.  By Schreier's
-    lemma the second coordinates s_p y_k s_{px_k}^-1 generate
+    The ``bfs_tree`` of right multiplication by the x_k gives
+    P = pi_1(H) and keeps one element (p, s_p) of H per p in P:
+    s_{px_k} = s_p y_k along each tree edge.  By Schreier's lemma the
+    second coordinates s_p y_k s_{px_k}^-1 generate
     K = pi_2(H meet 1 x L), and |H| = |P| |K|; those of the tree edges
     are 1, so only the other edges are read.  Each generator outside
     the K found so far joins it by ``SubgroupRegistry.close``, so the K's
@@ -258,7 +254,7 @@ def square_order(ct, pairs: Sequence[tuple], target: int = 0,
     xs = tuple(x for x, _ in pairs)
     tree = None if trees is None else trees.get(xs)
     if tree is None:
-        tree = _bfs_tree(tbl, e, xs)
+        tree = _schreier_edges(ct, xs)
         if trees is not None:
             trees[xs] = tree
     P, edges, others = tree
@@ -280,24 +276,23 @@ def square_order(ct, pairs: Sequence[tuple], target: int = 0,
     return len(P) * len(reg.members[sid])
 
 
-def _bfs_tree(tbl, e: int, xs: tuple) -> tuple:
-    """(P, edges, others) for <xs>: its elements breadth first from e;
-    (q, p, k) with q = p * xs[k] for the edge that found each q after e;
-    and (p, k, p * xs[k]) for every other p in P and k, in the order of P
-    and then k."""
-    seen = [False] * len(tbl)
-    seen[e] = True
-    P, edges, others = [e], [], []
-    for p in P:  # grows while it is read
-        row = tbl[p]
-        for k, x in enumerate(xs):
-            q = row[x]
-            if seen[q]:
-                others.append((p, k, q))
+def _schreier_edges(ct, xs: tuple) -> tuple:
+    """(P, edges, others) for <xs>: P = order of its ``bfs_tree`` of right
+    multiplication; (q, p, k) with q = p * xs[k] per tree edge; and
+    (p, k, p * xs[k]) for every other edge, in the order the tree tried
+    them (p along P, then k), which is also the order of the tree edges.
+    """
+    cols = [ct.array[:, x].tolist() for x in xs]
+    P, parent, gen, _ = bfs_tree(ct.n, cols, ct.identity)
+    edges = list(zip(P[1:], parent[1:], gen[1:]))
+    others = []
+    i = 1  # the next tree edge
+    for p in P:
+        for k, col in enumerate(cols):
+            if i < len(P) and parent[i] == p and gen[i] == k:
+                i += 1
             else:
-                seen[q] = True
-                P.append(q)
-                edges.append((q, p, k))
+                others.append((p, k, col[p]))
     return P, edges, others
 
 
@@ -581,7 +576,6 @@ class CrownGraphBuilder:
         self.socle = L.socle_indices
         self.cosets = [L.coset_indices(x) for x in self.a]
         self.size = len(self.socle) ** eta
-        self._socle_pos = {x: k for k, x in enumerate(self.socle)}
         self.table = table
         if table is None and eta != 1:
             raise GroupArgumentError(
@@ -590,10 +584,14 @@ class CrownGraphBuilder:
         self._class_graph = None
 
     def rank(self, row: int, correction: tuple) -> int:
-        """The rank of the vertex a_row . correction."""
+        """The rank of the vertex a_row . correction.
+        ``GroupArgumentError`` for an entry outside the socle."""
+        pos = self.L.socle_positions
         k = 0
         for x in correction:
-            k = k * len(self.socle) + self._socle_pos[x]
+            if pos[x] < 0:
+                raise GroupArgumentError(f"{x} is not in the socle")
+            k = k * len(self.socle) + int(pos[x])
         return row * self.size + k
 
     @cached_property

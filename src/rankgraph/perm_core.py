@@ -617,6 +617,33 @@ def quotient(G: PermutationGroup, N: PermutationGroup):
 # dense element tables
 
 
+def bfs_tree(n: int, maps: Sequence, root: int) -> tuple:
+    """Breadth-first spanning tree from ``root`` of the graph on 0..n-1
+    with edges p -> maps[k][p] (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005).
+
+    Lists (order, parent, gen, starts): ``order`` holds the nodes reached
+    in discovery order, each node's children in order of k, with
+    ``order[i] == maps[gen[i]][parent[i]]`` for i > 0 and -1 as the
+    root's parent and gen; level j is ``order[starts[j]:starts[j + 1]]``.
+    """
+    seen = bytearray(n)
+    seen[root] = 1
+    order, parent, gen, starts = [root], [-1], [-1], [0]
+    while starts[-1] < len(order):
+        end = len(order)
+        for p in order[starts[-1]:end]:
+            for k, m in enumerate(maps):
+                q = m[p]
+                if not seen[q]:
+                    seen[q] = 1
+                    order.append(q)
+                    parent.append(p)
+                    gen.append(k)
+        starts.append(end)
+    return order, parent, gen, starts
+
+
 # Largest order of a Cayley table: its indices are stored as uint16.
 _MAX_TABLE_ORDER = 1 << 16
 # Table rows gathered at a time by ``coset_labels``: its temporary holds
@@ -633,11 +660,11 @@ class CayleyTable:
     objects.
 
     ``table[x][q]`` is the index of ``x * q``.  Only the generator rows
-    are composed from permutation images.  Every other row comes from the
-    right-regular representation, ``row(p * g) = row(p)[row(g)]``, one
-    numpy gather per element in a breadth-first search from the identity
-    (Holt, Eick and O'Brien, *Handbook of Computational Group Theory*,
-    2005).
+    are composed from permutation images.  Every other row q = g * p is
+    one numpy gather, ``row(g * p) = row(g)[row(p)]``, along the edge
+    p -> q of ``bfs_tree`` over left multiplication by the generators
+    (the regular representation; Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005).
 
     ``array`` is the only storage: one read-only ``uint16`` array of 2n^2
     bytes, read whole by the numpy kernels.  ``table`` holds its rows as
@@ -667,21 +694,14 @@ class CayleyTable:
         for g in gens:
             gimg = images[g]
             rows[g] = [idx[_mult(gimg, q)] for q in images]
-        gen_rows = [rows[g] for g in gens]
-        seen = bytearray(n)
-        seen[self.identity] = 1
-        queue = [self.identity]
-        for p in queue:  # idx(p * g) = row(p)[g]
-            row_p = rows[p]
-            for g, row_g in zip(gens, gen_rows):
-                pg = int(row_p[g])
-                if not seen[pg]:
-                    seen[pg] = 1
-                    rows[pg] = row_p[row_g]
-                    queue.append(pg)
-        if len(queue) != n:
+        # rows[g][p] = g * p, and row(g * p) = row(g)[row(p)]
+        order, parent, gen, _ = bfs_tree(
+            n, [rows[g].tolist() for g in gens], self.identity)
+        if len(order) != n:
             raise RuntimeError(
-                f"Cayley table search reached {len(queue)} of {n} rows")
+                f"Cayley table search reached {len(order)} of {n} rows")
+        for q, p, k in zip(order[1:], parent[1:], gen[1:]):
+            rows[q] = rows[gens[k]][rows[p]]
         rows.flags.writeable = False
         self.array = rows
         self.table = [memoryview(row) for row in rows]
@@ -730,27 +750,17 @@ class CayleyTable:
     # -- conjugacy ------------------------------------------------------------
 
     def _build_classes(self):
+        """Classes in order of their least element: the class of x is
+        the tree of x under conjugation by the generators."""
         class_id = [-1] * self.n
         classes = []
-        gens = list(self.gen_indices)
-        inv = self.inv
-        table = self.table
+        rows = [self.conj_row(g) for g in self.gen_indices]
         for i in range(self.n):
-            if class_id[i] >= 0:
-                continue
-            cid = len(classes)
-            members = [i]
-            class_id[i] = cid
-            queue = [i]
-            while queue:
-                x = queue.pop()
-                for g in gens:
-                    y = table[table[inv[g]][x]][g]
-                    if class_id[y] < 0:
-                        class_id[y] = cid
-                        members.append(y)
-                        queue.append(y)
-            classes.append(tuple(sorted(members)))
+            if class_id[i] < 0:
+                members = bfs_tree(self.n, rows, i)[0]
+                for x in members:
+                    class_id[x] = len(classes)
+                classes.append(tuple(sorted(members)))
         self._class_id = class_id
         self._classes = classes
 

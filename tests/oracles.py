@@ -597,6 +597,22 @@ def brute_non_generators(G, subset_cap: int = 3) -> frozenset:
     return frozenset(out)
 
 
+def word_lengths(maps, root: int) -> dict:
+    """Distance from ``root`` of every node reached by the edges
+    p -> maps[k][p]: node x has distance r when it first lies in the
+    ball of radius r, grown one radius at a time as a set."""
+    dist = {root: 0}
+    ball = {root}
+    radius = 0
+    while True:
+        grown = ball | {m[p] for p in ball for m in maps}
+        if grown == ball:
+            return dist
+        radius += 1
+        dist.update((x, radius) for x in grown - ball)
+        ball = grown
+
+
 def bfs_components(n: int, edges) -> list:
     """Component id per vertex of an undirected graph on {0, ..., n-1},
     components numbered in the order of their smallest vertex."""

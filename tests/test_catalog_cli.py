@@ -218,7 +218,8 @@ class TestSweep:
     def test_error_isolation(self):
         # an entry over every cap records an error; the sweep continues
         big = crown_power_entry(symmetric(5), 2)
-        recs = sweep([big, symmetric(4)], max_order=10000)
+        with caps(max_dense_order=2048):
+            recs = sweep([big, symmetric(4)], max_order=10000)
         assert recs[0].error is not None
         assert recs[1].error is None and recs[1].graphs
 

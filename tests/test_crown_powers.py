@@ -53,6 +53,7 @@ from oracles import (
     meet_blocks,
     pairwise_edges,
     pairwise_sampled_weak_connectivity,
+    word_lengths,
 )
 
 
@@ -84,6 +85,15 @@ class TestMonolithic:
                                       cyc(6, [0, 1]), cyc(6, [3, 4])])
         with pytest.raises(GroupArgumentError):
             MonolithicGroup.from_group(G)
+
+    def test_socle_bfs_order_is_by_word_length(self, S5m):
+        ct = S5m.ct()
+        order = S5m.socle_bfs_order
+        assert sorted(order) == list(S5m.socle_indices)
+        maps = [ct.array[:, ct.index[g.images]].tolist()
+                for g in S5m.socle.generators]
+        lengths = word_lengths(maps, ct.identity)
+        assert [lengths[x] for x in order] == sorted(lengths.values())
 
     def test_abelian_socle_gated_for_graphs(self, S4):
         mono = MonolithicGroup.from_group(S4)
@@ -494,6 +504,16 @@ class TestGenerationViaOrbits:
 
 
 class TestCrownGraph:
+    def test_rank_refuses_entries_outside_the_socle(self, S5m):
+        _, table = delta_Lt(S5m, 2)
+        builder = CrownGraphBuilder(S5m, 2, 2, table=table)
+        socle = S5m.socle_indices
+        odd = next(x for x in range(S5m.ct().n) if not S5m.socle_mask[x])
+        assert builder.rank(1, (socle[2], socle[5])) == 3600 + 2 * 60 + 5
+        for correction in [(odd, socle[0]), (socle[0], odd)]:
+            with pytest.raises(GroupArgumentError):
+                builder.rank(0, correction)
+
     def test_a5_t3_eta1_vertex_count(self, A5m):
         graph = crown_graph(A5m, 3, 1, drop_isolated=False)
         assert graph.n_vertices == 180

@@ -1,19 +1,41 @@
-"""Reproducibility gate: the ``--out`` payloads of the six commands of
-the crown benchmark workload, rerun at seed 1, against the golden file
-``golden/crown_payloads.json``.
+"""Reproducibility gate: recomputed answers against golden files.
+
+* ``golden/crown_payloads.json``: the ``--out`` payloads of the six
+  commands of the crown benchmark workload, rerun at seed 1;
+* ``golden/sweep_records.json``: the records of ``sweep --max-order
+  2048`` under ``default``, ``theorem --diameter`` and ``conjecture``
+  (the first also rerun with two worker processes);
+* ``golden/lattice_digests.json``: per catalog group of order <= 2048,
+  one digest of ``maximal_subgroups()`` and the incidence rows, order
+  included.
 
 The timing and provenance fields (``elapsed_ms``, ``timestamp``,
 ``tool_version``) and ``seed`` are stripped before the comparison.  A
-change that alters an answer on purpose rewrites the golden file and
+change that alters an answer on purpose rewrites the golden file
+(``python tests/test_golden.py`` writes the sweep and lattice files) and
 says which answers changed and why.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
-from rankgraph.cli import cli_main
+import pytest
 
-GOLDEN = Path(__file__).parent / "golden" / "crown_payloads.json"
+from rankgraph.catalog import default_catalog
+from rankgraph.cli import cli_main
+from rankgraph.group_structure import registry_for
+from rankgraph.sweep import sweep
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "crown_payloads.json"
+SWEEP_GOLDEN = GOLDEN_DIR / "sweep_records.json"
+LATTICE_GOLDEN = GOLDEN_DIR / "lattice_digests.json"
+MAX_ORDER = 2048
+# sweep policy key -> (policy, with_diameter)
+SWEEPS = {"default": ("default", False),
+          "theorem --diameter": ("theorem", True),
+          "conjecture": ("conjecture", False)}
 STRIPPED = {"elapsed_ms", "timestamp", "tool_version", "seed"}
 COMMANDS = [
     ["crown", "--L", "A5", "--t", "2", "--check", "delta",
@@ -64,6 +86,57 @@ def first_difference(want, got, path="$"):
     return None
 
 
+def assert_matches(want, got, what: str) -> None:
+    diff = first_difference(want, got)
+    assert diff is None, \
+        "{}: first difference at {}: golden {!r}, got {!r}".format(
+            what, *diff)
+
+
+def sweep_records(key: str, jobs: int = 1) -> list:
+    policy, with_diameter = SWEEPS[key]
+    return [strip(json.loads(rec.to_json()))
+            for rec in sweep(default_catalog(), max_order=MAX_ORDER,
+                             policy=policy, with_diameter=with_diameter,
+                             jobs=jobs)]
+
+
+def lattice_digests() -> dict:
+    """Per catalog group of order <= MAX_ORDER, the sha256 of its
+    maximal subgroups (members sorted, list order kept) and incidence
+    rows."""
+    out = {}
+    for entry in default_catalog():
+        G = entry.group()
+        if G.order > MAX_ORDER:
+            continue
+        reg = registry_for(G)
+        answer = [[sorted(m) for m in reg.maximal_subgroups()],
+                  reg.incidence_rows()]
+        out[entry.id] = hashlib.sha256(
+            json.dumps(answer).encode()).hexdigest()
+        G.release_dense_caches()
+    return out
+
+
+@pytest.mark.parametrize("key", list(SWEEPS))
+def test_sweep_records_match_golden(key):
+    golden = json.loads(SWEEP_GOLDEN.read_text())
+    assert sorted(golden) == sorted(SWEEPS)
+    assert_matches(golden[key], sweep_records(key), f"sweep {key}")
+
+
+def test_parallel_sweep_matches_golden():
+    golden = json.loads(SWEEP_GOLDEN.read_text())
+    assert_matches(golden["default"], sweep_records("default", jobs=2),
+                   "sweep default --jobs 2")
+
+
+def test_lattice_digests_match_golden():
+    golden = json.loads(LATTICE_GOLDEN.read_text())
+    assert_matches(golden, lattice_digests(), "lattice digests")
+
+
 def test_crown_payloads_match_golden(tmp_path):
     golden = json.loads(GOLDEN.read_text())
     assert sorted(golden) == sorted(" ".join(argv) for argv in COMMANDS)
@@ -71,11 +144,7 @@ def test_crown_payloads_match_golden(tmp_path):
     for argv in COMMANDS:
         key = " ".join(argv)
         assert cli_main(argv + ["--seed", "1", "--out", str(out)]) == 0, key
-        diff = first_difference(golden[key], strip(json.loads(
-            out.read_text())))
-        assert diff is None, \
-            "{}: first difference at {}: golden {!r}, got {!r}".format(
-                key, *diff)
+        assert_matches(golden[key], strip(json.loads(out.read_text())), key)
 
 
 def test_first_difference_names_the_field():
@@ -85,3 +154,11 @@ def test_first_difference_names_the_field():
     assert first_difference(want, got) == ("$.w[1].d.0", 3, 4)
     assert first_difference(want, {"a": 1})[0] == "$.w"
     assert first_difference({"a": 1}, {"a": True}) == ("$.a", 1, True)
+
+
+if __name__ == "__main__":
+    SWEEP_GOLDEN.write_text(json.dumps(
+        {key: sweep_records(key) for key in SWEEPS}, indent=1,
+        sort_keys=True) + "\n")
+    LATTICE_GOLDEN.write_text(json.dumps(lattice_digests(), indent=1)
+                              + "\n")

@@ -28,14 +28,16 @@ from rankgraph import perm_core
 from rankgraph.catalog import builtin_entry, default_catalog, symmetric
 from rankgraph.config import caps
 from rankgraph.group_structure import registry_for
-from rankgraph.perm_core import _mult, subgroup_from_members
+from rankgraph.perm_core import _mult, bfs_tree, subgroup_from_members
 
 from oracles import (
+    ClosureOracle,
     brute_closure,
     brute_centralizer,
     brute_conjugacy_classes,
     mult,
     permutation_quotient,
+    word_lengths,
 )
 
 
@@ -363,6 +365,52 @@ class TestQuotient:
             quotient(S4, V4)
 
 
+SMALL_CATALOG = [e for e in default_catalog() if e.group().order <= 360]
+
+
+class TestBfsTree:
+    @pytest.mark.parametrize("entry", SMALL_CATALOG,
+                             ids=[e.id for e in SMALL_CATALOG])
+    def test_tree_of_random_generator_subsets(self, entry):
+        # right multiplication by 1 to 3 random elements (the identity
+        # and repeats allowed): the tree spans <gens> level by level
+        G = entry.group()
+        ct = G.cayley_table()
+        oracle = ClosureOracle(G)
+        rng = random.Random(f"bfs-{entry.id}")
+        for _ in range(4):
+            gens = [rng.randrange(ct.n) for _ in range(rng.randint(1, 3))]
+            maps = [ct.array[:, g].tolist() for g in gens]
+            order, parent, gen, starts = bfs_tree(ct.n, maps, ct.identity)
+            assert sorted(order) == sorted(
+                oracle.reg.members[oracle.bfs_close(gens)])
+            assert len(set(order)) == len(order)
+            assert (order[0], parent[0], gen[0]) == (ct.identity, -1, -1)
+            assert starts[0] == 0 and starts[-1] == len(order)
+            assert all(a < b for a, b in zip(starts, starts[1:]))
+            level = {x: j for j in range(len(starts) - 1)
+                     for x in order[starts[j]:starts[j + 1]]}
+            assert level == word_lengths(maps, ct.identity)
+            pos = {x: i for i, x in enumerate(order)}
+            for i in range(1, len(order)):
+                assert order[i] == maps[gen[i]][parent[i]]
+                assert level[parent[i]] < level[order[i]]
+            # children follow their parents, each node's in order of k
+            keys = [(pos[parent[i]], gen[i]) for i in range(1, len(order))]
+            assert keys == sorted(set(keys))
+
+    def test_root_and_maps_of_any_graph(self):
+        # a graph that is no Cayley graph: two maps on 6 nodes from 4,
+        # with a node (0) the root cannot reach
+        maps = [[0, 2, 3, 1, 4, 5], [1, 1, 5, 3, 5, 4]]
+        order, parent, gen, starts = bfs_tree(6, maps, 4)
+        assert order == [4, 5]
+        assert (parent, gen, starts) == ([-1, 4], [-1, 1], [0, 1, 2])
+        assert bfs_tree(6, [], 2) == ([2], [-1], [-1], [0, 1])
+        assert word_lengths(maps, 1) == {1: 0, 2: 1, 3: 2, 5: 2, 4: 3}
+        assert bfs_tree(6, maps, 1)[0] == [1, 2, 3, 5, 4]
+
+
 class TestCayleyTable:
     def test_identity_is_index_zero(self, S4):
         ct = S4.cayley_table()
@@ -375,6 +423,23 @@ class TestCayleyTable:
         for _ in range(50):
             i, j = rng.randrange(ct.n), rng.randrange(ct.n)
             assert ct.elements[ct.table[i][j]] == ct.elements[i] * ct.elements[j]
+
+    @pytest.mark.parametrize("entry", SMALL_CATALOG,
+                             ids=[e.id for e in SMALL_CATALOG])
+    def test_rows_and_classes_match_products(self, entry):
+        # every row against permutation products, and the classes
+        # against a brute conjugation search
+        G = entry.group()
+        ct = G.cayley_table()
+        images = [p.images for p in ct.elements]
+        for x in range(ct.n):
+            assert [images[q] for q in ct.table[x]] == \
+                [_mult(images[x], q) for q in images]
+        classes = sorted(tuple(sorted(ct.index[p] for p in c))
+                         for c in brute_conjugacy_classes(G))
+        assert ct.classes == classes
+        assert all(ct.class_id[x] == k for k, c in enumerate(ct.classes)
+                   for x in c)
 
     def test_conj_row(self, S4):
         ct = S4.cayley_table()
