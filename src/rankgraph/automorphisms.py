@@ -110,11 +110,10 @@ def _bfs_schedule(ct: CayleyTable, gens: Sequence[int]) -> tuple:
     return np.array(order), np.array(parent), np.array(gen), starts
 
 
-def _extend_map(ct: CayleyTable, schedule: tuple, src_gens: Sequence[int],
-                dst_gens) -> np.ndarray:
-    """Replay the schedule of src_gens one level at a time: sigma(1) = 1
-    and sigma(x * src_gens[k]) = sigma(x) * dst_gens[k] along each tree
-    edge.
+def _extend_map(ct: CayleyTable, schedule: tuple, dst_gens) -> np.ndarray:
+    """Replay the ``_bfs_schedule`` of source generators src_gens one
+    level at a time: sigma(1) = 1 and sigma(x * src_gens[k]) =
+    sigma(x) * dst_gens[k] along each tree edge.
 
     ``dst_gens`` may carry leading batch axes, one candidate image tuple
     per row; sigma then carries the same axes.  Whether sigma is an
@@ -220,7 +219,7 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
         dst_gens = np.empty((len(reps), last + 1), dtype=np.int64)
         dst_gens[:, :last] = prefix
         dst_gens[:, last] = reps
-        sigma = _extend_map(ct, schedule, src_gens, dst_gens)
+        sigma = _extend_map(ct, schedule, dst_gens)
         found.append(sigma[_respects_generators(ct, src_gens, dst_gens,
                                                 sigma)])
 

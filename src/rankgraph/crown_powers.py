@@ -242,58 +242,57 @@ def square_order(ct, pairs: Sequence[tuple], target: int = 0,
     s_{px_k} = s_p y_k along each tree edge.  By Schreier's lemma the
     second coordinates s_p y_k s_{px_k}^-1 generate
     K = pi_2(H meet 1 x L), and |H| = |P| |K|; those of the tree edges
-    are 1, so only the other edges are read.  Each generator outside
-    the K found so far joins it by ``SubgroupRegistry.close``, so the K's
-    are interned in L's registry, and the search stops once K is all of
-    L.  Once |P| |L| < target that bound is returned, so the result is
-    at least ``target`` exactly when |H| is.  The tree depends only on
-    the first coordinates: a caller's ``trees`` dict keeps it per tuple
-    (x_1, x_2, ...) across calls.
+    are 1, so only the other edges are read.  One walk over the edges,
+    in the order the tree tried them, sets s_q at each tree edge and
+    joins each other edge's generator outside the K found so far by
+    ``SubgroupRegistry.close`` (so the K's are interned in L's
+    registry); it stops once K is all of L.  Once |P| |L| < target that
+    bound is returned, so the result is at least ``target`` exactly when
+    |H| is.  The edges depend only on the first coordinates: a caller's
+    ``trees`` dict keeps them per tuple (x_1, x_2, ...) across calls.
     """
     tbl, inv, n, e = ct.table, ct.inv, ct.n, ct.identity
     xs = tuple(x for x, _ in pairs)
     tree = None if trees is None else trees.get(xs)
     if tree is None:
-        tree = _schreier_edges(ct, xs)
+        tree = _schreier_steps(ct, xs)
         if trees is not None:
             trees[xs] = tree
-    P, edges, others = tree
+    size, steps = tree
+    if size * n < target:
+        return size * n
     ys = [y for _, y in pairs]
     second = [-1] * n
     second[e] = e
-    for q, p, k in edges:
-        second[q] = tbl[second[p]][ys[k]]
-    if len(P) * n < target:
-        return len(P) * n
     reg = registry_for(ct.group)
     sid = reg.trivial_id
-    for p, k, q in others:
-        z = tbl[tbl[second[p]][ys[k]]][inv[second[q]]]
-        if z not in reg.members[sid]:
-            sid = reg.close(sid, z)
-            if sid == reg.full_id:
-                return len(P) * n
-    return len(P) * len(reg.members[sid])
+    K = reg.members[sid]
+    for p, k, q, is_tree in steps:
+        s = tbl[second[p]][ys[k]]
+        if is_tree:
+            second[q] = s
+        else:
+            z = tbl[s][inv[second[q]]]
+            if z not in K:
+                sid = reg.close(sid, z)
+                if sid == reg.full_id:
+                    return size * n
+                K = reg.members[sid]
+    return size * len(K)
 
 
-def _schreier_edges(ct, xs: tuple) -> tuple:
-    """(P, edges, others) for <xs>: P = order of its ``bfs_tree`` of right
-    multiplication; (q, p, k) with q = p * xs[k] per tree edge; and
-    (p, k, p * xs[k]) for every other edge, in the order the tree tried
-    them (p along P, then k), which is also the order of the tree edges.
-    """
+def _schreier_steps(ct, xs: tuple) -> tuple:
+    """(|P|, steps) for <xs>: P is the ``bfs_tree`` of right
+    multiplication, and steps holds (p, k, p * xs[k], is_tree) for every
+    edge, in the order the tree tried them (p along P, then k)."""
     cols = [ct.array[:, x].tolist() for x in xs]
     P, parent, gen, _ = bfs_tree(ct.n, cols, ct.identity)
-    edges = list(zip(P[1:], parent[1:], gen[1:]))
-    others = []
-    i = 1  # the next tree edge
-    for p in P:
-        for k, col in enumerate(cols):
-            if i < len(P) and parent[i] == p and gen[i] == k:
-                i += 1
-            else:
-                others.append((p, k, col[p]))
-    return P, edges, others
+    width = len(cols)
+    via = [-1] * ct.n  # per node q != root, the edge (p, k) reaching it
+    for q, p, k in zip(P[1:], parent[1:], gen[1:]):
+        via[q] = p * width + k
+    return len(P), [(p, k, col[p], via[col[p]] == p * width + k)
+                    for p in P for k, col in enumerate(cols)]
 
 
 def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
@@ -337,7 +336,7 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
         if not len(rest):
             continue
         gens = columns[i]
-        sigma = _extend_map(ct, _bfs_schedule(ct, gens), gens, rest)
+        sigma = _extend_map(ct, _bfs_schedule(ct, gens), rest)
         if _respects_generators(ct, gens, rest, sigma).any():
             return False
     return True
@@ -943,51 +942,70 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
     return Fraction(count, len(L.socle_indices) ** d)
 
 
-def cln_witness(G: MonolithicGroup, a: int) -> tuple:
-    """Socle corrections for one row: every b with [a, b] in the socle,
-    and socle elements n, m with a n and b m commuting.
+# Table rows whose pairs ``cln_witness`` decides together: each
+# temporary of a block holds at most _CLN_ROWS x n cells.
+_CLN_ROWS = 32
 
-    Returns int arrays (b, n, m) of equal length, b ascending; n = m = -1
-    where the search ran out, which callers treat as a theorem violation.
-    Search order, per b: n ascending in element order (identity first);
-    m = 1 when b commutes with a n, else m = b^-1 min(C(a n) ∩ b N).  So
-    [a, b] = 1 gives (1, 1).  Each step of n decides every b still open
-    with a few gathers on the Cayley table.
+
+def cln_witness(G: MonolithicGroup, rows: Sequence[int]) -> tuple:
+    """Socle corrections for the pairs of some rows: every (a, b) with a
+    in ``rows`` and [a, b] in the socle, and socle elements n, m with
+    a n and b m commuting.
+
+    Returns int32 arrays (a, b, n, m) of equal length, by a in the order
+    of ``rows``, then b ascending; n = m = -1 where the search ran out,
+    which callers treat as a theorem violation.  Search order, per pair:
+    n ascending in element order (identity first); m = 1 when b commutes
+    with a n, else m = b^-1 min(C(a n) ∩ b N).  So [a, b] = 1 gives
+    (1, 1).  Computed once per call: the commuting pairs of the table,
+    the rank of each element's coset of N, and per element x and coset
+    the least element of C(x) in it.  The rows are then decided
+    ``_CLN_ROWS`` at a time: the pairs with a b N = b a N are read off
+    the block, and each step of n decides every pair of the block still
+    open by a few gathers.
     """
     G.require_nonabelian()
     ct = G.ct()
-    if not 0 <= a < ct.n:
-        raise PreconditionError("a must be an element index of the group")
-    A = ct.array
-    label = G.coset_labels
-    inv = np.asarray(ct.inv)
-    b = np.flatnonzero(label[A[a]] == label[A[:, a]])  # a b N = b a N
-    n_of = np.full(len(b), -1)
-    m_of = np.full(len(b), -1)
-    todo = np.arange(len(b))
-    # per coset label, the least element of C(a n) in that coset; ct.n
-    # where there is none
-    least = np.full(ct.n, ct.n)
-    for n in G.socle_indices:
-        x = A[a, n]
-        cent = A[x] == A[:, x]
-        hit = cent[b[todo]]
-        n_of[todo[hit]] = n
-        m_of[todo[hit]] = ct.identity
-        todo = todo[~hit]
-        if not len(todo):
-            break
-        c_all = np.flatnonzero(cent)
-        np.minimum.at(least, label[c_all], c_all)
-        c = least[label[b[todo]]]
-        least[label[c_all]] = ct.n
-        hit = c < ct.n
-        n_of[todo[hit]] = n
-        m_of[todo[hit]] = A[inv[b[todo[hit]]], c[hit]]
-        todo = todo[~hit]
-        if not len(todo):
-            break
-    return b, n_of, m_of
+    rows = np.asarray(rows, dtype=np.intp)
+    if rows.ndim != 1 or ((rows < 0) | (rows >= ct.n)).any():
+        raise PreconditionError("rows must be element indices of the group")
+    A, n_el, e = ct.array, ct.n, ct.identity
+    commute = A == A.T
+    _, rank = np.unique(G.coset_labels, return_inverse=True)
+    rank = rank.astype(np.uint16)
+    # least[x, r]: the least element of C(x) in coset r, n_el where none
+    least = np.full((n_el, int(rank.max()) + 1), n_el, dtype=np.int32)
+    for r in range(least.shape[1]):
+        coset = np.flatnonzero(rank == r)
+        inside = commute[:, coset]
+        some = inside.any(1)
+        least[some, r] = coset[inside.argmax(1)[some]]
+    inv = np.asarray(ct.inv, dtype=np.int32)
+    out = [tuple(np.empty(0, dtype=np.int32) for _ in range(4))]
+    for start in range(0, len(rows), _CLN_ROWS):
+        block = rows[start:start + _CLN_ROWS]
+        i, b = np.nonzero(rank[A[block]] == rank[A[:, block].T])
+        a, b = block[i].astype(np.int32), b.astype(np.int32)
+        n_of = np.full(len(b), -1, dtype=np.int32)
+        m_of = np.full(len(b), -1, dtype=np.int32)
+        todo = np.arange(len(b), dtype=np.int32)
+        for n in G.socle_indices:
+            x, y = A[a[todo], n], b[todo]
+            hit = commute[x, y]
+            n_of[todo[hit]] = n
+            m_of[todo[hit]] = e
+            todo, x, y = todo[~hit], x[~hit], y[~hit]
+            if not len(todo):
+                break
+            c = least[x, rank[y]]
+            hit = c < n_el
+            n_of[todo[hit]] = n
+            m_of[todo[hit]] = A[inv[y[hit]], c[hit]]
+            todo = todo[~hit]
+            if not len(todo):
+                break
+        out.append((a, b, n_of, m_of))
+    return tuple(np.concatenate(col) for col in zip(*out))
 
 
 def unico_rank_check(L: MonolithicGroup, t: int,

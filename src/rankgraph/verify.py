@@ -188,9 +188,11 @@ def verify_cln(seed: int = 42,
                group_ids=("A5", "S5", "PSL(2,7)", "PGL(2,7)")) -> VerifyReport:
     """Exhaustive witness search over all pairs with commutator in the socle.
 
-    The pairs are found here, one Cayley-table row per a, and each witness
-    (n, m) is checked: n and m lie in the socle and a n commutes with b m.
-    A pair left without a witness is a failure.
+    The pairs are found here, from the commutator of every pair of the
+    Cayley table, and the witnesses of every row come from one
+    ``cln_witness`` call per group.  One array pass checks them all: n
+    and m lie in the socle and a n commutes with b m.  A pair left
+    without a witness is a failure.
     """
     # imported here as in graphs.py: importing numpy with this module
     # raised the peak RSS of `import rankgraph.cli` by 1.2 MB
@@ -204,27 +206,26 @@ def verify_cln(seed: int = 42,
         ct = M.ct()
         A, in_socle = ct.array, M.socle_mask
         inv = np.asarray(ct.inv)
-        count = 0
-        for a in range(ct.n):
-            # [a, b] = a^-1 b^-1 a b for every b at once
-            bs = np.flatnonzero(in_socle[A[A[inv[a], inv], A[a]]])
-            count += len(bs)
-            n_of = np.full(ct.n, -1)
-            m_of = np.full(ct.n, -1)
-            kb, kn, km = cln_witness(M, a)
-            n_of[kb], m_of[kb] = kn, km
-            n, m = n_of[bs], m_of[bs]
-            found = (n >= 0) & (m >= 0)
-            nf, mf = n.clip(0), m.clip(0)  # a -1 is masked out by found
-            an, bm = A[a, nf], A[bs, mf]
-            ok = found & in_socle[nf] & in_socle[mf] & (A[an, bm] == A[bm, an])
-            for k in np.flatnonzero(~ok).tolist():
-                b = int(bs[k])
-                if found[k]:
-                    failures.append({"group": gid, "a": a, "b": b,
-                                     "witness": (int(n[k]), int(m[k]))})
-                else:
-                    failures.append({"group": gid, "a": a, "b": b})
+        # [a, b] = a^-1 b^-1 a b, row a and column b
+        need = in_socle[A[A[np.ix_(inv, inv)], A]]
+        a, b, n, m = cln_witness(M, range(ct.n))
+        found = (n >= 0) & (m >= 0)
+        nf, mf = n.clip(0), m.clip(0)  # a -1 is masked out by found
+        an, bm = A[a, nf], A[b, mf]
+        ok = found & in_socle[nf] & in_socle[mf] & (A[an, bm] == A[bm, an])
+        witnessed = np.zeros_like(need)
+        witnessed[a[ok], b[ok]] = True
+        bad = found & ~ok
+        wrong = dict(zip(zip(a[bad].tolist(), b[bad].tolist()),
+                         zip(n[bad].tolist(), m[bad].tolist())))
+        for x, y in zip(*np.nonzero(need & ~witnessed)):
+            x, y = int(x), int(y)
+            if (x, y) in wrong:
+                failures.append({"group": gid, "a": x, "b": y,
+                                 "witness": wrong[x, y]})
+            else:
+                failures.append({"group": gid, "a": x, "b": y})
+        count = int(need.sum())
         per_group[gid] = count
         instances += count
     return VerifyReport("cln", not failures, instances, failures,

@@ -58,8 +58,8 @@ each element's class, ``components`` labels the vertices and
 path rankgraph took before ``element_components`` and ``export_dot``
 read the class adjacency row by row.
 ``cln_pair_witnesses`` searches the commuting corrections pair by pair
-over centralizer sets, where ``cln_witness`` decides a whole row of
-pairs by gathers on the Cayley table.
+over centralizer sets, where ``cln_witness`` decides the pairs of a
+block of rows at once by gathers on the Cayley table.
 ``permutation_normal_subgroups`` builds the normal-subgroup lattice on
 permutations, by Schreier-Sims normal closures of the conjugacy classes
 and pairwise joins, where ``normal_subgroups`` computes on class masks
@@ -217,7 +217,7 @@ def exhaustive_automorphisms(G) -> list:
     profile = [word_order(src, w) for w in _WORDS]
     dst = [d for d in product(*(buckets[fps[g]] for g in src))
            if all(word_order(d, w) == wp for w, wp in zip(_WORDS, profile))]
-    sigma = _extend_map(ct, _bfs_schedule(ct, src), src, dst)
+    sigma = _extend_map(ct, _bfs_schedule(ct, src), dst)
     ok = _respects_generators(ct, src, dst, sigma)
     return sorted(Permutation(row) for row in sigma[ok].tolist())
 

@@ -212,11 +212,11 @@ class TestAutomorphismGroup:
                     for x in src))
                 cands.append(tuple(rng.randrange(ct.n) for _ in src))
             schedule = _bfs_schedule(ct, src)
-            batch = _extend_map(ct, schedule, src, cands)
+            batch = _extend_map(ct, schedule, cands)
             verdicts = _respects_generators(ct, src, cands, batch)
             expected = []
             for cand, row in zip(cands, batch):
-                sigma = _extend_map(ct, schedule, src, cand)
+                sigma = _extend_map(ct, schedule, cand)
                 assert (sigma == row).all()
                 want = (is_homomorphism(ct, ct, sigma)
                         and tuple(sigma[src]) == cand)

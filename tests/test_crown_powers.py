@@ -893,11 +893,11 @@ class TestClnWitness:
         ct = mono.ct()
         wrong = witness(ct, mono.socle_indices)
 
-        def wrong_row(G, a):
-            b, n, m = cln_witness(G, a)
-            return b, np.full_like(n, wrong[0]), np.full_like(m, wrong[1])
+        def wrong_rows(G, rows):
+            a, b, n, m = cln_witness(G, rows)
+            return a, b, np.full_like(n, wrong[0]), np.full_like(m, wrong[1])
 
-        monkeypatch.setattr(verify, "cln_witness", wrong_row)
+        monkeypatch.setattr(verify, "cln_witness", wrong_rows)
         rep = verify.verify_cln(group_ids=(group_id,))
         assert not rep.passed
         # failures hold Python ints, so --out can write them
@@ -905,7 +905,7 @@ class TestClnWitness:
         if wrong == (-1, -1):
             # an exhausted search is the bare pair, as for a theorem violation
             assert len(rep.failures) == rep.instances
-            b0 = int(cln_witness(mono, 0)[0][0])
+            b0 = int(cln_witness(mono, [0])[1][0])
             assert rep.failures[0] == {"group": group_id, "a": 0, "b": b0}
             assert all(set(f) == {"group", "a", "b"} for f in rep.failures)
             return
@@ -917,20 +917,35 @@ class TestClnWitness:
     @pytest.mark.parametrize("group_id",
                              ["A5", "S5", "PSL(2,7)", "PGL(2,7)"])
     def test_rows_match_the_pair_oracle(self, group_id):
+        # one call for every row: PSL(2,7) and PGL(2,7) cross several
+        # row blocks
         from rankgraph import verify
         mono = verify._mono(group_id)
-        got = {}
-        for a in range(mono.ct().n):
-            b, n, m = cln_witness(mono, a)
-            assert list(b) == sorted(b)
-            got.update({(a, int(x)): (int(y), int(z))
-                        for x, y, z in zip(b, n, m)})
+        a, b, n, m = cln_witness(mono, range(mono.ct().n))
+        assert {x.dtype for x in (a, b, n, m)} == {np.dtype(np.int32)}
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert pairs == sorted(set(pairs))
+        got = {p: (y, z) for p, y, z in zip(pairs, n.tolist(), m.tolist())}
         assert got == oracles.cln_pair_witnesses(mono)
+
+    def test_rows_of_a_call_need_not_be_whole_blocks(self):
+        from rankgraph import verify
+        mono = verify._mono("PSL(2,7)")
+        n_rows = mono.ct().n
+        whole = cln_witness(mono, range(n_rows))
+        block = crown_powers._CLN_ROWS
+        for rows in ([5], list(range(3, 3 + block + 7)),
+                     [n_rows - 1, 0, 77, 2, 76], []):
+            got = cln_witness(mono, rows)
+            want = [np.concatenate([col[whole[0] == r] for r in rows])
+                    if rows else col[:0] for col in whole]
+            for x, y in zip(got, want):
+                assert np.array_equal(x, y), rows
 
     def test_commuting_pair_gets_identities(self, S5m):
         ct = S5m.ct()
         a = ct.index[cyc(5, [0, 1, 2]).images]
-        b, n, m = cln_witness(S5m, a)
+        _, b, n, m = cln_witness(S5m, [a])
         k = list(b).index(ct.table[a][a])
         assert n[k] == m[k] == ct.identity
 
@@ -940,7 +955,7 @@ class TestClnWitness:
         els = S5m.group.elements()
         for _ in range(60):
             a, b = rng.choice(els), rng.choice(els)
-            row_b, row_n, row_m = cln_witness(S5m, ct.index[a.images])
+            _, row_b, row_n, row_m = cln_witness(S5m, [ct.index[a.images]])
             # S5 / A5 is abelian, so every b is in the row of a
             k = list(row_b).index(ct.index[b.images])
             n, m = ct.perm(int(row_n[k])), ct.perm(int(row_m[k]))
@@ -949,9 +964,9 @@ class TestClnWitness:
             assert an * bm == bm * an
 
     def test_elements_outside_group_rejected(self, A5m):
-        for a in (-1, A5m.ct().n):
+        for rows in ([-1], [A5m.ct().n], [0, A5m.ct().n], [[0]]):
             with pytest.raises(PreconditionError):
-                cln_witness(A5m, a)
+                cln_witness(A5m, rows)
 
 
 class TestUnicoRank:

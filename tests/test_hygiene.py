@@ -184,6 +184,38 @@ def test_oracles_do_not_call_the_closure_kernel():
     assert kernel_calls(ORACLES.read_text()) == []
 
 
+# ``oracles.cln_pair_witnesses`` is the reference for
+# ``crown_powers.cln_witness``, so the oracles never reach the kernel.
+
+def name_uses(source: str, name: str) -> list:
+    """Lines that import ``name`` or read it, bare or as an attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            hit = any(alias.name.split(".")[-1] == name
+                      for alias in node.names)
+        else:
+            hit = (isinstance(node, ast.Name) and node.id == name) or \
+                (isinstance(node, ast.Attribute) and node.attr == name)
+        if hit:
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_name_scanner_flags_imports_and_calls():
+    source = ("from rankgraph.crown_powers import (\n    cln_witness)\n"
+              "import rankgraph.crown_powers.cln_witness\n"
+              "def f(G, cp):\n"
+              "    '''cln_witness in a docstring is no use'''\n"
+              "    x = cp.cln_witness(G, [0])\n"
+              "    return cln_witness(G, [1]), x\n")
+    assert name_uses(source, "cln_witness") == [1, 3, 6, 7]
+
+
+def test_oracles_do_not_use_the_cln_kernel():
+    assert name_uses(ORACLES.read_text(), "cln_witness") == []
+
+
 # Aut(L) and X are index arrays, never permutation groups: the
 # automorphisms module builds no group from its maps.
 
