@@ -6,7 +6,9 @@ The workhorse is SubgroupRegistry, a per-group cache of interned
 subgroups (by element index set).  Its joins serve the conjugacy classes
 of subgroups by cyclic extension, which joins each class representative
 H with one element of prime-power order per N_G(H)-orbit of cyclic
-subgroups outside H; H is maximal iff every such join is G.  A join
+subgroups outside H; H is maximal iff every such join is G.  For a normal
+H, N_G(H) = G and the orbits are the G-classes of cyclic subgroups
+(``cyclic_classes``), so no normaliser is computed.  A join
 <H, z> is closed coset by coset (Dimino) on the coset labels of H, so
 its cost is counted in cosets, not in elements: a join reaching G builds
 no element set, and a proper one builds its members once per H and
@@ -66,7 +68,9 @@ class SubgroupRegistry:
     subgroups and the maximal subgroups by cyclic extension
     (``subgroup_class_reps``).  ``close`` builds a join from the labelled
     cosets of H; one exceeding |G|/2 is the whole group by Lagrange.
-    ``normaliser`` and ``conjugates`` work on the same table rows.
+    ``normaliser`` and ``conjugates`` work on the same table rows; a
+    normal representative takes N = G and the G-classes of cyclic
+    subgroups instead of a normaliser.
     Generation questions go through the incidence rows: ``mask_of`` gives
     the mask of <X>, ``mask_dist`` its distance d_X(G) and ``climb`` a
     shortest completion; ``row_classes`` groups the elements by row, and
@@ -204,7 +208,10 @@ class SubgroupRegistry:
 
     def _cyclic_extension(self) -> tuple:
         """(class representatives, the conjugacy class of each maximal
-        one), once.  A representative's coset labels and join memo are
+        one), once.  A representative with one conjugate is normal, so
+        N_G(H) = G and its N_G(H)-orbits of cyclic subgroups are their
+        G-classes (``cyclic_classes``): it needs no ``normaliser`` and no
+        orbit marking.  A representative's coset labels and join memo are
         dropped once its extensions are done; each maximal class is
         sorted by ascending member lists, so the incidence bits do not
         depend on the order ``conjugates`` found it in."""
@@ -212,7 +219,7 @@ class SubgroupRegistry:
             return self._lattice
         ct = self.ct
         table, inv, cyc_id = ct.table, ct.inv, ct.cyclic_id
-        n_cyclic = max(cyc_id) + 1
+        cyc_class = cyclic_classes(ct)
         # least generator of each cyclic subgroup of prime-power order > 1
         extenders = {}
         for z in range(ct.n):
@@ -220,7 +227,7 @@ class SubgroupRegistry:
                 extenders.setdefault(cyc_id[z], z)
         extenders = list(extenders.values())
         seen: set = set()
-        normalisers: dict = {}
+        normalisers: dict = {}  # None for a normal representative
         orbits: dict = {}
         reps: list = []
         maximal: list = []  # orbits of the maximal representatives
@@ -229,13 +236,20 @@ class SubgroupRegistry:
             members = self.members[sid]
             if members in seen:
                 return
-            N = self.normaliser(sid)
             orbit = self.conjugates(members)
-            if len(orbit) * len(N) != ct.n:
+            if len(orbit) == 1:  # normal: the generators of G fix H
+                N = None
+                bad = any(ct.conj_row(g)[h] not in members
+                          for g in ct.gen_indices for h in self.gens[sid])
+            else:
+                N = self.normaliser(sid)
+                bad = len(orbit) * len(N) != ct.n
+            if bad:
                 raise RuntimeError(
                     f"subgroup of order {len(members)} has {len(orbit)} "
-                    f"conjugates but a normaliser of order {len(N)} in a "
-                    f"group of order {ct.n}")
+                    f"conjugates but a normaliser of order "
+                    f"{len(N or self.normaliser(sid))} in a group of order "
+                    f"{ct.n}")
             seen.update(orbit)
             normalisers[sid] = N
             orbits[sid] = orbit
@@ -248,12 +262,14 @@ class SubgroupRegistry:
             if sid == self.full_id:
                 continue
             members = self.members[sid]
-            done = bytearray(n_cyclic)
+            done = bytearray(ct.n)  # by cyclic id, or by class if N is G
             all_full = True
             for z in extenders:
-                if done[cyc_id[z]] or z in members:
+                c = cyc_id[z] if N else cyc_class[cyc_id[z]]
+                if done[c] or z in members:
                     continue
-                for g in N:
+                done[c] = 1
+                for g in N or ():
                     done[cyc_id[table[table[inv[g]][z]][g]]] = 1
                 j = self.join_with_element(sid, z)
                 all_full = all_full and j == self.full_id
@@ -548,6 +564,18 @@ def class_block(left: list, right: list, joined=None, empty=True):
         if left is right:
             out[first:, start:stop] = block.T
     return out
+
+
+def cyclic_classes(ct: CayleyTable) -> list:
+    """Per cyclic subgroup id, the least class id of its generators: <a>
+    and <b> are conjugate iff a generator of <b> is conjugate to a, so
+    iff they get one label."""
+    cyc_id, class_id = ct.cyclic_id, ct.class_id
+    label = [ct.n] * (max(cyc_id) + 1)  # above every class id
+    for c, k in zip(cyc_id, class_id):
+        if k < label[c]:
+            label[c] = k
+    return label
 
 
 def _is_prime_power(k: int) -> bool:

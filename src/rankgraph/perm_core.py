@@ -664,7 +664,8 @@ class CayleyTable:
     one numpy gather, ``row(g * p) = row(g)[row(p)]``, along the edge
     p -> q of ``bfs_tree`` over left multiplication by the generators
     (the regular representation; Holt, Eick and O'Brien, *Handbook of
-    Computational Group Theory*, 2005).
+    Computational Group Theory*, 2005).  ``inv`` follows the same edges,
+    (g * p)^-1 = p^-1 * g^-1.
 
     ``array`` is the only storage: one read-only ``uint16`` array of 2n^2
     bytes, read whole by the numpy kernels.  ``table`` holds its rows as
@@ -704,11 +705,13 @@ class CayleyTable:
             rows[q] = rows[gens[k]][rows[p]]
         rows.flags.writeable = False
         self.array = rows
-        self.table = [memoryview(row) for row in rows]
+        self.table = table = [memoryview(row) for row in rows]
 
-        self.inv = [0] * n
-        for i, pimg in enumerate(images):
-            self.inv[idx[_inv(pimg)]] = i
+        # (g * p)^-1 = p^-1 * g^-1 along the same tree
+        gen_inv = [idx[_inv(images[g])] for g in gens]
+        self.inv = inv = [self.identity] * n
+        for q, p, k in zip(order[1:], parent[1:], gen[1:]):
+            inv[q] = table[inv[p]][gen_inv[k]]
 
         # element orders
         self.order_of = [0] * n

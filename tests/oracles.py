@@ -67,6 +67,9 @@ of the Cayley table.  ``permutation_quotient`` finds the cosets of a
 normal subgroup by a search over image tuples, taking the least of
 n * x over all of N for each coset, where ``quotient`` reads them off
 the Cayley table's coset labels.
+``brute_cyclic_classes`` labels the conjugacy classes of cyclic
+subgroups by mapping each <a> under every conjugator, where
+``cyclic_classes`` reads them off the element classes.
 ``UnionFind`` joins the orbits of ``union_find_orbits`` and the
 components of ``class_pair_summary`` and ``pairwise_weak_connectivity``,
 and ``bfs_components`` and ``bfs_diameters`` search neighbour lists
@@ -436,6 +439,38 @@ def brute_conjugacy_classes(G) -> list:
         classes.append(sorted(orbit))
         remaining -= orbit
     return sorted(classes, key=lambda c: (len(c), c[0]))
+
+
+def brute_cyclic_classes(G) -> list:
+    """Per element x, in the order of ``G.elements()``, a label of the
+    conjugacy class of <x>: <a> and <b> get one label iff some g maps <a>
+    onto <b> as sets, g^-1 <a> g = <b>."""
+    elems = [p.images for p in G.elements()]
+    e = tuple(range(G.degree))
+    inv = {}
+    for img in elems:
+        out = [0] * len(img)
+        for i, j in enumerate(img):
+            out[j] = i
+        inv[img] = tuple(out)
+
+    def powers(a) -> frozenset:
+        out, x = {e}, a
+        while x != e:
+            out.add(x)
+            x = mult(x, a)
+        return frozenset(out)
+
+    label: dict = {}
+    classes = 0
+    for a in elems:
+        S = powers(a)
+        if S not in label:
+            for g in elems:
+                label[frozenset(mult(mult(inv[g], x), g) for x in S)] = \
+                    classes
+            classes += 1
+    return [label[powers(a)] for a in elems]
 
 
 def brute_centralizer(G, p) -> set:

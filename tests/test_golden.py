@@ -6,8 +6,8 @@
   2048`` under ``default``, ``theorem --diameter`` and ``conjecture``
   (the first also rerun with two worker processes);
 * ``golden/lattice_digests.json``: per catalog group of order <= 2048,
-  one digest of ``maximal_subgroups()`` and the incidence rows, order
-  included.
+  and A5xA5 under ``caps(max_dense_order=8000)``, one digest of
+  ``maximal_subgroups()`` and the incidence rows, order included.
 
 The timing and provenance fields (``elapsed_ms``, ``timestamp``,
 ``tool_version``) and ``seed`` are stripped before the comparison.  A
@@ -22,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from rankgraph.catalog import default_catalog
+from rankgraph.catalog import builtin_entry, default_catalog
 from rankgraph.cli import cli_main
+from rankgraph.config import caps
 from rankgraph.group_structure import registry_for
 from rankgraph.sweep import sweep
 
@@ -101,21 +102,24 @@ def sweep_records(key: str, jobs: int = 1) -> list:
                              jobs=jobs)]
 
 
+def lattice_digest(G) -> str:
+    """The sha256 of G's maximal subgroups (members sorted, list order
+    kept) and incidence rows."""
+    reg = registry_for(G)
+    answer = [[sorted(m) for m in reg.maximal_subgroups()],
+              reg.incidence_rows()]
+    G.release_dense_caches()
+    return hashlib.sha256(json.dumps(answer).encode()).hexdigest()
+
+
 def lattice_digests() -> dict:
-    """Per catalog group of order <= MAX_ORDER, the sha256 of its
-    maximal subgroups (members sorted, list order kept) and incidence
-    rows."""
-    out = {}
-    for entry in default_catalog():
-        G = entry.group()
-        if G.order > MAX_ORDER:
-            continue
-        reg = registry_for(G)
-        answer = [[sorted(m) for m in reg.maximal_subgroups()],
-                  reg.incidence_rows()]
-        out[entry.id] = hashlib.sha256(
-            json.dumps(answer).encode()).hexdigest()
-        G.release_dense_caches()
+    """``lattice_digest`` per catalog group of order <= MAX_ORDER, then
+    of A5xA5 under raised caps (a lattice with many normal class
+    representatives)."""
+    out = {entry.id: lattice_digest(G) for entry in default_catalog()
+           if (G := entry.group()).order <= MAX_ORDER}
+    with caps(max_dense_order=8000):
+        out["A5xA5"] = lattice_digest(builtin_entry("A5xA5").group())
     return out
 
 

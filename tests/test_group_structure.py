@@ -15,6 +15,7 @@ from rankgraph.catalog import builtin_entry, default_catalog, find_entry
 from rankgraph.config import caps
 from rankgraph.group_structure import (
     SubgroupRegistry,
+    cyclic_classes,
     d_X,
     frattini,
     gaschutz_lift,
@@ -28,6 +29,7 @@ from rankgraph.group_structure import (
 
 from oracles import (
     ClosureOracle,
+    brute_cyclic_classes,
     brute_frattini,
     brute_maximal_subgroups,
     brute_non_generators,
@@ -295,6 +297,47 @@ class TestFrattini:
         reg = SubgroupRegistry(S4.cayley_table())
         with pytest.raises(RuntimeError, match="conjugates"):
             reg.subgroup_class_reps()
+
+    def test_normal_representatives_are_checked(self, S4, monkeypatch):
+        # a representative with one conjugate skips the class-size check,
+        # so the generators of G must still map it into itself
+        monkeypatch.setattr(SubgroupRegistry, "conjugates",
+                            lambda self, members: [members])
+        reg = SubgroupRegistry(S4.cayley_table())
+        with pytest.raises(RuntimeError, match="conjugates"):
+            reg.subgroup_class_reps()
+
+    def test_normaliser_runs_for_non_normal_representatives(
+            self, S4, monkeypatch):
+        called = []
+        normaliser = SubgroupRegistry.normaliser
+        monkeypatch.setattr(SubgroupRegistry, "normaliser",
+                            lambda self, sid: called.append(sid) or
+                            normaliser(self, sid))
+        reg = SubgroupRegistry(S4.cayley_table())
+        reps = reg.subgroup_class_reps()
+        non_normal = [sid for sid in reps
+                      if len(reg.conjugates(reg.members[sid])) > 1]
+        assert (len(reps), len(non_normal)) == (11, 7)
+        assert called == non_normal
+
+    def test_cyclic_class_labels_match_brute_conjugacy(self,
+                                                       catalog_entries):
+        # one label of ``cyclic_classes`` per class of ``oracles``, on
+        # every catalog group up to order 360
+        checked = 0
+        for entry in catalog_entries:
+            G = entry.group()
+            if G.order > 360:
+                continue
+            ct = G.cayley_table()
+            label = cyclic_classes(ct)
+            ours = [label[c] for c in ct.cyclic_id]
+            brute = brute_cyclic_classes(G)
+            assert len(set(zip(ours, brute))) == len(set(ours)) == \
+                len(set(brute)), entry.id
+            checked += 1
+        assert checked == 41
 
     def test_non_generator_characterization(self, Q8):
         ct = Q8.cayley_table()

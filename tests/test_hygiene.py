@@ -216,6 +216,13 @@ def test_oracles_do_not_use_the_cln_kernel():
     assert name_uses(ORACLES.read_text(), "cln_witness") == []
 
 
+# ``oracles.brute_cyclic_classes`` is the reference for
+# ``group_structure.cyclic_classes``.
+
+def test_oracles_do_not_use_the_cyclic_class_labels():
+    assert name_uses(ORACLES.read_text(), "cyclic_classes") == []
+
+
 # Aut(L) and X are index arrays, never permutation groups: the
 # automorphisms module builds no group from its maps.
 

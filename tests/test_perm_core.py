@@ -477,10 +477,20 @@ class TestCayleyTable:
             assert ct.coset_labels(H).tolist() == \
                 ct.array[:, H].min(1).tolist()
 
-    def test_inverse_array(self, S4):
-        ct = S4.cayley_table()
-        for i in range(ct.n):
-            assert ct.table[i][ct.inv[i]] == ct.identity
+    def test_inverse_array(self, catalog_entries):
+        # the inverses filled along the table's tree, against the inverse
+        # image tuple, on every catalog group up to order 2048 and the
+        # trivial group
+        groups = [group_from_generators(3, [])] + [
+            G for entry in catalog_entries
+            if (G := entry.group()).order <= 2048]
+        assert len(groups) == 1 + 46
+        for G in groups:
+            ct = CayleyTable(G)
+            assert ct.inv == [ct.index[perm_core._inv(p.images)]
+                              for p in ct.elements], G
+            assert all(ct.table[i][ct.inv[i]] == ct.identity
+                       for i in range(ct.n))
 
     @staticmethod
     def assert_table_is_products(ct, label=""):
