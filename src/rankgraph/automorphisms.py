@@ -287,12 +287,16 @@ def orbits_on_tuples(X: np.ndarray, tuples) -> tuple:
     Each tuple gets a code, its per-coordinate value ranks read as one
     mixed-radix number, so codes sort as the tuples do, and a dense
     array over the codes gives the sorted position of each tuple.  The
-    positions are scanned in order from a cursor, a chunk at a time, and
-    the orbit of each one not labelled yet is one gather of its columns
-    of X, coded and looked up at once.  An image outside the given set
-    raises ``GroupArgumentError`` (the set is not closed under X).  The
-    dense array has one cell per code, so its size is checked against
-    ``max_search_space``.
+    positions are labelled in order from a cursor, a block of the next
+    unlabelled ones at a time, with at most ``_CELLS`` images per block:
+    the images of the whole block are one gather of X's columns, coded
+    and looked up at once.  Every position before the cursor is
+    labelled, so the least member of an unlabelled orbit is in the
+    block, and a candidate starts a new orbit exactly when it is the
+    least of its images.  An image outside the given set raises
+    ``GroupArgumentError`` (the set is not closed under X), as does a
+    repeated tuple.  The dense array has one cell per code, so its size
+    is checked against ``max_search_space``.
     """
     T = np.asarray(tuples, dtype=np.intp)
     if not len(T):
@@ -303,7 +307,9 @@ def orbits_on_tuples(X: np.ndarray, tuples) -> tuple:
     weight = []
     size = 1
     for column in T.T[::-1]:
-        values = np.unique(column)
+        seen = np.zeros(X.shape[1], dtype=bool)
+        seen[column] = True
+        values = np.flatnonzero(seen)
         w = np.full(X.shape[1], -1, dtype=np.int64)
         w[values] = np.arange(len(values)) * size
         weight.append(w)
@@ -317,30 +323,39 @@ def orbits_on_tuples(X: np.ndarray, tuples) -> tuple:
         w[w < 0] = -size
     code = sum(w[column] for w, column in zip(weight, T.T))
     order = np.argsort(code)
+    code = code[order]
+    if (code[1:] == code[:-1]).any():
+        raise GroupArgumentError("tuple set has a repeated tuple")
     position = np.full(size, -1, dtype=np.intp)
-    position[code[order]] = np.arange(len(T))
+    position[code] = np.arange(len(T))
     images = np.ascontiguousarray(X.T)  # row x: the images of x
+    block = max(1, _CELLS // len(X))
     label = np.full(len(T), -1, dtype=np.intp)  # by sorted position
     reps = []
     cursor = 0
     while cursor < len(T):
-        if label[cursor] >= 0:
-            free = np.flatnonzero(label[cursor:cursor + _SCAN] < 0)
-            cursor += int(free[0]) if len(free) else _SCAN
+        cand = cursor + np.flatnonzero(label[cursor:cursor + _SCAN] < 0)
+        if not len(cand):
+            cursor += _SCAN
             continue
-        rep = T[order[cursor]]
-        orbit = sum(w[images[x]] for w, x in zip(weight, rep.tolist()))
+        cand = cand[:block]
+        rows = T[order[cand]]
+        orbit = sum(w[images[x]] for w, x in zip(weight, rows.T))
         hit = position[orbit.clip(min=0)]
         if orbit.min() < 0 or hit.min() < 0:
             raise GroupArgumentError(
                 "tuple set is not closed under the X-action")
-        label[hit] = len(reps)
-        reps.append(tuple(rep.tolist()))
+        new = hit.min(1) == cand
+        label[hit[new]] = np.arange(len(reps), len(reps) + new.sum())[:, None]
+        reps.extend(map(tuple, rows[new].tolist()))
+        cursor = int(cand[-1]) + 1
     labels = np.empty(len(T), dtype=np.intp)
     labels[order] = label
     return labels, reps
 
 
 # Sorted positions read at a time when ``orbits_on_tuples`` looks for the
-# next tuple without a label.
-_SCAN = 256
+# next tuples without a label, and the images it gathers at a time
+# (block x |X|; one candidate at least).
+_SCAN = 2048
+_CELLS = 1 << 13

@@ -399,15 +399,17 @@ class OrbitTable:
         ``members[starts[p]:starts[p + 1]]`` the orbits, ascending.
 
         The distinct (pair, label) combinations are found as one int64
-        code each, p * |orbits| + label, by one ``np.unique``.
+        code each, p * |orbits| + label, sorted, keeping the first of
+        each run of equal codes.
         """
         got = self._projections.get((i, j))
         if got is None:
             size = len(self.mono.socle_indices)
             pos = self.positions
-            pair = pos[:, i] * size + pos[:, j]
+            code = np.sort((pos[:, i] * size + pos[:, j]) * self.orbit_count
+                           + self.labels)
             pair, members = np.divmod(
-                np.unique(pair * self.orbit_count + self.labels),
+                code[np.concatenate(([True], code[1:] != code[:-1]))],
                 self.orbit_count)
             count = np.bincount(pair, minlength=size * size)
             lone = np.full(size * size, -1, dtype=np.intp)
@@ -971,8 +973,10 @@ def cln_witness(G: MonolithicGroup, rows: Sequence[int]) -> tuple:
         raise PreconditionError("rows must be element indices of the group")
     A, n_el, e = ct.array, ct.n, ct.identity
     commute = A == A.T
-    _, rank = np.unique(G.coset_labels, return_inverse=True)
-    rank = rank.astype(np.uint16)
+    # a coset's label is its least element, so the labels that label
+    # themselves are the cosets in order
+    label = G.coset_labels
+    rank = (np.cumsum(label == np.arange(n_el)) - 1)[label].astype(np.uint16)
     # least[x, r]: the least element of C(x) in coset r, n_el where none
     least = np.full((n_el, int(rank.max()) + 1), n_el, dtype=np.int32)
     for r in range(least.shape[1]):

@@ -593,7 +593,8 @@ def quotient(G: PermutationGroup, N: PermutationGroup):
         raise NotNormalError("N is not a normal subgroup of G")
     ct = G.cayley_table()
     labels = ct.coset_labels(sorted(ct.subset_indices(N)))
-    reps = np.unique(labels)
+    # a label is the least element of its coset, so it labels itself
+    reps = np.flatnonzero(labels == np.arange(ct.n))
     rank = np.zeros(ct.n, dtype=np.int64)
     rank[reps] = np.arange(len(reps))
 

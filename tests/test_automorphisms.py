@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from rankgraph import (
     Permutation,
     group_from_generators,
 )
+from rankgraph import automorphisms
 from rankgraph.automorphisms import (
     _bfs_schedule,
     _conjugation_matrix,
@@ -349,30 +351,10 @@ class TestOrbitsOnTuples:
         "A5 Omega", "PSL(2,7) Omega", "S5 Omega", "Aut(A5) on A5",
         "trivial on pairs"])
     def test_matches_union_find_oracle(self, case):
-        # free actions on Omega at t = 2, a non-free action (Aut(A5) on
-        # the 60 one-tuples) and the trivial group
-        if case.endswith("Omega"):
-            entry = {"A5": alternating(5), "PSL(2,7)": psl2(7),
-                     "S5": symmetric(5)}[case.split()[0]]
-            mono = MonolithicGroup.from_group(entry.group(), entry.id)
-            X = mono.x_group
-            tuples = list(map(tuple, delta_Lt(mono, 2)[1].tuples.tolist()))
-        elif case == "Aut(A5) on A5":
-            X = automorphism_group(alternating(5).group())
-            tuples = [(x,) for x in range(60)]
-        else:
-            X = np.arange(60)[None, :]
-            tuples = [(x, y) for x in range(0, 60, 7) for y in range(3)]
-        rng = random.Random(5)
-        tuples = rng.sample(tuples, len(tuples))  # scan order is the routine's
+        X, tuples, want, count = orbit_case(case)
         labels, reps = orbits_on_tuples(X, np.array(tuples))
-        gens = row_generators(X)
-        want, count = union_find_orbits(gens, tuples)
         assert labels.tolist() == want and len(reps) == count
-        least = {}
-        for lab, t in zip(labels, tuples):
-            least[lab] = min(least.get(lab, t), t)
-        assert reps == [least[k] for k in range(count)]
+        assert reps == least_members(tuples, want, count)
         # dropping a tuple that is not alone in its orbit breaks closure
         sizes = Counter(labels)
         drop = next((i for i, lab in enumerate(labels) if sizes[lab] > 1),
@@ -382,7 +364,71 @@ class TestOrbitsOnTuples:
             with pytest.raises(GroupArgumentError):
                 orbits_on_tuples(X, np.array(rest))
             with pytest.raises(KeyError):
-                union_find_orbits(gens, rest)
+                union_find_orbits(row_generators(X), rest)
+
+    def test_repeated_tuple_rejected(self):
+        with pytest.raises(GroupArgumentError, match="repeated"):
+            orbits_on_tuples(np.arange(4)[None, :], [(0, 1), (0, 1)])
+
+    # blocks of 1, 2 or 3 candidates, one with a scan window of 2
+    # positions, narrower than the block, and a budget below |X| (blocks
+    # of one candidate all the same)
+    @pytest.mark.parametrize("per_block,scan", [(1, None), (2, None),
+                                                (3, None), (3, 2), (0, None)])
+    @pytest.mark.parametrize("case", ["Aut(A5) on A5", "PSL(2,7) Omega"])
+    def test_small_blocks_match_union_find_oracle(self, case, per_block,
+                                                  scan, monkeypatch):
+        X, tuples, want, count = orbit_case(case)
+        monkeypatch.setattr(automorphisms, "_CELLS", per_block * len(X))
+        if scan:
+            monkeypatch.setattr(automorphisms, "_SCAN", scan)
+        labels, reps = orbits_on_tuples(X, np.array(tuples))
+        assert labels.tolist() == want
+        assert reps == least_members(tuples, want, count)
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    def test_open_orbit_in_a_late_block_rejected(self, per_block,
+                                                 monkeypatch):
+        # drop a member of the orbit with the greatest least member, which
+        # is the last one a block reaches
+        X, tuples, want, count = orbit_case("PSL(2,7) Omega")
+        last = least_members(tuples, want, count)[-1]
+        drop = next(i for i, (lab, t) in enumerate(zip(want, tuples))
+                    if lab == count - 1 and t != last)
+        monkeypatch.setattr(automorphisms, "_CELLS", per_block * len(X))
+        with pytest.raises(GroupArgumentError, match="not closed"):
+            orbits_on_tuples(X, np.array(tuples[:drop] + tuples[drop + 1:]))
+
+
+@functools.lru_cache(maxsize=None)
+def orbit_case(case: str) -> tuple:
+    """(X, tuples, labels, count) of a case for ``orbits_on_tuples``: free
+    actions on Omega at t = 2, a non-free action (Aut(A5) on the 60
+    one-tuples) and the trivial group.  The tuples are shuffled, since
+    the scan order is the routine's; labels and count are the union-find
+    oracle's."""
+    if case.endswith("Omega"):
+        entry = {"A5": alternating(5), "PSL(2,7)": psl2(7),
+                 "S5": symmetric(5)}[case.split()[0]]
+        mono = MonolithicGroup.from_group(entry.group(), entry.id)
+        X = mono.x_group
+        tuples = list(map(tuple, delta_Lt(mono, 2)[1].tuples.tolist()))
+    elif case == "Aut(A5) on A5":
+        X = automorphism_group(alternating(5).group())
+        tuples = [(x,) for x in range(60)]
+    else:
+        X = np.arange(60)[None, :]
+        tuples = [(x, y) for x in range(0, 60, 7) for y in range(3)]
+    tuples = random.Random(5).sample(tuples, len(tuples))
+    return (X, tuples) + union_find_orbits(row_generators(X), tuples)
+
+
+def least_members(tuples, labels, count) -> list:
+    """The least tuple of each orbit, by orbit number."""
+    least = {}
+    for lab, t in zip(labels, tuples):
+        least[lab] = min(least.get(lab, t), t)
+    return [least[k] for k in range(count)]
 
 
 class TestIsomorphism:

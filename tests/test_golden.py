@@ -7,31 +7,40 @@
   (the first also rerun with two worker processes);
 * ``golden/lattice_digests.json``: per catalog group of order <= 2048,
   and A5xA5 under ``caps(max_dense_order=8000)``, one digest of
-  ``maximal_subgroups()`` and the incidence rows, order included.
+  ``maximal_subgroups()`` and the incidence rows, order included;
+* ``golden/verify_payloads.json``: the ``verify --out`` payload of
+  every suite except ``primo`` (most of ``--lemma all``'s time; the
+  crown file already holds one ``primo`` run) at seed 42.
 
 The timing and provenance fields (``elapsed_ms``, ``timestamp``,
 ``tool_version``) and ``seed`` are stripped before the comparison.  A
 change that alters an answer on purpose rewrites the golden file
-(``python tests/test_golden.py`` writes the sweep and lattice files) and
-says which answers changed and why.
+(``python tests/test_golden.py`` writes the sweep, lattice and verify
+files) and says which answers changed and why.
 """
 
 import hashlib
 import json
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
+import rankgraph
 from rankgraph.catalog import builtin_entry, default_catalog
 from rankgraph.cli import cli_main
 from rankgraph.config import caps
 from rankgraph.group_structure import registry_for
 from rankgraph.sweep import sweep
+from rankgraph.verify import VERIFIERS
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "crown_payloads.json"
 SWEEP_GOLDEN = GOLDEN_DIR / "sweep_records.json"
 LATTICE_GOLDEN = GOLDEN_DIR / "lattice_digests.json"
+VERIFY_GOLDEN = GOLDEN_DIR / "verify_payloads.json"
 MAX_ORDER = 2048
 # sweep policy key -> (policy, with_diameter)
 SWEEPS = {"default": ("default", False),
@@ -50,6 +59,7 @@ COMMANDS = [
      '{"random_samples":100,"exhaustive_slice":500}'],
     ["verify", "--lemma", "cln", "--params", '{"group_ids":["A5","S5"]}'],
 ]
+VERIFY_LEMMAS = [lemma for lemma in VERIFIERS if lemma != "primo"]
 
 
 def strip(value):
@@ -151,6 +161,35 @@ def test_crown_payloads_match_golden(tmp_path):
         assert_matches(golden[key], strip(json.loads(out.read_text())), key)
 
 
+def verify_payload(lemma: str, out: Path) -> dict:
+    cli_main(["verify", "--lemma", lemma, "--seed", "42", "--out", str(out)])
+    return strip(json.loads(out.read_text()))
+
+
+def test_verify_payloads_match_golden(tmp_path):
+    golden = json.loads(VERIFY_GOLDEN.read_text())
+    assert sorted(golden) == sorted(VERIFY_LEMMAS)
+    for lemma in VERIFY_LEMMAS:
+        assert_matches(golden[lemma],
+                       verify_payload(lemma, tmp_path / "out.json"),
+                       f"verify --lemma {lemma}")
+
+
+def test_crown_workload_does_not_import_numpy_ma(tmp_path):
+    # np.unique would import it; verify frat reaches perm_core.quotient
+    argv = [cmd + ["--seed", "1", "--out", str(tmp_path / "out.json")]
+            for cmd in COMMANDS + [["verify", "--lemma", "frat"]]]
+    src = str(Path(rankgraph.__file__).parents[1])
+    script = ("import json, sys\n"
+              f"sys.path.insert(0, {src!r})\n"
+              "from rankgraph.cli import cli_main\n"
+              "codes = [cli_main(a) for a in json.loads(sys.argv[1])]\n"
+              "print(codes, 'numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == f"{[0] * len(argv)} False"
+
+
 def test_first_difference_names_the_field():
     want = {"a": 1, "w": [{"d": {"0": 20}}, {"d": {"0": 3}}]}
     assert first_difference(want, json.loads(json.dumps(want))) is None
@@ -166,3 +205,7 @@ if __name__ == "__main__":
         sort_keys=True) + "\n")
     LATTICE_GOLDEN.write_text(json.dumps(lattice_digests(), indent=1)
                               + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        VERIFY_GOLDEN.write_text(json.dumps(
+            {lemma: verify_payload(lemma, Path(tmp) / "out.json")
+             for lemma in VERIFY_LEMMAS}, indent=1, sort_keys=True) + "\n")

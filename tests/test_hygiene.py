@@ -223,6 +223,45 @@ def test_oracles_do_not_use_the_cyclic_class_labels():
     assert name_uses(ORACLES.read_text(), "cyclic_classes") == []
 
 
+# ``np.unique`` imports ``numpy.ma`` on its first call (numpy 2.4, about
+# 10 ms a process), so the package finds distinct values by a sort and a
+# "differs from the previous value" flag, a presence mask or, for coset
+# labels, the labels that label themselves.
+
+
+def numpy_unique_uses(source: str) -> list:
+    """Lines that read a ``unique*`` function off ``np`` or ``numpy`` or
+    import one from numpy."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr.startswith("unique") and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id in ("np", "numpy")
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numpy" and \
+                any(a.name.startswith("unique") for a in node.names)
+        else:
+            hit = False
+        if hit:
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_unique_scanner_flags_numpy_unique():
+    source = ("import numpy as np\nfrom numpy import unique_inverse\n"
+              "def f(x, unique):\n"
+              "    '''np.unique in a docstring is no use'''\n"
+              "    a = np.unique(x, return_inverse=True)\n"
+              "    return numpy.unique_values(a), unique(a), x.unique\n")
+    assert numpy_unique_uses(source) == [2, 5, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_numpy_unique(path):
+    assert numpy_unique_uses(path.read_text()) == [], path.name
+
+
 # Aut(L) and X are index arrays, never permutation groups: the
 # automorphisms module builds no group from its maps.
 
