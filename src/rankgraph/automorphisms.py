@@ -22,9 +22,7 @@ the found maps composed with every inner automorphism, in one gather.
 Its closure check looks the composed maps up among the found ones as
 sorted byte keys of their generator images.
 A candidate map is extended from its generator images one gather per
-level of the ``perm_core.bfs_tree`` of the generating sequence; the
-extension and its check also decide whether two generating tuples are
-related by an automorphism.
+level of the ``perm_core.bfs_tree`` of the generating sequence.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ set of generating coset tuples, which ``omega_table`` holds as integer
 arrays: the tuples, their orbit labels and, per row pair, the admissible
 orbits of each pair of socle corrections.  A witness for L_delta is
 certified by the subdirect-product lemma (``columns_generate``): its
-columns generate L and no automorphism maps one column to another.
+columns generate L and their Cayley-graph certificates differ; an
+automorphism mapping one column to another makes their certificates
+equal, and equal certificates define one.
 ``square_order`` decides generation of L_2 directly, from the order of
 the subgroup of L x L that index pairs generate (Schreier's lemma along
 the ``perm_core.bfs_tree`` of the first coordinates, reusable per tuple
@@ -58,9 +60,6 @@ from .group_structure import (
     registry_for,
 )
 from .automorphisms import (
-    _bfs_schedule,
-    _extend_map,
-    _respects_generators,
     automorphism_group,
     orbits_on_tuples,
     x_subgroup,
@@ -309,8 +308,12 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
     coordinates agree modulo N, so H meets N^k in a subgroup mapping onto
     every N x N; N is perfect, so that subgroup is N^k, and (i) gives
     H / N^k = L / N.  (ii) fails exactly when c_i[s] -> c_j[s] extends to
-    an automorphism, which the map-extension kernel of ``automorphisms``
-    decides for all j > i at once.
+    an automorphism.  One ``bfs_tree`` of right multiplication by c's
+    entries decides both: (i) iff it spans L; then, with pos[order[p]] =
+    p, c's certificate is pos[order[p] * c[s]] over p and s.  An
+    automorphism c -> c' carries the tree of c onto that of c', so the
+    certificates agree; equal ones make sigma = order' o pos satisfy
+    sigma(x * c[s]) = sigma(x) * c'[s] for all x, an automorphism.
 
     Raises ``PreconditionError`` unless every row of the matrix lies in
     one coset of N (the elements lie in L_k).
@@ -325,20 +328,18 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
                 not in_socle[tbl[inv[a]][b]] for a, b in zip(first, col)):
             raise PreconditionError(
                 "columns must agree modulo the socle, row by row")
-    reg = registry_for(L.group)
-    if any(reg.mask_of(col) for col in columns):
-        return False
-    cols = np.array(columns, dtype=np.int64)
-    order = np.array(ct.order_of)[cols]
-    for i in range(len(cols) - 1):
-        # an automorphism keeps element orders: compare those first
-        rest = cols[i + 1:][(order[i + 1:] == order[i]).all(1)]
-        if not len(rest):
-            continue
-        gens = columns[i]
-        sigma = _extend_map(ct, _bfs_schedule(ct, gens), rest)
-        if _respects_generators(ct, gens, rest, sigma).any():
+    pos = np.empty(ct.n, dtype=np.intp)
+    seen = set()
+    for col in columns:
+        right = ct.array[:, list(col)]
+        order = bfs_tree(ct.n, right.T.tolist(), ct.identity)[0]
+        if len(order) < ct.n:
             return False
+        pos[order] = np.arange(ct.n)
+        key = pos[right[order]].tobytes()
+        if key in seen:
+            return False
+        seen.add(key)
     return True
 
 
@@ -791,18 +792,16 @@ def _exhaustive_report(builder: CrownGraphBuilder,
         row_pass = True
         for v in row_vs:
             reach = set()
-            depth_used = 0
             for depth, m in enumerate(m_order):
                 c = comp_of[builder.conjugate(v, m)]
                 if c >= 0:
                     reach.add(c)
                 if row_comps <= reach:
-                    depth_used = depth
+                    depths[depth] = depths.get(depth, 0) + 1
                     break
             else:
                 row_pass = False
                 all_pass = False
-            depths[depth_used] = depths.get(depth_used, 0) + 1
         rows.append(RowCheck(i, len(row_vs), len(row_comps), row_pass, depths))
     return WeakConnectivityReport(
         t, eta, builder.a, "exhaustive", n, n_non_isolated, n_components,

@@ -23,8 +23,12 @@ with the Aut(L) search.  ``circ`` builds an element a . m of a crown
 power L_k, ``column_elements`` the elements of L_k with given coordinate
 columns, ``crown_group`` L_k as a permutation group with its order from
 a chain, and ``crown_generates`` decides generation of L_k by a
-stabilizer chain.  ``meet_blocks`` counts the blocks of the meet of the
-row partitions of a column matrix with a union-find.
+stabilizer chain.  ``pairwise_columns_generate`` decides the same
+question for large k by the subdirect-product lemma pair by pair, over
+the Aut search's map-extension kernel, where ``columns_generate``
+compares one Cayley-graph certificate per column.  ``meet_blocks``
+counts the blocks of the meet of the row partitions of a column matrix
+with a union-find.
 ``component`` and ``is_congruent`` are helpers on crown powers that only
 tests ask, as are ``joined`` and ``is_edge_d``,
 the Gamma_d edge test of one mask and of one pair of elements, and
@@ -309,6 +313,32 @@ def crown_generates(cp, elems) -> bool:
     are checked against."""
     chain = StabilizerChain(cp.degree, elems, known_order=cp.order)
     return chain.order() == cp.order
+
+
+def pairwise_columns_generate(L, columns) -> bool:
+    """The subdirect-product lemma of ``columns_generate`` decided pair
+    by pair: (i) by the incidence mask of each column, (ii) by extending
+    c_i[s] -> c_j[s] from each column to every later one of equal
+    element orders over the Aut search's map-extension kernel, and
+    checking the maps on generators.  The reference for large k, where
+    a stabilizer chain of L_k is out of reach; the columns must agree
+    modulo the socle."""
+    ct = L.ct()
+    reg = registry_for(L.group)
+    if any(reg.mask_of(col) for col in columns):
+        return False
+    cols = np.array(columns, dtype=np.int64)
+    order = np.array(ct.order_of)[cols]
+    for i in range(len(cols) - 1):
+        # an automorphism keeps element orders: compare those first
+        rest = cols[i + 1:][(order[i + 1:] == order[i]).all(1)]
+        if not len(rest):
+            continue
+        gens = columns[i]
+        sigma = _extend_map(ct, _bfs_schedule(ct, gens), rest)
+        if _respects_generators(ct, gens, rest, sigma).any():
+            return False
+    return True
 
 
 def is_congruent(cp, p) -> bool:

@@ -16,10 +16,11 @@ from rankgraph import (
 from rankgraph.catalog import alternating, psl2, symmetric
 from rankgraph.config import caps
 from rankgraph.perm_core import StabilizerChain
-from rankgraph import crown_powers
+from rankgraph import automorphisms, crown_powers
 from rankgraph.crown_powers import (
     CrownGraphBuilder,
     MonolithicGroup,
+    _exhaustive_report,
     _from_coordinates,
     build_crown_power,
     cln_witness,
@@ -51,6 +52,7 @@ from oracles import (
     crown_group,
     is_congruent,
     meet_blocks,
+    pairwise_columns_generate,
     pairwise_edges,
     pairwise_sampled_weak_connectivity,
     word_lengths,
@@ -179,6 +181,30 @@ def lemma_and_chain(L, columns):
             crown_generates(cp, column_elements(L, columns)))
 
 
+def lemma_cases(L, table) -> dict:
+    """The orbit representatives and column matrices derived from them:
+    a duplicated column, an X-image of another column, a non-generating
+    column (these fail) and a dropped column (still generates)."""
+    reps = list(table.reps)
+    alpha = L.x_group[1].tolist()  # row 0 is the identity
+    x_image = list(reps)
+    x_image[7] = tuple(alpha[x] for x in reps[2])
+    reg = registry_for(L.group)
+    cosets = [L.coset_indices(x) for x in table.a]
+    non_generating = list(reps)
+    non_generating[5] = next((x, y) for x in cosets[0] for y in cosets[1]
+                             if reg.mask_of((x, y)))
+    return {"reps": reps, "duplicated": reps + [reps[4]],
+            "x_image": x_image, "non_generating": non_generating,
+            "dropped": reps[:11] + reps[12:]}
+
+
+@pytest.fixture(scope="module")
+def a5_t3_reps(A5m):
+    """The 1,668 orbit representatives of A5 at t = 3."""
+    return list(delta_Lt(A5m, 3)[1].reps)
+
+
 class TestSubdirectLemma:
     """``columns_generate`` against the stabilizer-chain oracle."""
 
@@ -191,35 +217,75 @@ class TestSubdirectLemma:
     @pytest.mark.parametrize("name", ["A5", "S5"])
     def test_duplicated_column_fails(self, witnesses, name):
         L, table = witnesses[name]
-        columns = table.reps + [table.reps[4]]
+        columns = lemma_cases(L, table)["duplicated"]
         assert lemma_and_chain(L, columns) == (False, False)
 
     @pytest.mark.parametrize("name", ["A5", "S5"])
     def test_x_image_column_fails(self, witnesses, name):
         L, table = witnesses[name]
-        alpha = L.x_group[1].tolist()  # row 0 is the identity
-        columns = list(table.reps)
-        columns[7] = tuple(alpha[x] for x in columns[2])
+        columns = lemma_cases(L, table)["x_image"]
         assert columns[7] != columns[2]
         assert lemma_and_chain(L, columns) == (False, False)
 
     @pytest.mark.parametrize("name", ["A5", "S5"])
     def test_non_generating_column_fails_at_i(self, witnesses, name):
-        # (ii) alone would raise: a Schreier tree needs generators
         L, table = witnesses[name]
-        reg = registry_for(L.group)
-        cosets = [L.coset_indices(x) for x in table.a]
-        bad = next((x, y) for x in cosets[0] for y in cosets[1]
-                   if reg.mask_of((x, y)))
-        columns = list(table.reps)
-        columns[5] = bad
+        columns = lemma_cases(L, table)["non_generating"]
         assert lemma_and_chain(L, columns) == (False, False)
 
     @pytest.mark.parametrize("name", ["A5", "S5"])
     def test_dropped_column_still_generates(self, witnesses, name):
         L, table = witnesses[name]
-        columns = table.reps[:11] + table.reps[12:]
+        columns = lemma_cases(L, table)["dropped"]
         assert lemma_and_chain(L, columns) == (True, True)
+
+    def test_large_witness_matches_pairwise_reference(self, A5m, a5_t3_reps):
+        # k = 1,668 is out of reach of a chain on L_k.  A certificate
+        # missing one entry's column still separates the 19 or 57 orbits
+        # at t = 2, but merges some of these.
+        assert len(a5_t3_reps) == 1668
+        assert columns_generate(A5m, a5_t3_reps)
+        assert pairwise_columns_generate(A5m, a5_t3_reps)
+
+    @pytest.mark.parametrize("kind", ["duplicated", "x_image", "inner"])
+    def test_large_clash_matches_pairwise_reference(self, A5m, a5_t3_reps,
+                                                    kind):
+        ct = A5m.ct()
+        g = ct.gen_indices[0]
+        images = {
+            "duplicated": list(range(ct.n)),
+            "x_image": A5m.x_group[1].tolist(),
+            "inner": [ct.table[ct.table[ct.inv[g]][x]][g]
+                      for x in range(ct.n)],
+        }[kind]
+        columns = list(a5_t3_reps)
+        columns[900] = tuple(images[x] for x in columns[300])
+        assert columns_generate(A5m, columns) is False
+        assert pairwise_columns_generate(A5m, columns) is False
+
+    def test_certificate_reads_no_registry_or_aut_kernel(self, witnesses,
+                                                          monkeypatch):
+        # the cases and the reference verdicts need the registry and the
+        # Aut search, so they are built before both are closed off
+        cases = [(L, columns, pairwise_columns_generate(L, columns))
+                 for L, table in witnesses.values()
+                 for columns in lemma_cases(L, table).values()]
+        assert {want for _, _, want in cases} == {True, False}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the witness check reached a kernel "
+                                 "that built the witness")
+
+        monkeypatch.setattr(SubgroupRegistry, "incidence_rows", refuse)
+        monkeypatch.setattr(crown_powers, "registry_for", refuse)
+        for name in ("_bfs_schedule", "_extend_map", "_respects_generators"):
+            monkeypatch.setattr(automorphisms, name, refuse)
+        private = [name for name, value in vars(crown_powers).items()
+                   if name.startswith("_") and getattr(
+                       value, "__module__", None) == automorphisms.__name__]
+        assert private == []
+        for L, columns, want in cases:
+            assert columns_generate(L, columns) == want
 
     def test_rejects_columns_outside_crown_power(self, witnesses):
         L, table = witnesses["S5"]
@@ -649,6 +715,20 @@ class TestWeakConnectivity:
         # connected graph: the identity conjugator suffices everywhere
         for row in rep.rows:
             assert set(row.witness_depths) == {0}
+
+    def test_failed_vertices_record_no_depth(self, A5m):
+        # label the vertex a_i . c by the order of a_i c, which
+        # conjugation keeps: each row has four components, and no
+        # conjugator joins a vertex to all of them
+        builder = CrownGraphBuilder(A5m, 2, 1)
+        tbl, order_of = builder.ct.table, builder.ct.order_of
+        comp_of = [order_of[tbl[a][c]] for a in builder.a
+                   for (c,) in builder.corrections]
+        rep = _exhaustive_report(builder, comp_of)
+        assert not rep.passed
+        for row in rep.rows:
+            assert (row.vertices, row.components, row.passed,
+                    row.witness_depths) == (60, 4, False, {})
 
     def test_seeded_triples_pass(self, A5m):
         reg = registry_for(A5m.group)

@@ -216,6 +216,13 @@ def test_oracles_do_not_use_the_cln_kernel():
     assert name_uses(ORACLES.read_text(), "cln_witness") == []
 
 
+# ``oracles.pairwise_columns_generate`` is the reference for
+# ``crown_powers.columns_generate``.
+
+def test_oracles_do_not_use_the_witness_certificate():
+    assert name_uses(ORACLES.read_text(), "columns_generate") == []
+
+
 # ``oracles.brute_cyclic_classes`` is the reference for
 # ``group_structure.cyclic_classes``.
 
