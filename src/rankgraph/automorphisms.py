@@ -68,7 +68,7 @@ def _generating_sequence(G: PermutationGroup, ct: CayleyTable,
     The search needs a short sequence, not a minimal one, so the group's
     own generators are pruned; no subgroup lattice is built.
     """
-    idxs = [ct.index[p.images] for p in _prune_generators(G)]
+    idxs = ct.indices(_prune_generators(G))
     buckets = {}
     for fp in fps:
         buckets[fp] = buckets.get(fp, 0) + 1

@@ -386,8 +386,9 @@ def _check_almost_simple(entry, G) -> None:
 def load_catalog(path) -> list:
     """Parse and validate a catalog JSON file.
 
-    Parse errors carry line numbers, a file that cannot be read names
-    its path, and validation errors name the entry.
+    Parse errors carry line numbers, a file that cannot be read or is
+    no list of entries (bare or as "entries") names its path, and
+    validation errors, a repeated id among them, name the entry.
     """
     try:
         with open(path) as fh:
@@ -399,8 +400,12 @@ def load_catalog(path) -> list:
         raise CatalogError(
             f"{path}: JSON parse error at line {e.lineno}, "
             f"column {e.colno}: {e.msg}") from e
-    raw_entries = data["entries"] if isinstance(data, dict) else data
+    raw_entries = data.get("entries") if isinstance(data, dict) else data
+    if not isinstance(raw_entries, list):
+        raise CatalogError(f"{path}: not a list of entries or an object "
+                           'with an "entries" list')
     entries = []
+    first = {}  # id -> number of its first entry
     for i, raw in enumerate(raw_entries):
         try:
             if "automorphisms" in raw:
@@ -412,6 +417,9 @@ def load_catalog(path) -> list:
                 generators=[list(map(int, g)) for g in raw["generators"]],
                 tags=list(raw.get("tags", [])),
                 notes=raw.get("notes", ""))
+            if first.setdefault(entry.id, i) != i:
+                raise CatalogError(
+                    f"id {entry.id!r} repeats entry #{first[entry.id]}")
             with _input_caps():
                 validate_entry(entry)
         except (KeyError, TypeError, ValueError) as e:

@@ -111,8 +111,8 @@ class MonolithicGroup:
 
     @cached_property
     def socle_indices(self) -> tuple:
-        """Sorted element indices of the socle."""
-        return tuple(sorted(self.ct().subset_indices(self.socle)))
+        """Element indices of the socle, ascending."""
+        return tuple(self.ct().indices(self.socle.elements()))
 
     @cached_property
     def coset_labels(self) -> np.ndarray:
@@ -125,12 +125,23 @@ class MonolithicGroup:
         return self.coset_labels == self.ct().identity
 
     @cached_property
-    def socle_positions(self) -> np.ndarray:
+    def socle_positions(self) -> list:
         """Per element index, its position in ``socle_indices``; -1
         outside the socle."""
-        pos = np.full(self.ct().n, -1, dtype=np.intp)
-        pos[list(self.socle_indices)] = np.arange(len(self.socle_indices))
+        pos = [-1] * self.ct().n
+        for p, x in enumerate(self.socle_indices):
+            pos[x] = p
         return pos
+
+    def correction_code(self, entries) -> int:
+        """The socle positions of ``entries`` read as one base-|N| number;
+        ``PreconditionError`` for an entry not a socle element index."""
+        pos, size, code = self.socle_positions, len(self.socle_indices), 0
+        for x in entries:
+            if not 0 <= x < len(pos) or pos[x] < 0:
+                raise PreconditionError(f"{x} is not a socle element index")
+            code = code * size + pos[x]
+        return code
 
     def coset_indices(self, x: int) -> list:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
@@ -142,8 +153,8 @@ class MonolithicGroup:
         """Socle elements ordered by word length in the socle generators:
         the ``bfs_tree`` of their table columns."""
         ct = self.ct()
-        cols = [ct.array[:, ct.index[g.images]].tolist()
-                for g in self.socle.generators]
+        cols = [ct.array[:, g].tolist()
+                for g in ct.indices(self.socle.generators)]
         return bfs_tree(ct.n, cols, ct.identity)[0]
 
     @cached_property
@@ -320,6 +331,7 @@ def columns_generate(L: MonolithicGroup, columns: Sequence[tuple]) -> bool:
     """
     L.require_nonabelian()
     ct = L.ct()
+    ct.check_indices([x for col in columns for x in col], "column entries")
     tbl, inv = ct.table, ct.inv
     in_socle = L.socle_mask
     first = columns[0]
@@ -375,7 +387,7 @@ class OrbitTable:
         """(|Omega|, t): the socle position of the correction n_i =
         a_i^-1 x_i of each tuple x."""
         ct = self.mono.ct()
-        pos = self.mono.socle_positions
+        pos = np.asarray(self.mono.socle_positions)
         return np.stack([pos[ct.array[ct.inv[a], column]]
                          for a, column in zip(self.a, self.tuples.T)], axis=1)
 
@@ -427,7 +439,7 @@ def default_generating_tuple(L: MonolithicGroup, t: int) -> tuple:
     if t < cert.d:
         raise PreconditionError(f"t = {t} < d(L) = {cert.d}")
     ct = L.ct()
-    idxs = [ct.index[p.images] for p in cert.witness]
+    idxs = ct.indices(cert.witness)
     idxs += [ct.identity] * (t - len(idxs))
     return tuple(idxs)
 
@@ -435,7 +447,7 @@ def default_generating_tuple(L: MonolithicGroup, t: int) -> tuple:
 def omega_table(L: MonolithicGroup, a: Sequence[int]) -> OrbitTable:
     """Enumerate and label the generating coset tuples over (a_1, ..., a_t)."""
     L.require_nonabelian()
-    a = tuple(a)
+    a = tuple(L.ct().check_indices(a, "a").tolist())
     reg = registry_for(L.group)
     # the search checks its cap when called, before any lattice work
     search = reg.generating_tuples([L.coset_indices(x) for x in a])
@@ -475,9 +487,10 @@ def generation_via_orbits(table: OrbitTable,
                           rows: Sequence[Sequence[int]]) -> bool:
     """Orbit criterion for <a_1 . m_1, ..., a_t . m_t> = L_eta.
 
-    ``rows`` holds the correction tuples m_i as socle element indices;
-    True iff every column of the corrected matrix is a generating tuple
-    and the column orbit labels are pairwise distinct.
+    ``rows`` holds the correction tuples m_i as socle element indices
+    (any other entry raises ``PreconditionError``); True iff every
+    column of the corrected matrix is a generating tuple and the column
+    orbit labels are pairwise distinct.
     """
     if table is None:
         raise GroupArgumentError("orbit table required")
@@ -489,23 +502,10 @@ def generation_via_orbits(table: OrbitTable,
         raise GroupArgumentError("ragged correction matrix")
     if eta > table.orbit_count:
         raise PreconditionError("eta exceeds delta(L, t)")
-    pos = table.mono.socle_positions
-    size = len(table.mono.socle_indices)
-    grid = table.label_grid
-    seen = set()
-    for k in range(eta):
-        # the column a_i m_ik, i = 1..t, by its correction code
-        code = 0
-        for row in rows:
-            p = pos[row[k]]
-            if p < 0:
-                return False
-            code = code * size + p
-        lab = grid[code]
-        if lab < 0 or lab in seen:
-            return False
-        seen.add(lab)
-    return True
+    # the orbit of each column a_i m_ik, i = 1..t, by its correction code
+    grid, code = table.label_grid, table.mono.correction_code
+    labels = [int(grid[code(column)]) for column in zip(*rows)]
+    return min(labels, default=0) >= 0 and len(set(labels)) == eta
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +570,7 @@ class CrownGraphBuilder:
             a = default_generating_tuple(L, t)
         if len(a) != t:
             raise GroupArgumentError(f"a has {len(a)} entries where t = {t}")
-        self.a = tuple(a)
+        self.a = tuple(self.ct.check_indices(a, "a").tolist())
         self.t = t
         self.eta = eta
         if reg.mask_of(self.a):
@@ -587,14 +587,8 @@ class CrownGraphBuilder:
 
     def rank(self, row: int, correction: tuple) -> int:
         """The rank of the vertex a_row . correction.
-        ``GroupArgumentError`` for an entry outside the socle."""
-        pos = self.L.socle_positions
-        k = 0
-        for x in correction:
-            if pos[x] < 0:
-                raise GroupArgumentError(f"{x} is not in the socle")
-            k = k * len(self.socle) + int(pos[x])
-        return row * self.size + k
+        ``PreconditionError`` for an entry outside the socle."""
+        return row * self.size + self.L.correction_code(correction)
 
     @cached_property
     def corrections(self) -> list:
@@ -923,12 +917,7 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
     Preconditions: d = len(b) >= max(2, d_l(L)) and <l, b_1, ..., b_d> = L.
     """
     reg = registry_for(L.group)
-    ct = L.ct()
-    try:
-        l_idx = ct.index[l.images]
-        b_idx = [ct.index[p.images] for p in b]
-    except KeyError:
-        raise PreconditionError("l and b must lie in L")
+    l_idx, *b_idx = reg.ct.indices([l, *b])
     d = len(b_idx)
     if d < 2:
         raise PreconditionError("need d >= 2")
@@ -967,9 +956,7 @@ def cln_witness(G: MonolithicGroup, rows: Sequence[int]) -> tuple:
     """
     G.require_nonabelian()
     ct = G.ct()
-    rows = np.asarray(rows, dtype=np.intp)
-    if rows.ndim != 1 or ((rows < 0) | (rows >= ct.n)).any():
-        raise PreconditionError("rows must be element indices of the group")
+    rows = ct.check_indices(rows, "rows")
     A, n_el, e = ct.array, ct.n, ct.identity
     commute = A == A.T
     # a coset's label is its least element, so the labels that label
@@ -1017,12 +1004,7 @@ def unico_rank_check(L: MonolithicGroup, t: int,
     if t < 3 or len(b) != t:
         raise PreconditionError("need t >= 3 elements")
     reg = registry_for(L.group)
-    ct = L.ct()
-    try:
-        b_idx = [ct.index[p.images] for p in b]
-        n_gens = [ct.index[p.images] for p in L.socle.generators]
-    except KeyError:
-        raise PreconditionError("b must lie in L")
-    if reg.mask_of(b_idx + n_gens):
+    b_idx = reg.ct.indices(b)
+    if reg.mask_of(b_idx + reg.ct.indices(L.socle.generators)):
         raise PreconditionError("<b_1, ..., b_t> N != L")
     return reg.mask_dist(reg.mask_of(b_idx[-1:])) <= t - 1

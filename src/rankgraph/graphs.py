@@ -239,9 +239,8 @@ def build_lambda(S: PermutationGroup, x: Permutation,
             "rejected: x = y gives identical parts for the coset graph")
     reg = registry_for(G)
     ct, rows = reg.ct, reg.incidence_rows()
-    s_elems = S.elements()
-    part_x = sorted(ct.index[(x * s).images] for s in s_elems)
-    part_y = sorted(ct.index[(y * s).images] for s in s_elems)
+    part_x, part_y = (sorted(ct.indices(z * s for s in S.elements()))
+                      for z in (x, y))
     import numpy as np
     block = class_block([rows[i] for i in part_x], [rows[j] for j in part_y])
     block &= np.not_equal.outer(part_x, part_y)  # x s1 != y s2

@@ -43,7 +43,6 @@ from . import config
 from .perm_core import (
     CapExceededError,
     CayleyTable,
-    GroupArgumentError,
     Permutation,
     PermutationGroup,
     PreconditionError,
@@ -795,14 +794,7 @@ def _min_rank_dense(G: PermutationGroup) -> RankCertificate:
 def d_X(G: PermutationGroup, X: Iterable[Permutation]) -> int:
     """Smallest r such that X together with r further elements generates G."""
     reg = registry_for(G)
-    ct = reg.ct
-    idxs = []
-    for p in X:
-        i = ct.index.get(p.images)
-        if i is None:
-            raise GroupArgumentError("X contains an element outside G")
-        idxs.append(i)
-    return reg.mask_dist(reg.mask_of(idxs))
+    return reg.mask_dist(reg.mask_of(reg.ct.indices(X)))
 
 
 def gaschutz_lift(G: PermutationGroup, M: PermutationGroup,
@@ -817,12 +809,7 @@ def gaschutz_lift(G: PermutationGroup, M: PermutationGroup,
         raise PreconditionError("M is not normal in G")
     reg = registry_for(G)
     ct = reg.ct
-    try:
-        g_idx = [ct.index[p.images] for p in g]
-        x_idx = [ct.index[p.images] for p in X]
-        m_idx = sorted(ct.subset_indices(M))
-    except (KeyError, GroupArgumentError):
-        raise PreconditionError("inputs must lie inside G")
+    g_idx, x_idx, m_idx = (ct.indices(s) for s in (g, X, M.elements()))
     if reg.mask_of(x_idx + g_idx + m_idx):
         raise PreconditionError("<g, X, M> is not all of G")
     x_mask = reg.mask_of(x_idx)

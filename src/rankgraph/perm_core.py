@@ -10,6 +10,9 @@ Conventions, fixed once and used everywhere:
   lexicographically by their image tuples (the identity always comes
   first), so vertex indices, orbit representatives and reports are
   reproducible across runs.
+* ``CayleyTable.indices`` is the one conversion from permutations to
+  element indices.  Indices follow the order of image tuples, so the
+  indices of a subgroup's ``elements()`` come out ascending.
 
 Groups are represented by generators plus a stabilizer-chain certificate
 (deterministic Schreier-Sims with base points chosen as the smallest
@@ -592,7 +595,7 @@ def quotient(G: PermutationGroup, N: PermutationGroup):
     if not is_normal(G, N):
         raise NotNormalError("N is not a normal subgroup of G")
     ct = G.cayley_table()
-    labels = ct.coset_labels(sorted(ct.subset_indices(N)))
+    labels = ct.coset_labels(ct.indices(N.elements()))
     # a label is the least element of its coset, so it labels itself
     reps = np.flatnonzero(labels == np.arange(ct.n))
     rank = np.zeros(ct.n, dtype=np.int64)
@@ -609,7 +612,7 @@ def quotient(G: PermutationGroup, N: PermutationGroup):
             "coset action order mismatch; N is not normal in G")
 
     def project(p: Permutation) -> Permutation:
-        return Permutation._raw(project_images(ct.index[p.images]))
+        return Permutation._raw(project_images(*ct.indices([p])))
 
     return Q, project
 
@@ -817,12 +820,29 @@ class CayleyTable:
                 self.array[start:start + _BLOCK_ROWS, members].min(1)
         return out
 
-    def subset_indices(self, H: PermutationGroup) -> frozenset:
-        """Indices of a subgroup's elements inside this table."""
+    def indices(self, perms: Iterable[Permutation]) -> list:
+        """The element index of each permutation, in the given order;
+        ascending for a subgroup's ``elements()``, as indices follow the
+        order of image tuples.  The first permutation outside the group,
+        one of another degree included, raises ``PreconditionError``
+        naming it."""
         out = []
-        for p in H.elements():
+        for p in perms:
             i = self.index.get(p.images)
             if i is None:
-                raise GroupArgumentError("subgroup not contained in group")
+                what = p.cycle_string()
+                if p.degree != self.group.degree:
+                    what += f" of degree {p.degree}"
+                raise PreconditionError(f"{what} lies outside the group")
             out.append(i)
-        return frozenset(out)
+        return out
+
+    def check_indices(self, xs, what: str):
+        """``xs`` as an intp array if it is a sequence of element indices,
+        0 <= x < n; else ``PreconditionError`` saying so of ``what``."""
+        import numpy as np
+        xs = np.asarray(xs, dtype=np.intp)
+        if xs.ndim != 1 or ((xs < 0) | (xs >= self.n)).any():
+            raise PreconditionError(f"{what} must be element indices of "
+                                    f"the group, 0 to {self.n - 1}")
+        return xs

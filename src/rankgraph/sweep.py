@@ -211,14 +211,20 @@ def cap_skipped(records: Iterable[SweepRecord]) -> list:
 
 
 def load_records(path) -> list:
+    """The records of a JSON-lines file, [] if there is none; a line that
+    is not a record raises ``ValueError`` naming ``path:line``."""
     out = []
     if not os.path.exists(path):
         return out
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(SweepRecord.from_json(line))
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    out.append(SweepRecord.from_json(line))
+                except (KeyError, TypeError, ValueError) as e:
+                    raise ValueError(
+                        f"{path}:{number}: not a sweep record "
+                        f"({type(e).__name__}: {e})") from e
     return out
 
 

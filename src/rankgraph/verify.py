@@ -244,7 +244,7 @@ def verify_unico_rank(seed: int = 42, samples: int = 400) -> VerifyReport:
         M = _mono(gid)
         ct = M.ct()
         reg = registry_for(M.group)
-        n_gens = [ct.index[p.images] for p in M.socle.generators]
+        n_gens = ct.indices(M.socle.generators)
         done = 0
         while done < samples:
             b = [rng.randrange(ct.n) for _ in range(3)]
@@ -395,19 +395,16 @@ def verify_induzionenormale(seed: int = 42) -> VerifyReport:
         labels = element_components(G, d).tolist()
         labels_q = element_components(Q, d).tolist()
         ct = G.cayley_table()
-        ctq = Q.cayley_table()
-        m_elems = M.elements()
+        to_q = Q.cayley_table().indices(map(hom, ct.elements))
+        m_idx = ct.indices(M.elements())
         non_iso = [x for x, c in enumerate(labels) if c >= 0]
         for x in non_iso:
             for y in non_iso:
-                qx = ctq.index[hom(ct.perm(x)).images]
-                qy = ctq.index[hom(ct.perm(y)).images]
-                if labels_q[qx] != labels_q[qy]:
+                if labels_q[to_q[x]] != labels_q[to_q[y]]:
                     continue
                 instances += 1
                 target = labels[x]
-                ok = any(labels[ct.index[(ct.perm(y) * m).images]] == target
-                         for m in m_elems)
+                ok = any(labels[ct.table[y][m]] == target for m in m_idx)
                 if not ok:
                     failures.append({"group": gid, "d": d, "x": x, "y": y})
     return VerifyReport("induzionenormale", not failures, instances, failures,

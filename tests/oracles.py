@@ -1183,7 +1183,7 @@ def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,
     builder = CrownGraphBuilder(L, t, eta, a, table)
     ct = L.ct()
     tbl, inv = ct.table, ct.inv
-    corrections = list(product(sorted(ct.subset_indices(L.socle)),
+    corrections = list(product(ct.indices(L.socle.elements()),
                                repeat=eta))
     size = len(corrections)
     rank = {c: k for k, c in enumerate(corrections)}

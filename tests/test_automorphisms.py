@@ -289,7 +289,7 @@ class TestXSubgroup:
         mono = MonolithicGroup.from_group(entry.group(), entry.id)
         ct = mono.ct()
         in_socle = np.zeros(ct.n, dtype=bool)
-        in_socle[list(ct.subset_indices(mono.socle))] = True
+        in_socle[ct.indices(mono.socle.elements())] = True
         aut = mono.aut
         disp = ct.array[np.asarray(ct.inv), aut]
         want = aut[in_socle[disp].all(1)]

@@ -160,6 +160,33 @@ class TestCatalogIO:
         with pytest.raises(CatalogError, match="cannot read"):
             load_catalog(tmp_path)  # a directory
 
+    @pytest.mark.parametrize("text", ['{"foo": 1}', "5", "null",
+                                      '{"entries": null}'],
+                             ids=["no-entries", "number", "null",
+                                  "null-entries"])
+    def test_malformed_top_level_exits_2(self, tmp_path, capsys, text):
+        # a traceback and exit 1 would read as a theorem violation
+        path = tmp_path / "shape.json"
+        path.write_text(text)
+        with pytest.raises(CatalogError, match=re.escape(str(path))):
+            load_catalog(path)
+        assert cli_main(["catalog", "--catalog", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    def test_repeated_id_names_both_entries(self, tmp_path, capsys):
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"entries": [
+            dict(symmetric(3).to_dict(), id="X"), cyclic(4).to_dict(),
+            dict(symmetric(4).to_dict(), id="X")]}))
+        with pytest.raises(CatalogError,
+                           match="entry #2: id 'X' repeats entry #0"):
+            load_catalog(path)
+        assert cli_main(["analyze", "--catalog", str(path), "--group", "X",
+                         "--d", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+
     @pytest.mark.parametrize("group_id", ["S5", "PGL(2,7)", "PGL(2,9)",
                                           "S6"])
     def test_almost_simple_tag_holds(self, tmp_path, group_id):
@@ -571,6 +598,24 @@ class TestCLI:
                        "--max-order", "100", "--out", str(out), "--resume"])
         assert rc == 0
         assert len(load_records(out)) == 2  # nothing re-recorded
+
+    @pytest.mark.parametrize("line", ['{"group_id": "S3"}', "[1, 2]",
+                                      "not json"],
+                             ids=["partial", "list", "not-json"])
+    def test_sweep_resume_names_a_line_that_is_no_record(self, tmp_path,
+                                                         capsys, line):
+        cat_path = tmp_path / "cat.json"
+        save_catalog([symmetric(3)], cat_path)
+        out = tmp_path / "records.jsonl"
+        argv = ["sweep", "--catalog", str(cat_path), "--max-order", "10",
+                "--out", str(out)]
+        assert cli_main(argv) == 0
+        with open(out, "a") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        assert cli_main(argv + ["--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}:2: not a sweep record")
 
     def test_sweep_resume_counts_recorded_critical(self, tmp_path, capsys):
         # a CRITICAL flag written by the earlier run decides the exit code

@@ -445,3 +445,42 @@ def test_trace_targets_exist():
         if obj is None:
             missing.add((module, path))
     assert missing - KNOWN_STALE == set()
+
+
+# ``CayleyTable.indices`` is the one conversion from permutations to
+# element indices: no other module reads the table's ``index`` dict.
+
+
+def index_lookups(source: str) -> list:
+    """Lines that subscript an attribute named ``index`` or call ``get``
+    on one, as in ``ct.index[p.images]`` and ``ct.index.get(key)``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            owner = node.value
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "get":
+            owner = node.func.value
+        else:
+            continue
+        if isinstance(owner, ast.Attribute) and owner.attr == "index":
+            out.append(node.lineno)
+    return sorted(out)
+
+
+def test_index_scanner_flags_table_lookups():
+    source = ("def f(ct, p, index, row):\n"
+              "    '''ct.index[p.images] in a docstring is no use'''\n"
+              "    a = ct.index[p.images]\n"
+              "    b = self.ct.index.get(p.images)\n"
+              "    c = index[p.images], row.index(3), ct.indices([p])\n"
+              "    return [ct.index[\n        q.images] for q in a]\n")
+    assert index_lookups(source) == [3, 4, 6]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.stem != "perm_core"],
+                         ids=lambda p: p.name)
+def test_permutations_become_indices_only_in_perm_core(path):
+    assert index_lookups(path.read_text()) == [], path.name
