@@ -179,10 +179,10 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
     (a map is fixed by its images of the g_k, so those are compared).
     Else ``RuntimeError``.
 
-    More than ``max_iso_leaves`` validated candidates raise
-    ``CapExceededError``, as does a closure check of more than
-    ``max_search_space`` cells.  The search runs on the Cayley table, so
-    the dense-table cap bounds |L|.
+    The search counts the cells of the maps it builds, |L| per
+    candidate, and the closure check its cells; either count above
+    ``max_search_space`` raises ``CapExceededError``.  The search runs on
+    the Cayley table, so the dense-table cap bounds |L|.
     """
     ct = L.cayley_table()
     n = ct.n
@@ -197,23 +197,23 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
     last = len(src_gens) - 1
     schedule = _bfs_schedule(ct, src_gens)
     conj = _conjugation_matrix(ct)
-    budget = config.LIMITS.max_iso_leaves
-    leaves = 0
+    cap = config.LIMITS.max_search_space
+    used = 0
     found = []
 
     def search(prefix: tuple, cent: np.ndarray) -> None:
         # cent: the elements centralising every image in prefix
-        nonlocal leaves
+        nonlocal used
         cands = candidate_sets[len(prefix)]
         reps = cands[conj[np.ix_(cent, cands)].min(0) == cands]
         if len(prefix) < last:
             for x in reps.tolist():
                 search(prefix + (x,), cent[conj[cent, x] == x])
             return
-        leaves += len(reps)
-        if leaves > budget:
+        used += len(reps) * n  # the cells of this batch's sigma
+        if used > cap:
             raise CapExceededError(
-                "automorphism search exceeded leaf budget")
+                f"automorphism search of {used} cells exceeds the cap {cap}")
         dst_gens = np.empty((len(reps), last + 1), dtype=np.int64)
         dst_gens[:, :last] = prefix
         dst_gens[:, last] = reps
@@ -234,7 +234,6 @@ def automorphism_group(L: PermutationGroup) -> np.ndarray:
     gens = np.concatenate([found, conj[list(ct.gen_indices)]])
     # for an abelian L every map is found, so the check grows as |Aut|^2
     cells = len(maps) * len(gens) * len(src_gens)
-    cap = config.LIMITS.max_search_space
     if cells > cap:
         raise CapExceededError(
             f"closure check of {cells} cells exceeds the cap {cap}")

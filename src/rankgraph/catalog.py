@@ -287,7 +287,7 @@ def pgl2(q: int) -> CatalogEntry:
 def crown_power_entry(base: CatalogEntry, k: int) -> CatalogEntry:
     """The crown-based power (base)_k of a monolithic catalog entry."""
     from .crown_powers import MonolithicGroup, build_crown_power
-    mono = MonolithicGroup.from_group(base.group(), base.id)
+    mono = MonolithicGroup.from_group(base.group())
     cp = build_crown_power(mono, k)
     gens = [list(g.images) for g in cp.generators]
     return CatalogEntry(f"Crown({base.id},{k})", cp.degree, gens,
@@ -360,8 +360,8 @@ def validate_entry(entry: CatalogEntry) -> None:
             if not is_simple(G):
                 raise CatalogError(f"entry {entry.id!r}: not simple")
         elif tag == "monolithic":
-            from .group_structure import minimal_normal_subgroups
-            if len(minimal_normal_subgroups(G)) != 1:
+            from .group_structure import normal_subgroups
+            if len(normal_subgroups(G).minimal_normals) != 1:
                 raise CatalogError(f"entry {entry.id!r}: not monolithic")
         elif tag == "almost-simple":
             _check_almost_simple(entry, G)
@@ -412,6 +412,8 @@ def load_catalog(path) -> list:
                 raise CatalogError(
                     f"entry {raw.get('id')!r}: the automorphisms field is "
                     "not accepted; Aut(L) is always computed")
+            if not isinstance(raw["id"], str) or not raw["id"]:
+                raise ValueError(f"id {raw['id']!r} is not a non-empty string")
             entry = CatalogEntry(
                 id=raw["id"], degree=int(raw["degree"]),
                 generators=[list(map(int, g)) for g in raw["generators"]],

@@ -187,7 +187,7 @@ def cmd_crown(args) -> int:
     )
     entry = _entry(args, args.L)
     with _open_out(args.out) as out:
-        mono = MonolithicGroup.from_group(entry.group(), entry.id)
+        mono = MonolithicGroup.from_group(entry.group())
         t0 = time.perf_counter()
         if args.check == "delta":
             delta, table = delta_Lt(mono, args.t, verify=args.verify_witness)

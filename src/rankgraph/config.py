@@ -29,11 +29,10 @@ class Limits:
     # rows, the normal-subgroup lattice and the Aut(L) search all need
     # the table.
     max_dense_order: int = 2048
-    # Cap on brute-force witness searches (e.g. tuples of corrections tried)
-    # and on the cells of the Aut(L) closure check.
+    # Cap on search work, counted in tuples and cells: the tuples of a
+    # witness search, and the cells of the Aut(L) search (candidate maps
+    # times |L|), of its closure check and of the orbit lookup on tuples.
     max_search_space: int = 10**7
-    # Budget (candidate image tuples) for the Aut(L) backtracking search.
-    max_iso_leaves: int = 2 * 10**6
 
 
 LIMITS = Limits()

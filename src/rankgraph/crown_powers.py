@@ -8,7 +8,7 @@ pairwise distinct orbits of X = C_Aut(L)(L/N).  delta(L, t), the largest
 k with L_k still t-generated, is therefore the number of X-orbits on the
 set of generating coset tuples, which ``omega_table`` holds as integer
 arrays: the tuples, their orbit labels and, per row pair, the admissible
-orbits of each pair of socle corrections.  A witness for L_delta is
+orbits of each socle correction pair.  A witness for L_delta is
 certified by the subdirect-product lemma (``columns_generate``): its
 columns generate L and their Cayley-graph certificates differ; an
 automorphism mapping one column to another makes their certificates
@@ -55,8 +55,8 @@ from .perm_core import (
 )
 from .group_structure import (
     class_block,
-    minimal_normal_subgroups,
     min_rank,
+    normal_subgroups,
     registry_for,
 )
 from .automorphisms import (
@@ -82,18 +82,16 @@ class MonolithicGroup:
     group: PermutationGroup
     socle: PermutationGroup
     socle_abelian: bool
-    name: str = ""
 
     @classmethod
-    def from_group(cls, L: PermutationGroup,
-                   name: str = "") -> "MonolithicGroup":
-        minimals = minimal_normal_subgroups(L)
+    def from_group(cls, L: PermutationGroup) -> "MonolithicGroup":
+        minimals = normal_subgroups(L).minimal_normals
         if len(minimals) != 1:
             raise GroupArgumentError(
                 f"group is not monolithic: {len(minimals)} minimal normal "
                 "subgroups")
         N = minimals[0]
-        return cls(L, N, N.is_abelian(), name)
+        return cls(L, N, N.is_abelian())
 
     @property
     def quotient_order(self) -> int:
@@ -367,20 +365,23 @@ class OrbitTable:
     a_t n_t) (element indices) that generates L, in lexicographic order;
     ``labels`` is the intp array of their orbit ids (numbered by each
     orbit's smallest tuple); ``reps`` is the canonical complete system of
-    orbit representatives, as a list of tuples.
+    orbit representatives, as a list of tuples, one per orbit.
     """
 
     mono: MonolithicGroup
     a: tuple  # element indices of the fixed generating tuple
     tuples: np.ndarray
     labels: np.ndarray
-    orbit_count: int
     reps: list
     _projections: dict = field(default_factory=dict, repr=False)
 
     @property
     def t(self) -> int:
         return len(self.a)
+
+    @property
+    def orbit_count(self) -> int:
+        return len(self.reps)
 
     @cached_property
     def positions(self) -> np.ndarray:
@@ -406,7 +407,7 @@ class OrbitTable:
 
     def projection(self, i: int, j: int) -> tuple:
         """The admissible orbits of the row pair i < j, by the pair code
-        p = |N| pos(n_i) + pos(n_j) of the corrections: (count, lone,
+        p = |N| pos(n_i) + pos(n_j) of the correction pair: (count, lone,
         starts, members), where ``count[p]`` is the number of orbits,
         ``lone[p]`` the orbit where that number is 1 (else -1), and
         ``members[starts[p]:starts[p + 1]]`` the orbits, ascending.
@@ -456,13 +457,12 @@ def omega_table(L: MonolithicGroup, a: Sequence[int]) -> OrbitTable:
     tuples = np.concatenate(list(search))  # a generates, so Omega is not empty
     X = L.x_group
     labels, reps = orbits_on_tuples(X, tuples)
-    count = len(reps)
     # an automorphism fixing a generating tuple is trivial, so X acts
     # freely and every orbit has |X| members
-    if len(tuples) != count * len(X):
+    if len(tuples) != len(reps) * len(X):
         raise RuntimeError(
-            f"|Omega| = {len(tuples)} != {count} orbits * |X| = {len(X)}")
-    return OrbitTable(L, a, tuples, labels, count, reps)
+            f"|Omega| = {len(tuples)} != {len(reps)} orbits * |X| = {len(X)}")
+    return OrbitTable(L, a, tuples, labels, reps)
 
 
 def delta_Lt(L: MonolithicGroup, t: int, verify: bool = False):
@@ -544,10 +544,11 @@ class CrownGraphBuilder:
     """The vertices and edge blocks of Gamma_{a_1..a_t}(L_eta), shared by
     the exhaustive and the sampled weak-connectivity checks.
 
-    The vertex a_i . c has the rank i |C| + k, where c is the k-th
-    tuple of ``corrections``, the list C of socle tuples of length eta
-    in ``itertools.product`` order; ``digits[k]`` holds the socle
-    positions of its entries.  ``_row_block`` decides every edge.
+    The vertex a_i . c has the rank i |C| + k, where C is the set of
+    socle tuples of length eta in ``itertools.product`` order and c its
+    k-th tuple; C is held once, as ``digits``, whose row k holds the
+    socle positions of the entries of c (the base-|N| digits of k).
+    ``_row_block`` decides every edge.
     The row tuple ``a`` defaults to the orbit table's, or without a table
     to ``default_generating_tuple``; any other ``a`` with a table, or one
     of length other than t, raises ``GroupArgumentError``.
@@ -591,18 +592,13 @@ class CrownGraphBuilder:
         return row * self.size + self.L.correction_code(correction)
 
     @cached_property
-    def corrections(self) -> list:
-        """C: the |N|^eta socle tuples of length eta, built on first use.
-        Every check reads C, so the cap of max_elements on the t |N|^eta
-        vertices is checked here, before C is built."""
-        if self.t * self.size > config.LIMITS.max_elements:
-            raise CapExceededError("crown graph vertex count over cap")
-        return list(itertools.product(self.socle, repeat=self.eta))
-
-    @cached_property
     def digits(self) -> np.ndarray:
         """(|C|, eta): the socle positions of the entries of each tuple
-        of C, i.e. the base-|N| digits of its index."""
+        of C, i.e. the base-|N| digits of its index, built on first use.
+        Every check reads it, so the cap of max_elements on the t |N|^eta
+        vertices is checked here, before it is built."""
+        if self.t * self.size > config.LIMITS.max_elements:
+            raise CapExceededError("crown graph vertex count over cap")
         return np.indices((len(self.socle),) * self.eta).reshape(
             self.eta, -1).T
 
@@ -610,12 +606,13 @@ class CrownGraphBuilder:
         """The class key of each row-i vertex, in rank order.  Vertices
         of one row with equal keys have the same neighbours: on the SDR
         path (with an orbit table) the key is the index k of the
-        correction in C, an intp array, on the direct path the incidence
-        row of a_i . c."""
+        correction in C, an intp array, on the direct path (eta = 1) the
+        incidence row of a_i . c."""
         if self.table is not None:
-            return np.arange(len(self.corrections))
+            return np.arange(len(self.digits))
         row = self.ct.table[self.a[i]]
-        return [self.rows[row[c]] for (c,) in self.corrections]
+        return [self.rows[row[self.socle[p]]]
+                for p in self.digits.ravel().tolist()]
 
     def class_graph(self) -> tuple:
         """The graph on class nodes: (node_of, adj), built once.
@@ -697,9 +694,10 @@ class CrownGraphBuilder:
         tbl, inv = self.ct.table, self.ct.inv
         i, k = divmod(r, self.size)
         ai = self.a[i]
+        ac = [tbl[ai][self.socle[p]] for p in self.digits[k].tolist()]
         # a_i^-1 u^-1 (a_i c) u, coordinate by coordinate
-        return self.rank(i, tuple(tbl[inv[ai]][tbl[tbl[inv[u]][tbl[ai][c]]][u]]
-                                  for c, u in zip(self.corrections[k], m)))
+        return self.rank(i, tuple(tbl[inv[ai]][tbl[tbl[inv[u]][x]][u]]
+                                  for x, u in zip(ac, m)))
 
     def _completes(self, mask: int, free: tuple) -> bool:
         if not free or not mask:
@@ -774,7 +772,7 @@ def _exhaustive_report(builder: CrownGraphBuilder,
     per_row = n // t
     n_non_isolated = sum(c >= 0 for c in comp_of)
     n_components = len(set(comp_of) - {-1})
-    m_order = list(itertools.product(builder.L.socle_bfs_order, repeat=eta))
+    bfs = builder.L.socle_bfs_order
 
     rows = []
     all_pass = True
@@ -786,7 +784,7 @@ def _exhaustive_report(builder: CrownGraphBuilder,
         row_pass = True
         for v in row_vs:
             reach = set()
-            for depth, m in enumerate(m_order):
+            for depth, m in enumerate(itertools.product(bfs, repeat=eta)):
                 c = comp_of[builder.conjugate(v, m)]
                 if c >= 0:
                     reach.add(c)
@@ -820,7 +818,6 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
 
     builder = CrownGraphBuilder(L, t, eta, table=table)
     rng = random.Random(seed)
-    corrections = builder.corrections
     size = builder.size
     keys = [builder.keys(j) for j in range(t)]
     one = (builder.ct.identity,) * (eta - 1)
@@ -862,8 +859,8 @@ def weak_connectivity_sampled(L: MonolithicGroup, t: int, eta: int,
     depths = {}
     while checked < samples:
         row = rng.randrange(t)
-        c1, c2 = rng.choice(corrections), rng.choice(corrections)
-        v1, v2 = builder.rank(row, c1), builder.rank(row, c2)
+        v1 = row * size + rng.randrange(size)
+        v2 = row * size + rng.randrange(size)
         if not (neighbours(v1) and neighbours(v2)):
             continue
         checked += 1
@@ -938,9 +935,9 @@ _CLN_ROWS = 32
 
 
 def cln_witness(G: MonolithicGroup, rows: Sequence[int]) -> tuple:
-    """Socle corrections for the pairs of some rows: every (a, b) with a
-    in ``rows`` and [a, b] in the socle, and socle elements n, m with
-    a n and b m commuting.
+    """Socle correction pairs for the pairs of some rows: every (a, b)
+    with a in ``rows`` and [a, b] in the socle, and socle elements n, m
+    with a n and b m commuting.
 
     Returns int32 arrays (a, b, n, m) of equal length, by a in the order
     of ``rows``, then b ascending; n = m = -1 where the search ran out,

@@ -672,13 +672,9 @@ def normal_subgroups(G: PermutationGroup) -> NormalLattice:
                          [groups[N] for N in minimal])
 
 
-def minimal_normal_subgroups(G: PermutationGroup) -> list:
-    return normal_subgroups(G).minimal_normals
-
-
 def socle(G: PermutationGroup) -> PermutationGroup:
     """Join of all minimal normal subgroups."""
-    minimals = minimal_normal_subgroups(G)
+    minimals = normal_subgroups(G).minimal_normals
     if not minimals:
         return PermutationGroup(G.degree, ())
     gens = []

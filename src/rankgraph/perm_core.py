@@ -788,12 +788,9 @@ class CayleyTable:
 
     # -- helpers ----------------------------------------------------------------
 
-    def conj(self, x: int, g: int) -> int:
-        """Index of g^-1 * x * g."""
-        return self.table[self.table[self.inv[g]][x]][g]
-
     def conj_row(self, g: int) -> list:
-        """``conj(x, g)`` for every index x, as one list, cached per g."""
+        """The index of g^-1 * x * g for every index x, as one list,
+        cached per g."""
         row = self._conj_rows.get(g)
         if row is None:
             table = self.table
@@ -839,10 +836,14 @@ class CayleyTable:
 
     def check_indices(self, xs, what: str):
         """``xs`` as an intp array if it is a sequence of element indices,
-        0 <= x < n; else ``PreconditionError`` saying so of ``what``."""
+        0 <= x < n, none a float or a bool; else ``PreconditionError``
+        saying so of ``what``."""
         import numpy as np
-        xs = np.asarray(xs, dtype=np.intp)
-        if xs.ndim != 1 or ((xs < 0) | (xs >= self.n)).any():
+        arr = np.asarray(xs)
+        # ints mixed with bools make an int array, so bools are looked for
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu") or \
+                any(isinstance(x, (bool, np.bool_)) for x in xs) or \
+                ((arr < 0) | (arr >= self.n)).any():
             raise PreconditionError(f"{what} must be element indices of "
                                     f"the group, 0 to {self.n - 1}")
-        return xs
+        return arr.astype(np.intp, copy=False)

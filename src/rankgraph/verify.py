@@ -81,8 +81,7 @@ class VerifyReport:
 
 
 def _mono(entry_id: str) -> MonolithicGroup:
-    e = cat.builtin_entry(entry_id)
-    return MonolithicGroup.from_group(e.group(), entry_id)
+    return MonolithicGroup.from_group(cat.builtin_entry(entry_id).group())
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +180,7 @@ def verify_delu(seed: int = 42, cross_checks: int = 20) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# commuting corrections (cln)
+# commuting correction pairs (cln)
 
 
 def verify_cln(seed: int = 42,
@@ -320,18 +319,16 @@ def verify_coniugo(seed: int = 42, max_order: int = 200) -> VerifyReport:
             continue
         ds = ([2] if cert.d == 2 else []) + [3]
         for d in ds:
-            labels = element_components(G, d).tolist()
+            labels = element_components(G, d)
             ct = G.cayley_table()
-            # each vertex of Delta_d; an isolated conjugate has a label of
-            # its own, so it fails the check as well
-            for x in (x for x, c in enumerate(labels) if c >= 0):
-                instances += 1
-                for z in range(ct.n):
-                    if labels[ct.conj(x, z)] != labels[x]:
-                        failures.append({"group": entry.id, "d": d,
-                                         "vertex": ct.perm(x).cycle_string(),
-                                         "z": z})
-                        break
+            instances += int((labels >= 0).sum())
+            # every class with a vertex of Delta_d has one label; an
+            # isolated member has a label of its own, so it fails as well
+            for members in ct.classes:
+                got = labels[list(members)]
+                if got.max() >= 0 and (got != got[0]).any():
+                    failures.append({"group": entry.id, "d": d, "class":
+                                     ct.perm(members[0]).cycle_string()})
     return VerifyReport("coniugo", not failures, instances, failures,
                         {"max_order": max_order})
 

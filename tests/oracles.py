@@ -16,7 +16,9 @@ search checks it on generators only.  ``exhaustive_automorphisms`` tries
 every fingerprint-compatible image tuple of a minimal generating
 sequence, where the search tries one tuple per class of tuples under
 inner automorphisms, and ``inner_automorphisms`` builds Inn(G) from
-conjugation by the generators.  ``isomorphism`` tries every tuple of
+conjugation by the generators; ``conj`` conjugates one element index by
+table reads, where the library reads whole ``conj_row`` lists.
+``isomorphism`` tries every tuple of
 equal-order images of a ``min_rank`` witness, extended breadth first on
 the Cayley table and checked by ``is_homomorphism``; it shares no code
 with the Aut(L) search.  ``circ`` builds an element a . m of a crown
@@ -45,12 +47,19 @@ over the joined pairs, where ``class_adjacency`` decides them in blocks.
 ``crown_edge`` decides one pair of crown-graph vertex ranks, and
 ``pairwise_weak_connectivity`` joins every vertex pair of a crown graph
 by it; the block kernels of ``graphs`` and the builder's ``_row_block``
-are checked against them.  On the SDR path it reads the admissible
-orbits of a column pair off a dict built tuple by tuple
+are checked against them.  Both read the corrections of a vertex off
+``correction_tuples``, built from ``socle_indices``, and not the
+builder's own.  On the direct path ``crown_edge`` completes a vertex
+pair by ``ClosureOracle.completes`` over the cosets of the free rows,
+where the builder searches incidence rows.  On the SDR path it reads
+the admissible orbits of a column pair off a dict built tuple by tuple
 (``admissible_orbits``), and ``sdr_exists`` decides distinct
 representatives by the two-set rule or by trying every choice, where
 ``_row_block`` reads count and lone-label arrays and matches three or
-more sets by augmenting paths.
+more sets by augmenting paths.  ``pairwise_weak_connectivity`` then
+checks each vertex of a row by its own loop over the conjugators, in
+product order of ``socle_word_order`` and conjugated by
+``crown_conjugate``.
 ``pairwise_sampled_weak_connectivity`` redraws the seeded pairs of the
 sampled check and decides each of them from those pairwise edges.
 ``crown_graph`` and ``class_graph_edges`` expand the builder's class
@@ -107,7 +116,6 @@ from rankgraph.crown_powers import (
     CrownGraphBuilder,
     RowCheck,
     WeakConnectivityReport,
-    _exhaustive_report,
     _from_coordinates,
 )
 from rankgraph.graphs import (
@@ -180,11 +188,16 @@ def is_homomorphism(ct_src, ct_dst, sigma) -> bool:
     return bool((sigma[src] == dst[sigma][:, sigma]).all())
 
 
+def conj(ct, x: int, g: int) -> int:
+    """Index of g^-1 * x * g in a Cayley table, by three table reads."""
+    return ct.table[ct.table[ct.inv[g]][x]][g]
+
+
 def inner_automorphisms(G) -> PermutationGroup:
     """Inn(G) on element indices, generated by conjugation with the
     generators of G."""
     ct = G.cayley_table()
-    gens = [Permutation([ct.conj(x, g) for x in range(ct.n)])
+    gens = [Permutation([conj(ct, x, g) for x in range(ct.n)])
             for g in ct.gen_indices]
     return PermutationGroup(ct.n, gens)
 
@@ -740,7 +753,7 @@ class ClosureOracle:
         self.full = self.reg.full_id
         self._joins = {}
         self._dist = {}
-        self._completes = {}
+        self._completions = {}
 
     def bfs_close(self, gens) -> int:
         """Subgroup generated by the given element indices, interned: one
@@ -782,7 +795,7 @@ class ClosureOracle:
         """The conjugacy class of subgroup ``sid``, by every conjugator."""
         ct = self.ct
         members = self.reg.members[sid]
-        return frozenset(frozenset(ct.conj(x, g) for x in members)
+        return frozenset(frozenset(conj(ct, x, g) for x in members)
                          for g in range(ct.n))
 
     def subgroup_classes(self) -> tuple:
@@ -909,9 +922,9 @@ class ClosureOracle:
         if not cosets:
             return sid == self.full
         key = (sid, tuple(tuple(c) for c in cosets))
-        got = self._completes.get(key)
+        got = self._completions.get(key)
         if got is None:
-            got = self._completes[key] = any(
+            got = self._completions[key] = any(
                 self.completes(self.join(sid, z), cosets[1:])
                 for z in cosets[0])
         return got
@@ -1055,43 +1068,63 @@ def crown_edge(builder, r: int, s: int) -> bool:
     """The crown-graph edge test of the vertices of ranks r and s of a
     ``CrownGraphBuilder``, one pair at a time.  On the SDR path (with an
     orbit table) the column pairs (a_i c_k, a_j e_k) need distinct
-    admissible orbits; on the direct path the incidence rows of a_i c and
-    a_j e must complete to a generating tuple over the free rows."""
-    size = builder.size
-    (i, k), (j, l) = divmod(r, size), divmod(s, size)
+    admissible orbits; on the direct path a_i c and a_j e must complete
+    to a generating tuple with one element of each coset a_u N of the
+    free rows, decided by ``ClosureOracle.completes``.  The correction
+    tuples c, e are read off ``correction_tuples``."""
+    L, a = builder.L, builder.a
+    C = correction_tuples(L, builder.eta)
+    (i, k), (j, l) = divmod(r, len(C)), divmod(s, len(C))
     if i == j:
         return False
     if i > j:
         i, j, k, l = j, i, l, k
-    c, e = builder.corrections[k], builder.corrections[l]
-    tbl = builder.ct.table
-    row_i, row_j = tbl[builder.a[i]], tbl[builder.a[j]]
+    c, e = C[k], C[l]
+    tbl = L.ct().table
+    row_i, row_j = tbl[a[i]], tbl[a[j]]
     if builder.table is None:
-        free = tuple(u for u in range(builder.t) if u not in (i, j))
-        return builder._completes(
-            builder.rows[row_i[c[0]]] & builder.rows[row_j[e[0]]], free)
+        oracle = _memoised(L, ("closure",), lambda: ClosureOracle(L.group))
+        cosets = tuple(tuple(tbl[a[u]][n] for n in L.socle_indices)
+                       for u in range(builder.t) if u not in (i, j))
+        return oracle.completes(
+            oracle.closure((row_i[c[0]], row_j[e[0]])), cosets)
     proj = admissible_orbits(builder.table, i, j)
     return sdr_exists([proj.get((row_i[x], row_j[y]), set())
                        for x, y in zip(c, e)])
 
 
-_ADMISSIBLE: dict = {}
+_MEMO: dict = {}
+
+
+def _memoised(owner, key: tuple, build):
+    """``build()``, computed once per live ``owner`` and key."""
+    got = _MEMO.get((id(owner),) + key)
+    if got is None or got[0]() is not owner:
+        for dead in [k for k, v in _MEMO.items() if v[0]() is None]:
+            del _MEMO[dead]
+        got = _MEMO[(id(owner),) + key] = weakref.ref(owner), build()
+    return got[1]
+
+
+def correction_tuples(L, eta: int) -> list:
+    """The socle tuples of length eta, in product order over
+    ``socle_indices``: the k-th is the correction of the crown-graph
+    vertices of rank i |N|^eta + k.  Memoised per live group and eta."""
+    return _memoised(L, ("C", eta),
+                     lambda: list(product(L.socle_indices, repeat=eta)))
 
 
 def admissible_orbits(table, i: int, j: int) -> dict:
     """(row-i entry, row-j entry) -> the set of orbit labels of the
     tuples of an orbit table with those entries, one tuple at a time,
     memoised per live table and row pair."""
-    key = (id(table), i, j)
-    got = _ADMISSIBLE.get(key)
-    if got is None or got[0]() is not table:
+
+    def build():
         proj = {}
         for tup, lab in zip(table.tuples.tolist(), table.labels.tolist()):
             proj.setdefault((tup[i], tup[j]), set()).add(lab)
-        for dead in [k for k, v in _ADMISSIBLE.items() if v[0]() is None]:
-            del _ADMISSIBLE[dead]
-        got = _ADMISSIBLE[key] = weakref.ref(table), proj
-    return got[1]
+        return proj
+    return _memoised(table, ("admissible", i, j), build)
 
 
 def sdr_exists(option_sets) -> bool:
@@ -1181,29 +1214,18 @@ def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,
     v1 by an edge, a common neighbour or an edge between the two
     neighbourhoods."""
     builder = CrownGraphBuilder(L, t, eta, a, table)
-    ct = L.ct()
-    tbl, inv = ct.table, ct.inv
-    corrections = list(product(ct.indices(L.socle.elements()),
-                               repeat=eta))
-    size = len(corrections)
-    rank = {c: k for k, c in enumerate(corrections)}
+    one = L.ct().identity
+    C = correction_tuples(L, eta)
+    size = len(C)
+    rank = {c: k for k, c in enumerate(C)}
     nbrs = [set() for _ in range(t * size)]
     for v, w in pairwise_edges(builder):
         nbrs[v].add(w)
         nbrs[w].add(v)
-    gens = [ct.index[g.images] for g in L.socle.generators]
-    word_order = [ct.identity]
-    for x in word_order:
-        for g in gens:
-            if tbl[x][g] not in word_order:
-                word_order.append(tbl[x][g])
-    conjugators = [(ct.identity,) * (eta - 1) + (n,) for n in word_order]
+    conjugators = [(one,) * (eta - 1) + (n,) for n in socle_word_order(L)]
 
     def conjugate(row, c, m):
-        ai = builder.a[row]
-        return row * size + rank[tuple(
-            tbl[inv[ai]][tbl[tbl[inv[u]][tbl[ai][x]]][u]]
-            for x, u in zip(c, m))]
+        return row * size + rank[crown_conjugate(L, builder.a[row], c, m)]
 
     def near(v, w):
         return (w in nbrs[v] or bool(nbrs[v] & nbrs[w])
@@ -1214,7 +1236,7 @@ def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,
     depths = {}
     while checked < samples:
         row = rng.randrange(t)
-        c1, c2 = rng.choice(corrections), rng.choice(corrections)
+        c1, c2 = rng.choice(C), rng.choice(C)
         v = row * size + rank[c1]
         if not (nbrs[v] and nbrs[row * size + rank[c2]]):
             continue
@@ -1231,15 +1253,64 @@ def pairwise_sampled_weak_connectivity(L, t, eta, table, a=None,
         seed=seed, sample_size=samples)
 
 
+def socle_word_order(L) -> list:
+    """The socle elements of a monolithic group by word length in the
+    socle generators: breadth first from the identity, each element
+    followed by its products with the generators in turn."""
+    ct = L.ct()
+    gens = ct.indices(L.socle.generators)
+    order = [ct.identity]
+    for x in order:
+        for g in gens:
+            if ct.table[x][g] not in order:
+                order.append(ct.table[x][g])
+    return order
+
+
+def crown_conjugate(L, ai: int, c: tuple, m: tuple) -> tuple:
+    """The correction of (a_i . c)^m: a_i^-1 u^-1 (a_i x) u for each
+    entry x of c and u of m, by table reads."""
+    ct = L.ct()
+    tbl, inv = ct.table, ct.inv
+    return tuple(tbl[inv[ai]][tbl[tbl[inv[u]][tbl[ai][x]]][u]]
+                 for x, u in zip(c, m))
+
+
 def pairwise_weak_connectivity(L, t, eta, a=None, table=None):
     """``weak_connectivity`` with the components found by a union-find
-    over every vertex pair that ``crown_edge`` joins."""
+    over every vertex pair that ``crown_edge`` joins, and each vertex of
+    a row checked on its own: the conjugators m run over N^eta in
+    product order of ``socle_word_order``, and the depth of a vertex is
+    the index of the first m after which its conjugates have met every
+    component of its row."""
     builder = CrownGraphBuilder(L, t, eta, a, table)
-    n = t * builder.size
+    C = correction_tuples(L, eta)
+    size = len(C)
+    rank = {c: k for k, c in enumerate(C)}
+    n = t * size
     uf = UnionFind(n)
     non_isolated = bytearray(n)
     for v, w in pairwise_edges(builder):
         non_isolated[v] = non_isolated[w] = 1
         uf.union(v, w)
-    return _exhaustive_report(
-        builder, [uf.find(v) if non_isolated[v] else -1 for v in range(n)])
+    comp = [uf.find(v) if non_isolated[v] else -1 for v in range(n)]
+    conjugators = list(product(socle_word_order(L), repeat=eta))
+    rows = []
+    for i, ai in enumerate(builder.a):
+        vs = [v for v in range(i * size, (i + 1) * size) if comp[v] >= 0]
+        comps = {comp[v] for v in vs}
+        depths = {}
+        for v in vs:
+            reach = set()
+            for depth, m in enumerate(conjugators):
+                reach.add(comp[i * size + rank[crown_conjugate(
+                    L, ai, C[v - i * size], m)]])
+                if comps <= reach:
+                    depths[depth] = depths.get(depth, 0) + 1
+                    break
+        rows.append(RowCheck(i, len(vs), len(comps),
+                             sum(depths.values()) == len(vs), depths))
+    return WeakConnectivityReport(
+        t, eta, builder.a, "exhaustive", n, sum(non_isolated),
+        len({c for c in comp if c >= 0}), rows,
+        all(row.passed for row in rows))

@@ -38,6 +38,7 @@ from rankgraph.perm_core import subgroup_from_members
 from oracles import (
     ClosureOracle,
     brute_closure,
+    conj,
     exhaustive_automorphisms,
     inner_automorphisms,
     is_homomorphism,
@@ -247,7 +248,7 @@ class TestAutomorphismGroup:
                              for x in range(ct.n))
                  if not T & C and len(T) < ct.n - len(C))
         alpha = automorphism_group(A5)[5].tolist()
-        sigma = np.array([alpha[ct.conj(y, g)] if y in T else alpha[y]
+        sigma = np.array([alpha[conj(ct, y, g)] if y in T else alpha[y]
                           for y in range(ct.n)])
         dst = [alpha[y] for y in src]
         assert not is_homomorphism(ct, ct, sigma)
@@ -286,7 +287,7 @@ class TestXSubgroup:
     def test_rows_are_the_aut_rows_fixing_every_coset(self, entry, x_order):
         # gamma lies in X iff l^-1 gamma(l) lies in the socle for every
         # element l, read from the socle's own element list
-        mono = MonolithicGroup.from_group(entry.group(), entry.id)
+        mono = MonolithicGroup.from_group(entry.group())
         ct = mono.ct()
         in_socle = np.zeros(ct.n, dtype=bool)
         in_socle[ct.indices(mono.socle.elements())] = True
@@ -410,7 +411,7 @@ def orbit_case(case: str) -> tuple:
     if case.endswith("Omega"):
         entry = {"A5": alternating(5), "PSL(2,7)": psl2(7),
                  "S5": symmetric(5)}[case.split()[0]]
-        mono = MonolithicGroup.from_group(entry.group(), entry.id)
+        mono = MonolithicGroup.from_group(entry.group())
         X = mono.x_group
         tuples = list(map(tuple, delta_Lt(mono, 2)[1].tuples.tolist()))
     elif case == "Aut(A5) on A5":

@@ -11,6 +11,7 @@ from rankgraph.catalog import alternating, default_catalog
 from rankgraph.crown_powers import (
     CrownGraphBuilder,
     MonolithicGroup,
+    cln_witness,
     columns_generate,
     default_generating_tuple,
     delta_Lt,
@@ -50,12 +51,12 @@ def V4(A4):
 
 @pytest.fixture(scope="module")
 def A5m(A5):
-    return MonolithicGroup.from_group(A5, "A5")
+    return MonolithicGroup.from_group(A5)
 
 
 @pytest.fixture(scope="module")
 def S5m(S5):
-    return MonolithicGroup.from_group(S5, "S5")
+    return MonolithicGroup.from_group(S5)
 
 
 class TestIndices:
@@ -195,3 +196,44 @@ class TestElementIndexInputs:
             with pytest.raises(PreconditionError,
                                match=f"^{x} is not a socle element index$"):
                 generation_via_orbits(table, [(socle_[1],), (x,)])
+
+
+# an index of another dtype is refused, not truncated: a float 16.5 must
+# not name element 16, nor True element 1
+
+
+def not_an_index(x: int, kind: str):
+    return x + 0.5 if kind == "float" else True
+
+
+@pytest.mark.parametrize("kind", ["float", "bool"])
+class TestNonIntegerIndices:
+    def test_check_indices(self, A5, kind):
+        ct = A5.cayley_table()
+        with pytest.raises(PreconditionError, match="a must be element"):
+            ct.check_indices([not_an_index(1, kind), 2], "a")
+        assert ct.check_indices([], "a").tolist() == []
+
+    def test_omega_table(self, A5m, kind):
+        a = list(default_generating_tuple(A5m, 2))
+        a[0] = not_an_index(a[0], kind)
+        with pytest.raises(PreconditionError, match="a must be element"):
+            omega_table(A5m, a)
+
+    def test_crown_graph_builder(self, A5m, kind):
+        a = list(default_generating_tuple(A5m, 2))
+        a[1] = not_an_index(a[1], kind)
+        with pytest.raises(PreconditionError, match="a must be element"):
+            CrownGraphBuilder(A5m, 2, 1, a=a)
+
+    def test_columns_generate(self, A5m, kind):
+        _, table = delta_Lt(A5m, 2)
+        columns = [list(c) for c in table.reps]
+        columns[0][0] = not_an_index(columns[0][0], kind)
+        with pytest.raises(PreconditionError,
+                           match="column entries must be element"):
+            columns_generate(A5m, columns)
+
+    def test_cln_witness(self, A5m, kind):
+        with pytest.raises(PreconditionError, match="rows must be element"):
+            cln_witness(A5m, [not_an_index(0, kind), 2])

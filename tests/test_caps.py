@@ -71,10 +71,12 @@ def test_dense_cap_bounds_the_aut_search():
         automorphism_group(alternating(5).group())
 
 
-def test_leaf_budget_bounds_the_aut_search():
-    # A5 needs a validated candidate, so a budget of 0 trips the search
-    with caps(max_iso_leaves=0), pytest.raises(CapExceededError,
-                                               match="leaf budget"):
+def test_search_cap_bounds_the_aut_search_cells():
+    # A5 needs a validated candidate, whose map fills 60 cells, so a cap
+    # of 0 trips the search before its closure check
+    with caps(max_search_space=0), pytest.raises(
+            CapExceededError,
+            match=r"automorphism search of \d+ cells exceeds the cap 0"):
         automorphism_group(alternating(5).group())
     assert len(automorphism_group(alternating(5).group())) == 120
 
@@ -82,7 +84,7 @@ def test_leaf_budget_bounds_the_aut_search():
 def test_omega_search_cap_comes_before_the_lattice(monkeypatch):
     # a fresh A5: the cap refuses |N|^2 = 3600 tuples before any maximal
     # subgroup is searched for
-    L = MonolithicGroup.from_group(alternating(5).group(), "A5")
+    L = MonolithicGroup.from_group(alternating(5).group())
     ct = L.ct()
     a = [ct.index[g.images] for g in L.group.generators]
     assert len(a) == 2
@@ -104,7 +106,7 @@ def test_omega_search_cap_comes_before_the_lattice(monkeypatch):
 
 
 def test_density_search_cap():
-    L = MonolithicGroup.from_group(alternating(5).group(), "A5")
+    L = MonolithicGroup.from_group(alternating(5).group())
     l, b1 = min_rank(L.group).witness
     with caps(max_search_space=3599), pytest.raises(
             CapExceededError,

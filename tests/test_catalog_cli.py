@@ -187,6 +187,24 @@ class TestCatalogIO:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and captured.out == ""
 
+    @pytest.mark.parametrize("ident", [5, "", None, ["S3"]],
+                             ids=["number", "empty", "null", "list"])
+    def test_id_must_be_a_non_empty_string(self, tmp_path, capsys, ident):
+        # a number id would be listed, miss every --group and reach the
+        # sweep records as a number
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps([{"id": ident, "degree": 3, "generators":
+                                     [[1, 2, 0], [1, 0, 2]]}]))
+        with pytest.raises(CatalogError, match=re.escape(
+                f"entry #0: id {ident!r} is not a non-empty string")):
+            load_catalog(path)
+        for argv in (["catalog"], ["analyze", "--group", str(ident)],
+                     ["sweep", "--out", str(tmp_path / "out.jsonl")]):
+            assert cli_main(argv + ["--catalog", str(path)]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: "), argv
+        assert not (tmp_path / "out.jsonl").exists()
+
     @pytest.mark.parametrize("group_id", ["S5", "PGL(2,7)", "PGL(2,9)",
                                           "S6"])
     def test_almost_simple_tag_holds(self, tmp_path, group_id):
@@ -439,6 +457,29 @@ class TestCLI:
         monkeypatch.setattr(verify_mod, "build_lambda", buggy)
         with pytest.raises(RuntimeError, match="bug"):
             verify_mod.run_verifier("lambda")
+
+    @pytest.mark.parametrize("isolate", [False, True],
+                             ids=["own-component", "isolated"])
+    def test_coniugo_fails_on_a_split_class(self, monkeypatch, isolate):
+        # one member of a conjugacy class gets a component of its own, or
+        # is made isolated (label -1 - x): the class check must see it
+        real = verify_mod.element_components
+
+        def split(G, d):
+            labels = real(G, d)
+            members = next((c for c in G.cayley_table().classes
+                            if len(c) > 1 and labels[c[0]] >= 0), None)
+            if members is not None:  # an abelian group has none
+                x = members[-1]
+                labels[x] = -1 - x if isolate else labels.max() + 1
+            return labels
+
+        assert verify_mod.verify_coniugo(max_order=24).passed
+        monkeypatch.setattr(verify_mod, "element_components", split)
+        rep = verify_mod.verify_coniugo(max_order=24)
+        assert not rep.passed and rep.failures
+        assert all(set(failure) == {"group", "d", "class"}
+                   for failure in rep.failures)
 
     def test_verify_all(self, tmp_path, monkeypatch, capsys):
         from rankgraph.verify import VerifyReport

@@ -46,6 +46,7 @@ from oracles import (
     column_elements,
     component,
     components,
+    conj,
     crown_edge,
     crown_generates,
     crown_graph,
@@ -65,12 +66,12 @@ def cyc(n, *cycles):
 
 @pytest.fixture(scope="module")
 def A5m(A5):
-    return MonolithicGroup.from_group(A5, "A5")
+    return MonolithicGroup.from_group(A5)
 
 
 @pytest.fixture(scope="module")
 def S5m(S5):
-    return MonolithicGroup.from_group(S5, "S5")
+    return MonolithicGroup.from_group(S5)
 
 
 class TestMonolithic:
@@ -338,7 +339,7 @@ def random_square_pairs(ct, rng) -> list:
     if kind == 2:
         return [(xs[0], ct.identity), (ct.identity, rng.randrange(ct.n))]
     z = rng.randrange(ct.n)
-    pairs = [(x, ct.conj(x, z)) for x in xs]
+    pairs = [(x, conj(ct, x, z)) for x in xs]
     if kind == 3:
         pairs.append((rng.randrange(ct.n), rng.randrange(ct.n)))
     return pairs
@@ -488,13 +489,13 @@ class TestOmegaTable:
         (symmetric(5), 2280, 19, 120)], ids=["A5", "PSL(2,7)", "S5"])
     def test_counting_identity(self, entry, omega, delta, x_order):
         # X acts freely on generating tuples: |Omega| = delta(L, 2) * |X|
-        mono = MonolithicGroup.from_group(entry.group(), entry.id)
+        mono = MonolithicGroup.from_group(entry.group())
         got, table = delta_Lt(mono, 2)
         assert (len(table.tuples), got, len(mono.x_group)) == \
             (omega, delta, x_order)
 
     def test_counting_identity_violation_raises(self, A5, monkeypatch):
-        mono = MonolithicGroup.from_group(A5, "A5")
+        mono = MonolithicGroup.from_group(A5)
         # a repeated row leaves the orbits as they are but not |X|
         X = mono.x_group
         monkeypatch.setattr(mono, "x_group", np.concatenate([X, X[:1]]))
@@ -655,7 +656,7 @@ class TestSdrBlocks:
     def tables(self, A5m, S5m):
         """(L, t) -> the orbit table, built once for the class."""
         mono = {"A5": A5m, "S5": S5m, "PSL(2,7)": MonolithicGroup.from_group(
-            psl2(7).group(), "PSL(2,7)")}
+            psl2(7).group())}
         memo = {}
 
         def get(name, t):
@@ -723,7 +724,7 @@ class TestWeakConnectivity:
         builder = CrownGraphBuilder(A5m, 2, 1)
         tbl, order_of = builder.ct.table, builder.ct.order_of
         comp_of = [order_of[tbl[a][c]] for a in builder.a
-                   for (c,) in builder.corrections]
+                   for c in A5m.socle_indices]
         rep = _exhaustive_report(builder, comp_of)
         assert not rep.passed
         for row in rep.rows:
@@ -762,7 +763,7 @@ class TestSampledWeakConnectivity:
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
     def test_matches_pairwise_oracle_at_t2(self, name):
         base = alternating(5) if name == "A5" else psl2(7)
-        L = MonolithicGroup.from_group(base.group(), name)
+        L = MonolithicGroup.from_group(base.group())
         _, table = delta_Lt(L, 2)
         for seed in range(3):
             got = weak_connectivity_sampled(L, 2, 1, table, seed=seed)
@@ -811,7 +812,7 @@ class TestSampledWeakConnectivity:
                        if not reg.mask_of((odd, x))))
         table = omega_table(S5m, a)
         builder = CrownGraphBuilder(S5m, 2, 2, a=a, table=table)
-        C = builder.corrections
+        C = list(itertools.product(S5m.socle_indices, repeat=2))
         rng = random.Random(8)
         verdicts = set()
         for i, j in ((0, 1), (1, 0)):
@@ -844,7 +845,7 @@ class TestCrownEdgeStream:
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
     def test_direct_and_sdr_paths_agree_at_t2(self, name):
         base = alternating(5) if name == "A5" else psl2(7)
-        L = MonolithicGroup.from_group(base.group(), name)
+        L = MonolithicGroup.from_group(base.group())
         _, table = delta_Lt(L, 2)
         direct = weak_connectivity(L, 2, 1)
         sdr = weak_connectivity(L, 2, 1, table=table)
@@ -863,14 +864,14 @@ class TestCrownEdgeStream:
         self.check_stream(CrownGraphBuilder(A5m, 3, 1))
 
     def test_vertex_cap_is_checked_before_corrections_are_built(self, A5m):
-        # 2 * 60^3 vertices over a cap of 10^5: the cap refuses before C
-        # is enumerated (an eager C at eta = 5 would hold 60^5 tuples)
+        # 2 * 60^3 vertices over a cap of 10^5: the cap refuses before
+        # the digits of C are built (at eta = 5 they would hold 60^5 rows)
         _, table = delta_Lt(A5m, 2)
         builder = CrownGraphBuilder(A5m, 2, 3, table=table)
         assert builder.size == 60 ** 3
         with caps(max_elements=10**5), pytest.raises(CapExceededError):
             builder.class_graph()
-        assert "corrections" not in vars(builder)
+        assert "digits" not in vars(builder)
         with caps(max_elements=10**5), pytest.raises(CapExceededError):
             weak_connectivity(A5m, 2, 3, table=table)
         # the sampled check reads C too, so it obeys the same cap

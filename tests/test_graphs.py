@@ -26,6 +26,7 @@ from oracles import (
     build_delta_d,
     build_gamma_d,
     components,
+    conj,
     edge_witness,
     element_dot,
     is_edge_d,
@@ -301,7 +302,7 @@ class TestConjugationInvariance:
             for v, p in enumerate(delta.labels):
                 x = ct.index[p.images]
                 for z in range(ct.n):
-                    w = pos.get(ct.conj(x, z))
+                    w = pos.get(conj(ct, x, z))
                     assert w is not None and comps.ids[w] == comps.ids[v]
 
 

@@ -34,6 +34,7 @@ from oracles import (
     brute_maximal_subgroups,
     brute_non_generators,
     brute_normal_subgroups,
+    conj,
     permutation_normal_subgroups,
 )
 
@@ -270,7 +271,7 @@ class TestFrattini:
         for sid in reg.subgroup_class_reps():
             H = reg.members[sid]
             want = [g for g in range(ct.n)
-                    if frozenset(ct.conj(x, g) for x in H) == H]
+                    if frozenset(conj(ct, x, g) for x in H) == H]
             assert reg.normaliser(sid) == want
 
     @pytest.mark.parametrize("group_id", UP_TO_720)

@@ -216,6 +216,20 @@ def test_oracles_do_not_use_the_cln_kernel():
     assert name_uses(ORACLES.read_text(), "cln_witness") == []
 
 
+# ``oracles.crown_edge`` and ``pairwise_weak_connectivity`` are the
+# references for the crown-graph builder: they build their corrections
+# from ``socle_indices``, complete edges by ``ClosureOracle`` and check
+# rows by their own loop, so they read none of the builder's internals.
+
+CROWN_INTERNALS = ("_completes", "_exhaustive_report", "corrections",
+                   "digits")
+
+
+@pytest.mark.parametrize("name", CROWN_INTERNALS)
+def test_oracles_do_not_use_the_crown_builder_internals(name):
+    assert name_uses(ORACLES.read_text(), name) == []
+
+
 # ``oracles.pairwise_columns_generate`` is the reference for
 # ``crown_powers.columns_generate``.
 
