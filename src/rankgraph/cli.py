@@ -43,14 +43,14 @@ from . import verify
 
 
 def _entries(args):
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return cat.load_catalog(args.catalog)
     return cat.default_catalog()
 
 
 def _entry(args, group_id: str):
     """One entry by id; without --catalog only that entry is built."""
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return cat.find_entry(cat.load_catalog(args.catalog), group_id)
     return cat.builtin_entry(group_id)
 
@@ -290,15 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--catalog", help="catalog JSON (default: builders)")
-        p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--out", help="write JSON output here")
-        p.add_argument("--cap-elements", type=_positive_int,
-                       help="override the element enumeration cap")
+    # the shared flags; each subcommand takes only those it reads
+    shared = {
+        "--catalog": dict(help="catalog JSON (default: builders)"),
+        "--seed": dict(type=int, default=42),
+        "--out": dict(help="write JSON output here"),
+        "--cap-elements": dict(type=_positive_int,
+                               help="override the element enumeration cap"),
+    }
+
+    def common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("analyze", help="analyze one group's graph")
-    common(p)
+    common(p, "--catalog", "--out", "--cap-elements")
     p.add_argument("--group", required=True)
     p.add_argument("--graph", choices=["rank", "generating", "gamma"],
                    default="rank")
@@ -308,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sweep", help="connectivity sweep over the catalog")
-    common(p)
+    common(p, "--catalog", "--seed", "--out", "--cap-elements")
     p.add_argument("--max-order", type=_positive_int, default=500)
     p.add_argument("--d-policy", choices=["default", "theorem", "conjecture"],
                    default="default")
@@ -321,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("crown", help="crown-based power checks")
-    common(p)
+    common(p, "--catalog", "--seed", "--out", "--cap-elements")
     p.add_argument("--L", required=True, help="catalog id of the base group")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--eta", type=_positive_int, default=1)
@@ -334,21 +340,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_crown)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    common(p)
+    common(p, "--seed", "--out", "--cap-elements")
     p.add_argument("--lemma", required=True,
                    help="suite id, or 'all' for every suite in turn")
     p.add_argument("--params", help="JSON dict of verifier parameters")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("export-dot", help="write a graph as DOT")
-    common(p)
+    common(p, "--catalog", "--out", "--cap-elements")
     p.add_argument("--group", required=True)
     p.add_argument("--graph", choices=["rank", "gamma"], default="rank")
     p.add_argument("--d", type=int)
     p.set_defaults(fn=cmd_export_dot)
 
+    # catalogs are read at the default element cap
     p = sub.add_parser("catalog", help="list or export a catalog")
-    common(p)
+    common(p, "--catalog", "--out")
     p.add_argument("--max-order", type=_positive_int)
     p.set_defaults(fn=cmd_catalog)
 
@@ -362,8 +369,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as e:
         # argparse exits 2 on usage errors already; version/help exit 0
         return int(e.code or 0)
-    cap = {} if args.cap_elements is None else \
-        {"max_elements": args.cap_elements}
+    cap_elements = getattr(args, "cap_elements", None)
+    cap = {} if cap_elements is None else {"max_elements": cap_elements}
     try:
         with caps(**cap):
             return args.fn(args)

@@ -162,7 +162,7 @@ class SubgroupRegistry:
         mapped through the generators' conjugation rows, in the order
         found (breadth first from ``members``)."""
         ct = self.ct
-        rows = [ct.conj_row(g).__getitem__ for g in ct.gen_indices]
+        rows = [row.__getitem__ for row in ct.conj_rows]
         orbit = [members]
         found = {members}
         for s in orbit:  # grows while it is read
@@ -238,8 +238,8 @@ class SubgroupRegistry:
             orbit = self.conjugates(members)
             if len(orbit) == 1:  # normal: the generators of G fix H
                 N = None
-                bad = any(ct.conj_row(g)[h] not in members
-                          for g in ct.gen_indices for h in self.gens[sid])
+                bad = any(row[h] not in members
+                          for row in ct.conj_rows for h in self.gens[sid])
             else:
                 N = self.normaliser(sid)
                 bad = len(orbit) * len(N) != ct.n

@@ -5,7 +5,8 @@ Conventions, fixed once and used everywhere:
 * Points are 0-based; a permutation of degree n acts on {0, ..., n-1}.
 * Products compose left to right: ``(p * q)(i) == q(p(i))``, so in a word
   ``g1 * g2`` the factor ``g1`` acts first.
-* Conjugation follows the same convention: ``x ** g == g.inverse() * x * g``.
+* Conjugation follows the same convention:
+  ``x.conjugate(g) == g.inverse() * x * g``.
 * Element enumeration is deterministic: elements are ordered
   lexicographically by their image tuples (the identity always comes
   first), so vertex indices, orbit representatives and reports are
@@ -152,7 +153,7 @@ class Permutation:
         return result
 
     def conjugate(self, z: "Permutation") -> "Permutation":
-        """self ** z == z^-1 * self * z."""
+        """self.conjugate(z) == z^-1 * self * z."""
         return z.inverse() * self * z
 
     def commutator(self, other: "Permutation") -> "Permutation":
@@ -675,6 +676,16 @@ class CayleyTable:
     bytes, read whole by the numpy kernels.  ``table`` holds its rows as
     ``memoryview``s, so Python kernels index ``table[x][q]`` without a
     copy.  ``uint16`` holds the indices of groups of order up to 65,536.
+
+    Every invariant is set at construction, as a plain attribute:
+    ``order_of`` and ``cyclic_id`` (per element, the id of the cyclic
+    subgroup it generates; ids run densely from 0, in the order of each
+    subgroup's least generator) come from one walk over the powers of
+    each cyclic subgroup; ``conj_rows`` holds, per entry of
+    ``gen_indices``, the index of g^-1 * x * g for every x; ``classes``
+    (sorted member tuples, in order of their least element) and
+    ``class_id`` come from the ``bfs_tree`` of each class over
+    ``conj_rows``.
     """
 
     def __init__(self, G: PermutationGroup):
@@ -717,86 +728,39 @@ class CayleyTable:
         for q, p, k in zip(order[1:], parent[1:], gen[1:]):
             inv[q] = table[inv[p]][gen_inv[k]]
 
-        # element orders
-        self.order_of = [0] * n
+        # One walk per cyclic subgroup, from its least generator i: the
+        # powers i, i^2, ..., 1 number k = |i|, i^j has order
+        # k / gcd(j, k), and it generates <i> iff that order is k.
+        self.order_of = order_of = [0] * n
+        self.cyclic_id = cyclic_id = [-1] * n
+        cid = 0
         for i in range(n):
-            k, x = 1, i
-            while x != self.identity:
-                x = self.table[x][i]
-                k += 1
-            self.order_of[i] = k
+            if cyclic_id[i] >= 0:
+                continue
+            powers = [i]
+            while powers[-1] != self.identity:
+                powers.append(table[powers[-1]][i])
+            k = len(powers)
+            for j, x in enumerate(powers, 1):
+                order_of[x] = k // math.gcd(j, k)
+                if order_of[x] == k:
+                    cyclic_id[x] = cid
+            cid += 1
 
-        self._cyclic_id = None
-        self._class_id = None
-        self._classes = None
-        self._conj_rows = {}
-
-    # -- cyclic subgroups ---------------------------------------------------
-
-    @property
-    def cyclic_id(self) -> list:
-        """Per element, the id of the cyclic subgroup it generates.  Ids
-        run densely from 0, in the order of each subgroup's least
-        generator."""
-        if self._cyclic_id is None:
-            cyc_id = [-1] * self.n
-            cid = 0
-            for i in range(self.n):
-                if cyc_id[i] >= 0:
-                    continue
-                k = self.order_of[i]
-                x = i
-                for _ in range(k):  # x runs over the powers of i
-                    if self.order_of[x] == k:
-                        cyc_id[x] = cid
-                    x = self.table[x][i]
-                cid += 1
-            self._cyclic_id = cyc_id
-        return self._cyclic_id
-
-    # -- conjugacy ------------------------------------------------------------
-
-    def _build_classes(self):
-        """Classes in order of their least element: the class of x is
-        the tree of x under conjugation by the generators."""
-        class_id = [-1] * self.n
-        classes = []
-        rows = [self.conj_row(g) for g in self.gen_indices]
-        for i in range(self.n):
+        self.conj_rows = [[table[y][g] for y in table[inv[g]]] for g in gens]
+        self.class_id = class_id = [-1] * n
+        self.classes = classes = []
+        for i in range(n):
             if class_id[i] < 0:
-                members = bfs_tree(self.n, rows, i)[0]
+                members = bfs_tree(n, self.conj_rows, i)[0]
                 for x in members:
                     class_id[x] = len(classes)
                 classes.append(tuple(sorted(members)))
-        self._class_id = class_id
-        self._classes = classes
-
-    @property
-    def class_id(self) -> list:
-        if self._class_id is None:
-            self._build_classes()
-        return self._class_id
-
-    @property
-    def classes(self) -> list:
-        if self._classes is None:
-            self._build_classes()
-        return self._classes
 
     def class_size(self, x: int) -> int:
         return len(self.classes[self.class_id[x]])
 
     # -- helpers ----------------------------------------------------------------
-
-    def conj_row(self, g: int) -> list:
-        """The index of g^-1 * x * g for every index x, as one list,
-        cached per g."""
-        row = self._conj_rows.get(g)
-        if row is None:
-            table = self.table
-            row = self._conj_rows[g] = [table[y][g]
-                                        for y in table[self.inv[g]]]
-        return row
 
     def perm(self, i: int) -> Permutation:
         return self.elements[i]

@@ -17,7 +17,8 @@ every fingerprint-compatible image tuple of a minimal generating
 sequence, where the search tries one tuple per class of tuples under
 inner automorphisms, and ``inner_automorphisms`` builds Inn(G) from
 conjugation by the generators; ``conj`` conjugates one element index by
-table reads, where the library reads whole ``conj_row`` lists.
+table reads, where the library reads the generators' ``conj_rows``,
+built with the table.
 ``isomorphism`` tries every tuple of
 equal-order images of a ``min_rank`` witness, extended breadth first on
 the Cayley table and checked by ``is_homomorphism``; it shares no code

@@ -395,6 +395,26 @@ class TestCLI:
     def test_usage_error_exit_2(self):
         assert cli_main(["analyze", "--group", "A5", "--no-such-flag"]) == 2
 
+    # each flag a subcommand does not read is refused, not ignored
+    @pytest.mark.parametrize("argv, flag", [
+        (["verify", "--lemma", "frat"], ["--catalog", "{tmp}/none.json"]),
+        (["analyze", "--group", "S3", "--d", "2"], ["--seed", "1"]),
+        (["export-dot", "--group", "S3", "--d", "2",
+          "--out", "{tmp}/x.dot"], ["--seed", "1"]),
+        (["catalog"], ["--seed", "1"]),
+        (["catalog", "--max-order", "30"], ["--cap-elements", "1"])],
+        ids=["verify-catalog", "analyze-seed", "export-dot-seed",
+             "catalog-seed", "catalog-cap-elements"])
+    def test_flag_the_command_does_not_read_is_a_usage_error(
+            self, tmp_path, capsys, argv, flag):
+        argv, flag = ([a.replace("{tmp}", str(tmp_path)) for a in args]
+                      for args in (argv, flag))
+        assert cli_main(argv + flag) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_group_exit_2(self):
         assert cli_main(["analyze", "--group", "Nope", "--d", "2"]) == 2
 

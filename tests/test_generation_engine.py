@@ -108,8 +108,9 @@ def test_gaschutz_lift_matches_closure_oracle(group_id):
     assert checked >= 6
 
 
+# PSL(2,8) has 73 maximal subgroups, so its masks span two uint64 words
 @pytest.mark.parametrize("group_id", ["S4", "A5", "PSL(2,7)", "S3xS3",
-                                      "Dih12"])
+                                      "Dih12", "PSL(2,8)"])
 def test_generating_tuples_match_closure_oracle(group_id):
     # seeded unsorted cells of arbitrary elements, searched from the
     # default mask or from the mask of a seeded start subset; the tuples

@@ -441,11 +441,22 @@ class TestCayleyTable:
         assert ct.classes == classes
         assert all(ct.class_id[x] == k for k, c in enumerate(ct.classes)
                    for x in c)
+        # orders against the cycle-lcm order, and the cyclic ids against
+        # brute cyclic subgroups: one id per subgroup, numbered in the
+        # order of each subgroup's least generator
+        assert ct.order_of == [p.order() for p in ct.elements]
+        cyclic = [frozenset(brute_closure(G.degree, [p]))
+                  for p in ct.elements]
+        ids = {}
+        for c in cyclic:
+            ids.setdefault(c, len(ids))
+        assert ct.cyclic_id == [ids[c] for c in cyclic]
 
     def test_conj_row(self, S4):
         ct = S4.cayley_table()
-        for g in range(ct.n):
-            assert ct.conj_row(g) == [conj(ct, x, g) for x in range(ct.n)]
+        assert len(ct.conj_rows) == len(ct.gen_indices)
+        for g, row in zip(ct.gen_indices, ct.conj_rows):
+            assert row == [conj(ct, x, g) for x in range(ct.n)]
 
     def test_coset_labels_of_a_non_normal_subgroup(self, S4):
         # the S3 fixing point 3 is not normal in S4; each element is
