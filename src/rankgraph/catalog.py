@@ -287,7 +287,7 @@ def pgl2(q: int) -> CatalogEntry:
 def crown_power_entry(base: CatalogEntry, k: int) -> CatalogEntry:
     """The crown-based power (base)_k of a monolithic catalog entry."""
     from .crown_powers import MonolithicGroup, build_crown_power
-    mono = MonolithicGroup.from_group(base.group())
+    mono = MonolithicGroup(base.group())
     cp = build_crown_power(mono, k)
     gens = [list(g.images) for g in cp.generators]
     return CatalogEntry(f"Crown({base.id},{k})", cp.degree, gens,

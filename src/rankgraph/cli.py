@@ -187,7 +187,7 @@ def cmd_crown(args) -> int:
     )
     entry = _entry(args, args.L)
     with _open_out(args.out) as out:
-        mono = MonolithicGroup.from_group(entry.group())
+        mono = MonolithicGroup(entry.group())
         t0 = time.perf_counter()
         if args.check == "delta":
             delta, table = delta_Lt(mono, args.t, verify=args.verify_witness)
@@ -294,17 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "--catalog": dict(help="catalog JSON (default: builders)"),
         "--seed": dict(type=int, default=42),
-        "--out": dict(help="write JSON output here"),
         "--cap-elements": dict(type=_positive_int,
                                help="override the element enumeration cap"),
     }
 
-    def common(p, *flags):
+    def common(p, *flags, out):
         for flag in flags:
             p.add_argument(flag, **shared[flag])
+        p.add_argument("--out", help=out)
 
     p = sub.add_parser("analyze", help="analyze one group's graph")
-    common(p, "--catalog", "--out", "--cap-elements")
+    common(p, "--catalog", "--cap-elements",
+           out="write the graph statistics here as one JSON object")
     p.add_argument("--group", required=True)
     p.add_argument("--graph", choices=["rank", "generating", "gamma"],
                    default="rank")
@@ -314,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("sweep", help="connectivity sweep over the catalog")
-    common(p, "--catalog", "--seed", "--out", "--cap-elements")
+    common(p, "--catalog", "--seed", "--cap-elements",
+           out="write the records here as JSON lines, which --resume reads")
     p.add_argument("--max-order", type=_positive_int, default=500)
     p.add_argument("--d-policy", choices=["default", "theorem", "conjecture"],
                    default="default")
@@ -327,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("crown", help="crown-based power checks")
-    common(p, "--catalog", "--seed", "--out", "--cap-elements")
+    common(p, "--catalog", "--seed", "--cap-elements",
+           out="write the result here as one JSON object")
     p.add_argument("--L", required=True, help="catalog id of the base group")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--eta", type=_positive_int, default=1)
@@ -340,14 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_crown)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    common(p, "--seed", "--out", "--cap-elements")
+    common(p, "--seed", "--cap-elements",
+           out="write the report here as JSON (a list for --lemma all)")
     p.add_argument("--lemma", required=True,
                    help="suite id, or 'all' for every suite in turn")
     p.add_argument("--params", help="JSON dict of verifier parameters")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("export-dot", help="write a graph as DOT")
-    common(p, "--catalog", "--out", "--cap-elements")
+    common(p, "--catalog", "--cap-elements",
+           out="write the graph here in DOT (required)")
     p.add_argument("--group", required=True)
     p.add_argument("--graph", choices=["rank", "gamma"], default="rank")
     p.add_argument("--d", type=int)
@@ -355,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # catalogs are read at the default element cap
     p = sub.add_parser("catalog", help="list or export a catalog")
-    common(p, "--catalog", "--out")
+    common(p, "--catalog", out="write the catalog here as catalog JSON")
     p.add_argument("--max-order", type=_positive_int)
     p.set_defaults(fn=cmd_catalog)
 

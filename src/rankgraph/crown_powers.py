@@ -71,27 +71,39 @@ from .graphs import component_labels
 # monolithic groups
 
 
-@dataclass
+def _is_index(z, n: int) -> bool:
+    """Is z an integer, not a bool, in 0..n-1?"""
+    return (type(z) is int or isinstance(z, np.integer)) and 0 <= z < n
+
+
 class MonolithicGroup:
     """A group with its unique minimal normal subgroup (the socle).
 
-    The index data below (socle, its mask and coset labels, Aut(L), X and
-    the orbit labels) is built on first use and kept on the instance.
+    Set at construction: ``socle_indices`` (ascending), ``coset_labels``
+    (the least element index of c N per element c), ``socle_mask``,
+    ``socle_positions`` (in ``socle_indices``; -1 outside the socle) and
+    ``socle_bfs_order`` (by word length in the socle generators).  Aut(L),
+    X and the X-orbit labels come from the Aut search, built on first use.
     """
 
-    group: PermutationGroup
-    socle: PermutationGroup
-    socle_abelian: bool
-
-    @classmethod
-    def from_group(cls, L: PermutationGroup) -> "MonolithicGroup":
+    def __init__(self, L: PermutationGroup):
         minimals = normal_subgroups(L).minimal_normals
         if len(minimals) != 1:
             raise GroupArgumentError(
                 f"group is not monolithic: {len(minimals)} minimal normal "
                 "subgroups")
-        N = minimals[0]
-        return cls(L, N, N.is_abelian())
+        self.group = L
+        self.socle = N = minimals[0]
+        self.socle_abelian = N.is_abelian()
+        ct = self.ct()
+        self.socle_indices = tuple(ct.indices(N.elements()))
+        self.coset_labels = ct.coset_labels(self.socle_indices)
+        self.socle_mask = self.coset_labels == ct.identity
+        self.socle_positions = [-1] * ct.n
+        for p, x in enumerate(self.socle_indices):
+            self.socle_positions[x] = p
+        cols = [ct.array[:, g].tolist() for g in ct.indices(N.generators)]
+        self.socle_bfs_order = bfs_tree(ct.n, cols, ct.identity)[0]
 
     @property
     def quotient_order(self) -> int:
@@ -107,36 +119,12 @@ class MonolithicGroup:
     def ct(self):
         return self.group.cayley_table()
 
-    @cached_property
-    def socle_indices(self) -> tuple:
-        """Element indices of the socle, ascending."""
-        return tuple(self.ct().indices(self.socle.elements()))
-
-    @cached_property
-    def coset_labels(self) -> np.ndarray:
-        """Per element index c, the least element index of c N."""
-        return self.ct().coset_labels(self.socle_indices)
-
-    @cached_property
-    def socle_mask(self) -> np.ndarray:
-        """True on the socle: the coset labelled by the identity (index 0)."""
-        return self.coset_labels == self.ct().identity
-
-    @cached_property
-    def socle_positions(self) -> list:
-        """Per element index, its position in ``socle_indices``; -1
-        outside the socle."""
-        pos = [-1] * self.ct().n
-        for p, x in enumerate(self.socle_indices):
-            pos[x] = p
-        return pos
-
     def correction_code(self, entries) -> int:
         """The socle positions of ``entries`` read as one base-|N| number;
         ``PreconditionError`` for an entry not a socle element index."""
         pos, size, code = self.socle_positions, len(self.socle_indices), 0
         for x in entries:
-            if not 0 <= x < len(pos) or pos[x] < 0:
+            if not _is_index(x, len(pos)) or pos[x] < 0:
                 raise PreconditionError(f"{x} is not a socle element index")
             code = code * size + pos[x]
         return code
@@ -145,15 +133,6 @@ class MonolithicGroup:
         """Sorted element indices of the coset x N (= N x, N is normal)."""
         labels = self.coset_labels
         return np.flatnonzero(labels == labels[x]).tolist()
-
-    @cached_property
-    def socle_bfs_order(self) -> list:
-        """Socle elements ordered by word length in the socle generators:
-        the ``bfs_tree`` of their table columns."""
-        ct = self.ct()
-        cols = [ct.array[:, g].tolist()
-                for g in ct.indices(self.socle.generators)]
-        return bfs_tree(ct.n, cols, ct.identity)[0]
 
     @cached_property
     def aut(self) -> np.ndarray:
@@ -258,8 +237,13 @@ def square_order(ct, pairs: Sequence[tuple], target: int = 0,
     bound is returned, so the result is at least ``target`` exactly when
     |H| is.  The edges depend only on the first coordinates: a caller's
     ``trees`` dict keeps them per tuple (x_1, x_2, ...) across calls.
+    An entry that is not an element index raises ``PreconditionError``.
     """
     tbl, inv, n, e = ct.table, ct.inv, ct.n, ct.identity
+    for x, y in pairs:
+        if not (_is_index(x, n) and _is_index(y, n)):
+            raise PreconditionError(
+                f"pairs must be element indices of the group, 0 to {n - 1}")
     xs = tuple(x for x, _ in pairs)
     tree = None if trees is None else trees.get(xs)
     if tree is None:
@@ -584,11 +568,15 @@ class CrownGraphBuilder:
             raise GroupArgumentError(
                 "orbit table required for eta > 1 edge tests")
         self._complete_memo: dict = {}
-        self._class_graph = None
 
     def rank(self, row: int, correction: tuple) -> int:
-        """The rank of the vertex a_row . correction.
-        ``PreconditionError`` for an entry outside the socle."""
+        """The rank of the vertex a_row . correction: ``PreconditionError``
+        for a row not in 0..t-1 or an entry outside the socle,
+        ``GroupArgumentError`` for a correction whose length is not eta."""
+        if not _is_index(row, self.t):
+            raise PreconditionError(f"row must be in 0 to {self.t - 1}")
+        if len(correction) != self.eta:
+            raise GroupArgumentError(f"tuple length is not eta = {self.eta}")
         return row * self.size + self.L.correction_code(correction)
 
     @cached_property
@@ -615,35 +603,33 @@ class CrownGraphBuilder:
                 for p in self.digits.ravel().tolist()]
 
     def class_graph(self) -> tuple:
-        """The graph on class nodes: (node_of, adj), built once.
+        """The graph on class nodes: (node_of, adj).
 
         Nodes are numbered row by row, each row's keys in the order of
         their first vertex; ``node_of[r]`` is the node of the vertex of
         rank r and ``adj`` the boolean node adjacency, filled by
         ``_row_block`` for each pair of rows.
         """
-        if self._class_graph is None:
-            node_of = []
-            keys = []
-            offsets = [0]
-            for i in range(self.t):
-                row_keys: dict = {}
-                for key in self.keys(i):
-                    node_of.append(offsets[-1] + row_keys.setdefault(
-                        key, len(row_keys)))
-                keys.append(list(row_keys))
-                offsets.append(offsets[-1] + len(row_keys))
-            node_of = np.array(node_of, dtype=np.intp)
-            adj = np.zeros((offsets[-1], offsets[-1]), dtype=bool)
-            for i in range(self.t):
-                for j in range(i + 1, self.t):
-                    block = self._row_block(i, j, keys[i], keys[j])
-                    adj[offsets[i]:offsets[i + 1],
-                        offsets[j]:offsets[j + 1]] = block
-                    adj[offsets[j]:offsets[j + 1],
-                        offsets[i]:offsets[i + 1]] = block.T
-            self._class_graph = node_of, adj
-        return self._class_graph
+        node_of = []
+        keys = []
+        offsets = [0]
+        for i in range(self.t):
+            row_keys: dict = {}
+            for key in self.keys(i):
+                node_of.append(offsets[-1] + row_keys.setdefault(
+                    key, len(row_keys)))
+            keys.append(list(row_keys))
+            offsets.append(offsets[-1] + len(row_keys))
+        node_of = np.array(node_of, dtype=np.intp)
+        adj = np.zeros((offsets[-1], offsets[-1]), dtype=bool)
+        for i in range(self.t):
+            for j in range(i + 1, self.t):
+                block = self._row_block(i, j, keys[i], keys[j])
+                adj[offsets[i]:offsets[i + 1],
+                    offsets[j]:offsets[j + 1]] = block
+                adj[offsets[j]:offsets[j + 1],
+                    offsets[i]:offsets[i + 1]] = block.T
+        return node_of, adj
 
     def _row_block(self, i: int, j: int, left: list, right: list):
         """The boolean edge block between row-i vertices with the keys
@@ -690,9 +676,11 @@ class CrownGraphBuilder:
         return block
 
     def conjugate(self, r: int, m: tuple) -> int:
-        """The rank of (a_i . c)^m for the vertex r = (i, c), m in N^eta."""
+        """The rank of (a_i . c)^m for the vertex r = (i, c), m in N^eta;
+        ``rank(i, m)``'s errors for an r or an m it refuses."""
         tbl, inv = self.ct.table, self.ct.inv
         i, k = divmod(r, self.size)
+        self.rank(i, m)  # refuses an r or an m that names no vertex
         ai = self.a[i]
         ac = [tbl[ai][self.socle[p]] for p in self.digits[k].tolist()]
         # a_i^-1 u^-1 (a_i c) u, coordinate by coordinate
@@ -891,12 +879,17 @@ def meet_is_single_block(table: OrbitTable,
     the meet is the finest common coarsening: positions are linked when
     they agree in some row, and the meet is one block iff the link graph
     is connected.  Columns default to the complete orbit-representative
-    system (the reference matrix for L_delta).
+    system (the reference matrix for L_delta).  ``GroupArgumentError``
+    for a column whose length is not t, ``PreconditionError`` for an
+    entry that is not an element index.
     """
     if columns is None:
         columns = table.reps
-    labels = np.asarray(table.mono.element_orbit_labels)[
-        np.array(columns, dtype=np.intp)]
+    if any(len(col) != table.t for col in columns):
+        raise GroupArgumentError(f"columns must have t = {table.t} entries")
+    entries = table.mono.ct().check_indices(
+        [x for col in columns for x in col], "column entries")
+    labels = table.mono.element_orbit_labels[entries.reshape(-1, table.t)]
     linked = np.zeros((len(columns), len(columns)), dtype=bool)
     for row in labels.T:
         linked |= row[:, None] == row

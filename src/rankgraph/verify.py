@@ -81,7 +81,7 @@ class VerifyReport:
 
 
 def _mono(entry_id: str) -> MonolithicGroup:
-    return MonolithicGroup.from_group(cat.builtin_entry(entry_id).group())
+    return MonolithicGroup(cat.builtin_entry(entry_id).group())
 
 
 # ---------------------------------------------------------------------------

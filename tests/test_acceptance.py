@@ -165,7 +165,7 @@ def test_criterion_7_orbit_criterion_equivalence():
 def test_criterion_8_delta_a5_nineteen():
     """delta(A5, 2) = 19 by orbit count; witness generates the k = 19 power."""
     t0 = time.perf_counter()
-    A5 = MonolithicGroup.from_group(
+    A5 = MonolithicGroup(
         find_entry(default_catalog(), "A5").group())
     delta, table = delta_Lt(A5, 2, verify=True)
     crown = build_crown_power(A5, delta)

@@ -117,7 +117,7 @@ class TestAutomorphismGroup:
         closure = brute_closure(aut.shape[1], row_generators(aut))
         assert [tuple(row) for row in aut.tolist()] == sorted(closure)
         assert len(aut) == aut_order
-        assert len(MonolithicGroup.from_group(L).x_group) == x_order
+        assert len(MonolithicGroup(L).x_group) == x_order
 
     def test_closure_check_catches_a_missing_map(self, A5, monkeypatch):
         # with one inner automorphism dropped the maps are still pairwise
@@ -258,12 +258,12 @@ class TestAutomorphismGroup:
 
 class TestXSubgroup:
     def test_simple_socle_gives_full_aut(self, A5):
-        mono = MonolithicGroup.from_group(A5)
+        mono = MonolithicGroup(A5)
         X = x_subgroup(mono)
         assert len(X) == len(automorphism_group(A5))
 
     def test_s5_contains_inner(self, S5):
-        mono = MonolithicGroup.from_group(S5)
+        mono = MonolithicGroup(S5)
         X = x_subgroup(mono)
         assert len(X) >= 1
         # inner automorphisms preserve cosets of a normal subgroup
@@ -272,7 +272,7 @@ class TestXSubgroup:
                    for p in inner_automorphisms(S5).elements())
 
     def test_coset_displacement_lies_in_socle(self, S5):
-        mono = MonolithicGroup.from_group(S5)
+        mono = MonolithicGroup(S5)
         X = x_subgroup(mono)
         ct = S5.cayley_table()
         N = mono.socle
@@ -287,7 +287,7 @@ class TestXSubgroup:
     def test_rows_are_the_aut_rows_fixing_every_coset(self, entry, x_order):
         # gamma lies in X iff l^-1 gamma(l) lies in the socle for every
         # element l, read from the socle's own element list
-        mono = MonolithicGroup.from_group(entry.group())
+        mono = MonolithicGroup(entry.group())
         ct = mono.ct()
         in_socle = np.zeros(ct.n, dtype=bool)
         in_socle[ct.indices(mono.socle.elements())] = True
@@ -411,7 +411,7 @@ def orbit_case(case: str) -> tuple:
     if case.endswith("Omega"):
         entry = {"A5": alternating(5), "PSL(2,7)": psl2(7),
                  "S5": symmetric(5)}[case.split()[0]]
-        mono = MonolithicGroup.from_group(entry.group())
+        mono = MonolithicGroup(entry.group())
         X = mono.x_group
         tuples = list(map(tuple, delta_Lt(mono, 2)[1].tuples.tolist()))
     elif case == "Aut(A5) on A5":

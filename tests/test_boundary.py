@@ -17,7 +17,9 @@ from rankgraph.crown_powers import (
     delta_Lt,
     delu_fraction,
     generation_via_orbits,
+    meet_is_single_block,
     omega_table,
+    square_order,
     unico_rank_check,
     weak_connectivity,
 )
@@ -51,12 +53,17 @@ def V4(A4):
 
 @pytest.fixture(scope="module")
 def A5m(A5):
-    return MonolithicGroup.from_group(A5)
+    return MonolithicGroup(A5)
 
 
 @pytest.fixture(scope="module")
 def S5m(S5):
-    return MonolithicGroup.from_group(S5)
+    return MonolithicGroup(S5)
+
+
+@pytest.fixture(scope="module")
+def A5_table2(A5m):
+    return delta_Lt(A5m, 2)[1]
 
 
 class TestIndices:
@@ -197,6 +204,83 @@ class TestElementIndexInputs:
                                match=f"^{x} is not a socle element index$"):
                 generation_via_orbits(table, [(socle_[1],), (x,)])
 
+    def test_meet_is_single_block(self, A5m, A5_table2):
+        assert meet_is_single_block(A5_table2, [(0, 1), (0, 2)])
+        for x in bad_indices(A5m):
+            with pytest.raises(PreconditionError,
+                               match="column entries must be element"):
+                meet_is_single_block(A5_table2, [(x, 0), (1, 2)])
+
+    def test_square_order(self, A5m):
+        ct = A5m.ct()
+        assert square_order(ct, [(59, 3), (5, 58)]) == 600
+        for pairs in ([(-1, 3), (5, -2)], [(59, -1)], [(600, 3)],
+                      [(1, 2), (3, 60)]):
+            with pytest.raises(PreconditionError,
+                               match="pairs must be element"):
+                square_order(ct, pairs)
+
+
+class TestCrownVertexInputs:
+    """A row, rank or tuple of the wrong size names no vertex of the
+    crown graph: A5, t = 2, eta = 2."""
+
+    @pytest.fixture(scope="class")
+    def builder(self, A5m, A5_table2):
+        return CrownGraphBuilder(A5m, 2, 2, table=A5_table2)
+
+    @pytest.mark.parametrize("row", [-1, 2, 7, True, 0.5])
+    def test_rank_refuses_a_row_outside_the_graph(self, builder, A5m, row):
+        s = A5m.socle_indices
+        assert builder.rank(1, (s[0], s[1])) == builder.size + 1
+        with pytest.raises(PreconditionError, match="row must be in 0 to 1"):
+            builder.rank(row, (s[0], s[1]))
+
+    @pytest.mark.parametrize("length", [0, 1, 3])
+    def test_rank_refuses_a_correction_of_another_length(
+            self, builder, A5m, length):
+        s = A5m.socle_indices
+        with pytest.raises(GroupArgumentError,
+                           match="^tuple length is not eta = 2$") as raised:
+            builder.rank(0, tuple(s[1:1 + length]))
+        assert not isinstance(raised.value, PreconditionError)
+
+    @pytest.mark.parametrize("length", [1, 3])
+    def test_conjugate_refuses_a_conjugator_of_another_length(
+            self, builder, A5m, length):
+        s = A5m.socle_indices
+        with pytest.raises(GroupArgumentError,
+                           match="^tuple length is not eta = 2$") as raised:
+            builder.conjugate(builder.size + 5, tuple(s[2:2 + length]))
+        assert not isinstance(raised.value, PreconditionError)
+
+    @pytest.mark.parametrize("x", [-1, 60, True, 2.5])
+    def test_conjugate_refuses_an_entry_outside_the_socle(
+            self, builder, A5m, x):
+        s = A5m.socle_indices
+        with pytest.raises(PreconditionError,
+                           match="is not a socle element index$"):
+            builder.conjugate(builder.size + 5, (s[2], x))
+
+    @pytest.mark.parametrize("r", [-1, 2 * 60 ** 2, 10 ** 5])
+    def test_conjugate_refuses_a_rank_outside_the_graph(
+            self, builder, A5m, r):
+        s = A5m.socle_indices
+        last = builder.rank(1, (s[-1], s[-1]))
+        assert builder.conjugate(last, (s[0], s[0])) == last
+        with pytest.raises(PreconditionError, match="row must be in 0 to 1"):
+            builder.conjugate(r, (s[2], s[3]))
+
+    @pytest.mark.parametrize("columns", [[(0, 1, 2), (1, 2, 3)], [(0,)],
+                                         [(0, 1), (1, 2, 3)]],
+                             ids=["long", "short", "ragged"])
+    def test_meet_refuses_columns_of_another_length(self, A5_table2,
+                                                    columns):
+        with pytest.raises(GroupArgumentError,
+                           match="columns must have t = 2 entries") as raised:
+            meet_is_single_block(A5_table2, columns)
+        assert not isinstance(raised.value, PreconditionError)
+
 
 # an index of another dtype is refused, not truncated: a float 16.5 must
 # not name element 16, nor True element 1
@@ -237,3 +321,17 @@ class TestNonIntegerIndices:
     def test_cln_witness(self, A5m, kind):
         with pytest.raises(PreconditionError, match="rows must be element"):
             cln_witness(A5m, [not_an_index(0, kind), 2])
+
+    def test_meet_is_single_block(self, A5_table2, kind):
+        with pytest.raises(PreconditionError,
+                           match="column entries must be element"):
+            meet_is_single_block(A5_table2, [(not_an_index(16, kind), 0),
+                                             (1, 2)])
+
+    def test_square_order(self, A5m, kind):
+        ct = A5m.ct()
+        for pairs in ([(not_an_index(16, kind), 3)],
+                      [(1, 2), (3, not_an_index(16, kind))]):
+            with pytest.raises(PreconditionError,
+                               match="pairs must be element"):
+                square_order(ct, pairs)

@@ -84,7 +84,7 @@ def test_search_cap_bounds_the_aut_search_cells():
 def test_omega_search_cap_comes_before_the_lattice(monkeypatch):
     # a fresh A5: the cap refuses |N|^2 = 3600 tuples before any maximal
     # subgroup is searched for
-    L = MonolithicGroup.from_group(alternating(5).group())
+    L = MonolithicGroup(alternating(5).group())
     ct = L.ct()
     a = [ct.index[g.images] for g in L.group.generators]
     assert len(a) == 2
@@ -106,7 +106,7 @@ def test_omega_search_cap_comes_before_the_lattice(monkeypatch):
 
 
 def test_density_search_cap():
-    L = MonolithicGroup.from_group(alternating(5).group())
+    L = MonolithicGroup(alternating(5).group())
     l, b1 = min_rank(L.group).witness
     with caps(max_search_space=3599), pytest.raises(
             CapExceededError,

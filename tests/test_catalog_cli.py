@@ -415,6 +415,29 @@ class TestCLI:
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
         assert list(tmp_path.iterdir()) == []
 
+    # each subcommand's --out help says what it writes there
+    @pytest.mark.parametrize("command, says", [
+        ("analyze", "as one JSON object"),
+        ("sweep", "as JSON lines, which --resume reads"),
+        ("crown", "as one JSON object"),
+        ("verify", "as JSON (a list for --lemma all)"),
+        ("export-dot", "in DOT"),
+        ("catalog", "as catalog JSON")])
+    def test_out_help_names_what_is_written(self, capsys, command, says):
+        assert cli_main([command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(k for k, line in enumerate(lines)
+                     if line.lstrip().startswith("--out OUT"))
+        text = [lines[start].split("--out OUT", 1)[1]]
+        for line in lines[start + 1:]:
+            if not line.strip() or line.lstrip().startswith("-"):
+                break
+            text.append(line)
+        text = " ".join(" ".join(text).split())
+        assert says in text, text
+        if command == "export-dot":
+            assert "JSON" not in text
+
     def test_unknown_group_exit_2(self):
         assert cli_main(["analyze", "--group", "Nope", "--d", "2"]) == 2
 

@@ -82,14 +82,14 @@ WEAK_CASES = [("A5", 3, 1, False), ("S5", 3, 1, False),
                          ids=[f"{c[0]}-t{c[1]}-eta{c[2]}" + ("-sdr" * c[3])
                               for c in WEAK_CASES])
 def test_weak_connectivity_matches_vertex_pairs(gid, t, eta, sdr):
-    L = MonolithicGroup.from_group(_group(gid))
+    L = MonolithicGroup(_group(gid))
     table = delta_Lt(L, t)[1] if sdr else None
     assert dataclasses.asdict(weak_connectivity(L, t, eta, table=table)) == \
         dataclasses.asdict(pairwise_weak_connectivity(L, t, eta, table=table))
 
 
 def test_crown_graph_matches_vertex_pairs():
-    L = MonolithicGroup.from_group(_group("A5"))
+    L = MonolithicGroup(_group("A5"))
     graph = crown_graph(L, 3, 1, drop_isolated=False)
     expected = [[] for _ in graph.labels]
     for v, w in pairwise_edges(CrownGraphBuilder(L, 3, 1)):

@@ -66,12 +66,12 @@ def cyc(n, *cycles):
 
 @pytest.fixture(scope="module")
 def A5m(A5):
-    return MonolithicGroup.from_group(A5)
+    return MonolithicGroup(A5)
 
 
 @pytest.fixture(scope="module")
 def S5m(S5):
-    return MonolithicGroup.from_group(S5)
+    return MonolithicGroup(S5)
 
 
 class TestMonolithic:
@@ -87,7 +87,7 @@ class TestMonolithic:
         G = group_from_generators(6, [cyc(6, [0, 1, 2]), cyc(6, [3, 4, 5]),
                                       cyc(6, [0, 1]), cyc(6, [3, 4])])
         with pytest.raises(GroupArgumentError):
-            MonolithicGroup.from_group(G)
+            MonolithicGroup(G)
 
     def test_socle_bfs_order_is_by_word_length(self, S5m):
         ct = S5m.ct()
@@ -99,7 +99,7 @@ class TestMonolithic:
         assert [lengths[x] for x in order] == sorted(lengths.values())
 
     def test_abelian_socle_gated_for_graphs(self, S4):
-        mono = MonolithicGroup.from_group(S4)
+        mono = MonolithicGroup(S4)
         assert mono.socle_abelian
         with pytest.raises(PreconditionError):
             crown_graph(mono, 3, 1)
@@ -489,13 +489,13 @@ class TestOmegaTable:
         (symmetric(5), 2280, 19, 120)], ids=["A5", "PSL(2,7)", "S5"])
     def test_counting_identity(self, entry, omega, delta, x_order):
         # X acts freely on generating tuples: |Omega| = delta(L, 2) * |X|
-        mono = MonolithicGroup.from_group(entry.group())
+        mono = MonolithicGroup(entry.group())
         got, table = delta_Lt(mono, 2)
         assert (len(table.tuples), got, len(mono.x_group)) == \
             (omega, delta, x_order)
 
     def test_counting_identity_violation_raises(self, A5, monkeypatch):
-        mono = MonolithicGroup.from_group(A5)
+        mono = MonolithicGroup(A5)
         # a repeated row leaves the orbits as they are but not |X|
         X = mono.x_group
         monkeypatch.setattr(mono, "x_group", np.concatenate([X, X[:1]]))
@@ -655,7 +655,7 @@ class TestSdrBlocks:
     @pytest.fixture(scope="class")
     def tables(self, A5m, S5m):
         """(L, t) -> the orbit table, built once for the class."""
-        mono = {"A5": A5m, "S5": S5m, "PSL(2,7)": MonolithicGroup.from_group(
+        mono = {"A5": A5m, "S5": S5m, "PSL(2,7)": MonolithicGroup(
             psl2(7).group())}
         memo = {}
 
@@ -763,7 +763,7 @@ class TestSampledWeakConnectivity:
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
     def test_matches_pairwise_oracle_at_t2(self, name):
         base = alternating(5) if name == "A5" else psl2(7)
-        L = MonolithicGroup.from_group(base.group())
+        L = MonolithicGroup(base.group())
         _, table = delta_Lt(L, 2)
         for seed in range(3):
             got = weak_connectivity_sampled(L, 2, 1, table, seed=seed)
@@ -845,7 +845,7 @@ class TestCrownEdgeStream:
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
     def test_direct_and_sdr_paths_agree_at_t2(self, name):
         base = alternating(5) if name == "A5" else psl2(7)
-        L = MonolithicGroup.from_group(base.group())
+        L = MonolithicGroup(base.group())
         _, table = delta_Lt(L, 2)
         direct = weak_connectivity(L, 2, 1)
         sdr = weak_connectivity(L, 2, 1, table=table)

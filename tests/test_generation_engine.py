@@ -153,7 +153,7 @@ def _rows(blocks) -> list:
 @pytest.mark.parametrize("group_id", ["A5", "S5", "PSL(2,7)", "PGL(2,7)"])
 def test_coset_indices_match_row_products(group_id):
     # the definition the coset labels replaced: the sorted x n, n in N
-    L = MonolithicGroup.from_group(_group(group_id))
+    L = MonolithicGroup(_group(group_id))
     table = L.ct().table
     socle = set(L.socle_indices)
     for x in range(L.ct().n):
@@ -163,7 +163,7 @@ def test_coset_indices_match_row_products(group_id):
 
 @pytest.mark.parametrize("entry", MONOLITHIC, ids=lambda e: e.id)
 def test_omega_tuples_match_closure_oracle(entry):
-    L = MonolithicGroup.from_group(entry.group())
+    L = MonolithicGroup(entry.group())
     a = default_generating_tuple(L, 2)
     cosets = [L.coset_indices(x) for x in a]
     assert list(map(tuple, omega_table(L, a).tuples.tolist())) == \
@@ -171,7 +171,7 @@ def test_omega_tuples_match_closure_oracle(entry):
 
 
 def test_omega_tuples_a5_t3_match_closure_oracle():
-    L = MonolithicGroup.from_group(_group("A5"))
+    L = MonolithicGroup(_group("A5"))
     a = default_generating_tuple(L, 3)
     cosets = [L.coset_indices(x) for x in a]
     assert list(map(tuple, omega_table(L, a).tuples.tolist())) == \
@@ -182,7 +182,7 @@ def test_omega_tuples_a5_t3_match_closure_oracle():
 def test_crown_completions_match_closure_oracle(group_id):
     # t = 3, eta = 1: an edge joins two pinned elements of different rows
     # that the free row's coset completes to a generating triple
-    L = MonolithicGroup.from_group(_group(group_id))
+    L = MonolithicGroup(_group(group_id))
     graph = crown_graph(L, 3, 1, drop_isolated=False)
     oracle = ClosureOracle(L.group)
     tbl = oracle.ct.table

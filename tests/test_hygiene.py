@@ -374,6 +374,147 @@ def test_only_the_registry_hangs_off_the_table(path):
         path.name
 
 
+# Lazily built attributes: every ``cached_property`` and every instance
+# field that ``__init__`` sets to None (or to a parameter whose default is
+# None) and other code fills.  Everything else is built at construction;
+# each entry here says why it is not.
+
+LAZY_ALLOWED = {
+    ("crown_powers", "MonolithicGroup", "aut"):
+        "the Aut(L) search, which direct-path crown graphs, cln, delu "
+        "and unico-rank never read",
+    ("crown_powers", "MonolithicGroup", "x_group"): "read off aut",
+    ("crown_powers", "MonolithicGroup", "element_orbit_labels"):
+        "read off x_group",
+    ("crown_powers", "CrownPower", "generators"): "grows with k",
+    ("crown_powers", "OrbitTable", "positions"): "|Omega| t cells",
+    ("crown_powers", "OrbitTable", "label_grid"): "|N|^t cells",
+    ("crown_powers", "CrownGraphBuilder", "digits"):
+        "the vertex cap is checked before it is built",
+    ("group_structure", "SubgroupRegistry", "_lattice"):
+        "the subgroup classes and maximal subgroups; closures, joins "
+        "and square_order do without them",
+    ("group_structure", "SubgroupRegistry", "_rows"):
+        "the incidence rows, read off the maximal subgroups",
+    ("group_structure", "SubgroupRegistry", "_row_classes"):
+        "read off the incidence rows",
+    ("group_structure", "SubgroupRegistry", "_avoid"):
+        "read off the row classes, for mask_dist only",
+    ("group_structure", "SubgroupRegistry", "_class_dists"):
+        "a row-class by row-class matrix, for Delta_d with d >= 3 only",
+    ("perm_core", "_Level", "visible"):
+        "reset when a generator is added, rebuilt on the next read",
+    ("perm_core", "PermutationGroup", "_elements"):
+        "the element list, under the enumeration cap",
+    ("perm_core", "PermutationGroup", "_cayley"):
+        "the dense table, under the dense-order cap",
+    ("perm_core", "PermutationGroup", "_registry"):
+        "filled by group_structure.registry_for, a layer above perm_core",
+}
+
+
+def lazy_attributes(sources: dict) -> list:
+    """(module, class, attribute) for each ``cached_property`` and each
+    field that a class's ``__init__`` sets to None, or to a parameter
+    defaulting to None, and that another method of the class, or a store
+    on an object other than ``self`` in any of ``sources`` (module name
+    -> text), sets to something else.  Other objects' fields match by
+    spelling."""
+
+    def stores(node):
+        """(target, value) of each assignment to an attribute in node."""
+        for stmt in ast.walk(node):
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and \
+                    stmt.value is not None:
+                for target in getattr(stmt, "targets", None) or \
+                        [stmt.target]:
+                    if isinstance(target, ast.Attribute):
+                        yield target, stmt.value
+
+    def on_self(target):
+        return isinstance(target.value, ast.Name) and target.value.id == "self"
+
+    def is_none(value, names=()):
+        return (isinstance(value, ast.Constant) and value.value is None) or \
+            (isinstance(value, ast.Name) and value.id in names)
+
+    out = set()
+    none_fields = []  # (module, class, attribute, other methods' fills)
+    foreign_fills = set()  # attributes filled on objects other than self
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        foreign_fills |= {target.attr for target, value in stores(tree)
+                          if not on_self(target) and not is_none(value)}
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = [node for node in cls.body
+                       if isinstance(node, ast.FunctionDef)]
+            out |= {(module, cls.name, node.name) for node in methods
+                    if any(isinstance(d, ast.Name)
+                           and d.id == "cached_property"
+                           for d in node.decorator_list)}
+            filled = {target.attr for node in methods
+                      if node.name != "__init__"
+                      for target, value in stores(node)
+                      if on_self(target) and not is_none(value)}
+            for node in methods:
+                if node.name != "__init__":
+                    continue
+                args = node.args.args[len(node.args.args)
+                                      - len(node.args.defaults):]
+                none_params = {a.arg for a, d in zip(args, node.args.defaults)
+                               if is_none(d)}
+                none_fields.extend(
+                    (module, cls.name, target.attr, filled)
+                    for target, value in stores(node)
+                    if on_self(target) and is_none(value, none_params))
+    out |= {(module, cls, attr) for module, cls, attr, filled in none_fields
+            if attr in filled or attr in foreign_fills}
+    return sorted(out)
+
+
+def test_lazy_scanner_flags_cached_properties_and_filled_fields():
+    sources = {"a": (
+        "class A:\n"
+        "    def __init__(self, x=None, y=1):\n"
+        "        self.memo = None\n"
+        "        self.given: int = x\n"
+        "        self.plain = None\n"
+        "        self.fixed = y\n"
+        "    @cached_property\n"
+        "    def later(self):\n"
+        "        return 1\n"
+        "    def fill(self):\n"
+        "        self.memo = 2\n"
+        "        self.plain = None\n"
+        "        self.fixed = 3\n"
+        "class B:\n"
+        "    def fill(self):\n"
+        "        self.plain = 5\n"),
+        "b": "def g(obj):\n    obj.given = 4\n"}
+    assert lazy_attributes(sources) == [
+        ("a", "A", "given"), ("a", "A", "later"), ("a", "A", "memo")]
+
+
+def test_every_lazy_attribute_is_listed_with_its_reason():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert lazy_attributes(sources) == sorted(LAZY_ALLOWED)
+    assert all(LAZY_ALLOWED.values())
+
+
+def test_monolithic_group_builds_its_socle_data_at_construction():
+    from rankgraph.catalog import alternating
+    from rankgraph.crown_powers import MonolithicGroup
+    mono = MonolithicGroup(alternating(5).group())
+    fields = vars(mono)
+    for name in ("socle", "socle_abelian", "socle_indices", "coset_labels",
+                 "socle_mask", "socle_positions", "socle_bfs_order"):
+        assert name in fields, name
+    for name in ("aut", "x_group", "element_orbit_labels"):
+        assert name not in fields, name
+
+
 # Library code that only tests call belongs in ``tests/oracles.py``: every
 # public module-level function or class of the package is referenced by
 # some package file other than through its own definition.  Names match
