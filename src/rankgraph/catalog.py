@@ -430,11 +430,11 @@ def load_catalog(path) -> list:
     return entries
 
 
-def save_catalog(entries: Iterable[CatalogEntry], path) -> None:
+def save_catalog(entries: Iterable[CatalogEntry], out) -> None:
+    """Write the entries to the text file ``out`` as catalog JSON."""
     data = {"entries": [e.to_dict() for e in entries]}
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    json.dump(data, out, indent=1, sort_keys=True)
+    out.write("\n")
 
 
 def find_entry(entries: Iterable[CatalogEntry], group_id: str) -> CatalogEntry:

@@ -259,11 +259,12 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    entries = _entries(args)
-    if args.max_order is not None:
-        entries = [e for e in entries if e.group().order <= args.max_order]
+    with _open_out(args.out) as out:
+        entries = [e for e in _entries(args) if args.max_order is None
+                   or e.group().order <= args.max_order]
+        if out is not None:
+            cat.save_catalog(entries, out)
     if args.out:
-        cat.save_catalog(entries, args.out)
         print(f"wrote {len(entries)} entries to {args.out}")
     else:
         for e in entries:

@@ -237,10 +237,14 @@ def square_order(ct, pairs: Sequence[tuple], target: int = 0,
     bound is returned, so the result is at least ``target`` exactly when
     |H| is.  The edges depend only on the first coordinates: a caller's
     ``trees`` dict keeps them per tuple (x_1, x_2, ...) across calls.
-    An entry that is not an element index raises ``PreconditionError``.
+    An entry that is not an element index raises ``PreconditionError``,
+    a pair of another length ``GroupArgumentError``.
     """
     tbl, inv, n, e = ct.table, ct.inv, ct.n, ct.identity
-    for x, y in pairs:
+    for pair in pairs:
+        if len(pair) != 2:
+            raise GroupArgumentError("pairs must have 2 entries each")
+        x, y = pair
         if not (_is_index(x, n) and _is_index(y, n)):
             raise PreconditionError(
                 f"pairs must be element indices of the group, 0 to {n - 1}")
@@ -676,11 +680,16 @@ class CrownGraphBuilder:
         return block
 
     def conjugate(self, r: int, m: tuple) -> int:
-        """The rank of (a_i . c)^m for the vertex r = (i, c), m in N^eta;
-        ``rank(i, m)``'s errors for an r or an m it refuses."""
+        """The rank of (a_i . c)^m for the vertex r = (i, c), m in N^eta:
+        ``PreconditionError`` for an r that is not a vertex rank, and
+        ``rank(i, m)``'s errors for an m it refuses."""
         tbl, inv = self.ct.table, self.ct.inv
+        if not _is_index(r, self.t * self.size):
+            raise PreconditionError(
+                f"r must be a vertex rank, 0 to {self.t * self.size - 1}: "
+                f"its row must be in 0 to {self.t - 1}")
         i, k = divmod(r, self.size)
-        self.rank(i, m)  # refuses an r or an m that names no vertex
+        self.rank(i, m)  # refuses an m that names no vertex
         ai = self.a[i]
         ac = [tbl[ai][self.socle[p]] for p in self.digits[k].tolist()]
         # a_i^-1 u^-1 (a_i c) u, coordinate by coordinate

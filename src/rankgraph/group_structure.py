@@ -30,7 +30,8 @@ every pair of row classes, which answers every rank-graph edge test
 for d >= 3.  ``SubgroupRegistry.generating_tuples``, the one search for
 generating tuples over cells (Omega, Gaschütz lifting, ``delu``),
 yields them as integer arrays, a block of prefixes at a time, with the
-last coordinate decided by one AND of uint64 word arrays.
+last coordinate decided by ``class_block``, the one function that ANDs
+incidence masks as uint64 words.
 """
 
 from __future__ import annotations
@@ -436,10 +437,10 @@ class SubgroupRegistry:
         the AND of its rows; its block is that prefix extended by the
         entries of cell t - 2 (as many at a time as keep the block within
         ``_TUPLE_BLOCK`` tuples), and the last coordinate of the whole
-        block is decided by one AND of uint64 word arrays
-        (``_mask_words``).  The search space, the
-        product of the cell sizes, is checked against the cap first,
-        before any incidence row is read.
+        block is decided by one ``class_block`` of the heads' rows, each
+        ANDed with the prefix's, against the last cell's rows.  The
+        search space, the product of the cell sizes, is checked against
+        the cap first, before any incidence row is read.
         """
         import numpy as np
         total = math.prod(map(len, cells))
@@ -453,16 +454,14 @@ class SubgroupRegistry:
         t = len(cells)
         if not t:
             return iter([] if mask else [np.empty((1, 0), dtype=np.intp)])
-        n_words = max(1, -(-max(mask, rows[self.ct.identity]).bit_length()
-                           // 64))
         last = np.asarray(cells[-1], dtype=np.intp)
-        last_w = _mask_words([rows[y] for y in cells[-1]], n_words)
+        last_rows = [rows[y] for y in cells[-1]]
         if t == 1:  # one empty head; the prefix mask is ANDed in below
             heads = np.empty((1, 0), dtype=np.intp)
-            heads_w = _mask_words([rows[self.ct.identity]], n_words)
+            head_rows = [rows[self.ct.identity]]
         else:
             heads = np.asarray(cells[-2], dtype=np.intp)[:, None]
-            heads_w = _mask_words([rows[x] for x in cells[-2]], n_words)
+            head_rows = [rows[x] for x in cells[-2]]
         step = max(1, _TUPLE_BLOCK // max(1, len(last)))
 
         def blocks(prefix, mask, depth):
@@ -471,13 +470,10 @@ class SubgroupRegistry:
                     yield from blocks(prefix + (x,), mask & rows[x],
                                       depth + 1)
                 return
-            mask_w = _mask_words([mask], n_words)
             for start in range(0, len(heads), step):
-                head_w = heads_w[:, start:start + step] & mask_w
-                hit = (head_w[0][:, None] & last_w[0]) != 0
-                for k in range(1, n_words):
-                    hit |= (head_w[k][:, None] & last_w[k]) != 0
-                i, j = np.nonzero(~hit)
+                i, j = np.nonzero(class_block(
+                    [row & mask for row in head_rows[start:start + step]],
+                    last_rows))
                 if len(i):
                     out = np.empty((len(i), t), dtype=np.intp)
                     out[:, :depth] = prefix
@@ -500,16 +496,6 @@ _TUPLE_BLOCK = 1 << 15
 _WORD = (1 << 64) - 1
 
 
-def _mask_words(masks: list, n_words: int):
-    """The masks as ``n_words`` rows of uint64 words, low word first: row
-    k holds word k of every mask."""
-    import numpy as np
-    out = np.empty((n_words, len(masks)), dtype="<u8")
-    for k in range(n_words):
-        out[k] = [(m >> (64 * k)) & _WORD for m in masks]
-    return out
-
-
 def class_block(left: list, right: list, joined=None, empty=True):
     """Matrix over the pairs (left[i], right[j]) of incidence masks:
     ``empty`` where their AND is 0, else ``joined`` of the AND (False
@@ -529,7 +515,10 @@ def class_block(left: list, right: list, joined=None, empty=True):
     widest = max(map(int.bit_length, left + right), default=0)
     n_words = max(1, -(-widest // 64))
     step = 8 * n_words
-    left_w, right_w = _mask_words(left, n_words), _mask_words(right, n_words)
+    # row k holds word k of every mask, low word first
+    left_w, right_w = (np.array([[(m >> (64 * k)) & _WORD for m in masks]
+                                 for k in range(n_words)], dtype="<u8")
+                       for masks in (left, right))
     out = np.full((len(left), len(right)), empty)
     for start in range(0, len(left), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS

@@ -271,6 +271,14 @@ class TestCrownVertexInputs:
         with pytest.raises(PreconditionError, match="row must be in 0 to 1"):
             builder.conjugate(r, (s[2], s[3]))
 
+    @pytest.mark.parametrize("r", [True, False])
+    def test_conjugate_refuses_a_bool_rank(self, builder, A5m, r):
+        # True named the vertex of rank 1, False that of rank 0
+        s = A5m.socle_indices
+        with pytest.raises(PreconditionError,
+                           match="^r must be a vertex rank, 0 to 7199"):
+            builder.conjugate(r, (s[0], s[0]))
+
     @pytest.mark.parametrize("columns", [[(0, 1, 2), (1, 2, 3)], [(0,)],
                                          [(0, 1), (1, 2, 3)]],
                              ids=["long", "short", "ragged"])
@@ -279,6 +287,14 @@ class TestCrownVertexInputs:
         with pytest.raises(GroupArgumentError,
                            match="columns must have t = 2 entries") as raised:
             meet_is_single_block(A5_table2, columns)
+        assert not isinstance(raised.value, PreconditionError)
+
+    @pytest.mark.parametrize("pairs", [[(3,)], [(1, 2), (3, 4, 5)], [()]],
+                             ids=["short", "long", "empty"])
+    def test_square_order_refuses_pairs_of_another_length(self, A5m, pairs):
+        with pytest.raises(GroupArgumentError,
+                           match="pairs must have 2 entries") as raised:
+            square_order(A5m.ct(), pairs)
         assert not isinstance(raised.value, PreconditionError)
 
 

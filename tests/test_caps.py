@@ -161,7 +161,8 @@ def test_cap_elements_holds_on_every_subcommand(argv, order, tmp_path,
 
 def test_catalogs_are_read_at_the_default_element_cap(tmp_path):
     path = tmp_path / "cat.json"
-    save_catalog([alternating(5)], path)
+    with open(path, "w") as fh:
+        save_catalog([alternating(5)], fh)
     with caps(max_elements=10):
         assert len(default_catalog()) == 48
         [entry] = load_catalog(path)

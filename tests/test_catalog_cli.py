@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -34,6 +35,11 @@ from rankgraph import cli as cli_mod
 from rankgraph import verify as verify_mod
 
 from oracles import isomorphism
+
+
+def write_catalog(entries, path):
+    with open(path, "w") as fh:
+        save_catalog(entries, fh)
 
 
 class TestBuilders:
@@ -94,7 +100,7 @@ class TestCatalogIO:
     def test_round_trip(self, tmp_path):
         entries = [cyclic(6), symmetric(4), psl2(7)]
         path = tmp_path / "cat.json"
-        save_catalog(entries, path)
+        write_catalog(entries, path)
         loaded = load_catalog(path)
         assert [e.id for e in loaded] == [e.id for e in entries]
         assert [e.generators for e in loaded] == \
@@ -595,7 +601,7 @@ class TestCLI:
 
     def test_sweep_cli(self, tmp_path, capsys):
         cat_path = tmp_path / "cat.json"
-        save_catalog([symmetric(4), dihedral(5)], cat_path)
+        write_catalog([symmetric(4), dihedral(5)], cat_path)
         out = tmp_path / "records.jsonl"
         rc = cli_main(["sweep", "--catalog", str(cat_path),
                        "--max-order", "100", "--out", str(out)])
@@ -607,7 +613,7 @@ class TestCLI:
         from rankgraph import sweep as sweep_mod
 
         cat_path = tmp_path / "cat.json"
-        save_catalog([symmetric(4), dihedral(5)], cat_path)
+        write_catalog([symmetric(4), dihedral(5)], cat_path)
         argv = ["sweep", "--catalog", str(cat_path), "--max-order", "100"]
         real = sweep_mod.min_rank
 
@@ -641,8 +647,8 @@ class TestCLI:
         from rankgraph import sweep as sweep_mod
 
         cat_path = tmp_path / "cat.json"
-        save_catalog([symmetric(4), dihedral(5), alternating(4),
-                      dihedral(4)], cat_path)
+        write_catalog([symmetric(4), dihedral(5), alternating(4),
+                       dihedral(4)], cat_path)
         argv = ["sweep", "--catalog", str(cat_path), "--max-order", "100",
                 "--jobs", jobs, "--out"]
         whole, part = tmp_path / "whole.jsonl", tmp_path / "part.jsonl"
@@ -674,7 +680,7 @@ class TestCLI:
 
     def test_sweep_resume(self, tmp_path, capsys):
         cat_path = tmp_path / "cat.json"
-        save_catalog([symmetric(4), dihedral(5)], cat_path)
+        write_catalog([symmetric(4), dihedral(5)], cat_path)
         out = tmp_path / "records.jsonl"
         cli_main(["sweep", "--catalog", str(cat_path), "--max-order", "100",
                   "--out", str(out)])
@@ -689,7 +695,7 @@ class TestCLI:
     def test_sweep_resume_names_a_line_that_is_no_record(self, tmp_path,
                                                          capsys, line):
         cat_path = tmp_path / "cat.json"
-        save_catalog([symmetric(3)], cat_path)
+        write_catalog([symmetric(3)], cat_path)
         out = tmp_path / "records.jsonl"
         argv = ["sweep", "--catalog", str(cat_path), "--max-order", "10",
                 "--out", str(out)]
@@ -704,7 +710,7 @@ class TestCLI:
     def test_sweep_resume_counts_recorded_critical(self, tmp_path, capsys):
         # a CRITICAL flag written by the earlier run decides the exit code
         cat_path = tmp_path / "cat.json"
-        save_catalog([symmetric(4), dihedral(5)], cat_path)
+        write_catalog([symmetric(4), dihedral(5)], cat_path)
         out = tmp_path / "records.jsonl"
         argv = ["sweep", "--catalog", str(cat_path), "--max-order", "100",
                 "--out", str(out)]
@@ -863,8 +869,10 @@ class TestCLI:
          "graph"),
         (["crown", "--L", "A5", "--t", "2", "--check", "delta",
           "--out", "{path}"], "{"),
-        (["verify", "--lemma", "frat", "--out", "{path}"], "{")],
-        ids=["analyze-out", "analyze-dot", "export-dot", "crown", "verify"])
+        (["verify", "--lemma", "frat", "--out", "{path}"], "{"),
+        (["catalog", "--max-order", "10", "--out", "{path}"], "{")],
+        ids=["analyze-out", "analyze-dot", "export-dot", "crown", "verify",
+             "catalog"])
     def test_run_replaces_the_old_output(self, tmp_path, argv, head):
         path = tmp_path / "old.txt"
         path.write_text("old\n")
@@ -875,6 +883,22 @@ class TestCLI:
         umask = os.umask(0)
         os.umask(umask)
         assert path.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_failed_catalog_write_keeps_the_old_file(self, tmp_path,
+                                                     monkeypatch, capsys):
+        # the catalog is loaded and filtered before it is written; a
+        # write that fails then must not have truncated the old file
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        path = tmp_path / "old.json"
+        path.write_text("old\n")
+        monkeypatch.setattr(json, "dump", disk_full)
+        assert cli_main(["catalog", "--max-order", "10",
+                         "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
 
     def test_failing_verification_still_writes_its_report(
             self, tmp_path, monkeypatch):
@@ -944,7 +968,7 @@ class TestCLI:
 
     def test_catalog_lists_the_given_file(self, tmp_path, capsys):
         path = tmp_path / "one.json"
-        save_catalog([dihedral(5)], path)
+        write_catalog([dihedral(5)], path)
         assert cli_main(["catalog", "--catalog", str(path)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "Dih5\tdegree 5\torder 10\t[soluble]"]
@@ -1005,7 +1029,7 @@ class TestFindEntry:
                          "--check", "delta"]) == 2
         # --catalog FILE still names the entries
         path = tmp_path / "cat.json"
-        save_catalog([psl2(5)], path)
+        write_catalog([psl2(5)], path)
         assert cli_main(["crown", "--catalog", str(path), "--L",
                          "PSL(2,5)", "--t", "2", "--check", "delta"]) == 0
         assert cli_main(["crown", "--catalog", str(path), "--L", "A5",

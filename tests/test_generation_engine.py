@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from rankgraph import group_structure
 from rankgraph.catalog import default_catalog, find_entry
 from rankgraph.crown_powers import (
     MonolithicGroup,
@@ -138,6 +139,28 @@ def test_generating_tuples_match_closure_oracle(group_id):
     # no cells: the empty tuple, iff the start mask is already 0
     assert _rows(reg.generating_tuples([])) == []
     assert _rows(reg.generating_tuples([], 0)) == [()]
+
+
+@pytest.mark.parametrize("group_id,block", [("A5", 150), ("PSL(2,8)", None)],
+                         ids=["A5-patched", "PSL(2,8)"])
+def test_generating_tuple_blocks_hold_at_most_tuple_block(
+        monkeypatch, group_id, block):
+    # two whole-group cells: the heads are decided in chunks of
+    # _TUPLE_BLOCK // n, so no yielded block holds more than
+    # _TUPLE_BLOCK tuples, and the blocks keep the product order
+    G = _group(group_id)
+    reg = registry_for(G)
+    n = G.order
+    if block is not None:
+        monkeypatch.setattr(group_structure, "_TUPLE_BLOCK", block)
+    blocks = list(reg.generating_tuples([range(n), range(n)]))
+    assert len(blocks) > 1
+    assert max(map(len, blocks)) <= group_structure._TUPLE_BLOCK
+    got = _rows(blocks)
+    assert got == sorted(set(got))
+    if block is not None:
+        assert got == [(x, y) for x in range(n) for y in range(n)
+                       if not reg.mask_of((x, y))]
 
 
 def _rows(blocks) -> list:

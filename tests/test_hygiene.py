@@ -283,6 +283,76 @@ def test_no_numpy_unique(path):
     assert numpy_unique_uses(path.read_text()) == [], path.name
 
 
+# Incidence masks are Python ints.  ``group_structure.class_block`` is the
+# one function that lays them out as uint64 words to AND them in numpy;
+# other code ANDs them as ints or calls it.
+
+def mask_word_layouts(source: str) -> list:
+    """(where, line) for each uint64 dtype in ``source`` (a string such
+    as ``"<u8"`` or ``"uint64"``, or a ``uint64`` name or attribute) and
+    each def of or reference to a ``mask_words`` helper.  ``where`` is
+    the outermost def around the line (``Class.method`` for a method),
+    else the class, else ``<module>``."""
+    import re
+    dtype = re.compile(r"[<>=|]?(u8|uint64)")
+    helper = re.compile(r"mask_?words?", re.IGNORECASE)
+    out = []
+
+    def visit(node, where):
+        """``where`` is None at module level, and ends in "." in a class
+        body outside its methods."""
+        name = None
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+            if where is None or where.endswith("."):
+                where = (where or "") + node.name
+        elif isinstance(node, ast.ClassDef):
+            name = node.name
+            if where is None or where.endswith("."):
+                where = (where or "") + node.name + "."
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name is not None and (dtype.fullmatch(name) or
+                                 helper.search(name)):
+            out.append(((where or "<module>").rstrip("."), node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return sorted(set(out), key=lambda hit: (hit[1], hit[0]))
+
+
+def test_word_scanner_flags_uint64_layouts():
+    source = (
+        "import numpy as np\n"
+        "W = np.dtype('>u8')\n"
+        "def class_block(left, right):\n"
+        "    '''ANDs the masks as uint64 words, dtype \"<u8\"'''\n"
+        "    def words(masks):\n"
+        "        return np.array(masks, dtype='<u8')\n"
+        "    return words(left) & words(right)\n"
+        "def _mask_words(masks):\n"
+        "    return masks\n"
+        "class R:\n"
+        "    u8 = 'u8'\n"
+        "    def tuples(self, rows, words):\n"
+        "        a = np.asarray(rows, dtype=np.uint64)\n"
+        "        return a.astype(uint64), _mask_words(rows), words\n")
+    assert mask_word_layouts(source) == [
+        ("<module>", 2), ("class_block", 6), ("_mask_words", 8),
+        ("R", 11), ("R.tuples", 13), ("R.tuples", 14)]
+
+
+def test_only_class_block_lays_masks_out_as_words():
+    layouts = {p.stem: mask_word_layouts(p.read_text()) for p in MODULES}
+    assert {(module, where) for module, hits in layouts.items()
+            for where, _ in hits} == {("group_structure", "class_block")}
+
+
 # Aut(L) and X are index arrays, never permutation groups: the
 # automorphisms module builds no group from its maps.
 
@@ -374,12 +444,16 @@ def test_only_the_registry_hangs_off_the_table(path):
         path.name
 
 
-# Lazily built attributes: every ``cached_property`` and every instance
+# Lazily built attributes: every ``cached_property``, every instance
 # field that ``__init__`` sets to None (or to a parameter whose default is
-# None) and other code fills.  Everything else is built at construction;
-# each entry here says why it is not.
+# None) and other code fills, and every dataclass field defaulting to
+# None that a method of its class fills.  Everything else is built at
+# construction; each entry here says why it is not.
 
 LAZY_ALLOWED = {
+    ("catalog", "CatalogEntry", "_group"):
+        "the permutation group, built from the generators on first use; "
+        "writing an entry out (to_dict) never reads it",
     ("crown_powers", "MonolithicGroup", "aut"):
         "the Aut(L) search, which direct-path crown graphs, cln, delu "
         "and unico-rank never read",
@@ -414,12 +488,15 @@ LAZY_ALLOWED = {
 
 
 def lazy_attributes(sources: dict) -> list:
-    """(module, class, attribute) for each ``cached_property`` and each
+    """(module, class, attribute) for each ``cached_property``, each
     field that a class's ``__init__`` sets to None, or to a parameter
     defaulting to None, and that another method of the class, or a store
     on an object other than ``self`` in any of ``sources`` (module name
-    -> text), sets to something else.  Other objects' fields match by
-    spelling."""
+    -> text), sets to something else, and each field of a ``dataclass``
+    that defaults to None (``= None`` or ``field(default=None)``) and
+    that a method of its class sets on ``self`` to something else; a
+    dataclass field that only other code sets is a record's field.
+    Other objects' fields match by spelling."""
 
     def stores(node):
         """(target, value) of each assignment to an attribute in node."""
@@ -437,6 +514,19 @@ def lazy_attributes(sources: dict) -> list:
     def is_none(value, names=()):
         return (isinstance(value, ast.Constant) and value.value is None) or \
             (isinstance(value, ast.Name) and value.id in names)
+
+    def defaults_to_none(value):
+        """``None``, or a ``field(...)`` call with ``default=None``."""
+        if isinstance(value, ast.Call) and \
+                isinstance(value.func, ast.Name) and value.func.id == "field":
+            return any(k.arg == "default" and is_none(k.value)
+                       for k in value.keywords)
+        return is_none(value)
+
+    def is_dataclass(decorator):
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        return isinstance(decorator, ast.Name) and decorator.id == "dataclass"
 
     out = set()
     none_fields = []  # (module, class, attribute, other methods' fills)
@@ -458,6 +548,13 @@ def lazy_attributes(sources: dict) -> list:
                       if node.name != "__init__"
                       for target, value in stores(node)
                       if on_self(target) and not is_none(value)}
+            if any(map(is_dataclass, cls.decorator_list)):
+                out |= {(module, cls.name, stmt.target.id)
+                        for stmt in cls.body
+                        if isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and defaults_to_none(stmt.value)
+                        and stmt.target.id in filled}
             for node in methods:
                 if node.name != "__init__":
                     continue
@@ -491,10 +588,27 @@ def test_lazy_scanner_flags_cached_properties_and_filled_fields():
         "        self.fixed = 3\n"
         "class B:\n"
         "    def fill(self):\n"
-        "        self.plain = 5\n"),
+        "        self.plain = 5\n"
+        "@dataclass(frozen=False)\n"
+        "class C:\n"
+        "    cache: int = field(default=None, repr=False)\n"
+        "    memo: int = None\n"
+        "    given: int = None\n"
+        "    count: int = 0\n"
+        "    plain: int = field(default_factory=list)\n"
+        "    def fill(self):\n"
+        "        self.cache = 1\n"
+        "        self.memo = 2\n"
+        "        self.count = 3\n"
+        "        self.plain = 4\n"
+        "class D:\n"
+        "    memo: int = None\n"
+        "    def fill(self):\n"
+        "        self.memo = 2\n"),
         "b": "def g(obj):\n    obj.given = 4\n"}
     assert lazy_attributes(sources) == [
-        ("a", "A", "given"), ("a", "A", "later"), ("a", "A", "memo")]
+        ("a", "A", "given"), ("a", "A", "later"), ("a", "A", "memo"),
+        ("a", "C", "cache"), ("a", "C", "memo")]
 
 
 def test_every_lazy_attribute_is_listed_with_its_reason():
