@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +64,9 @@ from .automorphisms import (
     x_subgroup,
 )
 from .graphs import component_labels
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -914,7 +916,9 @@ def delu_fraction(L: MonolithicGroup, l: Permutation,
     """Exact density of correction tuples keeping <l, b_1 n_1, ..> = L.
 
     Preconditions: d = len(b) >= max(2, d_l(L)) and <l, b_1, ..., b_d> = L.
+    ``fractions`` is imported here, so only the ``delu`` suite loads it.
     """
+    from fractions import Fraction
     reg = registry_for(L.group)
     l_idx, *b_idx = reg.ct.indices([l, *b])
     d = len(b_idx)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -164,6 +163,10 @@ def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
     distributed over worker processes; record order follows the catalog.
     ``on_record`` receives each record in that order as soon as it and
     every record before it are done.
+
+    ``ProcessPoolExecutor`` is imported only on that path: it loads
+    ``multiprocessing`` and, with it, ``logging``, ``socket`` and
+    ``subprocess``, which a run with one job never uses.
     """
     skip = set(skip_ids)
     plan = []  # per swept entry: its over-max-order record, or None
@@ -183,6 +186,7 @@ def sweep(entries: Sequence[CatalogEntry], max_order: Optional[int] = None,
     if jobs <= 1 or len(todo) <= 1:
         results = (sweep_entry(e, policy, with_diameter, seed) for e in todo)
     else:
+        from concurrent.futures import ProcessPoolExecutor
         args = [(e.to_dict(), policy, with_diameter, seed) for e in todo]
         # the pool starts all its workers at once, so never more than the
         # entries need

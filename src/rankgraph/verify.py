@@ -4,6 +4,10 @@ Each verifier exercises one statement-level property on a documented
 instance set and returns a VerifyReport; a failed instance carries a
 witness description.  All randomness is seeded, and reports record the
 seed and instance counts so runs are reproducible.
+
+``fractions`` is imported by the ``delu`` suite alone, inside
+``verify_delu`` (and ``crown_powers.delu_fraction``), so that no other
+command loads it and ``decimal`` with it at start-up.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .perm_core import (
@@ -54,8 +57,9 @@ from .crown_powers import (
 from . import catalog as cat
 
 
-# the minimum correction density asserted by the delu suite
-MIN_CORRECTION_DENSITY = Fraction(53, 90)
+# the minimum correction density asserted by the delu suite, as
+# (numerator, denominator)
+MIN_CORRECTION_DENSITY = (53, 90)
 
 
 @dataclass
@@ -139,6 +143,8 @@ def verify_delu(seed: int = 42, cross_checks: int = 20) -> VerifyReport:
     of L, so one computation per l covers every valid (l, b_1, b_2).
     Seeded direct cross-checks confirm the translation invariance.
     """
+    from fractions import Fraction
+    bound = Fraction(*MIN_CORRECTION_DENSITY)
     rng = random.Random(seed)
     L = _mono("A5")
     reg = registry_for(L.group)
@@ -157,7 +163,7 @@ def verify_delu(seed: int = 42, cross_checks: int = 20) -> VerifyReport:
         b1, b2 = found[0].tolist()
         frac = delu_fraction(L, ct.perm(l_idx), [ct.perm(b1), ct.perm(b2)])
         fractions[l_idx] = frac
-        if frac < MIN_CORRECTION_DENSITY:
+        if frac < bound:
             failures.append({"l": ct.perm(l_idx).cycle_string(),
                              "fraction": str(frac)})
     # seeded cross-checks: other valid completions give the same fraction
@@ -175,7 +181,7 @@ def verify_delu(seed: int = 42, cross_checks: int = 20) -> VerifyReport:
     min_frac = min(fractions.values())
     return VerifyReport(
         "delu", not failures, instances + checked, failures,
-        {"min_fraction": min_frac, "bound": MIN_CORRECTION_DENSITY,
+        {"min_fraction": min_frac, "bound": bound,
          "cross_checks": checked})
 
 

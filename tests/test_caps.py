@@ -217,8 +217,10 @@ def test_sweep_cap_elements_same_with_jobs(tmp_path, capsys):
 def test_sweep_workers_get_the_caps_under_spawn(monkeypatch):
     # a spawned worker imports the package afresh, so it sees the caps
     # only through the pool initializer
-    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", functools.partial(
-        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+    # sweep() imports the pool from concurrent.futures when it needs one
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        functools.partial(ProcessPoolExecutor, mp_context=spawn))
     entries = [symmetric(4), alternating(4), dihedral(5)]
     with caps(max_elements=12):
         records = sweep_mod.sweep(entries, jobs=2)

@@ -2,7 +2,10 @@ import errno
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -311,7 +314,6 @@ class TestSweep:
     def test_pool_is_no_larger_than_the_entries(self, monkeypatch):
         # the pool forks all its workers up front; an in-process stand-in
         # records the size asked for, so no process is started here
-        from rankgraph import sweep as sweep_mod
         asked = []
 
         class InProcessPool:
@@ -328,11 +330,36 @@ class TestSweep:
         entries = [symmetric(4), alternating(4), dihedral(6)]
         serial = [strip_timing(r)
                   for r in sweep(entries, max_order=100, jobs=1)]
-        monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", InProcessPool)
+        # sweep() imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                            InProcessPool)
         pooled = [strip_timing(r)
                   for r in sweep(entries, max_order=100, jobs=10_000)]
         assert asked == [3]
         assert pooled == serial
+
+    def test_jobs_in_a_fresh_process(self, tmp_path):
+        # each run imports the package afresh, as a user's does, so the
+        # pool is imported cold; one job must not import it at all
+        src = str(Path(cli_mod.__file__).parents[1])
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {src!r})\n"
+                  "from rankgraph.cli import cli_main\n"
+                  "code = cli_main(sys.argv[1:])\n"
+                  "print('multiprocessing' in sys.modules)\n"
+                  "sys.exit(code)\n")
+        records, pool_loaded = [], []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.jsonl"
+            done = subprocess.run(
+                [sys.executable, "-c", script, "sweep", "--max-order", "24",
+                 "--jobs", jobs, "--out", str(out)],
+                capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            pool_loaded.append(done.stdout.splitlines()[-1])
+            records.append([strip_timing(r) for r in load_records(out)])
+        assert pool_loaded == ["False", "True"]
+        assert records[0] and records[0] == records[1]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_must_be_a_positive_integer(self, jobs, capsys):

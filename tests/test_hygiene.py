@@ -1,6 +1,8 @@
 """Source hygiene checks on the package modules and the test files."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,6 +47,27 @@ def test_scanner_flags_unused_import():
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+# ``import rankgraph.cli`` loads what every command needs: numpy, but
+# not the process pool that only ``sweep --jobs N`` uses, nor the
+# ``fractions`` (and ``decimal``) that only the ``delu`` suite uses.
+DEFERRED_IMPORTS = ("multiprocessing", "concurrent.futures.process",
+                    "fractions", "decimal")
+
+
+def test_cli_import_defers_the_pool_and_fractions():
+    # a fresh interpreter: this one has imported everything already
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+              "import rankgraph.cli\n"
+              f"for name in {DEFERRED_IMPORTS + ('numpy',)!r}:\n"
+              "    print(name, name in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, check=True)
+    loaded = dict(line.split() for line in done.stdout.splitlines())
+    assert loaded == {**{name: "False" for name in DEFERRED_IMPORTS},
+                      "numpy": "True"}
 
 
 # The package's layers, lowest first: a module may import only from
